@@ -1,0 +1,118 @@
+//! Heap-allocation accounting: a counting allocator and the warm
+//! Q1–Q10 round measured with it.
+//!
+//! The allocator counts per *thread* (const-initialised thread-locals,
+//! so the allocator itself never allocates and threads never contend on
+//! a shared counter). A serial query runs entirely on its caller's
+//! thread, which makes the counts exact and repeatable. The binary that
+//! wants counts installs it:
+//!
+//! ```ignore
+//! #[global_allocator]
+//! static ALLOC: bench_harness::allocs::CountingAlloc = bench_harness::allocs::CountingAlloc;
+//! ```
+//!
+//! Shared by the harness's `allocs` experiment and the root crate's
+//! `tests/alloc_budget.rs`, so both report the same numbers.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ordered_unnesting::workloads::{Workload, ALL, COMPOSITE, RANGE};
+use service::{QueryService, ServiceConfig};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(size: usize) {
+    // `try_with`: a thread that is tearing down its locals still
+    // allocates; those calls go uncounted rather than panicking.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
+}
+
+/// The system allocator plus per-thread counts of calls that obtain
+/// memory (`alloc`, `alloc_zeroed`, `realloc`) and the bytes they asked
+/// for.
+pub struct CountingAlloc;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only
+// thread-local `Cell`s and never allocates or unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// `(allocations, bytes requested)` by the calling thread so far. Both
+/// stay 0 unless the running binary installed [`CountingAlloc`].
+pub fn thread_counts() -> (u64, u64) {
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+/// What one warm query cost the heap.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueryAllocs {
+    /// Workload id (`q1-grouping`, …).
+    pub id: &'static str,
+    /// Allocator calls that obtained memory.
+    pub allocs: u64,
+    /// Bytes those calls requested.
+    pub bytes: u64,
+}
+
+/// Q1–Q10 in id order.
+fn queries() -> Vec<&'static Workload> {
+    ALL.iter().chain(&RANGE).chain(&COMPOSITE).collect()
+}
+
+/// One warm `QueryService::query` per query of Q1–Q10 over
+/// `load_standard(scale, 1)`: every plan is cached and every index
+/// built by two earlier rounds, so the counts are execution (plus the
+/// service's per-query bookkeeping), not compilation.
+pub fn warm_round(scale: usize, use_indexes: bool) -> Vec<QueryAllocs> {
+    let svc = QueryService::new(ServiceConfig {
+        use_indexes,
+        ..ServiceConfig::default()
+    });
+    svc.load_standard(scale, 1).expect("standard catalog loads");
+    let queries = queries();
+    for _ in 0..2 {
+        for w in &queries {
+            svc.query(w.query)
+                .unwrap_or_else(|e| panic!("[{}] warm-up failed: {e}", w.id));
+        }
+    }
+    queries
+        .iter()
+        .map(|w| {
+            let (a0, b0) = thread_counts();
+            let outcome = svc.query(w.query);
+            let (a1, b1) = thread_counts();
+            outcome.unwrap_or_else(|e| panic!("[{}] failed: {e}", w.id));
+            QueryAllocs {
+                id: w.id,
+                allocs: a1 - a0,
+                bytes: b1 - b0,
+            }
+        })
+        .collect()
+}

@@ -36,7 +36,10 @@
 //! scan/indexed × materializing/streaming × parallel-degree ×
 //! maintenance-mode matrix; any disagreement fails the harness with a
 //! shrunk reproducer — budget via `XQD_FUZZ_SEED`/`XQD_FUZZ_CASES`),
-//! or `all`.
+//! `allocs` (heap allocations and bytes requested per warm
+//! `QueryService::query` of Q1–Q10, scan and indexed, counted by the
+//! binary's own counting allocator — the numbers `tests/alloc_budget.rs`
+//! holds ceilings on), or `all`.
 //! Every `--json` cell records the cost model's `predicted_cost` next
 //! to the measured time — and, per operator, the traced companion
 //! run's `operators` array — so `BENCH_*.json` trajectories can
@@ -58,6 +61,7 @@
 
 use std::collections::BTreeMap;
 
+use bench_harness::allocs::{warm_round, CountingAlloc};
 use bench_harness::{
     extrapolate_nested, fmt_secs, measure_plan_cfg, plans_for, Executor, Measurement, Report,
     RunConfig,
@@ -72,6 +76,12 @@ use xmldb::gen::{
 };
 use xmldb::serializer::document_size_bytes;
 use xmldb::Catalog;
+
+/// Counts per thread and forwards to the system allocator; what the
+/// `allocs` experiment reads. The other experiments pay two
+/// thread-local increments per allocation for it.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 struct Args {
     experiment: String,
@@ -250,12 +260,60 @@ fn main() {
     if run_all || args.experiment == "fuzz" {
         fuzz_oracle(&args, &mut report);
     }
+    if run_all || args.experiment == "allocs" {
+        allocs(&args, &mut report);
+    }
     if let Some(path) = &args.json {
         report
             .write(path)
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {} result rows to {path}", report.len());
     }
+}
+
+// ---------------------------------------------------------------------
+// Allocation accounting
+// ---------------------------------------------------------------------
+
+/// Heap allocations and bytes per warm query of Q1–Q10, scan and
+/// indexed, at each scale — the execution core's allocation discipline
+/// as a tracked number (one JSON row per query and mode).
+fn allocs(args: &Args, report: &mut Report) {
+    println!("Allocations per warm query (QueryService::query, plan cache and indexes warm)");
+    for &scale in &args.scales {
+        for indexes in [false, true] {
+            let cfg = RunConfig::new(Executor::Streaming, indexes);
+            let round = warm_round(scale, indexes);
+            println!("scale {scale}, indexes {}:", cfg.indexes_label());
+            for q in &round {
+                println!(
+                    "  {:<22} {:>8} allocations {:>10} bytes",
+                    q.id, q.allocs, q.bytes
+                );
+                let m = Measurement {
+                    plan: q.id.to_string(),
+                    ..Measurement::default()
+                };
+                report.record(
+                    "allocs",
+                    cfg,
+                    &[
+                        ("scale", scale as i64),
+                        ("allocations", q.allocs as i64),
+                        ("bytes", q.bytes as i64),
+                    ],
+                    &m,
+                );
+            }
+            let total: u64 = round.iter().map(|q| q.allocs).sum();
+            assert!(
+                total > 0,
+                "[allocs] the counting allocator is not installed"
+            );
+            println!("  {:<22} {total:>8} allocations", "round");
+        }
+    }
+    println!();
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,8 @@
 //! Shared measurement helpers for the benchmark harness and the Criterion
 //! benches: compile a workload into its plan alternatives and time them.
 
+pub mod allocs;
+
 use std::time::{Duration, Instant};
 
 use nal::Expr;
@@ -122,7 +124,7 @@ pub struct OpCell {
 }
 
 /// One measured (plan, scale) cell.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Measurement {
     pub plan: String,
     pub elapsed: Duration,

@@ -147,6 +147,8 @@ pub struct EvalCtx<'a> {
     /// Kept on the context, not the plan, so cached plans stay
     /// degree-independent.
     pub parallel: usize,
+    /// Node buffers of path evaluation, reused from tuple to tuple.
+    pub paths: xpath::PathBuffers,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -158,6 +160,7 @@ impl<'a> EvalCtx<'a> {
             metrics: Metrics::default(),
             trace: None,
             parallel: 1,
+            paths: xpath::PathBuffers::default(),
         }
     }
 
@@ -192,7 +195,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
         Expr::Literal(rows) => rows.clone(),
 
         Expr::AttrRel(a) => match env.get(*a) {
-            Some(Value::Tuples(ts)) => ts.as_ref().clone(),
+            Some(Value::Tuples(ts)) => ts.to_vec(),
             Some(Value::Null) | None => {
                 return Err(EvalError::new(format!(
                     "rel({a}): attribute not bound to a nested relation (env {env})"
@@ -375,7 +378,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             let mut out = Vec::new();
             for t in seq {
                 let nested = match t.get(*attr) {
-                    Some(Value::Tuples(ts)) => ts.as_ref().clone(),
+                    Some(Value::Tuples(ts)) => ts.to_vec(),
                     Some(Value::Null) | None => Vec::new(),
                     Some(other) => {
                         return Err(EvalError::new(format!(
@@ -408,8 +411,8 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             let mut out = Vec::new();
             for t in seq {
                 let v = eval_scalar(value, &env.concat(&t), ctx)?;
-                for item in v.as_item_seq() {
-                    out.push(t.extend(*attr, item));
+                for item in v.as_items() {
+                    out.push(t.extend(*attr, item.clone()));
                 }
             }
             out
@@ -481,18 +484,11 @@ fn project_seq(seq: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Seq {
 /// Duplicate elimination by *atomized* value (nodes dedup by string
 /// value, matching `distinct-values`), keeping the first occurrence.
 pub fn dedup_by_value(seq: &[Tuple], catalog: &Catalog) -> Seq {
-    let keyed: Vec<(Vec<Value>, &Tuple)> = seq
-        .iter()
-        .map(|t| (t.values().map(|v| v.atomize(catalog)).collect(), t))
-        .collect();
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(seq.len());
-    for (key, t) in keyed {
-        if seen.insert(key) {
-            out.push(t.clone());
-        }
-    }
-    out
+    let mut seen = std::collections::HashSet::with_capacity(seq.len());
+    seq.iter()
+        .filter(|t| seen.insert(t.values().map(|v| v.atomize(catalog)).collect::<Vec<_>>()))
+        .cloned()
+        .collect()
 }
 
 /// Replace every attribute value by its atomization. `Π^D` projections
@@ -501,7 +497,7 @@ pub fn dedup_by_value(seq: &[Tuple], catalog: &Catalog) -> Seq {
 /// (whose keys come from the inner expression's *nodes*) print the same
 /// strings as the nested plans (whose variables hold atomized values).
 pub fn atomize_tuple(t: &Tuple, catalog: &Catalog) -> Tuple {
-    Tuple::from_pairs(t.iter().map(|(a, v)| (a, v.atomize(catalog))).collect())
+    t.map_values(|v| v.atomize(catalog))
 }
 
 /// First-occurrence distinct projections of `seq` onto `by`, with
@@ -556,19 +552,21 @@ pub fn apply_groupfn(
     env: &Tuple,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Value> {
-    let filtered: Vec<Tuple> = match &f.filter {
-        None => group.to_vec(),
+    let kept;
+    let filtered: &[Tuple] = match &f.filter {
+        None => group,
         Some(p) => {
-            let mut kept = Vec::with_capacity(group.len());
+            let mut passing = Vec::with_capacity(group.len());
             for t in group {
                 if scalar::truthy(p, &env.concat(t), ctx)? {
-                    kept.push(t.clone());
+                    passing.push(t.clone());
                 }
             }
-            kept
+            kept = passing;
+            &kept
         }
     };
-    f.aggregate(&filtered, ctx.catalog).map_err(EvalError::new)
+    f.aggregate(filtered, ctx.catalog).map_err(EvalError::new)
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Scalar (subscript) evaluation, including nested algebraic expressions.
 
+use std::sync::Arc;
+
 use xmldb::NodeId;
 use xpath::EvalCounters;
 
@@ -97,13 +99,15 @@ pub fn eval_scalar(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult
 
         Scalar::Lift(inner, a) => {
             let v = eval_scalar(inner, env, ctx)?;
-            Ok(Value::tuples(lift_items(&v, *a)))
+            Ok(Value::Tuples(lift_items(&v, *a)))
         }
 
         Scalar::DistinctItems(inner) => {
             let v = eval_scalar(inner, env, ctx)?;
-            let atomized = v.atomize(ctx.catalog).as_item_seq();
-            Ok(Value::Items(dedup_first_occurrence(&atomized).into()))
+            let atomized = v.atomize(ctx.catalog);
+            Ok(Value::Items(
+                dedup_first_occurrence(atomized.as_items()).into(),
+            ))
         }
 
         Scalar::Exists { var, range, pred } => {
@@ -150,41 +154,43 @@ pub fn eval_path_value(
     path: &xpath::Path,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Value> {
-    // Collect the context nodes. All must live in the same document (true
-    // for every query in the paper; a cross-document step would be a bug).
-    let items = base.as_item_seq();
-    if items.is_empty() {
-        return Ok(Value::Items(vec![].into()));
-    }
-    let mut doc_id = None;
-    let mut nodes: Vec<NodeId> = Vec::with_capacity(items.len());
-    for it in &items {
-        match it {
-            Value::Node(n) => {
-                if *doc_id.get_or_insert(n.doc) != n.doc {
-                    return Err(EvalError::new("path over nodes from different documents"));
+    let non_node =
+        |other: &Value| EvalError::new(format!("path applied to non-node value: {other}"));
+    // The context nodes. All must live in the same document (true for
+    // every query in the paper; a cross-document step would be a bug).
+    // One node — the per-tuple case of every Υ and χ — is read where
+    // it sits; only a sequence is gathered into a buffer.
+    let gathered: Vec<NodeId>;
+    let (doc_id, nodes): (_, &[NodeId]) = match base.as_items() {
+        [] => return Ok(Value::Items(Arc::from([]))),
+        [Value::Node(n)] => (n.doc, std::slice::from_ref(&n.node)),
+        items @ [Value::Node(first), ..] => {
+            let mut nodes = Vec::with_capacity(items.len());
+            for it in items {
+                match it {
+                    Value::Node(n) if n.doc == first.doc => nodes.push(n.node),
+                    Value::Node(_) => {
+                        return Err(EvalError::new("path over nodes from different documents"))
+                    }
+                    other => return Err(non_node(other)),
                 }
-                nodes.push(n.node);
             }
-            other => {
-                return Err(EvalError::new(format!(
-                    "path applied to non-node value: {other}"
-                )))
-            }
+            gathered = nodes;
+            (first.doc, &gathered)
         }
-    }
-    let doc_id = doc_id.expect("non-empty context");
-    let doc = ctx.catalog.doc(doc_id);
+        [other, ..] => return Err(non_node(other)),
+    };
     let mut counters = EvalCounters::default();
-    let result = xpath::eval_path(doc, &nodes, path, &mut counters);
+    let result = ctx
+        .paths
+        .eval(ctx.catalog.doc(doc_id), nodes, path, &mut counters);
     ctx.metrics.doc_scans += counters.doc_scans;
     ctx.metrics.nodes_visited += counters.nodes_visited;
-    Ok(Value::items(
-        result
-            .into_iter()
-            .map(|node| Value::Node(NodeRef { doc: doc_id, node }))
-            .collect(),
-    ))
+    let node_value = |&node: &NodeId| Value::Node(NodeRef { doc: doc_id, node });
+    Ok(match result {
+        [only] => node_value(only),
+        many => Value::Items(many.iter().map(node_value).collect()),
+    })
 }
 
 /// The value of a single-attribute tuple — how quantifier ranges bind

@@ -1,13 +1,17 @@
 //! Ξ result construction: serializing values onto the output stream.
 
+use std::fmt::Write as _;
+
 use xmldb::serializer::serialize_node;
+use xmldb::Catalog;
 
 use crate::eval::{EvalCtx, EvalError, EvalResult};
 use crate::expr::XiCmd;
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Execute a Ξ command list for one tuple.
+/// Execute a Ξ command list for one tuple, appending to the context's
+/// output stream.
 pub fn run_cmds(cmds: &[XiCmd], env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
     for cmd in cmds {
         match cmd {
@@ -15,11 +19,8 @@ pub fn run_cmds(cmds: &[XiCmd], env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResul
             XiCmd::Var(a) => {
                 let v = env
                     .get(*a)
-                    .cloned()
                     .ok_or_else(|| EvalError::new(format!("Ξ: unbound variable `{a}`")))?;
-                let mut s = String::new();
-                write_value(&v, ctx, &mut s)?;
-                ctx.out.push_str(&s);
+                write_value(v, ctx.catalog, &mut ctx.out);
             }
         }
     }
@@ -28,21 +29,18 @@ pub fn run_cmds(cmds: &[XiCmd], env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResul
 
 /// Serialize a value the way XQuery result construction does: nodes as
 /// XML markup, atomic values as their string value, sequences item by
-/// item.
-pub fn write_value(v: &Value, ctx: &EvalCtx<'_>, out: &mut String) -> EvalResult<()> {
+/// item — appended to the caller's buffer.
+pub fn write_value(v: &Value, catalog: &Catalog, out: &mut String) {
     match v {
         Value::Null => {}
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Dec(d) => out.push_str(&d.to_string()),
+        Value::Int(i) => write!(out, "{i}").expect("writing to a String"),
+        Value::Dec(d) => write!(out, "{d}").expect("writing to a String"),
         Value::Str(s) => out.push_str(s),
-        Value::Node(n) => {
-            let doc = ctx.catalog.doc(n.doc);
-            serialize_node(doc, n.node, out);
-        }
+        Value::Node(n) => serialize_node(catalog.doc(n.doc), n.node, out),
         Value::Items(items) => {
             for it in items.iter() {
-                write_value(it, ctx, out)?;
+                write_value(it, catalog, out);
             }
         }
         Value::Tuples(ts) => {
@@ -51,10 +49,9 @@ pub fn write_value(v: &Value, ctx: &EvalCtx<'_>, out: &mut String) -> EvalResult
             // directly).
             for t in ts.iter() {
                 for val in t.values() {
-                    write_value(val, ctx, out)?;
+                    write_value(val, catalog, out);
                 }
             }
         }
     }
-    Ok(())
 }

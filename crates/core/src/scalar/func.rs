@@ -4,7 +4,7 @@ use std::fmt;
 
 use xmldb::Catalog;
 
-use crate::value::{Dec, Value};
+use crate::value::{Atom, Dec, Value};
 
 /// The builtin functions the paper's queries use, plus the item-sequence
 /// aggregates of XQuery's function library (used when an aggregate is
@@ -107,13 +107,12 @@ impl Func {
         match self {
             Func::Contains => {
                 let [h, n] = args else { return arity_err("2") };
-                let h = h.atomize(catalog).as_str_lossy();
-                let n = n.atomize(catalog).as_str_lossy();
-                Ok(Value::Bool(h.contains(&n)))
+                let (h, n) = (Atom::of(h, catalog), Atom::of(n, catalog));
+                Ok(Value::Bool(h.as_str_lossy().contains(&*n.as_str_lossy())))
             }
             Func::Decimal => {
                 let [x] = args else { return arity_err("1") };
-                match x.atomize(catalog).as_number() {
+                match Atom::of(x, catalog).as_number() {
                     Some(n) => Ok(Value::Dec(Dec(n))),
                     None if x.is_empty_seq() => Ok(Value::Null),
                     None => Err(format!("decimal(): not a number: {x}")),
@@ -121,12 +120,12 @@ impl Func {
             }
             Func::String => {
                 let [x] = args else { return arity_err("1") };
-                Ok(Value::str(x.atomize(catalog).as_str_lossy()))
+                Ok(Value::str(Atom::of(x, catalog).as_str_lossy()))
             }
             Func::Concat => {
                 let mut out = String::new();
                 for a in args {
-                    out.push_str(&a.atomize(catalog).as_str_lossy());
+                    out.push_str(&Atom::of(a, catalog).as_str_lossy());
                 }
                 Ok(Value::str(out))
             }
@@ -140,10 +139,10 @@ impl Func {
             }
             Func::Sum | Func::Avg => {
                 let [x] = args else { return arity_err("1") };
-                let items = x.atomize(catalog).as_item_seq();
+                let items = x.atomize(catalog);
                 let mut sum = 0.0f64;
                 let mut n = 0usize;
-                for it in &items {
+                for it in items.as_items() {
                     if let Some(v) = it.as_number() {
                         sum += v;
                         n += 1;
@@ -179,8 +178,8 @@ impl Func {
                 if pos < 1.0 || pos.fract() != 0.0 {
                     return Ok(Value::Null);
                 }
-                let items = x.atomize(catalog).as_item_seq();
-                match items.get(pos as usize - 1) {
+                let items = x.atomize(catalog);
+                match items.as_items().get(pos as usize - 1) {
                     Some(v) => Ok(v.clone()),
                     None => Ok(Value::Null),
                 }
@@ -206,7 +205,8 @@ pub fn effective_boolean(v: &Value) -> bool {
 /// min/max over item values: numeric when all items are numeric,
 /// lexicographic otherwise. Empty input yields `Null`.
 pub fn min_max_items(is_min: bool, v: &Value, catalog: &Catalog) -> Value {
-    let items = v.atomize(catalog).as_item_seq();
+    let atomized = v.atomize(catalog);
+    let items = atomized.as_items();
     if items.is_empty() {
         return Value::Null;
     }

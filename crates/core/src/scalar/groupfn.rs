@@ -128,27 +128,29 @@ impl GroupFn {
     where
         E: FnMut(&Scalar, &Tuple) -> Result<bool, String>,
     {
-        let filtered: Vec<Tuple> = match &self.filter {
-            None => group.to_vec(),
+        let kept;
+        let filtered: &[Tuple] = match &self.filter {
+            None => group,
             Some(p) => {
-                let mut kept = Vec::with_capacity(group.len());
+                let mut passing = Vec::with_capacity(group.len());
                 for t in group {
                     if eval_filter(p, t)? {
-                        kept.push(t.clone());
+                        passing.push(t.clone());
                     }
                 }
-                kept
+                kept = passing;
+                &kept
             }
         };
-        self.aggregate(&filtered, catalog)
+        self.aggregate(filtered, catalog)
     }
 
     /// Apply to a group that is already filtered (or has no filter).
     pub fn aggregate(&self, group: &[Tuple], catalog: &Catalog) -> Result<Value, String> {
         match self.agg {
             AggKind::Tuples => Ok(match self.project {
-                None => Value::tuples(group.to_vec()),
-                Some(a) => Value::tuples(group.iter().map(|t| t.project(&[a])).collect()),
+                None => Value::Tuples(group.iter().cloned().collect()),
+                Some(a) => Value::Tuples(group.iter().map(|t| t.project(&[a])).collect()),
             }),
             AggKind::Items => {
                 let a = self.project.ok_or_else(|| {
@@ -165,7 +167,7 @@ impl GroupFn {
                 let items = self.projected_items(group)?;
                 let nums: Vec<f64> = items
                     .atomize(catalog)
-                    .as_item_seq()
+                    .as_items()
                     .iter()
                     .filter_map(Value::as_number)
                     .collect();

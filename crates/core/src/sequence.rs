@@ -1,5 +1,7 @@
 //! Ordered sequences of tuples and the `e[a]` lifting (§2).
 
+use std::sync::Arc;
+
 use crate::sym::Sym;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -10,11 +12,11 @@ pub type Seq = Vec<Tuple>;
 /// `e[a]`: lift a sequence of non-tuple values into a sequence of tuples
 /// with the single attribute `a` (§2: "we construct from a sequence of
 /// non-tuple values e a sequence of tuples denoted by e\[a\]").
-pub fn lift_items(value: &Value, a: Sym) -> Seq {
+pub fn lift_items(value: &Value, a: Sym) -> Arc<[Tuple]> {
     value
-        .as_item_seq()
-        .into_iter()
-        .map(|v| Tuple::singleton(a, v))
+        .as_items()
+        .iter()
+        .map(|v| Tuple::singleton(a, v.clone()))
         .collect()
 }
 

@@ -15,9 +15,25 @@ use std::sync::{Mutex, OnceLock};
 
 /// An interned symbol. Ordering is *by name* (lexicographic), so that
 /// sorted tuple layouts and printed attribute sets are deterministic
-/// across processes regardless of interning order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// across processes regardless of interning order. Equality is pointer
+/// identity: interning gives every name exactly one `&'static str`.
+#[derive(Clone, Copy)]
 pub struct Sym(&'static str);
+
+impl PartialEq for Sym {
+    #[inline]
+    fn eq(&self, other: &Sym) -> bool {
+        std::ptr::eq(self.0, other.0)
+    }
+}
+
+impl Eq for Sym {}
+
+impl std::hash::Hash for Sym {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
 
 struct Interner {
     map: HashMap<&'static str, Sym>,
@@ -71,8 +87,15 @@ impl PartialOrd for Sym {
 }
 
 impl Ord for Sym {
+    #[inline]
     fn cmp(&self, other: &Sym) -> std::cmp::Ordering {
-        self.0.cmp(other.0)
+        // The equal case (every successful tuple lookup ends on one)
+        // is decided without touching the bytes.
+        if self == other {
+            std::cmp::Ordering::Equal
+        } else {
+            self.0.cmp(other.0)
+        }
     }
 }
 

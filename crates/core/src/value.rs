@@ -8,6 +8,7 @@
 //! handles "pointing to nodes in trees stored in the database" instead of
 //! materialized trees.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
@@ -102,9 +103,9 @@ pub enum Value {
     /// A sequence of items (an XQuery value). Single-item sequences are
     /// normalized to the item itself ("we identify single element
     /// sequences and elements", §2).
-    Items(Arc<Vec<Value>>),
+    Items(Arc<[Value]>),
     /// A sequence of tuples (a nested relation, e.g. a group).
-    Tuples(Arc<Vec<Tuple>>),
+    Tuples(Arc<[Tuple]>),
 }
 
 impl Value {
@@ -115,33 +116,37 @@ impl Value {
 
     /// Build an item sequence, collapsing singletons and flattening nested
     /// item sequences (XQuery sequences do not nest).
-    pub fn items(items: Vec<Value>) -> Value {
-        let mut flat = Vec::with_capacity(items.len());
-        for v in items {
-            match v {
-                Value::Items(inner) => flat.extend(inner.iter().cloned()),
-                other => flat.push(other),
+    pub fn items(mut items: Vec<Value>) -> Value {
+        if items.iter().any(|v| matches!(v, Value::Items(_))) {
+            let mut flat = Vec::with_capacity(items.len());
+            for v in items {
+                match v {
+                    Value::Items(inner) => flat.extend(inner.iter().cloned()),
+                    other => flat.push(other),
+                }
             }
+            items = flat;
         }
-        if flat.len() == 1 {
-            flat.pop().expect("len checked")
+        if items.len() == 1 {
+            items.pop().expect("len checked")
         } else {
-            Value::Items(Arc::new(flat))
+            Value::Items(items.into())
         }
     }
 
     /// A nested relation value.
     pub fn tuples(ts: Vec<Tuple>) -> Value {
-        Value::Tuples(Arc::new(ts))
+        Value::Tuples(ts.into())
     }
 
-    /// View this value as a sequence of items (without atomization).
-    /// `Null` is the empty sequence; scalars are singleton sequences.
-    pub fn as_item_seq(&self) -> Vec<Value> {
+    /// View this value as a sequence of items (without atomization),
+    /// borrowed: `Null` is the empty sequence, a scalar is the
+    /// one-element slice of itself.
+    pub fn as_items(&self) -> &[Value] {
         match self {
-            Value::Null => Vec::new(),
-            Value::Items(v) => v.as_ref().clone(),
-            other => vec![other.clone()],
+            Value::Null => &[],
+            Value::Items(v) => v,
+            other => std::slice::from_ref(other),
         }
     }
 
@@ -164,12 +169,19 @@ impl Value {
     /// unchanged. Sequences atomize item-wise.
     pub fn atomize(&self, catalog: &Catalog) -> Value {
         match self {
-            Value::Node(n) => {
-                let doc = catalog.doc(n.doc);
-                Value::str(doc.string_value(n.node))
-            }
+            Value::Node(n) => Value::Str(Arc::from(&*catalog.doc(n.doc).string_value(n.node))),
             Value::Items(items) => Value::items(items.iter().map(|v| v.atomize(catalog)).collect()),
             other => other.clone(),
+        }
+    }
+
+    /// The text of a string or node value, borrowed from the value or
+    /// the document wherever the text is stored in one piece.
+    pub fn text<'a>(&'a self, catalog: &'a Catalog) -> Option<Cow<'a, str>> {
+        match self {
+            Value::Str(s) => Some(Cow::Borrowed(s)),
+            Value::Node(n) => Some(catalog.doc(n.doc).string_value(n.node)),
+            _ => None,
         }
     }
 
@@ -183,15 +195,16 @@ impl Value {
         }
     }
 
-    /// String view of an atomic value (after atomization).
-    pub fn as_str_lossy(&self) -> String {
+    /// String view of an atomic value (after atomization); borrowed
+    /// when the value already is a string.
+    pub fn as_str_lossy(&self) -> Cow<'_, str> {
         match self {
-            Value::Str(s) => s.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Dec(d) => d.to_string(),
-            Value::Bool(b) => b.to_string(),
-            Value::Null => String::new(),
-            other => format!("{other:?}"),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Dec(d) => Cow::Owned(d.to_string()),
+            Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            Value::Null => Cow::Borrowed(""),
+            other => Cow::Owned(format!("{other:?}")),
         }
     }
 }
@@ -263,6 +276,63 @@ impl CmpOp {
     }
 }
 
+/// An atomized operand of a comparison. Text — a string, or a node's
+/// string value — stays borrowed from the value or the document, so
+/// comparing two of them copies nothing.
+pub(crate) enum Atom<'a> {
+    Text(Cow<'a, str>),
+    /// Any other atomized value; never a `Str`.
+    Plain(Value),
+}
+
+impl<'a> Atom<'a> {
+    pub(crate) fn of(v: &'a Value, catalog: &'a Catalog) -> Atom<'a> {
+        match v.text(catalog) {
+            Some(text) => Atom::Text(text),
+            None => match v.atomize(catalog) {
+                Value::Str(s) => Atom::Text(Cow::Owned(s.to_string())),
+                other => Atom::Plain(other),
+            },
+        }
+    }
+
+    fn is_numeric(&self) -> bool {
+        matches!(self, Atom::Plain(Value::Int(_) | Value::Dec(_)))
+    }
+
+    pub(crate) fn as_number(&self) -> Option<f64> {
+        match self {
+            Atom::Text(s) => s.trim().parse::<f64>().ok(),
+            Atom::Plain(v) => v.as_number(),
+        }
+    }
+
+    pub(crate) fn as_str_lossy(&self) -> Cow<'_, str> {
+        match self {
+            Atom::Text(s) => Cow::Borrowed(s),
+            Atom::Plain(v) => v.as_str_lossy(),
+        }
+    }
+}
+
+fn cmp_atoms(op: CmpOp, l: &Atom<'_>, r: &Atom<'_>) -> bool {
+    if matches!(l, Atom::Plain(Value::Null)) || matches!(r, Atom::Plain(Value::Null)) {
+        return false;
+    }
+    // Numeric coercion when either side is a number.
+    if l.is_numeric() || r.is_numeric() {
+        return match (l.as_number(), r.as_number()) {
+            (Some(a), Some(b)) => a.partial_cmp(&b).is_some_and(|ord| op.test(ord)),
+            _ => false,
+        };
+    }
+    match (l, r) {
+        (Atom::Plain(Value::Bool(a)), Atom::Plain(Value::Bool(b))) => op.test(a.cmp(b)),
+        // Text against text, and mixed leftovers by their string forms.
+        _ => op.test(l.as_str_lossy().cmp(&r.as_str_lossy())),
+    }
+}
+
 /// Compare two *atomic* values (`Null` compares false against everything,
 /// including itself — SQL-style, which is what outer-join padding needs).
 ///
@@ -274,26 +344,7 @@ impl CmpOp {
 /// value index's ordered keys, so every access path agrees on these
 /// edge points.
 pub fn cmp_atomic(op: CmpOp, l: &Value, r: &Value, catalog: &Catalog) -> bool {
-    let l = l.atomize(catalog);
-    let r = r.atomize(catalog);
-    if matches!(l, Value::Null) || matches!(r, Value::Null) {
-        return false;
-    }
-    // Numeric coercion when either side is a number.
-    let numericish =
-        matches!(l, Value::Int(_) | Value::Dec(_)) || matches!(r, Value::Int(_) | Value::Dec(_));
-    if numericish {
-        return match (l.as_number(), r.as_number()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).is_some_and(|ord| op.test(ord)),
-            _ => false,
-        };
-    }
-    match (&l, &r) {
-        (Value::Bool(a), Value::Bool(b)) => op.test(a.cmp(b)),
-        (Value::Str(a), Value::Str(b)) => op.test(a.as_ref().cmp(b.as_ref())),
-        // Mixed leftovers: compare string forms.
-        _ => op.test(l.as_str_lossy().cmp(&r.as_str_lossy())),
-    }
+    cmp_atoms(op, &Atom::of(l, catalog), &Atom::of(r, catalog))
 }
 
 /// General comparison with XQuery's existential semantics: `l op r` holds
@@ -304,22 +355,20 @@ pub fn cmp_atomic(op: CmpOp, l: &Value, r: &Value, catalog: &Catalog) -> bool {
 /// Tuple sequences contribute the values of their single attribute
 /// (the `e[a]`-lifted representation of item sequences).
 pub fn cmp_general(op: CmpOp, l: &Value, r: &Value, catalog: &Catalog) -> bool {
-    let ls = explode(l);
-    let rs = explode(r);
-    ls.iter()
-        .any(|a| rs.iter().any(|b| cmp_atomic(op, a, b, catalog)))
+    any_leaf(l, &mut |a| {
+        let a = Atom::of(a, catalog);
+        any_leaf(r, &mut |b| cmp_atoms(op, &a, &Atom::of(b, catalog)))
+    })
 }
 
-/// Flatten a value into candidate atomic items for general comparison.
-fn explode(v: &Value) -> Vec<Value> {
+/// Does `found` hold for any candidate atomic item of `v`? Visits the
+/// leaves of nested item and tuple sequences in order, in place.
+fn any_leaf(v: &Value, found: &mut dyn FnMut(&Value) -> bool) -> bool {
     match v {
-        Value::Items(items) => items.iter().flat_map(explode).collect(),
-        Value::Tuples(ts) => ts
-            .iter()
-            .flat_map(|t| t.values().flat_map(explode).collect::<Vec<_>>())
-            .collect(),
-        Value::Null => Vec::new(),
-        other => vec![other.clone()],
+        Value::Items(items) => items.iter().any(|it| any_leaf(it, found)),
+        Value::Tuples(ts) => ts.iter().any(|t| t.values().any(|it| any_leaf(it, found))),
+        Value::Null => false,
+        other => found(other),
     }
 }
 
@@ -481,6 +530,90 @@ mod tests {
         });
         assert_eq!(node.atomize(&c), Value::str("42"));
         assert!(cmp_atomic(CmpOp::Eq, &node, &Value::Int(42), &c));
+    }
+
+    /// `cmp_atomic` as it was before operands borrowed their text:
+    /// materialize both atomized values, then compare.
+    fn cmp_atomic_materialized(op: CmpOp, l: &Value, r: &Value, catalog: &Catalog) -> bool {
+        let l = l.atomize(catalog);
+        let r = r.atomize(catalog);
+        if matches!(l, Value::Null) || matches!(r, Value::Null) {
+            return false;
+        }
+        let numeric = |v: &Value| matches!(v, Value::Int(_) | Value::Dec(_));
+        if numeric(&l) || numeric(&r) {
+            return match (l.as_number(), r.as_number()) {
+                (Some(a), Some(b)) => a.partial_cmp(&b).is_some_and(|ord| op.test(ord)),
+                _ => false,
+            };
+        }
+        match (&l, &r) {
+            (Value::Bool(a), Value::Bool(b)) => op.test(a.cmp(b)),
+            (Value::Str(a), Value::Str(b)) => op.test(a.as_ref().cmp(b.as_ref())),
+            _ => op.test(l.as_str_lossy().cmp(&r.as_str_lossy())),
+        }
+    }
+
+    #[test]
+    fn borrowed_comparison_equals_materialized_comparison() {
+        let mut c = Catalog::new();
+        let id = c.register(
+            xmldb::parse_document(
+                "m.xml",
+                r#"<a k="42"><b>42</b><b>x</b><m>4<i>2</i></m><e/></a>"#,
+            )
+            .unwrap(),
+        );
+        let doc = c.doc(id);
+        let mut pool: Vec<Value> = doc
+            .subtree_nodes(NodeId::DOCUMENT)
+            .into_iter()
+            .map(|node| Value::Node(NodeRef { doc: id, node }))
+            .collect();
+        pool.extend([
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(42),
+            Value::Int(0),
+            Value::Dec(Dec(42.0)),
+            Value::Dec(Dec(-0.0)),
+            Value::Dec(Dec(f64::NAN)),
+            Value::str("42"),
+            Value::str(" 42 "),
+            Value::str("x"),
+            Value::str("true"),
+            Value::str(""),
+            Value::str("NaN"),
+            Value::Items(vec![].into()),
+            Value::Items(vec![Value::str("x")].into()),
+            Value::Items(vec![pool[2].clone()].into()),
+            Value::items(vec![Value::Int(1), Value::str("x")]),
+            Value::tuples(vec![Tuple::singleton(
+                crate::sym::Sym::new("x"),
+                Value::Int(1),
+            )]),
+        ]);
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for l in &pool {
+            for r in &pool {
+                for op in ops {
+                    assert_eq!(
+                        cmp_atomic(op, l, r, &c),
+                        cmp_atomic_materialized(op, l, r, &c),
+                        "{l} {} {r}",
+                        op.symbol()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,23 +72,6 @@ pub fn pattern_of(path: &Path) -> PathPattern {
     PathPattern::new(steps)
 }
 
-/// The value-index probe key of an attribute value — the exact mirror of
-/// [`crate::key::KeyVal::from_value`], so index probes and hash-bucket
-/// lookups agree on every input (including the deliberate misses: a
-/// numeric probe never equals a string build key, and NaN / `-0.0`
-/// canonicalize identically on every access path).
-pub fn probe_key_of(v: &Value, catalog: &Catalog) -> xmldb::ValueKey {
-    use xmldb::ValueKey;
-    match v.atomize(catalog) {
-        Value::Null => ValueKey::Null,
-        Value::Bool(b) => ValueKey::Bool(b),
-        Value::Int(i) => ValueKey::num(i as f64),
-        Value::Dec(d) => ValueKey::num(d.0),
-        Value::Str(s) => ValueKey::Str(s.to_string()),
-        other => ValueKey::Other(format!("{other}")),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Plan revalidation (the plan-cache re-resolution surface)
 // ---------------------------------------------------------------------
@@ -980,23 +963,6 @@ mod tests {
             "{}",
             plan.explain()
         );
-    }
-
-    #[test]
-    fn probe_keys_mirror_hash_keys() {
-        let cat = catalog();
-        use xmldb::ValueKey;
-        assert_eq!(
-            probe_key_of(&Value::str("x"), &cat),
-            ValueKey::Str("x".into())
-        );
-        assert_eq!(probe_key_of(&Value::Int(2), &cat), ValueKey::num(2.0));
-        assert_eq!(
-            probe_key_of(&Value::Dec(nal::Dec(2.0)), &cat),
-            ValueKey::num(2.0)
-        );
-        assert_eq!(probe_key_of(&Value::Null, &cat), ValueKey::Null);
-        assert!(!probe_key_of(&Value::Null, &cat).matchable());
     }
 
     #[test]

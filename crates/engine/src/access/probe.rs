@@ -14,20 +14,57 @@ use std::sync::Arc;
 
 use nal::eval::scalar::{eval_scalar, truthy};
 use nal::eval::{EvalCtx, EvalError, EvalResult};
-use nal::{Sym, Tuple, Value};
-use xmldb::{CompositeValueIndex, ValueIndex, ValueKey};
+use nal::{NodeRef, Sym, Tuple, Value};
+use xmldb::{CompositeValueIndex, NodeId, ValueIndex, ValueKey};
 
 use crate::exec::scoped;
+use crate::key::key_val;
 
+use super::doc_id_of;
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver};
-use super::{doc_id_of, probe_key_of};
 
-/// Resolved runtime state of one index-backed join: the document id and
-/// the (composite) value index the recipe's driver probes.
+/// Which node fills a field of a reconstructed chain's seed tuple.
+#[derive(Clone, Copy)]
+enum Seed {
+    /// The document node (a `doc(uri)` binding).
+    Doc,
+    /// The `i`-th member node of a composite entry.
+    Member(usize),
+    /// The `i`-th ancestor binding (fixed walk or matched assignment).
+    Ancestor(usize),
+    /// The candidate itself (the key column).
+    Key,
+}
+
+/// Resolved runtime state of one index-backed join: the (composite)
+/// value index the recipe's driver probes, and the build-row
+/// reconstruction with the buffers every probe reuses.
 pub struct IndexJoinAccess {
-    doc: xmldb::DocId,
     vindex: Option<Arc<ValueIndex>>,
     cindex: Option<Arc<CompositeValueIndex>>,
+    /// The evaluated probe sides of the current range probe.
+    sides: Vec<(Value, nal::CmpOp)>,
+    rows: RowBuilder,
+}
+
+/// Reconstruction of a candidate's build rows. The seed tuple's shape is
+/// worked out once per join and the row buffers live across probes, so
+/// a probe allocates for the tuples it builds and nothing else.
+struct RowBuilder {
+    doc: xmldb::DocId,
+    /// The attributes every reconstructed chain starts from (the values
+    /// are placeholders), and per field — in the tuple's attribute
+    /// order — the node that fills it. A seed tuple is then one
+    /// allocation: no pair list, no sort.
+    seed_shape: Tuple,
+    seed_nodes: Vec<Seed>,
+    /// Fixed-walk ancestors of the current candidate.
+    ancestors: Vec<NodeId>,
+    /// The replayed pipeline's current stage and the one being filled.
+    stage: Vec<Tuple>,
+    next: Vec<Tuple>,
+    /// Every build row of the current candidate, in build order.
+    rows: Vec<Tuple>,
 }
 
 impl IndexJoinAccess {
@@ -75,10 +112,59 @@ impl IndexJoinAccess {
                 (Some(idx), None)
             }
         };
+        // The seed bindings in binding order: doc seeds, composite member
+        // columns, ancestor bindings, the key column.
+        let mut seeds: Vec<(Sym, Seed)> = Vec::new();
+        seeds.extend(recipe.doc_seeds.iter().map(|&a| (a, Seed::Doc)));
+        if let Driver::Composite { member_attrs, .. } = &recipe.driver {
+            seeds.extend(
+                member_attrs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &a)| (a, Seed::Member(i))),
+            );
+        }
+        let ancestor_attrs: Vec<Sym> = match &recipe.ancestors {
+            AncestorMode::Fixed(list) => list.iter().map(|(a, _)| *a).collect(),
+            AncestorMode::Matched { attrs, .. } => attrs.clone(),
+        };
+        seeds.extend(
+            ancestor_attrs
+                .into_iter()
+                .enumerate()
+                .map(|(i, a)| (a, Seed::Ancestor(i))),
+        );
+        seeds.push((recipe.key_attr, Seed::Key));
+        // `Tuple::from_pairs` decides the field order and which binding
+        // of a repeated attribute survives (the last); each field
+        // carries its binding's position to read that decision back.
+        let seed_shape = Tuple::from_pairs(
+            seeds
+                .iter()
+                .enumerate()
+                .map(|(i, (a, _))| (*a, Value::Int(i as i64)))
+                .collect(),
+        );
+        let seed_nodes = seed_shape
+            .values()
+            .map(|v| match v {
+                Value::Int(i) => seeds[*i as usize].1,
+                _ => unreachable!("seed fields carry binding positions"),
+            })
+            .collect();
         Ok(IndexJoinAccess {
-            doc,
             vindex,
             cindex,
+            sides: Vec::new(),
+            rows: RowBuilder {
+                doc,
+                seed_shape,
+                seed_nodes,
+                ancestors: Vec::new(),
+                stage: Vec::new(),
+                next: Vec::new(),
+                rows: Vec::new(),
+            },
         })
     }
 
@@ -90,26 +176,28 @@ impl IndexJoinAccess {
     /// the bucket order of the replaced hash join — so the first
     /// deciding row is the row the scan probe would have stopped at.
     pub fn probe_matches(
-        &self,
+        &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
         count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
+        let catalog = ctx.catalog;
         match &recipe.driver {
             Driver::Point { probe } => {
                 let Some(v) = lt.get(*probe) else {
                     return Ok(false);
                 };
                 ctx.metrics.index_lookups += 1;
-                let key = probe_key_of(v, ctx.catalog);
+                let key = key_val(v, catalog);
                 let candidates = self.vindex.as_ref().expect("point driver").get(&key);
                 if candidates.is_empty() {
                     return Ok(false);
                 }
                 ctx.metrics.index_hits += 1;
-                self.decide_from_candidates(recipe, lt, candidates, count_probes, env, ctx)
+                self.rows
+                    .decide_from_candidates(recipe, lt, candidates, count_probes, env, ctx)
             }
             Driver::Composite { probes, .. } => {
                 // The composite probe key mirrors the hash operators'
@@ -122,7 +210,7 @@ impl IndexJoinAccess {
                     let Some(v) = lt.get(*p) else {
                         return Ok(false);
                     };
-                    let k = probe_key_of(v, ctx.catalog);
+                    let k = key_val(v, catalog);
                     if !k.matchable() {
                         return Ok(false);
                     }
@@ -141,7 +229,7 @@ impl IndexJoinAccess {
                     return Ok(true);
                 }
                 for entry in entries {
-                    if self.candidate_matches(
+                    if self.rows.candidate_matches(
                         recipe,
                         lt,
                         entry.primary,
@@ -178,7 +266,7 @@ impl IndexJoinAccess {
     /// still without ever executing the build side.
     #[allow(clippy::too_many_arguments)]
     fn range_probe_matches(
-        &self,
+        &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
         eq_probe: Option<Sym>,
@@ -191,19 +279,21 @@ impl IndexJoinAccess {
         // The probe sides are pure and replay-safe by conversion; the
         // loop join evaluated them once per candidate row, so evaluating
         // them once per probe tuple is unobservable.
-        let mut sides: Vec<(Value, nal::CmpOp)> = Vec::with_capacity(ranges.len());
+        self.sides.clear();
         for rp in ranges {
-            sides.push((eval_scalar(&rp.side, &scoped(env, lt), ctx)?, rp.op));
+            self.sides
+                .push((eval_scalar(&rp.side, &scoped(env, lt), ctx)?, rp.op));
         }
+        let sides = &self.sides;
         // Non-driving conjuncts filter at the node level — a candidate's
         // atomized value is its index key, so this is the scan plan's
         // predicate conjunct verbatim.
         let catalog = ctx.catalog;
-        let doc = self.doc;
-        let passes = |node: xmldb::NodeId, skip: Option<usize>| {
+        let doc = self.rows.doc;
+        let passes = |node: NodeId, skip: Option<usize>| {
             sides.iter().enumerate().all(|(i, (v, op))| {
                 Some(i) == skip
-                    || nal::cmp_general(*op, v, &Value::Node(nal::NodeRef { doc, node }), catalog)
+                    || nal::cmp_general(*op, v, &Value::Node(NodeRef { doc, node }), catalog)
             })
         };
         // Fast path: no pipeline, no residual — existence alone decides,
@@ -211,12 +301,12 @@ impl IndexJoinAccess {
         // passing candidate (the range analogue of the hash probe's
         // first-bucket-row short-circuit).
         let fast = !recipe.replays_rows();
-        let candidates: Vec<xmldb::NodeId> = if let Some(p) = eq_probe {
+        let candidates: Vec<NodeId> = if let Some(p) = eq_probe {
             let Some(v) = lt.get(p) else {
                 return Ok(false);
             };
             ctx.metrics.index_lookups += 1;
-            let key = probe_key_of(v, ctx.catalog);
+            let key = key_val(v, catalog);
             let posting = vindex.get(&key);
             if fast {
                 let found = posting.iter().any(|&n| passes(n, None));
@@ -234,10 +324,12 @@ impl IndexJoinAccess {
                 .filter(|&n| passes(n, None))
                 .collect()
         } else {
-            let mut driver: Option<usize> = None;
-            let mut keys: Vec<ValueKey> = Vec::with_capacity(sides.len());
+            // The first string/numeric side drives the index seek; if no
+            // side is rangeable (sequences, booleans), every indexed key
+            // is examined — still without executing the build side.
+            let mut driver: Option<(usize, ValueKey)> = None;
             for (i, (v, _)) in sides.iter().enumerate() {
-                let k = probe_key_of(v, ctx.catalog);
+                let k = key_val(v, catalog);
                 if matches!(k, ValueKey::Null) {
                     // NULL (and NaN, which canonicalizes to NULL)
                     // satisfies no comparison: the conjunction is false
@@ -245,27 +337,21 @@ impl IndexJoinAccess {
                     return Ok(false);
                 }
                 if driver.is_none() && matches!(k, ValueKey::Num(_) | ValueKey::Str(_)) {
-                    driver = Some(i);
+                    driver = Some((i, k));
                 }
-                keys.push(k);
             }
-            // The first string/numeric side drives the index seek; if no
-            // side is rangeable (sequences, booleans), every indexed key
-            // is examined — still without executing the build side.
-            let (lo, hi) = match driver {
-                Some(i) => {
-                    let key = &keys[i];
-                    match sides[i].1 {
-                        nal::CmpOp::Eq => (Bound::Included(key), Bound::Included(key)),
-                        nal::CmpOp::Lt => (Bound::Excluded(key), Bound::Unbounded),
-                        nal::CmpOp::Le => (Bound::Included(key), Bound::Unbounded),
-                        nal::CmpOp::Gt => (Bound::Unbounded, Bound::Excluded(key)),
-                        nal::CmpOp::Ge => (Bound::Unbounded, Bound::Included(key)),
-                        nal::CmpOp::Ne => unreachable!("≠ never converts to a range probe"),
-                    }
-                }
+            let (lo, hi) = match &driver {
+                Some((i, key)) => match sides[*i].1 {
+                    nal::CmpOp::Eq => (Bound::Included(key), Bound::Included(key)),
+                    nal::CmpOp::Lt => (Bound::Excluded(key), Bound::Unbounded),
+                    nal::CmpOp::Le => (Bound::Included(key), Bound::Unbounded),
+                    nal::CmpOp::Gt => (Bound::Unbounded, Bound::Excluded(key)),
+                    nal::CmpOp::Ge => (Bound::Unbounded, Bound::Included(key)),
+                    nal::CmpOp::Ne => unreachable!("≠ never converts to a range probe"),
+                },
                 None => (Bound::Unbounded, Bound::Unbounded),
             };
+            let driver = driver.as_ref().map(|(i, _)| *i);
             ctx.metrics.index_lookups += 1;
             if fast {
                 let found = vindex.range_iter(lo, hi).any(|n| passes(n, driver));
@@ -280,7 +366,7 @@ impl IndexJoinAccess {
             // Residual/pipeline path: materialize the surviving window
             // and merge it back into document order, so rows reconstruct
             // in exactly the build order the scan join examined.
-            let mut nodes: Vec<xmldb::NodeId> = vindex
+            let mut nodes: Vec<NodeId> = vindex
                 .range_iter(lo, hi)
                 .filter(|&n| passes(n, driver))
                 .collect();
@@ -291,9 +377,12 @@ impl IndexJoinAccess {
             return Ok(false);
         }
         ctx.metrics.index_hits += 1;
-        self.decide_from_candidates(recipe, lt, &candidates, count_probes, env, ctx)
+        self.rows
+            .decide_from_candidates(recipe, lt, &candidates, count_probes, env, ctx)
     }
+}
 
+impl RowBuilder {
     /// Decide a probe from its candidate nodes (already restricted to
     /// the matching key set, in document order). Fast path: no pipeline,
     /// no residual — existence is decided by the candidate list alone
@@ -301,10 +390,10 @@ impl IndexJoinAccess {
     /// short-circuit). Otherwise candidates reconstruct build rows in
     /// document order and the first passing row decides.
     fn decide_from_candidates(
-        &self,
+        &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
-        candidates: &[xmldb::NodeId],
+        candidates: &[NodeId],
         count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
@@ -327,24 +416,24 @@ impl IndexJoinAccess {
     /// residual; `true` as soon as one passes.
     #[allow(clippy::too_many_arguments)]
     fn candidate_matches(
-        &self,
+        &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
-        node: xmldb::NodeId,
-        members: &[xmldb::NodeId],
+        node: NodeId,
+        members: &[NodeId],
         count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
-        let rows = self.rebuild_rows(recipe, node, members, env, ctx)?;
-        for row in rows {
+        self.rebuild_rows(recipe, node, members, env, ctx)?;
+        for row in &self.rows {
             if count_probes {
                 ctx.metrics.probe_tuples += 1;
             }
             match &recipe.residual {
                 None => return Ok(true),
                 Some(p) => {
-                    let joined = lt.concat(&row);
+                    let joined = lt.concat(row);
                     if truthy(p, &scoped(env, &joined), ctx)? {
                         return Ok(true);
                     }
@@ -354,108 +443,114 @@ impl IndexJoinAccess {
         Ok(false)
     }
 
-    /// Reconstruct the build rows of one candidate: seed the key column,
-    /// the doc/ancestor bindings (one chain per fixed walk, or one per
-    /// matched assignment for variable-depth chains), and any composite
-    /// member columns, then replay the recorded pipeline.
+    /// The seed tuple of one reconstructed chain: every seed attribute
+    /// bound to its node, written straight into the tuple's one block.
+    fn seed_tuple(&self, node: NodeId, members: &[NodeId], ancestors: &[NodeId]) -> Tuple {
+        let mut sources = self.seed_nodes.iter();
+        self.seed_shape.map_values(|_| {
+            let node = match sources.next().expect("one source per seed field") {
+                Seed::Doc => NodeId::DOCUMENT,
+                Seed::Member(i) => members[*i],
+                Seed::Ancestor(i) => ancestors[*i],
+                Seed::Key => node,
+            };
+            Value::Node(NodeRef {
+                doc: self.doc,
+                node,
+            })
+        })
+    }
+
+    /// Reconstruct the build rows of one candidate into `self.rows`: seed the key column, the doc/ancestor
+    /// bindings (one chain per fixed walk, or one per matched assignment
+    /// for variable-depth chains), and any composite member columns,
+    /// then replay the recorded pipeline over each chain.
     fn rebuild_rows(
-        &self,
+        &mut self,
         recipe: &AccessRecipe,
-        node: xmldb::NodeId,
-        members: &[xmldb::NodeId],
+        node: NodeId,
+        members: &[NodeId],
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
-    ) -> EvalResult<Vec<Tuple>> {
-        let doc = self.doc;
-        let tree = ctx.catalog.doc(doc).clone();
-        let mut base: Vec<(Sym, Value)> = Vec::with_capacity(recipe.doc_seeds.len() + 2);
-        for &a in &recipe.doc_seeds {
-            base.push((
-                a,
-                Value::Node(nal::NodeRef {
-                    doc,
-                    node: xmldb::NodeId::DOCUMENT,
-                }),
-            ));
-        }
-        if let Driver::Composite { member_attrs, .. } = &recipe.driver {
-            for (&a, &n) in member_attrs.iter().zip(members) {
-                base.push((a, Value::Node(nal::NodeRef { doc, node: n })));
-            }
-        }
-        // One seed tuple per reconstructed ancestor chain.
-        let mut seed_tuples: Vec<Tuple> = Vec::new();
+    ) -> EvalResult<()> {
+        self.rows.clear();
+        let tree = ctx.catalog.doc(self.doc);
         match &recipe.ancestors {
             AncestorMode::Fixed(list) => {
-                let mut pairs = base;
-                for (a, levels) in list {
-                    let mut cur = node;
-                    for _ in 0..*levels {
-                        cur = tree.parent(cur).ok_or_else(|| {
-                            EvalError::new("index join: candidate ancestor above document root")
-                        })?;
-                    }
-                    pairs.push((*a, Value::Node(nal::NodeRef { doc, node: cur })));
+                self.ancestors.clear();
+                for (_, levels) in list {
+                    self.ancestors
+                        .push(
+                            xmldb::index::nth_parent(tree, node, *levels).ok_or_else(|| {
+                                EvalError::new("index join: candidate ancestor above document root")
+                            })?,
+                        );
                 }
-                pairs.push((recipe.key_attr, Value::Node(nal::NodeRef { doc, node })));
-                seed_tuples.push(Tuple::from_pairs(pairs));
+                let seed = self.seed_tuple(node, members, &self.ancestors);
+                self.replay(recipe, seed, env, ctx)
             }
-            AncestorMode::Matched { attrs, spec } => {
-                // One assignment per consistent placement of the chain's
-                // bindings on the candidate's ancestor path, in build-row
-                // order (outermost binding varies slowest).
-                for assignment in xmldb::index::matched_assignments(&tree, node, spec) {
-                    let mut pairs = base.clone();
-                    for (&a, &n) in attrs.iter().zip(&assignment) {
-                        pairs.push((a, Value::Node(nal::NodeRef { doc, node: n })));
+            AncestorMode::Matched { spec, .. } => {
+                // One chain per consistent placement of the bindings on
+                // the candidate's ancestor path, in build-row order
+                // (outermost binding varies slowest).
+                let mut replayed = Ok(());
+                xmldb::index::matched_assignments(tree, node, spec, &mut |assignment| {
+                    if replayed.is_ok() {
+                        let seed = self.seed_tuple(node, members, assignment);
+                        replayed = self.replay(recipe, seed, env, ctx);
                     }
-                    pairs.push((recipe.key_attr, Value::Node(nal::NodeRef { doc, node })));
-                    seed_tuples.push(Tuple::from_pairs(pairs));
-                }
+                });
+                replayed
             }
         }
-        let mut out: Vec<Tuple> = Vec::new();
-        for seed in seed_tuples {
-            let mut rows = vec![seed];
-            for op in &recipe.ops {
-                match op {
-                    BuildOp::Map(attr, value) => {
-                        let mut next = Vec::with_capacity(rows.len());
-                        for t in rows {
-                            let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                            next.push(t.extend(*attr, v));
-                        }
-                        rows = next;
-                    }
-                    BuildOp::UnnestMap(attr, value) => {
-                        let mut next = Vec::new();
-                        for t in rows {
-                            let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                            for item in v.as_item_seq() {
-                                next.push(t.extend(*attr, item));
-                            }
-                        }
-                        rows = next;
-                    }
-                    BuildOp::Select(pred) => {
-                        let mut next = Vec::with_capacity(rows.len());
-                        for t in rows {
-                            if truthy(pred, &scoped(env, &t), ctx)? {
-                                next.push(t);
-                            }
-                        }
-                        rows = next;
-                    }
-                    BuildOp::Project(op) => {
-                        rows = crate::exec::project_rows(&rows, op, ctx);
+    }
+
+    /// Replay the recipe's post-key operators over one chain's seed
+    /// tuple and append the surviving rows to `self.rows`.
+    fn replay(
+        &mut self,
+        recipe: &AccessRecipe,
+        seed: Tuple,
+        env: &Tuple,
+        ctx: &mut EvalCtx<'_>,
+    ) -> EvalResult<()> {
+        self.stage.clear();
+        self.stage.push(seed);
+        for op in &recipe.ops {
+            self.next.clear();
+            match op {
+                BuildOp::Map(attr, value) => {
+                    for t in self.stage.drain(..) {
+                        let v = eval_scalar(value, &scoped(env, &t), ctx)?;
+                        self.next.push(t.extend(*attr, v));
                     }
                 }
-                if rows.is_empty() {
-                    break;
+                BuildOp::UnnestMap(attr, value) => {
+                    for t in self.stage.drain(..) {
+                        let v = eval_scalar(value, &scoped(env, &t), ctx)?;
+                        for item in v.as_items() {
+                            self.next.push(t.extend(*attr, item.clone()));
+                        }
+                    }
+                }
+                BuildOp::Select(pred) => {
+                    for t in self.stage.drain(..) {
+                        if truthy(pred, &scoped(env, &t), ctx)? {
+                            self.next.push(t);
+                        }
+                    }
+                }
+                BuildOp::Project(op) => {
+                    self.next
+                        .extend(crate::exec::project_rows(&self.stage, op, ctx));
                 }
             }
-            out.extend(rows);
+            std::mem::swap(&mut self.stage, &mut self.next);
+            if self.stage.is_empty() {
+                break;
+            }
         }
-        Ok(out)
+        self.rows.append(&mut self.stage);
+        Ok(())
     }
 }

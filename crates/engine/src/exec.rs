@@ -63,7 +63,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
         PhysPlan::Singleton => vec![Tuple::empty()],
         PhysPlan::Literal(rows) => rows.clone(),
         PhysPlan::AttrRel(a) => match env.get(*a) {
-            Some(Value::Tuples(ts)) => ts.as_ref().clone(),
+            Some(Value::Tuples(ts)) => ts.to_vec(),
             other => {
                 return Err(EvalError::new(format!(
                     "rel({a}): not a nested relation: {other:?}"
@@ -187,7 +187,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             let l = execute(left, env, ctx)?;
             let r = execute(right, env, ctx)?;
             // Bucket the right side once, pre-sized to avoid rehashing.
-            let mut buckets: HashMap<Key, Vec<Tuple>> = HashMap::with_capacity(r.len());
+            let mut buckets: HashMap<Key<'_>, Vec<Tuple>> = HashMap::with_capacity(r.len());
             for rt in &r {
                 if let Some(k) = key_of(rt, right_on, ctx.catalog) {
                     buckets.entry(k).or_default().push(rt.clone());
@@ -238,30 +238,15 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             let rows = execute(input, env, ctx)?;
             let mut out = Vec::new();
             for t in rows {
-                let nested = match t.get(*attr) {
-                    Some(Value::Tuples(ts)) => ts.as_ref().clone(),
-                    Some(Value::Null) | None => Vec::new(),
-                    Some(other) => {
-                        return Err(EvalError::new(format!(
-                            "unnest({attr}): not tuple-valued: {other}"
-                        )))
-                    }
-                };
-                let nested = if *distinct {
-                    dedup_by_value(&nested, ctx.catalog)
-                } else {
-                    nested
-                };
-                let rest = t.without(&[*attr]);
-                if nested.is_empty() {
-                    if *preserve_empty {
-                        out.push(rest.concat(&Tuple::bottom(inner_attrs)));
-                    }
-                } else {
-                    for inner in nested {
-                        out.push(rest.concat(&inner));
-                    }
-                }
+                unnest_tuple(
+                    &t,
+                    *attr,
+                    *distinct,
+                    *preserve_empty,
+                    inner_attrs,
+                    ctx,
+                    |u| out.push(u),
+                )?;
             }
             out
         }
@@ -271,8 +256,8 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             let mut out = Vec::new();
             for t in rows {
                 let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                for item in v.as_item_seq() {
-                    out.push(t.extend(*attr, item));
+                for item in v.as_items() {
+                    out.push(t.extend(*attr, item.clone()));
                 }
             }
             out
@@ -331,7 +316,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
 
         PhysPlan::IndexJoin { left, recipe } => {
             let l = execute(left, env, ctx)?;
-            let access = crate::access::IndexJoinAccess::resolve(recipe, ctx)?;
+            let mut access = crate::access::IndexJoinAccess::resolve(recipe, ctx)?;
             // Probe-invariant range recipes (constant bounds, no
             // residual) decide once and reuse the answer — the streaming
             // executor memoizes identically, so metrics stay equal.
@@ -403,14 +388,55 @@ pub(crate) fn project_rows(rows: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Se
     }
 }
 
+/// μ / μ^D of one tuple, shared by both executors: emit `t` without
+/// `attr`, concatenated with each (optionally value-distinct) tuple of
+/// the nested relation read in place — or ⊥-padded when it is empty and
+/// `preserve_empty` is set.
+pub(crate) fn unnest_tuple(
+    t: &Tuple,
+    attr: Sym,
+    distinct: bool,
+    preserve_empty: bool,
+    inner_attrs: &[Sym],
+    ctx: &EvalCtx<'_>,
+    mut emit: impl FnMut(Tuple),
+) -> EvalResult<()> {
+    let deduped;
+    let nested: &[Tuple] = match t.get(attr) {
+        Some(Value::Tuples(ts)) if distinct => {
+            deduped = dedup_by_value(ts, ctx.catalog);
+            &deduped
+        }
+        Some(Value::Tuples(ts)) => ts,
+        Some(Value::Null) | None => &[],
+        Some(other) => {
+            return Err(EvalError::new(format!(
+                "unnest({attr}): not tuple-valued: {other}"
+            )))
+        }
+    };
+    let rest = t.without(&[attr]);
+    if nested.is_empty() {
+        if preserve_empty {
+            emit(rest.concat(&Tuple::bottom(inner_attrs)));
+        }
+    } else {
+        for inner in nested {
+            emit(rest.concat(inner));
+        }
+    }
+    Ok(())
+}
+
 /// Single-pass grouping in first-occurrence key order, atomized keys.
-/// Shared with the streaming executor's blocking group cursors.
+/// Shared with the streaming executor's blocking group cursors. The
+/// keys borrow their text from `rows` and the documents.
 pub(crate) fn hash_groups(
     rows: &[Tuple],
     by: &[Sym],
     ctx: &EvalCtx<'_>,
 ) -> Vec<(Tuple, Vec<Tuple>)> {
-    let mut index: HashMap<Key, usize> = HashMap::with_capacity(rows.len().min(1024));
+    let mut index: HashMap<Key<'_>, usize> = HashMap::with_capacity(rows.len().min(1024));
     let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
     for t in rows {
         let Some(k) = key_of(t, by, ctx.catalog) else {
@@ -440,7 +466,7 @@ fn hash_join(
 ) -> EvalResult<Seq> {
     // Build on the right; buckets preserve right order. Pre-sized from
     // the build-side cardinality so the build never rehashes.
-    let mut buckets: HashMap<Key, Vec<&Tuple>> = HashMap::with_capacity(r.len());
+    let mut buckets: HashMap<Key<'_>, Vec<&Tuple>> = HashMap::with_capacity(r.len());
     for rt in r {
         if let Some(k) = key_of(rt, right_keys, ctx.catalog) {
             buckets.entry(k).or_default().push(rt);

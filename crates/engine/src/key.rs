@@ -11,70 +11,73 @@
 //! evaluator guard the behaviour.
 
 use nal::{Tuple, Value};
-use xmldb::Catalog;
+use xmldb::{Catalog, ValueKey};
 
-/// One key component.
+/// A join/group key: one typed component ([`xmldb::ValueKey`], the
+/// same key type the value indexes store, so hash buckets and index
+/// probes cannot disagree on what a key is) per key attribute. The
+/// single-attribute key — nearly every join and group — sits inline, so
+/// extracting it allocates nothing.
+///
+/// A key extracted for a *probe* borrows its text from the tuple or the
+/// document; only keys a hash table keeps are made `'static`
+/// ([`Key::into_owned`]).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum KeyVal {
-    /// NULL — carries "never equal" semantics via [`KeyVal::matchable`].
-    Null,
-    /// A boolean component.
-    Bool(bool),
-    /// Numeric values, unified across `Int`/`Dec` (total-order bits).
-    Num(u64),
-    /// A string component.
-    Str(String),
-    /// Sequences and other non-atomic leftovers, by canonical rendering.
-    Other(String),
+pub enum Key<'a> {
+    /// The key of exactly one attribute.
+    One(ValueKey<'a>),
+    /// The key of any other number of attributes, in attribute order.
+    Many(Vec<ValueKey<'a>>),
 }
 
-impl KeyVal {
-    /// Build from an attribute value (atomizing nodes).
-    pub fn from_value(v: &Value, catalog: &Catalog) -> KeyVal {
-        match v.atomize(catalog) {
-            Value::Null => KeyVal::Null,
-            Value::Bool(b) => KeyVal::Bool(b),
-            Value::Int(i) => KeyVal::num(i as f64),
-            Value::Dec(d) => KeyVal::num(d.0),
-            Value::Str(s) => KeyVal::Str(s.to_string()),
-            other => KeyVal::Other(format!("{other}")),
+impl Key<'_> {
+    /// The key with every component's text owned — what a hash table
+    /// stores.
+    pub fn into_owned(self) -> Key<'static> {
+        match self {
+            Key::One(k) => Key::One(k.into_owned()),
+            Key::Many(ks) => Key::Many(ks.into_iter().map(ValueKey::into_owned).collect()),
         }
-    }
-
-    /// Numeric key component with `cmp_atomic`'s edge semantics: `NaN`
-    /// behaves like NULL (matches nothing, not even another NaN) and
-    /// `-0.0` canonicalizes to `0.0` (they are equal, so they must hash
-    /// to one bucket).
-    pub fn num(v: f64) -> KeyVal {
-        if v.is_nan() {
-            return KeyVal::Null;
-        }
-        let v = if v == 0.0 { 0.0 } else { v };
-        KeyVal::Num(v.to_bits())
-    }
-
-    /// NULL keys never join/group with anything, including other NULLs.
-    pub fn matchable(&self) -> bool {
-        !matches!(self, KeyVal::Null)
     }
 }
 
-/// A composite key.
-pub type Key = Vec<KeyVal>;
+/// The typed key of an attribute value (atomizing nodes): numbers
+/// unify across `Int`/`Dec` with `cmp_atomic`'s edge semantics (`NaN`
+/// behaves like NULL and matches nothing, `-0.0` is `0.0`), strings and
+/// node string values are string keys, sequences key by their canonical
+/// rendering.
+pub fn key_val<'a>(v: &'a Value, catalog: &'a Catalog) -> ValueKey<'a> {
+    match v {
+        Value::Null => ValueKey::Null,
+        Value::Bool(b) => ValueKey::Bool(*b),
+        Value::Int(i) => ValueKey::num(*i as f64),
+        Value::Dec(d) => ValueKey::num(d.0),
+        Value::Str(_) | Value::Node(_) => {
+            ValueKey::Str(v.text(catalog).expect("strings and nodes have text"))
+        }
+        Value::Items(_) | Value::Tuples(_) => match v.atomize(catalog) {
+            seq @ (Value::Items(_) | Value::Tuples(_)) => ValueKey::Other(format!("{seq}")),
+            // A one-item sequence atomizes to its item.
+            atom => key_val(&atom, catalog).into_owned(),
+        },
+    }
+}
 
 /// Extract the composite key of `attrs` from a tuple; `None` when any
 /// component is NULL or missing (such tuples match nothing).
-pub fn key_of(t: &Tuple, attrs: &[nal::Sym], catalog: &Catalog) -> Option<Key> {
-    let mut key = Vec::with_capacity(attrs.len());
-    for &a in attrs {
-        let v = t.get(a)?;
-        let kv = KeyVal::from_value(v, catalog);
-        if !kv.matchable() {
-            return None;
-        }
-        key.push(kv);
+pub fn key_of<'a>(t: &'a Tuple, attrs: &[nal::Sym], catalog: &'a Catalog) -> Option<Key<'a>> {
+    let component = |a: &nal::Sym| {
+        let kv = key_val(t.get(*a)?, catalog);
+        kv.matchable().then_some(kv)
+    };
+    match attrs {
+        [a] => component(a).map(Key::One),
+        _ => attrs
+            .iter()
+            .map(component)
+            .collect::<Option<_>>()
+            .map(Key::Many),
     }
-    Some(key)
 }
 
 #[cfg(test)]
@@ -90,12 +93,12 @@ mod tests {
     fn numeric_unification() {
         let c = cat();
         assert_eq!(
-            KeyVal::from_value(&Value::Int(2), &c),
-            KeyVal::from_value(&Value::Dec(Dec(2.0)), &c)
+            key_val(&Value::Int(2), &c),
+            key_val(&Value::Dec(Dec(2.0)), &c)
         );
         assert_ne!(
-            KeyVal::from_value(&Value::Int(2), &c),
-            KeyVal::from_value(&Value::str("2"), &c),
+            key_val(&Value::Int(2), &c),
+            key_val(&Value::str("2"), &c),
             "strings stay strings (cmp_atomic only coerces when one side is numeric)"
         );
     }
@@ -105,14 +108,27 @@ mod tests {
         let c = cat();
         // NaN keys are unmatchable, like NULL (cmp_atomic: NaN never
         // satisfies any comparison).
-        assert!(!KeyVal::from_value(&Value::Dec(Dec(f64::NAN)), &c).matchable());
+        assert!(!key_val(&Value::Dec(Dec(f64::NAN)), &c).matchable());
         let t = Tuple::singleton(Sym::new("a"), Value::Dec(Dec(f64::NAN)));
         assert_eq!(key_of(&t, &[Sym::new("a")], &c), None);
         // -0.0 and 0.0 are one bucket (cmp_atomic: they are equal).
         assert_eq!(
-            KeyVal::from_value(&Value::Dec(Dec(-0.0)), &c),
-            KeyVal::from_value(&Value::Int(0), &c)
+            key_val(&Value::Dec(Dec(-0.0)), &c),
+            key_val(&Value::Int(0), &c)
         );
+    }
+
+    #[test]
+    fn strings_and_sequences() {
+        let c = cat();
+        assert_eq!(key_val(&Value::str("x"), &c), ValueKey::Str("x".into()));
+        // A one-item sequence keys as its item, a longer one by rendering.
+        assert_eq!(
+            key_val(&Value::Items(vec![Value::Int(2)].into()), &c),
+            ValueKey::num(2.0)
+        );
+        let seq = Value::items(vec![Value::Int(1), Value::Int(2)]);
+        assert_eq!(key_val(&seq, &c), ValueKey::Other("(1, 2)".into()));
     }
 
     #[test]

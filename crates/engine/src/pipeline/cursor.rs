@@ -192,7 +192,7 @@ pub struct AttrRel {
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
     /// Resolved relation + position (first pull).
-    pub state: Option<(Arc<Vec<Tuple>>, usize)>,
+    pub state: Option<(Arc<[Tuple]>, usize)>,
 }
 
 impl Cursor for AttrRel {

@@ -15,11 +15,59 @@ use std::collections::HashMap;
 use nal::eval::scalar::truthy;
 use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
 use nal::{GroupFn, Scalar, Sym, Tuple};
+use xmldb::Catalog;
 
 use super::cursor::{Cursor, Feed};
 use crate::exec::scoped;
 use crate::key::{key_of, Key};
 use crate::plan::JoinKind;
+
+/// A hash build side: rows bucketed by key, arrival order kept inside
+/// each bucket (the order-preserving hash join of §2). The stored keys
+/// own their text; a probe looks up with a key that borrows the probing
+/// tuple's, so probing copies no string.
+pub struct Buckets {
+    index: HashMap<Key<'static>, usize>,
+    rows: Vec<Vec<Tuple>>,
+}
+
+impl Buckets {
+    /// Bucket `rows` by their `keys` attributes; rows with a NULL or
+    /// missing key component join nothing and are dropped.
+    pub fn build(rows: Vec<Tuple>, keys: &[Sym], catalog: &Catalog) -> Buckets {
+        // Pre-sized from the build-side cardinality: no rehashing.
+        let mut index: HashMap<Key<'static>, usize> = HashMap::with_capacity(rows.len());
+        let mut buckets: Vec<Vec<Tuple>> = Vec::new();
+        for rt in rows {
+            if let Some(k) = key_of(&rt, keys, catalog) {
+                let slot = match index.get(&k) {
+                    Some(&slot) => slot,
+                    None => {
+                        index.insert(k.into_owned(), buckets.len());
+                        buckets.push(Vec::new());
+                        buckets.len() - 1
+                    }
+                };
+                buckets[slot].push(rt);
+            }
+        }
+        Buckets {
+            index,
+            rows: buckets,
+        }
+    }
+
+    /// The bucket the `keys` attributes of `t` select, if any.
+    pub fn slot_of(&self, t: &Tuple, keys: &[Sym], catalog: &Catalog) -> Option<usize> {
+        let key = key_of(t, keys, catalog)?;
+        self.index.get(&key).copied()
+    }
+
+    /// The rows of a bucket, in arrival order.
+    pub fn bucket(&self, slot: usize) -> &[Tuple] {
+        &self.rows[slot]
+    }
+}
 
 /// × — materialize the right side, stream the left.
 pub struct Cross<'p> {
@@ -103,38 +151,15 @@ pub struct HashJoin<'p> {
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// Build state: bucket storage + key index (separate so iteration
-    /// state can hold plain indices).
-    pub bucket_rows: Vec<Vec<Tuple>>,
-    /// Key → bucket slot.
-    pub bucket_index: Option<HashMap<Key, usize>>,
+    /// The build side, bucketed on first pull (iteration state holds
+    /// plain bucket slots).
+    pub build: Option<Buckets>,
     /// Inner/outer iteration state: (probe tuple, bucket, position,
     /// matched-so-far).
     pub cur: Option<(Tuple, Option<usize>, usize, bool)>,
 }
 
 impl HashJoin<'_> {
-    fn build(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
-        if self.strict {
-            self.left.buffer_now(ctx)?;
-        }
-        let rows = self.right.take_all(ctx)?;
-        // Pre-size from the build-side cardinality (satellite of the
-        // paper's hash-operator discussion: no rehashing during build).
-        let mut index: HashMap<Key, usize> = HashMap::with_capacity(rows.len());
-        for rt in rows {
-            if let Some(k) = key_of(&rt, self.right_keys, ctx.catalog) {
-                let slot = *index.entry(k).or_insert_with(|| {
-                    self.bucket_rows.push(Vec::new());
-                    self.bucket_rows.len() - 1
-                });
-                self.bucket_rows[slot].push(rt);
-            }
-        }
-        self.bucket_index = Some(index);
-        Ok(())
-    }
-
     fn residual_passes(&self, joined: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
         match self.residual {
             None => Ok(true),
@@ -145,18 +170,22 @@ impl HashJoin<'_> {
 
 impl Cursor for HashJoin<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.bucket_index.is_none() {
-            self.build(ctx)?;
+        if self.build.is_none() {
+            if self.strict {
+                self.left.buffer_now(ctx)?;
+            }
+            let rows = self.right.take_all(ctx)?;
+            self.build = Some(Buckets::build(rows, self.right_keys, ctx.catalog));
         }
+        let build = self.build.as_ref().expect("built above");
         loop {
             // Resume an inner/outer probe mid-bucket.
             if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
                 if let Some(slot) = slot {
-                    while pos < self.bucket_rows[slot].len() {
-                        let rt = self.bucket_rows[slot][pos].clone();
+                    while let Some(rt) = build.bucket(slot).get(pos) {
+                        let joined = lt.concat(rt);
                         pos += 1;
                         ctx.metrics.probe_tuples += 1;
-                        let joined = lt.concat(&rt);
                         if self.residual_passes(&joined, ctx)? {
                             matched = true;
                             self.cur = Some((lt, Some(slot), pos, matched));
@@ -174,9 +203,7 @@ impl Cursor for HashJoin<'_> {
             let Some(lt) = self.left.next(ctx)? else {
                 return Ok(None);
             };
-            let slot = key_of(&lt, self.left_keys, ctx.catalog)
-                .and_then(|k| self.bucket_index.as_ref().expect("built").get(&k))
-                .copied();
+            let slot = build.slot_of(&lt, self.left_keys, ctx.catalog);
             match self.kind {
                 JoinKind::Inner | JoinKind::Outer { .. } => {
                     self.cur = Some((lt, slot, 0, false));
@@ -185,11 +212,12 @@ impl Cursor for HashJoin<'_> {
                     let mut matched = false;
                     if let Some(slot) = slot {
                         // Short-circuit: the first passing match decides.
-                        for pos in 0..self.bucket_rows[slot].len() {
-                            let rt = self.bucket_rows[slot][pos].clone();
+                        // Only a residual needs to see the joined tuple.
+                        for rt in build.bucket(slot) {
                             ctx.metrics.probe_tuples += 1;
-                            let joined = lt.concat(&rt);
-                            if self.residual_passes(&joined, ctx)? {
+                            if self.residual.is_none()
+                                || self.residual_passes(&lt.concat(rt), ctx)?
+                            {
                                 matched = true;
                                 break;
                             }
@@ -250,10 +278,9 @@ impl Cursor for LoopJoin<'_> {
             if let Some((lt, mut pos, mut matched)) = self.cur.take() {
                 let n = self.right_rows.as_ref().expect("built").len();
                 while pos < n {
-                    let rt = self.right_rows.as_ref().expect("built")[pos].clone();
+                    let joined = lt.concat(&self.right_rows.as_ref().expect("built")[pos]);
                     pos += 1;
                     ctx.metrics.probe_tuples += 1;
-                    let joined = lt.concat(&rt);
                     if truthy(self.pred, &scoped(&self.env, &joined), ctx)? {
                         matched = true;
                         match self.kind {
@@ -327,7 +354,7 @@ impl Cursor for IndexJoin<'_> {
             self.access = Some(crate::access::IndexJoinAccess::resolve(self.recipe, ctx)?);
         }
         while let Some(lt) = self.left.next(ctx)? {
-            let access = self.access.as_ref().expect("resolved above");
+            let access = self.access.as_mut().expect("resolved above");
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
@@ -370,8 +397,8 @@ pub struct HashGroupBinary<'p> {
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// Key → group members.
-    pub buckets: Option<HashMap<Key, Vec<Tuple>>>,
+    /// The right side bucketed by key (the groups), built on first pull.
+    pub buckets: Option<Buckets>,
 }
 
 impl Cursor for HashGroupBinary<'_> {
@@ -381,21 +408,15 @@ impl Cursor for HashGroupBinary<'_> {
                 self.left.buffer_now(ctx)?;
             }
             let rows = self.right.take_all(ctx)?;
-            let mut buckets: HashMap<Key, Vec<Tuple>> = HashMap::with_capacity(rows.len());
-            for rt in rows {
-                if let Some(k) = key_of(&rt, self.right_on, ctx.catalog) {
-                    buckets.entry(k).or_default().push(rt);
-                }
-            }
-            self.buckets = Some(buckets);
+            self.buckets = Some(Buckets::build(rows, self.right_on, ctx.catalog));
         }
         let Some(lt) = self.left.next(ctx)? else {
             return Ok(None);
         };
-        let empty: Vec<Tuple> = Vec::new();
-        let members = key_of(&lt, self.left_on, ctx.catalog)
-            .and_then(|k| self.buckets.as_ref().expect("built").get(&k))
-            .unwrap_or(&empty);
+        let buckets = self.buckets.as_ref().expect("built above");
+        let members = buckets
+            .slot_of(&lt, self.left_on, ctx.catalog)
+            .map_or(&[][..], |slot| buckets.bucket(slot));
         let v = apply_groupfn(self.f, members, &self.env, ctx)?;
         Ok(Some(lt.extend(self.g, v)))
     }

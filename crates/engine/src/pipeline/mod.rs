@@ -209,8 +209,7 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
             kind,
             pad,
             env: env.clone(),
-            bucket_rows: Vec::new(),
-            bucket_index: None,
+            build: None,
             cur: None,
         }),
         PhysPlan::LoopJoin {

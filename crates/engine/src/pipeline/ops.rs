@@ -5,11 +5,11 @@ use std::collections::HashSet;
 use std::collections::VecDeque;
 
 use nal::eval::scalar::{eval_scalar, truthy};
-use nal::eval::{apply_groupfn, atomize_tuple, eval, xi, EvalCtx, EvalError, EvalResult};
+use nal::eval::{apply_groupfn, atomize_tuple, eval, xi, EvalCtx, EvalResult};
 use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
 use super::cursor::{drain, BoxCursor, Cursor};
-use crate::exec::{hash_groups, scoped};
+use crate::exec::{hash_groups, scoped, unnest_tuple};
 
 /// σ — filter, one pull per surviving tuple.
 pub struct Select<'p> {
@@ -128,32 +128,15 @@ impl Cursor for Unnest<'_> {
             let Some(t) = self.input.next(ctx)? else {
                 return Ok(None);
             };
-            let nested = match t.get(self.attr) {
-                Some(Value::Tuples(ts)) => ts.as_ref().clone(),
-                Some(Value::Null) | None => Vec::new(),
-                Some(other) => {
-                    return Err(EvalError::new(format!(
-                        "unnest({}): not tuple-valued: {other}",
-                        self.attr
-                    )))
-                }
-            };
-            let nested = if self.distinct {
-                nal::eval::dedup_by_value(&nested, ctx.catalog)
-            } else {
-                nested
-            };
-            let rest = t.without(&[self.attr]);
-            if nested.is_empty() {
-                if self.preserve_empty {
-                    self.pending
-                        .push_back(rest.concat(&Tuple::bottom(self.inner_attrs)));
-                }
-            } else {
-                for inner in nested {
-                    self.pending.push_back(rest.concat(&inner));
-                }
-            }
+            unnest_tuple(
+                &t,
+                self.attr,
+                self.distinct,
+                self.preserve_empty,
+                self.inner_attrs,
+                ctx,
+                |u| self.pending.push_back(u),
+            )?;
         }
     }
 
@@ -186,8 +169,8 @@ impl Cursor for UnnestMap<'_> {
                 return Ok(None);
             };
             let v = eval_scalar(self.value, &scoped(&self.env, &t), ctx)?;
-            for item in v.as_item_seq() {
-                self.pending.push_back(t.extend(self.attr, item));
+            for item in v.as_items() {
+                self.pending.push_back(t.extend(self.attr, item.clone()));
             }
         }
     }

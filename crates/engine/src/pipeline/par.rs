@@ -48,10 +48,10 @@ use nal::eval::{EvalCtx, EvalError, EvalResult};
 use nal::{ProjOp, Scalar, Sym, Tuple, Value};
 
 use super::cursor::{drain, BoxCursor, Cursor, Metered};
+use super::join::Buckets;
 use super::merge::{merge_runs, MorselKey, Run};
 use super::ops;
 use crate::exec::scoped;
-use crate::key::{key_of, Key};
 use crate::plan::{JoinKind, PhysPlan};
 
 /// Morsels enqueued per worker: enough granularity for stealing to fix
@@ -209,12 +209,6 @@ pub(crate) fn substitute_feed(plan: &PhysPlan, rows: &[Tuple]) -> PhysPlan {
 // Shared per-segment state
 // ---------------------------------------------------------------------
 
-/// A hash join's build table, prepared once per segment.
-struct HashBuild {
-    bucket_rows: Vec<Vec<Tuple>>,
-    bucket_index: HashMap<Key, usize>,
-}
-
 /// Claim-or-wait protocol for probe-invariant index joins: the decision
 /// depends on nothing but constant bounds, so exactly one probe must
 /// happen per segment — serial execution memoizes after one probe, and
@@ -280,7 +274,7 @@ struct SegmentShared {
     /// Resolved [`PhysPlan::IndexScan`] item sequences.
     scans: HashMap<usize, Arc<Vec<Value>>>,
     /// Hash-join build tables.
-    builds: HashMap<usize, Arc<HashBuild>>,
+    builds: HashMap<usize, Arc<Buckets>>,
     /// Materialized inner sides of loop joins and cross products.
     inners: HashMap<usize, Arc<Vec<Tuple>>>,
     /// Early-cancel groups for probe-invariant index joins.
@@ -317,19 +311,7 @@ impl SegmentShared {
                     ..
                 } => {
                     let rows = drain_plan(right, env, ctx)?;
-                    let mut build = HashBuild {
-                        bucket_rows: Vec::new(),
-                        bucket_index: HashMap::with_capacity(rows.len()),
-                    };
-                    for rt in rows {
-                        if let Some(k) = key_of(&rt, right_keys, ctx.catalog) {
-                            let slot = *build.bucket_index.entry(k).or_insert_with(|| {
-                                build.bucket_rows.push(Vec::new());
-                                build.bucket_rows.len() - 1
-                            });
-                            build.bucket_rows[slot].push(rt);
-                        }
-                    }
+                    let build = Buckets::build(rows, right_keys, ctx.catalog);
                     shared.builds.insert(addr, Arc::new(build));
                     cur = left;
                 }
@@ -459,7 +441,7 @@ fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
 /// worker sums equal the serial counters.
 struct SharedHashJoin<'p> {
     left: BoxCursor<'p>,
-    build: Arc<HashBuild>,
+    build: Arc<Buckets>,
     left_keys: &'p [Sym],
     residual: Option<&'p Scalar>,
     kind: &'p JoinKind,
@@ -482,11 +464,10 @@ impl Cursor for SharedHashJoin<'_> {
         loop {
             if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
                 if let Some(slot) = slot {
-                    while pos < self.build.bucket_rows[slot].len() {
-                        let rt = self.build.bucket_rows[slot][pos].clone();
+                    while let Some(rt) = self.build.bucket(slot).get(pos) {
+                        let joined = lt.concat(rt);
                         pos += 1;
                         ctx.metrics.probe_tuples += 1;
-                        let joined = lt.concat(&rt);
                         if self.residual_passes(&joined, ctx)? {
                             matched = true;
                             self.cur = Some((lt, Some(slot), pos, matched));
@@ -504,9 +485,7 @@ impl Cursor for SharedHashJoin<'_> {
             let Some(lt) = self.left.next(ctx)? else {
                 return Ok(None);
             };
-            let slot = key_of(&lt, self.left_keys, ctx.catalog)
-                .and_then(|k| self.build.bucket_index.get(&k))
-                .copied();
+            let slot = self.build.slot_of(&lt, self.left_keys, ctx.catalog);
             match self.kind {
                 JoinKind::Inner | JoinKind::Outer { .. } => {
                     self.cur = Some((lt, slot, 0, false));
@@ -514,11 +493,12 @@ impl Cursor for SharedHashJoin<'_> {
                 JoinKind::Semi | JoinKind::Anti => {
                     let mut matched = false;
                     if let Some(slot) = slot {
-                        for pos in 0..self.build.bucket_rows[slot].len() {
-                            let rt = self.build.bucket_rows[slot][pos].clone();
+                        // Only a residual needs to see the joined tuple.
+                        for rt in self.build.bucket(slot) {
                             ctx.metrics.probe_tuples += 1;
-                            let joined = lt.concat(&rt);
-                            if self.residual_passes(&joined, ctx)? {
+                            if self.residual.is_none()
+                                || self.residual_passes(&lt.concat(rt), ctx)?
+                            {
                                 matched = true;
                                 break;
                             }
@@ -561,10 +541,9 @@ impl Cursor for SharedLoopJoin<'_> {
             if let Some((lt, mut pos, mut matched)) = self.cur.take() {
                 let n = self.right_rows.len();
                 while pos < n {
-                    let rt = self.right_rows[pos].clone();
+                    let joined = lt.concat(&self.right_rows[pos]);
                     pos += 1;
                     ctx.metrics.probe_tuples += 1;
-                    let joined = lt.concat(&rt);
                     if truthy(self.pred, &scoped(&self.env, &joined), ctx)? {
                         matched = true;
                         match self.kind {
@@ -624,7 +603,7 @@ impl Cursor for SharedIndexJoin<'_> {
             self.access = Some(crate::access::IndexJoinAccess::resolve(self.recipe, ctx)?);
         }
         while let Some(lt) = self.left.next(ctx)? {
-            let access = self.access.as_ref().expect("resolved above");
+            let access = self.access.as_mut().expect("resolved above");
             let matched = match self.cached {
                 Some(m) => m,
                 None => match &self.group {

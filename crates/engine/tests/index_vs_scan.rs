@@ -351,7 +351,7 @@ fn crafted_semi_and_anti_joins_differential() {
         let mut c = xpath::EvalCounters::default();
         xpath::eval_path(d, &[NodeId::DOCUMENT], &p("//title"), &mut c)
             .into_iter()
-            .map(|n| d.string_value(n))
+            .map(|n| d.string_value(n).into_owned())
             .collect()
     };
     cat.register(doc);
@@ -399,7 +399,7 @@ fn crafted_range_joins_differential() {
         let mut c = xpath::EvalCounters::default();
         xpath::eval_path(&doc, &[NodeId::DOCUMENT], &p("//title"), &mut c)
             .into_iter()
-            .map(|n| doc.string_value(n))
+            .map(|n| doc.string_value(n).into_owned())
             .collect()
     };
     cat.register(doc);
@@ -968,7 +968,7 @@ proptest! {
             let mut c = xpath::EvalCounters::default();
             xpath::eval_path(&doc, &[NodeId::DOCUMENT], &p("//title"), &mut c)
                 .into_iter()
-                .map(|n| doc.string_value(n))
+                .map(|n| doc.string_value(n).into_owned())
                 .collect()
         };
         cat.register(doc);
@@ -1014,7 +1014,10 @@ proptest! {
             .map(|b| {
                 let t = xpath::eval_path(&doc, &[b], &p("/title"), &mut c)[0];
                 let y = xpath::eval_path(&doc, &[b], &p("/@year"), &mut c)[0];
-                (doc.string_value(t), doc.string_value(y))
+                (
+                    doc.string_value(t).into_owned(),
+                    doc.string_value(y).into_owned(),
+                )
             })
             .collect();
         cat.register(doc);
@@ -1078,7 +1081,7 @@ proptest! {
             let mut c = xpath::EvalCounters::default();
             xpath::eval_path(&doc, &[NodeId::DOCUMENT], &p("//last"), &mut c)
                 .into_iter()
-                .map(|n| doc.string_value(n))
+                .map(|n| doc.string_value(n).into_owned())
                 .collect()
         };
         cat.register(doc);
@@ -1134,7 +1137,7 @@ proptest! {
             let mut c = xpath::EvalCounters::default();
             xpath::eval_path(&doc, &[NodeId::DOCUMENT], &p("//title"), &mut c)
                 .into_iter()
-                .map(|n| doc.string_value(n))
+                .map(|n| doc.string_value(n).into_owned())
                 .collect()
         };
         cat.register(doc);

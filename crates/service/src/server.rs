@@ -171,21 +171,28 @@ fn serve_connection(stream: TcpStream, service: &QueryService, shutdown: &Atomic
     let _session = SessionGuard(service);
     let _ = reader.set_read_timeout(Some(POLL_INTERVAL));
     let mut writer = stream;
+    // Replies are small and the client waits for each: send them now
+    // rather than letting Nagle hold a segment for the peer's delayed
+    // ACK. Each frame leaves in one write, newline included, from a
+    // buffer the connection keeps.
+    let _ = writer.set_nodelay(true);
+    let mut out: Vec<u8> = Vec::new();
     let mut emit = |frame: &str| -> bool {
-        writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .is_ok()
+        out.clear();
+        out.extend_from_slice(frame.as_bytes());
+        out.push(b'\n');
+        writer.write_all(&out).is_ok()
     };
 
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        // Drain complete lines already buffered before reading more.
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line_bytes: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line_bytes[..line_bytes.len() - 1]);
+        // Handle the complete lines already buffered, each parsed where
+        // it lies, before reading more.
+        let mut consumed = 0;
+        while let Some(len) = buf[consumed..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&buf[consumed..consumed + len]);
+            consumed += len + 1;
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -196,6 +203,7 @@ fn serve_connection(stream: TcpStream, service: &QueryService, shutdown: &Atomic
                 Control::Shutdown => return true,
             }
         }
+        buf.drain(..consumed);
         if shutdown.load(Ordering::SeqCst) {
             return false;
         }

@@ -49,9 +49,12 @@ impl Client {
         }
     }
 
+    /// One write per frame, so the client side never waits on Nagle
+    /// and any stall the tests see is the server's.
     fn send(&mut self, frame: &str) {
-        self.writer.write_all(frame.as_bytes()).expect("send");
-        self.writer.write_all(b"\n").expect("send");
+        self.writer
+            .write_all(format!("{frame}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Json {
@@ -172,6 +175,30 @@ fn full_session_round_trip() {
     assert_eq!(v.get("op").and_then(Json::as_str), Some("close"));
     assert!(c.at_eof(), "server must close after `close`");
 
+    handle.shutdown();
+}
+
+/// A plain client (default socket options: Nagle on, delayed ACKs) must
+/// not pay a delayed-ACK timer per reply. The server used to write each
+/// frame and its newline as two small segments; the second waited ~40 ms
+/// for the client's ACK of the first, on every exchange (20 sequential
+/// exchanges took ≈ 880 ms).
+#[test]
+fn sequential_exchanges_do_not_stall_on_delayed_ack() {
+    let mut handle = start_server();
+    let mut c = Client::connect(&handle);
+    c.load_bib();
+    c.query(TITLES); // cold run: plan and index
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        let (items, _) = c.query(TITLES);
+        assert_eq!(items.len(), 2);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(400),
+        "20 sequential query exchanges took {elapsed:?}"
+    );
     handle.shutdown();
 }
 

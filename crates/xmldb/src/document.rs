@@ -8,6 +8,7 @@
 //! document-order neighbours is renumbered ([`Document::order_epoch`]
 //! records it) — see `ROADMAP.md` for the sizing rationale.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -243,24 +244,30 @@ impl Document {
 
     /// The string value of a node per the XPath data model: concatenated
     /// descendant text for documents/elements, stored text for
-    /// text/attribute nodes.
-    pub fn string_value(&self, id: NodeId) -> String {
+    /// text/attribute nodes. Borrowed from the arena whenever the value
+    /// is one stored string — text and attribute nodes, and elements
+    /// with at most one text node below them (`<title>T</title>`, but
+    /// also `<author><last>L</last></author>`); only mixed content is
+    /// concatenated into a fresh string.
+    pub fn string_value(&self, id: NodeId) -> Cow<'_, str> {
         match self.kind(id) {
-            NodeKind::Text | NodeKind::Attribute(_) => self.text(id).to_string(),
+            NodeKind::Text | NodeKind::Attribute(_) => Cow::Borrowed(self.text(id)),
             NodeKind::Document | NodeKind::Element(_) => {
-                let mut s = String::new();
-                self.collect_text(id, &mut s);
-                s
-            }
-        }
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        for c in self.children(id) {
-            match self.kind(c) {
-                NodeKind::Text => out.push_str(self.text(c)),
-                NodeKind::Element(_) => self.collect_text(c, out),
-                _ => {}
+                let mut texts = self
+                    .descendants(id)
+                    .filter(|&d| self.kind(d).is_text())
+                    .map(|d| self.text(d));
+                match (texts.next(), texts.next()) {
+                    (None, _) => Cow::Borrowed(""),
+                    (Some(only), None) => Cow::Borrowed(only),
+                    (Some(first), Some(second)) => {
+                        let mut s = String::with_capacity(first.len() + second.len());
+                        s.push_str(first);
+                        s.push_str(second);
+                        s.extend(texts);
+                        Cow::Owned(s)
+                    }
+                }
             }
         }
     }
@@ -993,6 +1000,53 @@ mod tests {
         assert_eq!(d.attribute(book, "missing"), None);
     }
 
+    /// The XPath definition, spelled out: concatenate the text nodes of
+    /// the subtree in document order.
+    fn concatenated(d: &Document, id: NodeId) -> String {
+        match d.kind(id) {
+            NodeKind::Text | NodeKind::Attribute(_) => d.text(id).to_string(),
+            _ => d.children(id).map(|c| concatenated(d, c)).collect(),
+        }
+    }
+
+    #[test]
+    fn string_value_borrowed_and_concatenated_forms_agree() {
+        // Mixed content at several depths, an empty element, a lone
+        // text under nested elements, adjacent texts after an update.
+        let mut d = crate::parse_document(
+            "m.xml",
+            r#"<r a="1">lead<e/><p>one<b>two</b>three</p><q><w><x>deep</x></w></q>tail</r>"#,
+        )
+        .unwrap();
+        let frag = crate::parse_document("f", "<z>new<y k=\"v\">er</y></z>").unwrap();
+        let r = d.root_element().unwrap();
+        d.insert_subtree(r, None, &frag, frag.root_element().unwrap())
+            .unwrap();
+        let mut borrowed = 0;
+        for n in d.subtree_nodes(NodeId::DOCUMENT) {
+            let v = d.string_value(n);
+            assert_eq!(v, concatenated(&d, n), "node {n:?}");
+            borrowed += matches!(v, Cow::Borrowed(_)) as usize;
+        }
+        let value_of = |name: &str| {
+            let n = d
+                .descendants(NodeId::DOCUMENT)
+                .find(|&n| d.node_name(n) == Some(name))
+                .unwrap();
+            d.string_value(n)
+        };
+        // One stored string below the node: borrowed, however deep.
+        assert!(matches!(value_of("q"), Cow::Borrowed("deep")));
+        assert!(matches!(value_of("e"), Cow::Borrowed("")));
+        assert!(matches!(value_of("p"), Cow::Owned(_)));
+        assert_eq!(value_of("p"), "onetwothree");
+        assert_eq!(value_of("r"), "leadonetwothreedeeptailnewer");
+        assert!(
+            borrowed >= 10,
+            "texts, attributes and single-text elements borrow"
+        );
+    }
+
     #[test]
     fn string_value_concatenates_text() {
         let d = sample();
@@ -1066,7 +1120,7 @@ mod tests {
         let titles: Vec<String> = d
             .descendants(NodeId::DOCUMENT)
             .filter(|&n| d.node_name(n) == Some("title"))
-            .map(|n| d.string_value(n))
+            .map(|n| d.string_value(n).into_owned())
             .collect();
         assert_eq!(
             titles,

@@ -170,7 +170,7 @@ mod tests {
             d.children(root)
                 .flat_map(|t| d.children(t).collect::<Vec<_>>())
                 .filter(|&c| d.node_name(c) == Some(tag))
-                .map(|c| d.string_value(c))
+                .map(|c| d.string_value(c).into_owned())
                 .collect()
         };
         let known_items = collect(&docs.items, "itemno");
@@ -196,7 +196,7 @@ mod tests {
             let itemno = d
                 .children(t)
                 .find(|&c| d.node_name(c) == Some("itemno"))
-                .map(|c| d.string_value(c))
+                .map(|c| d.string_value(c).into_owned())
                 .unwrap();
             *counts.entry(itemno).or_insert(0usize) += 1;
         }

@@ -136,7 +136,7 @@ mod tests {
             let vals: Vec<String> = d
                 .children(bk)
                 .filter(|&c| d.node_name(c) == Some("author"))
-                .map(|a| d.string_value(a))
+                .map(|a| d.string_value(a).into_owned())
                 .collect();
             let set: HashSet<_> = vals.iter().collect();
             assert_eq!(set.len(), vals.len(), "duplicate author in one book");

@@ -101,7 +101,7 @@ mod tests {
         let root = d.root_element().unwrap();
         let titles: Vec<String> = d
             .children(root)
-            .map(|e| d.string_value(d.children(e).next().unwrap()))
+            .map(|e| d.string_value(d.children(e).next().unwrap()).into_owned())
             .collect();
         assert_eq!(titles[0], titles[1]);
         assert_eq!(titles[1], titles[2]);

@@ -117,25 +117,28 @@ impl AncestorChainSpec {
 }
 
 /// Enumerate every consistent assignment of the spec's bindings to
-/// element ancestors of `candidate`.
+/// element ancestors of `candidate`, handing each to `found`.
 ///
-/// Each returned assignment lists the binding nodes **deepest-first**
-/// (parallel to `spec.rels`); assignments come out ordered by the
-/// deepest binding's depth first (ascending), then the next, and so on —
-/// which is the build-row order of the replaced scan: outer bindings
-/// iterate in document order, and along one root-to-candidate path,
-/// document order *is* depth order.
+/// Each assignment lists the binding nodes **deepest-first** (parallel
+/// to `spec.rels`); assignments come out ordered by the deepest
+/// binding's depth first (ascending), then the next, and so on — which
+/// is the build-row order of the replaced scan: outer bindings iterate
+/// in document order, and along one root-to-candidate path, document
+/// order *is* depth order. The slice is only valid during the call (it
+/// is the search's own working buffer).
 pub fn matched_assignments(
     doc: &Document,
     candidate: NodeId,
     spec: &AncestorChainSpec,
-) -> Vec<Vec<NodeId>> {
+    found: &mut dyn FnMut(&[NodeId]),
+) {
     if spec.rels.is_empty() {
-        return Vec::new();
+        return;
     }
-    // The candidate's strict element ancestors, root-first, with their
-    // names; plus the candidate's own tail segment (element name, or
-    // attribute name for attribute candidates).
+    // The candidate's strict element ancestors, root-first, and the
+    // segment names along them — followed, for an element candidate, by
+    // its own name, so that every span up to the candidate is a plain
+    // sub-slice. An attribute candidate's name is matched separately.
     let mut spine: Vec<NodeId> = Vec::new();
     let mut cur = doc.parent(candidate);
     while let Some(p) = cur {
@@ -145,34 +148,36 @@ pub fn matched_assignments(
         cur = doc.parent(p);
     }
     spine.reverse();
-    let seg_names: Vec<&str> = spine
-        .iter()
-        .map(|&n| doc.node_name(n).expect("element name"))
-        .collect();
-    let (tail_elem, tail_attr): (Option<&str>, Option<&str>) = match doc.kind(candidate) {
-        NodeKind::Element(i) => (Some(doc.name(i)), None),
-        NodeKind::Attribute(i) => (None, Some(doc.name(i))),
-        _ => return Vec::new(),
+    let mut seg_names: Vec<&str> = Vec::with_capacity(spine.len() + 1);
+    seg_names.extend(
+        spine
+            .iter()
+            .map(|&n| doc.node_name(n).expect("element name")),
+    );
+    let tail_attr = match doc.kind(candidate) {
+        NodeKind::Element(i) => {
+            seg_names.push(doc.name(i));
+            None
+        }
+        NodeKind::Attribute(i) => Some(doc.name(i)),
+        _ => return,
     };
 
     // Recursive position search: assign spec binding `level`
     // (deepest-first) to spine positions ≥ `min_pos`, checking the base
     // pattern at level 0 and the inter-binding span otherwise; after the
     // last binding, the final rel must span to the candidate tail.
-    let mut out: Vec<Vec<NodeId>> = Vec::new();
     let mut assignment: Vec<NodeId> = Vec::with_capacity(spec.rels.len());
     search(
         spec,
         &spine,
         &seg_names,
-        tail_elem,
         tail_attr,
         0,
         0,
         &mut assignment,
-        &mut out,
+        found,
     );
-    out
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -180,12 +185,11 @@ fn search(
     spec: &AncestorChainSpec,
     spine: &[NodeId],
     seg_names: &[&str],
-    tail_elem: Option<&str>,
     tail_attr: Option<&str>,
     level: usize,
     min_pos: usize,
     assignment: &mut Vec<NodeId>,
-    out: &mut Vec<Vec<NodeId>>,
+    found: &mut dyn FnMut(&[NodeId]),
 ) {
     for pos in min_pos..spine.len() {
         let placed_ok = if level == 0 {
@@ -203,24 +207,19 @@ fn search(
         assignment.push(spine[pos]);
         if level + 1 == spec.rels.len() {
             // Final span: from this binding to the candidate itself.
-            let mut segs: Vec<&str> = seg_names[pos + 1..].to_vec();
-            if let Some(e) = tail_elem {
-                segs.push(e);
-            }
-            if span_matches(&spec.rels[level].steps, &segs, tail_attr) {
-                out.push(assignment.clone());
+            if span_matches(&spec.rels[level].steps, &seg_names[pos + 1..], tail_attr) {
+                found(assignment);
             }
         } else {
             search(
                 spec,
                 spine,
                 seg_names,
-                tail_elem,
                 tail_attr,
                 level + 1,
                 pos + 1,
                 assignment,
-                out,
+                found,
             );
         }
         assignment.pop();
@@ -278,8 +277,21 @@ mod tests {
         PatternStep::Attribute(Some(n.into()))
     }
 
+    fn matched_assignments(
+        d: &Document,
+        candidate: NodeId,
+        spec: &AncestorChainSpec,
+    ) -> Vec<Vec<NodeId>> {
+        let mut out = Vec::new();
+        super::matched_assignments(d, candidate, spec, &mut |a| out.push(a.to_vec()));
+        out
+    }
+
     fn values(d: &Document, nodes: &[NodeId]) -> Vec<String> {
-        nodes.iter().map(|&n| d.string_value(n)).collect()
+        nodes
+            .iter()
+            .map(|&n| d.string_value(n).into_owned())
+            .collect()
     }
 
     #[test]

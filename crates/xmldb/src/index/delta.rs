@@ -127,7 +127,7 @@ enum CompositePlan {
     Delta {
         /// Pre-update rows to remove (deleted primaries + the old rows
         /// of affected surviving primaries).
-        removals: Vec<(Vec<ValueKey>, CompositeEntry)>,
+        removals: Vec<(Vec<ValueKey<'static>>, CompositeEntry)>,
         /// Surviving primaries whose rows re-derive post-mutation.
         affected: Vec<NodeId>,
     },
@@ -265,7 +265,7 @@ impl IndexCatalog {
                     }
                     let segs: Vec<&str> = trail.iter().map(String::as_str).collect();
                     if pattern.matches_element_path(&segs) {
-                        rekey.push((*n, doc.string_value(*n)));
+                        rekey.push((*n, doc.string_value(*n).into_owned()));
                     }
                 }
                 if let Some(a) = touched_attr {
@@ -273,7 +273,7 @@ impl IndexCatalog {
                     let owner_trail = element_trail(doc, owner);
                     let segs: Vec<&str> = owner_trail.iter().map(String::as_str).collect();
                     if pattern.matches_attribute(&segs, doc.node_name(a).expect("attr name")) {
-                        rekey.push((a, doc.string_value(a)));
+                        rekey.push((a, doc.string_value(a).into_owned()));
                     }
                 }
                 if !rekey.is_empty() {
@@ -364,7 +364,7 @@ impl IndexCatalog {
             }
             affected_set.retain(|p| !deleted_set.contains(p));
 
-            let mut removals: Vec<(Vec<ValueKey>, CompositeEntry)> = Vec::new();
+            let mut removals: Vec<(Vec<ValueKey<'static>>, CompositeEntry)> = Vec::new();
             // Deleted primaries: pure removals, from the subtree walk.
             if let TouchPre::Delete { root } = touch {
                 for (p, _) in capture_subtree_matches(doc, *root, &spec.primary) {
@@ -433,7 +433,7 @@ impl IndexCatalog {
                         let new = doc.string_value(*n);
                         if new != *old {
                             maintained += idx.remove_node(old, *n) as u64;
-                            maintained += idx.insert_node(new, *n) as u64;
+                            maintained += idx.insert_node(new.into_owned(), *n) as u64;
                         }
                     }
                 }
@@ -513,13 +513,13 @@ fn capture_subtree_matches(
     for (t, n) in &elems {
         let segs: Vec<&str> = t.iter().map(String::as_str).collect();
         if pattern.matches_element_path(&segs) {
-            out.push((*n, doc.string_value(*n)));
+            out.push((*n, doc.string_value(*n).into_owned()));
         }
     }
     for (t, a, n) in &attrs {
         let segs: Vec<&str> = t.iter().map(String::as_str).collect();
         if pattern.matches_attribute(&segs, a) {
-            out.push((*n, doc.string_value(*n)));
+            out.push((*n, doc.string_value(*n).into_owned()));
         }
     }
     out

@@ -435,7 +435,10 @@ mod tests {
     }
 
     fn values(d: &Document, nodes: &[NodeId]) -> Vec<String> {
-        nodes.iter().map(|&n| d.string_value(n)).collect()
+        nodes
+            .iter()
+            .map(|&n| d.string_value(n).into_owned())
+            .collect()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! by [`ValueIndex::build`] is a [`ValueKey::Str`]. The other variants
 //! exist so that probes carrying non-string values are well-defined —
 //! and, by deliberate design, *miss*: that is exactly the behaviour of
-//! the hash operators (`engine::key::KeyVal`), which never equate a
+//! the hash operators (`engine::key::key_val`), which never equate a
 //! numeric probe with a string build key. Byte-identical plans first.
 //!
 //! Besides the string-keyed map, the index keeps a **numeric view**: for
@@ -28,6 +28,7 @@
 //! whose value parses to NaN are left out of the numeric view) — and
 //! `-0.0` canonicalizes to `0.0`, so both zeros are a single key point.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
@@ -41,8 +42,13 @@ use crate::node::NodeId;
 /// IEEE-754 total order (via an order-preserving bit mapping, with both
 /// zeros canonicalized to `+0.0` and NaN canonicalized to `Null` — see
 /// [`ValueKey::num`]) and strings lexicographically.
+///
+/// A string key borrows its text when it can: a *probe* key points into
+/// the probing value or the document ([`crate::Document::string_value`])
+/// and is compared against the stored (owned, `'static`) keys without
+/// copying a byte.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum ValueKey {
+pub enum ValueKey<'a> {
     /// NULL — present for completeness; never stored (NULL keys match
     /// nothing) and probes with it always miss.
     Null,
@@ -53,17 +59,17 @@ pub enum ValueKey {
     /// equals IEEE order.
     Num(u64),
     /// A string key, ordered lexicographically.
-    Str(String),
+    Str(Cow<'a, str>),
     /// Non-atomic leftovers by canonical rendering (sequences etc.).
     Other(String),
 }
 
-impl ValueKey {
+impl<'a> ValueKey<'a> {
     /// Numeric key from an `f64` (order preserving). `NaN` canonicalizes
     /// to [`ValueKey::Null`] — NaN never satisfies a comparison, so a NaN
     /// key must be unmatchable on build and probe alike — and `-0.0`
     /// canonicalizes to `0.0`, making the two zeros one key point.
-    pub fn num(v: f64) -> ValueKey {
+    pub fn num(v: f64) -> ValueKey<'a> {
         if v.is_nan() {
             return ValueKey::Null;
         }
@@ -82,6 +88,17 @@ impl ValueKey {
     /// NULL keys never match anything, including each other.
     pub fn matchable(&self) -> bool {
         !matches!(self, ValueKey::Null)
+    }
+
+    /// The key with its text owned — the form the indexes store.
+    pub fn into_owned(self) -> ValueKey<'static> {
+        match self {
+            ValueKey::Null => ValueKey::Null,
+            ValueKey::Bool(b) => ValueKey::Bool(b),
+            ValueKey::Num(n) => ValueKey::Num(n),
+            ValueKey::Str(s) => ValueKey::Str(Cow::Owned(s.into_owned())),
+            ValueKey::Other(s) => ValueKey::Other(s),
+        }
     }
 }
 
@@ -107,7 +124,7 @@ pub fn f64_from_order_bits(b: u64) -> f64 {
     }
 }
 
-impl fmt::Display for ValueKey {
+impl fmt::Display for ValueKey<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValueKey::Null => write!(f, "NULL"),
@@ -125,7 +142,7 @@ impl fmt::Display for ValueKey {
 /// machinery ([`ValueIndex::insert_node`] / [`ValueIndex::remove_node`]).
 #[derive(Clone)]
 pub struct ValueIndex {
-    entries: BTreeMap<ValueKey, Vec<NodeId>>,
+    entries: BTreeMap<ValueKey<'static>, Vec<NodeId>>,
     /// Numeric view: order bits of the parsed string value → nodes, for
     /// every node whose value coerces to a (non-NaN) number. `-0.0` is
     /// canonicalized to `0.0` on entry.
@@ -139,7 +156,7 @@ impl ValueIndex {
     /// their parsed numeric value where one exists (the numeric view
     /// range probes use).
     pub fn build(doc: &Document, nodes: &[NodeId]) -> ValueIndex {
-        let mut entries: BTreeMap<ValueKey, Vec<NodeId>> = BTreeMap::new();
+        let mut entries: BTreeMap<ValueKey<'static>, Vec<NodeId>> = BTreeMap::new();
         let mut numeric: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
         for &n in nodes {
             let s = doc.string_value(n);
@@ -150,7 +167,10 @@ impl ValueIndex {
                     numeric.entry(bits).or_default().push(n);
                 }
             }
-            entries.entry(ValueKey::Str(s)).or_default().push(n);
+            entries
+                .entry(ValueKey::Str(Cow::Owned(s.into_owned())))
+                .or_default()
+                .push(n);
         }
         ValueIndex {
             entries,
@@ -176,7 +196,12 @@ impl ValueIndex {
                 written += 1;
             }
         }
-        super::path::ordered_insert(self.entries.entry(ValueKey::Str(value)).or_default(), node);
+        super::path::ordered_insert(
+            self.entries
+                .entry(ValueKey::Str(Cow::Owned(value)))
+                .or_default(),
+            node,
+        );
         self.total_nodes += 1;
         written
     }
@@ -185,7 +210,7 @@ impl ValueIndex {
     /// `value`. Returns the number of postings removed.
     pub fn remove_node(&mut self, value: &str, node: NodeId) -> usize {
         let mut removed = 0;
-        let key = ValueKey::Str(value.to_string());
+        let key = ValueKey::Str(Cow::Owned(value.to_string()));
         if let Some(list) = self.entries.get_mut(&key) {
             removed += super::path::ordered_remove(list, node);
             if list.is_empty() {
@@ -207,8 +232,10 @@ impl ValueIndex {
     }
 
     /// Posting list of `key`, in document order. Empty for misses and for
-    /// unmatchable (NULL) probes.
-    pub fn get(&self, key: &ValueKey) -> &[NodeId] {
+    /// unmatchable (NULL) probes. (The stored keys are viewed at the
+    /// probe key's lifetime for the comparison, which is why the result
+    /// cannot outlive what the key borrows.)
+    pub fn get<'k>(&'k self, key: &ValueKey<'k>) -> &'k [NodeId] {
         if !key.matchable() {
             return &[];
         }
@@ -216,7 +243,7 @@ impl ValueIndex {
     }
 
     /// `true` iff at least one node carries `key`.
-    pub fn contains(&self, key: &ValueKey) -> bool {
+    pub fn contains<'k>(&'k self, key: &ValueKey<'k>) -> bool {
         !self.get(key).is_empty()
     }
 
@@ -236,7 +263,7 @@ impl ValueIndex {
     }
 
     /// Iterate `(key, posting list)` in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ValueKey, &[NodeId])> {
+    pub fn iter(&self) -> impl Iterator<Item = (&ValueKey<'static>, &[NodeId])> {
         self.entries.iter().map(|(k, v)| (k, v.as_slice()))
     }
 
@@ -282,7 +309,11 @@ impl ValueIndex {
     /// );
     /// assert_eq!(lex.len(), 2); // "10" and "2" sort inside ["1", "3")
     /// ```
-    pub fn range(&self, lo: Bound<&ValueKey>, hi: Bound<&ValueKey>) -> Vec<NodeId> {
+    pub fn range<'k>(
+        &'k self,
+        lo: Bound<&'k ValueKey<'k>>,
+        hi: Bound<&'k ValueKey<'k>>,
+    ) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self.range_iter(lo, hi).collect();
         out.sort_unstable();
         out
@@ -295,10 +326,10 @@ impl ValueIndex {
     /// yielded node.
     pub fn range_iter<'a>(
         &'a self,
-        lo: Bound<&ValueKey>,
-        hi: Bound<&ValueKey>,
+        lo: Bound<&'a ValueKey<'a>>,
+        hi: Bound<&'a ValueKey<'a>>,
     ) -> Box<dyn Iterator<Item = NodeId> + 'a> {
-        fn typed(b: Bound<&ValueKey>) -> Option<&ValueKey> {
+        fn typed<'k>(b: Bound<&'k ValueKey<'k>>) -> Option<&'k ValueKey<'k>> {
             match b {
                 Bound::Included(k) | Bound::Excluded(k) => Some(k),
                 Bound::Unbounded => None,
@@ -435,7 +466,7 @@ pub struct CompositeEntry {
 /// every other access path (NaN → the unmatchable NULL key).
 #[derive(Clone)]
 pub struct CompositeValueIndex {
-    entries: BTreeMap<Vec<ValueKey>, Vec<CompositeEntry>>,
+    entries: BTreeMap<Vec<ValueKey<'static>>, Vec<CompositeEntry>>,
     total_rows: usize,
 }
 
@@ -454,7 +485,7 @@ pub fn entries_for_primary(
     doc: &Document,
     p: NodeId,
     spec: &CompositeSpec,
-) -> Vec<(Vec<ValueKey>, CompositeEntry)> {
+) -> Vec<(Vec<ValueKey<'static>>, CompositeEntry)> {
     let member_lists: Option<Vec<Vec<NodeId>>> = spec
         .members
         .iter()
@@ -472,7 +503,7 @@ pub fn entries_for_primary(
     if member_lists.iter().any(Vec::is_empty) {
         return Vec::new();
     }
-    let primary_value = doc.string_value(p);
+    let primary_value = doc.string_value(p).into_owned();
     let mut out = Vec::new();
     let mut combo = vec![0usize; member_lists.len()];
     loop {
@@ -481,12 +512,14 @@ pub fn entries_for_primary(
             .zip(&combo)
             .map(|(list, &i)| list[i])
             .collect();
-        let key: Vec<ValueKey> = spec
+        let key: Vec<ValueKey<'static>> = spec
             .key
             .iter()
-            .map(|c| match c {
-                KeyComponent::Primary => ValueKey::Str(primary_value.clone()),
-                KeyComponent::Member(i) => ValueKey::Str(doc.string_value(members[*i])),
+            .map(|c| {
+                ValueKey::Str(Cow::Owned(match c {
+                    KeyComponent::Primary => primary_value.clone(),
+                    KeyComponent::Member(i) => doc.string_value(members[*i]).into_owned(),
+                }))
             })
             .collect();
         out.push((
@@ -522,7 +555,7 @@ impl CompositeValueIndex {
     /// [`entries_for_primary`] for the per-primary row derivation and
     /// ordering.
     pub fn build(doc: &Document, primary_nodes: &[NodeId], spec: &CompositeSpec) -> Self {
-        let mut entries: BTreeMap<Vec<ValueKey>, Vec<CompositeEntry>> = BTreeMap::new();
+        let mut entries: BTreeMap<Vec<ValueKey<'static>>, Vec<CompositeEntry>> = BTreeMap::new();
         let mut total_rows = 0usize;
         for &p in primary_nodes {
             for (key, entry) in entries_for_primary(doc, p, spec) {
@@ -543,7 +576,7 @@ impl CompositeValueIndex {
     /// Add one `(key, entry)` row, keeping the posting list in build-row
     /// order ([`CompositeEntry`]'s derived ordering) by binary insert.
     /// Returns the number of postings written (1).
-    pub fn insert_entry(&mut self, key: Vec<ValueKey>, entry: CompositeEntry) -> usize {
+    pub fn insert_entry(&mut self, key: Vec<ValueKey<'static>>, entry: CompositeEntry) -> usize {
         let list = self.entries.entry(key).or_default();
         let pos = list.partition_point(|e| *e < entry);
         if list.get(pos) == Some(&entry) {
@@ -556,7 +589,7 @@ impl CompositeValueIndex {
 
     /// Remove one previously indexed `(key, entry)` row. Returns the
     /// number of postings removed (0 or 1).
-    pub fn remove_entry(&mut self, key: &[ValueKey], entry: &CompositeEntry) -> usize {
+    pub fn remove_entry(&mut self, key: &[ValueKey<'static>], entry: &CompositeEntry) -> usize {
         let Some(list) = self.entries.get_mut(key) else {
             return 0;
         };
@@ -574,7 +607,7 @@ impl CompositeValueIndex {
 
     /// Posting entries of a composite key, in build-row order. Empty for
     /// misses and for probes with any unmatchable (NULL/NaN) component.
-    pub fn get(&self, key: &[ValueKey]) -> &[CompositeEntry] {
+    pub fn get<'k>(&'k self, key: &[ValueKey<'k>]) -> &'k [CompositeEntry] {
         if key.iter().any(|k| !k.matchable()) {
             return &[];
         }
@@ -597,7 +630,7 @@ impl CompositeValueIndex {
     }
 
     /// Iterate `(key, entries)` in ascending lexicographic key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[ValueKey], &[CompositeEntry])> {
+    pub fn iter(&self) -> impl Iterator<Item = (&[ValueKey<'static>], &[CompositeEntry])> {
         self.entries
             .iter()
             .map(|(k, v)| (k.as_slice(), v.as_slice()))

@@ -8,28 +8,40 @@ use std::fmt::Write as _;
 use crate::document::Document;
 use crate::node::{NodeId, NodeKind};
 
+/// Append `s` to `out`, replacing each character `entity` names by its
+/// entity; the stretches in between are copied whole.
+fn escape_into(s: &str, out: &mut String, entity: impl Fn(char) -> Option<&'static str>) {
+    let mut rest = s;
+    while let Some((at, e)) = rest
+        .char_indices()
+        .find_map(|(i, c)| entity(c).map(|e| (i, e)))
+    {
+        out.push_str(&rest[..at]);
+        out.push_str(e);
+        // Every escaped character is one byte of ASCII.
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
 /// Escape character data (`&`, `<`, `>`).
 pub fn escape_text(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, out, |c| match c {
+        '&' => Some("&amp;"),
+        '<' => Some("&lt;"),
+        '>' => Some("&gt;"),
+        _ => None,
+    });
 }
 
 /// Escape an attribute value (also quotes).
 pub fn escape_attr(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    escape_into(s, out, |c| match c {
+        '&' => Some("&amp;"),
+        '<' => Some("&lt;"),
+        '"' => Some("&quot;"),
+        _ => None,
+    });
 }
 
 /// Serialize the subtree rooted at `node` (the node itself included) into
@@ -47,8 +59,9 @@ pub fn serialize_node(doc: &Document, node: NodeId, out: &mut String) {
             out.push('<');
             out.push_str(name);
             for a in doc.attributes(node) {
-                let aname = doc.node_name(a).expect("attribute has a name");
-                let _ = write!(out, " {aname}=\"");
+                out.push(' ');
+                out.push_str(doc.node_name(a).expect("attribute has a name"));
+                out.push_str("=\"");
                 escape_attr(doc.text(a), out);
                 out.push('"');
             }

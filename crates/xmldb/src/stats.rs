@@ -33,7 +33,10 @@ impl DocStats {
             if let NodeKind::Element(name) = doc.kind(n) {
                 let name = doc.name(name).to_string();
                 *stats.element_counts.entry(name.clone()).or_insert(0) += 1;
-                values.entry(name).or_default().insert(doc.string_value(n));
+                values
+                    .entry(name)
+                    .or_default()
+                    .insert(doc.string_value(n).into_owned());
                 for a in doc.attributes(n) {
                     let aname = doc.node_name(a).expect("attr name").to_string();
                     *stats.attribute_counts.entry(aname).or_insert(0) += 1;

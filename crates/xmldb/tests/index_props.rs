@@ -155,11 +155,14 @@ proptest! {
             .expect("resolvable");
         let vidx = ValueIndex::build(&doc, &nodes);
 
-        let bound = |key: Option<ValueKey>, incl: bool| match key {
-            None => Bound::Unbounded,
-            Some(k) => if incl { Bound::Included(k) } else { Bound::Excluded(k) },
-        };
-        fn as_ref_bound(b: &Bound<ValueKey>) -> Bound<&ValueKey> {
+        fn bound(key: Option<ValueKey<'_>>, incl: bool) -> Bound<ValueKey<'_>> {
+            match key {
+                None => Bound::Unbounded,
+                Some(k) if incl => Bound::Included(k),
+                Some(k) => Bound::Excluded(k),
+            }
+        }
+        fn as_ref_bound<'a>(b: &'a Bound<ValueKey<'a>>) -> Bound<&'a ValueKey<'a>> {
             match b {
                 Bound::Unbounded => Bound::Unbounded,
                 Bound::Included(k) => Bound::Included(k),
@@ -226,8 +229,8 @@ proptest! {
         } else {
             let lo_s = (lo_pick < POOL.len()).then(|| POOL[lo_pick].to_string());
             let hi_s = (hi_pick < POOL.len()).then(|| POOL[hi_pick].to_string());
-            let lo = bound(lo_s.clone().map(ValueKey::Str), lo_incl);
-            let hi = bound(hi_s.clone().map(ValueKey::Str), hi_incl);
+            let lo = bound(lo_s.clone().map(|s| ValueKey::Str(s.into())), lo_incl);
+            let hi = bound(hi_s.clone().map(|s| ValueKey::Str(s.into())), hi_incl);
             let got = vidx.range(as_ref_bound(&lo), as_ref_bound(&hi));
             let expected: Vec<NodeId> = nodes
                 .iter()
@@ -236,13 +239,13 @@ proptest! {
                     let v = doc.string_value(n);
                     let lo_ok = match (&lo_s, lo_incl) {
                         (None, _) => true,
-                        (Some(l), true) => v.as_str() >= l.as_str(),
-                        (Some(l), false) => v.as_str() > l.as_str(),
+                        (Some(l), true) => &*v >= l.as_str(),
+                        (Some(l), false) => &*v > l.as_str(),
                     };
                     let hi_ok = match (&hi_s, hi_incl) {
                         (None, _) => true,
-                        (Some(h), true) => v.as_str() <= h.as_str(),
-                        (Some(h), false) => v.as_str() < h.as_str(),
+                        (Some(h), true) => &*v <= h.as_str(),
+                        (Some(h), false) => &*v < h.as_str(),
                     };
                     lo_ok && hi_ok
                 })
@@ -336,7 +339,8 @@ proptest! {
             rels: vec![PathPattern::new(vec![PatternStep::Child(Some("last".into()))])],
         };
         for &l in &lasts {
-            let got = matched_assignments(&doc, l, &spec);
+            let mut got: Vec<Vec<NodeId>> = Vec::new();
+            matched_assignments(&doc, l, &spec, &mut |a| got.push(a.to_vec()));
             // Naive: the parent must be an author under a book.
             let parent = doc.parent(l).expect("author parent");
             let is_author_under_book = matches!(doc.kind(parent), NodeKind::Element(i) if doc.name(i) == "author")

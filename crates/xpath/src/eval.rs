@@ -19,30 +19,77 @@ pub struct EvalCounters {
 ///
 /// The context sequence must be in document order and duplicate-free;
 /// each step then produces a document-order, duplicate-free result, which
-/// is the invariant the NAL operators assume. (Per-step sorting is
-/// unnecessary: child/attribute steps over an ordered duplicate-free
-/// context yield ordered results; the descendant step merges subtree scans
-/// whose roots are ordered, so a linear de-overlap pass suffices — but we
-/// sort + dedup defensively and assert the cheap invariant in debug.)
+/// is the invariant the NAL operators assume.
 pub fn eval_path(
     doc: &Document,
     context: &[NodeId],
     path: &Path,
     counters: &mut EvalCounters,
 ) -> Vec<NodeId> {
-    let mut current: Vec<NodeId> = context.to_vec();
-    for step in &path.steps {
-        let mut next: Vec<NodeId> = Vec::new();
-        for &node in &current {
-            apply_step(doc, node, step, &mut next, counters);
+    let mut buffers = PathBuffers::default();
+    buffers.eval(doc, context, path, counters);
+    buffers.current
+}
+
+/// The two node buffers path evaluation alternates between. A caller
+/// that evaluates one path per tuple keeps them, so a path costs no
+/// allocation once they have grown to the largest step result.
+#[derive(Default)]
+pub struct PathBuffers {
+    current: Vec<NodeId>,
+    next: Vec<NodeId>,
+}
+
+impl PathBuffers {
+    /// [`eval_path`] into the buffers; the result stays valid until the
+    /// next call. The first step reads the caller's slice in place,
+    /// every later step the previous step's output.
+    pub fn eval(
+        &mut self,
+        doc: &Document,
+        context: &[NodeId],
+        path: &Path,
+        counters: &mut EvalCounters,
+    ) -> &[NodeId] {
+        match path.steps.split_first() {
+            None => {
+                self.current.clear();
+                self.current.extend_from_slice(context);
+            }
+            Some((first, rest)) => {
+                eval_step(doc, context, first, counters, &mut self.current);
+                for step in rest {
+                    eval_step(doc, &self.current, step, counters, &mut self.next);
+                    std::mem::swap(&mut self.current, &mut self.next);
+                }
+            }
         }
-        // Document order == NodeId order; duplicates can only arise on the
-        // descendant axis with nested context nodes.
-        next.sort_unstable();
-        next.dedup();
-        current = next;
+        &self.current
     }
-    current
+}
+
+/// One step over an ordered, duplicate-free context, into `out`.
+fn eval_step(
+    doc: &Document,
+    context: &[NodeId],
+    step: &Step,
+    counters: &mut EvalCounters,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    for &node in context {
+        apply_step(doc, node, step, out, counters);
+    }
+    // Document order == NodeId order. One context node yields its
+    // matches in order, each once. Several can interleave (a child or
+    // descendant step when one context node contains another) or repeat
+    // (a descendant step, same case); then a sort restores the
+    // invariant. Strictly ascending output needs neither — the usual
+    // case, decided in one pass.
+    if context.len() > 1 && !out.windows(2).all(|w| w[0] < w[1]) {
+        out.sort_unstable();
+        out.dedup();
+    }
 }
 
 fn apply_step(
@@ -114,7 +161,7 @@ mod tests {
         let mut c = EvalCounters::default();
         eval_path(d, &[NodeId::DOCUMENT], &parse_path(path).unwrap(), &mut c)
             .into_iter()
-            .map(|n| d.string_value(n))
+            .map(|n| d.string_value(n).into_owned())
             .collect()
     }
 

@@ -21,5 +21,5 @@ mod eval;
 mod parser;
 
 pub use ast::{Axis, NameTest, Path, Step};
-pub use eval::{eval_path, EvalCounters};
+pub use eval::{eval_path, EvalCounters, PathBuffers};
 pub use parser::{parse_path, PathParseError};

@@ -44,7 +44,7 @@ fn titles_per_author(catalog: &Catalog) -> std::collections::HashMap<String, Vec
             &mut counters,
         )
         .first()
-        .map(|&t| doc.string_value(t))
+        .map(|&t| doc.string_value(t).into_owned())
         .unwrap();
         for a in xpath::eval_path(
             doc,
@@ -52,7 +52,7 @@ fn titles_per_author(catalog: &Catalog) -> std::collections::HashMap<String, Vec
             &xpath::parse_path("/author").unwrap(),
             &mut counters,
         ) {
-            map.entry(doc.string_value(a))
+            map.entry(doc.string_value(a).into_owned())
                 .or_default()
                 .push(title.clone());
         }
@@ -103,7 +103,7 @@ fn existential_plans_preserve_driving_document_order() {
         &mut counters,
     )
     .into_iter()
-    .map(|t| doc.string_value(t))
+    .map(|t| doc.string_value(t).into_owned())
     .collect();
 
     let nested = xquery::compile(Q3_EXISTENTIAL.query, &catalog).unwrap();
