@@ -330,7 +330,9 @@ fn allocs(args: &Args, report: &mut Report) {
 ///
 /// `index_ablation` covers the equality workloads (hash-join scan
 /// form); `range_ablation` covers the inequality workloads, whose scan
-/// form is the definitional nested loop the `IndexRangeJoin` replaces.
+/// form is the loop join the `IndexRangeJoin` replaces — and also holds
+/// that scan form to the θ-probe's bound: it examines at most
+/// |left| + |right| build candidates, not |left| × |right|.
 fn index_ablation(args: &Args, report: &mut Report) {
     access_path_ablation(
         args,
@@ -344,6 +346,7 @@ fn index_ablation(args: &Args, report: &mut Report) {
             &Q10_DEEP,
         ],
         "index",
+        |_, _| {},
     );
 }
 
@@ -359,6 +362,7 @@ fn composite_ablation(args: &Args, report: &mut Report) {
         "Composite ablation: multi-key + variable-depth quantifier joins",
         &[&Q9_COMPOSITE, &Q10_DEEP],
         "composite",
+        |_, _| {},
     );
 }
 
@@ -371,6 +375,20 @@ fn range_ablation(args: &Args, report: &mut Report) {
         "Range ablation: loop vs range-probe inequality quantifier joins",
         &range,
         "range",
+        |id, scan| {
+            // Both RANGE plans scan each join side with exactly one Υ,
+            // so the Υ tuple count is |left| + |right|.
+            let sides = scan.metrics.op_count("UnnestMap");
+            println!(
+                "  [{id}] scan-side probe_tuples {} (|left| + |right| = {sides})",
+                scan.metrics.probe_tuples
+            );
+            assert!(
+                scan.metrics.probe_tuples <= sides,
+                "[{id}] the scan loop join examined {} candidates for {sides} input tuples",
+                scan.metrics.probe_tuples
+            );
+        },
     );
 }
 
@@ -380,6 +398,7 @@ fn access_path_ablation(
     title: &str,
     workloads: &[&ordered_unnesting::workloads::Workload],
     prefix: &str,
+    check_scan: impl Fn(&str, &engine::QueryResult),
 ) {
     println!("== {title} ==\n");
     println!(
@@ -416,6 +435,7 @@ fn access_path_ablation(
                     "[{}] ablation rows diverge",
                     w.id
                 );
+                check_scan(w.id, &scan_warm);
                 let scan = measure_plan_cfg(&label, &expr, &catalog, scan_cfg);
                 let indexed = measure_plan_cfg(&label, &expr, &catalog, index_cfg);
                 assert!(

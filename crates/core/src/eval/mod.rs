@@ -80,10 +80,12 @@ pub struct Metrics {
     /// reference evaluator leave it empty. Keys are operator display
     /// names (`"HashSemiJoin"`, `"Select"`, …).
     pub op_tuples: std::collections::BTreeMap<&'static str, u64>,
-    /// Right-side candidate tuples examined by join probes in the
-    /// streaming executor. Short-circuiting semi/anti joins stop probing
-    /// at the deciding match, so this stays below the nested-loop bound
-    /// |left| × |right| — the observable form of the §5.3–§5.5 argument.
+    /// Right-side candidate tuples examined by join probes (the physical
+    /// engine's executors share their join cursors, so they count alike;
+    /// the reference evaluator leaves it 0). Short-circuiting semi/anti
+    /// joins stop probing at the deciding match, so this stays below the
+    /// nested-loop bound |left| × |right| — the observable form of the
+    /// §5.3–§5.5 argument.
     pub probe_tuples: u64,
     /// Access-path index probes: one per path-index resolution
     /// (`IndexScan`) and one per value-index key probe (`IndexSemiJoin` /

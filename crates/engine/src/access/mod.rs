@@ -342,12 +342,14 @@ pub(crate) fn map_children(plan: PhysPlan, f: &mut impl FnMut(PhysPlan) -> PhysP
             left,
             right,
             pred,
+            split,
             kind,
             pad,
         } => PhysPlan::LoopJoin {
             left: fb(left, f),
             right: fb(right, f),
             pred,
+            split,
             kind,
             pad,
         },

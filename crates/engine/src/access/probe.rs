@@ -3,11 +3,9 @@
 //! [`IndexJoinAccess`] resolves an [`AccessRecipe`] against the catalog
 //! once per join and then answers each probe tuple. **Both executors**
 //! call the same [`IndexJoinAccess::probe_matches`], so probe semantics
-//! and `index_lookups`/`index_hits` accounting are identical by
-//! construction (the streaming executor additionally counts
-//! `probe_tuples` for examined candidates, matching where the scan-based
-//! join cursors track it; the materializing executor leaves it 0 for
-//! every join kind).
+//! and `index_lookups`/`index_hits`/`probe_tuples` accounting are
+//! identical by construction (`probe_tuples` counts examined candidates,
+//! matching where the scan-based join cursors track it).
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -179,7 +177,6 @@ impl IndexJoinAccess {
         &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
-        count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
@@ -197,7 +194,7 @@ impl IndexJoinAccess {
                 }
                 ctx.metrics.index_hits += 1;
                 self.rows
-                    .decide_from_candidates(recipe, lt, candidates, count_probes, env, ctx)
+                    .decide_from_candidates(recipe, lt, candidates, env, ctx)
             }
             Driver::Composite { probes, .. } => {
                 // The composite probe key mirrors the hash operators'
@@ -223,9 +220,7 @@ impl IndexJoinAccess {
                 }
                 ctx.metrics.index_hits += 1;
                 if !recipe.replays_rows() {
-                    if count_probes {
-                        ctx.metrics.probe_tuples += 1;
-                    }
+                    ctx.metrics.probe_tuples += 1;
                     return Ok(true);
                 }
                 for entry in entries {
@@ -234,7 +229,6 @@ impl IndexJoinAccess {
                         lt,
                         entry.primary,
                         &entry.members,
-                        count_probes,
                         env,
                         ctx,
                     )? {
@@ -244,7 +238,7 @@ impl IndexJoinAccess {
                 Ok(false)
             }
             Driver::Range { eq_probe, ranges } => {
-                self.range_probe_matches(recipe, lt, *eq_probe, ranges, count_probes, env, ctx)
+                self.range_probe_matches(recipe, lt, *eq_probe, ranges, env, ctx)
             }
         }
     }
@@ -271,7 +265,6 @@ impl IndexJoinAccess {
         lt: &Tuple,
         eq_probe: Option<Sym>,
         ranges: &[super::recipe::RangeProbe],
-        count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
@@ -312,9 +305,7 @@ impl IndexJoinAccess {
                 let found = posting.iter().any(|&n| passes(n, None));
                 if found {
                     ctx.metrics.index_hits += 1;
-                    if count_probes {
-                        ctx.metrics.probe_tuples += 1;
-                    }
+                    ctx.metrics.probe_tuples += 1;
                 }
                 return Ok(found);
             }
@@ -357,9 +348,7 @@ impl IndexJoinAccess {
                 let found = vindex.range_iter(lo, hi).any(|n| passes(n, driver));
                 if found {
                     ctx.metrics.index_hits += 1;
-                    if count_probes {
-                        ctx.metrics.probe_tuples += 1;
-                    }
+                    ctx.metrics.probe_tuples += 1;
                 }
                 return Ok(found);
             }
@@ -378,7 +367,7 @@ impl IndexJoinAccess {
         }
         ctx.metrics.index_hits += 1;
         self.rows
-            .decide_from_candidates(recipe, lt, &candidates, count_probes, env, ctx)
+            .decide_from_candidates(recipe, lt, &candidates, env, ctx)
     }
 }
 
@@ -394,18 +383,15 @@ impl RowBuilder {
         recipe: &AccessRecipe,
         lt: &Tuple,
         candidates: &[NodeId],
-        count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         if !recipe.replays_rows() {
-            if count_probes {
-                ctx.metrics.probe_tuples += 1;
-            }
+            ctx.metrics.probe_tuples += 1;
             return Ok(true);
         }
         for &node in candidates {
-            if self.candidate_matches(recipe, lt, node, &[], count_probes, env, ctx)? {
+            if self.candidate_matches(recipe, lt, node, &[], env, ctx)? {
                 return Ok(true);
             }
         }
@@ -421,15 +407,12 @@ impl RowBuilder {
         lt: &Tuple,
         node: NodeId,
         members: &[NodeId],
-        count_probes: bool,
         env: &Tuple,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         self.rebuild_rows(recipe, node, members, env, ctx)?;
         for row in &self.rows {
-            if count_probes {
-                ctx.metrics.probe_tuples += 1;
-            }
+            ctx.metrics.probe_tuples += 1;
             match &recipe.residual {
                 None => return Ok(true),
                 Some(p) => {

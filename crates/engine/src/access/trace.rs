@@ -19,11 +19,12 @@
 
 use std::collections::BTreeSet;
 
-use nal::{CmpOp, Scalar, Sym};
+use nal::{Scalar, Sym};
 use xmldb::{AncestorChainSpec, Catalog, CompositeSpec, KeyComponent, MemberSpec, PathPattern};
 use xpath::{Axis, Path};
 
 use crate::plan::{JoinKind, PhysPlan};
+use crate::theta::as_range_conjunct;
 
 use super::pattern_of;
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver, RangeProbe};
@@ -213,48 +214,6 @@ fn trace_band_parts(
     };
     let build = trace_build_parts(right, join_key, rest_residual.as_ref())?;
     Some((ranges, rest_residual, build))
-}
-
-/// Recognize `side θ key` (or `key θ side`, flipped) with θ ∈
-/// {=, <, ≤, >, ≥}, where `key` is a bare build-side attribute and
-/// `side` is a replay-safe scalar free of build-side attributes. `≠`
-/// stays residual: its key set is two disjoint ranges, not one.
-fn as_range_conjunct(c: &Scalar, r_attrs: &BTreeSet<Sym>) -> Option<(Sym, RangeProbe)> {
-    let Scalar::Cmp(op, x, y) = c else {
-        return None;
-    };
-    if matches!(op, CmpOp::Ne) {
-        return None;
-    }
-    let as_key = |s: &Scalar| match s {
-        Scalar::Attr(a) if r_attrs.contains(a) => Some(*a),
-        _ => None,
-    };
-    let side_ok =
-        |s: &Scalar| s.replay_safe() && s.free_attrs().iter().all(|a| !r_attrs.contains(a));
-    if let Some(k) = as_key(y) {
-        if side_ok(x) {
-            return Some((
-                k,
-                RangeProbe {
-                    side: (**x).clone(),
-                    op: *op,
-                },
-            ));
-        }
-    }
-    if let Some(k) = as_key(x) {
-        if side_ok(y) {
-            return Some((
-                k,
-                RangeProbe {
-                    side: (**y).clone(),
-                    op: op.flip(),
-                },
-            ));
-        }
-    }
-    None
 }
 
 /// Output attribute set of a build-side plan, for the operator shapes

@@ -5,7 +5,10 @@
 //! the database cache holds the queried documents. Order preservation is
 //! structural: every operator emits in left-input order; hash buckets
 //! keep right-input insertion order, so hash joins produce exactly the
-//! sequence the definitional nested loop would.
+//! sequence the definitional nested loop would. Joins are not
+//! implemented twice: once both inputs are materialized, hash and loop
+//! joins run the streaming executor's cursors ([`crate::pipeline::join`])
+//! over them.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -15,6 +18,8 @@ use nal::eval::{apply_groupfn, dedup_by_value, eval, xi, EvalCtx, EvalError, Eva
 use nal::{ProjOp, Seq, Sym, Tuple, Value};
 
 use crate::key::{key_of, Key};
+use crate::pipeline::cursor::{drain, Feed};
+use crate::pipeline::join;
 use crate::plan::{JoinKind, PhysPlan};
 
 /// Evaluation scope of a tuple under an environment. Top-level plans run
@@ -118,17 +123,25 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             kind,
             pad,
         } => {
+            // Both joins run the streaming cursors over the two
+            // materialized inputs: one probe implementation, one
+            // `probe_tuples` accounting for every executor.
             let l = execute(left, env, ctx)?;
             let r = execute(right, env, ctx)?;
-            hash_join(
-                &l,
-                &r,
-                left_keys,
-                right_keys,
-                residual.as_ref(),
-                kind,
-                pad,
-                env,
+            drain(
+                &mut join::HashJoin {
+                    left: Feed::Buffered(l.into_iter()),
+                    right: Some(Feed::Buffered(r.into_iter())),
+                    left_keys,
+                    right_keys,
+                    residual: residual.as_ref(),
+                    kind,
+                    pad,
+                    env: env.clone(),
+                    strict: false,
+                    build: None,
+                    cur: None,
+                },
                 ctx,
             )?
         }
@@ -136,13 +149,27 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
         PhysPlan::LoopJoin {
             left,
             right,
-            pred,
+            split,
             kind,
             pad,
+            ..
         } => {
             let l = execute(left, env, ctx)?;
             let r = execute(right, env, ctx)?;
-            loop_join(&l, &r, pred, kind, pad, env, ctx)?
+            drain(
+                &mut join::LoopJoin {
+                    left: Feed::Buffered(l.into_iter()),
+                    right: Some(Feed::Buffered(r.into_iter())),
+                    split,
+                    kind,
+                    pad,
+                    env: env.clone(),
+                    strict: false,
+                    build: None,
+                    cur: None,
+                },
+                ctx,
+            )?
         }
 
         PhysPlan::HashGroupUnary { input, g, by, f } => {
@@ -327,7 +354,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
                 let matched = match cached {
                     Some(m) => m,
                     None => {
-                        let m = access.probe_matches(recipe, &lt, false, env, ctx)?;
+                        let m = access.probe_matches(recipe, &lt, env, ctx)?;
                         if cacheable {
                             cached = Some(m);
                         }
@@ -450,90 +477,4 @@ pub(crate) fn hash_groups(
         groups[idx].1.push(t.clone());
     }
     groups
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join(
-    l: &[Tuple],
-    r: &[Tuple],
-    left_keys: &[Sym],
-    right_keys: &[Sym],
-    residual: Option<&nal::Scalar>,
-    kind: &JoinKind,
-    pad: &[Sym],
-    env: &Tuple,
-    ctx: &mut EvalCtx<'_>,
-) -> EvalResult<Seq> {
-    // Build on the right; buckets preserve right order. Pre-sized from
-    // the build-side cardinality so the build never rehashes.
-    let mut buckets: HashMap<Key<'_>, Vec<&Tuple>> = HashMap::with_capacity(r.len());
-    for rt in r {
-        if let Some(k) = key_of(rt, right_keys, ctx.catalog) {
-            buckets.entry(k).or_default().push(rt);
-        }
-    }
-    let mut out = Vec::new();
-    for lt in l {
-        let bucket = key_of(lt, left_keys, ctx.catalog).and_then(|k| buckets.get(&k));
-        let mut matched = false;
-        if let Some(bucket) = bucket {
-            for &rt in bucket {
-                let joined = lt.concat(rt);
-                let pass = match residual {
-                    None => true,
-                    Some(p) => truthy(p, &scoped(env, &joined), ctx)?,
-                };
-                if pass {
-                    matched = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::Outer { .. } => out.push(joined),
-                        JoinKind::Semi | JoinKind::Anti => break,
-                    }
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(lt.clone()),
-            JoinKind::Anti if !matched => out.push(lt.clone()),
-            JoinKind::Outer { g, default } if !matched => {
-                out.push(lt.concat(&Tuple::bottom(pad)).extend(*g, default.clone()));
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
-}
-
-fn loop_join(
-    l: &[Tuple],
-    r: &[Tuple],
-    pred: &nal::Scalar,
-    kind: &JoinKind,
-    pad: &[Sym],
-    env: &Tuple,
-    ctx: &mut EvalCtx<'_>,
-) -> EvalResult<Seq> {
-    let mut out = Vec::new();
-    for lt in l {
-        let mut matched = false;
-        for rt in r {
-            let joined = lt.concat(rt);
-            if truthy(pred, &scoped(env, &joined), ctx)? {
-                matched = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::Outer { .. } => out.push(joined),
-                    JoinKind::Semi | JoinKind::Anti => break,
-                }
-            }
-        }
-        match kind {
-            JoinKind::Semi if matched => out.push(lt.clone()),
-            JoinKind::Anti if !matched => out.push(lt.clone()),
-            JoinKind::Outer { g, default } if !matched => {
-                out.push(lt.concat(&Tuple::bottom(pad)).extend(*g, default.clone()));
-            }
-            _ => {}
-        }
-    }
-    Ok(out)
 }

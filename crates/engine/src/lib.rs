@@ -3,8 +3,9 @@
 //! Compiles NAL expressions ([`nal::Expr`]) into physical operator trees
 //! ([`PhysPlan`]) and executes them over a document catalog. Equality
 //! predicates run on hash-based, order-preserving operators (§2's
-//! implementation discussion); everything else falls back to the
-//! definitional forms. Nested scalar expressions — the hallmark of
+//! implementation discussion); other join predicates run on the shared
+//! θ-probe ([`theta`]); everything else falls back to the definitional
+//! forms. Nested scalar expressions — the hallmark of
 //! *nested* plans — are evaluated per tuple with the reference
 //! evaluator's machinery, which is precisely the nested-loop strategy the
 //! paper's baseline measures.
@@ -21,6 +22,7 @@ pub mod explain;
 pub mod key;
 pub mod pipeline;
 pub mod plan;
+pub mod theta;
 
 pub use access::{
     apply_indexes, for_each_access_path, join_recipe, revalidate_plan, AccessPathRef, AccessRecipe,

@@ -2,15 +2,21 @@
 //! outer), and binary grouping.
 //!
 //! The probe side (left) streams; the build side (right) is materialized
-//! on first pull, preserving arrival order inside each hash bucket so the
-//! join emits exactly the sequence the definitional nested loop would.
-//! Semi and anti joins short-circuit per probe tuple: the first passing
-//! match decides the tuple's fate and the rest of the bucket is never
-//! examined. [`EvalCtx`]'s `probe_tuples` metric counts right-side
-//! candidates actually examined, which is how tests observe the
-//! short-circuit.
+//! on first pull — or arrives already built, shared by the workers of a
+//! parallel segment — preserving arrival order inside each hash bucket
+//! so the join emits exactly the sequence the definitional nested loop
+//! would. Semi and anti joins short-circuit per probe tuple: the first
+//! passing match decides the tuple's fate and the rest of the bucket is
+//! never examined. Loop joins do not pair every left tuple with every
+//! right row either: [`crate::theta`] filters the build by the
+//! predicate's right-only part once and probes an ordered key window for
+//! its range conjuncts. [`EvalCtx`]'s `probe_tuples` metric counts
+//! right-side candidates actually examined, which is how tests observe
+//! both savings. The materializing executor runs these same cursors
+//! over buffered inputs, so its joins and their counters are these.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use nal::eval::scalar::truthy;
 use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
@@ -21,6 +27,7 @@ use super::cursor::{Cursor, Feed};
 use crate::exec::scoped;
 use crate::key::{key_of, Key};
 use crate::plan::JoinKind;
+use crate::theta::{ThetaBuild, ThetaSplit, Walk};
 
 /// A hash build side: rows bucketed by key, arrival order kept inside
 /// each bucket (the order-preserving hash join of §2). The stored keys
@@ -135,8 +142,8 @@ fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
 pub struct HashJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: Feed<'p>,
+    /// Right (build/inner) input; `None` when `build` arrives built.
+    pub right: Option<Feed<'p>>,
     /// Probe-side key attributes.
     pub left_keys: &'p [Sym],
     /// Build-side key attributes.
@@ -152,8 +159,8 @@ pub struct HashJoin<'p> {
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
     /// The build side, bucketed on first pull (iteration state holds
-    /// plain bucket slots).
-    pub build: Option<Buckets>,
+    /// plain bucket slots) or handed in by a parallel segment.
+    pub build: Option<Arc<Buckets>>,
     /// Inner/outer iteration state: (probe tuple, bucket, position,
     /// matched-so-far).
     pub cur: Option<(Tuple, Option<usize>, usize, bool)>,
@@ -174,8 +181,9 @@ impl Cursor for HashJoin<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            let rows = self.right.take_all(ctx)?;
-            self.build = Some(Buckets::build(rows, self.right_keys, ctx.catalog));
+            let right = self.right.as_mut().expect("a build side to drain");
+            let rows = right.take_all(ctx)?;
+            self.build = Some(Arc::new(Buckets::build(rows, self.right_keys, ctx.catalog)));
         }
         let build = self.build.as_ref().expect("built above");
         loop {
@@ -242,16 +250,18 @@ impl Cursor for HashJoin<'_> {
     }
 }
 
-/// Definitional nested-loop join for non-equi predicates; the right side
-/// is materialized, the left streams, and semi/anti probes stop at the
-/// first passing match.
+/// Join for non-equi predicates. The right side is materialized into a
+/// [`ThetaBuild`] (or arrives built), the left streams, and the shared
+/// θ-probe decides each left tuple: semi/anti probes stop at the first
+/// verified candidate, inner/outer probes walk their candidates in
+/// right arrival order.
 pub struct LoopJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: Feed<'p>,
-    /// The predicate.
-    pub pred: &'p Scalar,
+    /// Right (build/inner) input; `None` when `build` arrives built.
+    pub right: Option<Feed<'p>>,
+    /// The predicate, split by side.
+    pub split: &'p ThetaSplit,
     /// How matches are consumed.
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
@@ -260,54 +270,49 @@ pub struct LoopJoin<'p> {
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// Materialized right side.
-    pub right_rows: Option<Vec<Tuple>>,
-    /// Mid-bucket probe state being resumed.
-    pub cur: Option<(Tuple, usize, bool)>,
+    /// The build side, prepared on first pull or handed in by a
+    /// parallel segment.
+    pub build: Option<Arc<ThetaBuild>>,
+    /// The inner/outer probe being resumed.
+    pub cur: Option<Walk>,
 }
 
 impl Cursor for LoopJoin<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.right_rows.is_none() {
+        if self.build.is_none() {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            self.right_rows = Some(self.right.take_all(ctx)?);
+            let right = self.right.as_mut().expect("a build side to drain");
+            let rows = right.take_all(ctx)?;
+            self.build = Some(Arc::new(ThetaBuild::new(rows, self.split, &self.env, ctx)?));
         }
+        let build = self.build.as_ref().expect("built above");
         loop {
-            if let Some((lt, mut pos, mut matched)) = self.cur.take() {
-                let n = self.right_rows.as_ref().expect("built").len();
-                while pos < n {
-                    let joined = lt.concat(&self.right_rows.as_ref().expect("built")[pos]);
-                    pos += 1;
-                    ctx.metrics.probe_tuples += 1;
-                    if truthy(self.pred, &scoped(&self.env, &joined), ctx)? {
-                        matched = true;
-                        match self.kind {
-                            JoinKind::Inner | JoinKind::Outer { .. } => {
-                                self.cur = Some((lt, pos, matched));
-                                return Ok(Some(joined));
-                            }
-                            // Short-circuit: fate decided, skip the rest.
-                            JoinKind::Semi => return Ok(Some(lt)),
-                            JoinKind::Anti => break,
-                        }
+            if let Some(mut walk) = self.cur.take() {
+                if let Some(joined) = build.next_match(self.split, &mut walk, &self.env, ctx)? {
+                    self.cur = Some(walk);
+                    return Ok(Some(joined));
+                }
+                if let Some(lt) = walk.unmatched() {
+                    if let Some(out) = unmatched_output(self.kind, self.pad, lt) {
+                        return Ok(Some(out));
                     }
                 }
-                match self.kind {
-                    JoinKind::Semi => {}
-                    JoinKind::Anti | JoinKind::Inner | JoinKind::Outer { .. } if !matched => {
-                        if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                            return Ok(Some(out));
-                        }
-                    }
-                    _ => {}
-                }
-                continue;
             }
-            match self.left.next(ctx)? {
-                Some(lt) => self.cur = Some((lt, 0, false)),
-                None => return Ok(None),
+            let Some(lt) = self.left.next(ctx)? else {
+                return Ok(None);
+            };
+            match self.kind {
+                JoinKind::Inner | JoinKind::Outer { .. } => {
+                    self.cur = Some(build.walk(self.split, lt, &self.env, ctx)?);
+                }
+                JoinKind::Semi | JoinKind::Anti => {
+                    let matched = build.matches(self.split, &lt, &self.env, ctx)?;
+                    if matches!(self.kind, JoinKind::Semi) == matched {
+                        return Ok(Some(lt));
+                    }
+                }
             }
         }
     }
@@ -358,7 +363,7 @@ impl Cursor for IndexJoin<'_> {
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
-                    let m = access.probe_matches(self.recipe, &lt, true, &self.env, ctx)?;
+                    let m = access.probe_matches(self.recipe, &lt, &self.env, ctx)?;
                     if self.cacheable {
                         self.cached = Some(m);
                     }

@@ -202,7 +202,7 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
         } => Box::new(join::HashJoin {
             strict: needs_strict_order(left, right),
             left: Feed::Stream(lower(left, env)),
-            right: Feed::Stream(lower(right, env)),
+            right: Some(Feed::Stream(lower(right, env))),
             left_keys,
             right_keys,
             residual: residual.as_ref(),
@@ -215,18 +215,19 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
         PhysPlan::LoopJoin {
             left,
             right,
-            pred,
+            split,
             kind,
             pad,
+            ..
         } => Box::new(join::LoopJoin {
             strict: needs_strict_order(left, right),
             left: Feed::Stream(lower(left, env)),
-            right: Feed::Stream(lower(right, env)),
-            pred,
+            right: Some(Feed::Stream(lower(right, env))),
+            split,
             kind,
             pad,
             env: env.clone(),
-            right_rows: None,
+            build: None,
             cur: None,
         }),
         PhysPlan::HashGroupUnary { input, g, by, f } => Box::new(ops::HashGroupUnary {

@@ -23,10 +23,11 @@
 //!   lowering, into per-worker [`nal::eval::Metrics`] merged on join;
 //! * the parallel shell and feed leaf are *unmetered* (the serial plan
 //!   has no such operators);
-//! * build sides (hash tables, loop-join inners, ×-inners) and
+//! * build sides (hash tables, θ-probe builds, ×-inners) and
 //!   posting-list scans are prepared **once** on the calling thread —
 //!   exactly the once-per-cursor work of serial execution — and shared
-//!   read-only with every worker;
+//!   read-only with every worker, which probes them through the serial
+//!   join cursors ([`join::HashJoin`], [`join::LoopJoin`]);
 //! * probe-invariant index joins (constant range bounds, no residual)
 //!   probe **once per segment** through a `ProbeGroup`: the first
 //!   worker claims the probe, every sibling morsel waits on a condvar
@@ -43,16 +44,15 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use nal::eval::scalar::truthy;
 use nal::eval::{EvalCtx, EvalError, EvalResult};
-use nal::{ProjOp, Scalar, Sym, Tuple, Value};
+use nal::{ProjOp, Sym, Tuple, Value};
 
-use super::cursor::{drain, BoxCursor, Cursor, Metered};
-use super::join::Buckets;
+use super::cursor::{drain, BoxCursor, Cursor, Feed, Metered};
+use super::join::{self, Buckets};
 use super::merge::{merge_runs, MorselKey, Run};
 use super::ops;
-use crate::exec::scoped;
 use crate::plan::{JoinKind, PhysPlan};
+use crate::theta::ThetaBuild;
 
 /// Morsels enqueued per worker: enough granularity for stealing to fix
 /// skew, few enough that per-morsel setup stays negligible.
@@ -275,7 +275,9 @@ struct SegmentShared {
     scans: HashMap<usize, Arc<Vec<Value>>>,
     /// Hash-join build tables.
     builds: HashMap<usize, Arc<Buckets>>,
-    /// Materialized inner sides of loop joins and cross products.
+    /// Loop-join build sides, filtered and ordered for the θ-probe.
+    thetas: HashMap<usize, Arc<ThetaBuild>>,
+    /// Materialized inner sides of cross products.
     inners: HashMap<usize, Arc<Vec<Tuple>>>,
     /// Early-cancel groups for probe-invariant index joins.
     groups: HashMap<usize, Arc<ProbeGroup>>,
@@ -315,7 +317,15 @@ impl SegmentShared {
                     shared.builds.insert(addr, Arc::new(build));
                     cur = left;
                 }
-                PhysPlan::LoopJoin { left, right, .. } | PhysPlan::Cross { left, right } => {
+                PhysPlan::LoopJoin {
+                    left, right, split, ..
+                } => {
+                    let rows = drain_plan(right, env, ctx)?;
+                    let build = ThetaBuild::new(rows, split, env, ctx)?;
+                    shared.thetas.insert(addr, Arc::new(build));
+                    cur = left;
+                }
+                PhysPlan::Cross { left, right } => {
                     let rows = drain_plan(right, env, ctx)?;
                     shared.inners.insert(addr, Arc::new(rows));
                     cur = left;
@@ -423,167 +433,6 @@ impl Cursor for SharedCross<'_> {
     }
 }
 
-/// Join-kind-independent emission decision for a finished probe tuple
-/// (mirror of the serial cursors').
-fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
-    match kind {
-        JoinKind::Anti => Some(lt.clone()),
-        JoinKind::Outer { g, default } => {
-            Some(lt.concat(&Tuple::bottom(pad)).extend(*g, default.clone()))
-        }
-        JoinKind::Inner | JoinKind::Semi => None,
-    }
-}
-
-/// Worker-side hash join probing the shared build table. Probe logic —
-/// including per-candidate `probe_tuples` accounting and semi/anti
-/// short-circuiting — mirrors [`super::join::HashJoin`] exactly, so
-/// worker sums equal the serial counters.
-struct SharedHashJoin<'p> {
-    left: BoxCursor<'p>,
-    build: Arc<Buckets>,
-    left_keys: &'p [Sym],
-    residual: Option<&'p Scalar>,
-    kind: &'p JoinKind,
-    pad: &'p [Sym],
-    env: Tuple,
-    cur: Option<(Tuple, Option<usize>, usize, bool)>,
-}
-
-impl SharedHashJoin<'_> {
-    fn residual_passes(&self, joined: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
-        match self.residual {
-            None => Ok(true),
-            Some(p) => truthy(p, &scoped(&self.env, joined), ctx),
-        }
-    }
-}
-
-impl Cursor for SharedHashJoin<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        loop {
-            if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
-                if let Some(slot) = slot {
-                    while let Some(rt) = self.build.bucket(slot).get(pos) {
-                        let joined = lt.concat(rt);
-                        pos += 1;
-                        ctx.metrics.probe_tuples += 1;
-                        if self.residual_passes(&joined, ctx)? {
-                            matched = true;
-                            self.cur = Some((lt, Some(slot), pos, matched));
-                            return Ok(Some(joined));
-                        }
-                    }
-                }
-                if !matched {
-                    if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                        return Ok(Some(out));
-                    }
-                }
-                continue;
-            }
-            let Some(lt) = self.left.next(ctx)? else {
-                return Ok(None);
-            };
-            let slot = self.build.slot_of(&lt, self.left_keys, ctx.catalog);
-            match self.kind {
-                JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some((lt, slot, 0, false));
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let mut matched = false;
-                    if let Some(slot) = slot {
-                        // Only a residual needs to see the joined tuple.
-                        for rt in self.build.bucket(slot) {
-                            ctx.metrics.probe_tuples += 1;
-                            if self.residual.is_none()
-                                || self.residual_passes(&lt.concat(rt), ctx)?
-                            {
-                                matched = true;
-                                break;
-                            }
-                        }
-                    }
-                    let emit = matches!(self.kind, JoinKind::Semi) == matched;
-                    if emit {
-                        return Ok(Some(lt));
-                    }
-                }
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        match self.kind {
-            JoinKind::Inner => "HashJoin",
-            JoinKind::Semi => "HashSemiJoin",
-            JoinKind::Anti => "HashAntiJoin",
-            JoinKind::Outer { .. } => "HashOuterJoin",
-        }
-    }
-}
-
-/// Worker-side nested-loop join over the shared materialized inner
-/// (mirror of [`super::join::LoopJoin`]).
-struct SharedLoopJoin<'p> {
-    left: BoxCursor<'p>,
-    right_rows: Arc<Vec<Tuple>>,
-    pred: &'p Scalar,
-    kind: &'p JoinKind,
-    pad: &'p [Sym],
-    env: Tuple,
-    cur: Option<(Tuple, usize, bool)>,
-}
-
-impl Cursor for SharedLoopJoin<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        loop {
-            if let Some((lt, mut pos, mut matched)) = self.cur.take() {
-                let n = self.right_rows.len();
-                while pos < n {
-                    let joined = lt.concat(&self.right_rows[pos]);
-                    pos += 1;
-                    ctx.metrics.probe_tuples += 1;
-                    if truthy(self.pred, &scoped(&self.env, &joined), ctx)? {
-                        matched = true;
-                        match self.kind {
-                            JoinKind::Inner | JoinKind::Outer { .. } => {
-                                self.cur = Some((lt, pos, matched));
-                                return Ok(Some(joined));
-                            }
-                            JoinKind::Semi => return Ok(Some(lt)),
-                            JoinKind::Anti => break,
-                        }
-                    }
-                }
-                match self.kind {
-                    JoinKind::Semi => {}
-                    JoinKind::Anti | JoinKind::Inner | JoinKind::Outer { .. } if !matched => {
-                        if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                            return Ok(Some(out));
-                        }
-                    }
-                    _ => {}
-                }
-                continue;
-            }
-            match self.left.next(ctx)? {
-                Some(lt) => self.cur = Some((lt, 0, false)),
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        match self.kind {
-            JoinKind::Inner => "LoopJoin",
-            JoinKind::Semi => "LoopSemiJoin",
-            JoinKind::Anti => "LoopAntiJoin",
-            JoinKind::Outer { .. } => "LoopOuterJoin",
-        }
-    }
-}
-
 /// Worker-side index join. Non-invariant recipes probe per tuple
 /// exactly like [`super::join::IndexJoin`]; probe-invariant recipes
 /// route the single probe through the segment's [`ProbeGroup`] and
@@ -608,13 +457,12 @@ impl Cursor for SharedIndexJoin<'_> {
                 Some(m) => m,
                 None => match &self.group {
                     Some(g) => {
-                        let m = g.decide(|| {
-                            access.probe_matches(self.recipe, &lt, true, &self.env, ctx)
-                        })?;
+                        let m =
+                            g.decide(|| access.probe_matches(self.recipe, &lt, &self.env, ctx))?;
                         self.cached = Some(m);
                         m
                     }
-                    None => access.probe_matches(self.recipe, &lt, true, &self.env, ctx)?,
+                    None => access.probe_matches(self.recipe, &lt, &self.env, ctx)?,
                 },
             };
             let emit = matches!(self.recipe.kind, JoinKind::Semi) == matched;
@@ -710,33 +558,39 @@ fn lower_stage<'p>(
         PhysPlan::HashJoin {
             left,
             left_keys,
+            right_keys,
             residual,
             kind,
             pad,
             ..
-        } => Box::new(SharedHashJoin {
-            left: lower_stage(left, env, shared, feed),
-            build: shared.builds[&addr].clone(),
+        } => Box::new(join::HashJoin {
+            left: Feed::Stream(lower_stage(left, env, shared, feed)),
+            right: None,
             left_keys,
+            right_keys,
             residual: residual.as_ref(),
             kind,
             pad,
             env: env.clone(),
+            strict: false,
+            build: Some(shared.builds[&addr].clone()),
             cur: None,
         }),
         PhysPlan::LoopJoin {
             left,
-            pred,
+            split,
             kind,
             pad,
             ..
-        } => Box::new(SharedLoopJoin {
-            left: lower_stage(left, env, shared, feed),
-            right_rows: shared.inners[&addr].clone(),
-            pred,
+        } => Box::new(join::LoopJoin {
+            left: Feed::Stream(lower_stage(left, env, shared, feed)),
+            right: None,
+            split,
             kind,
             pad,
             env: env.clone(),
+            strict: false,
+            build: Some(shared.thetas[&addr].clone()),
             cur: None,
         }),
         PhysPlan::IndexJoin { left, recipe } => Box::new(SharedIndexJoin {

@@ -5,13 +5,19 @@
 //! order-preserving operators (our in-memory stand-in for the
 //! Grace-hash-join + re-sort the authors used, with the order-preserving
 //! hash join of Claussen et al. as the conceptual model); non-equality
-//! predicates fall back to the definitional nested-loop forms. Scalar
-//! subscripts — including nested algebra expressions, which is what makes
-//! a *nested plan* nested — are evaluated by the reference evaluator's
-//! scalar machinery.
+//! predicates compile to loop joins, which keep the definitional
+//! *result* but not the definitional pair loop — their predicate is
+//! split by side here ([`ThetaSplit`]) so that execution decides
+//! one-sided conjuncts once and probes an ordered build for range
+//! conjuncts ([`crate::theta`]). Scalar subscripts — including nested
+//! algebra expressions, which is what makes a *nested plan* nested — are
+//! evaluated by the reference evaluator's scalar machinery.
 
-use nal::expr::attrs::attr_set;
+use nal::expr::attrs::{attr_set, nested_attrs};
+use nal::expr::visit;
 use nal::{Expr, GroupFn, ProjOp, Scalar, Sym, Value, XiCmd};
+
+use crate::theta::ThetaSplit;
 
 /// How a binary matching operator consumes its matches.
 #[derive(Clone, Debug, PartialEq)]
@@ -89,14 +95,17 @@ pub enum PhysPlan {
         /// `A(right) \ {g}` — outer-join NULL padding (precomputed).
         pad: Vec<Sym>,
     },
-    /// Definitional nested-loop join for non-equi predicates.
+    /// Join for non-equi predicates: the definitional nested loop's
+    /// result, computed by the shared θ-probe ([`crate::theta`]).
     LoopJoin {
-        /// Outer side.
+        /// Probe side.
         left: Box<PhysPlan>,
-        /// Inner side, re-scanned per outer tuple.
+        /// Build side, materialized once.
         right: Box<PhysPlan>,
         /// The join predicate.
         pred: Scalar,
+        /// `pred`'s conjuncts by the side they mention (what executes).
+        split: ThetaSplit,
         /// How matches are consumed.
         kind: JoinKind,
         /// Outer-join NULL padding.
@@ -517,6 +526,7 @@ fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -
             left: l,
             right: r,
             pred: pred.clone(),
+            split: ThetaSplit::of(pred, &a_l, &a_r, schema_known(left) && schema_known(right)),
             kind,
             pad: pad.to_vec(),
         }
@@ -535,6 +545,22 @@ fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -
             pad: pad.to_vec(),
         }
     }
+}
+
+/// Is `attr_set(e)` complete — does it name every attribute `e`'s
+/// tuples can carry? Not when a relation's schema is unknown statically
+/// (`rel(a)`, a literal without rows, or a μ over an attribute whose
+/// nested schema cannot be inferred); a predicate conjunct could then
+/// mention the side without it showing.
+fn schema_known(e: &Expr) -> bool {
+    let mut known = true;
+    visit::walk_deep(e, &mut |n| match n {
+        Expr::AttrRel(_) => known = false,
+        Expr::Literal(rows) if rows.is_empty() => known = false,
+        Expr::Unnest { input, attr, .. } if nested_attrs(input, *attr).is_none() => known = false,
+        _ => {}
+    });
+    known
 }
 
 #[cfg(test)]
@@ -576,6 +602,77 @@ mod tests {
         let r = singleton().map("b", Scalar::int(2));
         let j = l.join(r, Scalar::attr_cmp(CmpOp::Lt, "a", "b"));
         assert!(matches!(compile(&j), PhysPlan::LoopJoin { .. }));
+    }
+
+    fn split_of(e: &Expr) -> ThetaSplit {
+        match compile(e) {
+            PhysPlan::LoopJoin { split, .. } => split,
+            other => panic!("{}", other.explain()),
+        }
+    }
+
+    #[test]
+    fn loop_join_predicates_split_by_side() {
+        let l = singleton()
+            .map("a", Scalar::int(1))
+            .map("x", Scalar::int(2));
+        let r = singleton().map("b", Scalar::int(3));
+        let floor = Scalar::cmp(CmpOp::Le, Scalar::attr("b"), Scalar::int(5));
+        let outer = Scalar::cmp(CmpOp::Gt, Scalar::attr("o"), Scalar::int(0));
+        let left = Scalar::cmp(CmpOp::Ne, Scalar::attr("x"), Scalar::int(3));
+        let range = Scalar::attr_cmp(CmpOp::Lt, "a", "b");
+        let ne = Scalar::attr_cmp(CmpOp::Ne, "x", "b");
+        let pred = Scalar::conjoin(vec![
+            floor.clone(),
+            left.clone(),
+            range.clone(),
+            outer.clone(),
+            ne.clone(),
+        ]);
+        let split = split_of(&l.clone().antijoin(r.clone(), pred));
+        // Constants and outer-scope attributes (`o`) count as neither
+        // side: they filter the build with the right-only part.
+        assert_eq!(split.right_only, Some(floor.clone().and(outer)));
+        assert_eq!(split.left_only, Some(left));
+        assert_eq!(split.pair, Some(range.and(ne)));
+        let (key, probes) = split.range.expect("a < b is a range conjunct");
+        assert_eq!(key, Sym::new("b"));
+        assert_eq!(probes.len(), 1, "≠ is no range");
+        assert_eq!(probes[0].op, CmpOp::Lt);
+
+        // The q8 shape: nothing left to evaluate per pair.
+        let q8 = split_of(&l.antijoin(r, floor.clone()));
+        assert_eq!(q8.right_only, Some(floor));
+        assert!(q8.left_only.is_none() && q8.pair.is_none() && q8.range.is_none());
+    }
+
+    #[test]
+    fn split_is_declined_when_skipped_evaluations_could_show() {
+        let l = singleton().map("a", Scalar::int(1));
+        let r = singleton().map("b", Scalar::int(3));
+        let floor = Scalar::cmp(CmpOp::Le, Scalar::attr("b"), Scalar::int(5));
+        let whole = |s: &ThetaSplit, pred: &Scalar| {
+            s.pair.as_ref() == Some(pred)
+                && s.right_only.is_none()
+                && s.left_only.is_none()
+                && s.range.is_none()
+        };
+        // Arithmetic can raise an error: not replay-safe.
+        let sum = Scalar::Arith(
+            nal::ArithOp::Add,
+            Box::new(Scalar::attr("a")),
+            Box::new(Scalar::int(1)),
+        );
+        let pred = floor
+            .clone()
+            .and(Scalar::cmp(CmpOp::Lt, sum, Scalar::attr("b")));
+        assert!(whole(
+            &split_of(&l.clone().join(r.clone(), pred.clone())),
+            &pred
+        ));
+        // A side whose schema is not statically known could bind `b`.
+        let unknown = Expr::AttrRel(Sym::new("g"));
+        assert!(whole(&split_of(&unknown.join(r, floor.clone())), &floor));
     }
 
     #[test]

@@ -26,12 +26,17 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
 }
 
 /// Both executors on the same expression: identical rows, identical Ξ
-/// output stream.
+/// output stream, and — their joins being the same cursors — the same
+/// number of build-side candidates examined.
 fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
     let m = engine::run(expr, cat).expect("materializing executor succeeds");
     let p = engine::run_streaming(expr, cat).expect("streaming executor succeeds");
     assert_eq!(m.rows, p.rows, "row mismatch for {expr}");
     assert_eq!(m.output, p.output, "Ξ output mismatch for {expr}");
+    assert_eq!(
+        m.metrics.probe_tuples, p.metrics.probe_tuples,
+        "probe_tuples mismatch for {expr}"
+    );
 }
 
 proptest! {
@@ -269,6 +274,11 @@ fn all_paper_plans_stream_identically() {
             assert_eq!(
                 m.output, p.output,
                 "[{id} / {}] Ξ output differs",
+                plan.label
+            );
+            assert_eq!(
+                m.metrics.probe_tuples, p.metrics.probe_tuples,
+                "[{id} / {}] probe_tuples differ",
                 plan.label
             );
         }

@@ -8,7 +8,11 @@
 //! * nested Υ chains (`for $b1 in $b0/g`, `$b1 in $b0//k`) to
 //!   configurable depth,
 //! * `some`/`every` quantifiers with randomized (in)equality conjuncts,
-//!   including **vacuous** ranges (`//zz` matches nothing),
+//!   including **vacuous** ranges (`//zz` matches nothing) and the three
+//!   inequality shapes the engine's θ-probe treats differently:
+//!   *uncorrelated* (`every $q in R satisfies $q > c` — the predicate
+//!   never mentions the outer tuple), *mixed* (`$q > c and $q < $outer`)
+//!   and *banded* (`$q > lo and $q <= hi`),
 //! * `exists(FLWR)` subqueries with composite key lists, band
 //!   predicates, and deep-ancestor bindings (the Q9/Q10 shapes),
 //! * `count(...)` having-style predicates,
@@ -237,6 +241,10 @@ pub enum Pred {
         universal: bool,
         /// Corpus document index of the range.
         doc: usize,
+        /// Range over `doc("uri")<path>` instead of the outer `$dDOC`
+        /// let: only a range free of outer variables lets Eqv. 6/7
+        /// unnest the quantifier into a semi/anti join.
+        inline: bool,
         /// Range path (may be [`DocPath::Vacuous`]).
         path: DocPath,
         /// Satisfies conjuncts, each comparing `$q` against an operand.
@@ -323,6 +331,14 @@ const NUM_LITS: [&str; 8] = ["0", "1", "2", "3", "5", "10", "3.5", "0.0"];
 
 fn random_op(rng: &mut StdRng) -> CmpOp {
     CMP_OPS[rng.gen_range(0..CMP_OPS.len())]
+}
+
+fn random_ineq(rng: &mut StdRng) -> CmpOp {
+    INEQ_OPS[rng.gen_range(0..INEQ_OPS.len())]
+}
+
+fn random_num(rng: &mut StdRng) -> Operand {
+    Operand::Num(NUM_LITS[rng.gen_range(0..NUM_LITS.len())].to_string())
 }
 
 impl GenQuery {
@@ -439,7 +455,7 @@ impl GenQuery {
         } else if roll < 85 {
             Operand::Str(pool_value(rng))
         } else {
-            Operand::Num(NUM_LITS[rng.gen_range(0..NUM_LITS.len())].to_string())
+            random_num(rng)
         }
     }
 
@@ -451,14 +467,46 @@ impl GenQuery {
                 r: self.random_operand(rng, true),
             },
             35..=59 => {
-                let n = rng.gen_range(1usize..=2);
+                let constant = |rng: &mut StdRng| {
+                    if rng.gen_bool(0.5) {
+                        random_num(rng)
+                    } else {
+                        Operand::Str(pool_value(rng))
+                    }
+                };
+                let outer = |rng: &mut StdRng| {
+                    let i = rng.gen_range(0..self.binders.len());
+                    self.field_of(rng, i)
+                };
+                let cmps = match rng.gen_range(0u32..6) {
+                    // Uncorrelated: decided without the outer tuple.
+                    0 => vec![(random_ineq(rng), constant(rng))],
+                    // Mixed: one conjunct per side of the split.
+                    1 => vec![
+                        (random_ineq(rng), constant(rng)),
+                        (random_ineq(rng), outer(rng)),
+                    ],
+                    // Banded: a lower and an upper bound on `$q`.
+                    2 => {
+                        let lower = [CmpOp::Gt, CmpOp::Ge][rng.gen_range(0..2)];
+                        let upper = [CmpOp::Lt, CmpOp::Le][rng.gen_range(0..2)];
+                        let (lo, hi) = if rng.gen_bool(0.5) {
+                            (outer(rng), outer(rng))
+                        } else {
+                            (outer(rng), constant(rng))
+                        };
+                        vec![(lower, lo), (upper, hi)]
+                    }
+                    _ => (0..rng.gen_range(1usize..=2))
+                        .map(|_| (random_op(rng), self.random_operand(rng, true)))
+                        .collect(),
+                };
                 Pred::Quant {
                     universal: rng.gen_bool(0.4),
                     doc: rng.gen_range(0..ndocs),
+                    inline: rng.gen_bool(0.6),
                     path: DocPath::random(rng),
-                    cmps: (0..n)
-                        .map(|_| (random_op(rng), self.random_operand(rng, true)))
-                        .collect(),
+                    cmps,
                 }
             }
             60..=89 => {
@@ -484,8 +532,8 @@ impl GenQuery {
                             } else {
                                 RelPath::IdAttr
                             }),
-                            INEQ_OPS[rng.gen_range(0..INEQ_OPS.len())],
-                            Operand::Num(NUM_LITS[rng.gen_range(0..NUM_LITS.len())].to_string()),
+                            random_ineq(rng),
+                            random_num(rng),
                         )
                     }),
                     shadow: (rng.gen_bool(0.25)).then(|| rng.gen_range(0..self.binders.len())),
@@ -631,19 +679,24 @@ impl GenQuery {
             Pred::Quant {
                 universal,
                 doc,
+                inline,
                 path,
                 cmps,
             } => {
                 let var = nm.quant(idx);
+                let range = if *inline {
+                    format!("doc(\"{}\")", corpus.docs[*doc].uri)
+                } else {
+                    nm.doc(*doc)
+                };
                 let body = cmps
                     .iter()
                     .map(|(op, o)| format!("{var} {} {}", cmp_kw(*op), self.render_operand(o, nm)))
                     .collect::<Vec<_>>()
                     .join(" and ");
                 format!(
-                    "({} {var} in {}{} satisfies ({body}))",
+                    "({} {var} in {range}{} satisfies ({body}))",
                     if *universal { "every" } else { "some" },
-                    nm.doc(*doc),
                     path.render()
                 )
             }

@@ -7,8 +7,9 @@
 //!
 //! * scan vs indexed compilation × materializing vs streaming executor
 //!   must be **byte-identical** in Ξ output and equal in rows;
-//! * the indexed plan's `index_lookups`/`index_hits` must be
-//!   executor-identical;
+//! * `probe_tuples` of the scan plan and `index_lookups`/`index_hits`/
+//!   `probe_tuples` of the indexed plan must be executor-identical (the
+//!   executors share their join cursors and the recipe runtime);
 //! * the parallel streaming executor at degrees {1, 2, 8} must match
 //!   the serial streaming run exactly — output, rows, and *full*
 //!   [`nal::Metrics`] equality — over both the scan and indexed plans;
@@ -153,21 +154,27 @@ fn check_matrix(
         )
     })?;
 
-    if idx_mat.metrics.index_lookups != idx_stream.metrics.index_lookups
-        || idx_mat.metrics.index_hits != idx_stream.metrics.index_hits
-    {
-        return Err(fail(
-            phase,
-            plan_label,
-            "idx/mat-vs-stream",
-            format!(
-                "index metrics diverge across executors: mat {}/{} vs stream {}/{}",
-                idx_mat.metrics.index_lookups,
-                idx_mat.metrics.index_hits,
-                idx_stream.metrics.index_lookups,
-                idx_stream.metrics.index_hits
-            ),
-        ));
+    for (cell, mat, stream) in [
+        ("scan/mat-vs-stream", &reference, &scan_stream),
+        ("idx/mat-vs-stream", &idx_mat, &idx_stream),
+    ] {
+        let probes = |r: &engine::QueryResult| {
+            let m = &r.metrics;
+            (m.index_lookups, m.index_hits, m.probe_tuples)
+        };
+        if probes(mat) != probes(stream) {
+            return Err(fail(
+                phase,
+                plan_label,
+                cell,
+                format!(
+                    "index_lookups/index_hits/probe_tuples diverge across executors: \
+                     mat {:?} vs stream {:?}",
+                    probes(mat),
+                    probes(stream)
+                ),
+            ));
+        }
     }
 
     cells.push(("scan/stream", scan_stream));

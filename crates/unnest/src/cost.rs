@@ -544,14 +544,40 @@ impl<'a> CostModel<'a> {
                 }
             }
             P::LoopJoin {
-                left, right, kind, ..
+                left,
+                right,
+                split,
+                kind,
+                ..
             } => {
                 let l = self.plan_est(left, out, docs);
                 let r = self.plan_est(right, out, docs);
-                // The definitional nested loop compares every pair.
+                // What the θ-probe runs: the right-only part filters the
+                // build once; a probe tuple then examines nothing (no
+                // pair part: semi/anti joins are decided by the kept
+                // rows' existence), a key window (a range conjunct
+                // seeks the ordered keys), or every kept row. Joins
+                // that emit their matches also pay for those.
+                let kept = match split.right_only {
+                    Some(_) => (r.rows * SELECTIVITY).max(1.0),
+                    None => r.rows,
+                };
+                let emits = matches!(
+                    kind,
+                    engine::JoinKind::Inner | engine::JoinKind::Outer { .. }
+                );
+                let seek = (kept + 2.0).log2();
+                let (build, probe) = match (&split.pair, &split.range) {
+                    (None, _) => (r.rows, if emits { kept } else { 1.0 }),
+                    (Some(_), Some(_)) => (
+                        r.rows + kept * seek,
+                        1.0 + seek + if emits { kept * SELECTIVITY } else { 0.0 },
+                    ),
+                    (Some(_), None) => (r.rows, kept),
+                };
                 Estimate {
                     rows: join_rows(kind, &l, &r),
-                    cost: l.cost + r.cost + l.rows * r.rows,
+                    cost: l.cost + r.cost + build + l.rows * probe,
                 }
             }
             P::HashGroupUnary { input, .. } | P::ThetaGroupUnary { input, .. } => {

@@ -142,8 +142,10 @@ pub const ALL: [Workload; 6] = [
 /// Inequality quantification I (§5.3-style, string regime): titles for
 /// which some review title sorts strictly after them. The `some … < …`
 /// predicate has no equality conjunct, so the scan plans run it as a
-/// nested loop; the index plans probe the title index's ordered key
-/// space instead (`IndexRangeJoin`).
+/// loop semi join — whose θ-probe orders the review titles once and
+/// seeks each title's key window, verifying one candidate per probe;
+/// the index plans probe the title index's ordered key space instead
+/// (`IndexRangeJoin`), never scanning the reviews at all.
 pub const Q7_RANGE_SOME: Workload = Workload {
     id: "q7-range-some",
     paper_ref: "§5.3-style (existential quantification, inequality)",
@@ -160,9 +162,12 @@ pub const Q7_RANGE_SOME: Workload = Workload {
 
 /// Inequality quantification II (§5.5-style, numeric regime): `every`
 /// over a numeric floor that holds for the whole price population, i.e.
-/// the vacuous-counterexample case — the scan anti join probes every
-/// price per title before conceding, while the range probe answers each
-/// title with one empty seek.
+/// the vacuous-counterexample case. The predicate never mentions the
+/// title, so the scan anti join tests each price against the floor
+/// once, while it builds, and then answers every title from "no
+/// counterexample kept" without examining a price; the range probe
+/// skips the price scan too and answers with one empty seek (memoized:
+/// the bounds are constants).
 pub const Q8_RANGE_EVERY: Workload = Workload {
     id: "q8-range-every",
     paper_ref: "§5.5-style (universal quantification, inequality)",

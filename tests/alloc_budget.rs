@@ -37,5 +37,5 @@ fn round(label: &str, scale: usize, use_indexes: bool, ceiling: u64) {
 #[test]
 fn warm_rounds_stay_within_allocation_budget() {
     round("indexed", 400, true, 80_000);
-    round("scan", 150, false, 130_000);
+    round("scan", 150, false, 20_500);
 }
