@@ -1,5 +1,5 @@
-//! Heap-allocation accounting: a counting allocator and the warm
-//! Q1–Q10 round measured with it.
+//! Heap-allocation accounting: a counting allocator and the warm and
+//! cold Q1–Q10 rounds measured with it.
 //!
 //! The allocator counts per *thread* (const-initialised thread-locals,
 //! so the allocator itself never allocates and threads never contend on
@@ -84,6 +84,19 @@ fn queries() -> Vec<&'static Workload> {
     ALL.iter().chain(&RANGE).chain(&COMPOSITE).collect()
 }
 
+/// Count the calling thread's allocations while `f` runs.
+fn counted<R>(id: &'static str, f: impl FnOnce() -> R) -> (R, QueryAllocs) {
+    let (a0, b0) = thread_counts();
+    let out = f();
+    let (a1, b1) = thread_counts();
+    let counts = QueryAllocs {
+        id,
+        allocs: a1 - a0,
+        bytes: b1 - b0,
+    };
+    (out, counts)
+}
+
 /// One warm `QueryService::query` per query of Q1–Q10 over
 /// `load_standard(scale, 1)`: every plan is cached and every index
 /// built by two earlier rounds, so the counts are execution (plus the
@@ -104,15 +117,44 @@ pub fn warm_round(scale: usize, use_indexes: bool) -> Vec<QueryAllocs> {
     queries
         .iter()
         .map(|w| {
-            let (a0, b0) = thread_counts();
-            let outcome = svc.query(w.query);
-            let (a1, b1) = thread_counts();
+            let (outcome, counts) = counted(w.id, || svc.query(w.query));
             outcome.unwrap_or_else(|e| panic!("[{}] failed: {e}", w.id));
-            QueryAllocs {
-                id: w.id,
-                allocs: a1 - a0,
-                bytes: b1 - b0,
-            }
+            counts
+        })
+        .collect()
+}
+
+/// One cold compilation per query of Q1–Q10 over
+/// `standard_catalog(scale, 2, 1)` — what a plan-cache miss does before
+/// it can execute: parse → normalize → fingerprint → translate →
+/// enumerate → rank → compile → apply_indexes, through the same public
+/// entry points the service calls. Nothing is executed, so the counts
+/// are the front end and the rewriter alone. An uncounted first pass
+/// fills what a serving process fills once, not per miss: the symbol
+/// interner and the catalog's statistics memo.
+pub fn cold_round(scale: usize) -> Vec<QueryAllocs> {
+    let catalog = xmldb::gen::standard_catalog(scale, 2, 1);
+    let compile = |w: &Workload| {
+        let parsed = xquery::parse_query(w.query)
+            .unwrap_or_else(|e| panic!("[{}] does not parse: {e}", w.id));
+        let normalized = xquery::normalize(&parsed, &catalog);
+        std::hint::black_box(xquery::Fingerprint::of_normalized(&normalized).hash);
+        let expr = xquery::translate(&normalized, &catalog)
+            .unwrap_or_else(|e| panic!("[{}] does not translate: {e}", w.id));
+        let plans = unnest::enumerate_plans(&expr, &catalog);
+        let ranked = unnest::rank_plans_with(plans, &catalog, true);
+        engine::apply_indexes(engine::compile(&ranked[0].0.expr), &catalog)
+    };
+    let queries = queries();
+    for w in &queries {
+        std::hint::black_box(compile(w));
+    }
+    queries
+        .iter()
+        .map(|w| {
+            let (plan, counts) = counted(w.id, || compile(w));
+            std::hint::black_box(plan);
+            counts
         })
         .collect()
 }

@@ -3,10 +3,11 @@
 use crate::expr::Expr;
 use crate::scalar::Scalar;
 
-/// Immutable children of an expression (unary: one; binary: two).
-pub fn children(e: &Expr) -> Vec<&Expr> {
-    match e {
-        Expr::Singleton | Expr::Literal(_) | Expr::AttrRel(_) => vec![],
+/// Immutable children of an expression (unary: one; binary: two), in
+/// dataflow order. Allocation-free: traversals call this per node.
+pub fn children(e: &Expr) -> impl Iterator<Item = &Expr> {
+    let pair: [Option<&Expr>; 2] = match e {
+        Expr::Singleton | Expr::Literal(_) | Expr::AttrRel(_) => [None, None],
         Expr::Select { input, .. }
         | Expr::Project { input, .. }
         | Expr::Map { input, .. }
@@ -14,14 +15,39 @@ pub fn children(e: &Expr) -> Vec<&Expr> {
         | Expr::Unnest { input, .. }
         | Expr::UnnestMap { input, .. }
         | Expr::XiSimple { input, .. }
-        | Expr::XiGroup { input, .. } => vec![input],
+        | Expr::XiGroup { input, .. } => [Some(input), None],
         Expr::Cross { left, right }
         | Expr::Join { left, right, .. }
         | Expr::SemiJoin { left, right, .. }
         | Expr::AntiJoin { left, right, .. }
         | Expr::OuterJoin { left, right, .. }
-        | Expr::GroupBinary { left, right, .. } => vec![left, right],
-    }
+        | Expr::GroupBinary { left, right, .. } => [Some(left), Some(right)],
+    };
+    pair.into_iter().flatten()
+}
+
+/// [`children`] by mutable reference — what an in-place rewriter walks:
+/// it replaces a node through the reference it was handed and never
+/// rebuilds the ancestors.
+pub fn children_mut(e: &mut Expr) -> impl Iterator<Item = &mut Expr> {
+    let pair: [Option<&mut Expr>; 2] = match e {
+        Expr::Singleton | Expr::Literal(_) | Expr::AttrRel(_) => [None, None],
+        Expr::Select { input, .. }
+        | Expr::Project { input, .. }
+        | Expr::Map { input, .. }
+        | Expr::GroupUnary { input, .. }
+        | Expr::Unnest { input, .. }
+        | Expr::UnnestMap { input, .. }
+        | Expr::XiSimple { input, .. }
+        | Expr::XiGroup { input, .. } => [Some(input), None],
+        Expr::Cross { left, right }
+        | Expr::Join { left, right, .. }
+        | Expr::SemiJoin { left, right, .. }
+        | Expr::AntiJoin { left, right, .. }
+        | Expr::OuterJoin { left, right, .. }
+        | Expr::GroupBinary { left, right, .. } => [Some(left), Some(right)],
+    };
+    pair.into_iter().flatten()
 }
 
 /// Nested algebra expressions embedded in this node's scalars (quantifier

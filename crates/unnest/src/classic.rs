@@ -159,27 +159,22 @@ pub fn push_pred_into_right(expr: &Expr) -> Option<Expr> {
         _ => return None,
     };
     let a_r = attr_set(right);
-    let mut keep = Vec::new();
-    let mut push = Vec::new();
-    for c in pred.conjuncts() {
+    // Partition by reference; nothing is copied unless the rule fires.
+    let (push, keep): (Vec<&Scalar>, Vec<&Scalar>) = pred.conjuncts().into_iter().partition(|c| {
         let refs = c.free_attrs();
-        if !refs.is_empty() && refs.iter().all(|a| a_r.contains(a)) && !c.has_nested_expr() {
-            push.push((*c).clone());
-        } else {
-            keep.push((*c).clone());
-        }
-    }
+        !refs.is_empty() && refs.iter().all(|a| a_r.contains(a)) && !c.has_nested_expr()
+    });
     if push.is_empty() || keep.is_empty() {
         return None; // nothing to push, or nothing would remain
     }
     let new_right = Expr::Select {
         input: right.clone(),
-        pred: Scalar::conjoin(push),
+        pred: Scalar::conjoin(push.into_iter().cloned().collect()),
     };
     Some(rebuild(
         left.clone(),
         Box::new(new_right),
-        Scalar::conjoin(keep),
+        Scalar::conjoin(keep.into_iter().cloned().collect()),
     ))
 }
 

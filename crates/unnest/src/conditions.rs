@@ -15,16 +15,17 @@ use nal::{CmpOp, Expr, Scalar, Sym};
 /// one membership conjunct `A1 ∈ a2`, and residual *local* conjuncts that
 /// reference only inner attributes.
 #[derive(Debug, Clone)]
-pub struct Correlation {
+pub struct Correlation<'a> {
     /// `(outer, θ, inner)` comparison conjuncts.
     pub pairs: Vec<(Sym, CmpOp, Sym)>,
     /// `outer ∈ nested_attr` membership conjunct, if present.
     pub membership: Option<(Sym, Sym)>,
-    /// Conjuncts referencing only the inner expression's attributes.
-    pub local: Vec<Scalar>,
+    /// Conjuncts referencing only the inner expression's attributes —
+    /// borrowed from the predicate; a rule copies them when it fires.
+    pub local: Vec<&'a Scalar>,
 }
 
-impl Correlation {
+impl Correlation<'_> {
     /// All θ of the comparison conjuncts agree (required by Eqv. 1's
     /// single-θ grouping), returning it; `Eq` for an empty list.
     pub fn uniform_theta(&self) -> Option<CmpOp> {
@@ -46,6 +47,13 @@ impl Correlation {
     pub fn inner_attrs(&self) -> Vec<Sym> {
         self.pairs.iter().map(|(_, _, b)| *b).collect()
     }
+
+    /// The local conjuncts as one (owned) predicate; `None` if there
+    /// are none.
+    pub fn local_pred(&self) -> Option<Scalar> {
+        (!self.local.is_empty())
+            .then(|| Scalar::conjoin(self.local.iter().map(|c| (*c).clone()).collect()))
+    }
 }
 
 /// Split the predicate of a correlated selection `σ_p(e2)` (evaluated in
@@ -54,24 +62,35 @@ impl Correlation {
 /// Returns `None` when some conjunct doesn't fit the recognized shapes
 /// (e.g. disjunctions mixing inner and outer attributes) — the rewrite is
 /// then not attempted.
-pub fn split_correlation(
-    pred: &Scalar,
+pub fn split_correlation<'a>(
+    pred: &'a Scalar,
     outer: &BTreeSet<Sym>,
     inner: &BTreeSet<Sym>,
-) -> Option<Correlation> {
+) -> Option<Correlation<'a>> {
+    split_conjuncts(pred.conjuncts(), outer, inner)
+}
+
+/// [`split_correlation`] over a predicate given as its conjuncts — what
+/// a caller holding several selections' predicates passes instead of
+/// conjoining copies of them.
+pub fn split_conjuncts<'a>(
+    conjuncts: impl IntoIterator<Item = &'a Scalar>,
+    outer: &BTreeSet<Sym>,
+    inner: &BTreeSet<Sym>,
+) -> Option<Correlation<'a>> {
     let mut corr = Correlation {
         pairs: Vec::new(),
         membership: None,
         local: Vec::new(),
     };
-    for c in pred.conjuncts() {
+    for c in conjuncts {
         let refs = c.free_attrs();
         let uses_outer = refs.iter().any(|a| outer.contains(a));
         if !uses_outer {
             // Purely local conjunct — verify it stays within the inner
             // scope (it may reference nothing at all, e.g. constants).
             if refs.iter().all(|a| inner.contains(a)) {
-                corr.local.push((*c).clone());
+                corr.local.push(c);
                 continue;
             }
             return None;

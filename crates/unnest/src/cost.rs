@@ -184,14 +184,14 @@ impl<'a> CostModel<'a> {
                     cost: l.cost + r.cost + l.rows + r.rows,
                 }
             }
-            Expr::SemiJoin { left, right, pred } | Expr::AntiJoin { left, right, pred } => {
+            Expr::SemiJoin { left, right, .. } | Expr::AntiJoin { left, right, .. } => {
                 let l = self.est(left);
                 let rows = (l.rows * SELECTIVITY).max(1.0);
                 // Index mode: a quantifier join over an indexable build
                 // side never executes the build — each left tuple pays
                 // one value-index probe instead.
                 if self.use_indexes {
-                    if let Some(probe) = self.index_probe_cost(left, right, pred) {
+                    if let Some(probe) = self.index_probe_cost(e) {
                         return Estimate {
                             rows,
                             cost: l.cost + l.rows * probe,
@@ -315,14 +315,10 @@ impl<'a> CostModel<'a> {
     ///   with a residual or replayed pipeline reconstruct in-range
     ///   candidates until one passes (a selectivity-scaled scan of the
     ///   whole window).
-    fn index_probe_cost(&mut self, left: &Expr, right: &Expr, pred: &Scalar) -> Option<f64> {
-        // Kind is irrelevant to convertibility; trace as a semijoin.
-        let join = Expr::SemiJoin {
-            left: Box::new(left.clone()),
-            right: Box::new(right.clone()),
-            pred: pred.clone(),
-        };
-        let recipe = engine::join_recipe(&engine::compile(&join), self.catalog)?;
+    fn index_probe_cost(&mut self, join: &Expr) -> Option<f64> {
+        // ⋉ or ▷ alike: the kind is irrelevant to convertibility and to
+        // the probe's price, the tracer only records it.
+        let recipe = engine::join_recipe(&engine::compile(join), self.catalog)?;
         self.recipe_probe_cost(&recipe)
     }
 
@@ -371,28 +367,18 @@ impl<'a> CostModel<'a> {
             }
             Scalar::Path(base, path) => {
                 let use_indexes = self.use_indexes;
-                if let Some(desc) = crate::schema::value_descriptor(
-                    &Expr::UnnestMap {
-                        input: Box::new(input.clone()),
-                        attr: nal::Sym::new("γ-cost-probe"),
-                        value: value.clone(),
-                    },
-                    nal::Sym::new("γ-cost-probe"),
-                ) {
-                    let uri = desc.uri().to_string();
-                    let trail: Option<Vec<String>> = desc
-                        .path()
-                        .element_trail()
-                        .map(|t| t.iter().map(|s| s.to_string()).collect());
+                // The provenance of the column an Υ over `input` with
+                // this subscript would bind.
+                if let Some(desc) = crate::schema::scalar_descriptor(value, input) {
                     // The descriptor path equals the subscript's own path
                     // exactly when the base resolved to the document node
                     // (composition through a per-tuple context column
                     // prepends that column's steps).
                     let doc_rooted = matches!(base.as_ref(), Scalar::Doc(_))
                         || desc.path().steps.len() == path.steps.len();
-                    if let Some(stats) = self.stats_for(&uri) {
+                    if let Some(stats) = self.stats_for(desc.uri()) {
                         if let Some(name) = final_name(desc.path()) {
-                            let count = stats.elements(&name).max(1) as f64;
+                            let count = stats.elements(name).max(1) as f64;
                             if doc_rooted {
                                 // The whole document-rooted path is
                                 // evaluated per tuple.
@@ -409,10 +395,10 @@ impl<'a> CostModel<'a> {
                             }
                             // Per-tuple relative step: the fan-out under
                             // one context node, not the document total.
-                            if let Some(trail) = &trail {
-                                if trail.len() >= 2 && !path.has_descendant() {
-                                    let parent = &trail[trail.len() - 2];
-                                    let child = &trail[trail.len() - 1];
+                            if let Some([.., parent, child]) =
+                                desc.path().element_trail().as_deref()
+                            {
+                                if !path.has_descendant() {
                                     let fanout = stats.avg_fanout(parent, child);
                                     return (fanout, 1.0 + fanout);
                                 }
@@ -451,7 +437,7 @@ impl<'a> CostModel<'a> {
                 if let Some(uri) = uri {
                     let use_indexes = self.use_indexes;
                     if let (Some(name), Some(stats)) = (final_name(path), self.stats_for(&uri)) {
-                        let count = stats.elements(&name).max(1) as f64;
+                        let count = stats.elements(name).max(1) as f64;
                         let scan = if use_indexes {
                             1.0 + count
                         } else if path.has_descendant() {
@@ -717,13 +703,12 @@ pub fn plan_cost_map(
     out
 }
 
-fn final_name(path: &Path) -> Option<String> {
+fn final_name(path: &Path) -> Option<&str> {
     path.steps
         .iter()
         .rev()
         .find(|s| s.axis != Axis::Attribute)
         .and_then(|s| s.test.literal())
-        .map(str::to_string)
 }
 
 fn path_step_cost(path: &Path) -> f64 {
@@ -805,6 +790,11 @@ mod tests {
 
     fn p(s: &str) -> xpath::Path {
         parse_path(s).unwrap()
+    }
+
+    /// `index_probe_cost` of `left ⋉_pred right`.
+    fn probe_cost(m: &mut CostModel, left: &Expr, right: &Expr, pred: &Scalar) -> Option<f64> {
+        m.index_probe_cost(&left.clone().semijoin(right.clone(), pred.clone()))
     }
 
     #[test]
@@ -997,7 +987,7 @@ mod tests {
         ));
         let mut m = CostModel::with_indexes(&cat, true);
         assert_eq!(
-            m.index_probe_cost(&probe3, &build3, &unsafe_pred),
+            probe_cost(&mut m, &probe3, &build3, &unsafe_pred),
             None,
             "engine keeps the loop join here; pricing must not assume a probe"
         );
@@ -1014,7 +1004,7 @@ mod tests {
         let single_pred = Scalar::attr_cmp(CmpOp::Eq, "t1", "t2");
         let mut m = CostModel::with_indexes(&cat, true);
         // Single-key over a document path: priced as a probe.
-        let single_cost = m.index_probe_cost(&probe, &build, &single_pred);
+        let single_cost = probe_cost(&mut m, &probe, &build, &single_pred);
         assert!(single_cost.is_some());
         // Multi-key predicates now convert to composite index joins —
         // the engine's tracer emits a recipe, so the model prices the
@@ -1025,7 +1015,7 @@ mod tests {
             .unnest_map("y2", Scalar::attr("d2").path(p("//book/@year")));
         let multi_pred =
             Scalar::attr_cmp(CmpOp::Eq, "t1", "t2").and(Scalar::attr_cmp(CmpOp::Eq, "y1", "y2"));
-        let multi_cost = m.index_probe_cost(&probe, &build2, &multi_pred);
+        let multi_cost = probe_cost(&mut m, &probe, &build2, &multi_pred);
         assert!(
             multi_cost.is_some(),
             "composite joins must be priced as probes now"
@@ -1037,9 +1027,7 @@ mod tests {
             nal::Func::Contains,
             vec![Scalar::attr("t2"), Scalar::string("a")],
         ));
-        assert!(m
-            .index_probe_cost(&probe, &filtered, &single_pred)
-            .is_some());
+        assert!(probe_cost(&mut m, &probe, &filtered, &single_pred).is_some());
         // …but a nested algebraic expression in the build is not
         // replayable and must decline.
         let nested = build.select(Scalar::Exists {
@@ -1047,7 +1035,7 @@ mod tests {
             range: Box::new(nal::expr::builder::singleton().map("y", Scalar::int(1))),
             pred: Box::new(Scalar::Const(nal::Value::Bool(true))),
         });
-        assert_eq!(m.index_probe_cost(&probe, &nested, &single_pred), None);
+        assert_eq!(probe_cost(&mut m, &probe, &nested, &single_pred), None);
     }
 
     #[test]

@@ -9,6 +9,31 @@
 //! experiments compare (nested / outer join / grouping / group Ξ /
 //! semijoin / anti-semijoin); [`unnest_best`] picks the most restrictive
 //! applicable chain.
+//!
+//! # The in-place contract
+//!
+//! A strategy owns one `Expr` and rewrites it where it stands. One step
+//! ([`Rule::apply_anywhere`]) visits the dataflow tree top-down, left
+//! operand before right, and replaces the **first** node the rule
+//! matches through the `&mut` it reached it by — the ancestors are not
+//! rebuilt and nothing is copied unless the rule fires. A run
+//! ([`apply_preferring`]) tries its rules in **preference order**, fires
+//! the first that matches anywhere, starts over from the first rule, and
+//! stops when none matches — which node a rule rewrites and which rule
+//! wins are what they were when each step rebuilt the plan, so labels,
+//! rule traces and plans are unchanged (`tests/plan_set_golden.rs`,
+//! `tests/rewrite_driver_props.rs`).
+//!
+//! # The shared Eqv. 6/7 prefix
+//!
+//! Three of the four [`STRATEGIES`] prefer Eqv. 6 and Eqv. 7 over their
+//! own rules. While either fires, no later rule of a list is tried, so
+//! each of those runs *begins* with the fixpoint of `[Eqv6, Eqv7]` on
+//! the pruned plan — the same expression and the same trace prefix for
+//! all three. [`enumerate_plans`] computes it once and lets every such
+//! strategy continue from a copy (Eqv. 6/7 stay in the continued list:
+//! a later rewrite may expose another quantifier). Invariant: a
+//! continued run equals the strategy run from the pruned root.
 
 use nal::expr::visit;
 use nal::Expr;
@@ -84,24 +109,16 @@ impl Rule {
     }
 
     /// Try this rule at the first matching node, searching the dataflow
-    /// tree top-down.
-    pub fn apply_anywhere(self, expr: &Expr, catalog: &Catalog) -> Option<Expr> {
-        if let Some(r) = self.apply_at(expr, catalog) {
-            return Some(r);
+    /// tree top-down (pre-order, left before right), and rewrite that
+    /// node **in place**: `*node = rewritten`. The ancestors are not
+    /// rebuilt and nothing is copied unless the rule fires. Returns
+    /// whether it fired.
+    pub fn apply_anywhere(self, expr: &mut Expr, catalog: &Catalog) -> bool {
+        if let Some(rewritten) = self.apply_at(expr, catalog) {
+            *expr = rewritten;
+            return true;
         }
-        // Rebuild with the first successfully rewritten child.
-        let children = visit::children(expr);
-        for (idx, child) in children.iter().enumerate() {
-            if let Some(new_child) = self.apply_anywhere(child, catalog) {
-                let mut i = 0;
-                return Some(visit::map_children(expr.clone(), &mut |c| {
-                    let out = if i == idx { new_child.clone() } else { c };
-                    i += 1;
-                    out
-                }));
-            }
-        }
-        None
+        visit::children_mut(expr).any(|child| self.apply_anywhere(child, catalog))
     }
 }
 
@@ -123,6 +140,10 @@ pub struct RewriteTrace {
     pub steps: Vec<&'static str>,
 }
 
+/// Most rule firings one strategy run may make. Generous: realistic
+/// chains are 1–4 rules long.
+const MAX_FIRINGS: usize = 64;
+
 /// Apply `rules` (in preference order) anywhere in the expression until a
 /// fixpoint, returning the result and the applied-rule trace.
 pub fn apply_preferring(
@@ -132,23 +153,90 @@ pub fn apply_preferring(
 ) -> (Expr, Vec<&'static str>) {
     let mut current = expr.clone();
     let mut trace = Vec::new();
-    // Generous bound; realistic chains are 1–4 rules long.
-    for _ in 0..64 {
-        let mut fired = false;
-        for &rule in rules {
-            if let Some(next) = rule.apply_anywhere(&current, catalog) {
-                current = next;
-                trace.push(rule.name());
-                fired = true;
-                break;
-            }
-        }
-        if !fired {
-            break;
-        }
-    }
+    run_to_fixpoint(&mut current, rules, catalog, &mut trace);
     (current, trace)
 }
+
+/// The fixpoint loop behind [`apply_preferring`], in place on `expr`:
+/// fire the first rule of `rules` that matches anywhere, start over from
+/// the first rule, stop when none matches. `trace` may arrive non-empty
+/// — a run continued from a shared prefix — and its firings count
+/// towards [`MAX_FIRINGS`] like the run's own.
+fn run_to_fixpoint(
+    expr: &mut Expr,
+    rules: &[Rule],
+    catalog: &Catalog,
+    trace: &mut Vec<&'static str>,
+) {
+    while trace.len() < MAX_FIRINGS {
+        let Some(rule) = rules.iter().find(|r| r.apply_anywhere(expr, catalog)) else {
+            break;
+        };
+        trace.push(rule.name());
+    }
+}
+
+/// The quantifier rules every strategy but `nest-join` prefers over its
+/// own: a run of such a strategy begins with this list's fixpoint.
+const QUANTIFIER_PREFIX: [Rule; 2] = [Rule::Eqv6, Rule::Eqv7];
+
+/// One enumeration strategy of [`enumerate_plans`].
+#[derive(Clone, Copy, Debug)]
+pub struct Strategy {
+    /// The label its plan carries.
+    pub label: &'static str,
+    /// Its rules, in preference order.
+    pub rules: &'static [Rule],
+    /// The rules one of which must have fired for the result to carry
+    /// the label (a "grouping" run that only managed Eqv. 6 produced a
+    /// plain semijoin and must not claim the grouping label).
+    pub defining: &'static [Rule],
+}
+
+/// The enumeration strategies, in the order their plans are offered.
+pub const STRATEGIES: [Strategy; 4] = [
+    Strategy {
+        label: "grouping",
+        rules: &[
+            Rule::Eqv6,
+            Rule::Eqv7,
+            Rule::Eqv3,
+            Rule::Eqv5,
+            Rule::Eqv8,
+            Rule::Eqv9,
+            Rule::Eqv8Self,
+            Rule::PushRight,
+        ],
+        defining: &[
+            Rule::Eqv3,
+            Rule::Eqv5,
+            Rule::Eqv8,
+            Rule::Eqv9,
+            Rule::Eqv8Self,
+        ],
+    },
+    Strategy {
+        label: "outer join",
+        rules: &[
+            Rule::Eqv6,
+            Rule::Eqv7,
+            Rule::Eqv2,
+            Rule::Eqv4,
+            Rule::PushRight,
+        ],
+        defining: &[Rule::Eqv2, Rule::Eqv4],
+    },
+    Strategy {
+        label: "nest-join",
+        rules: &[Rule::Eqv1],
+        defining: &[Rule::Eqv1],
+    },
+    Strategy {
+        label: "semijoin",
+        rules: &[Rule::Eqv6, Rule::Eqv7, Rule::PushRight],
+        defining: &[Rule::Eqv6, Rule::Eqv7],
+    },
+];
 
 /// Enumerate the named plan alternatives for `expr` — always starting
 /// with the nested (original) plan, then each distinct unnested plan the
@@ -162,57 +250,34 @@ pub fn enumerate_plans(expr: &Expr, catalog: &Catalog) -> Vec<PlanChoice> {
     }];
     // The paper's preparation step: project unneeded attributes away so
     // the `A1 = A(e1)` conditions of Eqv. 3/5/8/9 become checkable.
-    let expr = &crate::prune::prune(expr);
+    let pruned = crate::prune::prune(expr);
+    // The shared prefix: computed once, continued by every strategy
+    // whose rule list starts with it.
+    let mut quantified = pruned.clone();
+    let mut prefix_trace = Vec::new();
+    run_to_fixpoint(
+        &mut quantified,
+        &QUANTIFIER_PREFIX,
+        catalog,
+        &mut prefix_trace,
+    );
 
-    let strategies: [(&str, &[Rule]); 4] = [
-        (
-            "grouping",
-            &[
-                Rule::Eqv6,
-                Rule::Eqv7,
-                Rule::Eqv3,
-                Rule::Eqv5,
-                Rule::Eqv8,
-                Rule::Eqv9,
-                Rule::Eqv8Self,
-                Rule::PushRight,
-            ],
-        ),
-        (
-            "outer join",
-            &[
-                Rule::Eqv6,
-                Rule::Eqv7,
-                Rule::Eqv2,
-                Rule::Eqv4,
-                Rule::PushRight,
-            ],
-        ),
-        ("nest-join", &[Rule::Eqv1]),
-        ("semijoin", &[Rule::Eqv6, Rule::Eqv7, Rule::PushRight]),
-    ];
-
-    for (label, rules) in strategies {
-        let (rewritten, trace) = apply_preferring(expr, rules, catalog);
+    for Strategy {
+        label,
+        rules,
+        defining,
+    } in STRATEGIES
+    {
+        // One owned plan per strategy, rewritten in place.
+        let (mut rewritten, mut trace) = if rules.starts_with(&QUANTIFIER_PREFIX) {
+            (quantified.clone(), prefix_trace.clone())
+        } else {
+            (pruned.clone(), Vec::new())
+        };
+        run_to_fixpoint(&mut rewritten, rules, catalog, &mut trace);
         if trace.is_empty() {
             continue;
         }
-        // A strategy only owns its label if one of its *defining* rules
-        // fired (e.g. a "grouping" run that only managed Eqv.6 produced a
-        // plain semijoin and must not claim the grouping label).
-        let defining: &[Rule] = match label {
-            "grouping" => &[
-                Rule::Eqv3,
-                Rule::Eqv5,
-                Rule::Eqv8,
-                Rule::Eqv9,
-                Rule::Eqv8Self,
-            ],
-            "outer join" => &[Rule::Eqv2, Rule::Eqv4],
-            "nest-join" => &[Rule::Eqv1],
-            "semijoin" => &[Rule::Eqv6, Rule::Eqv7],
-            _ => &[],
-        };
         if !defining.iter().any(|r| trace.contains(&r.name())) {
             continue;
         }
@@ -240,9 +305,10 @@ pub fn enumerate_plans(expr: &Expr, catalog: &Catalog) -> Vec<PlanChoice> {
         .iter()
         .filter(|p| p.label == "grouping")
         .filter_map(|p| {
+            let mut expr = p.expr.clone();
             Rule::XiFuse
-                .apply_anywhere(&p.expr, catalog)
-                .map(|expr| PlanChoice {
+                .apply_anywhere(&mut expr, catalog)
+                .then(|| PlanChoice {
                     label: "group Ξ".into(),
                     expr,
                     trace: p

@@ -65,8 +65,8 @@ fn count_scan(
         &a_right.iter().copied().chain([a1]).collect::<Vec<_>>(),
     );
     let mut f = GroupFn::count();
-    if !corr.local.is_empty() {
-        f = f.filtered(Scalar::conjoin(corr.local.clone()));
+    if let Some(local) = corr.local_pred() {
+        f = f.filtered(local);
     }
     let grouped = Expr::GroupUnary {
         input: Box::new(right.clone()),

@@ -5,7 +5,7 @@ use nal::{CmpOp, Expr, Scalar, Sym};
 use xmldb::Catalog;
 
 use crate::conditions::{attrs_disjoint, inner_independent, is_fresh};
-use crate::eqv::pattern::{match_map_agg, MapAggPattern};
+use crate::eqv::pattern::match_map_agg;
 use crate::schema::{column_path, value_descriptor, values_match};
 
 /// Eqv. 1: `χ_{g:f(σ_{A1θA2}(e2))}(e1) = e1 Γ_{g;A1θA2;f} e2`.
@@ -14,11 +14,13 @@ use crate::schema::{column_path, value_descriptor, values_match};
 /// binary Γ still compares every pair, so the driver prefers the more
 /// restrictive equivalences when their conditions hold.
 pub fn eqv1(expr: &Expr) -> Option<Expr> {
-    let MapAggPattern { e1, g, f, e2, corr } = match_map_agg(expr)?;
+    let pat = match_map_agg(expr)?;
+    let (e1, g, f, corr) = (pat.e1, pat.g, pat.f, &pat.corr);
     if corr.membership.is_some() || corr.pairs.is_empty() {
         return None;
     }
     let theta = corr.uniform_theta()?;
+    let e2 = pat.e2();
     check_common(e1, &e2, g)?;
     Some(Expr::GroupBinary {
         left: Box::new(e1.clone()),
@@ -37,13 +39,15 @@ pub fn eqv1(expr: &Expr) -> Option<Expr> {
 /// One grouping pass over `e2` plus an order-preserving outer join — `e2`
 /// is scanned once regardless of `|e1|`.
 pub fn eqv2(expr: &Expr) -> Option<Expr> {
-    let MapAggPattern { e1, g, f, e2, corr } = match_map_agg(expr)?;
+    let pat = match_map_agg(expr)?;
+    let (e1, g, f, corr) = (pat.e1, pat.g, pat.f, &pat.corr);
     if corr.membership.is_some() || corr.pairs.is_empty() {
         return None;
     }
     if corr.uniform_theta()? != CmpOp::Eq {
         return None;
     }
+    let e2 = pat.e2();
     check_common(e1, &e2, g)?;
     let a1 = corr.outer_attrs();
     let a2 = corr.inner_attrs();
@@ -85,18 +89,20 @@ pub fn eqv2(expr: &Expr) -> Option<Expr> {
 ///
 /// The cheapest plan: a single grouping scan of `e2`, no join at all.
 pub fn eqv3(expr: &Expr, catalog: &Catalog) -> Option<Expr> {
-    let MapAggPattern { e1, g, f, e2, corr } = match_map_agg(expr)?;
+    let pat = match_map_agg(expr)?;
+    let (e1, g, f, corr) = (pat.e1, pat.g, pat.f, &pat.corr);
     if corr.membership.is_some() || corr.pairs.is_empty() {
         return None;
     }
     let theta = corr.uniform_theta()?;
-    check_common(e1, &e2, g)?;
     let a1 = corr.outer_attrs();
     let a2 = corr.inner_attrs();
     // The condition implies A1 = A(e1).
     if attr_set(e1) != a1.iter().copied().collect() {
         return None;
     }
+    let e2 = pat.e2();
+    check_common(e1, &e2, g)?;
     if !outer_is_distinct_inner_column(e1, &a1, &e2, &a2, catalog) {
         return None;
     }
@@ -119,11 +125,13 @@ pub fn eqv3(expr: &Expr, catalog: &Catalog) -> Option<Expr> {
 /// where `A2 = A(a2)`. New in the paper for both the ordered and the
 /// unordered context.
 pub fn eqv4(expr: &Expr) -> Option<Expr> {
-    let MapAggPattern { e1, g, f, e2, corr } = match_map_agg(expr)?;
+    let pat = match_map_agg(expr)?;
+    let (e1, g, f, corr) = (pat.e1, pat.g, pat.f, &pat.corr);
     let (a1, a2_nested) = corr.membership?;
     if !corr.pairs.is_empty() {
         return None;
     }
+    let e2 = pat.e2();
     check_common(e1, &e2, g)?;
     let inner = nested_attrs(&e2, a2_nested)?;
     // f may not depend on a2 or A(a2).
@@ -171,20 +179,22 @@ pub fn eqv4(expr: &Expr) -> Option<Expr> {
 /// This is the counterpart of Paparizos et al.'s grouping rewrite — with
 /// the missing applicability condition enforced (§5.1).
 pub fn eqv5(expr: &Expr, catalog: &Catalog) -> Option<Expr> {
-    let MapAggPattern { e1, g, f, e2, corr } = match_map_agg(expr)?;
+    let pat = match_map_agg(expr)?;
+    let (e1, g, f, corr) = (pat.e1, pat.g, pat.f, &pat.corr);
     let (a1, a2_nested) = corr.membership?;
     if !corr.pairs.is_empty() {
         return None;
     }
+    // The condition implies A1 = A(e1).
+    if attr_set(e1) != std::iter::once(a1).collect() {
+        return None;
+    }
+    let e2 = pat.e2();
     check_common(e1, &e2, g)?;
     let inner = nested_attrs(&e2, a2_nested)?;
     let mut forbidden = inner.clone();
     forbidden.push(a2_nested);
     if !f.independent_of(&forbidden) {
-        return None;
-    }
-    // The condition implies A1 = A(e1).
-    if attr_set(e1) != std::iter::once(a1).collect() {
         return None;
     }
     // e1 must be the distinct values of the membership column.

@@ -3,11 +3,12 @@
 use nal::expr::attrs::attr_set;
 use nal::{Expr, GroupFn, ProjOp, Scalar, Sym};
 
-use crate::conditions::{split_correlation, Correlation};
+use crate::conditions::{split_conjuncts, Correlation};
 
 /// The left-hand-side shape of equivalences 1–5:
-/// `χ_{g:f(σ_{corr}(e2))}(e1)`, with local conjuncts already pushed into
-/// `e2`.
+/// `χ_{g:f(σ_{corr}(e2))}(e1)`. Matching borrows everything; the inner
+/// operand is only built ([`MapAggPattern::e2`]) by a rule that has
+/// passed its shape checks.
 pub struct MapAggPattern<'a> {
     /// The outer expression.
     pub e1: &'a Expr,
@@ -15,15 +16,31 @@ pub struct MapAggPattern<'a> {
     pub g: Sym,
     /// The aggregating group function.
     pub f: &'a GroupFn,
-    /// The inner expression with local conjuncts pushed into a selection.
-    pub e2: Expr,
+    /// The aggregate's input, selections still where the translation
+    /// left them.
+    inner: &'a Expr,
     /// The split correlation predicate.
-    pub corr: Correlation,
+    pub corr: Correlation<'a>,
+}
+
+impl MapAggPattern<'_> {
+    /// The inner expression `e2`: selections hoisted out of the
+    /// aggregate's input, the local conjuncts pushed back as one σ on
+    /// top, so the rules can treat what remains as pure correlation.
+    pub fn e2(&self) -> Expr {
+        let base = strip_selections(self.inner);
+        match self.corr.local_pred() {
+            Some(pred) => Expr::Select {
+                input: Box::new(base),
+                pred,
+            },
+            None => base,
+        }
+    }
 }
 
 /// Match `χ_{g:f(σ_p(e2))}(e1)` and split `p` into correlation and local
-/// parts. Local parts are pushed into `e2` so the rules can treat the
-/// remaining predicate as pure correlation.
+/// parts.
 ///
 /// Translations often leave the correlated σ *buried* under later `χ`/`Υ`
 /// operators of the same block (`let` clauses after the `where`). σ
@@ -42,69 +59,64 @@ pub fn match_map_agg(expr: &Expr) -> Option<MapAggPattern<'_>> {
     let Scalar::Agg { f, input } = value else {
         return None;
     };
-    let (base, preds) = hoist_selections(input);
+    let preds = hoisted_preds(input);
     if preds.is_empty() {
         return None;
     }
-    let pred = Scalar::conjoin(preds);
     let outer = attr_set(e1);
-    let inner = attr_set(&base);
-    let mut corr = split_correlation(&pred, &outer, &inner)?;
+    // σ neither adds nor removes attributes: A(input) is A(e2).
+    let inner = attr_set(input);
+    let corr = split_conjuncts(preds.iter().flat_map(|p| p.conjuncts()), &outer, &inner)?;
     if corr.pairs.is_empty() && corr.membership.is_none() {
         return None; // uncorrelated — nothing for the equivalences to do
     }
-    let e2_pushed = if corr.local.is_empty() {
-        base
-    } else {
-        Expr::Select {
-            input: Box::new(base),
-            pred: Scalar::conjoin(std::mem::take(&mut corr.local)),
-        }
-    };
     Some(MapAggPattern {
         e1,
         g: *g,
         f,
-        e2: e2_pushed,
+        inner: input,
         corr,
     })
 }
 
-/// Pull every selection reachable through a `χ`/`Υ` chain up to the top,
-/// returning the cleaned expression and the collected predicates.
-/// Sound because each predicate references only attributes produced
-/// *below* it, which the maps above merely extend (σ_p ∘ χ_a = χ_a ∘ σ_p
-/// when `a ∉ F(p)`).
-pub fn hoist_selections(e: &Expr) -> (Expr, Vec<Scalar>) {
+/// The predicates of every selection reachable through a `χ`/`Υ` chain,
+/// innermost first — what hoisting those selections to the top of the
+/// chain collects. Sound because each predicate references only
+/// attributes produced *below* it, which the maps above merely extend
+/// (σ_p ∘ χ_a = χ_a ∘ σ_p when `a ∉ F(p)`).
+pub fn hoisted_preds(e: &Expr) -> Vec<&Scalar> {
+    let mut preds = Vec::new();
+    let mut cur = e;
+    loop {
+        cur = match cur {
+            Expr::Select { input, pred } => {
+                preds.push(pred);
+                input
+            }
+            Expr::Map { input, .. } | Expr::UnnestMap { input, .. } => input,
+            _ => break,
+        };
+    }
+    preds.reverse();
+    preds
+}
+
+/// `e` without the selections [`hoisted_preds`] collects: the cleaned
+/// `χ`/`Υ` chain over an untouched base.
+pub fn strip_selections(e: &Expr) -> Expr {
     match e {
-        Expr::Select { input, pred } => {
-            let (base, mut preds) = hoist_selections(input);
-            preds.push(pred.clone());
-            (base, preds)
-        }
-        Expr::Map { input, attr, value } => {
-            let (base, preds) = hoist_selections(input);
-            (
-                Expr::Map {
-                    input: Box::new(base),
-                    attr: *attr,
-                    value: value.clone(),
-                },
-                preds,
-            )
-        }
-        Expr::UnnestMap { input, attr, value } => {
-            let (base, preds) = hoist_selections(input);
-            (
-                Expr::UnnestMap {
-                    input: Box::new(base),
-                    attr: *attr,
-                    value: value.clone(),
-                },
-                preds,
-            )
-        }
-        other => (other.clone(), Vec::new()),
+        Expr::Select { input, .. } => strip_selections(input),
+        Expr::Map { input, attr, value } => Expr::Map {
+            input: Box::new(strip_selections(input)),
+            attr: *attr,
+            value: value.clone(),
+        },
+        Expr::UnnestMap { input, attr, value } => Expr::UnnestMap {
+            input: Box::new(strip_selections(input)),
+            attr: *attr,
+            value: value.clone(),
+        },
+        other => other.clone(),
     }
 }
 
@@ -257,7 +269,7 @@ mod tests {
             vec![(Sym::new("a1"), CmpOp::Eq, Sym::new("a2"))]
         );
         // Local conjunct was pushed into e2 as a selection.
-        assert!(matches!(pat.e2, Expr::Select { .. }));
+        assert!(matches!(pat.e2(), Expr::Select { .. }));
     }
 
     #[test]

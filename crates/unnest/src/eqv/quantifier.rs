@@ -4,6 +4,7 @@ use nal::expr::attrs::attr_set;
 use nal::{Expr, ProjOp, Scalar, Sym};
 
 use crate::conditions::inner_independent;
+use crate::eqv::pattern::{hoisted_preds, strip_selections};
 
 /// Eqv. 6: `σ_{∃x∈(Π_{x'}(σ_q(e2))) p}(e1) = e1 ⋉_{q ∧ p'} e2`
 /// where `p'` is `p` with `x` replaced by `x'`.
@@ -37,24 +38,18 @@ fn rewrite_quantifier(expr: &Expr, universal: bool) -> Option<Expr> {
         ProjOp::Cols(cols) if cols.len() == 1 => cols[0],
         _ => return None,
     };
-    // Hoist buried selections to the top of the range pipeline first
-    // (translations put later `let` maps above the correlating σ).
-    let (range_base, hoisted) = crate::eqv::pattern::hoist_selections(range_in);
-    let (e2, q): (Expr, Option<Scalar>) = if hoisted.is_empty() {
-        (range_base, None)
-    } else {
-        (range_base, Some(Scalar::conjoin(hoisted)))
-    };
-    let e2 = &e2;
-    let q = q.as_ref();
+    // Buried selections are hoisted to the top of the range pipeline
+    // (translations put later `let` maps above the correlating σ): `q`
+    // is their conjunction, `e2` the range without them. Both are only
+    // built once every condition that can be read off the borrowed
+    // range has passed.
+    let q_parts = hoisted_preds(range_in);
     // Conditions: x' ∈ A(e2); e2 itself uncorrelated; q may reference
     // A(e1) ∪ A(e2) only; p may reference {x} ∪ A(e1) ∪ A(e2).
     let a1 = attr_set(e1);
-    let a2 = attr_set(e2);
+    // σ neither adds nor removes attributes: A(range) is A(e2).
+    let a2 = attr_set(range_in);
     if !a2.contains(&x_prime) {
-        return None;
-    }
-    if !inner_independent(e2, e1) {
         return None;
     }
     if a1.intersection(&a2).next().is_some() {
@@ -65,36 +60,35 @@ fn rewrite_quantifier(expr: &Expr, universal: bool) -> Option<Expr> {
             .into_iter()
             .all(|a| a1.contains(&a) || a2.contains(&a) || Some(a) == extra)
     };
-    if let Some(q) = q {
-        if !in_scope(q, None) || q.has_nested_expr() {
-            return None;
-        }
+    if q_parts
+        .iter()
+        .any(|q| !in_scope(q, None) || q.has_nested_expr())
+    {
+        return None;
     }
     if !in_scope(p, Some(var)) || p.has_nested_expr() {
         return None;
     }
+    let e2 = strip_selections(range_in);
+    if !inner_independent(&e2, e1) {
+        return None;
+    }
+    let q = (!q_parts.is_empty()).then(|| Scalar::conjoin(q_parts.into_iter().cloned().collect()));
     // p' = p[x := x'].
     let p_prime = p.rename_attrs(&[(x_prime, var)]);
     let p_part = if universal { p_prime.not() } else { p_prime };
     let pred = match q {
         Some(q) => match is_trivially_true(&p_part) {
-            true => q.clone(),
-            false => q.clone().and(p_part),
+            true => q,
+            false => q.and(p_part),
         },
         None => p_part,
     };
+    let (left, right) = (e1.clone(), Box::new(e2));
     Some(if universal {
-        Expr::AntiJoin {
-            left: e1.clone(),
-            right: Box::new(e2.clone()),
-            pred,
-        }
+        Expr::AntiJoin { left, right, pred }
     } else {
-        Expr::SemiJoin {
-            left: e1.clone(),
-            right: Box::new(e2.clone()),
-            pred,
-        }
+        Expr::SemiJoin { left, right, pred }
     })
 }
 

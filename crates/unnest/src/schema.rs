@@ -118,10 +118,11 @@ pub fn value_descriptor(e: &Expr, col: Sym) -> Option<ValueDescriptor> {
     }
 }
 
-/// Resolve a scalar to a descriptor: `Attr(v)path`, with `v` itself
-/// resolving to a document-rooted path, possibly wrapped in
-/// `distinct-values` or an `e[a]` lift (whose *inner* values we describe).
-fn scalar_descriptor(s: &Scalar, input: &Expr) -> Option<ValueDescriptor> {
+/// Resolve a scalar evaluated over `input`'s tuples to a descriptor:
+/// `Attr(v)path`, with `v` itself resolving to a document-rooted path,
+/// possibly wrapped in `distinct-values` or an `e[a]` lift (whose
+/// *inner* values we describe).
+pub(crate) fn scalar_descriptor(s: &Scalar, input: &Expr) -> Option<ValueDescriptor> {
     match s {
         Scalar::DistinctItems(inner) => {
             let d = scalar_descriptor(inner, input)?;
@@ -169,14 +170,10 @@ pub fn values_match(catalog: &Catalog, d1: &ValueDescriptor, d2: &ValueDescripto
     let Some(doc) = catalog.doc_by_uri(d1.uri()) else {
         return false;
     };
-    let Some(dtd) = doc.dtd.as_ref() else {
+    let Some(facts) = doc.schema_facts() else {
         return false; // no schema — cannot prove anything
     };
-    let facts = SchemaFacts::analyze(dtd);
-    match (
-        selects_all(&facts, d1.path()),
-        selects_all(&facts, d2.path()),
-    ) {
+    match (selects_all(facts, d1.path()), selects_all(facts, d2.path())) {
         (Some(t1), Some(t2)) => t1 == t2,
         _ => false,
     }

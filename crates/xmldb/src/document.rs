@@ -11,9 +11,11 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::dtd::Dtd;
 use crate::node::{NodeData, NodeId, NodeKind, NONE, ORDER_STRIDE};
+use crate::schema::SchemaFacts;
 
 /// Minimum inter-node gap a rebalance restores: 2¹⁶ leaves another ~16
 /// same-spot splits before the next rebalance of the region.
@@ -73,9 +75,12 @@ pub struct Document {
     /// Document URI within the catalog, e.g. `"bib.xml"`.
     pub uri: String,
     /// The internal DTD subset, if the document carried one (or if the
-    /// generator attached one). Schema facts for the rewriter come from
-    /// here. Updates do **not** revalidate against it.
-    pub dtd: Option<Dtd>,
+    /// generator attached one), with the schema facts derived from it.
+    /// Written only by [`DocumentBuilder::set_dtd`], which analyzes the
+    /// DTD as it attaches it, so the facts always describe this DTD;
+    /// clones of the document (clone-on-write snapshots) share them.
+    /// Updates do **not** revalidate against it.
+    schema: Option<Arc<SchemaFacts>>,
     nodes: Vec<NodeData>,
     names: Vec<Box<str>>,
     name_index: HashMap<Box<str>, u32>,
@@ -113,6 +118,19 @@ impl Document {
     #[inline]
     pub fn order_epoch(&self) -> u64 {
         self.order_epoch
+    }
+
+    /// The internal DTD subset, if the document has one.
+    #[inline]
+    pub fn dtd(&self) -> Option<&Dtd> {
+        self.schema.as_deref().map(SchemaFacts::dtd)
+    }
+
+    /// Schema facts of [`Document::dtd`] for the rewriter — analyzed
+    /// once, when the DTD was attached, and lent out from there.
+    #[inline]
+    pub fn schema_facts(&self) -> Option<&SchemaFacts> {
+        self.schema.as_deref()
     }
 
     /// Resolve an interned name index to the name string.
@@ -818,7 +836,7 @@ impl DocumentBuilder {
     pub fn new(uri: impl Into<String>) -> DocumentBuilder {
         let mut doc = Document {
             uri: uri.into(),
-            dtd: None,
+            schema: None,
             nodes: Vec::new(),
             names: Vec::new(),
             name_index: HashMap::new(),
@@ -833,9 +851,10 @@ impl DocumentBuilder {
         }
     }
 
-    /// Attach the parsed internal DTD subset.
+    /// Attach the parsed internal DTD subset and the schema facts
+    /// derived from it (the one place either is set).
     pub fn set_dtd(&mut self, dtd: Dtd) {
-        self.doc.dtd = Some(dtd);
+        self.doc.schema = Some(Arc::new(SchemaFacts::analyze(dtd)));
     }
 
     fn push_node(&mut self, mut data: NodeData) -> u32 {

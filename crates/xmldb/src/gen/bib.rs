@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn dtd_is_attached() {
         let d = gen_bib(&BibConfig::default());
-        let dtd = d.dtd.as_ref().unwrap();
+        let dtd = d.dtd().unwrap();
         assert!(dtd.element("book").is_some());
         assert_eq!(dtd.doctype, "bib");
     }

@@ -97,7 +97,6 @@ pub fn gen_dblp(cfg: &DblpConfig) -> Document {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::SchemaFacts;
     use std::collections::HashSet;
 
     #[test]
@@ -131,7 +130,7 @@ mod tests {
     #[test]
     fn schema_facts_refuse_only_under_book() {
         let d = gen_dblp(&DblpConfig::default());
-        let facts = SchemaFacts::analyze(d.dtd.as_ref().unwrap());
+        let facts = d.schema_facts().unwrap();
         assert!(!facts.occurs_only_under("author", "book"));
     }
 

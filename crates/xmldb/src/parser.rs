@@ -381,7 +381,7 @@ mod tests {
             <bib><book><title>X</title></book></bib>"#,
         )
         .unwrap();
-        let dtd = d.dtd.as_ref().unwrap();
+        let dtd = d.dtd().unwrap();
         assert_eq!(dtd.doctype, "bib");
         assert!(dtd.element("book").is_some());
     }

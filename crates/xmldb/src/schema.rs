@@ -69,7 +69,15 @@ impl Occurrence {
     }
 }
 
-/// Derived facts over a DTD's element graph.
+/// Derived facts over a DTD's element graph, plus the DTD itself.
+///
+/// Built exactly once per document: [`crate::DocumentBuilder::set_dtd`]
+/// — the only place a DTD is attached — analyzes it and stores the
+/// result behind an `Arc` next to the node arena, where
+/// [`crate::Document::schema_facts`] lends it out. A document's DTD
+/// cannot be replaced afterwards (the field is private and updates do
+/// not touch it), so the memo cannot go stale, and the clone-on-write
+/// snapshots of an updated document share it instead of re-analyzing.
 #[derive(Debug)]
 pub struct SchemaFacts {
     /// child element name -> set of parent element names that may contain it.
@@ -82,8 +90,10 @@ pub struct SchemaFacts {
 }
 
 impl SchemaFacts {
-    /// Analyze `dtd` (cheap; done once per document).
-    pub fn analyze(dtd: &Dtd) -> SchemaFacts {
+    /// Analyze `dtd`. Done once per document, where the DTD is attached
+    /// (see the type's documentation); consumers borrow the result from
+    /// [`crate::Document::schema_facts`].
+    pub(crate) fn analyze(dtd: Dtd) -> SchemaFacts {
         let mut parents: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         for decl in &dtd.elements {
             let mut names = Vec::new();
@@ -124,8 +134,13 @@ impl SchemaFacts {
             parents,
             attr_owners,
             reachable,
-            dtd: dtd.clone(),
+            dtd,
         }
+    }
+
+    /// The analyzed DTD.
+    pub fn dtd(&self) -> &Dtd {
+        &self.dtd
     }
 
     /// Element names that may contain `child` (directly), restricted to
@@ -145,8 +160,14 @@ impl SchemaFacts {
     /// `true` iff every (reachable) occurrence of `child` is directly under
     /// an element named `parent`.
     pub fn occurs_only_under(&self, child: &str, parent: &str) -> bool {
-        let ps = self.parents_of(child);
-        !ps.is_empty() && ps.iter().all(|p| p == parent)
+        let mut ps = self
+            .parents
+            .get(child)
+            .into_iter()
+            .flatten()
+            .filter(|p| self.reachable.contains(*p))
+            .peekable();
+        ps.peek().is_some() && ps.all(|p| p == parent)
     }
 
     /// Elements declaring attribute `attr`.
@@ -249,7 +270,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        SchemaFacts::analyze(&dtd)
+        SchemaFacts::analyze(dtd)
     }
 
     #[test]
@@ -301,7 +322,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let f = SchemaFacts::analyze(&dtd);
+        let f = SchemaFacts::analyze(dtd);
         assert!(!f.occurs_only_under("author", "book"));
         assert_eq!(f.parents_of("author").len(), 3);
     }
@@ -317,7 +338,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let f = SchemaFacts::analyze(&dtd);
+        let f = SchemaFacts::analyze(dtd);
         // `orphan` also contains item, but it is unreachable from root.
         assert!(f.occurs_only_under("item", "root"));
         assert!(!f.reachable("orphan"));
@@ -335,7 +356,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let f = SchemaFacts::analyze(&dtd);
+        let f = SchemaFacts::analyze(dtd);
         assert_eq!(f.occurrence("r", "a"), Occurrence { min: 2, many: true });
         assert_eq!(
             f.occurrence("r", "b"),

@@ -440,13 +440,17 @@ mod tests {
             snap.doc(id).node_count() as u64
         };
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The writer starts only once every reader has pinned: without
+        // the rendezvous, 200 writes can finish before a reader thread
+        // is first scheduled, and nothing was hammered.
+        let first_pins = Arc::new(std::sync::Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let handle = Arc::clone(&handle);
                 let stop = Arc::clone(&stop);
+                let first_pins = Arc::clone(&first_pins);
                 std::thread::spawn(move || {
-                    let mut pins = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    let pin_and_check = || {
                         let snap = handle.pin();
                         let id = snap.by_uri("a.xml").unwrap();
                         assert_eq!(
@@ -454,12 +458,19 @@ mod tests {
                             base + 2 * snap.update_seq(),
                             "torn snapshot"
                         );
+                    };
+                    pin_and_check();
+                    first_pins.wait();
+                    let mut pins = 1u64;
+                    while !stop.load(Ordering::Relaxed) {
+                        pin_and_check();
                         pins += 1;
                     }
                     pins
                 })
             })
             .collect();
+        first_pins.wait();
         for _ in 0..200 {
             handle.write(|cat| {
                 let id = cat.by_uri("a.xml").unwrap();

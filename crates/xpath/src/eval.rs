@@ -2,7 +2,7 @@
 
 use xmldb::{Document, NodeId, NodeKind};
 
-use crate::ast::{Axis, Path, Step};
+use crate::ast::{Axis, NameTest, Path, Step};
 
 /// Counters the engine uses for the paper's "number of document scans"
 /// argument (§5.1: the nested plan scans the document |author|+1 times).
@@ -68,6 +68,34 @@ impl PathBuffers {
     }
 }
 
+/// A step's name test resolved against one document's interned names,
+/// so that testing a node is an integer comparison.
+#[derive(Clone, Copy)]
+enum IdTest {
+    /// `*`.
+    Any,
+    /// A literal name: its id in the document, or `None` if the document
+    /// never interned it — then no node can carry it.
+    Id(Option<u32>),
+}
+
+impl IdTest {
+    fn resolve(test: &NameTest, doc: &Document) -> IdTest {
+        match test.literal() {
+            None => IdTest::Any,
+            Some(name) => IdTest::Id(doc.find_name(name)),
+        }
+    }
+
+    #[inline]
+    fn matches(self, name: u32) -> bool {
+        match self {
+            IdTest::Any => true,
+            IdTest::Id(wanted) => wanted == Some(name),
+        }
+    }
+}
+
 /// One step over an ordered, duplicate-free context, into `out`.
 fn eval_step(
     doc: &Document,
@@ -77,8 +105,9 @@ fn eval_step(
     out: &mut Vec<NodeId>,
 ) {
     out.clear();
+    let test = IdTest::resolve(&step.test, doc);
     for &node in context {
-        apply_step(doc, node, step, out, counters);
+        apply_step(doc, node, step.axis, test, out, counters);
     }
     // Document order == NodeId order. One context node yields its
     // matches in order, each once. Several can interleave (a child or
@@ -95,16 +124,17 @@ fn eval_step(
 fn apply_step(
     doc: &Document,
     node: NodeId,
-    step: &Step,
+    axis: Axis,
+    test: IdTest,
     out: &mut Vec<NodeId>,
     counters: &mut EvalCounters,
 ) {
-    match step.axis {
+    match axis {
         Axis::Child => {
             for c in doc.children(node) {
                 counters.nodes_visited += 1;
                 if let NodeKind::Element(name) = doc.kind(c) {
-                    if step.test.matches(doc.name(name)) {
+                    if test.matches(name) {
                         out.push(c);
                     }
                 }
@@ -118,7 +148,7 @@ fn apply_step(
             for d in doc.descendants(node) {
                 counters.nodes_visited += 1;
                 if let NodeKind::Element(name) = doc.kind(d) {
-                    if step.test.matches(doc.name(name)) {
+                    if test.matches(name) {
                         out.push(d);
                     }
                 }
@@ -128,7 +158,7 @@ fn apply_step(
             for a in doc.attributes(node) {
                 counters.nodes_visited += 1;
                 if let NodeKind::Attribute(name) = doc.kind(a) {
-                    if step.test.matches(doc.name(name)) {
+                    if test.matches(name) {
                         out.push(a);
                     }
                 }
@@ -242,5 +272,16 @@ mod tests {
         let d = doc();
         assert!(eval(&d, "//nonexistent").is_empty());
         assert!(eval(&d, "//book/@missing").is_empty());
+        // A name the document never interned resolves to no id; the
+        // step still walks (and counts) exactly what any other name
+        // would.
+        assert_eq!(d.find_name("nonexistent"), None);
+        let visited = |path: &str| {
+            let mut c = EvalCounters::default();
+            eval_path(&d, &[NodeId::DOCUMENT], &parse_path(path).unwrap(), &mut c);
+            c
+        };
+        assert_eq!(visited("//nonexistent"), visited("//last"));
+        assert_eq!(visited("/bib/nonexistent"), visited("/bib/book"));
     }
 }

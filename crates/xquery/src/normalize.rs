@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use xmldb::{Catalog, SchemaFacts};
+use xmldb::Catalog;
 
 use crate::ast::{CPart, Clause, PathAxis, PathStep, QExpr};
 
@@ -525,10 +525,9 @@ impl<'a> Normalizer<'a> {
         let Some(doc) = self.catalog.doc_by_uri(uri) else {
             return false;
         };
-        let Some(dtd) = doc.dtd.as_ref() else {
+        let Some(facts) = doc.schema_facts() else {
             return false;
         };
-        let facts = SchemaFacts::analyze(dtd);
         // Current element name at the end of the var's trail.
         let Some((_, mut parent)) = trail.last().cloned() else {
             return false;

@@ -439,10 +439,9 @@ impl<'a> Translator<'a> {
         let Some(doc) = self.catalog.doc_by_uri(&uri) else {
             return Card::Many;
         };
-        let Some(dtd) = doc.dtd.as_ref() else {
+        let Some(facts) = doc.schema_facts() else {
             return Card::Many;
         };
-        let facts = xmldb::SchemaFacts::analyze(dtd);
         for s in steps {
             match s.axis {
                 PathAxis::Attribute => return Card::One,

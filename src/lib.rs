@@ -5,6 +5,7 @@
 //! shared experiment [`workloads`]. See `DESIGN.md` for the system map
 //! and `EXPERIMENTS.md` for measured results.
 
+pub mod plan_sets;
 pub mod workloads;
 
 pub use engine;
