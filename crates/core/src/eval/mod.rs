@@ -62,6 +62,95 @@ impl From<String> for EvalError {
 /// Result alias for evaluation.
 pub type EvalResult<T> = Result<T, EvalError>;
 
+/// Display names of every metered physical operator, sorted: an
+/// operator's position here is its [`OpId`], its slot in
+/// [`OpTuples`].
+const OP_NAMES: [&str; 30] = [
+    "AttrRel",
+    "Cross",
+    "HashAntiJoin",
+    "HashGroup",
+    "HashJoin",
+    "HashNestJoin",
+    "HashOuterJoin",
+    "HashSemiJoin",
+    "IndexAntiJoin",
+    "IndexCompositeAntiJoin",
+    "IndexCompositeSemiJoin",
+    "IndexRangeAntiJoin",
+    "IndexRangeSemiJoin",
+    "IndexScan",
+    "IndexSemiJoin",
+    "Literal",
+    "LoopAntiJoin",
+    "LoopJoin",
+    "LoopOuterJoin",
+    "LoopSemiJoin",
+    "Map",
+    "Project",
+    "Select",
+    "Singleton",
+    "ThetaGroup",
+    "ThetaNestJoin",
+    "Unnest",
+    "UnnestMap",
+    "Xi",
+    "XiGroup",
+];
+
+/// A physical operator's counter slot. Resolved from the display name
+/// once, when a cursor is built, so that counting a tuple is an array
+/// increment and never a name comparison.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpId(u8);
+
+impl OpId {
+    /// The slot of the operator displayed as `name`, if it is metered.
+    pub fn of(name: &str) -> Option<OpId> {
+        OP_NAMES.binary_search(&name).ok().map(|i| OpId(i as u8))
+    }
+
+    /// The operator's display name.
+    pub fn name(self) -> &'static str {
+        OP_NAMES[self.0 as usize]
+    }
+}
+
+/// Tuples produced per physical operator: one fixed slot per operator
+/// name. Reads like the name-keyed map it replaces — iteration yields
+/// the operators that produced something, in name order.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct OpTuples([u64; OP_NAMES.len()]);
+
+impl OpTuples {
+    /// Record one tuple produced by `op`.
+    #[inline]
+    pub fn bump(&mut self, op: OpId) {
+        self.0[op.0 as usize] += 1;
+    }
+
+    /// `(operator name, tuples produced)` for every operator that
+    /// produced at least one tuple, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        OP_NAMES
+            .iter()
+            .zip(&self.0)
+            .filter(|(_, n)| **n > 0)
+            .map(|(name, n)| (*name, *n))
+    }
+
+    /// Forget every count.
+    pub fn clear(&mut self) {
+        self.0 = Default::default();
+    }
+}
+
+impl fmt::Debug for OpTuples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// Counters exposing the paper's cost arguments (…"the nested plan needs
 /// to scan the document |author|+1 times", §5.1).
 #[derive(Default, Debug, Clone, PartialEq, Eq)]
@@ -77,9 +166,8 @@ pub struct Metrics {
     pub nested_evals: u64,
     /// Tuples produced per physical operator. Populated by the streaming
     /// executor's metered cursors; the materializing executor and the
-    /// reference evaluator leave it empty. Keys are operator display
-    /// names (`"HashSemiJoin"`, `"Select"`, …).
-    pub op_tuples: std::collections::BTreeMap<&'static str, u64>,
+    /// reference evaluator leave it empty.
+    pub op_tuples: OpTuples,
     /// Right-side candidate tuples examined by join probes (the physical
     /// engine's executors share their join cursors, so they count alike;
     /// the reference evaluator leaves it 0). Short-circuiting semi/anti
@@ -98,14 +186,10 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Record `n` tuples produced by operator `op`.
-    pub fn bump_op(&mut self, op: &'static str, n: u64) {
-        *self.op_tuples.entry(op).or_insert(0) += n;
-    }
-
-    /// Tuples produced by operator `op` (0 if it never ran).
+    /// Tuples produced by the operator displayed as `op` (0 if it never
+    /// ran, or is no operator).
     pub fn op_count(&self, op: &str) -> u64 {
-        self.op_tuples.get(op).copied().unwrap_or(0)
+        OpId::of(op).map_or(0, |id| self.op_tuples.0[id.0 as usize])
     }
 
     /// Fold another context's counters into this one. Parallel execution
@@ -120,8 +204,8 @@ impl Metrics {
         self.probe_tuples += other.probe_tuples;
         self.index_lookups += other.index_lookups;
         self.index_hits += other.index_hits;
-        for (op, n) in &other.op_tuples {
-            self.bump_op(op, *n);
+        for (mine, theirs) in self.op_tuples.0.iter_mut().zip(&other.op_tuples.0) {
+            *mine += theirs;
         }
     }
 }
@@ -486,9 +570,16 @@ fn project_seq(seq: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Seq {
 /// Duplicate elimination by *atomized* value (nodes dedup by string
 /// value, matching `distinct-values`), keeping the first occurrence.
 pub fn dedup_by_value(seq: &[Tuple], catalog: &Catalog) -> Seq {
-    let mut seen = std::collections::HashSet::with_capacity(seq.len());
+    let mut seen =
+        std::collections::HashSet::with_capacity_and_hasher(seq.len(), crate::hash::FastBuild);
+    let mut scratch = String::new();
+    let mut key = |t: &Tuple| -> Vec<Value> {
+        t.values()
+            .map(|v| v.atomize_in(catalog, &mut scratch))
+            .collect()
+    };
     seq.iter()
-        .filter(|t| seen.insert(t.values().map(|v| v.atomize(catalog)).collect::<Vec<_>>()))
+        .filter(|t| seen.insert(key(t)))
         .cloned()
         .collect()
 }

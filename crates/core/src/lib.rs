@@ -22,6 +22,7 @@
 
 pub mod eval;
 pub mod expr;
+pub mod hash;
 pub mod obs;
 pub mod scalar;
 pub mod sequence;
@@ -29,7 +30,7 @@ pub mod sym;
 pub mod tuple;
 pub mod value;
 
-pub use eval::{eval, eval_query, EvalCtx, EvalError, EvalResult, Metrics};
+pub use eval::{eval, eval_query, EvalCtx, EvalError, EvalResult, Metrics, OpId};
 pub use expr::{Expr, ProjOp, XiCmd};
 pub use scalar::{AggKind, ArithOp, Func, GroupFn, Scalar};
 pub use sequence::Seq;

@@ -281,6 +281,41 @@ impl Scalar {
         }
     }
 
+    /// Call `visit` with every attribute this scalar references (repeats
+    /// included) — unless it embeds nested algebra, whose references
+    /// depend on the nested expressions' own schemas ([`Self::free_attrs`]
+    /// resolves those): then nothing is visited and the answer is
+    /// `false`. Allocation-free, for passes that run per compilation.
+    pub fn flat_attrs(&self, visit: &mut impl FnMut(Sym)) -> bool {
+        if self.has_nested_expr() {
+            return false;
+        }
+        fn walk(s: &Scalar, visit: &mut impl FnMut(Sym)) {
+            match s {
+                Scalar::Const(_) | Scalar::Doc(_) => {}
+                Scalar::Attr(a) => visit(*a),
+                Scalar::Cmp(_, l, r)
+                | Scalar::In(l, r)
+                | Scalar::And(l, r)
+                | Scalar::Or(l, r)
+                | Scalar::Arith(_, l, r) => {
+                    walk(l, visit);
+                    walk(r, visit);
+                }
+                Scalar::Not(x)
+                | Scalar::Lift(x, _)
+                | Scalar::DistinctItems(x)
+                | Scalar::Path(x, _) => walk(x, visit),
+                Scalar::Call(_, args) => args.iter().for_each(|a| walk(a, visit)),
+                Scalar::Exists { .. } | Scalar::Forall { .. } | Scalar::Agg { .. } => {
+                    unreachable!("checked above")
+                }
+            }
+        }
+        walk(self, visit);
+        true
+    }
+
     /// Rename free attribute references per `(new, old)` pairs. Used by
     /// the rewriter, e.g. Eqv. 6/7 replace the quantifier variable `x` by
     /// the range attribute `x'` ("p′ results from p by replacing x by

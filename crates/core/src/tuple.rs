@@ -35,6 +35,76 @@ fn collect_exact(n: usize, mut next: impl FnMut() -> Field) -> Arc<[Field]> {
     (0..n).map(|_| next()).collect()
 }
 
+/// The next field of the sorted merge of `l` and `r` and whether it is
+/// `r`'s, advancing the two positions; an attribute both sides bind
+/// yields the right one.
+fn next_merged<'a>(
+    l: &'a [Field],
+    r: &'a [Field],
+    i: &mut usize,
+    j: &mut usize,
+) -> (&'a Field, bool) {
+    let order = match (l.get(*i), r.get(*j)) {
+        (Some(x), Some(y)) => x.0.cmp(&y.0),
+        (Some(_), None) => Ordering::Less,
+        (None, _) => Ordering::Greater,
+    };
+    if order != Ordering::Greater {
+        *i += 1;
+    }
+    if order != Ordering::Less {
+        *j += 1;
+        (&r[*j - 1], true)
+    } else {
+        (&l[*i - 1], false)
+    }
+}
+
+/// `(map(l) ◦ r)|_keep` — the sorted merge behind the operations that
+/// build a *restricted* tuple from two field lists; `map` (when given)
+/// replaces the surviving values of `l`. Counted first, so the block is
+/// allocated once at its final arity — or not at all, when what
+/// survives is `l` itself (a binding nothing reads) or nothing. (Plain
+/// `◦` and `extend`, the reference evaluator's two primitives, keep
+/// their own leaner loops: measured 105 ns against 150 ns through
+/// here for a 2 ◦ 3-field concatenation.)
+fn merge(
+    l: &Tuple,
+    r: &[Field],
+    keep: Option<&[Sym]>,
+    mut map: Option<&mut dyn FnMut(&Value) -> Value>,
+) -> Tuple {
+    let kept = |f: &Field| match keep {
+        None => true,
+        Some(keep) => keep.contains(&f.0),
+    };
+    let (mut i, mut j, mut n, mut from_r) = (0, 0, 0, 0);
+    while i < l.fields.len() || j < r.len() {
+        let (field, right) = next_merged(&l.fields, r, &mut i, &mut j);
+        if kept(field) {
+            n += 1;
+            from_r += usize::from(right);
+        }
+    }
+    if n == 0 {
+        return Tuple::empty();
+    }
+    if from_r == 0 && n == l.fields.len() && map.is_none() {
+        return l.clone();
+    }
+    let (mut i, mut j) = (0, 0);
+    let fields = collect_exact(n, || loop {
+        let (field, right) = next_merged(&l.fields, r, &mut i, &mut j);
+        if kept(field) {
+            return match &mut map {
+                Some(map) if !right => (field.0, map(&field.1)),
+                _ => field.clone(),
+            };
+        }
+    });
+    Tuple { fields }
+}
+
 impl Tuple {
     /// The empty tuple (the single element of the `□` singleton sequence).
     pub fn empty() -> Tuple {
@@ -135,22 +205,18 @@ impl Tuple {
         }
         let (mut i, mut j) = (0, 0);
         let fields = collect_exact(l.len() + r.len() - shared, || {
-            let order = match (l.get(i), r.get(j)) {
-                (Some(x), Some(y)) => x.0.cmp(&y.0),
-                (Some(_), None) => Ordering::Less,
-                (None, _) => Ordering::Greater,
-            };
-            if order != Ordering::Greater {
-                i += 1;
-            }
-            if order != Ordering::Less {
-                j += 1;
-                r[j - 1].clone()
-            } else {
-                l[i - 1].clone()
-            }
+            next_merged(l, r, &mut i, &mut j).0.clone()
         });
         Tuple { fields }
+    }
+
+    /// `(self ◦ other)|_keep` in one block: what a join emits when only
+    /// `keep` is read above it (`None`: everything).
+    pub fn concat_keep(&self, other: &Tuple, keep: Option<&[Sym]>) -> Tuple {
+        match keep {
+            None => self.concat(other),
+            Some(_) => merge(self, &other.fields, keep, None),
+        }
     }
 
     /// Extend with one binding (the map operator's `t ◦ [a: v]`).
@@ -167,6 +233,30 @@ impl Tuple {
                 .chain(self.fields[after..].iter().cloned())
                 .collect(),
         }
+    }
+
+    /// `(self ◦ bound)|_keep` in one block, for `bound` sorted by
+    /// attribute without repeats: what χ and Υ emit when only `keep` is
+    /// read above them (`None`: everything). A run of χ bindings lands
+    /// in the output with one merge instead of one block per binding.
+    pub fn merged(&self, bound: &[(Sym, Value)], keep: Option<&[Sym]>) -> Tuple {
+        debug_assert!(bound.windows(2).all(|w| w[0].0 < w[1].0));
+        match (bound, keep) {
+            ([(a, v)], None) => self.extend(*a, v.clone()),
+            _ => merge(self, bound, keep, None),
+        }
+    }
+
+    /// [`Self::merged`] with every surviving value of `self` replaced by
+    /// `map(value)` — a Γ result in one block: the key attributes of a
+    /// group member, atomized, and the aggregate.
+    pub fn merged_with(
+        &self,
+        bound: &[(Sym, Value)],
+        keep: Option<&[Sym]>,
+        mut map: impl FnMut(&Value) -> Value,
+    ) -> Tuple {
+        merge(self, bound, keep, Some(&mut map))
     }
 
     /// The fields satisfying `keep`, in order — still sorted, so no
@@ -192,6 +282,12 @@ impl Tuple {
     /// Drop the attributes in `attrs` (the paper's `Π_{Ā}`).
     pub fn without(&self, attrs: &[Sym]) -> Tuple {
         self.filtered(|s| !attrs.contains(&s))
+    }
+
+    /// `Π_A` with every kept value replaced by `f(value)`, in one block
+    /// (a Γ key tuple: project onto the key, atomize).
+    pub fn project_map(&self, attrs: &[Sym], f: impl FnMut(&Value) -> Value) -> Tuple {
+        self.merged_with(&[], Some(attrs), f)
     }
 
     /// The same attributes with every value replaced by `f(value)`.

@@ -168,9 +168,23 @@ impl Value {
     /// Atomize: nodes become their string value, everything else is
     /// unchanged. Sequences atomize item-wise.
     pub fn atomize(&self, catalog: &Catalog) -> Value {
+        self.atomize_in(catalog, &mut String::new())
+    }
+
+    /// [`Self::atomize`] for a loop of them: a node's mixed content is
+    /// assembled in the caller's `scratch` on its way into the shared
+    /// string, not in a string of its own.
+    pub fn atomize_in(&self, catalog: &Catalog, scratch: &mut String) -> Value {
         match self {
-            Value::Node(n) => Value::Str(Arc::from(&*catalog.doc(n.doc).string_value(n.node))),
-            Value::Items(items) => Value::items(items.iter().map(|v| v.atomize(catalog)).collect()),
+            Value::Node(n) => Value::Str(Arc::from(
+                catalog.doc(n.doc).string_value_in(n.node, scratch).0,
+            )),
+            Value::Items(items) => Value::items(
+                items
+                    .iter()
+                    .map(|v| v.atomize_in(catalog, scratch))
+                    .collect(),
+            ),
             other => other.clone(),
         }
     }

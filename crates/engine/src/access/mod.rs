@@ -93,49 +93,16 @@ pub enum AccessPathRef<'p> {
 /// Visit every access path embedded anywhere in `plan`, in plan order.
 pub fn for_each_access_path<'p>(plan: &'p PhysPlan, f: &mut impl FnMut(AccessPathRef<'p>)) {
     match plan {
-        PhysPlan::Singleton
-        | PhysPlan::Literal(_)
-        | PhysPlan::AttrRel(_)
-        | PhysPlan::MorselFeed => {}
-        // A parallel segment embeds access paths on both sides: the
-        // serially-executed source and the worker-side stage pipeline
-        // (index scans resolved once per segment, index joins probed per
-        // morsel tuple). Cached parallel plans revalidate exactly like
-        // their serial originals.
-        PhysPlan::Parallel { source, stages } => {
-            for_each_access_path(source, f);
-            for_each_access_path(stages, f);
-        }
-        PhysPlan::IndexScan {
-            input,
-            uri,
-            pattern,
-            ..
-        } => {
-            f(AccessPathRef::Scan { uri, pattern });
-            for_each_access_path(input, f);
-        }
-        PhysPlan::IndexJoin { left, recipe } => {
-            f(AccessPathRef::Join(recipe));
-            for_each_access_path(left, f);
-        }
-        PhysPlan::Select { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Map { input, .. }
-        | PhysPlan::HashGroupUnary { input, .. }
-        | PhysPlan::ThetaGroupUnary { input, .. }
-        | PhysPlan::Unnest { input, .. }
-        | PhysPlan::UnnestMap { input, .. }
-        | PhysPlan::XiSimple { input, .. }
-        | PhysPlan::XiGroup { input, .. } => for_each_access_path(input, f),
-        PhysPlan::Cross { left, right }
-        | PhysPlan::HashJoin { left, right, .. }
-        | PhysPlan::LoopJoin { left, right, .. }
-        | PhysPlan::HashGroupBinary { left, right, .. }
-        | PhysPlan::ThetaGroupBinary { left, right, .. } => {
-            for_each_access_path(left, f);
-            for_each_access_path(right, f);
-        }
+        PhysPlan::IndexScan { uri, pattern, .. } => f(AccessPathRef::Scan { uri, pattern }),
+        PhysPlan::IndexJoin { recipe, .. } => f(AccessPathRef::Join(recipe)),
+        _ => {}
+    }
+    // A parallel segment embeds access paths on both sides: the
+    // serially-executed source and the worker-side stage pipeline.
+    // Cached parallel plans revalidate exactly like their serial
+    // originals.
+    for child in plan.inputs().into_iter().flatten() {
+        for_each_access_path(child, f);
     }
 }
 
@@ -259,20 +226,33 @@ pub fn apply_indexes(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
 
 fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
     match plan {
-        PhysPlan::UnnestMap { input, attr, value } => {
-            match trace::doc_rooted_path(&value, &input, false) {
-                Some((uri, path, distinct)) if trace::scan_convertible(&uri, &path, catalog) => {
-                    PhysPlan::IndexScan {
-                        input,
-                        attr,
-                        uri,
-                        pattern: pattern_of(&path),
-                        distinct,
-                    }
+        PhysPlan::UnnestMap {
+            input,
+            attr,
+            value,
+            fused,
+            keep,
+        } => match trace::doc_rooted_path(&value, &input, false) {
+            Some((uri, path, distinct)) if trace::scan_convertible(&uri, &path, catalog) => {
+                PhysPlan::IndexScan {
+                    input,
+                    attr,
+                    uri,
+                    pattern: pattern_of(&path),
+                    distinct,
+                    // The scan binds what the Υ bound: what is read of
+                    // it above has not changed.
+                    keep,
                 }
-                _ => PhysPlan::UnnestMap { input, attr, value },
             }
-        }
+            _ => PhysPlan::UnnestMap {
+                input,
+                attr,
+                value,
+                fused,
+                keep,
+            },
+        },
         PhysPlan::HashJoin { .. } | PhysPlan::LoopJoin { .. } => {
             match join_recipe(&plan, catalog) {
                 Some(recipe) => {
@@ -292,176 +272,15 @@ fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
     }
 }
 
-/// Rebuild a plan with every direct child mapped through `f`.
-pub(crate) fn map_children(plan: PhysPlan, f: &mut impl FnMut(PhysPlan) -> PhysPlan) -> PhysPlan {
-    let fb = |b: Box<PhysPlan>, f: &mut dyn FnMut(PhysPlan) -> PhysPlan| Box::new(f(*b));
-    match plan {
-        leaf @ (PhysPlan::Singleton
-        | PhysPlan::Literal(_)
-        | PhysPlan::AttrRel(_)
-        | PhysPlan::MorselFeed) => leaf,
-        PhysPlan::Parallel { source, stages } => PhysPlan::Parallel {
-            source: fb(source, f),
-            stages: fb(stages, f),
-        },
-        PhysPlan::Select { input, pred } => PhysPlan::Select {
-            input: fb(input, f),
-            pred,
-        },
-        PhysPlan::Project { input, op } => PhysPlan::Project {
-            input: fb(input, f),
-            op,
-        },
-        PhysPlan::Map { input, attr, value } => PhysPlan::Map {
-            input: fb(input, f),
-            attr,
-            value,
-        },
-        PhysPlan::Cross { left, right } => PhysPlan::Cross {
-            left: fb(left, f),
-            right: fb(right, f),
-        },
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-            pad,
-        } => PhysPlan::HashJoin {
-            left: fb(left, f),
-            right: fb(right, f),
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-            pad,
-        },
-        PhysPlan::LoopJoin {
-            left,
-            right,
-            pred,
-            split,
-            kind,
-            pad,
-        } => PhysPlan::LoopJoin {
-            left: fb(left, f),
-            right: fb(right, f),
-            pred,
-            split,
-            kind,
-            pad,
-        },
-        PhysPlan::HashGroupUnary {
-            input,
-            g,
-            by,
-            f: gf,
-        } => PhysPlan::HashGroupUnary {
-            input: fb(input, f),
-            g,
-            by,
-            f: gf,
-        },
-        PhysPlan::ThetaGroupUnary {
-            input,
-            g,
-            by,
-            theta,
-            f: gf,
-        } => PhysPlan::ThetaGroupUnary {
-            input: fb(input, f),
-            g,
-            by,
-            theta,
-            f: gf,
-        },
-        PhysPlan::HashGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            right_on,
-            f: gf,
-        } => PhysPlan::HashGroupBinary {
-            left: fb(left, f),
-            right: fb(right, f),
-            g,
-            left_on,
-            right_on,
-            f: gf,
-        },
-        PhysPlan::ThetaGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            theta,
-            right_on,
-            f: gf,
-        } => PhysPlan::ThetaGroupBinary {
-            left: fb(left, f),
-            right: fb(right, f),
-            g,
-            left_on,
-            theta,
-            right_on,
-            f: gf,
-        },
-        PhysPlan::Unnest {
-            input,
-            attr,
-            distinct,
-            preserve_empty,
-            inner_attrs,
-        } => PhysPlan::Unnest {
-            input: fb(input, f),
-            attr,
-            distinct,
-            preserve_empty,
-            inner_attrs,
-        },
-        PhysPlan::UnnestMap { input, attr, value } => PhysPlan::UnnestMap {
-            input: fb(input, f),
-            attr,
-            value,
-        },
-        PhysPlan::XiSimple { input, cmds } => PhysPlan::XiSimple {
-            input: fb(input, f),
-            cmds,
-        },
-        PhysPlan::XiGroup {
-            input,
-            by,
-            head,
-            body,
-            tail,
-        } => PhysPlan::XiGroup {
-            input: fb(input, f),
-            by,
-            head,
-            body,
-            tail,
-        },
-        PhysPlan::IndexScan {
-            input,
-            attr,
-            uri,
-            pattern,
-            distinct,
-        } => PhysPlan::IndexScan {
-            input: fb(input, f),
-            attr,
-            uri,
-            pattern,
-            distinct,
-        },
-        PhysPlan::IndexJoin { left, recipe } => PhysPlan::IndexJoin {
-            left: fb(left, f),
-            recipe,
-        },
+/// The plan with every direct child mapped through `f`.
+pub(crate) fn map_children(
+    mut plan: PhysPlan,
+    f: &mut impl FnMut(PhysPlan) -> PhysPlan,
+) -> PhysPlan {
+    for child in plan.children_mut() {
+        *child = f(std::mem::replace(child, PhysPlan::Singleton));
     }
+    plan
 }
 
 #[cfg(test)]

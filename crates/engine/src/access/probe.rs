@@ -16,7 +16,7 @@ use nal::{NodeRef, Sym, Tuple, Value};
 use xmldb::{CompositeValueIndex, NodeId, ValueIndex, ValueKey};
 
 use crate::exec::scoped;
-use crate::key::key_val;
+use crate::key::{key_val, probe_val};
 
 use super::doc_id_of;
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver};
@@ -42,6 +42,8 @@ pub struct IndexJoinAccess {
     cindex: Option<Arc<CompositeValueIndex>>,
     /// The evaluated probe sides of the current range probe.
     sides: Vec<(Value, nal::CmpOp)>,
+    /// Probe-key text assembled for a lookup.
+    scratch: String,
     rows: RowBuilder,
 }
 
@@ -154,6 +156,7 @@ impl IndexJoinAccess {
             vindex,
             cindex,
             sides: Vec::new(),
+            scratch: String::new(),
             rows: RowBuilder {
                 doc,
                 seed_shape,
@@ -187,7 +190,7 @@ impl IndexJoinAccess {
                     return Ok(false);
                 };
                 ctx.metrics.index_lookups += 1;
-                let key = key_val(v, catalog);
+                let (key, _) = probe_val(v, catalog, &mut self.scratch);
                 let candidates = self.vindex.as_ref().expect("point driver").get(&key);
                 if candidates.is_empty() {
                     return Ok(false);
@@ -299,7 +302,7 @@ impl IndexJoinAccess {
                 return Ok(false);
             };
             ctx.metrics.index_lookups += 1;
-            let key = key_val(v, catalog);
+            let (key, _) = probe_val(v, catalog, &mut self.scratch);
             let posting = vindex.get(&key);
             if fast {
                 let found = posting.iter().any(|&n| passes(n, None));
@@ -502,17 +505,18 @@ impl RowBuilder {
         for op in &recipe.ops {
             self.next.clear();
             match op {
-                BuildOp::Map(attr, value) => {
+                BuildOp::Map(attr, value, keep) => {
                     for t in self.stage.drain(..) {
                         let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                        self.next.push(t.extend(*attr, v));
+                        self.next.push(t.merged(&[(*attr, v)], keep.as_deref()));
                     }
                 }
-                BuildOp::UnnestMap(attr, value) => {
+                BuildOp::UnnestMap(attr, value, keep) => {
                     for t in self.stage.drain(..) {
                         let v = eval_scalar(value, &scoped(env, &t), ctx)?;
                         for item in v.as_items() {
-                            self.next.push(t.extend(*attr, item.clone()));
+                            self.next
+                                .push(t.merged(&[(*attr, item.clone())], keep.as_deref()));
                         }
                     }
                 }

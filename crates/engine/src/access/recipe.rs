@@ -98,10 +98,11 @@ pub enum AncestorMode {
 /// Ξ output.
 #[derive(Clone, Debug)]
 pub enum BuildOp {
-    /// χ — bind the attribute to the scalar's value.
-    Map(Sym, Scalar),
-    /// Υ — fan out over the scalar's item sequence.
-    UnnestMap(Sym, Scalar),
+    /// χ — bind the attribute to the scalar's value, emitting what the
+    /// replaced operator's [`crate::plan::Keep`] emitted.
+    Map(Sym, Scalar, Option<Vec<Sym>>),
+    /// Υ — fan out over the scalar's item sequence, likewise.
+    UnnestMap(Sym, Scalar, Option<Vec<Sym>>),
     /// σ — keep rows satisfying the predicate.
     Select(Scalar),
     /// Π — project/rename/drop columns.
@@ -201,7 +202,7 @@ impl AccessRecipe {
             || self
                 .ops
                 .iter()
-                .any(|o| matches!(o, BuildOp::Select(_) | BuildOp::UnnestMap(_, _)))
+                .any(|o| matches!(o, BuildOp::Select(_) | BuildOp::UnnestMap(..)))
     }
 
     /// The element tag of the key column — the pattern's last

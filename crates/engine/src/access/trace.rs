@@ -23,7 +23,7 @@ use nal::{Scalar, Sym};
 use xmldb::{AncestorChainSpec, Catalog, CompositeSpec, KeyComponent, MemberSpec, PathPattern};
 use xpath::{Axis, Path};
 
-use crate::plan::{JoinKind, PhysPlan};
+use crate::plan::{JoinKind, Keep, PhysPlan};
 use crate::theta::as_range_conjunct;
 
 use super::pattern_of;
@@ -222,11 +222,18 @@ fn trace_band_parts(
 fn phys_attrs(plan: &PhysPlan) -> Option<BTreeSet<Sym>> {
     match plan {
         PhysPlan::Singleton => Some(BTreeSet::new()),
-        PhysPlan::Map { input, attr, .. }
-        | PhysPlan::UnnestMap { input, attr, .. }
-        | PhysPlan::IndexScan { input, attr, .. } => {
+        PhysPlan::Map {
+            input, attr, keep, ..
+        }
+        | PhysPlan::UnnestMap {
+            input, attr, keep, ..
+        }
+        | PhysPlan::IndexScan {
+            input, attr, keep, ..
+        } => {
             let mut a = phys_attrs(input)?;
             a.insert(*attr);
+            a.retain(|x| keep.emits(*x));
             Some(a)
         }
         PhysPlan::Select { input, .. } => phys_attrs(input),
@@ -295,7 +302,17 @@ pub(super) fn doc_rooted_path(
 /// differently makes the walk decline.
 fn resolve_doc_binding(plan: &PhysPlan, d: Sym) -> Option<String> {
     match plan {
-        PhysPlan::Map { input, attr, value } => {
+        // The name must survive every producer's `keep` on the way up.
+        PhysPlan::Map { keep, .. }
+        | PhysPlan::UnnestMap { keep, .. }
+        | PhysPlan::IndexScan { keep, .. }
+            if !keep.emits(d) =>
+        {
+            None
+        }
+        PhysPlan::Map {
+            input, attr, value, ..
+        } => {
             if *attr == d {
                 match value {
                     Scalar::Doc(uri) => Some(uri.clone()),
@@ -442,6 +459,7 @@ fn trace_build_parts(
     let PhysPlan::UnnestMap {
         input: key_binding_input,
         value: key_binding_value,
+        keep: key_binding_keep,
         ..
     } = stop
     else {
@@ -456,7 +474,10 @@ fn trace_build_parts(
         // bare existence probe is equivalent.
         return None;
     }
-    let chain = resolve_key_chain(key_binding_value, key_binding_input)?;
+    let chain = resolve_key_chain(key_binding_value, key_binding_input)?.emitting(key_binding_keep);
+    if !key_binding_keep.emits(key) {
+        return None;
+    }
 
     // Phase 3: reconstructability. The replayed ops and the residual run
     // over exactly the tuple shape the hash plan had, so errors and
@@ -465,13 +486,18 @@ fn trace_build_parts(
     let mut referenced: BTreeSet<Sym> = BTreeSet::new();
     for op in &ops {
         match op {
-            BuildOp::Map(_, v) | BuildOp::UnnestMap(_, v) => referenced.extend(v.free_attrs()),
+            BuildOp::Map(_, v, _) | BuildOp::UnnestMap(_, v, _) => {
+                referenced.extend(v.free_attrs())
+            }
             BuildOp::Select(p) => referenced.extend(p.free_attrs()),
             BuildOp::Project(_) => {}
         }
     }
     if let Some(r) = residual {
         referenced.extend(r.free_attrs());
+    }
+    if !chain.emits_all(&referenced) {
+        return None;
     }
     let ancestors = resolve_ancestor_mode(&chain, &referenced)?;
     // Matched-chain reconstruction iterates (candidate, assignment)
@@ -565,18 +591,32 @@ fn peel_pipeline<'a>(
                 ops_rev.push(BuildOp::Select(pred.clone()));
                 cur = input;
             }
-            PhysPlan::Map { input, attr, value } if !keys.contains(attr) => {
-                if !value.replay_safe() {
+            // A `keep` is the Π it stands for: it must emit every key,
+            // and the replayed operator narrows its rows the same way.
+            PhysPlan::Map {
+                input,
+                attr,
+                value,
+                keep,
+                ..
+            } if !keys.contains(attr) => {
+                if !value.replay_safe() || !keys.iter().all(|k| keep.emits(*k)) {
                     return None;
                 }
-                ops_rev.push(BuildOp::Map(*attr, value.clone()));
+                ops_rev.push(BuildOp::Map(*attr, value.clone(), keep.only.clone()));
                 cur = input;
             }
-            PhysPlan::UnnestMap { input, attr, value } if !keys.contains(attr) => {
-                if !value.replay_safe() {
+            PhysPlan::UnnestMap {
+                input,
+                attr,
+                value,
+                keep,
+                ..
+            } if !keys.contains(attr) => {
+                if !value.replay_safe() || !keys.iter().all(|k| keep.emits(*k)) {
                     return None;
                 }
-                ops_rev.push(BuildOp::UnnestMap(*attr, value.clone()));
+                ops_rev.push(BuildOp::UnnestMap(*attr, value.clone(), keep.only.clone()));
                 cur = input;
             }
             PhysPlan::UnnestMap { .. } => break,
@@ -626,6 +666,7 @@ fn resolve_ancestor_mode(chain: &KeyChain, referenced: &BTreeSet<Sym>) -> Option
             .ancestors
             .iter()
             .zip(&depths)
+            .filter(|(a, _)| a.emitted)
             .filter_map(|(a, d)| d.map(|levels| (a.attr, levels)))
             .collect();
         return Some(AncestorMode::Fixed(fixed));
@@ -705,8 +746,19 @@ fn trace_composite_parts(
 
     // Phase 2: the consecutive key-binding run, top-down. Each key must
     // be bound exactly once; the deepest binding is the primary.
+    // What the topmost key binding emits is what the replayed pipeline
+    // starts from.
+    let PhysPlan::UnnestMap { keep: run_keep, .. } = stop else {
+        return None;
+    };
+    if !keys.iter().all(|k| run_keep.emits(*k)) {
+        return None;
+    }
     let mut run: Vec<(Sym, &Scalar)> = Vec::new();
-    while let PhysPlan::UnnestMap { input, attr, value } = cur {
+    while let PhysPlan::UnnestMap {
+        input, attr, value, ..
+    } = cur
+    {
         if keys.contains(attr) && !run.iter().any(|(a, _)| a == attr) {
             run.push((*attr, value));
             cur = input;
@@ -721,7 +773,7 @@ fn trace_composite_parts(
     if matches!(primary_value, Scalar::DistinctItems(_)) {
         return None;
     }
-    let chain = resolve_key_chain(primary_value, cur)?;
+    let chain = resolve_key_chain(primary_value, cur)?.emitting(run_keep);
 
     // Fixed depth of each chain ancestor above the primary (member
     // anchors must be parent-hoppable at index build time).
@@ -794,10 +846,12 @@ fn trace_composite_parts(
     // Phase 3: reconstructability — referenced chain ancestors (by ops,
     // residual, or a member anchor) must all be fixed-depth; composite
     // does not combine with the variable-depth matcher.
-    let mut referenced: BTreeSet<Sym> = anchor_attrs.iter().copied().collect();
+    let mut referenced: BTreeSet<Sym> = BTreeSet::new();
     for op in &ops {
         match op {
-            BuildOp::Map(_, v) | BuildOp::UnnestMap(_, v) => referenced.extend(v.free_attrs()),
+            BuildOp::Map(_, v, _) | BuildOp::UnnestMap(_, v, _) => {
+                referenced.extend(v.free_attrs())
+            }
             BuildOp::Select(p) => referenced.extend(p.free_attrs()),
             BuildOp::Project(_) => {}
         }
@@ -805,6 +859,10 @@ fn trace_composite_parts(
     if let Some(r) = residual {
         referenced.extend(r.free_attrs());
     }
+    if !chain.emits_all(&referenced) {
+        return None;
+    }
+    referenced.extend(anchor_attrs);
     // Member attributes are seeded from the composite entry itself.
     for m in &member_attrs {
         referenced.remove(m);
@@ -843,6 +901,9 @@ struct RawAncestor {
     rel_above: Path,
     /// Absolute path of this binding's own nodes.
     abs_path: Path,
+    /// Does the binding reach the rows above the key binding — is it in
+    /// every `keep` on the way up?
+    emitted: bool,
 }
 
 struct KeyChain {
@@ -852,6 +913,29 @@ struct KeyChain {
     doc_seeds: Vec<Sym>,
     /// Bindings below the key, nearest-key-first.
     ancestors: Vec<RawAncestor>,
+}
+
+impl KeyChain {
+    /// Do the replayed operators and the residual read only bindings
+    /// that reach them? One a `keep` on the way drops is unbound for
+    /// them, as it was in the scan plan: no recipe reconstructs that.
+    fn emits_all(&self, read: &BTreeSet<Sym>) -> bool {
+        self.ancestors
+            .iter()
+            .all(|a| a.emitted || !read.contains(&a.attr))
+    }
+
+    /// The chain as a producer restricted to `keep` emits it: a binding
+    /// outside `keep` is not part of the rows above, and is not
+    /// reconstructed. (Ancestor bindings stay listed — the composite
+    /// path runs through them.)
+    fn emitting(mut self, keep: &Keep) -> KeyChain {
+        self.doc_seeds.retain(|a| keep.emits(*a));
+        for a in &mut self.ancestors {
+            a.emitted &= keep.emits(a.attr);
+        }
+        self
+    }
 }
 
 /// Resolve the key binding's subscript down to `doc(uri)`, composing
@@ -888,6 +972,8 @@ fn resolve_key_chain(value: &Scalar, input: &PhysPlan) -> Option<KeyChain> {
                     input: deeper,
                     attr,
                     value: inner_value,
+                    keep,
+                    ..
                 } = input
                 else {
                     return None;
@@ -900,14 +986,16 @@ fn resolve_key_chain(value: &Scalar, input: &PhysPlan) -> Option<KeyChain> {
                     attr: *v,
                     rel_above: path.clone(),
                     abs_path: inner.path.clone(),
+                    emitted: true,
                 }];
                 ancestors.extend(inner.ancestors);
-                Some(KeyChain {
+                let chain = KeyChain {
                     uri: inner.uri,
                     path: inner.path.join(path),
                     doc_seeds: inner.doc_seeds,
                     ancestors,
-                })
+                };
+                Some(chain.emitting(keep))
             }
             _ => None,
         },
@@ -920,12 +1008,19 @@ fn resolve_key_chain(value: &Scalar, input: &PhysPlan) -> Option<KeyChain> {
 fn singleton_seed_bindings(plan: &PhysPlan) -> Option<Vec<Sym>> {
     match plan {
         PhysPlan::Singleton => Some(Vec::new()),
-        PhysPlan::Map { input, attr, value } => {
+        PhysPlan::Map {
+            input,
+            attr,
+            value,
+            keep,
+            ..
+        } => {
             if !matches!(value, Scalar::Doc(_)) {
                 return None;
             }
             let mut out = singleton_seed_bindings(input)?;
             out.push(*attr);
+            out.retain(|a| keep.emits(*a));
             Some(out)
         }
         _ => None,

@@ -15,9 +15,10 @@ use std::collections::HashMap;
 
 use nal::eval::scalar::{eval_scalar, truthy};
 use nal::eval::{apply_groupfn, dedup_by_value, eval, xi, EvalCtx, EvalError, EvalResult};
+use nal::hash::FastBuild;
 use nal::{ProjOp, Seq, Sym, Tuple, Value};
 
-use crate::key::{key_of, Key};
+use crate::key::{key_of, probe_key, Key};
 use crate::pipeline::cursor::{drain, Feed};
 use crate::pipeline::join;
 use crate::plan::{JoinKind, PhysPlan};
@@ -92,23 +93,29 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             project_rows(&rows, op, ctx)
         }
 
-        PhysPlan::Map { input, attr, value } => {
+        PhysPlan::Map {
+            input,
+            attr,
+            value,
+            keep,
+            ..
+        } => {
             let rows = execute(input, env, ctx)?;
             let mut out = Vec::with_capacity(rows.len());
             for t in rows {
                 let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                out.push(t.extend(*attr, v));
+                out.push(t.merged(&[(*attr, v)], keep.attrs()));
             }
             out
         }
 
-        PhysPlan::Cross { left, right } => {
+        PhysPlan::Cross { left, right, keep } => {
             let l = execute(left, env, ctx)?;
             let r = execute(right, env, ctx)?;
             let mut out = Vec::with_capacity(l.len() * r.len());
             for lt in &l {
                 for rt in &r {
-                    out.push(lt.concat(rt));
+                    out.push(lt.concat_keep(rt, keep.attrs()));
                 }
             }
             out
@@ -122,6 +129,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             residual,
             kind,
             pad,
+            keep,
         } => {
             // Both joins run the streaming cursors over the two
             // materialized inputs: one probe implementation, one
@@ -137,8 +145,10 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
                     residual: residual.as_ref(),
                     kind,
                     pad,
+                    keep: keep.attrs(),
                     env: env.clone(),
                     strict: false,
+                    scratch: String::new(),
                     build: None,
                     cur: None,
                 },
@@ -152,6 +162,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             split,
             kind,
             pad,
+            keep,
             ..
         } => {
             let l = execute(left, env, ctx)?;
@@ -163,6 +174,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
                     split,
                     kind,
                     pad,
+                    keep: keep.attrs(),
                     env: env.clone(),
                     strict: false,
                     build: None,
@@ -174,11 +186,11 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
 
         PhysPlan::HashGroupUnary { input, g, by, f } => {
             let rows = execute(input, env, ctx)?;
-            let groups = hash_groups(&rows, by, ctx);
-            let mut out = Vec::with_capacity(groups.len());
-            for (key_tuple, members) in groups {
-                let v = apply_groupfn(f, &members, env, ctx)?;
-                out.push(key_tuple.extend(*g, v));
+            let mut groups = hash_groups(rows, by, ctx);
+            let (mut out, mut scratch) = (Vec::with_capacity(groups.len()), String::new());
+            while let Some(members) = groups.next_group() {
+                let v = apply_groupfn(f, members, env, ctx)?;
+                out.push(group_key(members, by, ctx, &mut scratch).extend(*g, v));
             }
             out
         }
@@ -210,26 +222,26 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             left_on,
             right_on,
             f,
+            keep,
         } => {
             let l = execute(left, env, ctx)?;
             let r = execute(right, env, ctx)?;
-            // Bucket the right side once, pre-sized to avoid rehashing.
-            let mut buckets: HashMap<Key<'_>, Vec<Tuple>> = HashMap::with_capacity(r.len());
-            for rt in &r {
-                if let Some(k) = key_of(rt, right_on, ctx.catalog) {
-                    buckets.entry(k).or_default().push(rt.clone());
-                }
-            }
-            let empty: Vec<Tuple> = Vec::new();
-            let mut out = Vec::with_capacity(l.len());
-            for lt in l {
-                let members = key_of(&lt, left_on, ctx.catalog)
-                    .and_then(|k| buckets.get(&k))
-                    .unwrap_or(&empty);
-                let v = apply_groupfn(f, members, env, ctx)?;
-                out.push(lt.extend(*g, v));
-            }
-            out
+            drain(
+                &mut join::HashGroupBinary {
+                    left: Feed::Buffered(l.into_iter()),
+                    right: Feed::Buffered(r.into_iter()),
+                    g: *g,
+                    left_on,
+                    right_on,
+                    f,
+                    keep: keep.attrs(),
+                    env: env.clone(),
+                    strict: false,
+                    scratch: String::new(),
+                    buckets: None,
+                },
+                ctx,
+            )?
         }
 
         PhysPlan::ThetaGroupBinary {
@@ -261,16 +273,18 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             distinct,
             preserve_empty,
             inner_attrs,
+            keep,
         } => {
             let rows = execute(input, env, ctx)?;
             let mut out = Vec::new();
             for t in rows {
                 unnest_tuple(
-                    &t,
+                    t,
                     *attr,
                     *distinct,
                     *preserve_empty,
                     inner_attrs,
+                    keep.attrs(),
                     ctx,
                     |u| out.push(u),
                 )?;
@@ -278,13 +292,19 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             out
         }
 
-        PhysPlan::UnnestMap { input, attr, value } => {
+        PhysPlan::UnnestMap {
+            input,
+            attr,
+            value,
+            keep,
+            ..
+        } => {
             let rows = execute(input, env, ctx)?;
             let mut out = Vec::new();
             for t in rows {
                 let v = eval_scalar(value, &scoped(env, &t), ctx)?;
                 for item in v.as_items() {
-                    out.push(t.extend(*attr, item.clone()));
+                    out.push(t.merged(&[(*attr, item.clone())], keep.attrs()));
                 }
             }
             out
@@ -306,12 +326,13 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             tail,
         } => {
             let rows = execute(input, env, ctx)?;
-            let groups = hash_groups(&rows, by, ctx);
-            let mut out = Vec::with_capacity(groups.len());
-            for (key_tuple, members) in groups {
+            let mut groups = hash_groups(rows, by, ctx);
+            let (mut out, mut scratch) = (Vec::with_capacity(groups.len()), String::new());
+            while let Some(members) = groups.next_group() {
+                let key_tuple = group_key(members, by, ctx, &mut scratch);
                 let key_env = env.concat(&key_tuple);
                 xi::run_cmds(head, &key_env, ctx)?;
-                for t in &members {
+                for t in members {
                     xi::run_cmds(body, &env.concat(t), ctx)?;
                 }
                 xi::run_cmds(tail, &key_env, ctx)?;
@@ -326,6 +347,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             uri,
             pattern,
             distinct,
+            keep,
         } => {
             let rows = execute(input, env, ctx)?;
             // The path is document-rooted: one index resolution serves
@@ -335,7 +357,7 @@ fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResu
             let mut out = Vec::with_capacity(rows.len() * items.len());
             for t in rows {
                 for item in &items {
-                    out.push(t.extend(*attr, item.clone()));
+                    out.push(t.merged(&[(*attr, item.clone())], keep.attrs()));
                 }
             }
             out
@@ -418,13 +440,15 @@ pub(crate) fn project_rows(rows: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Se
 /// μ / μ^D of one tuple, shared by both executors: emit `t` without
 /// `attr`, concatenated with each (optionally value-distinct) tuple of
 /// the nested relation read in place — or ⊥-padded when it is empty and
-/// `preserve_empty` is set.
+/// `preserve_empty` is set — restricted to `keep`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn unnest_tuple(
-    t: &Tuple,
+    t: Tuple,
     attr: Sym,
     distinct: bool,
     preserve_empty: bool,
     inner_attrs: &[Sym],
+    keep: Option<&[Sym]>,
     ctx: &EvalCtx<'_>,
     mut emit: impl FnMut(Tuple),
 ) -> EvalResult<()> {
@@ -442,39 +466,107 @@ pub(crate) fn unnest_tuple(
             )))
         }
     };
-    let rest = t.without(&[attr]);
+    // A `keep` without `attr` drops it in the same merge that adds the
+    // inner tuple; only an unrestricted μ removes it beforehand.
+    let rest = match keep {
+        Some(keep) if !keep.contains(&attr) => t.clone(),
+        _ => t.without(&[attr]),
+    };
     if nested.is_empty() {
         if preserve_empty {
-            emit(rest.concat(&Tuple::bottom(inner_attrs)));
+            emit(rest.concat_keep(&Tuple::bottom(inner_attrs), keep));
         }
     } else {
         for inner in nested {
-            emit(rest.concat(inner));
+            emit(rest.concat_keep(inner, keep));
         }
     }
     Ok(())
 }
 
-/// Single-pass grouping in first-occurrence key order, atomized keys.
-/// Shared with the streaming executor's blocking group cursors. The
-/// keys borrow their text from `rows` and the documents.
-pub(crate) fn hash_groups(
-    rows: &[Tuple],
+/// Rows grouped by key: the rows of a group contiguous, the groups in
+/// first-occurrence order of their keys — one buffer for all of them,
+/// however many groups there are.
+pub(crate) struct Groups {
+    rows: Vec<Tuple>,
+    /// End of each group in `rows`.
+    ends: Vec<usize>,
+    next: usize,
+}
+
+impl Groups {
+    /// The next group's rows (never empty), if there is one.
+    pub(crate) fn next_group(&mut self) -> Option<&[Tuple]> {
+        let end = *self.ends.get(self.next)?;
+        let start = self.next.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        self.next += 1;
+        Some(&self.rows[start..end])
+    }
+
+    /// How many groups there are.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+/// The key tuple of a group: its first row projected onto the grouping
+/// attributes, atomized (Γ group keys are what `distinct-values` would
+/// return).
+pub(crate) fn group_key(
+    members: &[Tuple],
     by: &[Sym],
     ctx: &EvalCtx<'_>,
-) -> Vec<(Tuple, Vec<Tuple>)> {
-    let mut index: HashMap<Key<'_>, usize> = HashMap::with_capacity(rows.len().min(1024));
-    let mut groups: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
-    for t in rows {
-        let Some(k) = key_of(t, by, ctx.catalog) else {
-            continue; // NULL keys group with nothing (cmp_atomic semantics)
+    scratch: &mut String,
+) -> Tuple {
+    members[0].project_map(by, |v| v.atomize_in(ctx.catalog, scratch))
+}
+
+/// Single-pass grouping by atomized key. Shared with the streaming
+/// executor's blocking group cursors. Takes the rows: each moves into
+/// its group's stretch of the one output buffer.
+pub(crate) fn hash_groups(rows: Vec<Tuple>, by: &[Sym], ctx: &EvalCtx<'_>) -> Groups {
+    // Per group its size, then (below) where its next row goes.
+    let mut at: Vec<usize> = Vec::new();
+    // Each row's group, decided while the rows are only borrowed: the
+    // stored keys point into them and the documents. NULL keys group
+    // with nothing (cmp_atomic semantics).
+    let slots: Vec<Option<usize>> = {
+        let mut index: HashMap<Key<'_>, usize, FastBuild> =
+            HashMap::with_capacity_and_hasher(rows.len().min(1024), FastBuild);
+        let mut scratch = String::new();
+        let mut slot_of = |t| {
+            let (probe, assembled) = probe_key(t, by, ctx.catalog, &mut scratch)?;
+            if let Some(&slot) = index.get(&probe) {
+                at[slot] += 1;
+                return Some(slot);
+            }
+            // A new group is kept under a key that borrows the row or
+            // the document — or, assembled in the scratch, its own text.
+            let key = match assembled {
+                true => probe.into_owned(),
+                false => key_of(t, by, ctx.catalog)?,
+            };
+            index.insert(key, at.len());
+            at.push(1);
+            Some(at.len() - 1)
         };
-        let idx = *index.entry(k).or_insert_with(|| {
-            let key_tuple = nal::eval::atomize_tuple(&t.project(by), ctx.catalog);
-            groups.push((key_tuple, Vec::new()));
-            groups.len() - 1
-        });
-        groups[idx].1.push(t.clone());
+        rows.iter().map(&mut slot_of).collect()
+    };
+    let mut grouped = 0;
+    for size in &mut at {
+        grouped += std::mem::replace(size, grouped);
     }
-    groups
+    let mut placed = vec![Tuple::empty(); grouped];
+    for (t, slot) in rows.into_iter().zip(slots) {
+        if let Some(slot) = slot {
+            placed[at[slot]] = t;
+            at[slot] += 1;
+        }
+    }
+    // Every group is full: `at` now holds the groups' ends.
+    Groups {
+        rows: placed,
+        ends: at,
+        next: 0,
+    }
 }

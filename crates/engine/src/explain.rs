@@ -24,6 +24,10 @@ pub struct ExplainNode {
     pub depth: usize,
     /// Operator display name ([`PhysPlan::op_name`]).
     pub op: String,
+    /// What the dead-attribute pass decided for the operator
+    /// ([`PhysPlan::detail`]): the attribute it binds, what it keeps,
+    /// the projections folded into it — empty for most operators.
+    pub detail: String,
     /// Plan-node identity (the node's address during the traced run;
     /// `0` after a round-trip parse). Joins the trace and cost maps.
     pub node: usize,
@@ -95,7 +99,7 @@ impl ExplainReport {
     ///
     /// ```text
     /// HashSemiJoin rows=12 calls=13 elapsed_us=84 lookups=0 hits=0 cost=912.0
-    ///   IndexScan rows=40 calls=41 elapsed_us=31 lookups=1 hits=1 cost=41.0
+    ///   IndexScan[t1] keep{t1} absorbed Π[t1] rows=40 calls=41 elapsed_us=31 lookups=1 hits=1 cost=41.0
     /// ```
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -104,8 +108,9 @@ impl ExplainReport {
                 out.push_str("  ");
             }
             out.push_str(&format!(
-                "{} rows={} calls={} elapsed_us={} lookups={} hits={} cost={}",
+                "{}{} rows={} calls={} elapsed_us={} lookups={} hits={} cost={}",
                 n.op,
+                n.detail,
                 n.rows,
                 n.calls,
                 n.elapsed_us,
@@ -137,14 +142,26 @@ impl ExplainReport {
             if indent % 2 != 0 {
                 return Err(format!("line {}: odd indentation", lineno + 1));
             }
-            let mut parts = raw.split_whitespace();
-            let op = parts
+            let mut parts = raw.split_whitespace().peekable();
+            let head = parts
                 .next()
-                .ok_or_else(|| format!("line {}: missing operator", lineno + 1))?
-                .to_string();
+                .ok_or_else(|| format!("line {}: missing operator", lineno + 1))?;
+            // The operator name ends where its `[bound attribute]`
+            // starts; the words of [`PhysPlan::detail`] continue it.
+            let (op, bound) = head.split_at(head.find('[').unwrap_or(head.len()));
+            let mut detail = bound.to_string();
+            let of_detail = |word: &&str| {
+                ["keep{", "Π["].iter().any(|p| word.starts_with(p))
+                    || ["absorbed", "fused"].contains(word)
+            };
+            while let Some(word) = parts.next_if(of_detail) {
+                detail.push(' ');
+                detail.push_str(word);
+            }
             let mut node = ExplainNode {
                 depth: indent / 2,
-                op,
+                op: op.to_string(),
+                detail,
                 node: 0,
                 rows: 0,
                 calls: 0,
@@ -202,6 +219,7 @@ fn collect(plan: &PhysPlan, depth: usize, trace: &ExecTrace, out: &mut Vec<Expla
     out.push(ExplainNode {
         depth,
         op: plan.op_name().to_string(),
+        detail: plan.detail(),
         node: id,
         rows: stats.rows,
         calls: stats.calls,
@@ -289,9 +307,25 @@ mod tests {
     use nal::{CmpOp, Scalar};
 
     fn sample_plan() -> PhysPlan {
-        let l = singleton().map("a", Scalar::int(1));
+        let l = singleton()
+            .map("dead", Scalar::int(0))
+            .map("a", Scalar::int(1))
+            .project(&["a"]);
         let r = singleton().map("b", Scalar::int(1));
         crate::compile(&l.semijoin(r, Scalar::attr_cmp(CmpOp::Eq, "a", "b")))
+    }
+
+    #[test]
+    fn reports_show_what_producers_keep_and_absorbed() {
+        let catalog = Catalog::new();
+        let plan = sample_plan();
+        let (_, trace) = run_streaming_traced(&plan, &catalog).unwrap();
+        let text = ExplainReport::from_trace(&plan, &trace).render();
+        assert!(
+            text.contains("\n  Map[a] keep{a} absorbed Π[a] fused rows=1 "),
+            "{text}"
+        );
+        assert!(text.contains("\n    Map[dead] keep{} rows=1 "), "{text}");
     }
 
     #[test]
@@ -334,6 +368,7 @@ mod tests {
         for (a, b) in parsed.nodes.iter().zip(&report.nodes) {
             assert_eq!(a.depth, b.depth);
             assert_eq!(a.op, b.op);
+            assert_eq!(a.detail, b.detail);
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.calls, b.calls);
             assert_eq!(a.elapsed_us, b.elapsed_us);

@@ -80,6 +80,45 @@ pub fn key_of<'a>(t: &'a Tuple, attrs: &[nal::Sym], catalog: &'a Catalog) -> Opt
     }
 }
 
+/// [`key_val`] for a key that is looked up and dropped (a hash probe,
+/// the membership test before an insert): the text of a node whose
+/// string value is stored in several pieces — an `<author>` with
+/// `<last>` and `<first>`, a whole `<book>` — is assembled in the
+/// caller's `scratch` instead of a fresh string per lookup. The flag
+/// says so: whoever keeps such a key owns its text then
+/// ([`Key::into_owned`]); any other borrows the value or the document
+/// and can be kept as long as they live.
+pub fn probe_val<'a>(
+    v: &'a Value,
+    catalog: &'a Catalog,
+    scratch: &'a mut String,
+) -> (ValueKey<'a>, bool) {
+    match v {
+        Value::Node(n) => {
+            let (text, assembled) = catalog.doc(n.doc).string_value_in(n.node, scratch);
+            (ValueKey::Str(text.into()), assembled)
+        }
+        _ => (key_val(v, catalog), false),
+    }
+}
+
+/// [`key_of`] by [`probe_val`]. One scratch holds one text: only the
+/// single-attribute key — nearly every join and group — uses it.
+pub fn probe_key<'a>(
+    t: &'a Tuple,
+    attrs: &[nal::Sym],
+    catalog: &'a Catalog,
+    scratch: &'a mut String,
+) -> Option<(Key<'a>, bool)> {
+    match attrs {
+        [a] => {
+            let (kv, assembled) = probe_val(t.get(*a)?, catalog, scratch);
+            kv.matchable().then_some((Key::One(kv), assembled))
+        }
+        _ => Some((key_of(t, attrs, catalog)?, false)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +168,40 @@ mod tests {
         );
         let seq = Value::items(vec![Value::Int(1), Value::Int(2)]);
         assert_eq!(key_val(&seq, &c), ValueKey::Other("(1, 2)".into()));
+    }
+
+    #[test]
+    fn probe_keys_equal_stored_keys_without_owning_text() {
+        let mut c = Catalog::new();
+        c.register(
+            xmldb::parse_document("d.xml", "<r><a><l>Sten</l><f>Ann</f></a><t>One</t></r>")
+                .unwrap(),
+        );
+        let doc = c.by_uri("d.xml").unwrap();
+        let node = |name: &str| {
+            let tree = c.doc(doc);
+            let id = tree
+                .descendants(xmldb::NodeId::DOCUMENT)
+                .find(|&n| tree.node_name(n) == Some(name))
+                .unwrap();
+            Tuple::singleton(Sym::new("x"), Value::Node(nal::NodeRef { doc, node: id }))
+        };
+        let mut scratch = String::new();
+        for name in ["a", "t"] {
+            let t = node(name);
+            let stored = key_of(&t, &[Sym::new("x")], &c).unwrap().into_owned();
+            let (probe, assembled) = probe_key(&t, &[Sym::new("x")], &c, &mut scratch).unwrap();
+            assert_eq!(probe, stored, "<{name}>");
+            assert_eq!(assembled, name == "a", "<{name}>");
+            assert!(
+                matches!(
+                    probe,
+                    Key::One(ValueKey::Str(std::borrow::Cow::Borrowed(_)))
+                ),
+                "<{name}>: a probe key never owns its text"
+            );
+        }
+        assert_eq!(scratch, "StenAnn", "mixed content was assembled in place");
     }
 
     #[test]

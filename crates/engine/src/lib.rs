@@ -20,6 +20,7 @@ pub mod access;
 pub mod exec;
 pub mod explain;
 pub mod key;
+pub mod live;
 pub mod pipeline;
 pub mod plan;
 pub mod theta;
@@ -33,7 +34,7 @@ pub use explain::{
 };
 pub use pipeline::par::apply_parallel;
 pub use pipeline::{drain, Cursor};
-pub use plan::{compile, JoinKind, PhysPlan};
+pub use plan::{compile, compile_unpruned, JoinKind, Keep, PhysPlan};
 
 use std::time::{Duration, Instant};
 

@@ -8,8 +8,10 @@
 
 use std::sync::Arc;
 
-use nal::eval::{EvalCtx, EvalError, EvalResult};
+use nal::eval::{EvalCtx, EvalError, EvalResult, OpId};
 use nal::{Seq, Sym, Tuple, Value};
+
+use crate::plan::PhysPlan;
 
 /// A pull-based tuple stream.
 pub trait Cursor {
@@ -32,51 +34,89 @@ pub fn drain(cur: &mut dyn Cursor, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
     Ok(out)
 }
 
+/// One plan node's counter slot ([`OpId`], resolved from the operator's
+/// name when its cursor is built, so counting a tuple is an array
+/// increment) and its identity — the node's address, which the
+/// execution trace attributes work to.
+#[derive(Clone, Copy)]
+pub struct Meter {
+    op: OpId,
+    node: usize,
+}
+
+/// A pull being measured: its start and the index-probe counters then.
+/// Only traced runs ([`EvalCtx::enable_trace`]) measure.
+pub struct Pull {
+    start: std::time::Instant,
+    lookups: u64,
+    hits: u64,
+}
+
+impl Pull {
+    /// Start measuring, if the run is traced.
+    pub fn start(ctx: &EvalCtx<'_>) -> Option<Pull> {
+        ctx.trace.as_ref().map(|_| Pull {
+            start: std::time::Instant::now(),
+            lookups: ctx.metrics.index_lookups,
+            hits: ctx.metrics.index_hits,
+        })
+    }
+}
+
+impl Meter {
+    /// The meter of `plan`.
+    pub fn of(plan: &PhysPlan) -> Meter {
+        let op = OpId::of(plan.op_name()).expect("every metered operator has a counter slot");
+        Meter {
+            op,
+            node: super::node_id(plan),
+        }
+    }
+
+    /// The operator's display name.
+    pub fn name(&self) -> &'static str {
+        self.op.name()
+    }
+
+    /// Account for one pull of the node: a tuple `produced` or the
+    /// stream's end. A traced run also records the pull's inclusive time
+    /// and index-probe deltas under the node's identity — children are
+    /// pulled inside it, so like the materializing executor's the
+    /// recorded time is inclusive of the subtree.
+    pub fn pulled(&self, ctx: &mut EvalCtx<'_>, pull: &Option<Pull>, produced: bool) {
+        if let (Some(pull), Some(trace)) = (pull, ctx.trace.as_mut()) {
+            let elapsed_ns = pull.start.elapsed().as_nanos() as u64;
+            let lookups = ctx.metrics.index_lookups - pull.lookups;
+            let hits = ctx.metrics.index_hits - pull.hits;
+            trace.record(self.node, produced as u64, elapsed_ns, lookups, hits);
+        }
+        if produced {
+            ctx.metrics.tuples_produced += 1;
+            ctx.metrics.op_tuples.bump(self.op);
+        }
+    }
+}
+
 /// Wrapper that counts tuples as they stream past — this is what makes
 /// short-circuiting observable: a semi join that stops probing early
 /// produces visibly fewer tuples downstream than the input cardinality.
-pub struct Metered<'p> {
+pub struct Metered<C> {
     /// The wrapped cursor.
-    pub inner: BoxCursor<'p>,
-    /// Operator name the counts are attributed to.
-    pub name: &'static str,
-    /// Plan-node identity (the node's address) the execution trace
-    /// attributes this cursor's work to when tracing is enabled.
-    pub node: usize,
+    pub inner: C,
+    /// The plan node this cursor stands for.
+    pub meter: Meter,
 }
 
-impl Cursor for Metered<'_> {
+impl<C: Cursor> Cursor for Metered<C> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if ctx.trace.is_none() {
-            let item = self.inner.next(ctx)?;
-            if item.is_some() {
-                ctx.metrics.tuples_produced += 1;
-                ctx.metrics.bump_op(self.name, 1);
-            }
-            return Ok(item);
-        }
-        // Traced run: per-pull inclusive timing plus index-probe deltas,
-        // accumulated under the plan node's identity. Children are pulled
-        // inside `inner.next`, so like the materializing executor the
-        // recorded time is inclusive of the subtree.
-        let start = std::time::Instant::now();
-        let (lookups0, hits0) = (ctx.metrics.index_lookups, ctx.metrics.index_hits);
+        let pull = Pull::start(ctx);
         let item = self.inner.next(ctx)?;
-        let elapsed_ns = start.elapsed().as_nanos() as u64;
-        let lookups = ctx.metrics.index_lookups - lookups0;
-        let hits = ctx.metrics.index_hits - hits0;
-        if let Some(trace) = ctx.trace.as_mut() {
-            trace.record(self.node, item.is_some() as u64, elapsed_ns, lookups, hits);
-        }
-        if item.is_some() {
-            ctx.metrics.tuples_produced += 1;
-            ctx.metrics.bump_op(self.name, 1);
-        }
+        self.meter.pulled(ctx, &pull, item.is_some());
         Ok(item)
     }
 
     fn op_name(&self) -> &'static str {
-        self.name
+        self.meter.name()
     }
 }
 

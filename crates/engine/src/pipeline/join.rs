@@ -18,6 +18,8 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use nal::hash::FastBuild;
+
 use nal::eval::scalar::truthy;
 use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
 use nal::{GroupFn, Scalar, Sym, Tuple};
@@ -25,7 +27,7 @@ use xmldb::Catalog;
 
 use super::cursor::{Cursor, Feed};
 use crate::exec::scoped;
-use crate::key::{key_of, Key};
+use crate::key::{probe_key, Key};
 use crate::plan::JoinKind;
 use crate::theta::{ThetaBuild, ThetaSplit, Walk};
 
@@ -34,7 +36,7 @@ use crate::theta::{ThetaBuild, ThetaSplit, Walk};
 /// own their text; a probe looks up with a key that borrows the probing
 /// tuple's, so probing copies no string.
 pub struct Buckets {
-    index: HashMap<Key<'static>, usize>,
+    index: HashMap<Key<'static>, usize, FastBuild>,
     rows: Vec<Vec<Tuple>>,
 }
 
@@ -43,10 +45,12 @@ impl Buckets {
     /// missing key component join nothing and are dropped.
     pub fn build(rows: Vec<Tuple>, keys: &[Sym], catalog: &Catalog) -> Buckets {
         // Pre-sized from the build-side cardinality: no rehashing.
-        let mut index: HashMap<Key<'static>, usize> = HashMap::with_capacity(rows.len());
+        let mut index: HashMap<Key<'static>, usize, FastBuild> =
+            HashMap::with_capacity_and_hasher(rows.len(), FastBuild);
         let mut buckets: Vec<Vec<Tuple>> = Vec::new();
+        let mut scratch = String::new();
         for rt in rows {
-            if let Some(k) = key_of(&rt, keys, catalog) {
+            if let Some((k, _)) = probe_key(&rt, keys, catalog, &mut scratch) {
                 let slot = match index.get(&k) {
                     Some(&slot) => slot,
                     None => {
@@ -64,9 +68,16 @@ impl Buckets {
         }
     }
 
-    /// The bucket the `keys` attributes of `t` select, if any.
-    pub fn slot_of(&self, t: &Tuple, keys: &[Sym], catalog: &Catalog) -> Option<usize> {
-        let key = key_of(t, keys, catalog)?;
+    /// The bucket the `keys` attributes of `t` select, if any. Key text
+    /// stored in several pieces is assembled in `scratch`.
+    pub fn slot_of(
+        &self,
+        t: &Tuple,
+        keys: &[Sym],
+        catalog: &Catalog,
+        scratch: &mut String,
+    ) -> Option<usize> {
+        let (key, _) = probe_key(t, keys, catalog, scratch)?;
         self.index.get(&key).copied()
     }
 
@@ -80,13 +91,17 @@ impl Buckets {
 pub struct Cross<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: Feed<'p>,
+    /// Right (build/inner) input; `None` when `right_rows` arrives
+    /// materialized.
+    pub right: Option<Feed<'p>>,
+    /// The attributes emitted (`None`: all).
+    pub keep: Option<&'p [Sym]>,
     /// Materialize left before right (Ξ in a subtree needs the
     /// materializing executor's left-then-right evaluation order).
     pub strict: bool,
-    /// Materialized right side.
-    pub right_rows: Option<Vec<Tuple>>,
+    /// Materialized right side (shared by the workers of a parallel
+    /// segment).
+    pub right_rows: Option<Arc<Vec<Tuple>>>,
     /// Current left tuple being crossed.
     pub cur_left: Option<Tuple>,
     /// Position within the materialized right side.
@@ -99,14 +114,15 @@ impl Cursor for Cross<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            self.right_rows = Some(self.right.take_all(ctx)?);
+            let right = self.right.as_mut().expect("an inner side to drain");
+            self.right_rows = Some(Arc::new(right.take_all(ctx)?));
         }
         let right = self.right_rows.as_ref().expect("built above");
         loop {
             if let Some(lt) = &self.cur_left {
                 if let Some(rt) = right.get(self.ridx) {
                     self.ridx += 1;
-                    return Ok(Some(lt.concat(rt)));
+                    return Ok(Some(lt.concat_keep(rt, self.keep)));
                 }
                 self.cur_left = None;
             }
@@ -122,6 +138,15 @@ impl Cursor for Cross<'_> {
 
     fn op_name(&self) -> &'static str {
         "Cross"
+    }
+}
+
+/// What an operator restricted to `keep` emits of a tuple it had to
+/// build whole, because a residual or θ-predicate read it first.
+fn narrowed(t: Tuple, keep: Option<&[Sym]>) -> Tuple {
+    match keep {
+        None => t,
+        Some(keep) => t.project(keep),
     }
 }
 
@@ -154,10 +179,14 @@ pub struct HashJoin<'p> {
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
     pub pad: &'p [Sym],
+    /// The attributes an inner/outer join emits (`None`: all).
+    pub keep: Option<&'p [Sym]>,
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
+    /// Probe-key text assembled for a lookup.
+    pub scratch: String,
     /// The build side, bucketed on first pull (iteration state holds
     /// plain bucket slots) or handed in by a parallel segment.
     pub build: Option<Arc<Buckets>>,
@@ -191,19 +220,23 @@ impl Cursor for HashJoin<'_> {
             if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
                 if let Some(slot) = slot {
                     while let Some(rt) = build.bucket(slot).get(pos) {
-                        let joined = lt.concat(rt);
+                        // Only a residual needs to see the whole pair.
+                        let joined = match self.residual {
+                            None => lt.concat_keep(rt, self.keep),
+                            Some(_) => lt.concat(rt),
+                        };
                         pos += 1;
                         ctx.metrics.probe_tuples += 1;
                         if self.residual_passes(&joined, ctx)? {
                             matched = true;
                             self.cur = Some((lt, Some(slot), pos, matched));
-                            return Ok(Some(joined));
+                            return Ok(Some(narrowed(joined, self.keep)));
                         }
                     }
                 }
                 if !matched {
                     if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                        return Ok(Some(out));
+                        return Ok(Some(narrowed(out, self.keep)));
                     }
                 }
                 continue;
@@ -211,7 +244,7 @@ impl Cursor for HashJoin<'_> {
             let Some(lt) = self.left.next(ctx)? else {
                 return Ok(None);
             };
-            let slot = build.slot_of(&lt, self.left_keys, ctx.catalog);
+            let slot = build.slot_of(&lt, self.left_keys, ctx.catalog, &mut self.scratch);
             match self.kind {
                 JoinKind::Inner | JoinKind::Outer { .. } => {
                     self.cur = Some((lt, slot, 0, false));
@@ -266,6 +299,8 @@ pub struct LoopJoin<'p> {
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
     pub pad: &'p [Sym],
+    /// The attributes an inner/outer join emits (`None`: all).
+    pub keep: Option<&'p [Sym]>,
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
@@ -292,11 +327,11 @@ impl Cursor for LoopJoin<'_> {
             if let Some(mut walk) = self.cur.take() {
                 if let Some(joined) = build.next_match(self.split, &mut walk, &self.env, ctx)? {
                     self.cur = Some(walk);
-                    return Ok(Some(joined));
+                    return Ok(Some(narrowed(joined, self.keep)));
                 }
                 if let Some(lt) = walk.unmatched() {
                     if let Some(out) = unmatched_output(self.kind, self.pad, lt) {
-                        return Ok(Some(out));
+                        return Ok(Some(narrowed(out, self.keep)));
                     }
                 }
             }
@@ -351,6 +386,10 @@ pub struct IndexJoin<'p> {
     pub cacheable: bool,
     /// Memoized decision for probe-invariant joins.
     pub cached: Option<bool>,
+    /// Inside a parallel segment, the claim-or-wait group a
+    /// probe-invariant join decides through: one probe per segment, as
+    /// one memoized probe per serial cursor.
+    pub(crate) group: Option<Arc<super::par::ProbeGroup>>,
 }
 
 impl Cursor for IndexJoin<'_> {
@@ -363,7 +402,11 @@ impl Cursor for IndexJoin<'_> {
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
-                    let m = access.probe_matches(self.recipe, &lt, &self.env, ctx)?;
+                    let mut probe = || access.probe_matches(self.recipe, &lt, &self.env, ctx);
+                    let m = match &self.group {
+                        Some(group) => group.decide(probe)?,
+                        None => probe()?,
+                    };
                     if self.cacheable {
                         self.cached = Some(m);
                     }
@@ -398,10 +441,14 @@ pub struct HashGroupBinary<'p> {
     pub right_on: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
+    /// The attributes emitted (`None`: all).
+    pub keep: Option<&'p [Sym]>,
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
+    /// Probe-key text assembled for a lookup.
+    pub scratch: String,
     /// The right side bucketed by key (the groups), built on first pull.
     pub buckets: Option<Buckets>,
 }
@@ -420,10 +467,10 @@ impl Cursor for HashGroupBinary<'_> {
         };
         let buckets = self.buckets.as_ref().expect("built above");
         let members = buckets
-            .slot_of(&lt, self.left_on, ctx.catalog)
+            .slot_of(&lt, self.left_on, ctx.catalog, &mut self.scratch)
             .map_or(&[][..], |slot| buckets.bucket(slot));
         let v = apply_groupfn(self.f, members, &self.env, ctx)?;
-        Ok(Some(lt.extend(self.g, v)))
+        Ok(Some(lt.merged(&[(self.g, v)], self.keep)))
     }
 
     fn op_name(&self) -> &'static str {

@@ -39,38 +39,41 @@ use nal::expr::visit;
 use nal::Scalar;
 
 use crate::plan::PhysPlan;
-use cursor::{AttrRel, Feed, Literal, Materialize, Metered, Once};
+use cursor::{AttrRel, Feed, Literal, Materialize, Meter, Metered, Once};
 
 /// Does evaluating this scalar write Ξ output? True when a nested
 /// algebraic expression inside it (a quantifier range, an aggregate
 /// input) contains a Ξ operator at any depth.
 fn scalar_emits_xi(s: &Scalar) -> bool {
-    visit::scalar_nested_exprs(s).into_iter().any(|nested| {
-        let mut found = false;
-        visit::walk_deep(nested, &mut |e| {
-            if matches!(e, nal::Expr::XiSimple { .. } | nal::Expr::XiGroup { .. }) {
-                found = true;
-            }
-        });
-        found
-    })
+    s.has_nested_expr()
+        && visit::scalar_nested_exprs(s).into_iter().any(|nested| {
+            let mut found = false;
+            visit::walk_deep(nested, &mut |e| {
+                if matches!(e, nal::Expr::XiSimple { .. } | nal::Expr::XiGroup { .. }) {
+                    found = true;
+                }
+            });
+            found
+        })
 }
 
 /// Does executing this single operator (not its children) write to the
-/// output stream — as a Ξ operator, or through Ξ nested in its scalars?
+/// output stream — as a Ξ operator, or through Ξ nested in its scalar?
+/// Asked of every node at every lowering, so it allocates nothing for
+/// the operators without nested algebra.
 fn node_emits_xi(plan: &PhysPlan) -> bool {
-    let scalars: Vec<&Scalar> = match plan {
+    let scalar: Option<&Scalar> = match plan {
         PhysPlan::XiSimple { .. } | PhysPlan::XiGroup { .. } => return true,
-        PhysPlan::Select { pred, .. } | PhysPlan::LoopJoin { pred, .. } => vec![pred],
-        PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => vec![value],
-        PhysPlan::HashJoin { residual, .. } => residual.iter().collect(),
+        PhysPlan::Select { pred, .. } | PhysPlan::LoopJoin { pred, .. } => Some(pred),
+        PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => Some(value),
+        PhysPlan::HashJoin { residual, .. } => residual.as_ref(),
         // Recipe probe sides and replayed pipelines are replay-safe (no
         // nested algebra) by conversion; only the residual could carry Ξ.
-        PhysPlan::IndexJoin { recipe, .. } => recipe.residual.iter().collect(),
+        PhysPlan::IndexJoin { recipe, .. } => recipe.residual.as_ref(),
         PhysPlan::HashGroupUnary { f, .. }
         | PhysPlan::ThetaGroupUnary { f, .. }
         | PhysPlan::HashGroupBinary { f, .. }
-        | PhysPlan::ThetaGroupBinary { f, .. } => f.filter.iter().map(|p| p.as_ref()).collect(),
+        | PhysPlan::ThetaGroupBinary { f, .. } => f.filter.as_deref(),
         PhysPlan::Singleton
         | PhysPlan::Literal(_)
         | PhysPlan::AttrRel(_)
@@ -82,56 +85,15 @@ fn node_emits_xi(plan: &PhysPlan) -> bool {
         // Parallel segments are Ξ-free by construction (`apply_parallel`
         // only wraps Ξ-free subtrees); the feed leaf carries no scalars.
         | PhysPlan::Parallel { .. }
-        | PhysPlan::MorselFeed => vec![],
+        | PhysPlan::MorselFeed => None,
     };
-    scalars.into_iter().any(scalar_emits_xi)
+    scalar.is_some_and(scalar_emits_xi)
 }
 
 /// Does this subtree write to the output stream anywhere — through a Ξ
 /// operator or through Ξ nested inside an operator's scalars?
 fn contains_xi(plan: &PhysPlan) -> bool {
-    if node_emits_xi(plan) {
-        return true;
-    }
-    match plan {
-        PhysPlan::Singleton
-        | PhysPlan::Literal(_)
-        | PhysPlan::AttrRel(_)
-        | PhysPlan::MorselFeed => false,
-        PhysPlan::Parallel { source, stages } => contains_xi(source) || contains_xi(stages),
-        PhysPlan::Select { input, .. }
-        | PhysPlan::Project { input, .. }
-        | PhysPlan::Map { input, .. }
-        | PhysPlan::HashGroupUnary { input, .. }
-        | PhysPlan::ThetaGroupUnary { input, .. }
-        | PhysPlan::Unnest { input, .. }
-        | PhysPlan::UnnestMap { input, .. }
-        | PhysPlan::XiSimple { input, .. }
-        | PhysPlan::XiGroup { input, .. }
-        | PhysPlan::IndexScan { input, .. } => contains_xi(input),
-        PhysPlan::IndexJoin { left, .. } => contains_xi(left),
-        PhysPlan::Cross { left, right }
-        | PhysPlan::HashJoin { left, right, .. }
-        | PhysPlan::LoopJoin { left, right, .. }
-        | PhysPlan::HashGroupBinary { left, right, .. }
-        | PhysPlan::ThetaGroupBinary { left, right, .. } => contains_xi(left) || contains_xi(right),
-    }
-}
-
-/// Lower a pipelined unary operator's input, inserting a [`Materialize`]
-/// barrier when both the operator itself and its input subtree write Ξ
-/// output — so the input's whole byte stream precedes the parent's first
-/// write, as in the materializing executor's bottom-up order.
-fn lower_input<'p>(parent: &'p PhysPlan, input: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
-    let inner = lower(input, env);
-    if node_emits_xi(parent) && contains_xi(input) {
-        Box::new(Materialize {
-            input: inner,
-            buffered: None,
-        })
-    } else {
-        inner
-    }
+    node_emits_xi(plan) || plan.inputs().into_iter().flatten().any(contains_xi)
 }
 
 /// Binary operators evaluate left-then-right in the materializing
@@ -143,226 +105,391 @@ fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
 
 /// Lower a physical plan into a cursor tree under an environment (the
 /// environment is non-empty only for nested evaluation contexts). Every
-/// cursor is wrapped in a [`Metered`] shell so `Metrics::op_tuples`
-/// counts tuples produced per operator.
+/// cursor is wrapped in a [`Metered`] shell — a χ/Υ run carries a
+/// [`Meter`] per operator instead — so `Metrics::op_tuples` counts
+/// tuples produced per operator.
 pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
-    let name = plan.op_name();
-    // The parallel shell and its feed leaf are deliberately *not*
-    // metered: the serial plan for the same query has no such nodes, so
-    // metering them would break the parallel-vs-serial counter parity.
-    // The stage operators inside the segment are metered per worker
-    // under their own names, and worker metrics merge back on join.
-    match plan {
-        PhysPlan::Parallel { source, stages } => {
-            return Box::new(par::ParallelCursor::new(source, stages, env.clone()))
+    Lowering { env, stage: None }.lower(plan)
+}
+
+/// One lowering: serial, or — with `stage` set — of one morsel's copy of
+/// a parallel segment's stage pipeline, whose spine takes its build
+/// sides and scans prepared from the segment and bottoms out at the
+/// morsel.
+pub(crate) struct Lowering<'a> {
+    pub(crate) env: &'a Tuple,
+    pub(crate) stage: Option<par::Stage<'a>>,
+}
+
+impl Lowering<'_> {
+    /// The build side of a join on the spine: prepared by the segment
+    /// for a stage pipeline, lowered here otherwise.
+    fn build_side<'p, B>(
+        &mut self,
+        plan: &'p PhysPlan,
+        right: &'p PhysPlan,
+        prepared: impl Fn(&par::Stage<'_>, usize) -> B,
+    ) -> (Option<Feed<'p>>, Option<B>) {
+        match &self.stage {
+            Some(stage) => (None, Some(prepared(stage, node_id(plan)))),
+            None => (Some(Feed::Stream(lower(right, self.env))), None),
         }
-        PhysPlan::MorselFeed => return Box::new(par::DanglingFeed),
-        _ => {}
     }
-    let inner: BoxCursor<'p> = match plan {
-        PhysPlan::Singleton => Box::new(Once { done: false }),
-        PhysPlan::Literal(rows) => Box::new(Literal { rows, idx: 0 }),
-        PhysPlan::AttrRel(a) => Box::new(AttrRel {
-            attr: *a,
-            env: env.clone(),
-            state: None,
-        }),
-        PhysPlan::Select { input, pred } => Box::new(ops::Select {
-            input: lower_input(plan, input, env),
-            pred,
-            env: env.clone(),
-        }),
-        PhysPlan::Project { input, op } => Box::new(ops::Project {
-            input: lower(input, env),
-            op,
-            seen: Default::default(),
-        }),
-        PhysPlan::Map { input, attr, value } => Box::new(ops::Map {
-            input: lower_input(plan, input, env),
-            attr: *attr,
-            value,
-            env: env.clone(),
-        }),
-        PhysPlan::Cross { left, right } => Box::new(join::Cross {
-            strict: needs_strict_order(left, right),
-            left: Feed::Stream(lower(left, env)),
-            right: Feed::Stream(lower(right, env)),
-            right_rows: None,
-            cur_left: None,
-            ridx: 0,
-        }),
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-            pad,
-        } => Box::new(join::HashJoin {
-            strict: needs_strict_order(left, right),
-            left: Feed::Stream(lower(left, env)),
-            right: Some(Feed::Stream(lower(right, env))),
-            left_keys,
-            right_keys,
-            residual: residual.as_ref(),
-            kind,
-            pad,
-            env: env.clone(),
-            build: None,
-            cur: None,
-        }),
-        PhysPlan::LoopJoin {
-            left,
-            right,
-            split,
-            kind,
-            pad,
-            ..
-        } => Box::new(join::LoopJoin {
-            strict: needs_strict_order(left, right),
-            left: Feed::Stream(lower(left, env)),
-            right: Some(Feed::Stream(lower(right, env))),
-            split,
-            kind,
-            pad,
-            env: env.clone(),
-            build: None,
-            cur: None,
-        }),
-        PhysPlan::HashGroupUnary { input, g, by, f } => Box::new(ops::HashGroupUnary {
-            input: lower(input, env),
-            g: *g,
-            by,
-            f,
-            env: env.clone(),
-            groups: None,
-        }),
-        PhysPlan::ThetaGroupUnary {
-            input,
-            g,
-            by,
-            theta,
-            f,
-        } => Box::new(ops::ThetaGroupUnary {
-            input: lower(input, env),
-            g: *g,
-            by,
-            theta: *theta,
-            f,
-            env: env.clone(),
-            out: None,
-        }),
-        PhysPlan::HashGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            right_on,
-            f,
-        } => Box::new(join::HashGroupBinary {
-            strict: needs_strict_order(left, right),
-            left: Feed::Stream(lower(left, env)),
-            right: Feed::Stream(lower(right, env)),
-            g: *g,
-            left_on,
-            right_on,
-            f,
-            env: env.clone(),
-            buckets: None,
-        }),
-        PhysPlan::ThetaGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            theta,
-            right_on,
-            f,
-        } => Box::new(join::ThetaGroupBinary {
-            left: Feed::Stream(lower(left, env)),
-            right: Feed::Stream(lower(right, env)),
-            g: *g,
-            left_on,
-            theta: *theta,
-            right_on,
-            f,
-            env: env.clone(),
-            out: None,
-        }),
-        PhysPlan::Unnest {
-            input,
-            attr,
-            distinct,
-            preserve_empty,
-            inner_attrs,
-        } => Box::new(ops::Unnest {
-            input: lower(input, env),
-            attr: *attr,
-            distinct: *distinct,
-            preserve_empty: *preserve_empty,
-            inner_attrs,
-            pending: Default::default(),
-        }),
-        PhysPlan::UnnestMap { input, attr, value } => Box::new(ops::UnnestMap {
-            input: lower_input(plan, input, env),
-            attr: *attr,
-            value,
-            env: env.clone(),
-            pending: Default::default(),
-        }),
-        PhysPlan::XiSimple { input, cmds } => Box::new(ops::XiSimple {
-            input: lower_input(plan, input, env),
-            cmds,
-            env: env.clone(),
-        }),
-        PhysPlan::XiGroup {
-            input,
-            by,
-            head,
-            body,
-            tail,
-        } => Box::new(ops::XiGroup {
-            input: lower(input, env),
-            by,
-            head,
-            body,
-            tail,
-            env: env.clone(),
-            groups: None,
-        }),
-        PhysPlan::IndexScan {
-            input,
-            attr,
-            uri,
-            pattern,
-            distinct,
-        } => Box::new(ops::IndexScan {
-            input: lower(input, env),
-            attr: *attr,
-            uri,
-            pattern,
-            distinct: *distinct,
-            items: None,
-            pending: Default::default(),
-        }),
-        PhysPlan::IndexJoin { left, recipe } => Box::new(join::IndexJoin {
-            // A Ξ-writing residual must see the whole left byte stream
-            // first, as in the materializing executor's bottom-up order.
-            left: lower_input(plan, left, env),
-            recipe,
-            env: env.clone(),
-            access: None,
-            cacheable: recipe.probe_invariant(),
-            cached: None,
-        }),
-        PhysPlan::Parallel { .. } | PhysPlan::MorselFeed => unreachable!("handled above"),
-    };
-    Box::new(Metered {
-        inner,
-        name,
-        node: plan as *const PhysPlan as usize,
-    })
+
+    /// Lower a pipelined unary operator's input, inserting a
+    /// [`Materialize`] barrier when both the operator itself and its
+    /// input subtree write Ξ output — so the input's whole byte stream
+    /// precedes the parent's first write, as in the materializing
+    /// executor's bottom-up order.
+    fn lower_input<'p>(&mut self, parent: &'p PhysPlan, input: &'p PhysPlan) -> BoxCursor<'p> {
+        let inner = self.lower(input);
+        if node_emits_xi(parent) && contains_xi(input) {
+            Box::new(Materialize {
+                input: inner,
+                buffered: None,
+            })
+        } else {
+            inner
+        }
+    }
+
+    /// χ and Υ: the run of operators `top` heads — itself, and below it
+    /// every χ/Υ reached through a `fused` mark, up to the run's second Υ
+    /// — as one cursor, which meters its operators itself. (The index and
+    /// parallel rewrites can put another operator in the middle of a
+    /// marked run: it ends there, and its lower part is a run of its own.)
+    fn lower_run<'p>(&mut self, top: &'p PhysPlan) -> BoxCursor<'p> {
+        let binding = |node: &'p PhysPlan| match node {
+            PhysPlan::Map {
+                input,
+                attr,
+                value,
+                fused,
+                keep,
+            } => Some((&**input, *attr, value, *fused, keep, false)),
+            PhysPlan::UnnestMap {
+                input,
+                attr,
+                value,
+                fused,
+                keep,
+            } => Some((&**input, *attr, value, *fused, keep, true)),
+            _ => None,
+        };
+        let (.., keep, _) = binding(top).expect("a run is headed by a χ or Υ");
+        // Top-down.
+        let (mut binders, mut fanout) = (vec![], None);
+        let mut node = top;
+        let input = loop {
+            let (input, attr, value, fused, _, fans_out) = binding(node).expect("checked");
+            if fans_out {
+                fanout = Some(binders.len());
+            }
+            binders.push(ops::Binder {
+                attr,
+                value,
+                meter: Meter::of(node),
+            });
+            let joins = fused
+                && binding(input).is_some_and(|(.., fans_out)| !(fans_out && fanout.is_some()));
+            if !joins {
+                break self.lower_input(node, input);
+            }
+            node = input;
+        };
+        binders.reverse();
+        let fanout = fanout.map(|at| binders.len() - 1 - at);
+        let run = ops::MapRun::new(input, binders, fanout, keep.attrs(), self.env.clone());
+        Box::new(run)
+    }
+
+    pub(crate) fn lower<'p>(&mut self, plan: &'p PhysPlan) -> BoxCursor<'p> {
+        let env = self.env;
+        // The parallel shell and its feed leaf are deliberately *not*
+        // metered: the serial plan for the same query has no such nodes, so
+        // metering them would break the parallel-vs-serial counter parity.
+        // The stage operators inside the segment are metered per worker
+        // under their own names, and worker metrics merge back on join.
+        fn metered<'p, C: Cursor + 'p>(plan: &'p PhysPlan, inner: C) -> BoxCursor<'p> {
+            Box::new(Metered {
+                inner,
+                meter: Meter::of(plan),
+            })
+        }
+        match plan {
+            PhysPlan::Parallel { source, stages } => {
+                Box::new(par::ParallelCursor::new(source, stages, env.clone()))
+            }
+            PhysPlan::MorselFeed => match self.stage.as_mut().and_then(par::Stage::take_feed) {
+                Some(feed) => feed,
+                None => Box::new(par::DanglingFeed),
+            },
+            PhysPlan::Singleton => metered(plan, Once { done: false }),
+            PhysPlan::Literal(rows) => metered(plan, Literal { rows, idx: 0 }),
+            PhysPlan::AttrRel(a) => metered(
+                plan,
+                AttrRel {
+                    attr: *a,
+                    env: env.clone(),
+                    state: None,
+                },
+            ),
+            PhysPlan::Select { input, pred } => metered(
+                plan,
+                ops::Select {
+                    input: self.lower_input(plan, input),
+                    pred,
+                    env: env.clone(),
+                },
+            ),
+            PhysPlan::Project { input, op } => metered(
+                plan,
+                ops::Project {
+                    input: self.lower(input),
+                    op,
+                    seen: Default::default(),
+                },
+            ),
+            PhysPlan::Map { .. } | PhysPlan::UnnestMap { .. } => self.lower_run(plan),
+            PhysPlan::Cross { left, right, keep } => {
+                let (feed, inner) = self.build_side(plan, right, |s, id| s.inner(id));
+                metered(
+                    plan,
+                    join::Cross {
+                        strict: needs_strict_order(left, right),
+                        left: Feed::Stream(self.lower(left)),
+                        right: feed,
+                        keep: keep.attrs(),
+                        right_rows: inner,
+                        cur_left: None,
+                        ridx: 0,
+                    },
+                )
+            }
+            PhysPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                residual,
+                kind,
+                pad,
+                keep,
+            } => {
+                let (feed, build) = self.build_side(plan, right, |s, id| s.buckets(id));
+                metered(
+                    plan,
+                    join::HashJoin {
+                        strict: needs_strict_order(left, right),
+                        left: Feed::Stream(self.lower(left)),
+                        right: feed,
+                        left_keys,
+                        right_keys,
+                        residual: residual.as_ref(),
+                        kind,
+                        pad,
+                        keep: keep.attrs(),
+                        env: env.clone(),
+                        scratch: String::new(),
+                        build,
+                        cur: None,
+                    },
+                )
+            }
+            PhysPlan::LoopJoin {
+                left,
+                right,
+                split,
+                kind,
+                pad,
+                keep,
+                ..
+            } => {
+                let (feed, build) = self.build_side(plan, right, |s, id| s.theta(id));
+                metered(
+                    plan,
+                    join::LoopJoin {
+                        strict: needs_strict_order(left, right),
+                        left: Feed::Stream(self.lower(left)),
+                        right: feed,
+                        split,
+                        kind,
+                        pad,
+                        keep: keep.attrs(),
+                        env: env.clone(),
+                        build,
+                        cur: None,
+                    },
+                )
+            }
+            PhysPlan::HashGroupUnary { input, g, by, f } => metered(
+                plan,
+                ops::HashGroupUnary {
+                    input: self.lower(input),
+                    g: *g,
+                    by,
+                    f,
+                    emits: by.iter().chain([g]).copied().collect(),
+                    env: env.clone(),
+                    scratch: String::new(),
+                    groups: None,
+                },
+            ),
+            PhysPlan::ThetaGroupUnary {
+                input,
+                g,
+                by,
+                theta,
+                f,
+            } => metered(
+                plan,
+                ops::ThetaGroupUnary {
+                    input: self.lower(input),
+                    g: *g,
+                    by,
+                    theta: *theta,
+                    f,
+                    env: env.clone(),
+                    out: None,
+                },
+            ),
+            PhysPlan::HashGroupBinary {
+                left,
+                right,
+                g,
+                left_on,
+                right_on,
+                f,
+                keep,
+            } => metered(
+                plan,
+                join::HashGroupBinary {
+                    strict: needs_strict_order(left, right),
+                    left: Feed::Stream(self.lower(left)),
+                    right: Feed::Stream(self.lower(right)),
+                    g: *g,
+                    left_on,
+                    right_on,
+                    f,
+                    keep: keep.attrs(),
+                    env: env.clone(),
+                    scratch: String::new(),
+                    buckets: None,
+                },
+            ),
+            PhysPlan::ThetaGroupBinary {
+                left,
+                right,
+                g,
+                left_on,
+                theta,
+                right_on,
+                f,
+            } => metered(
+                plan,
+                join::ThetaGroupBinary {
+                    left: Feed::Stream(self.lower(left)),
+                    right: Feed::Stream(self.lower(right)),
+                    g: *g,
+                    left_on,
+                    theta: *theta,
+                    right_on,
+                    f,
+                    env: env.clone(),
+                    out: None,
+                },
+            ),
+            PhysPlan::Unnest {
+                input,
+                attr,
+                distinct,
+                preserve_empty,
+                inner_attrs,
+                keep,
+            } => metered(
+                plan,
+                ops::Unnest {
+                    input: self.lower(input),
+                    attr: *attr,
+                    distinct: *distinct,
+                    preserve_empty: *preserve_empty,
+                    inner_attrs,
+                    keep: keep.attrs(),
+                    pending: Default::default(),
+                },
+            ),
+            PhysPlan::XiSimple { input, cmds } => metered(
+                plan,
+                ops::XiSimple {
+                    input: self.lower_input(plan, input),
+                    cmds,
+                    env: env.clone(),
+                },
+            ),
+            PhysPlan::XiGroup {
+                input,
+                by,
+                head,
+                body,
+                tail,
+            } => metered(
+                plan,
+                ops::XiGroup {
+                    input: self.lower(input),
+                    by,
+                    head,
+                    body,
+                    tail,
+                    env: env.clone(),
+                    scratch: String::new(),
+                    groups: None,
+                },
+            ),
+            PhysPlan::IndexScan {
+                input,
+                attr,
+                uri,
+                pattern,
+                distinct,
+                keep,
+            } => metered(
+                plan,
+                ops::IndexScan {
+                    // Pre-resolved for a stage pipeline: no extra lookup.
+                    items: self.stage.as_ref().map(|s| s.scan(node_id(plan))),
+                    input: self.lower(input),
+                    attr: *attr,
+                    uri,
+                    pattern,
+                    distinct: *distinct,
+                    keep: keep.attrs(),
+                    cur: None,
+                },
+            ),
+            PhysPlan::IndexJoin { left, recipe } => metered(
+                plan,
+                join::IndexJoin {
+                    group: self
+                        .stage
+                        .as_ref()
+                        .and_then(|s| s.probe_group(node_id(plan))),
+                    // A Ξ-writing residual must see the whole left byte stream
+                    // first, as in the materializing executor's bottom-up order.
+                    left: self.lower_input(plan, left),
+                    recipe,
+                    env: env.clone(),
+                    access: None,
+                    cacheable: recipe.probe_invariant(),
+                    cached: None,
+                },
+            ),
+        }
+    }
+}
+
+/// A plan node's identity: its address.
+pub(crate) fn node_id(plan: &PhysPlan) -> usize {
+    plan as *const PhysPlan as usize
 }
 
 /// Execute a plan by streaming it to exhaustion — the cursor-level

@@ -6,10 +6,11 @@ use std::collections::VecDeque;
 
 use nal::eval::scalar::{eval_scalar, truthy};
 use nal::eval::{apply_groupfn, atomize_tuple, eval, xi, EvalCtx, EvalResult};
+use nal::hash::FastBuild;
 use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
-use super::cursor::{drain, BoxCursor, Cursor};
-use crate::exec::{hash_groups, scoped, unnest_tuple};
+use super::cursor::{drain, BoxCursor, Cursor, Meter, Pull};
+use crate::exec::{group_key, hash_groups, scoped, unnest_tuple, Groups};
 
 /// σ — filter, one pull per surviving tuple.
 pub struct Select<'p> {
@@ -44,8 +45,10 @@ pub struct Project<'p> {
     pub input: BoxCursor<'p>,
     /// The projection operation.
     pub op: &'p ProjOp,
-    /// First-occurrence dedup state (distinct variants).
-    pub seen: HashSet<Vec<Value>>,
+    /// First-occurrence dedup state (distinct variants): the atomized
+    /// output tuples themselves — equal columns, so equal tuples are
+    /// equal value lists, and sharing the block costs no allocation.
+    pub seen: HashSet<Tuple, FastBuild>,
 }
 
 impl Cursor for Project<'_> {
@@ -64,8 +67,7 @@ impl Cursor for Project<'_> {
                     atomize_tuple(&t.project(&old).rename(pairs), ctx.catalog)
                 }
             };
-            let key: Vec<Value> = out.values().cloned().collect();
-            if self.seen.insert(key) {
+            if self.seen.insert(out.clone()) {
                 return Ok(Some(out));
             }
         }
@@ -76,29 +78,134 @@ impl Cursor for Project<'_> {
     }
 }
 
-/// χ — extend each tuple with one computed attribute.
-pub struct Map<'p> {
-    /// Input cursor.
-    pub input: BoxCursor<'p>,
+/// One χ or Υ of a [`MapRun`].
+pub struct Binder<'p> {
     /// The bound attribute.
     pub attr: Sym,
-    /// The subscript computing the attribute’s value.
+    /// The subscript computing the attribute's value (χ) or items (Υ).
     pub value: &'p Scalar,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The operator's counter slot and trace identity.
+    pub meter: Meter,
 }
 
-impl Cursor for Map<'_> {
+/// χ and Υ — a run of χ operators with at most one Υ among them, none of
+/// whose subscripts reads a binding of the run
+/// ([`crate::plan::PhysPlan::Map`]'s `fused`; a χ or Υ on its own is a
+/// run of one). Every subscript is evaluated against the run's *input*
+/// tuple and all bindings land in the output block with one merge,
+/// instead of one block per operator. Each operator still does, and
+/// counts, what it would on its own: a χ below the Υ is evaluated and
+/// produces a tuple once per input tuple — also one the Υ fans out to
+/// nothing — the Υ and a χ above it once per item.
+pub struct MapRun<'p> {
+    /// Input cursor of the run's bottom operator.
+    pub input: BoxCursor<'p>,
+    /// The run's operators, bottom-up.
+    pub binders: Vec<Binder<'p>>,
+    /// The position of the run's Υ among them, if it has one.
+    pub fanout: Option<usize>,
+    /// The attributes the run's top operator emits (`None`: all).
+    pub keep: Option<&'p [Sym]>,
+    /// Outer-scope bindings visible to subscript evaluation.
+    pub env: Tuple,
+    /// The run's bindings for the tuple being built, sorted by
+    /// attribute; refilled per output tuple.
+    pub bound: Vec<(Sym, Value)>,
+    /// The input tuple being fanned out, the Υ's items and the next one.
+    pub cur: Option<(Tuple, Value, usize)>,
+}
+
+impl<'p> MapRun<'p> {
+    /// A run cursor over `input`.
+    pub fn new(
+        input: BoxCursor<'p>,
+        binders: Vec<Binder<'p>>,
+        fanout: Option<usize>,
+        keep: Option<&'p [Sym]>,
+        env: Tuple,
+    ) -> MapRun<'p> {
+        let mut bound: Vec<(Sym, Value)> = binders.iter().map(|b| (b.attr, Value::Null)).collect();
+        bound.sort_by_key(|(a, _)| *a);
+        MapRun {
+            input,
+            binders,
+            fanout,
+            keep,
+            env,
+            bound,
+            cur: None,
+        }
+    }
+
+    /// Evaluate the χ operators `maps` against `t` into their slots of
+    /// `bound`.
+    fn bind(
+        bound: &mut [(Sym, Value)],
+        maps: &[Binder<'_>],
+        t: &Tuple,
+        env: &Tuple,
+        ctx: &mut EvalCtx<'_>,
+    ) -> EvalResult<()> {
+        for map in maps {
+            let v = eval_scalar(map.value, &scoped(env, t), ctx)?;
+            Self::slot(bound, map.attr).1 = v;
+        }
+        Ok(())
+    }
+
+    fn slot(bound: &mut [(Sym, Value)], attr: Sym) -> &mut (Sym, Value) {
+        let slot = bound.iter_mut().find(|(a, _)| *a == attr);
+        slot.expect("every binding of the run has a slot")
+    }
+
+    /// Account for one pull of each of `binders`.
+    fn pulled(binders: &[Binder<'_>], ctx: &mut EvalCtx<'_>, pull: &Option<Pull>, produced: bool) {
+        for b in binders {
+            b.meter.pulled(ctx, pull, produced);
+        }
+    }
+}
+
+impl Cursor for MapRun<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        let Some(t) = self.input.next(ctx)? else {
-            return Ok(None);
-        };
-        let v = eval_scalar(self.value, &scoped(&self.env, &t), ctx)?;
-        Ok(Some(t.extend(self.attr, v)))
+        // The operators producing once per input tuple, and once per
+        // output tuple.
+        let (per_input, per_output) = self.binders.split_at(self.fanout.unwrap_or(0));
+        let pull = Pull::start(ctx);
+        loop {
+            if let Some((t, items, idx)) = &mut self.cur {
+                if let Some(item) = items.as_items().get(*idx) {
+                    *idx += 1;
+                    Self::slot(&mut self.bound, per_output[0].attr).1 = item.clone();
+                    Self::bind(&mut self.bound, &per_output[1..], t, &self.env, ctx)?;
+                    Self::pulled(per_output, ctx, &pull, true);
+                    return Ok(Some(t.merged(&self.bound, self.keep)));
+                }
+            }
+            let input_pull = Pull::start(ctx);
+            let Some(t) = self.input.next(ctx)? else {
+                Self::pulled(per_input, ctx, &input_pull, false);
+                Self::pulled(per_output, ctx, &pull, false);
+                return Ok(None);
+            };
+            Self::bind(&mut self.bound, per_input, &t, &self.env, ctx)?;
+            Self::pulled(per_input, ctx, &input_pull, true);
+            if self.fanout.is_none() {
+                Self::bind(&mut self.bound, per_output, &t, &self.env, ctx)?;
+                Self::pulled(per_output, ctx, &pull, true);
+                return Ok(Some(t.merged(&self.bound, self.keep)));
+            }
+            let items = eval_scalar(per_output[0].value, &scoped(&self.env, &t), ctx)?;
+            self.cur = Some((t, items, 0));
+        }
     }
 
     fn op_name(&self) -> &'static str {
-        "Map"
+        self.binders
+            .last()
+            .expect("a run has an operator")
+            .meter
+            .name()
     }
 }
 
@@ -115,6 +222,8 @@ pub struct Unnest<'p> {
     pub preserve_empty: bool,
     /// Attributes of the nested tuples (NULL padding schema).
     pub inner_attrs: &'p [Sym],
+    /// The attributes emitted (`None`: all).
+    pub keep: Option<&'p [Sym]>,
     /// Fan-out queue of the current input tuple.
     pub pending: VecDeque<Tuple>,
 }
@@ -129,11 +238,12 @@ impl Cursor for Unnest<'_> {
                 return Ok(None);
             };
             unnest_tuple(
-                &t,
+                t,
                 self.attr,
                 self.distinct,
                 self.preserve_empty,
                 self.inner_attrs,
+                self.keep,
                 ctx,
                 |u| self.pending.push_back(u),
             )?;
@@ -145,45 +255,10 @@ impl Cursor for Unnest<'_> {
     }
 }
 
-/// Υ — unnest-map: evaluate a scalar per tuple and fan out its items.
-pub struct UnnestMap<'p> {
-    /// Input cursor.
-    pub input: BoxCursor<'p>,
-    /// The bound attribute.
-    pub attr: Sym,
-    /// The subscript computing the attribute’s value.
-    pub value: &'p Scalar,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
-    /// Fan-out queue of the current input tuple.
-    pub pending: VecDeque<Tuple>,
-}
-
-impl Cursor for UnnestMap<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        loop {
-            if let Some(t) = self.pending.pop_front() {
-                return Ok(Some(t));
-            }
-            let Some(t) = self.input.next(ctx)? else {
-                return Ok(None);
-            };
-            let v = eval_scalar(self.value, &scoped(&self.env, &t), ctx)?;
-            for item in v.as_items() {
-                self.pending.push_back(t.extend(self.attr, item.clone()));
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "UnnestMap"
-    }
-}
-
 /// Index-backed Υ: the item list comes from the path index (resolved
 /// once, on the first pull — the path is document-rooted, so it is the
 /// same for every input tuple) and fans out per input tuple exactly as
-/// the replaced scan would.
+/// the replaced scan would, one output tuple built per pull.
 pub struct IndexScan<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,
@@ -195,33 +270,33 @@ pub struct IndexScan<'p> {
     pub pattern: &'p xmldb::PathPattern,
     /// Atomize and deduplicate the fanned-out items.
     pub distinct: bool,
-    /// The resolved item sequence (fetched on first pull).
-    pub items: Option<Vec<Value>>,
-    /// Fan-out queue of the current input tuple.
-    pub pending: VecDeque<Tuple>,
+    /// The attributes emitted (`None`: all).
+    pub keep: Option<&'p [Sym]>,
+    /// The resolved item sequence (fetched on first pull, or handed in
+    /// by a parallel segment that resolved it once for every worker).
+    pub items: Option<std::sync::Arc<Vec<Value>>>,
+    /// The input tuple being fanned out and the next item's position.
+    pub cur: Option<(Tuple, usize)>,
 }
 
 impl Cursor for IndexScan<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.items.is_none() {
-            self.items = Some(crate::access::scan_items(
-                self.uri,
-                self.pattern,
-                self.distinct,
-                ctx,
-            )?);
+            let items = crate::access::scan_items(self.uri, self.pattern, self.distinct, ctx)?;
+            self.items = Some(std::sync::Arc::new(items));
         }
+        let items = self.items.as_ref().expect("resolved above");
         loop {
-            if let Some(t) = self.pending.pop_front() {
-                return Ok(Some(t));
+            if let Some((t, idx)) = &mut self.cur {
+                if let Some(item) = items.get(*idx) {
+                    *idx += 1;
+                    return Ok(Some(t.merged(&[(self.attr, item.clone())], self.keep)));
+                }
             }
             let Some(t) = self.input.next(ctx)? else {
                 return Ok(None);
             };
-            let items = self.items.as_ref().expect("resolved above");
-            for item in items {
-                self.pending.push_back(t.extend(self.attr, item.clone()));
-            }
+            self.cur = Some((t, 0));
         }
     }
 
@@ -273,22 +348,25 @@ pub struct XiGroup<'p> {
     pub tail: &'p [XiCmd],
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
+    /// Key text assembled on its way into a group's key tuple.
+    pub scratch: String,
     /// Materialized groups, streamed out one per pull.
-    pub groups: Option<std::vec::IntoIter<(Tuple, Vec<Tuple>)>>,
+    pub(crate) groups: Option<Groups>,
 }
 
 impl Cursor for XiGroup<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.groups.is_none() {
             let rows = drain(self.input.as_mut(), ctx)?;
-            self.groups = Some(hash_groups(&rows, self.by, ctx).into_iter());
+            self.groups = Some(hash_groups(rows, self.by, ctx));
         }
-        let Some((key_tuple, members)) = self.groups.as_mut().expect("grouped above").next() else {
+        let Some(members) = self.groups.as_mut().expect("grouped above").next_group() else {
             return Ok(None);
         };
+        let key_tuple = group_key(members, self.by, ctx, &mut self.scratch);
         let key_env = self.env.concat(&key_tuple);
         xi::run_cmds(self.head, &key_env, ctx)?;
-        for t in &members {
+        for t in members {
             xi::run_cmds(self.body, &scoped(&self.env, t), ctx)?;
         }
         xi::run_cmds(self.tail, &key_env, ctx)?;
@@ -311,23 +389,32 @@ pub struct HashGroupUnary<'p> {
     pub by: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
+    /// The attributes of an output tuple: `by` and `g`.
+    pub emits: Vec<Sym>,
     /// Outer-scope bindings visible to subscript evaluation.
     pub env: Tuple,
+    /// Key text assembled on its way into an output tuple.
+    pub scratch: String,
     /// Materialized groups, streamed out one per pull.
-    pub groups: Option<std::vec::IntoIter<(Tuple, Vec<Tuple>)>>,
+    pub(crate) groups: Option<Groups>,
 }
 
 impl Cursor for HashGroupUnary<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.groups.is_none() {
             let rows = drain(self.input.as_mut(), ctx)?;
-            self.groups = Some(hash_groups(&rows, self.by, ctx).into_iter());
+            self.groups = Some(hash_groups(rows, self.by, ctx));
         }
-        let Some((key_tuple, members)) = self.groups.as_mut().expect("grouped above").next() else {
+        let Some(members) = self.groups.as_mut().expect("grouped above").next_group() else {
             return Ok(None);
         };
-        let v = apply_groupfn(self.f, &members, &self.env, ctx)?;
-        Ok(Some(key_tuple.extend(self.g, v)))
+        let v = apply_groupfn(self.f, members, &self.env, ctx)?;
+        // The atomized key and the aggregate in one block.
+        Ok(Some(members[0].merged_with(
+            &[(self.g, v)],
+            Some(&self.emits),
+            |v| v.atomize_in(ctx.catalog, &mut self.scratch),
+        )))
     }
 
     fn op_name(&self) -> &'static str {

@@ -19,15 +19,18 @@
 //! report exactly the counters of a serial streaming run of the same
 //! query, summed across workers:
 //!
-//! * stage cursors are wrapped in the same [`Metered`] shells as serial
-//!   lowering, into per-worker [`nal::eval::Metrics`] merged on join;
+//! * a morsel's stage pipeline is lowered by the serial lowering itself
+//!   (`Stage` only says where builds, scans and the feed come from), so
+//!   its cursors wear the same [`super::cursor::Metered`] shells, into
+//!   per-worker [`nal::eval::Metrics`] merged on join;
 //! * the parallel shell and feed leaf are *unmetered* (the serial plan
 //!   has no such operators);
 //! * build sides (hash tables, θ-probe builds, ×-inners) and
 //!   posting-list scans are prepared **once** on the calling thread —
 //!   exactly the once-per-cursor work of serial execution — and shared
 //!   read-only with every worker, which probes them through the serial
-//!   join cursors ([`join::HashJoin`], [`join::LoopJoin`]);
+//!   join cursors ([`super::join::HashJoin`], [`super::join::LoopJoin`],
+//!   [`super::join::Cross`]);
 //! * probe-invariant index joins (constant range bounds, no residual)
 //!   probe **once per segment** through a `ProbeGroup`: the first
 //!   worker claims the probe, every sibling morsel waits on a condvar
@@ -47,11 +50,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use nal::eval::{EvalCtx, EvalError, EvalResult};
 use nal::{ProjOp, Sym, Tuple, Value};
 
-use super::cursor::{drain, BoxCursor, Cursor, Feed, Metered};
-use super::join::{self, Buckets};
+use super::cursor::{drain, BoxCursor, Cursor};
+use super::join::Buckets;
 use super::merge::{merge_runs, MorselKey, Run};
-use super::ops;
-use crate::plan::{JoinKind, PhysPlan};
+use super::{node_id, Lowering};
+use crate::plan::PhysPlan;
 use crate::theta::ThetaBuild;
 
 /// Morsels enqueued per worker: enough granularity for stealing to fix
@@ -241,7 +244,7 @@ impl ProbeGroup {
     /// Return the group's decision, computing it via `probe` if this
     /// caller wins the claim. On probe error the claim is released so a
     /// sibling can retry rather than deadlock.
-    fn decide(&self, probe: impl FnOnce() -> EvalResult<bool>) -> EvalResult<bool> {
+    pub(crate) fn decide(&self, probe: impl FnOnce() -> EvalResult<bool>) -> EvalResult<bool> {
         let mut st = self.state.lock().expect("probe group lock");
         loop {
             match *st {
@@ -292,7 +295,7 @@ impl SegmentShared {
         let mut shared = SegmentShared::default();
         let mut cur = stages;
         loop {
-            let addr = cur as *const PhysPlan as usize;
+            let addr = node_id(cur);
             match cur {
                 PhysPlan::MorselFeed => break,
                 PhysPlan::IndexScan {
@@ -325,7 +328,7 @@ impl SegmentShared {
                     shared.thetas.insert(addr, Arc::new(build));
                     cur = left;
                 }
-                PhysPlan::Cross { left, right } => {
+                PhysPlan::Cross { left, right, .. } => {
                     let rows = drain_plan(right, env, ctx)?;
                     shared.inners.insert(addr, Arc::new(rows));
                     cur = left;
@@ -359,8 +362,49 @@ fn drain_plan(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult
 }
 
 // ---------------------------------------------------------------------
-// Worker-side cursors
+// Worker-side lowering
 // ---------------------------------------------------------------------
+
+/// What lowering one morsel's copy of the stage pipeline takes from its
+/// segment instead of from the plan: the builds and scans
+/// [`SegmentShared::prepare`] resolved once, and the morsel itself for
+/// the feed leaf. Everything else is the serial lowering — the same
+/// cursors, the same [`super::cursor::Metered`] shells (same operator
+/// names, same plan-node identities) — so per-worker counters and traces
+/// merge into serial-equal totals.
+pub(crate) struct Stage<'a> {
+    shared: &'a SegmentShared,
+    feed: Option<MorselSlice>,
+}
+
+impl Stage<'_> {
+    /// The morsel, for the one feed leaf of the stage spine.
+    pub(crate) fn take_feed(&mut self) -> Option<BoxCursor<'static>> {
+        let feed: BoxCursor<'static> = Box::new(self.feed.take()?);
+        Some(feed)
+    }
+
+    pub(crate) fn scan(&self, node: usize) -> Arc<Vec<Value>> {
+        self.shared.scans[&node].clone()
+    }
+
+    pub(crate) fn buckets(&self, node: usize) -> Arc<Buckets> {
+        self.shared.builds[&node].clone()
+    }
+
+    pub(crate) fn theta(&self, node: usize) -> Arc<ThetaBuild> {
+        self.shared.thetas[&node].clone()
+    }
+
+    pub(crate) fn inner(&self, node: usize) -> Arc<Vec<Tuple>> {
+        self.shared.inners[&node].clone()
+    }
+
+    /// The early-cancel group of a probe-invariant index join.
+    pub(crate) fn probe_group(&self, node: usize) -> Option<Arc<ProbeGroup>> {
+        self.shared.groups.get(&node).cloned()
+    }
+}
 
 /// The feed leaf: one contiguous slice of the drained source.
 struct MorselSlice {
@@ -400,216 +444,6 @@ impl Cursor for DanglingFeed {
     }
 }
 
-/// Worker-side × over the shared materialized inner.
-struct SharedCross<'p> {
-    left: BoxCursor<'p>,
-    right_rows: Arc<Vec<Tuple>>,
-    cur_left: Option<Tuple>,
-    ridx: usize,
-}
-
-impl Cursor for SharedCross<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        loop {
-            if let Some(lt) = &self.cur_left {
-                if let Some(rt) = self.right_rows.get(self.ridx) {
-                    self.ridx += 1;
-                    return Ok(Some(lt.concat(rt)));
-                }
-                self.cur_left = None;
-            }
-            match self.left.next(ctx)? {
-                Some(lt) => {
-                    self.cur_left = Some(lt);
-                    self.ridx = 0;
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "Cross"
-    }
-}
-
-/// Worker-side index join. Non-invariant recipes probe per tuple
-/// exactly like [`super::join::IndexJoin`]; probe-invariant recipes
-/// route the single probe through the segment's [`ProbeGroup`] and
-/// memoize the group decision per cursor.
-struct SharedIndexJoin<'p> {
-    left: BoxCursor<'p>,
-    recipe: &'p crate::access::AccessRecipe,
-    env: Tuple,
-    access: Option<crate::access::IndexJoinAccess>,
-    group: Option<Arc<ProbeGroup>>,
-    cached: Option<bool>,
-}
-
-impl Cursor for SharedIndexJoin<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.access.is_none() {
-            self.access = Some(crate::access::IndexJoinAccess::resolve(self.recipe, ctx)?);
-        }
-        while let Some(lt) = self.left.next(ctx)? {
-            let access = self.access.as_mut().expect("resolved above");
-            let matched = match self.cached {
-                Some(m) => m,
-                None => match &self.group {
-                    Some(g) => {
-                        let m =
-                            g.decide(|| access.probe_matches(self.recipe, &lt, &self.env, ctx))?;
-                        self.cached = Some(m);
-                        m
-                    }
-                    None => access.probe_matches(self.recipe, &lt, &self.env, ctx)?,
-                },
-            };
-            let emit = matches!(self.recipe.kind, JoinKind::Semi) == matched;
-            if emit {
-                return Ok(Some(lt));
-            }
-        }
-        Ok(None)
-    }
-
-    fn op_name(&self) -> &'static str {
-        self.recipe.op_name()
-    }
-}
-
-/// Lower a stage pipeline for one morsel: the same cursor tree serial
-/// lowering would produce, except build/scan state comes pre-resolved
-/// from [`SegmentShared`] and the spine bottoms out at the morsel
-/// slice. Every stage cursor gets the serial [`Metered`] shell (same
-/// operator names, same plan-node identities), so per-worker counters
-/// and traces merge into serial-equal totals.
-fn lower_stage<'p>(
-    plan: &'p PhysPlan,
-    env: &Tuple,
-    shared: &SegmentShared,
-    feed: &mut Option<MorselSlice>,
-) -> BoxCursor<'p> {
-    let addr = plan as *const PhysPlan as usize;
-    let inner: BoxCursor<'p> = match plan {
-        PhysPlan::MorselFeed => {
-            return Box::new(feed.take().expect("one feed leaf per stage spine"))
-        }
-        PhysPlan::Select { input, pred } => Box::new(ops::Select {
-            input: lower_stage(input, env, shared, feed),
-            pred,
-            env: env.clone(),
-        }),
-        PhysPlan::Project { input, op } => Box::new(ops::Project {
-            input: lower_stage(input, env, shared, feed),
-            op,
-            seen: Default::default(),
-        }),
-        PhysPlan::Map { input, attr, value } => Box::new(ops::Map {
-            input: lower_stage(input, env, shared, feed),
-            attr: *attr,
-            value,
-            env: env.clone(),
-        }),
-        PhysPlan::UnnestMap { input, attr, value } => Box::new(ops::UnnestMap {
-            input: lower_stage(input, env, shared, feed),
-            attr: *attr,
-            value,
-            env: env.clone(),
-            pending: Default::default(),
-        }),
-        PhysPlan::Unnest {
-            input,
-            attr,
-            distinct,
-            preserve_empty,
-            inner_attrs,
-        } => Box::new(ops::Unnest {
-            input: lower_stage(input, env, shared, feed),
-            attr: *attr,
-            distinct: *distinct,
-            preserve_empty: *preserve_empty,
-            inner_attrs,
-            pending: Default::default(),
-        }),
-        PhysPlan::IndexScan {
-            input,
-            attr,
-            uri,
-            pattern,
-            distinct,
-        } => Box::new(ops::IndexScan {
-            input: lower_stage(input, env, shared, feed),
-            attr: *attr,
-            uri,
-            pattern,
-            distinct: *distinct,
-            items: Some(
-                shared.scans[&addr].as_ref().clone(), // pre-resolved: no extra lookup
-            ),
-            pending: Default::default(),
-        }),
-        PhysPlan::Cross { left, .. } => Box::new(SharedCross {
-            left: lower_stage(left, env, shared, feed),
-            right_rows: shared.inners[&addr].clone(),
-            cur_left: None,
-            ridx: 0,
-        }),
-        PhysPlan::HashJoin {
-            left,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-            pad,
-            ..
-        } => Box::new(join::HashJoin {
-            left: Feed::Stream(lower_stage(left, env, shared, feed)),
-            right: None,
-            left_keys,
-            right_keys,
-            residual: residual.as_ref(),
-            kind,
-            pad,
-            env: env.clone(),
-            strict: false,
-            build: Some(shared.builds[&addr].clone()),
-            cur: None,
-        }),
-        PhysPlan::LoopJoin {
-            left,
-            split,
-            kind,
-            pad,
-            ..
-        } => Box::new(join::LoopJoin {
-            left: Feed::Stream(lower_stage(left, env, shared, feed)),
-            right: None,
-            split,
-            kind,
-            pad,
-            env: env.clone(),
-            strict: false,
-            build: Some(shared.thetas[&addr].clone()),
-            cur: None,
-        }),
-        PhysPlan::IndexJoin { left, recipe } => Box::new(SharedIndexJoin {
-            left: lower_stage(left, env, shared, feed),
-            recipe,
-            env: env.clone(),
-            access: None,
-            group: shared.groups.get(&addr).cloned(),
-            cached: None,
-        }),
-        other => unreachable!("not a stage operator: {}", other.op_name()),
-    };
-    Box::new(Metered {
-        inner,
-        name: plan.op_name(),
-        node: addr,
-    })
-}
-
 // ---------------------------------------------------------------------
 // The parallel cursor
 // ---------------------------------------------------------------------
@@ -617,7 +451,7 @@ fn lower_stage<'p>(
 /// The streaming cursor of a [`PhysPlan::Parallel`] node. The first
 /// pull runs the whole segment (drain → partition → pool → merge); the
 /// merged output then streams out tuple by tuple. Deliberately not
-/// [`Metered`]: the serial plan has no parallel shell, and parity
+/// [`super::cursor::Metered`]: the serial plan has no parallel shell, and parity
 /// demands identical operator counters.
 pub struct ParallelCursor<'p> {
     source: &'p PhysPlan,
@@ -704,12 +538,20 @@ fn run_morsel(
     range: Range<usize>,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Vec<Tuple>> {
-    let mut feed = Some(MorselSlice {
+    let feed = MorselSlice {
         rows,
         end: range.end,
         idx: range.start,
-    });
-    let mut cur = lower_stage(stages, env, shared, &mut feed);
+    };
+    let stage = Stage {
+        shared,
+        feed: Some(feed),
+    };
+    let mut lowering = Lowering {
+        env,
+        stage: Some(stage),
+    };
+    let mut cur = lowering.lower(stages);
     drain(cur.as_mut(), ctx)
 }
 

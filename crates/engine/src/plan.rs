@@ -19,6 +19,36 @@ use nal::{Expr, GroupFn, ProjOp, Scalar, Sym, Value, XiCmd};
 
 use crate::theta::ThetaSplit;
 
+/// What a tuple-producing operator emits of the tuple it builds —
+/// written by the dead-attribute pass ([`crate::live`]), honoured by
+/// both executors.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Keep {
+    /// The attributes emitted, sorted; `None`: everything built. An
+    /// attribute outside the list is never placed in the output block,
+    /// so every operator above works on a narrower tuple.
+    pub only: Option<Vec<Sym>>,
+    /// The `Π_A`/`Π_{Ā}` operators that sat directly above this one and
+    /// were folded into `only` (innermost first). EXPLAIN shows them;
+    /// execution never reads them.
+    pub absorbed: Vec<ProjOp>,
+}
+
+impl Keep {
+    /// The emitted attributes, if restricted.
+    pub fn attrs(&self) -> Option<&[Sym]> {
+        self.only.as_deref()
+    }
+
+    /// Is `a`, when built, emitted?
+    pub fn emits(&self, a: Sym) -> bool {
+        match &self.only {
+            None => true,
+            Some(only) => only.contains(&a),
+        }
+    }
+}
+
 /// How a binary matching operator consumes its matches.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JoinKind {
@@ -69,6 +99,13 @@ pub enum PhysPlan {
         attr: Sym,
         /// The subscript computing its value.
         value: Scalar,
+        /// Evaluate this χ against the tuple its *input* χ/Υ receives and
+        /// build both bindings into one output block: set when the
+        /// subscript reads nothing the run of χ/Υ below it binds (and
+        /// none of them embeds nested algebra).
+        fused: bool,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// × — ordered cross product.
     Cross {
@@ -76,6 +113,8 @@ pub enum PhysPlan {
         left: Box<PhysPlan>,
         /// Inner input.
         right: Box<PhysPlan>,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// Hash-based order-preserving join: build on the right, probe the
     /// left in order; bucket order preserves right order.
@@ -94,6 +133,8 @@ pub enum PhysPlan {
         kind: JoinKind,
         /// `A(right) \ {g}` — outer-join NULL padding (precomputed).
         pad: Vec<Sym>,
+        /// What of the joined tuple is emitted (inner/outer joins only).
+        keep: Keep,
     },
     /// Join for non-equi predicates: the definitional nested loop's
     /// result, computed by the shared θ-probe ([`crate::theta`]).
@@ -110,6 +151,8 @@ pub enum PhysPlan {
         kind: JoinKind,
         /// Outer-join NULL padding.
         pad: Vec<Sym>,
+        /// What of the joined tuple is emitted (inner/outer joins only).
+        keep: Keep,
     },
     /// Single-pass hash grouping (θ = '='), first-occurrence key order.
     HashGroupUnary {
@@ -149,6 +192,8 @@ pub enum PhysPlan {
         right_on: Vec<Sym>,
         /// The aggregate applied per group.
         f: GroupFn,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// Binary θ-grouping fallback (non-equality comparisons).
     ThetaGroupBinary {
@@ -179,6 +224,8 @@ pub enum PhysPlan {
         preserve_empty: bool,
         /// Attributes of the nested tuples (precomputed schema).
         inner_attrs: Vec<Sym>,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// Υ — bind `attr` to each item of the subscript's sequence.
     UnnestMap {
@@ -188,6 +235,11 @@ pub enum PhysPlan {
         attr: Sym,
         /// The sequence-producing subscript.
         value: Scalar,
+        /// Like [`PhysPlan::Map`]'s: this Υ is evaluated with the run of
+        /// χ below it (a run has one fan-out at most).
+        fused: bool,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// Ξ — serialize per input tuple (identity output).
     XiSimple {
@@ -228,6 +280,8 @@ pub enum PhysPlan {
         /// emit first-occurrence distinct *atomized* values instead of
         /// nodes.
         distinct: bool,
+        /// What of the built tuple is emitted.
+        keep: Keep,
     },
     /// Index-backed semi/anti quantifier join: replaces a hash or loop
     /// semi/anti join whose build side is a document path scan (possibly
@@ -318,10 +372,58 @@ impl PhysPlan {
             out.push_str("  ");
         }
         out.push_str(self.op_name());
+        out.push_str(&self.detail());
         out.push('\n');
         for c in self.children() {
             c.explain_into(depth + 1, out);
         }
+    }
+
+    /// What [`Self::op_name`] leaves out and the dead-attribute pass
+    /// decided, for EXPLAIN: the attribute a binder binds, the
+    /// attributes a producer emits (`keep{…}`) with the projections
+    /// folded into it, and whether a χ is evaluated with the run below
+    /// it — e.g. `[t1] keep{t1} absorbed Π[t1]`. Empty for the
+    /// operators the pass leaves alone.
+    pub fn detail(&self) -> String {
+        let list = |syms: &[Sym]| {
+            let names: Vec<&str> = syms.iter().map(|s| s.as_str()).collect();
+            names.join(",")
+        };
+        let (bound, keep, fused) = match self {
+            PhysPlan::Map {
+                attr, keep, fused, ..
+            }
+            | PhysPlan::UnnestMap {
+                attr, keep, fused, ..
+            } => (Some(*attr), keep, *fused),
+            PhysPlan::IndexScan { attr, keep, .. } | PhysPlan::Unnest { attr, keep, .. } => {
+                (Some(*attr), keep, false)
+            }
+            PhysPlan::HashGroupBinary { g, keep, .. } => (Some(*g), keep, false),
+            PhysPlan::Cross { keep, .. }
+            | PhysPlan::HashJoin { keep, .. }
+            | PhysPlan::LoopJoin { keep, .. } => (None, keep, false),
+            _ => return String::new(),
+        };
+        let mut out = String::new();
+        if let Some(a) = bound {
+            out.push_str(&format!("[{a}]"));
+        }
+        if let Some(only) = &keep.only {
+            out.push_str(&format!(" keep{{{}}}", list(only)));
+        }
+        for op in &keep.absorbed {
+            match op {
+                ProjOp::Cols(cols) => out.push_str(&format!(" absorbed Π[{}]", list(cols))),
+                ProjOp::Drop(cols) => out.push_str(&format!(" absorbed Π[-{}]", list(cols))),
+                other => unreachable!("only Π_A and Π_Ā are absorbed, not {other:?}"),
+            }
+        }
+        if fused {
+            out.push_str(" fused");
+        }
+        out
     }
 
     /// The node's direct plan inputs, in left-to-right order (the probe
@@ -329,6 +431,40 @@ impl PhysPlan {
     /// executed). Used by explain rendering and per-node cost/trace
     /// walks.
     pub fn children(&self) -> Vec<&PhysPlan> {
+        self.inputs().into_iter().flatten().collect()
+    }
+
+    /// [`Self::children`] without the allocation, for the walks that
+    /// run per compilation or per execution.
+    pub(crate) fn inputs(&self) -> [Option<&PhysPlan>; 2] {
+        match self {
+            PhysPlan::Singleton
+            | PhysPlan::Literal(_)
+            | PhysPlan::AttrRel(_)
+            | PhysPlan::MorselFeed => [None, None],
+            PhysPlan::Parallel { source, stages } => [Some(source), Some(stages)],
+            PhysPlan::Select { input, .. }
+            | PhysPlan::Project { input, .. }
+            | PhysPlan::Map { input, .. }
+            | PhysPlan::HashGroupUnary { input, .. }
+            | PhysPlan::ThetaGroupUnary { input, .. }
+            | PhysPlan::Unnest { input, .. }
+            | PhysPlan::UnnestMap { input, .. }
+            | PhysPlan::XiSimple { input, .. }
+            | PhysPlan::XiGroup { input, .. }
+            | PhysPlan::IndexScan { input, .. } => [Some(input), None],
+            PhysPlan::IndexJoin { left, .. } => [Some(left), None],
+            PhysPlan::Cross { left, right, .. }
+            | PhysPlan::HashJoin { left, right, .. }
+            | PhysPlan::LoopJoin { left, right, .. }
+            | PhysPlan::HashGroupBinary { left, right, .. }
+            | PhysPlan::ThetaGroupBinary { left, right, .. } => [Some(left), Some(right)],
+        }
+    }
+
+    /// [`Self::children`] by mutable reference — what the rewrite passes
+    /// walk.
+    pub(crate) fn children_mut(&mut self) -> Vec<&mut PhysPlan> {
         match self {
             PhysPlan::Singleton
             | PhysPlan::Literal(_)
@@ -346,7 +482,7 @@ impl PhysPlan {
             | PhysPlan::XiGroup { input, .. }
             | PhysPlan::IndexScan { input, .. } => vec![input],
             PhysPlan::IndexJoin { left, .. } => vec![left],
-            PhysPlan::Cross { left, right }
+            PhysPlan::Cross { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::LoopJoin { left, right, .. }
             | PhysPlan::HashGroupBinary { left, right, .. }
@@ -355,28 +491,46 @@ impl PhysPlan {
     }
 }
 
-/// Compile a logical expression into a physical plan.
+/// Compile a logical expression into a physical plan: the operator
+/// choice of [`compile_unpruned`], then the dead-attribute pass
+/// ([`crate::live::prune`]) — so every plan an executor, the plan cache
+/// or the index rewrite sees builds only the attributes something
+/// reads.
 pub fn compile(e: &Expr) -> PhysPlan {
+    let mut plan = compile_unpruned(e);
+    crate::live::prune(&mut plan);
+    plan
+}
+
+/// [`compile`] without the dead-attribute pass: every operator emits
+/// everything it builds and every `Π` is its own operator. The reference
+/// the pass is differentially tested against (`tests/live_attrs.rs`) and
+/// nothing else: pricing, caching and execution all see [`compile`]'s plan.
+#[doc(hidden)]
+pub fn compile_unpruned(e: &Expr) -> PhysPlan {
     match e {
         Expr::Singleton => PhysPlan::Singleton,
         Expr::Literal(rows) => PhysPlan::Literal(rows.clone()),
         Expr::AttrRel(a) => PhysPlan::AttrRel(*a),
         Expr::Select { input, pred } => PhysPlan::Select {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             pred: pred.clone(),
         },
         Expr::Project { input, op } => PhysPlan::Project {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             op: op.clone(),
         },
         Expr::Map { input, attr, value } => PhysPlan::Map {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             attr: *attr,
             value: value.clone(),
+            fused: false,
+            keep: Keep::default(),
         },
         Expr::Cross { left, right } => PhysPlan::Cross {
-            left: Box::new(compile(left)),
-            right: Box::new(compile(right)),
+            left: Box::new(compile_unpruned(left)),
+            right: Box::new(compile_unpruned(right)),
+            keep: Keep::default(),
         },
         Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, &[]),
         Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, &[]),
@@ -407,7 +561,7 @@ pub fn compile(e: &Expr) -> PhysPlan {
             theta,
             f,
         } => {
-            let input = Box::new(compile(input));
+            let input = Box::new(compile_unpruned(input));
             if *theta == nal::CmpOp::Eq {
                 PhysPlan::HashGroupUnary {
                     input,
@@ -434,8 +588,8 @@ pub fn compile(e: &Expr) -> PhysPlan {
             right_on,
             f,
         } => {
-            let left = Box::new(compile(left));
-            let right = Box::new(compile(right));
+            let left = Box::new(compile_unpruned(left));
+            let right = Box::new(compile_unpruned(right));
             if *theta == nal::CmpOp::Eq {
                 PhysPlan::HashGroupBinary {
                     left,
@@ -444,6 +598,7 @@ pub fn compile(e: &Expr) -> PhysPlan {
                     left_on: left_on.clone(),
                     right_on: right_on.clone(),
                     f: f.clone(),
+                    keep: Keep::default(),
                 }
             } else {
                 PhysPlan::ThetaGroupBinary {
@@ -464,18 +619,21 @@ pub fn compile(e: &Expr) -> PhysPlan {
             preserve_empty,
         } => PhysPlan::Unnest {
             inner_attrs: nal::expr::attrs::nested_attrs(input, *attr).unwrap_or_default(),
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             attr: *attr,
             distinct: *distinct,
             preserve_empty: *preserve_empty,
+            keep: Keep::default(),
         },
         Expr::UnnestMap { input, attr, value } => PhysPlan::UnnestMap {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             attr: *attr,
             value: value.clone(),
+            fused: false,
+            keep: Keep::default(),
         },
         Expr::XiSimple { input, cmds } => PhysPlan::XiSimple {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             cmds: cmds.clone(),
         },
         Expr::XiGroup {
@@ -485,7 +643,7 @@ pub fn compile(e: &Expr) -> PhysPlan {
             body,
             tail,
         } => PhysPlan::XiGroup {
-            input: Box::new(compile(input)),
+            input: Box::new(compile_unpruned(input)),
             by: by.clone(),
             head: head.clone(),
             body: body.clone(),
@@ -497,8 +655,8 @@ pub fn compile(e: &Expr) -> PhysPlan {
 /// Split a join predicate into hashable equi-pairs and a residual; choose
 /// the hash or loop operator accordingly.
 fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -> PhysPlan {
-    let l = Box::new(compile(left));
-    let r = Box::new(compile(right));
+    let l = Box::new(compile_unpruned(left));
+    let r = Box::new(compile_unpruned(right));
     let a_l = attr_set(left);
     let a_r = attr_set(right);
 
@@ -529,6 +687,7 @@ fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -
             split: ThetaSplit::of(pred, &a_l, &a_r, schema_known(left) && schema_known(right)),
             kind,
             pad: pad.to_vec(),
+            keep: Keep::default(),
         }
     } else {
         PhysPlan::HashJoin {
@@ -543,6 +702,7 @@ fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -
             },
             kind,
             pad: pad.to_vec(),
+            keep: Keep::default(),
         }
     }
 }

@@ -280,6 +280,7 @@ pub fn explain_frame(o: &ExplainOutcome) -> String {
         .map(|n| {
             Json::Obj(vec![
                 ("op".to_string(), Json::str(n.op.clone())),
+                ("detail".to_string(), Json::str(n.detail.trim_start())),
                 ("depth".to_string(), Json::num(n.depth as f64)),
                 ("rows".to_string(), Json::num(n.rows as f64)),
                 ("calls".to_string(), Json::num(n.calls as f64)),

@@ -498,7 +498,9 @@ impl<'a> CostModel<'a> {
                     cost: i.cost + i.rows,
                 }
             }
-            P::Map { input, attr, value } => {
+            P::Map {
+                input, attr, value, ..
+            } => {
                 let i = self.plan_est(input, out, docs);
                 let scalar = self.scalar_cost(value);
                 // Remember document bindings: a later Υ subscript rooted
@@ -511,7 +513,7 @@ impl<'a> CostModel<'a> {
                     cost: i.cost + i.rows * (1.0 + scalar),
                 }
             }
-            P::Cross { left, right } => {
+            P::Cross { left, right, .. } => {
                 let l = self.plan_est(left, out, docs);
                 let r = self.plan_est(right, out, docs);
                 Estimate {

@@ -268,26 +268,57 @@ impl Document {
     /// also `<author><last>L</last></author>`); only mixed content is
     /// concatenated into a fresh string.
     pub fn string_value(&self, id: NodeId) -> Cow<'_, str> {
-        match self.kind(id) {
-            NodeKind::Text | NodeKind::Attribute(_) => Cow::Borrowed(self.text(id)),
-            NodeKind::Document | NodeKind::Element(_) => {
-                let mut texts = self
-                    .descendants(id)
-                    .filter(|&d| self.kind(d).is_text())
-                    .map(|d| self.text(d));
-                match (texts.next(), texts.next()) {
-                    (None, _) => Cow::Borrowed(""),
-                    (Some(only), None) => Cow::Borrowed(only),
-                    (Some(first), Some(second)) => {
-                        let mut s = String::with_capacity(first.len() + second.len());
-                        s.push_str(first);
-                        s.push_str(second);
-                        s.extend(texts);
-                        Cow::Owned(s)
-                    }
-                }
+        if self.stores_own_text(id) {
+            return Cow::Borrowed(self.text(id));
+        }
+        let mut texts = self.descendant_texts(id);
+        match (texts.next(), texts.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(only), None) => Cow::Borrowed(only),
+            (Some(first), Some(second)) => {
+                let mut s = String::with_capacity(first.len() + second.len());
+                s.push_str(first);
+                s.push_str(second);
+                s.extend(texts);
+                Cow::Owned(s)
             }
         }
+    }
+
+    /// [`Self::string_value`] for a caller that only looks at the text
+    /// (a hash probe, a comparison): mixed content is concatenated into
+    /// the caller's `scratch` buffer instead of a fresh string, in one
+    /// walk of the subtree, so a loop of lookups allocates nothing once
+    /// the buffer has grown. The flag says the text was assembled there
+    /// — whoever keeps it has to copy it — rather than found stored.
+    pub fn string_value_in<'a>(&'a self, id: NodeId, scratch: &'a mut String) -> (&'a str, bool) {
+        if self.stores_own_text(id) {
+            return (self.text(id), false);
+        }
+        let mut texts = self.descendant_texts(id);
+        let (Some(first), second) = (texts.next(), texts.next()) else {
+            return ("", false);
+        };
+        let Some(second) = second else {
+            return (first, false);
+        };
+        scratch.clear();
+        scratch.push_str(first);
+        scratch.push_str(second);
+        scratch.extend(texts);
+        (scratch, true)
+    }
+
+    /// A text or attribute node: its string value is its stored text.
+    fn stores_own_text(&self, id: NodeId) -> bool {
+        matches!(self.kind(id), NodeKind::Text | NodeKind::Attribute(_))
+    }
+
+    /// The text nodes below an element or the document, in order.
+    fn descendant_texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
+        self.descendants(id)
+            .filter(|&d| self.kind(d).is_text())
+            .map(|d| self.text(d))
     }
 
     /// `true` iff `anc` is an ancestor of `id` (strictly).

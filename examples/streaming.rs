@@ -50,7 +50,7 @@ fn main() {
         400 * 400
     );
     println!("tuples per operator :");
-    for (op, n) in &stream.metrics.op_tuples {
+    for (op, n) in stream.metrics.op_tuples.iter() {
         println!("  {op:<14} {n}");
     }
 }

@@ -35,10 +35,15 @@ fn round(label: &str, scale: usize, ceiling: u64, run: impl Fn() -> Vec<QueryAll
     );
 }
 
+/// Ceilings are the measured rounds plus 10 %: 32,459 indexed and
+/// 13,459 scan, down from 44,768 and 18,570 before producers stopped
+/// emitting dead attributes, Γ kept one buffer for all its groups and
+/// hash probes stopped owning their key text. A change that costs one
+/// tuple block per row of any of the ten queries shows here.
 #[test]
 fn warm_rounds_stay_within_allocation_budget() {
-    round("indexed", 400, 80_000, || warm_round(400, true));
-    round("scan", 150, 20_500, || warm_round(150, false));
+    round("indexed", 400, 35_700, || warm_round(400, true));
+    round("scan", 150, 14_800, || warm_round(150, false));
 }
 
 /// The plan-cache miss path (parse … apply_indexes, nothing executed)
