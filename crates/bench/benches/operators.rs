@@ -115,28 +115,6 @@ fn xi_fusion_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Materializing vs. streaming executor on a quantifier-shaped workload:
-/// a selective semijoin where the streaming path's short-circuit and
-/// pipelining should show up directly.
-fn executor_ablation(c: &mut Criterion) {
-    let cat = Catalog::new();
-    let mut group = c.benchmark_group("executor_ablation");
-    group.sample_size(10);
-    for &n in &[1000usize, 5000] {
-        let l = int_rel("a", n, 64);
-        let r = pair_rel("b", "y", n, 64);
-        let semi = l.semijoin(r, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
-        let plan = engine::compile(&semi);
-        group.bench_with_input(BenchmarkId::new("materialized", n), &plan, |bch, plan| {
-            bch.iter(|| engine::run_compiled(plan, &cat).expect("runs"))
-        });
-        group.bench_with_input(BenchmarkId::new("streaming", n), &plan, |bch, plan| {
-            bch.iter(|| engine::run_streaming_compiled(plan, &cat).expect("runs"))
-        });
-    }
-    group.finish();
-}
-
 /// Scan- vs index-backed quantifier joins on the paper's document
 /// workloads: the same semi/anti join plan compiled with `compile` (hash
 /// join over a full build-side scan) and with `compile_indexed` (value-
@@ -158,16 +136,12 @@ fn index_ablation(c: &mut Criterion) {
                 group.bench_with_input(
                     BenchmarkId::new(format!("{}-scan", w.id), n),
                     &scan_plan,
-                    |bch, plan| {
-                        bch.iter(|| engine::run_streaming_compiled(plan, &catalog).expect("runs"))
-                    },
+                    |bch, plan| bch.iter(|| engine::run_compiled(plan, &catalog).expect("runs")),
                 );
                 group.bench_with_input(
                     BenchmarkId::new(format!("{}-indexed", w.id), n),
                     &index_plan,
-                    |bch, plan| {
-                        bch.iter(|| engine::run_streaming_compiled(plan, &catalog).expect("runs"))
-                    },
+                    |bch, plan| bch.iter(|| engine::run_compiled(plan, &catalog).expect("runs")),
                 );
             }
         }
@@ -180,7 +154,6 @@ criterion_group!(
     join_ablation,
     grouping_ablation,
     xi_fusion_ablation,
-    executor_ablation,
     index_ablation
 );
 criterion_main!(benches);

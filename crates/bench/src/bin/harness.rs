@@ -4,7 +4,7 @@
 //! ```sh
 //! cargo run --release -p bench-harness --bin harness -- [--experiment all]
 //!     [--scales 100,1000,10000] [--nested-cap 1000] [--seed 42]
-//!     [--executor materialized|streaming] [--indexes on|off]
+//!     [--indexes on|off]
 //!     [--json results.json] [--smoke]
 //! ```
 //!
@@ -18,7 +18,7 @@
 //! maintenance vs rebuild-from-scratch), `service` (the query-service
 //! plan cache: cold vs warm latency per workload, then sustained mixed
 //! query/update throughput), `observability` (EXPLAIN ANALYZE over
-//! every workload on both executors: per-operator
+//! every workload: per-operator
 //! `(predicted_cost, measured_us, rows)` calibration pairs),
 //! `calibration` (grid-fit the cost model's guessed constants —
 //! index-probe weight and untraceable-path fan-out — against measured
@@ -33,8 +33,8 @@
 //! speedup-at-4-workers floor asserted on machines with ≥4 cores at
 //! scale ≥200), `fuzz` (the differential fuzz oracle as a throughput
 //! cell: seeded random corpus/query/update cases through the full
-//! scan/indexed × materializing/streaming × parallel-degree ×
-//! maintenance-mode matrix; any disagreement fails the harness with a
+//! scan/indexed × parallel-degree × maintenance-mode matrix against
+//! `nal::eval_query`; any disagreement fails the harness with a
 //! shrunk reproducer — budget via `XQD_FUZZ_SEED`/`XQD_FUZZ_CASES`),
 //! `allocs` (heap allocations and bytes requested per warm
 //! `QueryService::query` of Q1–Q10, scan and indexed, counted by the
@@ -63,8 +63,7 @@ use std::collections::BTreeMap;
 
 use bench_harness::allocs::{warm_round, CountingAlloc};
 use bench_harness::{
-    extrapolate_nested, fmt_secs, measure_plan_cfg, plans_for, Executor, Measurement, Report,
-    RunConfig,
+    extrapolate_nested, fmt_secs, measure_plan_cfg, plans_for, Measurement, Report, RunConfig,
 };
 use ordered_unnesting::workloads::{
     self, Q10_DEEP, Q1_DBLP, Q1_GROUPING, Q2_AGGREGATION, Q3_EXISTENTIAL, Q4_EXISTS, Q5_UNIVERSAL,
@@ -88,14 +87,13 @@ struct Args {
     scales: Vec<usize>,
     nested_cap: usize,
     seed: u64,
-    executor: Executor,
     indexes: bool,
     json: Option<String>,
 }
 
 impl Args {
     fn cfg(&self) -> RunConfig {
-        RunConfig::new(self.executor, self.indexes)
+        RunConfig::new(self.indexes)
     }
 }
 
@@ -105,7 +103,6 @@ fn parse_args() -> Args {
         scales: vec![100, 1000, 10000],
         nested_cap: 1000,
         seed: 42,
-        executor: Executor::Materialized,
         indexes: false,
         json: None,
     };
@@ -121,13 +118,6 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--nested-cap" => args.nested_cap = value().parse().unwrap_or(1000),
-            "--executor" => {
-                let v = value();
-                args.executor = Executor::parse(&v).unwrap_or_else(|| {
-                    eprintln!("unknown executor `{v}` (use materialized|streaming)");
-                    std::process::exit(2);
-                });
-            }
             "--indexes" => {
                 args.indexes = match value().as_str() {
                     "on" | "true" | "1" => true,
@@ -166,11 +156,10 @@ fn main() {
     println!("ordered-unnesting harness — reproducing the §5 evaluation");
     println!(
         "scales {:?}, nested plans measured up to {} (extrapolated beyond, marked est.), \
-         seed {}, executor {}, indexes {}\n",
+         seed {}, indexes {}\n",
         args.scales,
         args.nested_cap,
         args.seed,
-        args.executor.label(),
         args.cfg().indexes_label()
     );
     if run_all || args.experiment == "fig6" {
@@ -282,7 +271,7 @@ fn allocs(args: &Args, report: &mut Report) {
     println!("Allocations per warm query (QueryService::query, plan cache and indexes warm)");
     for &scale in &args.scales {
         for indexes in [false, true] {
-            let cfg = RunConfig::new(Executor::Streaming, indexes);
+            let cfg = RunConfig::new(indexes);
             let round = warm_round(scale, indexes);
             println!("scale {scale}, indexes {}:", cfg.indexes_label());
             for q in &round {
@@ -320,9 +309,9 @@ fn allocs(args: &Args, report: &mut Report) {
 // Access-path ablations: scan- vs index-backed quantifier joins
 // ---------------------------------------------------------------------
 
-/// The `executor_ablation`-style comparison for access paths: run each
-/// workload's quantifier-join plans with `--indexes off` and `on`
-/// (streaming executor — its probe counters make the work visible),
+/// Scan- vs index-backed access paths: run each workload's
+/// quantifier-join plans with `--indexes off` and `on` (the probe
+/// counters make the work visible),
 /// byte-compare the outputs (CI fails on any divergence), and assert
 /// the indexed run examines strictly fewer tuples while actually
 /// probing the index. The examined count includes the build side's
@@ -416,8 +405,8 @@ fn access_path_ablation(
                 if !label.contains("semijoin") {
                     continue;
                 }
-                let scan_cfg = RunConfig::new(Executor::Streaming, false);
-                let index_cfg = RunConfig::new(Executor::Streaming, true);
+                let scan_cfg = RunConfig::new(false);
+                let index_cfg = RunConfig::new(true);
                 // One untimed warm-up per configuration: the indexed run
                 // builds its path/value indexes here (the eager-build
                 // strategy — the paper's experiments likewise measure
@@ -494,7 +483,7 @@ fn fuzz_oracle(args: &Args, report: &mut Report) {
             m.output_len = rep.cases;
             report.record(
                 "fuzz",
-                RunConfig::new(Executor::Streaming, true),
+                RunConfig::new(true),
                 &[
                     ("cases", rep.cases as i64),
                     ("with_updates", rep.with_updates as i64),
@@ -543,13 +532,13 @@ fn parallel_ablation(args: &Args, report: &mut Report) {
                 if !label.contains("semijoin") {
                     continue;
                 }
-                let cfg = RunConfig::new(Executor::Streaming, args.indexes);
+                let cfg = RunConfig::new(args.indexes);
                 let serial_plan = cfg.compile(&expr, &catalog);
                 let par_plan = engine::apply_parallel(&serial_plan);
                 let wrapped = par_plan.explain().contains("Parallel");
                 // Untimed warm-up doubles as the byte-identity reference
                 // (and builds the indexes when `--indexes on`).
-                let reference = engine::run_streaming_compiled(&serial_plan, &catalog)
+                let reference = engine::run_compiled(&serial_plan, &catalog)
                     .unwrap_or_else(|e| panic!("[{}] serial plan runs: {e}", w.id));
                 let mut by_workers: Vec<(usize, Duration)> = Vec::new();
                 for &workers in &ladder {
@@ -670,8 +659,8 @@ fn update_ablation(args: &Args, report: &mut Report) {
                 .flat_map(|w| plans_for(w, &catalog))
                 .filter(|(label, _)| label.contains("semijoin"))
                 .collect();
-            let scan_cfg = RunConfig::new(Executor::Streaming, false);
-            let index_cfg = RunConfig::new(Executor::Streaming, true);
+            let scan_cfg = RunConfig::new(false);
+            let index_cfg = RunConfig::new(true);
             // Warm every index the plans probe, then count from zero:
             // the measured postings are pure maintenance traffic.
             for (_, expr) in &plans {
@@ -728,7 +717,7 @@ fn update_ablation(args: &Args, report: &mut Report) {
             };
             report.record(
                 "update",
-                RunConfig::new(Executor::Streaming, true),
+                RunConfig::new(true),
                 &[
                     ("scale", scale as i64),
                     ("updates", rounds as i64),
@@ -804,7 +793,7 @@ fn apply_update(catalog: &mut Catalog, id: xmldb::DocId, round: usize) {
 /// the zero-update prefix, the full replay matrix lives in
 /// `crates/service/tests/concurrent.rs`).
 fn service_ablation(args: &Args, report: &mut Report) {
-    use service::{CacheOutcome, ExecMode, QueryService, ServiceConfig, UpdateOp};
+    use service::{CacheOutcome, QueryService, ServiceConfig, UpdateOp};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -815,7 +804,7 @@ fn service_ablation(args: &Args, report: &mut Report) {
         .chain(workloads::RANGE.iter())
         .chain(workloads::COMPOSITE.iter())
         .collect();
-    let cfg = RunConfig::new(Executor::Streaming, true);
+    let cfg = RunConfig::new(true);
     for &scale in &args.scales {
         println!(
             "{:<16} {:>9} {:>12} {:>12} {:>9}",
@@ -826,7 +815,6 @@ fn service_ablation(args: &Args, report: &mut Report) {
             ServiceConfig {
                 cache_capacity: 64,
                 use_indexes: true,
-                exec: ExecMode::Streaming,
                 slow_query_us: None,
                 ..ServiceConfig::default()
             },
@@ -1007,7 +995,7 @@ fn concurrency_update_op(k: usize) -> service::UpdateOp {
 /// After the run every superseded version must have been reclaimed
 /// (`live_snapshots == 1`).
 fn concurrency(args: &Args, report: &mut Report) {
-    use service::{ExecMode, QueryService, ServiceConfig};
+    use service::{QueryService, ServiceConfig};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
     use std::time::Instant;
@@ -1025,12 +1013,11 @@ fn concurrency(args: &Args, report: &mut Report) {
     let svc_config = ServiceConfig {
         cache_capacity: 64,
         use_indexes: true,
-        exec: ExecMode::Streaming,
         slow_query_us: None,
         ..ServiceConfig::default()
     };
     let fresh = || QueryService::with_catalog(standard_catalog(scale, 2, args.seed), svc_config);
-    let cfg = RunConfig::new(Executor::Streaming, true);
+    let cfg = RunConfig::new(true);
     let par = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -1256,7 +1243,7 @@ fn calibration(args: &Args, report: &mut Report) {
         .unwrap_or(100)
         .min(args.nested_cap);
     let catalog = standard_catalog(scale, 2, args.seed);
-    let cfg = RunConfig::new(Executor::Streaming, true);
+    let cfg = RunConfig::new(true);
     let all: Vec<&workloads::Workload> = workloads::ALL
         .iter()
         .chain(workloads::RANGE.iter())
@@ -1384,8 +1371,8 @@ fn calibration(args: &Args, report: &mut Report) {
 // Observability: EXPLAIN ANALYZE calibration pairs for every workload
 // ---------------------------------------------------------------------
 
-/// Run every workload (Q1–Q10: the equality, range and composite sets)
-/// on **both** executors with per-operator tracing and print predicted
+/// Run every plan of every workload (Q1–Q10: the equality, range and
+/// composite sets) once with per-operator tracing and print predicted
 /// cost vs measured time for the root operator; the full per-operator
 /// `(predicted_cost, measured_us, rows)` pairs land in the `--json`
 /// cells' `operators` arrays (`bench-observability.json` in CI). Every
@@ -1393,7 +1380,7 @@ fn calibration(args: &Args, report: &mut Report) {
 /// the cost walk cannot price or the tracer never attributes fails the
 /// run here, not downstream in calibration.
 fn observability(args: &Args, report: &mut Report) {
-    println!("== Observability: EXPLAIN ANALYZE over all workloads, both executors ==\n");
+    println!("== Observability: EXPLAIN ANALYZE over all workloads ==\n");
     let all: Vec<&workloads::Workload> = workloads::ALL
         .iter()
         .chain(workloads::RANGE.iter())
@@ -1402,54 +1389,49 @@ fn observability(args: &Args, report: &mut Report) {
     let scale = args.scales.first().copied().unwrap_or(100);
     let catalog = standard_catalog(scale, 2, args.seed);
     println!(
-        "{:<16} {:<14} {:<13} {:>5} {:>14} {:>12}",
-        "workload", "plan", "executor", "ops", "root cost", "root time"
+        "{:<16} {:<14} {:>5} {:>14} {:>12}",
+        "workload", "plan", "ops", "root cost", "root time"
     );
     for w in &all {
-        for executor in [Executor::Materialized, Executor::Streaming] {
-            let cfg = RunConfig::new(executor, args.indexes);
-            for (label, expr) in plans_for(w, &catalog) {
-                if label == "nested" && scale > args.nested_cap {
-                    continue;
-                }
-                let m = measure_plan_cfg(&label, &expr, &catalog, cfg);
+        for (label, expr) in plans_for(w, &catalog) {
+            if label == "nested" && scale > args.nested_cap {
+                continue;
+            }
+            let m = measure_plan_cfg(&label, &expr, &catalog, args.cfg());
+            assert!(
+                !m.operators.is_empty(),
+                "[observability] {} `{label}` produced no operator rows",
+                w.id
+            );
+            for o in &m.operators {
                 assert!(
-                    !m.operators.is_empty(),
-                    "[observability] {} `{label}` on {} produced no operator rows",
+                    o.predicted_cost.is_some(),
+                    "[observability] {} `{label}`: operator {} unpriced",
                     w.id,
-                    executor.label()
+                    o.op
                 );
-                for o in &m.operators {
-                    assert!(
-                        o.predicted_cost.is_some(),
-                        "[observability] {} `{label}`: operator {} unpriced",
-                        w.id,
-                        o.op
-                    );
-                    assert!(
-                        o.calls > 0,
-                        "[observability] {} `{label}`: operator {} never entered",
-                        w.id,
-                        o.op
-                    );
-                }
-                let root = &m.operators[0];
-                println!(
-                    "{:<16} {:<14} {:<13} {:>5} {:>14.1} {:>12}",
+                assert!(
+                    o.calls > 0,
+                    "[observability] {} `{label}`: operator {} never entered",
                     w.id,
-                    label,
-                    executor.label(),
-                    m.operators.len(),
-                    root.predicted_cost.unwrap_or(f64::NAN),
-                    fmt_secs(std::time::Duration::from_micros(root.measured_us), false)
-                );
-                report.record(
-                    &format!("observability:{}", w.id),
-                    cfg,
-                    &[("scale", scale as i64)],
-                    &m,
+                    o.op
                 );
             }
+            let root = &m.operators[0];
+            println!(
+                "{:<16} {:<14} {:>5} {:>14.1} {:>12}",
+                w.id,
+                label,
+                m.operators.len(),
+                root.predicted_cost.unwrap_or(f64::NAN),
+                fmt_secs(std::time::Duration::from_micros(root.measured_us), false)
+            );
+            report.record(
+                &format!("observability:{}", w.id),
+                args.cfg(),
+                &[("scale", scale as i64)],
+                &m,
+            );
         }
     }
     println!();

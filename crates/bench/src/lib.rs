@@ -9,55 +9,16 @@ use nal::Expr;
 use ordered_unnesting::workloads::Workload;
 use xmldb::Catalog;
 
-/// Which physical executor a measurement runs on. Both stay measured:
-/// the harness selects one via `--executor`, and the Criterion benches
-/// compare them head-to-head.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Executor {
-    /// `engine::run` — every operator materializes its full output.
-    Materialized,
-    /// `engine::run_streaming` — pipelined cursors with short-circuiting
-    /// semi/anti joins.
-    Streaming,
-}
-
-impl Executor {
-    pub fn parse(s: &str) -> Option<Executor> {
-        match s {
-            "materialized" | "mat" => Some(Executor::Materialized),
-            "streaming" | "stream" => Some(Executor::Streaming),
-            _ => None,
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            Executor::Materialized => "materialized",
-            Executor::Streaming => "streaming",
-        }
-    }
-
-    /// Run an expression on this executor (scan-based access paths).
-    pub fn run(self, expr: &Expr, catalog: &Catalog) -> nal::EvalResult<engine::QueryResult> {
-        RunConfig {
-            executor: self,
-            indexes: false,
-        }
-        .run(expr, catalog)
-    }
-}
-
-/// Full measurement configuration: which executor, and whether plans are
-/// compiled with index-backed access paths (`--indexes on`).
+/// Measurement configuration: whether plans are compiled with
+/// index-backed access paths (`--indexes on`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunConfig {
-    pub executor: Executor,
     pub indexes: bool,
 }
 
 impl RunConfig {
-    pub fn new(executor: Executor, indexes: bool) -> RunConfig {
-        RunConfig { executor, indexes }
+    pub fn new(indexes: bool) -> RunConfig {
+        RunConfig { indexes }
     }
 
     pub fn indexes_label(self) -> &'static str {
@@ -70,11 +31,7 @@ impl RunConfig {
 
     /// Compile (with or without the index rewrite) and run.
     pub fn run(self, expr: &Expr, catalog: &Catalog) -> nal::EvalResult<engine::QueryResult> {
-        let plan = self.compile(expr, catalog);
-        match self.executor {
-            Executor::Materialized => engine::run_compiled(&plan, catalog),
-            Executor::Streaming => engine::run_streaming_compiled(&plan, catalog),
-        }
+        engine::run_compiled(&self.compile(expr, catalog), catalog)
     }
 
     /// Compile under this configuration's index mode.
@@ -83,19 +40,6 @@ impl RunConfig {
             engine::compile_indexed(expr, catalog)
         } else {
             engine::compile(expr)
-        }
-    }
-
-    /// Run an already-compiled plan with per-operator tracing
-    /// ([`engine::run_traced`] / [`engine::run_streaming_traced`]).
-    pub fn run_traced(
-        self,
-        plan: &engine::PhysPlan,
-        catalog: &Catalog,
-    ) -> nal::EvalResult<(engine::QueryResult, nal::obs::ExecTrace)> {
-        match self.executor {
-            Executor::Materialized => engine::run_traced(plan, catalog),
-            Executor::Streaming => engine::run_streaming_traced(plan, catalog),
         }
     }
 }
@@ -186,24 +130,15 @@ pub fn plans_for(w: &Workload, catalog: &Catalog) -> Vec<(String, Expr)> {
         .collect()
 }
 
-/// Execute one plan and record its cost. The first execution result is
-/// used (documents are memory-resident, so runs are stable; the Criterion
-/// benches provide statistical rigor at smaller scales).
+/// Execute one plan over scan-based access paths and record its cost.
+/// The first execution result is used (documents are memory-resident, so
+/// runs are stable; the Criterion benches provide statistical rigor at
+/// smaller scales).
 pub fn measure_plan(label: &str, expr: &Expr, catalog: &Catalog) -> Measurement {
-    measure_plan_with(label, expr, catalog, Executor::Materialized)
+    measure_plan_cfg(label, expr, catalog, RunConfig::new(false))
 }
 
-/// [`measure_plan`] on an explicitly selected executor.
-pub fn measure_plan_with(
-    label: &str,
-    expr: &Expr,
-    catalog: &Catalog,
-    executor: Executor,
-) -> Measurement {
-    measure_plan_cfg(label, expr, catalog, RunConfig::new(executor, false))
-}
-
-/// [`measure_plan`] under a full [`RunConfig`] (executor + index mode).
+/// [`measure_plan`] under an explicit index mode.
 pub fn measure_plan_cfg(
     label: &str,
     expr: &Expr,
@@ -218,8 +153,7 @@ pub fn measure_plan_cfg(
     let start = Instant::now();
     let result = cfg.run(expr, catalog).unwrap_or_else(|e| {
         panic!(
-            "plan `{label}` failed on {} (indexes {}): {e}",
-            cfg.executor.label(),
+            "plan `{label}` failed (indexes {}): {e}",
             cfg.indexes_label()
         )
     });
@@ -228,7 +162,7 @@ pub fn measure_plan_cfg(
     // (EXPLAIN ANALYZE). Kept out of the timed run above so the
     // per-operator clock reads never perturb the headline time.
     let plan = cfg.compile(expr, catalog);
-    let operators = match cfg.run_traced(&plan, catalog) {
+    let operators = match engine::run_traced(&plan, catalog) {
         Ok((_, trace)) => {
             let mut rep = engine::ExplainReport::from_trace(&plan, &trace);
             rep.annotate_costs(&unnest::plan_cost_map(&plan, catalog, cfg.indexes));
@@ -292,7 +226,6 @@ impl Report {
         let mut fields = vec![
             ("experiment".to_string(), json_str(experiment)),
             ("plan".to_string(), json_str(&m.plan)),
-            ("executor".to_string(), json_str(cfg.executor.label())),
             ("indexes".to_string(), json_str(cfg.indexes_label())),
             (
                 "elapsed_secs".to_string(),
@@ -469,18 +402,8 @@ mod tests {
             .iter()
             .find(|(l, _)| l == "semijoin")
             .expect("semijoin plan");
-        let scan = measure_plan_cfg(
-            label,
-            expr,
-            &catalog,
-            RunConfig::new(Executor::Streaming, false),
-        );
-        let indexed = measure_plan_cfg(
-            label,
-            expr,
-            &catalog,
-            RunConfig::new(Executor::Streaming, true),
-        );
+        let scan = measure_plan_cfg(label, expr, &catalog, RunConfig::new(false));
+        let indexed = measure_plan_cfg(label, expr, &catalog, RunConfig::new(true));
         assert_eq!(scan.output_len, indexed.output_len);
         assert!(indexed.index_lookups > 0);
         // Every measured cell carries per-operator calibration pairs,
@@ -503,12 +426,7 @@ mod tests {
     fn report_renders_valid_json_shape() {
         let mut r = Report::new();
         let m = Measurement::estimated("outer \"join\"", Duration::from_millis(5));
-        r.record(
-            "grouping",
-            RunConfig::new(Executor::Materialized, true),
-            &[("scale", 100)],
-            &m,
-        );
+        r.record("grouping", RunConfig::new(true), &[("scale", 100)], &m);
         let json = r.to_json();
         assert!(json.starts_with("[\n"), "{json}");
         assert!(json.contains("\"experiment\": \"grouping\""), "{json}");

@@ -164,13 +164,12 @@ pub struct Metrics {
     /// Evaluations of nested algebra expressions inside scalars (one per
     /// outer tuple in a nested plan; zero in a fully unnested plan).
     pub nested_evals: u64,
-    /// Tuples produced per physical operator. Populated by the streaming
-    /// executor's metered cursors; the materializing executor and the
-    /// reference evaluator leave it empty.
+    /// Tuples produced per physical operator. Populated by the engine's
+    /// metered cursors; the reference evaluator leaves it empty.
     pub op_tuples: OpTuples,
-    /// Right-side candidate tuples examined by join probes (the physical
-    /// engine's executors share their join cursors, so they count alike;
-    /// the reference evaluator leaves it 0). Short-circuiting semi/anti
+    /// Right-side candidate tuples examined by join probes (serial and
+    /// parallel runs share the engine's join cursors, so they count
+    /// alike; the reference evaluator leaves it 0). Short-circuiting semi/anti
     /// joins stop probing at the deciding match, so this stays below the
     /// nested-loop bound |left| × |right| — the observable form of the
     /// §5.3–§5.5 argument.
@@ -221,11 +220,11 @@ pub struct EvalCtx<'a> {
     /// Collected counters.
     pub metrics: Metrics,
     /// Optional per-operator execution trace. `None` (the default) keeps
-    /// the executors' hot paths untimed; a traced run
-    /// ([`EvalCtx::enable_trace`]) makes both executors record per-node
-    /// wall time, rows, and probe deltas here. Kept *outside*
-    /// [`Metrics`] so the executor counter-parity invariants never
-    /// compare timing.
+    /// the engine's hot paths untimed; a traced run
+    /// ([`EvalCtx::enable_trace`]) makes the engine's cursors record
+    /// per-node wall time, rows, and probe deltas here. Kept *outside*
+    /// [`Metrics`] so the parallel-vs-serial counter-parity invariants
+    /// never compare timing.
     pub trace: Option<crate::obs::ExecTrace>,
     /// Requested degree of intra-query parallelism. `1` (the default)
     /// keeps every operator on the calling thread; values above 1 let

@@ -2,10 +2,10 @@
 //! stage spans, and per-operator execution traces.
 //!
 //! Everything here is zero-dependency and deliberately *outside*
-//! [`crate::eval::Metrics`]: the executor-parity suites assert that the
-//! materializing and streaming executors produce identical counters, and
-//! wall-clock timing can never be identical by construction. Traces ride
-//! in their own optional slot on [`crate::eval::EvalCtx`], so an
+//! [`crate::eval::Metrics`]: the parallel-vs-serial suites assert that a
+//! morsel-parallel run produces exactly the counters of a serial run,
+//! and wall-clock timing can never be identical by construction. Traces
+//! ride in their own optional slot on [`crate::eval::EvalCtx`], so an
 //! untraced run pays nothing and the parity invariants never see time.
 
 use std::collections::HashMap;
@@ -135,8 +135,7 @@ impl QueryTrace {
 /// Accumulated per-operator execution counters for one plan node.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpStats {
-    /// Times the operator was entered (`next` calls in the streaming
-    /// executor, recursive invocations in the materializing one).
+    /// `next` calls the operator answered.
     pub calls: u64,
     /// Output rows the operator produced.
     pub rows: u64,

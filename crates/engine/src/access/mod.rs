@@ -20,7 +20,7 @@
 //!   function, so pricing can never claim an access path the engine
 //!   declines;
 //! * [`probe`] — recipe execution ([`probe::IndexJoinAccess`]), shared
-//!   verbatim by both executors, which makes
+//!   verbatim by serial and parallel runs, which makes
 //!   `index_lookups`/`index_hits` parity a construction property rather
 //!   than a test obligation.
 //!
@@ -30,7 +30,7 @@
 //! same residual-evaluation order — so every converted plan stays
 //! byte-identical in rows and Ξ output to its scan-based original (the
 //! differential suite `tests/index_vs_scan.rs` enforces this across the
-//! paper's workloads and both executors). Anything the tracer cannot
+//! paper's workloads). Anything the tracer cannot
 //! prove is left untouched and keeps scanning.
 
 pub mod probe;

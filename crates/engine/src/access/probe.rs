@@ -1,11 +1,12 @@
 //! Recipe execution: the runtime side of the access-path IR.
 //!
 //! [`IndexJoinAccess`] resolves an [`AccessRecipe`] against the catalog
-//! once per join and then answers each probe tuple. **Both executors**
-//! call the same [`IndexJoinAccess::probe_matches`], so probe semantics
-//! and `index_lookups`/`index_hits`/`probe_tuples` accounting are
-//! identical by construction (`probe_tuples` counts examined candidates,
-//! matching where the scan-based join cursors track it).
+//! once per join and then answers each probe tuple. Serial runs and the
+//! workers of a parallel segment call the same
+//! [`IndexJoinAccess::probe_matches`], so probe semantics and
+//! `index_lookups`/`index_hits`/`probe_tuples` accounting are identical
+//! by construction (`probe_tuples` counts examined candidates, matching
+//! where the scan-based join cursors track it).
 
 use std::ops::Bound;
 use std::sync::Arc;

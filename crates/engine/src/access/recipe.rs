@@ -9,13 +9,12 @@
 //! residual predicate filters the rows.
 //!
 //! The recipe is emitted once, by the tracer ([`super::trace`]), and then
-//! consumed *unchanged* by three parties:
+//! consumed *unchanged* by two parties:
 //!
-//! * the materializing executor ([`crate::exec`]),
-//! * the streaming executor ([`crate::pipeline::join`]) — both through
-//!   the shared [`super::probe::IndexJoinAccess`], so probe semantics and
-//!   `index_lookups`/`index_hits` accounting are identical by
-//!   construction, and
+//! * the executor's index-join cursor ([`crate::pipeline::join::IndexJoin`]),
+//!   serial or in a parallel segment's workers, through
+//!   [`super::probe::IndexJoinAccess`], so probe semantics and
+//!   `index_lookups`/`index_hits` accounting have one definition, and
 //! * the cost model (`unnest::CostModel`), which prices a quantifier
 //!   join as an index probe **iff** the tracer emits a recipe for it —
 //!   the "never price what the engine declines" invariant holds because
@@ -174,8 +173,9 @@ impl AccessRecipe {
     /// Is the probe decision independent of the probe tuple? True for
     /// constant-bound range quantifiers (`every $x satisfies $x > 5`):
     /// no typed bucket probe, no residual, every range side closed.
-    /// Both executors then probe once and reuse the answer — identically,
-    /// so metric parity is preserved.
+    /// The index-join cursor then probes once and reuses the answer (a
+    /// parallel segment once for all its workers), so metric parity with
+    /// serial runs is preserved.
     pub fn probe_invariant(&self) -> bool {
         match &self.driver {
             Driver::Range { eq_probe, ranges } => {

@@ -12,7 +12,7 @@
 //! same residual-evaluation order — so every converted plan stays
 //! byte-identical in rows and Ξ output to its scan-based original (the
 //! differential suite `tests/index_vs_scan.rs` enforces this across the
-//! paper's workloads and both executors). Error behaviour is guarded
+//! paper's workloads). Error behaviour is guarded
 //! too: build pipelines are replayed only for probed candidates, so
 //! scalars that can *error* on unprobed rows (arithmetic, `decimal()`)
 //! decline — see [`nal::Scalar::replay_safe`].

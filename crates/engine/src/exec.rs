@@ -1,27 +1,16 @@
-//! Plan execution.
-//!
-//! Operators are materializing (Vec in, Vec out) — the experiments all
-//! run over memory-resident documents, matching the paper's setup where
-//! the database cache holds the queried documents. Order preservation is
-//! structural: every operator emits in left-input order; hash buckets
-//! keep right-input insertion order, so hash joins produce exactly the
-//! sequence the definitional nested loop would. Joins are not
-//! implemented twice: once both inputs are materialized, hash and loop
-//! joins run the streaming executor's cursors ([`crate::pipeline::join`])
-//! over them.
+//! Per-tuple helpers shared by the pipeline's cursors
+//! ([`crate::pipeline`]) and the access-path recipe runtime
+//! ([`crate::access::probe`]): a tuple's evaluation scope, Π over a row
+//! slice, μ of one tuple, and Γ's single-buffer grouping.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use nal::eval::scalar::{eval_scalar, truthy};
-use nal::eval::{apply_groupfn, dedup_by_value, eval, xi, EvalCtx, EvalError, EvalResult};
+use nal::eval::{dedup_by_value, EvalCtx, EvalError, EvalResult};
 use nal::hash::FastBuild;
 use nal::{ProjOp, Seq, Sym, Tuple, Value};
 
 use crate::key::{key_of, probe_key, Key};
-use crate::pipeline::cursor::{drain, Feed};
-use crate::pipeline::join;
-use crate::plan::{JoinKind, PhysPlan};
 
 /// Evaluation scope of a tuple under an environment. Top-level plans run
 /// with an empty environment, where `env.concat(t)` would just clone `t`
@@ -34,385 +23,8 @@ pub(crate) fn scoped<'a>(env: &Tuple, t: &'a Tuple) -> Cow<'a, Tuple> {
     }
 }
 
-/// Execute a plan under an environment (non-empty only for nested
-/// evaluation contexts).
-///
-/// When the context carries a trace ([`EvalCtx::enable_trace`]), every
-/// node records inclusive wall time, output rows, and index-probe deltas
-/// under its address — the materializing side of EXPLAIN ANALYZE.
-/// Untraced runs take the first branch and pay a single `Option` check
-/// per node.
-pub fn execute(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
-    if ctx.trace.is_none() {
-        return execute_node(plan, env, ctx);
-    }
-    let start = std::time::Instant::now();
-    let (lookups0, hits0) = (ctx.metrics.index_lookups, ctx.metrics.index_hits);
-    let out = execute_node(plan, env, ctx)?;
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let lookups = ctx.metrics.index_lookups - lookups0;
-    let hits = ctx.metrics.index_hits - hits0;
-    if let Some(trace) = ctx.trace.as_mut() {
-        trace.record(
-            plan as *const PhysPlan as usize,
-            out.len() as u64,
-            elapsed_ns,
-            lookups,
-            hits,
-        );
-    }
-    Ok(out)
-}
-
-fn execute_node(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
-    let out = match plan {
-        PhysPlan::Singleton => vec![Tuple::empty()],
-        PhysPlan::Literal(rows) => rows.clone(),
-        PhysPlan::AttrRel(a) => match env.get(*a) {
-            Some(Value::Tuples(ts)) => ts.to_vec(),
-            other => {
-                return Err(EvalError::new(format!(
-                    "rel({a}): not a nested relation: {other:?}"
-                )))
-            }
-        },
-
-        PhysPlan::Select { input, pred } => {
-            let rows = execute(input, env, ctx)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for t in rows {
-                if truthy(pred, &scoped(env, &t), ctx)? {
-                    out.push(t);
-                }
-            }
-            out
-        }
-
-        PhysPlan::Project { input, op } => {
-            let rows = execute(input, env, ctx)?;
-            project_rows(&rows, op, ctx)
-        }
-
-        PhysPlan::Map {
-            input,
-            attr,
-            value,
-            keep,
-            ..
-        } => {
-            let rows = execute(input, env, ctx)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for t in rows {
-                let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                out.push(t.merged(&[(*attr, v)], keep.attrs()));
-            }
-            out
-        }
-
-        PhysPlan::Cross { left, right, keep } => {
-            let l = execute(left, env, ctx)?;
-            let r = execute(right, env, ctx)?;
-            let mut out = Vec::with_capacity(l.len() * r.len());
-            for lt in &l {
-                for rt in &r {
-                    out.push(lt.concat_keep(rt, keep.attrs()));
-                }
-            }
-            out
-        }
-
-        PhysPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            residual,
-            kind,
-            pad,
-            keep,
-        } => {
-            // Both joins run the streaming cursors over the two
-            // materialized inputs: one probe implementation, one
-            // `probe_tuples` accounting for every executor.
-            let l = execute(left, env, ctx)?;
-            let r = execute(right, env, ctx)?;
-            drain(
-                &mut join::HashJoin {
-                    left: Feed::Buffered(l.into_iter()),
-                    right: Some(Feed::Buffered(r.into_iter())),
-                    left_keys,
-                    right_keys,
-                    residual: residual.as_ref(),
-                    kind,
-                    pad,
-                    keep: keep.attrs(),
-                    env: env.clone(),
-                    strict: false,
-                    scratch: String::new(),
-                    build: None,
-                    cur: None,
-                },
-                ctx,
-            )?
-        }
-
-        PhysPlan::LoopJoin {
-            left,
-            right,
-            split,
-            kind,
-            pad,
-            keep,
-            ..
-        } => {
-            let l = execute(left, env, ctx)?;
-            let r = execute(right, env, ctx)?;
-            drain(
-                &mut join::LoopJoin {
-                    left: Feed::Buffered(l.into_iter()),
-                    right: Some(Feed::Buffered(r.into_iter())),
-                    split,
-                    kind,
-                    pad,
-                    keep: keep.attrs(),
-                    env: env.clone(),
-                    strict: false,
-                    build: None,
-                    cur: None,
-                },
-                ctx,
-            )?
-        }
-
-        PhysPlan::HashGroupUnary { input, g, by, f } => {
-            let rows = execute(input, env, ctx)?;
-            let mut groups = hash_groups(rows, by, ctx);
-            let (mut out, mut scratch) = (Vec::with_capacity(groups.len()), String::new());
-            while let Some(members) = groups.next_group() {
-                let v = apply_groupfn(f, members, env, ctx)?;
-                out.push(group_key(members, by, ctx, &mut scratch).extend(*g, v));
-            }
-            out
-        }
-
-        PhysPlan::ThetaGroupUnary {
-            input,
-            g,
-            by,
-            theta,
-            f,
-        } => {
-            // Definitional fallback — delegate to the reference semantics
-            // by rebuilding the logical node over a literal.
-            let rows = execute(input, env, ctx)?;
-            let logical = nal::Expr::GroupUnary {
-                input: Box::new(nal::Expr::Literal(rows)),
-                g: *g,
-                by: by.clone(),
-                theta: *theta,
-                f: f.clone(),
-            };
-            eval(&logical, env, ctx)?
-        }
-
-        PhysPlan::HashGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            right_on,
-            f,
-            keep,
-        } => {
-            let l = execute(left, env, ctx)?;
-            let r = execute(right, env, ctx)?;
-            drain(
-                &mut join::HashGroupBinary {
-                    left: Feed::Buffered(l.into_iter()),
-                    right: Feed::Buffered(r.into_iter()),
-                    g: *g,
-                    left_on,
-                    right_on,
-                    f,
-                    keep: keep.attrs(),
-                    env: env.clone(),
-                    strict: false,
-                    scratch: String::new(),
-                    buckets: None,
-                },
-                ctx,
-            )?
-        }
-
-        PhysPlan::ThetaGroupBinary {
-            left,
-            right,
-            g,
-            left_on,
-            theta,
-            right_on,
-            f,
-        } => {
-            let l = execute(left, env, ctx)?;
-            let r = execute(right, env, ctx)?;
-            let logical = nal::Expr::GroupBinary {
-                left: Box::new(nal::Expr::Literal(l)),
-                right: Box::new(nal::Expr::Literal(r)),
-                g: *g,
-                left_on: left_on.clone(),
-                theta: *theta,
-                right_on: right_on.clone(),
-                f: f.clone(),
-            };
-            eval(&logical, env, ctx)?
-        }
-
-        PhysPlan::Unnest {
-            input,
-            attr,
-            distinct,
-            preserve_empty,
-            inner_attrs,
-            keep,
-        } => {
-            let rows = execute(input, env, ctx)?;
-            let mut out = Vec::new();
-            for t in rows {
-                unnest_tuple(
-                    t,
-                    *attr,
-                    *distinct,
-                    *preserve_empty,
-                    inner_attrs,
-                    keep.attrs(),
-                    ctx,
-                    |u| out.push(u),
-                )?;
-            }
-            out
-        }
-
-        PhysPlan::UnnestMap {
-            input,
-            attr,
-            value,
-            keep,
-            ..
-        } => {
-            let rows = execute(input, env, ctx)?;
-            let mut out = Vec::new();
-            for t in rows {
-                let v = eval_scalar(value, &scoped(env, &t), ctx)?;
-                for item in v.as_items() {
-                    out.push(t.merged(&[(*attr, item.clone())], keep.attrs()));
-                }
-            }
-            out
-        }
-
-        PhysPlan::XiSimple { input, cmds } => {
-            let rows = execute(input, env, ctx)?;
-            for t in &rows {
-                xi::run_cmds(cmds, &scoped(env, t), ctx)?;
-            }
-            rows
-        }
-
-        PhysPlan::XiGroup {
-            input,
-            by,
-            head,
-            body,
-            tail,
-        } => {
-            let rows = execute(input, env, ctx)?;
-            let mut groups = hash_groups(rows, by, ctx);
-            let (mut out, mut scratch) = (Vec::with_capacity(groups.len()), String::new());
-            while let Some(members) = groups.next_group() {
-                let key_tuple = group_key(members, by, ctx, &mut scratch);
-                let key_env = env.concat(&key_tuple);
-                xi::run_cmds(head, &key_env, ctx)?;
-                for t in members {
-                    xi::run_cmds(body, &env.concat(t), ctx)?;
-                }
-                xi::run_cmds(tail, &key_env, ctx)?;
-                out.push(key_tuple);
-            }
-            out
-        }
-
-        PhysPlan::IndexScan {
-            input,
-            attr,
-            uri,
-            pattern,
-            distinct,
-            keep,
-        } => {
-            let rows = execute(input, env, ctx)?;
-            // The path is document-rooted: one index resolution serves
-            // every input tuple (the replaced Υ re-evaluated it per
-            // tuple, producing the identical sequence each time).
-            let items = crate::access::scan_items(uri, pattern, *distinct, ctx)?;
-            let mut out = Vec::with_capacity(rows.len() * items.len());
-            for t in rows {
-                for item in &items {
-                    out.push(t.merged(&[(*attr, item.clone())], keep.attrs()));
-                }
-            }
-            out
-        }
-
-        PhysPlan::IndexJoin { left, recipe } => {
-            let l = execute(left, env, ctx)?;
-            let mut access = crate::access::IndexJoinAccess::resolve(recipe, ctx)?;
-            // Probe-invariant range recipes (constant bounds, no
-            // residual) decide once and reuse the answer — the streaming
-            // executor memoizes identically, so metrics stay equal.
-            let cacheable = recipe.probe_invariant();
-            let mut cached: Option<bool> = None;
-            let mut out = Vec::with_capacity(l.len());
-            for lt in l {
-                let matched = match cached {
-                    Some(m) => m,
-                    None => {
-                        let m = access.probe_matches(recipe, &lt, env, ctx)?;
-                        if cacheable {
-                            cached = Some(m);
-                        }
-                        m
-                    }
-                };
-                match recipe.kind {
-                    JoinKind::Semi if matched => out.push(lt),
-                    JoinKind::Anti if !matched => out.push(lt),
-                    _ => {}
-                }
-            }
-            out
-        }
-
-        PhysPlan::Parallel { source, stages } => {
-            // Materializing fallback: run the segment inline by splicing
-            // the drained source into the stage pipeline's feed leaf.
-            // Parallel execution proper is a streaming-executor feature.
-            let rows = execute(source, env, ctx)?;
-            let spliced = crate::pipeline::par::substitute_feed(stages, &rows);
-            return execute(&spliced, env, ctx);
-        }
-
-        PhysPlan::MorselFeed => {
-            return Err(EvalError::new(
-                "MorselFeed outside a parallel segment".to_string(),
-            ))
-        }
-    };
-    ctx.metrics.tuples_produced += out.len() as u64;
-    Ok(out)
-}
-
-/// Shared with the access-path probe runtime, which replays recorded
-/// `Project` build operators per reconstructed candidate.
+/// Π over a row slice: the access-path probe runtime replays recorded
+/// `Project` build operators with it per reconstructed candidate.
 pub(crate) fn project_rows(rows: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Seq {
     use nal::eval::atomize_tuple;
     match op {
@@ -437,7 +49,7 @@ pub(crate) fn project_rows(rows: &[Tuple], op: &ProjOp, ctx: &EvalCtx<'_>) -> Se
     }
 }
 
-/// μ / μ^D of one tuple, shared by both executors: emit `t` without
+/// μ / μ^D of one tuple: emit `t` without
 /// `attr`, concatenated with each (optionally value-distinct) tuple of
 /// the nested relation read in place — or ⊥-padded when it is empty and
 /// `preserve_empty` is set — restricted to `keep`.
@@ -502,11 +114,6 @@ impl Groups {
         self.next += 1;
         Some(&self.rows[start..end])
     }
-
-    /// How many groups there are.
-    pub(crate) fn len(&self) -> usize {
-        self.ends.len()
-    }
 }
 
 /// The key tuple of a group: its first row projected onto the grouping
@@ -521,9 +128,9 @@ pub(crate) fn group_key(
     members[0].project_map(by, |v| v.atomize_in(ctx.catalog, scratch))
 }
 
-/// Single-pass grouping by atomized key. Shared with the streaming
-/// executor's blocking group cursors. Takes the rows: each moves into
-/// its group's stretch of the one output buffer.
+/// Single-pass grouping by atomized key, for the blocking Γ and grouped
+/// Ξ cursors. Takes the rows: each moves into its group's stretch of the
+/// one output buffer.
 pub(crate) fn hash_groups(rows: Vec<Tuple>, by: &[Sym], ctx: &EvalCtx<'_>) -> Groups {
     // Per group its size, then (below) where its next row goes.
     let mut at: Vec<usize> = Vec::new();

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use nal::obs::ExecTrace;
-use nal::{EvalCtx, EvalResult, Seq, Tuple};
+use nal::EvalResult;
 use xmldb::Catalog;
 
 use crate::plan::PhysPlan;
@@ -33,7 +33,7 @@ pub struct ExplainNode {
     pub node: usize,
     /// Output rows the operator actually produced.
     pub rows: u64,
-    /// Times the operator was entered (streaming: `next` calls).
+    /// `next` calls the operator answered.
     pub calls: u64,
     /// Inclusive measured wall time, microseconds.
     pub elapsed_us: u64,
@@ -239,65 +239,21 @@ fn collect(plan: &PhysPlan, depth: usize, trace: &ExecTrace, out: &mut Vec<Expla
 /// `result.metrics` are identical to an untraced run (tracing only adds
 /// timing).
 pub fn run_traced(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_with(plan, catalog, false)
+    run_streaming_traced_parallel(plan, catalog, 1)
 }
 
-/// [`crate::run_streaming_compiled`] with per-operator tracing enabled.
-pub fn run_streaming_traced(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_with(plan, catalog, true)
-}
-
-/// [`run_streaming_traced`] at an explicit degree of parallelism:
-/// `Parallel` segments in the plan fan out over `workers` threads,
-/// per-worker traces merge into the returned [`ExecTrace`] (stage
-/// counters sum to their serial values). Pair with
-/// [`ExplainReport::annotate_parallel`] to surface the degree in the
-/// rendered report.
+/// [`run_traced`] at an explicit degree of parallelism: `Parallel`
+/// segments in the plan fan out over `workers` threads, per-worker
+/// traces merge into the returned [`ExecTrace`] (stage counters sum to
+/// their serial values). Pair with [`ExplainReport::annotate_parallel`]
+/// to surface the degree in the rendered report.
 pub fn run_streaming_traced_parallel(
     plan: &PhysPlan,
     catalog: &Catalog,
     workers: usize,
 ) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_at_degree(plan, catalog, true, workers)
-}
-
-fn run_traced_with(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-    streaming: bool,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_traced_at_degree(plan, catalog, streaming, 1)
-}
-
-fn run_traced_at_degree(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-    streaming: bool,
-    workers: usize,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    let mut ctx = EvalCtx::new(catalog);
-    ctx.parallel = workers.max(1);
-    ctx.enable_trace();
-    let start = std::time::Instant::now();
-    let rows: Seq = if streaming {
-        crate::pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?
-    } else {
-        crate::exec::execute(plan, &Tuple::empty(), &mut ctx)?
-    };
-    let elapsed = start.elapsed();
-    let trace = ctx.take_trace().expect("trace was enabled");
-    Ok((
-        QueryResult {
-            rows,
-            output: ctx.take_output(),
-            metrics: ctx.metrics,
-            elapsed,
-        },
-        trace,
-    ))
+    let (result, trace) = crate::run_at(plan, catalog, workers, true)?;
+    Ok((result, trace.expect("the run was traced")))
 }
 
 #[cfg(test)]
@@ -319,7 +275,7 @@ mod tests {
     fn reports_show_what_producers_keep_and_absorbed() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (_, trace) = run_streaming_traced(&plan, &catalog).unwrap();
+        let (_, trace) = run_traced(&plan, &catalog).unwrap();
         let text = ExplainReport::from_trace(&plan, &trace).render();
         assert!(
             text.contains("\n  Map[a] keep{a} absorbed Π[a] fused rows=1 "),
@@ -347,9 +303,12 @@ mod tests {
     fn streaming_trace_matches_tree_shape() {
         let catalog = Catalog::new();
         let plan = sample_plan();
-        let (_, trace) = run_streaming_traced(&plan, &catalog).unwrap();
+        let (_, trace) = run_traced(&plan, &catalog).unwrap();
         let report = ExplainReport::from_trace(&plan, &trace);
-        // Every node was pulled at least once (the final None pull).
+        // One report node per plan node, in pre-order, each pulled at
+        // least once (the final None pull).
+        let depths: Vec<usize> = report.nodes.iter().map(|n| n.depth).collect();
+        assert_eq!(depths, [0, 1, 2, 3, 1, 2], "{report:?}");
         assert!(report.nodes.iter().all(|n| n.calls > 0), "{report:?}");
     }
 

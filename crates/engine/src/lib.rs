@@ -1,7 +1,10 @@
 //! `engine` — the physical query engine (the repo's Natix stand-in).
 //!
 //! Compiles NAL expressions ([`nal::Expr`]) into physical operator trees
-//! ([`PhysPlan`]) and executes them over a document catalog. Equality
+//! ([`PhysPlan`]) and executes them over a document catalog with one
+//! executor: [`execute`] lowers a plan into pull-based cursors
+//! ([`pipeline`]) and drains the root; every `run*` entry point goes
+//! through it. Equality
 //! predicates run on hash-based, order-preserving operators (§2's
 //! implementation discussion); other join predicates run on the shared
 //! θ-probe ([`theta`]); everything else falls back to the definitional
@@ -17,7 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod access;
-pub mod exec;
+mod exec;
 pub mod explain;
 pub mod key;
 pub mod live;
@@ -28,16 +31,14 @@ pub mod theta;
 pub use access::{
     apply_indexes, for_each_access_path, join_recipe, revalidate_plan, AccessPathRef, AccessRecipe,
 };
-pub use exec::execute;
-pub use explain::{
-    run_streaming_traced, run_streaming_traced_parallel, run_traced, ExplainNode, ExplainReport,
-};
+pub use explain::{run_streaming_traced_parallel, run_traced, ExplainNode, ExplainReport};
 pub use pipeline::par::apply_parallel;
 pub use pipeline::{drain, Cursor};
 pub use plan::{compile, compile_unpruned, JoinKind, Keep, PhysPlan};
 
 use std::time::{Duration, Instant};
 
+use nal::obs::ExecTrace;
 use nal::{EvalCtx, EvalResult, Expr, Metrics, Seq, Tuple};
 use xmldb::Catalog;
 
@@ -54,45 +55,21 @@ pub struct QueryResult {
     pub elapsed: Duration,
 }
 
+/// Execute a plan under an environment (non-empty only for nested
+/// evaluation contexts): lower it into a cursor tree ([`pipeline::lower`])
+/// and pull the root to exhaustion.
+pub fn execute(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
+    drain(pipeline::lower(plan, env).as_mut(), ctx)
+}
+
 /// Compile and execute a logical expression against a catalog.
 pub fn run(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
     run_compiled(&compile(expr), catalog)
 }
 
-/// Execute an already-compiled plan.
+/// Execute an already-compiled plan serially.
 pub fn run_compiled(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<QueryResult> {
-    let mut ctx = EvalCtx::new(catalog);
-    let start = Instant::now();
-    let rows = execute(plan, &Tuple::empty(), &mut ctx)?;
-    let elapsed = start.elapsed();
-    Ok(QueryResult {
-        rows,
-        output: ctx.take_output(),
-        metrics: ctx.metrics,
-        elapsed,
-    })
-}
-
-/// Compile and execute a logical expression with the streaming, pipelined
-/// executor ([`pipeline`]): tuples flow one at a time, and semi/anti
-/// (quantifier) joins short-circuit per probe tuple. Produces the same
-/// rows and byte-identical Ξ output as [`run`].
-pub fn run_streaming(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_streaming_compiled(&compile(expr), catalog)
-}
-
-/// Execute an already-compiled plan with the streaming executor.
-pub fn run_streaming_compiled(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<QueryResult> {
-    let mut ctx = EvalCtx::new(catalog);
-    let start = Instant::now();
-    let rows = pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?;
-    let elapsed = start.elapsed();
-    Ok(QueryResult {
-        rows,
-        output: ctx.take_output(),
-        metrics: ctx.metrics,
-        elapsed,
-    })
+    run_streaming_parallel(plan, catalog, 1)
 }
 
 /// Compile with index-backed access paths: [`compile`] followed by the
@@ -107,11 +84,6 @@ pub fn compile_indexed(expr: &Expr, catalog: &Catalog) -> PhysPlan {
 /// [`run`] on an index-backed plan ([`compile_indexed`]).
 pub fn run_indexed(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
     run_compiled(&compile_indexed(expr, catalog), catalog)
-}
-
-/// [`run_streaming`] on an index-backed plan ([`compile_indexed`]).
-pub fn run_streaming_indexed(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_streaming_compiled(&compile_indexed(expr, catalog), catalog)
 }
 
 /// Compile with parallel segments: [`compile`] followed by the
@@ -129,23 +101,39 @@ pub fn compile_indexed_parallel(expr: &Expr, catalog: &Catalog) -> PhysPlan {
     apply_parallel(&access::apply_indexes(compile(expr), catalog))
 }
 
-/// Execute an already-compiled plan with the streaming executor at an
-/// explicit degree of parallelism. Output rows, Ξ bytes, and summed
-/// metrics are identical to [`run_streaming_compiled`] at every degree.
+/// Execute an already-compiled plan at an explicit degree of
+/// parallelism. Output rows, Ξ bytes, and summed metrics are identical
+/// to [`run_compiled`] at every degree.
 pub fn run_streaming_parallel(
     plan: &PhysPlan,
     catalog: &Catalog,
     workers: usize,
 ) -> EvalResult<QueryResult> {
+    Ok(run_at(plan, catalog, workers, false)?.0)
+}
+
+/// Run a plan at `workers`, recording the per-operator trace when
+/// `traced`.
+fn run_at(
+    plan: &PhysPlan,
+    catalog: &Catalog,
+    workers: usize,
+    traced: bool,
+) -> EvalResult<(QueryResult, Option<ExecTrace>)> {
     let mut ctx = EvalCtx::new(catalog);
     ctx.parallel = workers.max(1);
+    if traced {
+        ctx.enable_trace();
+    }
     let start = Instant::now();
-    let rows = pipeline::execute_streaming(plan, &Tuple::empty(), &mut ctx)?;
+    let rows = execute(plan, &Tuple::empty(), &mut ctx)?;
     let elapsed = start.elapsed();
-    Ok(QueryResult {
+    let trace = ctx.take_trace();
+    let result = QueryResult {
         rows,
         output: ctx.take_output(),
         metrics: ctx.metrics,
         elapsed,
-    })
+    };
+    Ok((result, trace))
 }

@@ -7,7 +7,7 @@
 //! **reads** — subscripts, join and group keys, Ξ commands, residuals,
 //! and nested algebra (which reads its free variables from the tuple as
 //! its environment) — and writes that set into the node's
-//! [`Keep`]: the executors then never place an unread attribute in the
+//! [`Keep`]: the executor then never places an unread attribute in the
 //! output block. A `Π_A`/`Π_{Ā}` directly above such a node is the same
 //! restriction and disappears into it.
 //!
@@ -35,8 +35,8 @@
 //!   where the plan's own would not have shadowed it.
 //!
 //! The same walk marks runs of χ over χ/Υ whose subscripts read none of
-//! the run's own bindings ([`PhysPlan::Map`]'s `fused`): the streaming
-//! executor evaluates such a run against its input tuple and builds the
+//! the run's own bindings ([`PhysPlan::Map`]'s `fused`): the executor
+//! evaluates such a run against its input tuple and builds the
 //! output block once.
 
 use nal::{AggKind, GroupFn, ProjOp, Scalar, Sym, XiCmd};
@@ -646,8 +646,8 @@ mod tests {
             .project(&["a"]);
         assert_eq!(shown(&e), "Map[dead] keep{a} absorbed Π[a]\n  Literal\n");
         let cat = Catalog::new();
+        assert!(nal::eval_query(&e, &mut EvalCtx::new(&cat)).is_err());
         for plan in [compile(&e), compile_unpruned(&e)] {
-            assert!(crate::run_streaming_compiled(&plan, &cat).is_err());
             assert!(crate::run_compiled(&plan, &cat).is_err());
         }
     }
@@ -665,20 +665,13 @@ mod tests {
             (Sym::new("a"), Value::Int(-1)),
         ]);
         let cat = Catalog::new();
-        let run = |plan: &PhysPlan, streaming: bool| {
-            let mut ctx = EvalCtx::new(&cat);
-            if streaming {
-                crate::pipeline::execute_streaming(plan, &env, &mut ctx).unwrap()
-            } else {
-                crate::execute(plan, &env, &mut ctx).unwrap()
-            }
-        };
-        let expected = run(&compile_unpruned(&e), false);
+        let run = |plan: &PhysPlan| crate::execute(plan, &env, &mut EvalCtx::new(&cat)).unwrap();
+        let expected = nal::eval(&e, &env, &mut EvalCtx::new(&cat)).unwrap();
         assert!(!expected.is_empty());
+        assert_eq!(run(&compile_unpruned(&e)), expected);
         let pruned = compile(&e);
         assert!(pruned.explain().contains("keep{"), "{}", pruned.explain());
-        assert_eq!(run(&pruned, false), expected);
-        assert_eq!(run(&pruned, true), expected);
+        assert_eq!(run(&pruned), expected);
     }
 
     /// A run builds from its *input* tuple, so its top operator's `keep`
@@ -695,7 +688,7 @@ mod tests {
         );
         let cat = Catalog::new();
         let expected = crate::run_compiled(&compile_unpruned(&e), &cat).unwrap();
-        let got = crate::run_streaming_compiled(&compile(&e), &cat).unwrap();
+        let got = crate::run_compiled(&compile(&e), &cat).unwrap();
         assert_eq!(got.rows, expected.rows);
     }
 
@@ -715,27 +708,21 @@ mod tests {
         let (pruned, unpruned) = (compile(&e), compile_unpruned(&e));
         assert_eq!(pruned.explain().matches(" fused").count(), 2);
         let cat = Catalog::new();
-        let reference = crate::run_streaming_compiled(&unpruned, &cat).unwrap();
+        let reference = crate::run_compiled(&unpruned, &cat).unwrap();
         assert_eq!(reference.metrics.op_count("Map"), 3 + 5);
         assert_eq!(reference.metrics.tuples_produced, 3 + 3 + 5 + 5);
         let parallel = crate::apply_parallel(&pruned);
         assert!(parallel.explain().contains("Parallel"));
         for got in [
-            crate::run_streaming_compiled(&pruned, &cat).unwrap(),
+            crate::run_compiled(&pruned, &cat).unwrap(),
             crate::run_streaming_parallel(&parallel, &cat, 1).unwrap(),
             crate::run_streaming_parallel(&parallel, &cat, 3).unwrap(),
         ] {
             assert_eq!(got.rows, reference.rows);
             assert_eq!(got.metrics, reference.metrics);
         }
-        let materialized = crate::run_compiled(&pruned, &cat).unwrap();
-        assert_eq!(materialized.rows, reference.rows);
-        assert_eq!(
-            materialized.metrics.tuples_produced,
-            reference.metrics.tuples_produced
-        );
         // EXPLAIN ANALYZE shows the same rows per operator.
-        let (_, trace) = crate::explain::run_streaming_traced(&pruned, &cat).unwrap();
+        let (_, trace) = crate::run_traced(&pruned, &cat).unwrap();
         let report = crate::explain::ExplainReport::from_trace(&pruned, &trace);
         let shown: Vec<_> = report.nodes.iter().map(|n| (&*n.op, n.rows)).collect();
         assert_eq!(

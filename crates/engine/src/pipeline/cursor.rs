@@ -4,7 +4,7 @@
 //! iterator model of Volcano-style engines, adapted to this repo's
 //! evaluation contexts: `next` threads the shared [`EvalCtx`] so nested
 //! scalar evaluation, Ξ output, and metrics work exactly as in the
-//! materializing executor.
+//! reference evaluator (`nal::eval`).
 
 use std::sync::Arc;
 
@@ -81,8 +81,8 @@ impl Meter {
     /// Account for one pull of the node: a tuple `produced` or the
     /// stream's end. A traced run also records the pull's inclusive time
     /// and index-probe deltas under the node's identity — children are
-    /// pulled inside it, so like the materializing executor's the
-    /// recorded time is inclusive of the subtree.
+    /// pulled inside it, so the recorded time is inclusive of the
+    /// subtree.
     pub fn pulled(&self, ctx: &mut EvalCtx<'_>, pull: &Option<Pull>, produced: bool) {
         if let (Some(pull), Some(trace)) = (pull, ctx.trace.as_mut()) {
             let elapsed_ns = pull.start.elapsed().as_nanos() as u64;
@@ -120,10 +120,11 @@ impl<C: Cursor> Cursor for Metered<C> {
     }
 }
 
-/// An input side of a binary operator: normally a pipelined stream, but
-/// switchable to a pre-materialized buffer when side-effect order (Ξ
-/// output in a subtree) requires the materializing executor's strict
-/// left-then-right evaluation order.
+/// The probe (left) side of a binary operator: normally a pipelined
+/// stream, but switchable to a pre-materialized buffer when side-effect
+/// order (Ξ output in a subtree) requires the reference evaluator's
+/// strict left-then-right evaluation order: `nal::eval` evaluates the
+/// left input completely, then the right, and only then the operator.
 pub enum Feed<'p> {
     /// A live pipelined stream.
     Stream(BoxCursor<'p>),
@@ -148,21 +149,13 @@ impl Feed<'_> {
         }
         Ok(())
     }
-
-    /// Consume the feed entirely, returning everything it has left.
-    pub fn take_all(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
-        match self {
-            Feed::Stream(c) => drain(c.as_mut(), ctx),
-            Feed::Buffered(it) => Ok(it.by_ref().collect()),
-        }
-    }
 }
 
 /// A pass-through that drains its input on the first pull and then
 /// streams from the buffer. Lowering inserts it below an operator whose
 /// own scalars write Ξ output when the input subtree also writes Ξ: the
-/// materializing executor evaluates strictly bottom-up, so the input's
-/// entire byte stream must precede the parent's first write.
+/// reference evaluator (`nal::eval`) evaluates strictly bottom-up, so the
+/// input's entire byte stream must precede the parent's first write.
 pub struct Materialize<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,

@@ -12,8 +12,7 @@
 //! predicate's right-only part once and probes an ordered key window for
 //! its range conjuncts. [`EvalCtx`]'s `probe_tuples` metric counts
 //! right-side candidates actually examined, which is how tests observe
-//! both savings. The materializing executor runs these same cursors
-//! over buffered inputs, so its joins and their counters are these.
+//! both savings.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +24,7 @@ use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
 use nal::{GroupFn, Scalar, Sym, Tuple};
 use xmldb::Catalog;
 
-use super::cursor::{Cursor, Feed};
+use super::cursor::{drain, BoxCursor, Cursor, Feed};
 use crate::exec::scoped;
 use crate::key::{probe_key, Key};
 use crate::plan::JoinKind;
@@ -93,11 +92,11 @@ pub struct Cross<'p> {
     pub left: Feed<'p>,
     /// Right (build/inner) input; `None` when `right_rows` arrives
     /// materialized.
-    pub right: Option<Feed<'p>>,
+    pub right: Option<BoxCursor<'p>>,
     /// The attributes emitted (`None`: all).
     pub keep: Option<&'p [Sym]>,
     /// Materialize left before right (Ξ in a subtree needs the
-    /// materializing executor's left-then-right evaluation order).
+    /// reference evaluator's left-then-right evaluation order).
     pub strict: bool,
     /// Materialized right side (shared by the workers of a parallel
     /// segment).
@@ -115,7 +114,7 @@ impl Cursor for Cross<'_> {
                 self.left.buffer_now(ctx)?;
             }
             let right = self.right.as_mut().expect("an inner side to drain");
-            self.right_rows = Some(Arc::new(right.take_all(ctx)?));
+            self.right_rows = Some(Arc::new(drain(right.as_mut(), ctx)?));
         }
         let right = self.right_rows.as_ref().expect("built above");
         loop {
@@ -168,7 +167,7 @@ pub struct HashJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
     /// Right (build/inner) input; `None` when `build` arrives built.
-    pub right: Option<Feed<'p>>,
+    pub right: Option<BoxCursor<'p>>,
     /// Probe-side key attributes.
     pub left_keys: &'p [Sym],
     /// Build-side key attributes.
@@ -211,7 +210,7 @@ impl Cursor for HashJoin<'_> {
                 self.left.buffer_now(ctx)?;
             }
             let right = self.right.as_mut().expect("a build side to drain");
-            let rows = right.take_all(ctx)?;
+            let rows = drain(right.as_mut(), ctx)?;
             self.build = Some(Arc::new(Buckets::build(rows, self.right_keys, ctx.catalog)));
         }
         let build = self.build.as_ref().expect("built above");
@@ -292,7 +291,7 @@ pub struct LoopJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
     /// Right (build/inner) input; `None` when `build` arrives built.
-    pub right: Option<Feed<'p>>,
+    pub right: Option<BoxCursor<'p>>,
     /// The predicate, split by side.
     pub split: &'p ThetaSplit,
     /// How matches are consumed.
@@ -319,7 +318,7 @@ impl Cursor for LoopJoin<'_> {
                 self.left.buffer_now(ctx)?;
             }
             let right = self.right.as_mut().expect("a build side to drain");
-            let rows = right.take_all(ctx)?;
+            let rows = drain(right.as_mut(), ctx)?;
             self.build = Some(Arc::new(ThetaBuild::new(rows, self.split, &self.env, ctx)?));
         }
         let build = self.build.as_ref().expect("built above");
@@ -367,10 +366,10 @@ impl Cursor for LoopJoin<'_> {
 /// range probe of the value indexes), plus residual evaluation over
 /// reconstructed candidates in document order when present.
 /// Short-circuits exactly like the hash cursors: the first passing
-/// candidate decides. Probe semantics and metric accounting are shared
-/// with the materializing executor through the recipe runtime
-/// ([`crate::access::IndexJoinAccess`]), so both executors report
-/// identical `index_lookups`/`index_hits` by construction.
+/// candidate decides. Probe semantics and metric accounting live in the
+/// recipe runtime ([`crate::access::IndexJoinAccess`]), which serial and
+/// parallel runs share, so both report identical
+/// `index_lookups`/`index_hits` by construction.
 pub struct IndexJoin<'p> {
     /// Left (probe/outer) input.
     pub left: super::cursor::BoxCursor<'p>,
@@ -381,8 +380,7 @@ pub struct IndexJoin<'p> {
     /// Resolved index state (first pull).
     pub access: Option<crate::access::IndexJoinAccess>,
     /// Whether the decision is probe-invariant (constant range bounds,
-    /// no residual) — computed once at lowering, same policy as the
-    /// materializing executor, so metrics stay equal.
+    /// no residual) — computed once at lowering.
     pub cacheable: bool,
     /// Memoized decision for probe-invariant joins.
     pub cached: Option<bool>,
@@ -432,7 +430,7 @@ pub struct HashGroupBinary<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
     /// Right (build/inner) input.
-    pub right: Feed<'p>,
+    pub right: BoxCursor<'p>,
     /// Attribute receiving the group aggregate.
     pub g: Sym,
     /// Left-side match attributes.
@@ -459,7 +457,7 @@ impl Cursor for HashGroupBinary<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            let rows = self.right.take_all(ctx)?;
+            let rows = drain(self.right.as_mut(), ctx)?;
             self.buckets = Some(Buckets::build(rows, self.right_on, ctx.catalog));
         }
         let Some(lt) = self.left.next(ctx)? else {
@@ -482,9 +480,9 @@ impl Cursor for HashGroupBinary<'_> {
 /// reference semantics, stream the result.
 pub struct ThetaGroupBinary<'p> {
     /// Left (probe/outer) input.
-    pub left: Feed<'p>,
+    pub left: BoxCursor<'p>,
     /// Right (build/inner) input.
-    pub right: Feed<'p>,
+    pub right: BoxCursor<'p>,
     /// Attribute receiving the group aggregate.
     pub g: Sym,
     /// Left-side match attributes.
@@ -504,10 +502,10 @@ pub struct ThetaGroupBinary<'p> {
 impl Cursor for ThetaGroupBinary<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.out.is_none() {
-            // Left first — matching the materializing executor's
+            // Left first — matching the reference evaluator's
             // evaluation order for any side effects.
-            let l = self.left.take_all(ctx)?;
-            let r = self.right.take_all(ctx)?;
+            let l = drain(self.left.as_mut(), ctx)?;
+            let r = drain(self.right.as_mut(), ctx)?;
             let logical = nal::Expr::GroupBinary {
                 left: Box::new(nal::Expr::Literal(l)),
                 right: Box::new(nal::Expr::Literal(r)),

@@ -1,9 +1,6 @@
-//! The streaming, pipelined executor.
-//!
-//! Where [`crate::exec`] materializes every operator's full output ("Vec
-//! in, Vec out" — the setup the paper's experiments ran on), this module
-//! lowers a [`PhysPlan`] into a tree of pull-based [`Cursor`]s that
-//! produce one tuple per call:
+//! The executor: a [`PhysPlan`] lowered into a tree of pull-based
+//! [`Cursor`]s that produce one tuple per call ([`crate::execute`]
+//! drains the root):
 //!
 //! * **Pipelined operators** (σ, Π, χ, μ, Υ, Ξ, probe sides of joins)
 //!   never materialize — a tuple flows root-ward as soon as it exists.
@@ -17,12 +14,15 @@
 //!   right-input insertion order so every join emits exactly the
 //!   definitional order (the order-preserving hash join of §2).
 //!
-//! Ξ ordering: the materializing executor evaluates strictly bottom-up
-//! and left-to-right, so a plan with *multiple* Ξ operators writes its
-//! output stream in that order. Lowering detects the (rare) plans where
-//! pipelining would interleave Ξ writes — a Ξ operator or a binary
-//! operator with Ξ in a subtree — and falls back to materializing the
-//! affected inputs, keeping `run_streaming` byte-identical to `run`.
+//! Ξ ordering: the reference evaluator (`nal::eval`, the §2 definitions)
+//! evaluates an operator's inputs completely, bottom-up and left before
+//! right, before the operator itself writes, so a plan with *multiple*
+//! Ξ writers produces its output stream in that order. Lowering detects
+//! the (rare) plans where pipelining would interleave Ξ writes — a Ξ
+//! writer above another, or a binary operator with Ξ in a subtree — and
+//! buffers the affected inputs ([`cursor::Materialize`], `strict` joins
+//! over [`cursor::Feed::Buffered`]), keeping the byte stream identical
+//! to the reference's.
 
 pub mod cursor;
 pub mod join;
@@ -32,8 +32,7 @@ pub mod par;
 
 pub use cursor::{drain, BoxCursor, Cursor};
 
-use nal::eval::{EvalCtx, EvalResult};
-use nal::{Seq, Tuple};
+use nal::Tuple;
 
 use nal::expr::visit;
 use nal::Scalar;
@@ -96,9 +95,9 @@ fn contains_xi(plan: &PhysPlan) -> bool {
     node_emits_xi(plan) || plan.inputs().into_iter().flatten().any(contains_xi)
 }
 
-/// Binary operators evaluate left-then-right in the materializing
-/// executor; when either subtree writes Ξ output the streaming cursors
-/// must reproduce that order by buffering the left side first.
+/// The reference evaluator evaluates a binary operator's left input
+/// completely before its right; when either subtree writes Ξ output the
+/// cursors must reproduce that order by buffering the left side first.
 fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
     contains_xi(left) || contains_xi(right)
 }
@@ -129,18 +128,18 @@ impl Lowering<'_> {
         plan: &'p PhysPlan,
         right: &'p PhysPlan,
         prepared: impl Fn(&par::Stage<'_>, usize) -> B,
-    ) -> (Option<Feed<'p>>, Option<B>) {
+    ) -> (Option<BoxCursor<'p>>, Option<B>) {
         match &self.stage {
             Some(stage) => (None, Some(prepared(stage, node_id(plan)))),
-            None => (Some(Feed::Stream(lower(right, self.env))), None),
+            None => (Some(lower(right, self.env)), None),
         }
     }
 
     /// Lower a pipelined unary operator's input, inserting a
     /// [`Materialize`] barrier when both the operator itself and its
     /// input subtree write Ξ output — so the input's whole byte stream
-    /// precedes the parent's first write, as in the materializing
-    /// executor's bottom-up order.
+    /// precedes the parent's first write, as in the reference
+    /// evaluator's bottom-up order.
     fn lower_input<'p>(&mut self, parent: &'p PhysPlan, input: &'p PhysPlan) -> BoxCursor<'p> {
         let inner = self.lower(input);
         if node_emits_xi(parent) && contains_xi(input) {
@@ -366,7 +365,7 @@ impl Lowering<'_> {
                 join::HashGroupBinary {
                     strict: needs_strict_order(left, right),
                     left: Feed::Stream(self.lower(left)),
-                    right: Feed::Stream(self.lower(right)),
+                    right: self.lower(right),
                     g: *g,
                     left_on,
                     right_on,
@@ -388,8 +387,8 @@ impl Lowering<'_> {
             } => metered(
                 plan,
                 join::ThetaGroupBinary {
-                    left: Feed::Stream(self.lower(left)),
-                    right: Feed::Stream(self.lower(right)),
+                    left: self.lower(left),
+                    right: self.lower(right),
                     g: *g,
                     left_on,
                     theta: *theta,
@@ -474,7 +473,7 @@ impl Lowering<'_> {
                         .as_ref()
                         .and_then(|s| s.probe_group(node_id(plan))),
                     // A Ξ-writing residual must see the whole left byte stream
-                    // first, as in the materializing executor's bottom-up order.
+                    // first, as in the reference evaluator's bottom-up order.
                     left: self.lower_input(plan, left),
                     recipe,
                     env: env.clone(),
@@ -490,11 +489,4 @@ impl Lowering<'_> {
 /// A plan node's identity: its address.
 pub(crate) fn node_id(plan: &PhysPlan) -> usize {
     plan as *const PhysPlan as usize
-}
-
-/// Execute a plan by streaming it to exhaustion — the cursor-level
-/// equivalent of [`crate::exec::execute`].
-pub fn execute_streaming(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
-    let mut root = lower(plan, env);
-    drain(root.as_mut(), ctx)
 }

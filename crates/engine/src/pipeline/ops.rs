@@ -308,7 +308,7 @@ impl Cursor for IndexScan<'_> {
 /// Ξ — result construction, fully pipelined: each pulled tuple is
 /// serialized and passed through. When the input subtree itself writes Ξ
 /// output, lowering inserts a `Materialize` barrier below this cursor so
-/// the byte stream matches the materializing executor's strict bottom-up
+/// the byte stream matches the reference evaluator's strict bottom-up
 /// order.
 pub struct XiSimple<'p> {
     /// Input cursor.
@@ -422,8 +422,8 @@ impl Cursor for HashGroupUnary<'_> {
     }
 }
 
-/// θ-grouping fallback: materialize, delegate to the reference semantics
-/// (as the materializing executor does), stream the result.
+/// θ-grouping fallback: materialize, delegate to the reference semantics,
+/// stream the result.
 pub struct ThetaGroupUnary<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,

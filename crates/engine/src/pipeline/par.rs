@@ -16,8 +16,8 @@
 //!    ([`super::merge`]) keyed by gap-based [`xmldb::NodeId`]s.
 //!
 //! **Metric parity is a construction property.** A parallel run must
-//! report exactly the counters of a serial streaming run of the same
-//! query, summed across workers:
+//! report exactly the counters of a serial run of the same query,
+//! summed across workers:
 //!
 //! * a morsel's stage pipeline is lowered by the serial lowering itself
 //!   (`Stage` only says where builds, scans and the feed come from), so
@@ -195,17 +195,6 @@ fn replace_spine_input(node: &PhysPlan, new_input: PhysPlan) -> PhysPlan {
         other => unreachable!("not a spine operator: {}", other.op_name()),
     }
     out
-}
-
-/// Splice a drained source into a stage pipeline by replacing its
-/// [`PhysPlan::MorselFeed`] leaf with a literal relation — the
-/// materializing executor's way of running a parallel segment (inline,
-/// single-threaded, same output).
-pub(crate) fn substitute_feed(plan: &PhysPlan, rows: &[Tuple]) -> PhysPlan {
-    if matches!(plan, PhysPlan::MorselFeed) {
-        return PhysPlan::Literal(rows.to_vec());
-    }
-    crate::access::map_children(plan.clone(), &mut |child| substitute_feed(&child, rows))
 }
 
 // ---------------------------------------------------------------------
@@ -448,7 +437,7 @@ impl Cursor for DanglingFeed {
 // The parallel cursor
 // ---------------------------------------------------------------------
 
-/// The streaming cursor of a [`PhysPlan::Parallel`] node. The first
+/// The cursor of a [`PhysPlan::Parallel`] node. The first
 /// pull runs the whole segment (drain → partition → pool → merge); the
 /// merged output then streams out tuple by tuple. Deliberately not
 /// [`super::cursor::Metered`]: the serial plan has no parallel shell, and parity
@@ -773,13 +762,11 @@ mod tests {
         let serial_plan = quantifier_plan();
         let par_plan = apply_parallel(&serial_plan);
         let mut sctx = EvalCtx::new(&cat);
-        let serial =
-            super::super::execute_streaming(&serial_plan, &Tuple::empty(), &mut sctx).unwrap();
+        let serial = crate::execute(&serial_plan, &Tuple::empty(), &mut sctx).unwrap();
         for workers in [1usize, 3, 8] {
             let mut pctx = EvalCtx::new(&cat);
             pctx.parallel = workers;
-            let par =
-                super::super::execute_streaming(&par_plan, &Tuple::empty(), &mut pctx).unwrap();
+            let par = crate::execute(&par_plan, &Tuple::empty(), &mut pctx).unwrap();
             assert_eq!(serial, par, "rows at {workers} workers");
             assert_eq!(
                 sctx.metrics.tuples_produced, pctx.metrics.tuples_produced,

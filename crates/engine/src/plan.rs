@@ -21,7 +21,7 @@ use crate::theta::ThetaSplit;
 
 /// What a tuple-producing operator emits of the tuple it builds —
 /// written by the dead-attribute pass ([`crate::live`]), honoured by
-/// both executors.
+/// the cursors and the index-join replay.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Keep {
     /// The attributes emitted, sorted; `None`: everything built. An
@@ -291,7 +291,7 @@ pub enum PhysPlan {
     /// or ordered range probing; ancestor reconstruction (fixed-depth
     /// parent hops or variable-depth trail matching); the replayed
     /// pipeline and residual — is carried by the declarative
-    /// [`crate::access::AccessRecipe`], which both executors and the
+    /// [`crate::access::AccessRecipe`], which the executor and the
     /// cost model consume unchanged. Produced only by
     /// [`crate::access::apply_indexes`].
     IndexJoin {

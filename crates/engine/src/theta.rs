@@ -7,9 +7,8 @@
 //! by the side they mention. [`ThetaBuild`] is the materialized right
 //! side prepared for probing — built once per execution, shared
 //! read-only (`Arc`) by every worker of a parallel segment — and is the
-//! one place the streaming cursor, the parallel worker cursor and the
-//! materializing executor (all through [`crate::pipeline::join::LoopJoin`])
-//! decide a probe tuple:
+//! one place the serial cursor and the parallel worker cursor (both
+//! [`crate::pipeline::join::LoopJoin`]) decide a probe tuple:
 //!
 //! * **right-only** conjuncts (no attribute of the left side; constants
 //!   and outer-scope attributes count as neither side) filter the build
@@ -40,8 +39,8 @@
 //! back to "every surviving row is a candidate".
 //!
 //! `Metrics::probe_tuples` (right-side candidates actually examined) is
-//! counted here and nowhere else for loop joins, so serial, parallel and
-//! materializing runs agree by construction.
+//! counted here and nowhere else for loop joins, so serial and parallel
+//! runs agree by construction.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;

@@ -1,5 +1,11 @@
 //! Differential testing: the physical engine must agree with the
-//! reference evaluator on every operator, including order.
+//! reference evaluator (`nal::eval`) on every operator, including order —
+//! rows, and the Ξ output stream byte for byte. The Ξ inputs below pin
+//! the pipeline's evaluation-order barriers (`strict` joins, the
+//! `Materialize` barrier): the reference writes Ξ bottom-up and
+//! left-to-right, so stacked Ξ, Ξ below a join build side and Ξ inside
+//! quantifier or aggregate scalars fail here if pipelining interleaves
+//! the writes.
 
 use proptest::prelude::*;
 
@@ -67,15 +73,24 @@ proptest! {
         assert_same(&expr, &cat);
     }
 
+    /// Every join kind over a non-equi predicate, and a cross product
+    /// under a selection.
     #[test]
     fn non_equi_joins_agree(
         l in prop::collection::vec((0i64..5, 0i64..40), 0..10),
         r in prop::collection::vec((0i64..5, 0i64..40), 0..10),
         op in prop::sample::select(vec![CmpOp::Lt, CmpOp::Ne, CmpOp::Ge]),
+        k in 0i64..40,
     ) {
         let cat = Catalog::new();
-        let expr = rel("a", "x", &l).semijoin(rel("b", "y", &r), Scalar::attr_cmp(op, "a", "b"));
-        assert_same(&expr, &cat);
+        let (left, right) = (rel("a", "x", &l), rel("b", "y", &r));
+        let pred = Scalar::attr_cmp(op, "a", "b");
+        assert_same(&left.clone().join(right.clone(), pred.clone()), &cat);
+        assert_same(&left.clone().semijoin(right.clone(), pred.clone()), &cat);
+        assert_same(&left.clone().antijoin(right.clone(), pred.clone()), &cat);
+        assert_same(&left.clone().outerjoin(right.clone(), pred, "y", Value::Int(0)), &cat);
+        let crossed = left.cross(right).select(Scalar::cmp(op, Scalar::attr("y"), Scalar::int(k)));
+        assert_same(&crossed, &cat);
     }
 
     #[test]
@@ -141,6 +156,8 @@ proptest! {
         assert_same(&base.distinct_rename(&[("z", "b")]), &cat);
     }
 
+    /// Grouped and simple Ξ, stacked Ξ, Ξ below a join build side, and
+    /// Ξ inside quantifier and aggregate scalars.
     #[test]
     fn xi_group_agrees(
         rows in prop::collection::vec((0i64..4, 0i64..6), 0..16),
@@ -153,91 +170,69 @@ proptest! {
             xi_cmds(&["</g>"]),
         );
         assert_same(&expr, &cat);
+        let xi = |input: Expr, cmds: &[&str]| Expr::XiSimple {
+            input: Box::new(input),
+            cmds: xi_cmds(cmds),
+        };
+        let simple = xi(rel("b", "y", &rows), &["<row>", "$y", "</row>"]);
+        assert_same(&simple, &cat);
+
+        // Stacked: the inner Ξ's whole byte stream precedes the outer's.
+        let inner = xi(rel("b", "y", &rows), &["<inner>", "$y", "</inner>"]);
+        assert_same(&xi(inner, &["<outer>", "$b", "</outer>"]), &cat);
+
+        // Ξ below a join build side, under another Ξ: the left side is
+        // evaluated before the right.
+        let joined = rel("a", "x", &rows).join(
+            xi(rel("b", "y", &rows), &["<r>", "$b", "</r>"]),
+            Scalar::attr_cmp(CmpOp::Eq, "a", "b"),
+        );
+        assert_same(&xi(joined, &["<j>", "$x", "</j>"]), &cat);
+
+        // An aggregate whose nested input writes Ξ when evaluated.
+        let xi_agg = |tag: &str| Scalar::Agg {
+            f: GroupFn::count(),
+            input: Box::new(xi(rel("b", "y", &rows), &[tag])),
+        };
+        // Cross of two Ξ-writing χ: left fully, then right.
+        let one = |a: &str, v: i64| {
+            Expr::Literal(vec![Tuple::singleton(s(a), Value::Int(v))]).project_syms(vec![s(a)])
+        };
+        let left = one("l", 1).map("gl", xi_agg("<L/>"));
+        let right = one("r", 2).map("gr", xi_agg("<R/>"));
+        assert_same(&left.cross(right), &cat);
+
+        // Stacked unary writers: a σ whose quantifier range writes Ξ,
+        // over a χ whose aggregate input writes Ξ.
+        let mapped = rel("a", "x", &rows).map("g", xi_agg("<A/>"));
+        let selected = mapped.select(Scalar::Exists {
+            var: s("q"),
+            range: Box::new(xi(one("z", 1), &["<B/>"])),
+            pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("q"), Scalar::int(0))),
+        });
+        assert_same(&selected, &cat);
     }
 }
 
-/// All plans of all six paper workloads: engine output == spec output.
+/// All plans of all six paper workloads, across generator scales and
+/// seeds so blocking operators see empty, singleton, and large groups:
+/// engine output == spec output.
 #[test]
 fn engine_matches_spec_on_all_paper_plans() {
-    use ordered_unnesting_workloads::*;
-
-    let catalog = standard_catalog(25, 3, 11);
-    for w in workloads() {
-        let nested =
-            xquery::compile(w.1, &catalog).unwrap_or_else(|e| panic!("[{}] compile: {e}", w.0));
-        for plan in unnest::enumerate_plans(&nested, &catalog) {
-            let (srows, sout) = spec(&plan.expr, &catalog);
-            let r = engine::run(&plan.expr, &catalog)
-                .unwrap_or_else(|e| panic!("[{} / {}] engine: {e}", w.0, plan.label));
-            assert_eq!(r.rows, srows, "[{} / {}] rows differ", w.0, plan.label);
-            assert_eq!(
-                r.output, sout,
-                "[{} / {}] Ξ output differs",
-                w.0, plan.label
-            );
+    for (scale, fanout, seed) in [(25usize, 3usize, 11u64), (10, 2, 1), (30, 5, 7)] {
+        let catalog = standard_catalog(scale, fanout, seed);
+        for w in &ordered_unnesting::workloads::ALL {
+            let nested = xquery::compile(w.query, &catalog)
+                .unwrap_or_else(|e| panic!("[{}] compile: {e}", w.id));
+            for plan in unnest::enumerate_plans(&nested, &catalog) {
+                let at = format!("{} / {} @ scale={scale} seed={seed}", w.id, plan.label);
+                let (srows, sout) = spec(&plan.expr, &catalog);
+                let r = engine::run(&plan.expr, &catalog)
+                    .unwrap_or_else(|e| panic!("[{at}] engine: {e}"));
+                assert_eq!(r.rows, srows, "[{at}] rows differ");
+                assert_eq!(r.output, sout, "[{at}] Ξ output differs");
+            }
         }
-    }
-}
-
-/// Minimal inline copy of the workload queries to avoid a dependency
-/// cycle (engine ← umbrella). Kept in sync by the umbrella end-to-end
-/// tests, which exercise the same strings via `ordered_unnesting`.
-mod ordered_unnesting_workloads {
-    pub fn workloads() -> Vec<(&'static str, &'static str)> {
-        vec![
-            (
-                "q1",
-                r#"let $d1 := doc("bib.xml")
-                   for $a1 in distinct-values($d1//author)
-                   return <author><name>{ $a1 }</name>{
-                     let $d2 := doc("bib.xml")
-                     for $b2 in $d2//book[$a1 = author]
-                     return $b2/title
-                   }</author>"#,
-            ),
-            (
-                "q2",
-                r#"let $d1 := doc("prices.xml")
-                   for $t1 in distinct-values($d1//book/title)
-                   let $m1 := min(let $d2 := doc("prices.xml")
-                                  for $p2 in $d2//book[title = $t1]/price
-                                  return decimal($p2))
-                   return <minprice title="{ $t1 }"><price>{ $m1 }</price></minprice>"#,
-            ),
-            (
-                "q3",
-                r#"let $d1 := document("bib.xml")
-                   for $t1 in $d1//book/title
-                   where some $t2 in document("reviews.xml")//entry/title
-                         satisfies $t1 = $t2
-                   return <book-with-review>{ $t1 }</book-with-review>"#,
-            ),
-            (
-                "q4",
-                r#"let $d1 := doc("bib.xml")
-                   for $b1 in $d1//book, $a1 in $b1/author
-                   where exists(let $d2 := doc("bib.xml")
-                                for $b2 in $d2//book, $a2 in $b2/author
-                                where contains($a2, "an") and $b1 = $b2
-                                return $b2)
-                   return <book>{ $a1 }</book>"#,
-            ),
-            (
-                "q5",
-                r#"let $d1 := doc("bib.xml")
-                   for $a1 in distinct-values($d1//author)
-                   where every $b2 in doc("bib.xml")//book[author = $a1]
-                         satisfies $b2/@year > 1993
-                   return <new-author>{ $a1 }</new-author>"#,
-            ),
-            (
-                "q6",
-                r#"let $d1 := document("bids.xml")
-                   for $i1 in distinct-values($d1//itemno)
-                   where count($d1//bidtuple[itemno = $i1]) >= 3
-                   return <popular-item>{ $i1 }</popular-item>"#,
-            ),
-        ]
     }
 }
 

@@ -1,11 +1,11 @@
-//! Quantifier semantics and short-circuiting in the streaming executor.
+//! Quantifier semantics and short-circuiting in the pipeline executor.
 //!
 //! Two families of regression tests:
 //!
 //! 1. **Vacuous quantifiers** — `some $x in () satisfies p` is false and
 //!    `every $x in () satisfies p` is true, end-to-end (algebra level and
-//!    XQuery level, both executors).
-//! 2. **Short-circuiting** — the streaming semi/anti join cursors stop
+//!    XQuery level, engine and reference evaluator).
+//! 2. **Short-circuiting** — the semi/anti join cursors stop
 //!    probing a tuple's bucket at the deciding match. Observed through
 //!    the new per-operator tuple counters (`Metrics::op_tuples`) and the
 //!    probe counter (`Metrics::probe_tuples`): on an all-matching
@@ -13,12 +13,24 @@
 //!    cardinality*, where a non-short-circuiting nested loop would do
 //!    |left| × |right| work.
 
-use nal::{CmpOp, Expr, Scalar, Sym, Tuple, Value};
+use nal::{eval_query, CmpOp, EvalCtx, Expr, Scalar, Sym, Tuple, Value};
 use xmldb::gen::{gen_bib, gen_reviews, BibConfig, ReviewsConfig};
 use xmldb::Catalog;
 
 fn s(n: &str) -> Sym {
     Sym::new(n)
+}
+
+/// The engine's run and the reference evaluator's (`nal::eval_query`):
+/// rows and Ξ output of each, labelled.
+fn both(expr: &Expr, cat: &Catalog) -> [(&'static str, Vec<Tuple>, String); 2] {
+    let run = engine::run(expr, cat).expect("engine runs");
+    let mut ctx = EvalCtx::new(cat);
+    let rows = eval_query(expr, &mut ctx).expect("reference evaluates");
+    [
+        ("engine", run.rows, run.output),
+        ("reference", rows, ctx.take_output()),
+    ]
 }
 
 fn int_rel(attr: &str, keys: &[i64]) -> Expr {
@@ -48,14 +60,10 @@ fn some_over_empty_range_is_false() {
         range: Box::new(empty_range()),
         pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("x"), Scalar::int(0))),
     });
-    for (label, result) in [
-        ("run", engine::run(&expr, &cat).unwrap()),
-        ("run_streaming", engine::run_streaming(&expr, &cat).unwrap()),
-    ] {
+    for (label, rows, _) in both(&expr, &cat) {
         assert!(
-            result.rows.is_empty(),
-            "{label}: `some $x in () …` must hold for no tuple, got {:?}",
-            result.rows
+            rows.is_empty(),
+            "{label}: `some $x in () …` must hold for no tuple, got {rows:?}"
         );
     }
 }
@@ -69,12 +77,9 @@ fn every_over_empty_range_is_true() {
         range: Box::new(empty_range()),
         pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("x"), Scalar::int(0))),
     });
-    for (label, result) in [
-        ("run", engine::run(&expr, &cat).unwrap()),
-        ("run_streaming", engine::run_streaming(&expr, &cat).unwrap()),
-    ] {
+    for (label, rows, _) in both(&expr, &cat) {
         assert_eq!(
-            result.rows.len(),
+            rows.len(),
             3,
             "{label}: `every $x in () …` must hold vacuously for every tuple"
         );
@@ -113,17 +118,18 @@ fn vacuous_quantifiers_end_to_end() {
     let some_expr = xquery::compile(some_q, &cat).expect("some query compiles");
     let every_expr = xquery::compile(every_q, &cat).expect("every query compiles");
 
-    for run in [engine::run, engine::run_streaming] {
-        let some_out = run(&some_expr, &cat).expect("some runs").output;
+    for ((label, _, some_out), (_, _, every_out)) in both(&some_expr, &cat)
+        .into_iter()
+        .zip(both(&every_expr, &cat))
+    {
         assert!(
             some_out.is_empty(),
-            "`some` over an empty document must select nothing: {some_out}"
+            "{label}: `some` over an empty document must select nothing: {some_out}"
         );
-        let every_out = run(&every_expr, &cat).expect("every runs").output;
         assert_eq!(
             every_out.matches("<hit>").count(),
             10,
-            "`every` over an empty document must select all 10 books"
+            "{label}: `every` over an empty document must select all 10 books"
         );
     }
 }
@@ -143,7 +149,7 @@ fn hash_semijoin_short_circuits_on_first_match() {
     let right = int_rel("b", &vec![7; n]);
     let expr = left.semijoin(right, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
 
-    let r = engine::run_streaming(&expr, &cat).unwrap();
+    let r = engine::run(&expr, &cat).unwrap();
     assert_eq!(r.rows.len(), 1, "the probe tuple matches");
     assert_eq!(
         r.metrics.probe_tuples,
@@ -158,9 +164,9 @@ fn hash_semijoin_short_circuits_on_first_match() {
     );
     // The per-operator tuple counters see one tuple leave the semi join.
     assert_eq!(r.metrics.op_count("HashSemiJoin"), 1);
-    // And both executors agree on the result.
-    let m = engine::run(&expr, &cat).unwrap();
-    assert_eq!(m.rows, r.rows);
+    // And the reference evaluator agrees on the result.
+    let [_, (_, reference, _)] = both(&expr, &cat);
+    assert_eq!(reference, r.rows);
 }
 
 /// The anti join's deciding event is also the *first* match (which
@@ -173,7 +179,7 @@ fn hash_antijoin_short_circuits_on_first_match() {
     let right = int_rel("b", &vec![7; n]);
     let expr = left.antijoin(right, Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
 
-    let r = engine::run_streaming(&expr, &cat).unwrap();
+    let r = engine::run(&expr, &cat).unwrap();
     assert!(r.rows.is_empty(), "the probe tuple is matched away");
     assert_eq!(
         r.metrics.probe_tuples, 1,
@@ -199,7 +205,7 @@ fn loop_semijoin_short_circuits_on_first_match() {
         plan.explain()
     );
 
-    let r = engine::run_streaming_compiled(&plan, &cat).unwrap();
+    let r = engine::run_compiled(&plan, &cat).unwrap();
     assert_eq!(r.rows.len(), 1);
     assert_eq!(r.metrics.probe_tuples, 1, "first passing candidate decides");
     assert!((r.metrics.probe_tuples as usize) < n);
@@ -213,7 +219,7 @@ fn probe_work_is_linear_in_probe_side() {
     let l: Vec<i64> = (0..100).map(|i| i % 5).collect();
     let r: Vec<i64> = (0..200).map(|i| i % 5).collect();
     let expr = int_rel("a", &l).semijoin(int_rel("b", &r), Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
-    let res = engine::run_streaming(&expr, &cat).unwrap();
+    let res = engine::run(&expr, &cat).unwrap();
     assert_eq!(res.rows.len(), 100, "every probe tuple has a match");
     assert_eq!(
         res.metrics.probe_tuples, 100,
@@ -222,7 +228,7 @@ fn probe_work_is_linear_in_probe_side() {
 }
 
 /// The paper's quantifier workload (§5.3, Q3): the unnested semijoin
-/// plan, streamed, probes strictly fewer tuples than the input
+/// plan probes strictly fewer tuples than the input
 /// cardinality — the acceptance criterion for short-circuiting.
 #[test]
 fn quantifier_workload_probes_fewer_than_input() {
@@ -254,7 +260,7 @@ fn quantifier_workload_probes_fewer_than_input() {
     let titles = 60u64; // one title per book
     let reviews = 60u64; // one entry per review
 
-    let r = engine::run_streaming(&semijoin.expr, &cat).expect("streams");
+    let r = engine::run(&semijoin.expr, &cat).expect("runs");
     assert!(r.metrics.probe_tuples > 0, "the plan does probe");
     assert!(
         r.metrics.probe_tuples < titles,
@@ -265,7 +271,7 @@ fn quantifier_workload_probes_fewer_than_input() {
         r.metrics.probe_tuples < titles * reviews,
         "and far below the nested-loop bound"
     );
-    // Differential: the streamed plan is still byte-identical to `run`.
-    let m = engine::run(&semijoin.expr, &cat).expect("runs");
-    assert_eq!(m.output, r.output);
+    // Differential: the plan is still byte-identical to the reference.
+    let [_, (_, _, reference)] = both(&semijoin.expr, &cat);
+    assert_eq!(reference, r.output);
 }

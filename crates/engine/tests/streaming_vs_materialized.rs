@@ -1,17 +1,37 @@
-//! Differential testing of the streaming executor: `run_streaming` must
-//! produce the same row sequence and byte-identical Ξ output as the
-//! materializing `run` — on randomized relations over every operator
-//! kind, and on every plan alternative of every §5 workload.
+//! Differential testing of the morsel-parallel pipeline (drain,
+//! partition, run the stages per morsel, merge back in source order)
+//! against the result the reference evaluator (`nal::eval`)
+//! materializes: a plan under the [`engine::apply_parallel`] rewrite,
+//! pulled at one worker and at two, must produce the same row sequence
+//! and byte-identical Ξ output — on randomized relations over every
+//! operator kind, and on every plan alternative of every §5 workload.
+//! Both degrees must also examine the same number of build-side
+//! candidates.
+//!
+//! Every randomized input here forms at least one parallel segment
+//! (asserted), so it exercises what a serial run never does. The serial
+//! pipeline's own Ξ-order inputs (stacked Ξ, Ξ below a join build side,
+//! Ξ inside scalars of both sides of a ×) live in `engine_vs_spec`; the
+//! Ξ inputs here put Ξ writers *above* a segment, whose merged output
+//! order is what they write in.
 
 use proptest::prelude::*;
 
+use engine::PhysPlan;
 use nal::expr::builder::*;
-use nal::{AggKind, CmpOp, Expr, GroupFn, Scalar, Sym, Tuple, Value};
+use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Sym, Tuple, Value};
 use xmldb::gen::standard_catalog;
 use xmldb::Catalog;
 
 fn s(n: &str) -> Sym {
     Sym::new(n)
+}
+
+/// The reference evaluator's materialized result: rows and Ξ bytes.
+fn reference(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
+    let mut ctx = EvalCtx::new(cat);
+    let rows = eval_query(expr, &mut ctx).expect("reference evaluation succeeds");
+    (rows, ctx.take_output())
 }
 
 fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
@@ -25,18 +45,59 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
     .project_syms(vec![s(attr_a), s(attr_b)])
 }
 
-/// Both executors on the same expression: identical rows, identical Ξ
-/// output stream, and — their joins being the same cursors — the same
-/// number of build-side candidates examined.
-fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
-    let m = engine::run(expr, cat).expect("materializing executor succeeds");
-    let p = engine::run_streaming(expr, cat).expect("streaming executor succeeds");
-    assert_eq!(m.rows, p.rows, "row mismatch for {expr}");
-    assert_eq!(m.output, p.output, "Ξ output mismatch for {expr}");
+fn has_segment(plan: &PhysPlan) -> bool {
+    matches!(plan, PhysPlan::Parallel { .. }) || plan.children().into_iter().any(has_segment)
+}
+
+/// `expr`'s parallel plan at degrees 1 and 2 against the reference:
+/// identical rows, identical Ξ output stream, and — the degrees
+/// differing only in where segments run — the same number of build-side
+/// candidates examined.
+fn assert_parallel_matches(expr: &Expr, cat: &Catalog, at: &str) -> PhysPlan {
+    let (rows, output) = reference(expr, cat);
+    let plan = engine::compile_parallel(expr);
+    let run = |degree| {
+        engine::run_streaming_parallel(&plan, cat, degree)
+            .unwrap_or_else(|e| panic!("[{at}] degree {degree}: {e}"))
+    };
+    let (one, two) = (run(1), run(2));
+    for (degree, r) in [(1, &one), (2, &two)] {
+        assert_eq!(r.rows, rows, "[{at}] rows differ at degree {degree}");
+        assert_eq!(
+            r.output, output,
+            "[{at}] Ξ output differs at degree {degree}"
+        );
+    }
     assert_eq!(
-        m.metrics.probe_tuples, p.metrics.probe_tuples,
-        "probe_tuples mismatch for {expr}"
+        one.metrics.probe_tuples, two.metrics.probe_tuples,
+        "[{at}] probe_tuples differ"
     );
+    plan
+}
+
+/// [`assert_parallel_matches`] on a plan that must contain a parallel
+/// segment.
+fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
+    let plan = assert_parallel_matches(expr, cat, &expr.to_string());
+    assert!(
+        has_segment(&plan),
+        "no parallel segment formed for {expr}:\n{}",
+        plan.explain()
+    );
+}
+
+/// Every plan alternative of every §5 workload — the appendix-A rewrite
+/// outputs included — on one generated catalog.
+fn assert_paper_plans_stream(scale: usize, fanout: usize, seed: u64) {
+    let catalog = standard_catalog(scale, fanout, seed);
+    for w in &ordered_unnesting::workloads::ALL {
+        let nested = xquery::compile(w.query, &catalog)
+            .unwrap_or_else(|e| panic!("[{}] compile: {e}", w.id));
+        for plan in unnest::enumerate_plans(&nested, &catalog) {
+            let at = format!("{} / {} @ scale={scale} seed={seed}", w.id, plan.label);
+            assert_parallel_matches(&plan.expr, &catalog, &at);
+        }
+    }
 }
 
 proptest! {
@@ -155,65 +216,50 @@ proptest! {
         assert_stream_matches(&base.distinct_rename(&[("z", "b")]), &cat);
     }
 
+    /// Grouped and simple Ξ over a segment whose σ stage runs per
+    /// morsel.
     #[test]
     fn xi_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 0..16),
         grouped in prop::bool::ANY,
+        k in 0i64..6,
     ) {
         let cat = Catalog::new();
+        let kept = rel("b", "y", &rows)
+            .select(Scalar::cmp(CmpOp::Le, Scalar::attr("y"), Scalar::int(k)));
         let expr = if grouped {
-            rel("b", "y", &rows).xi_group(
+            kept.xi_group(
                 &["b"],
                 xi_cmds(&["<g k=\"", "$b", "\">"]),
                 xi_cmds(&["<i>", "$y", "</i>"]),
                 xi_cmds(&["</g>"]),
             )
         } else {
-            Expr::XiSimple {
-                input: Box::new(rel("b", "y", &rows)),
-                cmds: xi_cmds(&["<row>", "$y", "</row>"]),
-            }
+            xi(kept, &["<row>", "$y", "</row>"])
         };
         assert_stream_matches(&expr, &cat);
     }
 
-    /// Stacked Ξ operators: the streaming executor must reproduce the
-    /// materializing executor's strict bottom-up Ξ write order (the
-    /// lowering's eager-materialization fallback).
+    /// Stacked Ξ over a segment, and Ξ over a join that runs as a stage
+    /// of the segment partitioning its probe side.
     #[test]
     fn stacked_xi_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 0..10),
     ) {
         let cat = Catalog::new();
-        let inner = Expr::XiSimple {
-            input: Box::new(rel("b", "y", &rows)),
-            cmds: xi_cmds(&["<inner>", "$y", "</inner>"]),
-        };
-        let outer = Expr::XiSimple {
-            input: Box::new(inner.clone()),
-            cmds: xi_cmds(&["<outer>", "$b", "</outer>"]),
-        };
-        assert_stream_matches(&outer, &cat);
+        let kept = rel("b", "y", &rows)
+            .select(Scalar::cmp(CmpOp::Ge, Scalar::attr("y"), Scalar::int(1)));
+        let inner = xi(kept, &["<inner>", "$y", "</inner>"]);
+        assert_stream_matches(&xi(inner, &["<outer>", "$b", "</outer>"]), &cat);
 
-        // Ξ below a join build side — forces the strict-order path for
-        // binary operators.
-        let joined = rel("a", "x", &rows).join(
-            Expr::XiSimple {
-                input: Box::new(rel("b", "y", &rows)),
-                cmds: xi_cmds(&["<r>", "$b", "</r>"]),
-            },
-            Scalar::attr_cmp(CmpOp::Eq, "a", "b"),
-        );
-        let wrapped = Expr::XiSimple {
-            input: Box::new(joined),
-            cmds: xi_cmds(&["<j>", "$x", "</j>"]),
-        };
-        assert_stream_matches(&wrapped, &cat);
+        let joined = rel("a", "x", &rows)
+            .join(rel("b", "y", &rows), Scalar::attr_cmp(CmpOp::Eq, "a", "b"));
+        assert_stream_matches(&xi(joined, &["<j>", "$x", "/", "$y", "</j>"]), &cat);
     }
 
-    /// Ξ hiding *inside scalars* (quantifier ranges, aggregate inputs):
-    /// the lowering's Ξ analysis must see through operator subscripts,
-    /// or pipelining would interleave the writes.
+    /// Ξ inside the scalars (aggregate inputs, quantifier ranges) of an
+    /// operator above a segment: one write per merged tuple, in the
+    /// merged order.
     #[test]
     fn xi_inside_scalars_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 1..8),
@@ -222,146 +268,42 @@ proptest! {
         // An aggregate whose nested input writes Ξ output when evaluated.
         let xi_agg = |tag: &str| Scalar::Agg {
             f: GroupFn::count(),
-            input: Box::new(Expr::XiSimple {
-                input: Box::new(rel("b", "y", &rows)),
-                cmds: xi_cmds(&[tag]),
-            }),
+            input: Box::new(xi(rel("b", "y", &rows), &[tag])),
         };
-        // Cross of two Ξ-emitting Maps: the materializing executor
-        // evaluates left fully, then right — the streaming Cross must
-        // not build the right side first.
-        let one = |a: &str, v: i64| {
-            Expr::Literal(vec![Tuple::singleton(s(a), Value::Int(v))])
-                .project_syms(vec![s(a)])
-        };
-        let left = one("l", 1).map("gl", xi_agg("<L/>"));
-        let right = one("r", 2).map("gr", xi_agg("<R/>"));
-        assert_stream_matches(&left.cross(right), &cat);
+        let mapped = rel("a", "x", &rows)
+            .select(Scalar::cmp(CmpOp::Ge, Scalar::attr("x"), Scalar::int(1)))
+            .map("g", xi_agg("<A/>"));
+        assert_stream_matches(&mapped, &cat);
 
-        // Stacked unary operators that both write through their scalars:
-        // a Select whose quantifier range writes Ξ, above a Map whose
-        // aggregate input writes Ξ.
-        let mapped = rel("a", "x", &rows).map("g", xi_agg("<A/>"));
-        let selected = mapped.select(Scalar::Exists {
-            var: s("q"),
-            range: Box::new(Expr::XiSimple {
-                input: Box::new(
-                    Expr::Literal(vec![Tuple::singleton(s("z"), Value::Int(1))])
-                        .project_syms(vec![s("z")]),
-                ),
-                cmds: xi_cmds(&["<B/>"]),
-            }),
-            pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("q"), Scalar::int(0))),
-        });
+        let one = Expr::Literal(vec![Tuple::singleton(s("z"), Value::Int(1))])
+            .project_syms(vec![s("z")]);
+        let selected = rel("a", "x", &rows)
+            .join(rel("b", "y", &rows), Scalar::attr_cmp(CmpOp::Eq, "a", "b"))
+            .select(Scalar::Exists {
+                var: s("q"),
+                range: Box::new(xi(one, &["<B/>"])),
+                pred: Box::new(Scalar::cmp(CmpOp::Gt, Scalar::attr("q"), Scalar::int(0))),
+            });
         assert_stream_matches(&selected, &cat);
     }
 }
 
-/// Every plan alternative of every §5 workload — the appendix-A rewrite
-/// outputs included — must stream byte-identically.
+fn xi(input: Expr, cmds: &[&str]) -> Expr {
+    Expr::XiSimple {
+        input: Box::new(input),
+        cmds: xi_cmds(cmds),
+    }
+}
+
 #[test]
 fn all_paper_plans_stream_identically() {
-    let catalog = standard_catalog(25, 3, 11);
-    for (id, query) in workloads() {
-        let nested =
-            xquery::compile(query, &catalog).unwrap_or_else(|e| panic!("[{id}] compile: {e}"));
-        for plan in unnest::enumerate_plans(&nested, &catalog) {
-            let m = engine::run(&plan.expr, &catalog)
-                .unwrap_or_else(|e| panic!("[{id} / {}] run: {e}", plan.label));
-            let p = engine::run_streaming(&plan.expr, &catalog)
-                .unwrap_or_else(|e| panic!("[{id} / {}] run_streaming: {e}", plan.label));
-            assert_eq!(m.rows, p.rows, "[{id} / {}] rows differ", plan.label);
-            assert_eq!(
-                m.output, p.output,
-                "[{id} / {}] Ξ output differs",
-                plan.label
-            );
-            assert_eq!(
-                m.metrics.probe_tuples, p.metrics.probe_tuples,
-                "[{id} / {}] probe_tuples differ",
-                plan.label
-            );
-        }
-    }
+    assert_paper_plans_stream(25, 3, 11);
 }
 
-/// Same differential across generator scales and seeds, so blocking
-/// operators see empty, singleton, and large groups.
+/// Other generator scales and seeds, so blocking operators see empty,
+/// singleton, and large groups.
 #[test]
 fn paper_plans_stream_identically_across_seeds() {
-    for &(scale, fanout, seed) in &[(10usize, 2usize, 1u64), (30, 5, 7)] {
-        let catalog = standard_catalog(scale, fanout, seed);
-        for (id, query) in workloads() {
-            let nested =
-                xquery::compile(query, &catalog).unwrap_or_else(|e| panic!("[{id}] compile: {e}"));
-            for plan in unnest::enumerate_plans(&nested, &catalog) {
-                let m = engine::run(&plan.expr, &catalog).expect("run");
-                let p = engine::run_streaming(&plan.expr, &catalog).expect("run_streaming");
-                assert_eq!(
-                    m.output, p.output,
-                    "[{id} / {} @ scale={scale} seed={seed}] Ξ output differs",
-                    plan.label
-                );
-            }
-        }
-    }
-}
-
-/// Inline copy of the workload queries (kept in sync by the umbrella
-/// end-to-end tests) to avoid a dependency cycle on the umbrella crate.
-fn workloads() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "q1",
-            r#"let $d1 := doc("bib.xml")
-               for $a1 in distinct-values($d1//author)
-               return <author><name>{ $a1 }</name>{
-                 let $d2 := doc("bib.xml")
-                 for $b2 in $d2//book[$a1 = author]
-                 return $b2/title
-               }</author>"#,
-        ),
-        (
-            "q2",
-            r#"let $d1 := doc("prices.xml")
-               for $t1 in distinct-values($d1//book/title)
-               let $m1 := min(let $d2 := doc("prices.xml")
-                              for $p2 in $d2//book[title = $t1]/price
-                              return decimal($p2))
-               return <minprice title="{ $t1 }"><price>{ $m1 }</price></minprice>"#,
-        ),
-        (
-            "q3",
-            r#"let $d1 := document("bib.xml")
-               for $t1 in $d1//book/title
-               where some $t2 in document("reviews.xml")//entry/title
-                     satisfies $t1 = $t2
-               return <book-with-review>{ $t1 }</book-with-review>"#,
-        ),
-        (
-            "q4",
-            r#"let $d1 := doc("bib.xml")
-               for $b1 in $d1//book, $a1 in $b1/author
-               where exists(let $d2 := doc("bib.xml")
-                            for $b2 in $d2//book, $a2 in $b2/author
-                            where contains($a2, "an") and $b1 = $b2
-                            return $b2)
-               return <book>{ $a1 }</book>"#,
-        ),
-        (
-            "q5",
-            r#"let $d1 := doc("bib.xml")
-               for $a1 in distinct-values($d1//author)
-               where every $b2 in doc("bib.xml")//book[author = $a1]
-                     satisfies $b2/@year > 1993
-               return <new-author>{ $a1 }</new-author>"#,
-        ),
-        (
-            "q6",
-            r#"let $d1 := document("bids.xml")
-               for $i1 in distinct-values($d1//itemno)
-               where count($d1//bidtuple[itemno = $i1]) >= 3
-               return <popular-item>{ $i1 }</popular-item>"#,
-        ),
-    ]
+    assert_paper_plans_stream(10, 2, 1);
+    assert_paper_plans_stream(30, 5, 7);
 }

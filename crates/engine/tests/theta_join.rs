@@ -4,9 +4,9 @@
 //!
 //! The oracle is the reference evaluator (`nal::eval`, the §2
 //! definitions) — not a kept copy of the old pair loop. Every case runs
-//! serial streaming, parallel streaming at degrees 2 and 8, and the
-//! materializing executor; all must produce the oracle's rows and Ξ
-//! bytes and agree on their counters.
+//! serially and in parallel at degrees 2 and 8; all must produce the
+//! oracle's rows and Ξ bytes, and the parallel runs the serial run's
+//! counters.
 
 use fuzz::corpus::VALUE_POOL;
 use nal::expr::builder::*;
@@ -134,7 +134,7 @@ fn conjunct(rng: &mut TestRng, pool: &[Value]) -> Scalar {
 /// presence keeps the whole predicate the pair part. Usually over the
 /// integer columns, where it cannot fail; sometimes over an adversarial
 /// column, where the reference evaluation may raise an error the
-/// executors must raise too.
+/// engine must raise too.
 fn unsafe_conjunct(rng: &mut TestRng) -> Scalar {
     let (l, r) = if rng.below(4) == 0 {
         ("a", "b")
@@ -186,16 +186,8 @@ fn outcome(r: nal::EvalResult<engine::QueryResult>) -> (Outcome, Metrics) {
     }
 }
 
-/// The counters the materializing executor keeps too (it does not meter
-/// per-operator tuples).
-fn sans_operators(m: &Metrics) -> Metrics {
-    let mut m = m.clone();
-    m.op_tuples.clear();
-    m
-}
-
-/// Run `expr` on the oracle and on every executor under `env`; returns
-/// the serial streaming run's metrics.
+/// Run `expr` on the oracle and on the engine, serially and in
+/// parallel, under `env`; returns the serial run's metrics.
 fn check(expr: &Expr, env: &Tuple, cat: &Catalog) -> Metrics {
     let mut octx = EvalCtx::new(cat);
     let oracle: Outcome = eval(expr, env, &mut octx)
@@ -204,15 +196,10 @@ fn check(expr: &Expr, env: &Tuple, cat: &Catalog) -> Metrics {
 
     let plan = engine::compile(expr);
     let par_plan = engine::apply_parallel(&plan);
-    let run = |plan: &engine::PhysPlan, workers: Option<usize>| {
+    let run = |plan: &engine::PhysPlan, workers: usize| {
         let mut ctx = EvalCtx::new(cat);
-        let rows = match workers {
-            None => engine::execute(plan, env, &mut ctx),
-            Some(w) => {
-                ctx.parallel = w;
-                engine::pipeline::execute_streaming(plan, env, &mut ctx)
-            }
-        };
+        ctx.parallel = workers;
+        let rows = engine::execute(plan, env, &mut ctx);
         let out = ctx.take_output();
         outcome(rows.map(|rows| engine::QueryResult {
             rows,
@@ -222,21 +209,12 @@ fn check(expr: &Expr, env: &Tuple, cat: &Catalog) -> Metrics {
         }))
     };
 
-    let (serial, serial_metrics) = run(&plan, Some(1));
+    let (serial, serial_metrics) = run(&plan, 1);
     // An error's message names the offending operands, so it pins the
     // pair the evaluation stopped at, not just that it stopped.
-    assert_eq!(serial, oracle, "serial streaming vs nal::eval for {expr}");
-    let (mat, mat_metrics) = run(&plan, None);
-    assert_eq!(mat, oracle, "materializing vs nal::eval for {expr}");
-    if oracle.is_ok() {
-        assert_eq!(
-            mat_metrics,
-            sans_operators(&serial_metrics),
-            "materializing vs serial counters for {expr}"
-        );
-    }
+    assert_eq!(serial, oracle, "serial vs nal::eval for {expr}");
     for workers in [2, 8] {
-        let (par, par_metrics) = run(&par_plan, Some(workers));
+        let (par, par_metrics) = run(&par_plan, workers);
         assert_eq!(
             par.is_ok(),
             oracle.is_ok(),

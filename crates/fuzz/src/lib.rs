@@ -2,11 +2,11 @@
 //! algebra.
 //!
 //! Randomized query + corpus + update-script generation paired with a
-//! differential execution matrix: scan vs indexed compilation ×
-//! materializing vs streaming executor × parallel degrees {1, 2, 8} ×
-//! pre/post updates under both index-maintenance modes, plus
-//! plan-equivalence (every rewrite vs the nested plan) and
-//! cost-model convertibility agreement. See `docs/ARCHITECTURE.md`
+//! differential execution matrix checked against one ground truth,
+//! `nal::eval_query` of the nested query: every enumerated plan × scan
+//! vs indexed compilation × pre/post updates under both
+//! index-maintenance modes, parallel degrees {1, 2, 8} against the
+//! serial run, plus cost-model convertibility agreement. See `docs/ARCHITECTURE.md`
 //! ("Differential fuzzing") for the full matrix and the reproduction
 //! workflow.
 //!

@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use service::{serve, ExecMode, Json, QueryService, ServerConfig, ServiceConfig};
+use service::{serve, Json, QueryService, ServerConfig, ServiceConfig};
 
 struct Args {
     addr: String,
@@ -106,7 +106,6 @@ fn main() -> ExitCode {
     let svc = Arc::new(QueryService::new(ServiceConfig {
         cache_capacity: args.cache,
         use_indexes: args.use_indexes,
-        exec: ExecMode::Streaming,
         slow_query_us: args.slow_query_ms.map(|ms| ms * 1000),
         parallel_workers: args.workers,
         ..ServiceConfig::default()

@@ -13,7 +13,7 @@
 //!    stall behind the single serialized writer.
 //! 2. `xqd-server` ([`server`] + [`proto`]): a TCP server speaking
 //!    newline-delimited JSON ([`json`]) that streams query results
-//!    item-by-item from the pull-based streaming executor.
+//!    item-by-item from the pull-based executor.
 //!
 //! ```
 //! use service::{QueryService, ServiceConfig};
@@ -40,8 +40,8 @@ pub use json::Json;
 pub use metrics::{render_prometheus, HistogramSnapshot, LatencyHistogram, MetricsRegistry};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use service::{
-    ExecMode, ExplainOutcome, QueryOutcome, QueryService, ServiceConfig, ServiceError,
-    ServiceStats, UpdateOp, UpdateReport,
+    ExplainOutcome, QueryOutcome, QueryService, ServiceConfig, ServiceError, ServiceStats,
+    UpdateOp, UpdateReport,
 };
 
 // Compile-time `Send + Sync` audit (complementing the one in `xmldb`):

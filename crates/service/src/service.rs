@@ -34,17 +34,6 @@ use xquery::{normalize, parse_query, Fingerprint};
 use crate::cache::{CacheCounters, CacheOutcome, Lookup, PlanCache};
 use crate::metrics::MetricsRegistry;
 
-/// Which executor runs the (cached or fresh) physical plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// [`engine::run_compiled`] — materializing operators.
-    Materialized,
-    /// [`engine::run_streaming_compiled`] — the pull-based pipeline
-    /// (also what [`QueryService::query_streamed`] uses to ship items
-    /// incrementally).
-    Streaming,
-}
-
 /// Service construction knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
@@ -53,8 +42,6 @@ pub struct ServiceConfig {
     /// Compile index-backed access paths ([`engine::compile_indexed`])
     /// rather than pure scans.
     pub use_indexes: bool,
-    /// Executor for [`QueryService::query`].
-    pub exec: ExecMode,
     /// Log queries whose whole-query latency reaches this many
     /// microseconds to stderr, with fingerprint and stage breakdown
     /// (`None` disables the slow-query log).
@@ -79,7 +66,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             cache_capacity: 64,
             use_indexes: true,
-            exec: ExecMode::Streaming,
             slow_query_us: None,
             parallel_workers: 1,
             calibration: None,
@@ -354,13 +340,8 @@ impl QueryService {
         let (plan, label, outcome, fingerprint) =
             self.prepare(text, &snapshot, &clock, &mut trace)?;
         let exec_start = clock.now_us();
-        let result = match self.config.exec {
-            ExecMode::Materialized => engine::run_compiled(&plan, &snapshot),
-            ExecMode::Streaming => {
-                engine::run_streaming_parallel(&plan, &snapshot, self.config.parallel_workers)
-            }
-        }
-        .map_err(|e| ServiceError::Exec(format!("{e}")))?;
+        let result = engine::run_streaming_parallel(&plan, &snapshot, self.config.parallel_workers)
+            .map_err(|e| ServiceError::Exec(format!("{e}")))?;
         let exec_end = clock.now_us();
         trace.record_stage(Stage::Execute, exec_start, exec_end);
         trace.total_us = clock.now_us();
@@ -384,11 +365,11 @@ impl QueryService {
         })
     }
 
-    /// Run `text` with the streaming executor, invoking `on_item` with
+    /// Run `text` on the pipeline, invoking `on_item` with
     /// each Ξ output increment as the root cursor produces it (one call
     /// per root tuple that extended the output; the concatenation of all
-    /// increments is byte-identical to [`QueryOutcome::output`] of a
-    /// materialized run). `on_item` returning `false` cancels the run —
+    /// increments is byte-identical to [`QueryOutcome::output`] of
+    /// [`QueryService::query`]). `on_item` returning `false` cancels the run —
     /// this is how a dropped client connection stops a long stream.
     ///
     /// The whole stream executes against the snapshot pinned at entry:
@@ -598,7 +579,7 @@ impl QueryService {
     }
 
     /// EXPLAIN ANALYZE: resolve `text` exactly as [`QueryService::query`]
-    /// would (same cache path, same executor choice), run it with
+    /// would (same cache path), run it with
     /// per-operator tracing, and pair every operator's measured
     /// rows/calls/time/probes with the cost model's predicted cost for
     /// that node. Counts toward the query counters like any other run.
@@ -618,11 +599,8 @@ impl QueryService {
             self.prepare(text, &snapshot, &clock, &mut trace)?;
         let exec_start = clock.now_us();
         let workers = self.config.parallel_workers.max(1);
-        let (result, exec_trace) = match self.config.exec {
-            ExecMode::Materialized => engine::run_traced(&plan, &snapshot),
-            ExecMode::Streaming => engine::run_streaming_traced_parallel(&plan, &snapshot, workers),
-        }
-        .map_err(|e| ServiceError::Exec(format!("{e}")))?;
+        let (result, exec_trace) = engine::run_streaming_traced_parallel(&plan, &snapshot, workers)
+            .map_err(|e| ServiceError::Exec(format!("{e}")))?;
         let exec_end = clock.now_us();
         trace.record_stage(Stage::Execute, exec_start, exec_end);
         trace.total_us = clock.now_us();

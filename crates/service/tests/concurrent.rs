@@ -9,7 +9,7 @@
 
 use ordered_unnesting::workloads;
 use ordered_unnesting::xmldb;
-use service::{ExecMode, QueryService, ServiceConfig, UpdateOp};
+use service::{QueryService, ServiceConfig, UpdateOp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -25,7 +25,6 @@ fn standard_service() -> QueryService {
         ServiceConfig {
             cache_capacity: 64,
             use_indexes: true,
-            exec: ExecMode::Streaming,
             slow_query_us: None,
             ..ServiceConfig::default()
         },

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use service::{
-    render_prometheus, CacheOutcome, ExecMode, HistogramSnapshot, LatencyHistogram, QueryService,
+    render_prometheus, CacheOutcome, HistogramSnapshot, LatencyHistogram, QueryService,
     ServiceConfig, UpdateOp,
 };
 
@@ -14,7 +14,6 @@ fn service() -> QueryService {
     QueryService::new(ServiceConfig {
         cache_capacity: 16,
         use_indexes: true,
-        exec: ExecMode::Streaming,
         slow_query_us: None,
         ..ServiceConfig::default()
     })
@@ -267,7 +266,8 @@ fn explain_reports_priced_measured_operators() {
     svc.load_xml("bib.xml", BIB).expect("load");
     let out = svc.explain(TITLES).expect("explain");
     assert!(!out.report.nodes.is_empty());
-    assert!(out.rows > 0);
+    assert_eq!(out.rows, 2);
+    assert!(out.report.nodes.iter().any(|n| n.rows > 0));
     // Every operator is measured and priced; timing is inclusive.
     let root = out.report.nodes[0].elapsed_us;
     for n in &out.report.nodes {
@@ -293,14 +293,14 @@ fn explain_reports_priced_measured_operators() {
 
 #[test]
 fn both_executors_trace_identical_counters() {
-    // Counter parity: the materializing and streaming executors must
-    // agree on rows per operator even under tracing (timing differs).
-    for exec in [ExecMode::Materialized, ExecMode::Streaming] {
+    // Counter parity: the serial and the morsel-parallel pipeline must
+    // agree on the result and report rows per operator under tracing.
+    for parallel_workers in [1, 2] {
         let svc = QueryService::new(ServiceConfig {
             cache_capacity: 16,
             use_indexes: true,
-            exec,
             slow_query_us: None,
+            parallel_workers,
             ..ServiceConfig::default()
         });
         svc.load_xml("bib.xml", BIB).expect("load");
@@ -311,7 +311,10 @@ fn both_executors_trace_identical_counters() {
             .iter()
             .map(|n| (n.op.clone(), n.rows))
             .collect();
-        assert!(rows.iter().any(|(_, r)| *r > 0), "{exec:?}: all-zero rows");
-        assert_eq!(out.rows, 2, "{exec:?}");
+        assert!(
+            rows.iter().any(|(_, r)| *r > 0),
+            "{parallel_workers} workers: all-zero rows"
+        );
+        assert_eq!(out.rows, 2, "{parallel_workers} workers");
     }
 }

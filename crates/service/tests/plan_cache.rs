@@ -7,7 +7,7 @@
 use ordered_unnesting::workloads;
 use ordered_unnesting::{engine, xmldb, xquery};
 use service::cache::Lookup;
-use service::{CacheOutcome, ExecMode, PlanCache, QueryService, ServiceConfig, UpdateOp};
+use service::{CacheOutcome, PlanCache, QueryService, ServiceConfig, UpdateOp};
 use std::sync::Arc;
 
 const SCALE: usize = 30;
@@ -19,7 +19,6 @@ fn standard_service(cache_capacity: usize) -> QueryService {
         ServiceConfig {
             cache_capacity,
             use_indexes: true,
-            exec: ExecMode::Streaming,
             slow_query_us: None,
             ..ServiceConfig::default()
         },
@@ -309,7 +308,6 @@ fn cached_parallel_plans_revalidate_after_updates() {
             ServiceConfig {
                 cache_capacity: 32,
                 use_indexes: true,
-                exec: ExecMode::Streaming,
                 slow_query_us: None,
                 parallel_workers: 2,
                 ..ServiceConfig::default()

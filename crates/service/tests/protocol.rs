@@ -2,7 +2,7 @@
 //! grammar, malformed input, concurrent sessions, a client that
 //! disconnects mid-stream, and graceful shutdown.
 
-use service::{serve, ExecMode, Json, QueryService, ServerConfig, ServerHandle, ServiceConfig};
+use service::{serve, Json, QueryService, ServerConfig, ServerHandle, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -22,7 +22,6 @@ fn start_server() -> ServerHandle {
     let svc = Arc::new(QueryService::new(ServiceConfig {
         cache_capacity: 16,
         use_indexes: true,
-        exec: ExecMode::Streaming,
         slow_query_us: None,
         ..ServiceConfig::default()
     }));

@@ -298,7 +298,7 @@ impl<'a> CostModel<'a> {
     /// the logical level (the drift-prone duplication this model used to
     /// carry), the join is compiled and handed to the engine's **own**
     /// tracer: [`engine::join_recipe`] either emits the
-    /// [`engine::AccessRecipe`] the executors would run, or the model
+    /// [`engine::AccessRecipe`] the executor would run, or the model
     /// prices the scan join — "never price what the engine declines" is
     /// true by construction.
     ///

@@ -48,12 +48,11 @@ fn eval_both(lhs: &Expr, rhs: &Expr) -> (Vec<Tuple>, Vec<Tuple>, String, String)
     let l = eval_query(lhs, &mut c1).expect("lhs evaluates");
     let mut c2 = EvalCtx::new(&cat);
     let r = eval_query(rhs, &mut c2).expect("rhs evaluates");
-    // Differential on the executors as well: for each side, the
-    // materializing and the streaming engine must produce the reference
-    // rows and Ξ output — so the whole appendix-A query set exercises
-    // `run` and `run_streaming` alike.
+    // Differential on the engine as well: for each side, `engine::run`
+    // must produce the reference rows and Ξ output — so the whole
+    // appendix-A query set exercises the executor too.
     for (label, expr, rows, out) in [("lhs", lhs, &l, &c1.out), ("rhs", rhs, &r, &c2.out)] {
-        let m = engine::run(expr, &cat).expect("materializing engine evaluates");
+        let m = engine::run(expr, &cat).expect("engine evaluates");
         assert_eq!(
             &m.rows, rows,
             "engine::run rows diverge from spec on {label}: {expr}"
@@ -61,15 +60,6 @@ fn eval_both(lhs: &Expr, rhs: &Expr) -> (Vec<Tuple>, Vec<Tuple>, String, String)
         assert_eq!(
             &m.output, out,
             "engine::run Ξ output diverges on {label}: {expr}"
-        );
-        let s = engine::run_streaming(expr, &cat).expect("streaming engine evaluates");
-        assert_eq!(
-            &s.rows, rows,
-            "run_streaming rows diverge from spec on {label}: {expr}"
-        );
-        assert_eq!(
-            &s.output, out,
-            "run_streaming Ξ output diverges on {label}: {expr}"
         );
     }
     (l, r, c1.out, c2.out)

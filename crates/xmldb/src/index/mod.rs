@@ -1,7 +1,7 @@
 //! Ordered access-path indexes.
 //!
 //! The paper's quantifier rewrites turn `some`/`every` into semi/anti
-//! joins, but both executors still *scan* full document sequences for
+//! joins, but the engine would still *scan* full document sequences for
 //! every build and probe. This subsystem provides the order-aware access
 //! paths that make those joins pay off at scale:
 //!

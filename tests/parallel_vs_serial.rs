@@ -1,7 +1,7 @@
 //! Differential suite for morsel-driven parallel execution: for every
-//! §5 workload (Q1–Q10), in scan and indexed compilation, the parallel
-//! streaming executor must produce **byte-identical** Ξ output, the same
-//! rows, and worker-summed metrics equal to a serial streaming run — at
+//! §5 workload (Q1–Q10), in scan and indexed compilation, a parallel run
+//! must produce **byte-identical** Ξ output, the same rows, and
+//! worker-summed metrics equal to a serial run — at
 //! every degree of parallelism. Plus:
 //!
 //! * a property test that k-way merging randomized contiguous morsel
@@ -45,7 +45,7 @@ fn check_parity(id: &str, expr: &nal::Expr, catalog: &Catalog, indexed: bool) ->
     };
     let par_plan = engine::apply_parallel(&serial_plan);
     let wrapped = par_plan.explain().contains("Parallel");
-    let serial = engine::run_streaming_compiled(&serial_plan, catalog)
+    let serial = engine::run_compiled(&serial_plan, catalog)
         .unwrap_or_else(|e| panic!("[{id}] serial run failed: {e}"));
     for workers in WORKERS {
         let par = engine::run_streaming_parallel(&par_plan, catalog, workers)
