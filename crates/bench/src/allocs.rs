@@ -1,5 +1,5 @@
 //! Heap-allocation accounting: a counting allocator and the warm and
-//! cold Q1–Q10 rounds measured with it.
+//! cold Q1–Q10 rounds and the nested Q1–Q6 round measured with it.
 //!
 //! The allocator counts per *thread* (const-initialised thread-locals,
 //! so the allocator itself never allocates and threads never contend on
@@ -121,6 +121,38 @@ pub fn warm_round(scale: usize, use_indexes: bool) -> Vec<QueryAllocs> {
             outcome.unwrap_or_else(|e| panic!("[{}] failed: {e}", w.id));
             counts
         })
+        .collect()
+}
+
+/// One run of each §5 query's plan labelled `nested` — the paper's
+/// baseline, every quantifier range and aggregate input a nested block —
+/// over `standard_catalog(scale, 2, 1)`: compiled once with
+/// [`engine::compile`] and run serially, as xqbench's `paper-nested`
+/// runs them. A warm-up run of each fills what a serving process fills
+/// once, so the counts are execution alone.
+pub fn nested_round(scale: usize) -> Vec<QueryAllocs> {
+    let catalog = xmldb::gen::standard_catalog(scale, 2, 1);
+    let plans: Vec<_> = ALL
+        .iter()
+        .map(|w| {
+            let expr = xquery::compile(w.query, &catalog)
+                .unwrap_or_else(|e| panic!("[{}] does not compile: {e}", w.id));
+            let nested = unnest::enumerate_plans(&expr, &catalog)
+                .into_iter()
+                .find(|p| p.label == "nested")
+                .unwrap_or_else(|| panic!("[{}] has no nested plan", w.id));
+            (w.id, engine::compile(&nested.expr))
+        })
+        .collect();
+    let run = |id: &str, plan| {
+        engine::run_compiled(plan, &catalog).unwrap_or_else(|e| panic!("[{id}] failed: {e}"))
+    };
+    for (id, plan) in &plans {
+        run(id, plan);
+    }
+    plans
+        .iter()
+        .map(|(id, plan)| counted(id, || run(id, plan)).1)
         .collect()
 }
 

@@ -10,13 +10,24 @@
 //!    `engine`) is differential-tested against,
 //! 2. **Proof harness**: the property tests of crate `unnest` check
 //!    Eqv. 1–9 by evaluating both sides here (Appendix A, executable), and
-//! 3. **Baseline**: the "nested" plans of §5's experiments are evaluated
-//!    with precisely this strategy.
+//! 3. **Ground truth for nested blocks**: a quantifier range or aggregate
+//!    input here is evaluated completely, under a copied environment,
+//!    before it is tested. The engine runs the same blocks on its own
+//!    compiled plans (`engine::nested`) and is held to the same rows,
+//!    errors and Ξ bytes; the §5 baseline is that engine run, not this
+//!    evaluator.
+//!
+//! Subscripts share one scalar semantics with the engine
+//! ([`scalar::eval_scalar`] over a [`Scope`]); what stays the reference's
+//! own are the operator loops below, which build `env ◦ t` for every
+//! tuple exactly as the definitions read.
 
 pub mod scalar;
+mod scope;
 pub mod xi;
 
-pub use scalar::eval_scalar;
+pub use scalar::{eval_scalar, Nested, Reference};
+pub use scope::Scope;
 
 use std::fmt;
 
@@ -270,6 +281,16 @@ pub fn eval_query(e: &Expr, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
     eval(e, &Tuple::empty(), ctx)
 }
 
+/// A subscript over the reference's environment tuple.
+fn value_in(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Value> {
+    eval_scalar(s, &Scope::of(env), &Reference, ctx)
+}
+
+/// [`value_in`] as a predicate.
+fn truthy_in(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
+    scalar::truthy(s, &Scope::of(env), &Reference, ctx)
+}
+
 /// Evaluate `e` under the environment `env` (outer variable bindings —
 /// non-empty exactly when evaluating a nested expression).
 pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
@@ -297,7 +318,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             let seq = eval(input, env, ctx)?;
             let mut out = Vec::with_capacity(seq.len());
             for t in seq {
-                if scalar::truthy(pred, &env.concat(&t), ctx)? {
+                if truthy_in(pred, &env.concat(&t), ctx)? {
                     out.push(t);
                 }
             }
@@ -313,7 +334,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             let seq = eval(input, env, ctx)?;
             let mut out = Vec::with_capacity(seq.len());
             for t in seq {
-                let v = eval_scalar(value, &env.concat(&t), ctx)?;
+                let v = value_in(value, &env.concat(&t), ctx)?;
                 out.push(t.extend(*attr, v));
             }
             out
@@ -339,7 +360,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             for lt in &l {
                 for rt in &r {
                     let joined = lt.concat(rt);
-                    if scalar::truthy(pred, &env.concat(&joined), ctx)? {
+                    if truthy_in(pred, &env.concat(&joined), ctx)? {
                         out.push(joined);
                     }
                 }
@@ -387,7 +408,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
                 let mut matched = false;
                 for rt in &r {
                     let joined = lt.concat(rt);
-                    if scalar::truthy(pred, &env.concat(&joined), ctx)? {
+                    if truthy_in(pred, &env.concat(&joined), ctx)? {
                         out.push(joined);
                         matched = true;
                     }
@@ -495,7 +516,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
             let seq = eval(input, env, ctx)?;
             let mut out = Vec::new();
             for t in seq {
-                let v = eval_scalar(value, &env.concat(&t), ctx)?;
+                let v = value_in(value, &env.concat(&t), ctx)?;
                 for item in v.as_items() {
                     out.push(t.extend(*attr, item.clone()));
                 }
@@ -506,7 +527,7 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
         Expr::XiSimple { input, cmds } => {
             let seq = eval(input, env, ctx)?;
             for t in &seq {
-                xi::run_cmds(cmds, &env.concat(t), ctx)?;
+                xi::run_cmds(cmds, &Scope::of(&env.concat(t)), ctx)?;
             }
             seq
         }
@@ -528,11 +549,11 @@ pub fn eval(e: &Expr, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
                     .filter(|t| tuple_key_matches(&key, by, t, by, CmpOp::Eq, ctx.catalog))
                     .collect();
                 let key_env = env.concat(&key);
-                xi::run_cmds(head, &key_env, ctx)?;
+                xi::run_cmds(head, &Scope::of(&key_env), ctx)?;
                 for t in &group {
-                    xi::run_cmds(body, &env.concat(t), ctx)?;
+                    xi::run_cmds(body, &Scope::of(&env.concat(t)), ctx)?;
                 }
-                xi::run_cmds(tail, &key_env, ctx)?;
+                xi::run_cmds(tail, &Scope::of(&key_env), ctx)?;
                 out.push(key);
             }
             out
@@ -629,36 +650,26 @@ fn exists_match(
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<bool> {
     for rt in right {
-        if scalar::truthy(pred, &env.concat(&lt.concat(rt)), ctx)? {
+        if truthy_in(pred, &env.concat(&lt.concat(rt)), ctx)? {
             return Ok(true);
         }
     }
     Ok(false)
 }
 
-/// Apply a group function including its filter stage (which needs the
-/// scalar evaluator, hence lives here rather than in `GroupFn`).
-pub fn apply_groupfn(
+/// Apply a group function to a group of the reference's Γ operators,
+/// its filter stage evaluated over `env ◦ t` per member.
+fn apply_groupfn(
     f: &crate::scalar::GroupFn,
     group: &[Tuple],
     env: &Tuple,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Value> {
-    let kept;
-    let filtered: &[Tuple] = match &f.filter {
-        None => group,
-        Some(p) => {
-            let mut passing = Vec::with_capacity(group.len());
-            for t in group {
-                if scalar::truthy(p, &env.concat(t), ctx)? {
-                    passing.push(t.clone());
-                }
-            }
-            kept = passing;
-            &kept
-        }
-    };
-    f.aggregate(filtered, ctx.catalog).map_err(EvalError::new)
+    let catalog = ctx.catalog;
+    f.apply_with(group, catalog, |p, t| {
+        truthy_in(p, &env.concat(t), ctx).map_err(|e| e.message)
+    })
+    .map_err(EvalError::new)
 }
 
 #[cfg(test)]

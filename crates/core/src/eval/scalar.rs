@@ -1,13 +1,20 @@
 //! Scalar (subscript) evaluation, including nested algebraic expressions.
+//!
+//! One semantics for every evaluator: [`eval_scalar`] looks attributes up
+//! in a [`Scope`] and reaches the nested blocks of a subscript — a
+//! quantifier's range, an aggregate's input — through a [`Nested`]. The
+//! reference evaluator's is [`Reference`] (`nal::eval` of the block,
+//! materialized); the engine hands in the plans it compiled for them.
 
 use std::sync::Arc;
 
 use xmldb::NodeId;
 use xpath::EvalCounters;
 
-use crate::eval::{apply_groupfn, eval, EvalCtx, EvalError, EvalResult};
-use crate::scalar::{func::effective_boolean, Scalar};
-use crate::sequence::{dedup_first_occurrence, lift_items};
+use crate::eval::{eval, EvalCtx, EvalError, EvalResult, Scope};
+use crate::expr::Expr;
+use crate::scalar::{func::effective_boolean, GroupFn, Scalar};
+use crate::sequence::{dedup_first_occurrence, lift_items, Seq};
 use crate::tuple::Tuple;
 use crate::value::{cmp_general, CmpOp, Dec, NodeRef, Value};
 
@@ -16,51 +23,99 @@ fn nal_dec(v: f64) -> Dec {
     Dec(if v == 0.0 { 0.0 } else { v })
 }
 
-/// Evaluate a scalar under an environment tuple.
-pub fn eval_scalar(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Value> {
+/// How [`eval_scalar`] obtains the rows of the nested algebra blocks in a
+/// subscript — quantifier ranges and aggregate inputs. A block is named
+/// by its expression, as it sits inside the subscript being evaluated.
+pub trait Nested {
+    /// Every row of `block`, evaluated under `scope`.
+    fn rows(&self, block: &Expr, scope: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq>;
+
+    /// Hand the rows of `block` under `scope` to `each`, in order, until
+    /// it answers `false` — a quantifier deciding. This default evaluates
+    /// the whole block first ([`Nested::rows`]), as §2 defines it; an
+    /// implementation may pull a block only as far as the decision where
+    /// nothing the rest of it would do can be observed.
+    fn decide(
+        &self,
+        block: &Expr,
+        scope: &Scope<'_>,
+        ctx: &mut EvalCtx<'_>,
+        each: &mut dyn FnMut(Tuple, &mut EvalCtx<'_>) -> EvalResult<bool>,
+    ) -> EvalResult<()> {
+        for t in self.rows(block, scope, ctx)? {
+            if !each(t, ctx)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The reference evaluator's nested blocks: [`eval`] of the block under
+/// the flattened scope, every range materialized before it is tested —
+/// the nested-loop strategy of §2.
+pub struct Reference;
+
+impl Nested for Reference {
+    fn rows(&self, block: &Expr, scope: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
+        eval(block, &scope.flatten(), ctx)
+    }
+}
+
+/// Evaluate a scalar in a scope, its nested blocks reached through
+/// `nested`.
+pub fn eval_scalar(
+    s: &Scalar,
+    scope: &Scope<'_>,
+    nested: &dyn Nested,
+    ctx: &mut EvalCtx<'_>,
+) -> EvalResult<Value> {
+    // The operands of everything but a quantifier share its scope.
+    let value = |s: &Scalar, ctx: &mut EvalCtx<'_>| eval_scalar(s, scope, nested, ctx);
+    let holds = |s: &Scalar, ctx: &mut EvalCtx<'_>| truthy(s, scope, nested, ctx);
     match s {
         Scalar::Const(v) => Ok(v.clone()),
 
-        Scalar::Attr(a) => env
+        Scalar::Attr(a) => scope
             .get(*a)
             .cloned()
-            .ok_or_else(|| EvalError::new(format!("unbound attribute `{a}` (env {env})"))),
+            .ok_or_else(|| EvalError::new(format!("unbound attribute `{a}` (env {scope})"))),
 
         Scalar::Cmp(op, l, r) => {
-            let lv = eval_scalar(l, env, ctx)?;
-            let rv = eval_scalar(r, env, ctx)?;
+            let lv = value(l, ctx)?;
+            let rv = value(r, ctx)?;
             Ok(Value::Bool(cmp_general(*op, &lv, &rv, ctx.catalog)))
         }
 
         // l ∈ r — membership; identical to an existential `=` at runtime.
         Scalar::In(l, r) => {
-            let lv = eval_scalar(l, env, ctx)?;
-            let rv = eval_scalar(r, env, ctx)?;
+            let lv = value(l, ctx)?;
+            let rv = value(r, ctx)?;
             Ok(Value::Bool(cmp_general(CmpOp::Eq, &lv, &rv, ctx.catalog)))
         }
 
         Scalar::And(l, r) => {
             // Short-circuit, like the engine would.
-            if !truthy(l, env, ctx)? {
+            if !holds(l, ctx)? {
                 return Ok(Value::Bool(false));
             }
-            Ok(Value::Bool(truthy(r, env, ctx)?))
+            Ok(Value::Bool(holds(r, ctx)?))
         }
 
         Scalar::Or(l, r) => {
-            if truthy(l, env, ctx)? {
+            if holds(l, ctx)? {
                 return Ok(Value::Bool(true));
             }
-            Ok(Value::Bool(truthy(r, env, ctx)?))
+            Ok(Value::Bool(holds(r, ctx)?))
         }
 
-        Scalar::Not(x) => Ok(Value::Bool(!truthy(x, env, ctx)?)),
+        Scalar::Not(x) => Ok(Value::Bool(!holds(x, ctx)?)),
 
         // Numeric arithmetic with XQuery's empty-sequence propagation:
         // any empty/NULL operand yields the empty result.
         Scalar::Arith(op, l, r) => {
-            let lv = eval_scalar(l, env, ctx)?.atomize(ctx.catalog);
-            let rv = eval_scalar(r, env, ctx)?.atomize(ctx.catalog);
+            let lv = value(l, ctx)?.atomize(ctx.catalog);
+            let rv = value(r, ctx)?.atomize(ctx.catalog);
             if lv.is_empty_seq() || rv.is_empty_seq() {
                 return Ok(Value::Null);
             }
@@ -76,7 +131,7 @@ pub fn eval_scalar(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult
         Scalar::Call(f, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval_scalar(a, env, ctx)?);
+                vals.push(value(a, ctx)?);
             }
             f.apply(&vals, ctx.catalog).map_err(EvalError::new)
         }
@@ -93,58 +148,72 @@ pub fn eval_scalar(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult
         }
 
         Scalar::Path(base, path) => {
-            let v = eval_scalar(base, env, ctx)?;
+            let v = value(base, ctx)?;
             eval_path_value(&v, path, ctx)
         }
 
         Scalar::Lift(inner, a) => {
-            let v = eval_scalar(inner, env, ctx)?;
+            let v = value(inner, ctx)?;
             Ok(Value::Tuples(lift_items(&v, *a)))
         }
 
         Scalar::DistinctItems(inner) => {
-            let v = eval_scalar(inner, env, ctx)?;
+            let v = value(inner, ctx)?;
             let atomized = v.atomize(ctx.catalog);
             Ok(Value::Items(
                 dedup_first_occurrence(atomized.as_items()).into(),
             ))
         }
 
-        Scalar::Exists { var, range, pred } => {
+        // A quantifier binds its variable over the scope it is evaluated
+        // in and decides at its first witness (∃) or counterexample (∀);
+        // an empty range decides nothing: `some` is false, `every` true.
+        Scalar::Exists { var, range, pred } | Scalar::Forall { var, range, pred } => {
             ctx.metrics.nested_evals += 1;
-            let seq = eval(range, env, ctx)?;
-            for t in seq {
+            // What the deciding row's predicate evaluates to: a witness
+            // makes `some` true, a counterexample makes `every` false.
+            let verdict = matches!(s, Scalar::Exists { .. });
+            let mut decided = false;
+            nested.decide(range, scope, ctx, &mut |t, ctx| {
                 let v = single_attr_value(&t)?;
-                if truthy(pred, &env.extend(*var, v), ctx)? {
-                    return Ok(Value::Bool(true));
-                }
-            }
-            Ok(Value::Bool(false))
-        }
-
-        Scalar::Forall { var, range, pred } => {
-            ctx.metrics.nested_evals += 1;
-            let seq = eval(range, env, ctx)?;
-            for t in seq {
-                let v = single_attr_value(&t)?;
-                if !truthy(pred, &env.extend(*var, v), ctx)? {
-                    return Ok(Value::Bool(false));
-                }
-            }
-            Ok(Value::Bool(true))
+                decided = truthy(pred, &Scope::Bind(*var, &v, scope), nested, ctx)? == verdict;
+                Ok(!decided)
+            })?;
+            Ok(Value::Bool(decided == verdict))
         }
 
         Scalar::Agg { f, input } => {
             ctx.metrics.nested_evals += 1;
-            let seq = eval(input, env, ctx)?;
-            apply_groupfn(f, &seq, env, ctx)
+            let rows = nested.rows(input, scope, ctx)?;
+            aggregate(f, &rows, scope, nested, ctx)
         }
     }
 }
 
 /// Effective boolean value of a scalar — predicate truthiness.
-pub fn truthy(s: &Scalar, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
-    Ok(effective_boolean(&eval_scalar(s, env, ctx)?))
+pub fn truthy(
+    s: &Scalar,
+    scope: &Scope<'_>,
+    nested: &dyn Nested,
+    ctx: &mut EvalCtx<'_>,
+) -> EvalResult<bool> {
+    Ok(effective_boolean(&eval_scalar(s, scope, nested, ctx)?))
+}
+
+/// Apply a group function to a group — its filter stage evaluated per
+/// member over `scope`, the member's attributes first — then aggregate.
+pub fn aggregate(
+    f: &GroupFn,
+    group: &[Tuple],
+    scope: &Scope<'_>,
+    nested: &dyn Nested,
+    ctx: &mut EvalCtx<'_>,
+) -> EvalResult<Value> {
+    let catalog = ctx.catalog;
+    f.apply_with(group, catalog, |p, t| {
+        truthy(p, &Scope::Row(t, scope), nested, ctx).map_err(|e| e.message)
+    })
+    .map_err(EvalError::new)
 }
 
 /// Evaluate a structural path against a node-valued (or node-sequence-

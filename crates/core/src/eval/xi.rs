@@ -5,19 +5,18 @@ use std::fmt::Write as _;
 use xmldb::serializer::serialize_node;
 use xmldb::Catalog;
 
-use crate::eval::{EvalCtx, EvalError, EvalResult};
+use crate::eval::{EvalCtx, EvalError, EvalResult, Scope};
 use crate::expr::XiCmd;
-use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Execute a Ξ command list for one tuple, appending to the context's
-/// output stream.
-pub fn run_cmds(cmds: &[XiCmd], env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
+/// Execute a Ξ command list for one tuple (its variables looked up in
+/// `scope`), appending to the context's output stream.
+pub fn run_cmds(cmds: &[XiCmd], scope: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
     for cmd in cmds {
         match cmd {
             XiCmd::Str(s) => ctx.out.push_str(s),
             XiCmd::Var(a) => {
-                let v = env
+                let v = scope
                     .get(*a)
                     .ok_or_else(|| EvalError::new(format!("Ξ: unbound variable `{a}`")))?;
                 write_value(v, ctx.catalog, &mut ctx.out);

@@ -87,34 +87,38 @@ pub fn scalar_nested_exprs(s: &Scalar) -> Vec<&Expr> {
 }
 
 fn collect_nested<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
+    find_nested_expr(s, &mut |e| {
+        out.push(e);
+        false
+    });
+}
+
+/// Hand `found` the nested algebraic expressions inside one scalar, in
+/// [`scalar_nested_exprs`] order — a quantifier's range before the
+/// blocks in its predicate, an aggregate's input before those in its
+/// filter — until it answers `true`. Allocation-free; `true` iff `found`
+/// stopped the walk.
+pub fn find_nested_expr<'a>(s: &'a Scalar, found: &mut impl FnMut(&'a Expr) -> bool) -> bool {
     match s {
         Scalar::Exists { range, pred, .. } | Scalar::Forall { range, pred, .. } => {
-            out.push(range);
-            collect_nested(pred, out);
+            found(range) || find_nested_expr(pred, found)
         }
         Scalar::Agg { input, f } => {
-            out.push(input);
-            if let Some(p) = &f.filter {
-                collect_nested(p, out);
-            }
+            found(input)
+                || f.filter
+                    .as_deref()
+                    .is_some_and(|p| find_nested_expr(p, found))
         }
         Scalar::Cmp(_, l, r)
         | Scalar::In(l, r)
         | Scalar::And(l, r)
         | Scalar::Or(l, r)
-        | Scalar::Arith(_, l, r) => {
-            collect_nested(l, out);
-            collect_nested(r, out);
-        }
+        | Scalar::Arith(_, l, r) => find_nested_expr(l, found) || find_nested_expr(r, found),
         Scalar::Not(x) | Scalar::Lift(x, _) | Scalar::DistinctItems(x) | Scalar::Path(x, _) => {
-            collect_nested(x, out)
+            find_nested_expr(x, found)
         }
-        Scalar::Call(_, args) => {
-            for a in args {
-                collect_nested(a, out);
-            }
-        }
-        Scalar::Const(_) | Scalar::Attr(_) | Scalar::Doc(_) => {}
+        Scalar::Call(_, args) => args.iter().any(|a| find_nested_expr(a, found)),
+        Scalar::Const(_) | Scalar::Attr(_) | Scalar::Doc(_) => false,
     }
 }
 

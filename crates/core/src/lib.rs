@@ -30,7 +30,7 @@ pub mod sym;
 pub mod tuple;
 pub mod value;
 
-pub use eval::{eval, eval_query, EvalCtx, EvalError, EvalResult, Metrics, OpId};
+pub use eval::{eval, eval_query, EvalCtx, EvalError, EvalResult, Metrics, OpId, Scope};
 pub use expr::{Expr, ProjOp, XiCmd};
 pub use scalar::{AggKind, ArithOp, Func, GroupFn, Scalar};
 pub use sequence::Seq;

@@ -1,7 +1,8 @@
 //! Model tests for the one-block tuple representation: every `Tuple`
 //! operation against a `BTreeMap<String, Value>` model, and the
 //! canonical form (equality, hash, display) independent of how a tuple
-//! was put together.
+//! was put together. A `Scope` — tuples and quantifier bindings layered
+//! over each other — is held to the tuple concatenation it stands for.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -9,7 +10,8 @@ use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 
-use nal::{Sym, Tuple, Value};
+use nal::eval::{eval_scalar, Reference};
+use nal::{EvalCtx, Scalar, Scope, Sym, Tuple, Value};
 
 type Model = BTreeMap<String, Value>;
 
@@ -49,6 +51,44 @@ fn hash_of(t: &Tuple) -> u64 {
     let mut h = DefaultHasher::new();
     t.hash(&mut h);
     h.finish()
+}
+
+/// One layer of a scope, innermost last: a tuple, or a quantifier's
+/// variable bound to a value.
+#[derive(Clone, Debug)]
+enum Layer {
+    Row(Tuple),
+    Bind(Sym, Value),
+}
+
+/// A layer drawn as `(is a binding, row fields, variable, value)`.
+type RawLayer = (u32, Vec<(u32, i64)>, u32, i64);
+
+fn layer_of((bind, row, var, v): &RawLayer) -> Layer {
+    match bind {
+        0 => Layer::Row(Tuple::from_pairs(pairs(row))),
+        _ => Layer::Bind(sym(*var), Value::Int(*v)),
+    }
+}
+
+/// Call `f` with the scope `layers` build over `outer`, outermost first.
+fn with_scope(layers: &[Layer], outer: &Scope<'_>, f: &mut dyn FnMut(&Scope<'_>)) {
+    match layers.split_first() {
+        None => f(outer),
+        Some((Layer::Row(t), inner)) => with_scope(inner, &Scope::Row(t, outer), f),
+        Some((Layer::Bind(a, v), inner)) => with_scope(inner, &Scope::Bind(*a, v, outer), f),
+    }
+}
+
+/// What the reference evaluator builds for the same bindings: every
+/// tuple concatenated onto its scope, every variable extended onto it.
+fn concatenated(layers: &[Layer]) -> Tuple {
+    layers
+        .iter()
+        .fold(Tuple::empty(), |env, layer| match layer {
+            Layer::Row(t) => env.concat(t),
+            Layer::Bind(a, v) => env.extend(*a, v.clone()),
+        })
 }
 
 proptest! {
@@ -165,6 +205,33 @@ proptest! {
         let r = t.rename(&by);
         prop_assert!(canonical(&r));
         prop_assert_eq!(as_model(&r), m);
+    }
+
+    #[test]
+    fn scope_lookups_are_lookups_in_the_concatenation(
+        raw in prop::collection::vec(
+            (0u32..2, prop::collection::vec((0u32..7, 0i64..50), 0..6), 0u32..7, 50i64..99),
+            0..5,
+        ),
+    ) {
+        let layers: Vec<Layer> = raw.iter().map(layer_of).collect();
+        let env = concatenated(&layers);
+        let catalog = xmldb::Catalog::new();
+        with_scope(&layers, &Scope::Empty, &mut |scope| {
+            for n in 0..NAMES.len() as u32 {
+                assert_eq!(scope.get(sym(n)), env.get(sym(n)), "{}", NAMES[n as usize]);
+            }
+            assert_eq!(scope.flatten(), env);
+            assert_eq!(scope.to_string(), env.to_string());
+            // An unbound attribute errs with the environment the
+            // reference printed: byte for byte.
+            let missing = Scalar::attr("unbound");
+            let mut ctx = EvalCtx::new(&catalog);
+            let err = eval_scalar(&missing, scope, &Reference, &mut ctx).unwrap_err();
+            assert_eq!(err.message, format!("unbound attribute `unbound` (env {env})"));
+            let flat = eval_scalar(&missing, &Scope::of(&env), &Reference, &mut ctx).unwrap_err();
+            assert_eq!(err, flat);
+        });
     }
 
     #[test]

@@ -230,6 +230,7 @@ fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
             input,
             attr,
             value,
+            blocks,
             fused,
             keep,
         } => match trace::doc_rooted_path(&value, &input, false) {
@@ -249,6 +250,7 @@ fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
                 input,
                 attr,
                 value,
+                blocks,
                 fused,
                 keep,
             },

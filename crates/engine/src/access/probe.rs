@@ -11,13 +11,12 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use nal::eval::scalar::{eval_scalar, truthy};
-use nal::eval::{EvalCtx, EvalError, EvalResult};
+use nal::eval::{EvalCtx, EvalError, EvalResult, Scope};
 use nal::{NodeRef, Sym, Tuple, Value};
 use xmldb::{CompositeValueIndex, NodeId, ValueIndex, ValueKey};
 
-use crate::exec::scoped;
 use crate::key::{key_val, probe_val};
+use crate::nested::Blocks;
 
 use super::doc_id_of;
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver};
@@ -181,7 +180,7 @@ impl IndexJoinAccess {
         &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let catalog = ctx.catalog;
@@ -269,7 +268,7 @@ impl IndexJoinAccess {
         lt: &Tuple,
         eq_probe: Option<Sym>,
         ranges: &[super::recipe::RangeProbe],
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let vindex = self.vindex.as_ref().expect("range driver");
@@ -279,7 +278,7 @@ impl IndexJoinAccess {
         self.sides.clear();
         for rp in ranges {
             self.sides
-                .push((eval_scalar(&rp.side, &scoped(env, lt), ctx)?, rp.op));
+                .push((Blocks::NONE.eval(&rp.side, lt, env, ctx)?, rp.op));
         }
         let sides = &self.sides;
         // Non-driving conjuncts filter at the node level — a candidate's
@@ -387,7 +386,7 @@ impl RowBuilder {
         recipe: &AccessRecipe,
         lt: &Tuple,
         candidates: &[NodeId],
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         if !recipe.replays_rows() {
@@ -411,7 +410,7 @@ impl RowBuilder {
         lt: &Tuple,
         node: NodeId,
         members: &[NodeId],
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         self.rebuild_rows(recipe, node, members, env, ctx)?;
@@ -421,7 +420,7 @@ impl RowBuilder {
                 None => return Ok(true),
                 Some(p) => {
                     let joined = lt.concat(row);
-                    if truthy(p, &scoped(env, &joined), ctx)? {
+                    if recipe.blocks.truthy(p, &joined, env, ctx)? {
                         return Ok(true);
                     }
                 }
@@ -457,7 +456,7 @@ impl RowBuilder {
         recipe: &AccessRecipe,
         node: NodeId,
         members: &[NodeId],
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<()> {
         self.rows.clear();
@@ -498,7 +497,7 @@ impl RowBuilder {
         &mut self,
         recipe: &AccessRecipe,
         seed: Tuple,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<()> {
         self.stage.clear();
@@ -508,13 +507,13 @@ impl RowBuilder {
             match op {
                 BuildOp::Map(attr, value, keep) => {
                     for t in self.stage.drain(..) {
-                        let v = eval_scalar(value, &scoped(env, &t), ctx)?;
+                        let v = Blocks::NONE.eval(value, &t, env, ctx)?;
                         self.next.push(t.merged(&[(*attr, v)], keep.as_deref()));
                     }
                 }
                 BuildOp::UnnestMap(attr, value, keep) => {
                     for t in self.stage.drain(..) {
-                        let v = eval_scalar(value, &scoped(env, &t), ctx)?;
+                        let v = Blocks::NONE.eval(value, &t, env, ctx)?;
                         for item in v.as_items() {
                             self.next
                                 .push(t.merged(&[(*attr, item.clone())], keep.as_deref()));
@@ -523,7 +522,7 @@ impl RowBuilder {
                 }
                 BuildOp::Select(pred) => {
                     for t in self.stage.drain(..) {
-                        if truthy(pred, &scoped(env, &t), ctx)? {
+                        if Blocks::NONE.truthy(pred, &t, env, ctx)? {
                             self.next.push(t);
                         }
                     }

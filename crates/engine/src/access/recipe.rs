@@ -23,6 +23,7 @@
 use nal::{ProjOp, Scalar, Sym};
 use xmldb::{AncestorChainSpec, CompositeSpec, PathPattern};
 
+use crate::nested::Blocks;
 use crate::plan::JoinKind;
 
 /// One range/filter conjunct of a [`Driver::Range`] recipe: the
@@ -139,6 +140,9 @@ pub struct AccessRecipe {
     pub ops: Vec<BuildOp>,
     /// Join residual evaluated over each reconstructed row.
     pub residual: Option<Scalar>,
+    /// The residual's nested blocks, as the join's compilation made them
+    /// (only a point or composite probe keeps a residual that has any).
+    pub blocks: Blocks,
 }
 
 impl AccessRecipe {

@@ -23,6 +23,7 @@ use nal::{Scalar, Sym};
 use xmldb::{AncestorChainSpec, Catalog, CompositeSpec, KeyComponent, MemberSpec, PathPattern};
 use xpath::{Axis, Path};
 
+use crate::nested::Blocks;
 use crate::plan::{JoinKind, Keep, PhysPlan};
 use crate::theta::as_range_conjunct;
 
@@ -79,6 +80,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
             left_keys,
             right_keys,
             residual,
+            blocks,
             kind,
             ..
         } if matches!(kind, JoinKind::Semi | JoinKind::Anti) => {
@@ -98,7 +100,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                                 eq_probe: Some(left_keys[0]),
                                 ranges,
                             },
-                            rest_residual,
+                            (rest_residual, Blocks::NONE),
                         ));
                     }
                 }
@@ -111,7 +113,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                     Driver::Point {
                         probe: left_keys[0],
                     },
-                    residual.clone(),
+                    (residual.clone(), blocks.clone()),
                 ))
             } else {
                 let build = trace_composite_parts(right, right_keys, residual.as_ref())?;
@@ -121,7 +123,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                 Some(build.into_composite_recipe(
                     kind.clone(),
                     left_keys.to_vec(),
-                    residual.clone(),
+                    (residual.clone(), blocks.clone()),
                 ))
             }
         }
@@ -141,7 +143,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                     eq_probe: None,
                     ranges,
                 },
-                residual,
+                (residual, Blocks::NONE),
             ))
         }
         _ => None,
@@ -373,7 +375,14 @@ pub(super) struct BuildParts {
 }
 
 impl BuildParts {
-    fn into_recipe(self, kind: JoinKind, driver: Driver, residual: Option<Scalar>) -> AccessRecipe {
+    /// The recipe, with the join residual left to replay and its nested
+    /// blocks.
+    fn into_recipe(
+        self,
+        kind: JoinKind,
+        driver: Driver,
+        (residual, blocks): (Option<Scalar>, Blocks),
+    ) -> AccessRecipe {
         AccessRecipe {
             kind,
             driver,
@@ -386,6 +395,7 @@ impl BuildParts {
             ancestors: self.ancestors,
             ops: self.ops,
             residual,
+            blocks,
         }
     }
 
@@ -395,7 +405,7 @@ impl BuildParts {
         mut self,
         kind: JoinKind,
         probes: Vec<Sym>,
-        residual: Option<Scalar>,
+        residual: (Option<Scalar>, Blocks),
     ) -> AccessRecipe {
         let (member_attrs, spec) = self
             .composite
@@ -584,7 +594,7 @@ fn peel_pipeline<'a>(
                 }
                 cur = input;
             }
-            PhysPlan::Select { input, pred } => {
+            PhysPlan::Select { input, pred, .. } => {
                 if !pred.replay_safe() {
                     return None;
                 }

@@ -1,9 +1,8 @@
 //! Per-tuple helpers shared by the pipeline's cursors
 //! ([`crate::pipeline`]) and the access-path recipe runtime
-//! ([`crate::access::probe`]): a tuple's evaluation scope, Π over a row
-//! slice, μ of one tuple, and Γ's single-buffer grouping.
+//! ([`crate::access::probe`]): Π over a row slice, μ of one tuple, and
+//! Γ's single-buffer grouping.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use nal::eval::{dedup_by_value, EvalCtx, EvalError, EvalResult};
@@ -11,17 +10,6 @@ use nal::hash::FastBuild;
 use nal::{ProjOp, Seq, Sym, Tuple, Value};
 
 use crate::key::{key_of, probe_key, Key};
-
-/// Evaluation scope of a tuple under an environment. Top-level plans run
-/// with an empty environment, where `env.concat(t)` would just clone `t`
-/// — borrow it instead so the hot σ/χ/Υ/⋈ loops allocate nothing extra.
-pub(crate) fn scoped<'a>(env: &Tuple, t: &'a Tuple) -> Cow<'a, Tuple> {
-    if env.is_empty() {
-        Cow::Borrowed(t)
-    } else {
-        Cow::Owned(env.concat(t))
-    }
-}
 
 /// Π over a row slice: the access-path probe runtime replays recorded
 /// `Project` build operators with it per reconstructed candidate.
@@ -74,7 +62,7 @@ pub(crate) fn unnest_tuple(
         Some(Value::Null) | None => &[],
         Some(other) => {
             return Err(EvalError::new(format!(
-                "unnest({attr}): not tuple-valued: {other}"
+                "μ[{attr}]: attribute is not tuple-valued: {other}"
             )))
         }
     };

@@ -8,10 +8,12 @@
 //! predicates run on hash-based, order-preserving operators (§2's
 //! implementation discussion); other join predicates run on the shared
 //! θ-probe ([`theta`]); everything else falls back to the definitional
-//! forms. Nested scalar expressions — the hallmark of
-//! *nested* plans — are evaluated per tuple with the reference
-//! evaluator's machinery, which is precisely the nested-loop strategy the
-//! paper's baseline measures.
+//! forms. Subscripts are evaluated with the reference evaluator's
+//! scalar semantics. The nested algebra blocks inside them — the hallmark
+//! of *nested* plans — are compiled with the plan and run on these same
+//! cursors once per outer tuple ([`nested`]): the nested-loop strategy the
+//! paper's baseline measures, executed by the engine rather than by
+//! `nal::eval`.
 //!
 //! Differential tests (`tests/engine_vs_spec.rs` and the umbrella
 //! `tests/` suite) assert that every plan produces results and Ξ output
@@ -24,6 +26,7 @@ mod exec;
 pub mod explain;
 pub mod key;
 pub mod live;
+pub mod nested;
 pub mod pipeline;
 pub mod plan;
 pub mod theta;
@@ -39,7 +42,7 @@ pub use plan::{compile, compile_unpruned, JoinKind, Keep, PhysPlan};
 use std::time::{Duration, Instant};
 
 use nal::obs::ExecTrace;
-use nal::{EvalCtx, EvalResult, Expr, Metrics, Seq, Tuple};
+use nal::{EvalCtx, EvalResult, Expr, Metrics, Scope, Seq, Tuple};
 use xmldb::Catalog;
 
 /// Result of running a query plan.
@@ -55,11 +58,13 @@ pub struct QueryResult {
     pub elapsed: Duration,
 }
 
-/// Execute a plan under an environment (non-empty only for nested
-/// evaluation contexts): lower it into a cursor tree ([`pipeline::lower`])
-/// and pull the root to exhaustion.
+/// Execute a plan with the bindings of `env` visible to its subscripts
+/// (empty for a query): lower it into a cursor tree
+/// ([`pipeline::lower`]) and pull the root to exhaustion. Nested blocks
+/// in its subscripts run on the same cursors, lowered per outer tuple
+/// under that tuple's scope ([`nested`]).
 pub fn execute(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
-    drain(pipeline::lower(plan, env).as_mut(), ctx)
+    drain(pipeline::lower(plan, &Scope::of(env)).as_mut(), ctx)
 }
 
 /// Compile and execute a logical expression against a catalog.

@@ -256,7 +256,7 @@ impl Pass {
             PhysPlan::AttrRel(_) | PhysPlan::MorselFeed | PhysPlan::Parallel { .. } => {
                 unreachable!("not statically complete")
             }
-            PhysPlan::Select { input, pred } => {
+            PhysPlan::Select { input, pred, .. } => {
                 Out::of(self.narrow(input, live | self.reads(pred)).schema)
             }
             PhysPlan::Project { input, op } => {
@@ -313,6 +313,7 @@ impl Pass {
                 value,
                 fused,
                 keep,
+                ..
             } => {
                 let (bound, reads) = (self.bit(*attr), self.reads(value));
                 let here = self.meet(live, keep);
@@ -331,6 +332,7 @@ impl Pass {
                 value,
                 fused,
                 keep,
+                ..
             } => {
                 let (bound, reads) = (self.bit(*attr), self.reads(value));
                 let here = self.meet(live, keep);
@@ -379,6 +381,7 @@ impl Pass {
                 kind,
                 pad,
                 keep,
+                ..
             } => {
                 let reads = residual.as_ref().map_or(0, |p| self.reads(p));
                 let sides = [
@@ -400,7 +403,9 @@ impl Pass {
                 let sides = [(&mut **left, reads), (&mut **right, reads)];
                 self.narrow_join(live, sides, kind, pad, keep)
             }
-            PhysPlan::HashGroupUnary { input, g, by, f }
+            PhysPlan::HashGroupUnary {
+                input, g, by, f, ..
+            }
             | PhysPlan::ThetaGroupUnary {
                 input, g, by, f, ..
             } => {
@@ -415,6 +420,7 @@ impl Pass {
                 right_on,
                 f,
                 keep,
+                ..
             } => {
                 let here = self.meet(live, keep);
                 self.narrow(right, self.set(right_on) | self.group_reads(f));

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use nal::eval::{EvalCtx, EvalError, EvalResult, OpId};
+use nal::eval::{EvalCtx, EvalError, EvalResult, OpId, Scope};
 use nal::{Seq, Sym, Tuple, Value};
 
 use crate::plan::PhysPlan;
@@ -219,24 +219,30 @@ impl Cursor for Literal<'_> {
 /// `rel(a)` — stream the nested relation bound to an environment
 /// attribute. Resolution is deferred to the first `next` call so lowering
 /// stays infallible.
-pub struct AttrRel {
+pub struct AttrRel<'p> {
     /// The bound attribute.
     pub attr: Sym,
     /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    pub env: &'p Scope<'p>,
     /// Resolved relation + position (first pull).
     pub state: Option<(Arc<[Tuple]>, usize)>,
 }
 
-impl Cursor for AttrRel {
+impl Cursor for AttrRel<'_> {
     fn next(&mut self, _ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.state.is_none() {
-            match self.env.get(self.attr) {
+            let a = self.attr;
+            match self.env.get(a) {
                 Some(Value::Tuples(ts)) => self.state = Some((ts.clone(), 0)),
-                other => {
+                Some(Value::Null) | None => {
                     return Err(EvalError::new(format!(
-                        "rel({}): not a nested relation: {other:?}",
-                        self.attr
+                        "rel({a}): attribute not bound to a nested relation (env {})",
+                        self.env
+                    )))
+                }
+                Some(other) => {
+                    return Err(EvalError::new(format!(
+                        "rel({a}): attribute is not tuple-valued: {other}"
                     )))
                 }
             }

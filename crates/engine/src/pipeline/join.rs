@@ -19,14 +19,13 @@ use std::sync::Arc;
 
 use nal::hash::FastBuild;
 
-use nal::eval::scalar::truthy;
-use nal::eval::{apply_groupfn, eval, EvalCtx, EvalResult};
+use nal::eval::{eval, EvalCtx, EvalResult, Scope};
 use nal::{GroupFn, Scalar, Sym, Tuple};
 use xmldb::Catalog;
 
 use super::cursor::{drain, BoxCursor, Cursor, Feed};
-use crate::exec::scoped;
 use crate::key::{probe_key, Key};
+use crate::nested::Blocks;
 use crate::plan::JoinKind;
 use crate::theta::{ThetaBuild, ThetaSplit, Walk};
 
@@ -174,14 +173,16 @@ pub struct HashJoin<'p> {
     pub right_keys: &'p [Sym],
     /// Non-equi conjuncts evaluated per bucket match.
     pub residual: Option<&'p Scalar>,
+    /// The residual's nested blocks.
+    pub blocks: &'p Blocks,
     /// How matches are consumed.
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
     pub pad: &'p [Sym],
     /// The attributes an inner/outer join emits (`None`: all).
     pub keep: Option<&'p [Sym]>,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the joined tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
     /// Probe-key text assembled for a lookup.
@@ -198,7 +199,7 @@ impl HashJoin<'_> {
     fn residual_passes(&self, joined: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
         match self.residual {
             None => Ok(true),
-            Some(p) => truthy(p, &scoped(&self.env, joined), ctx),
+            Some(p) => self.blocks.truthy(p, joined, self.env, ctx),
         }
     }
 }
@@ -300,8 +301,8 @@ pub struct LoopJoin<'p> {
     pub pad: &'p [Sym],
     /// The attributes an inner/outer join emits (`None`: all).
     pub keep: Option<&'p [Sym]>,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the joined tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
     /// The build side, prepared on first pull or handed in by a
@@ -319,12 +320,12 @@ impl Cursor for LoopJoin<'_> {
             }
             let right = self.right.as_mut().expect("a build side to drain");
             let rows = drain(right.as_mut(), ctx)?;
-            self.build = Some(Arc::new(ThetaBuild::new(rows, self.split, &self.env, ctx)?));
+            self.build = Some(Arc::new(ThetaBuild::new(rows, self.split, self.env, ctx)?));
         }
         let build = self.build.as_ref().expect("built above");
         loop {
             if let Some(mut walk) = self.cur.take() {
-                if let Some(joined) = build.next_match(self.split, &mut walk, &self.env, ctx)? {
+                if let Some(joined) = build.next_match(self.split, &mut walk, self.env, ctx)? {
                     self.cur = Some(walk);
                     return Ok(Some(narrowed(joined, self.keep)));
                 }
@@ -339,10 +340,10 @@ impl Cursor for LoopJoin<'_> {
             };
             match self.kind {
                 JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some(build.walk(self.split, lt, &self.env, ctx)?);
+                    self.cur = Some(build.walk(self.split, lt, self.env, ctx)?);
                 }
                 JoinKind::Semi | JoinKind::Anti => {
-                    let matched = build.matches(self.split, &lt, &self.env, ctx)?;
+                    let matched = build.matches(self.split, &lt, self.env, ctx)?;
                     if matches!(self.kind, JoinKind::Semi) == matched {
                         return Ok(Some(lt));
                     }
@@ -375,8 +376,8 @@ pub struct IndexJoin<'p> {
     pub left: super::cursor::BoxCursor<'p>,
     /// The declarative access path.
     pub recipe: &'p crate::access::AccessRecipe,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the probe tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Resolved index state (first pull).
     pub access: Option<crate::access::IndexJoinAccess>,
     /// Whether the decision is probe-invariant (constant range bounds,
@@ -400,7 +401,7 @@ impl Cursor for IndexJoin<'_> {
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
-                    let mut probe = || access.probe_matches(self.recipe, &lt, &self.env, ctx);
+                    let mut probe = || access.probe_matches(self.recipe, &lt, self.env, ctx);
                     let m = match &self.group {
                         Some(group) => group.decide(probe)?,
                         None => probe()?,
@@ -439,10 +440,12 @@ pub struct HashGroupBinary<'p> {
     pub right_on: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
+    /// The nested blocks of `f`'s filter.
+    pub blocks: &'p Blocks,
     /// The attributes emitted (`None`: all).
     pub keep: Option<&'p [Sym]>,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the probe tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
     /// Probe-key text assembled for a lookup.
@@ -467,7 +470,7 @@ impl Cursor for HashGroupBinary<'_> {
         let members = buckets
             .slot_of(&lt, self.left_on, ctx.catalog, &mut self.scratch)
             .map_or(&[][..], |slot| buckets.bucket(slot));
-        let v = apply_groupfn(self.f, members, &self.env, ctx)?;
+        let v = self.blocks.aggregate(self.f, members, self.env, ctx)?;
         Ok(Some(lt.merged(&[(self.g, v)], self.keep)))
     }
 
@@ -477,7 +480,8 @@ impl Cursor for HashGroupBinary<'_> {
 }
 
 /// θ binary grouping fallback: materialize both sides, delegate to the
-/// reference semantics, stream the result.
+/// reference evaluator (nested blocks in `f`'s filter included), stream
+/// the result.
 pub struct ThetaGroupBinary<'p> {
     /// Left (probe/outer) input.
     pub left: BoxCursor<'p>,
@@ -493,8 +497,8 @@ pub struct ThetaGroupBinary<'p> {
     pub right_on: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Materialized result, streamed out.
     pub out: Option<std::vec::IntoIter<Tuple>>,
 }
@@ -515,7 +519,7 @@ impl Cursor for ThetaGroupBinary<'_> {
                 right_on: self.right_on.to_vec(),
                 f: self.f.clone(),
             };
-            self.out = Some(eval(&logical, &self.env, ctx)?.into_iter());
+            self.out = Some(eval(&logical, &self.env.flatten(), ctx)?.into_iter());
         }
         Ok(self.out.as_mut().expect("evaluated above").next())
     }

@@ -32,8 +32,7 @@ pub mod par;
 
 pub use cursor::{drain, BoxCursor, Cursor};
 
-use nal::Tuple;
-
+use nal::eval::Scope;
 use nal::expr::visit;
 use nal::Scalar;
 
@@ -102,12 +101,13 @@ fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
     contains_xi(left) || contains_xi(right)
 }
 
-/// Lower a physical plan into a cursor tree under an environment (the
-/// environment is non-empty only for nested evaluation contexts). Every
-/// cursor is wrapped in a [`Metered`] shell — a χ/Υ run carries a
-/// [`Meter`] per operator instead — so `Metrics::op_tuples` counts
-/// tuples produced per operator.
-pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
+/// Lower a physical plan into a cursor tree whose tuples are evaluated
+/// in the scope `env` — empty for a top-level plan, the outer tuple's
+/// for a nested block ([`crate::nested`]). Every cursor is wrapped in a
+/// [`Metered`] shell — a χ/Υ run carries a [`Meter`] per operator
+/// instead — so `Metrics::op_tuples` counts tuples produced per
+/// operator.
+pub fn lower<'p>(plan: &'p PhysPlan, env: &'p Scope<'p>) -> BoxCursor<'p> {
     Lowering { env, stage: None }.lower(plan)
 }
 
@@ -116,19 +116,19 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &Tuple) -> BoxCursor<'p> {
 /// sides and scans prepared from the segment and bottoms out at the
 /// morsel.
 pub(crate) struct Lowering<'a> {
-    pub(crate) env: &'a Tuple,
+    pub(crate) env: &'a Scope<'a>,
     pub(crate) stage: Option<par::Stage<'a>>,
 }
 
-impl Lowering<'_> {
+impl<'a> Lowering<'a> {
     /// The build side of a join on the spine: prepared by the segment
     /// for a stage pipeline, lowered here otherwise.
-    fn build_side<'p, B>(
+    fn build_side<B>(
         &mut self,
-        plan: &'p PhysPlan,
-        right: &'p PhysPlan,
+        plan: &'a PhysPlan,
+        right: &'a PhysPlan,
         prepared: impl Fn(&par::Stage<'_>, usize) -> B,
-    ) -> (Option<BoxCursor<'p>>, Option<B>) {
+    ) -> (Option<BoxCursor<'a>>, Option<B>) {
         match &self.stage {
             Some(stage) => (None, Some(prepared(stage, node_id(plan)))),
             None => (Some(lower(right, self.env)), None),
@@ -140,7 +140,7 @@ impl Lowering<'_> {
     /// input subtree write Ξ output — so the input's whole byte stream
     /// precedes the parent's first write, as in the reference
     /// evaluator's bottom-up order.
-    fn lower_input<'p>(&mut self, parent: &'p PhysPlan, input: &'p PhysPlan) -> BoxCursor<'p> {
+    fn lower_input(&mut self, parent: &'a PhysPlan, input: &'a PhysPlan) -> BoxCursor<'a> {
         let inner = self.lower(input);
         if node_emits_xi(parent) && contains_xi(input) {
             Box::new(Materialize {
@@ -157,22 +157,24 @@ impl Lowering<'_> {
     /// — as one cursor, which meters its operators itself. (The index and
     /// parallel rewrites can put another operator in the middle of a
     /// marked run: it ends there, and its lower part is a run of its own.)
-    fn lower_run<'p>(&mut self, top: &'p PhysPlan) -> BoxCursor<'p> {
-        let binding = |node: &'p PhysPlan| match node {
+    fn lower_run(&mut self, top: &'a PhysPlan) -> BoxCursor<'a> {
+        let binding = |node: &'a PhysPlan| match node {
             PhysPlan::Map {
                 input,
                 attr,
                 value,
+                blocks,
                 fused,
                 keep,
-            } => Some((&**input, *attr, value, *fused, keep, false)),
+            } => Some((&**input, *attr, value, blocks, *fused, keep, false)),
             PhysPlan::UnnestMap {
                 input,
                 attr,
                 value,
+                blocks,
                 fused,
                 keep,
-            } => Some((&**input, *attr, value, *fused, keep, true)),
+            } => Some((&**input, *attr, value, blocks, *fused, keep, true)),
             _ => None,
         };
         let (.., keep, _) = binding(top).expect("a run is headed by a χ or Υ");
@@ -180,13 +182,14 @@ impl Lowering<'_> {
         let (mut binders, mut fanout) = (vec![], None);
         let mut node = top;
         let input = loop {
-            let (input, attr, value, fused, _, fans_out) = binding(node).expect("checked");
+            let (input, attr, value, blocks, fused, _, fans_out) = binding(node).expect("checked");
             if fans_out {
                 fanout = Some(binders.len());
             }
             binders.push(ops::Binder {
                 attr,
                 value,
+                blocks,
                 meter: Meter::of(node),
             });
             let joins = fused
@@ -198,11 +201,11 @@ impl Lowering<'_> {
         };
         binders.reverse();
         let fanout = fanout.map(|at| binders.len() - 1 - at);
-        let run = ops::MapRun::new(input, binders, fanout, keep.attrs(), self.env.clone());
+        let run = ops::MapRun::new(input, binders, fanout, keep.attrs(), self.env);
         Box::new(run)
     }
 
-    pub(crate) fn lower<'p>(&mut self, plan: &'p PhysPlan) -> BoxCursor<'p> {
+    pub(crate) fn lower(&mut self, plan: &'a PhysPlan) -> BoxCursor<'a> {
         let env = self.env;
         // The parallel shell and its feed leaf are deliberately *not*
         // metered: the serial plan for the same query has no such nodes, so
@@ -217,7 +220,7 @@ impl Lowering<'_> {
         }
         match plan {
             PhysPlan::Parallel { source, stages } => {
-                Box::new(par::ParallelCursor::new(source, stages, env.clone()))
+                Box::new(par::ParallelCursor::new(source, stages, env))
             }
             PhysPlan::MorselFeed => match self.stage.as_mut().and_then(par::Stage::take_feed) {
                 Some(feed) => feed,
@@ -229,16 +232,21 @@ impl Lowering<'_> {
                 plan,
                 AttrRel {
                     attr: *a,
-                    env: env.clone(),
+                    env,
                     state: None,
                 },
             ),
-            PhysPlan::Select { input, pred } => metered(
+            PhysPlan::Select {
+                input,
+                pred,
+                blocks,
+            } => metered(
                 plan,
                 ops::Select {
                     input: self.lower_input(plan, input),
                     pred,
-                    env: env.clone(),
+                    blocks,
+                    env,
                 },
             ),
             PhysPlan::Project { input, op } => metered(
@@ -271,6 +279,7 @@ impl Lowering<'_> {
                 left_keys,
                 right_keys,
                 residual,
+                blocks,
                 kind,
                 pad,
                 keep,
@@ -285,10 +294,11 @@ impl Lowering<'_> {
                         left_keys,
                         right_keys,
                         residual: residual.as_ref(),
+                        blocks,
                         kind,
                         pad,
                         keep: keep.attrs(),
-                        env: env.clone(),
+                        env,
                         scratch: String::new(),
                         build,
                         cur: None,
@@ -315,21 +325,28 @@ impl Lowering<'_> {
                         kind,
                         pad,
                         keep: keep.attrs(),
-                        env: env.clone(),
+                        env,
                         build,
                         cur: None,
                     },
                 )
             }
-            PhysPlan::HashGroupUnary { input, g, by, f } => metered(
+            PhysPlan::HashGroupUnary {
+                input,
+                g,
+                by,
+                f,
+                blocks,
+            } => metered(
                 plan,
                 ops::HashGroupUnary {
                     input: self.lower(input),
                     g: *g,
                     by,
                     f,
+                    blocks,
                     emits: by.iter().chain([g]).copied().collect(),
-                    env: env.clone(),
+                    env,
                     scratch: String::new(),
                     groups: None,
                 },
@@ -348,7 +365,7 @@ impl Lowering<'_> {
                     by,
                     theta: *theta,
                     f,
-                    env: env.clone(),
+                    env,
                     out: None,
                 },
             ),
@@ -359,6 +376,7 @@ impl Lowering<'_> {
                 left_on,
                 right_on,
                 f,
+                blocks,
                 keep,
             } => metered(
                 plan,
@@ -370,8 +388,9 @@ impl Lowering<'_> {
                     left_on,
                     right_on,
                     f,
+                    blocks,
                     keep: keep.attrs(),
-                    env: env.clone(),
+                    env,
                     scratch: String::new(),
                     buckets: None,
                 },
@@ -394,7 +413,7 @@ impl Lowering<'_> {
                     theta: *theta,
                     right_on,
                     f,
-                    env: env.clone(),
+                    env,
                     out: None,
                 },
             ),
@@ -422,7 +441,7 @@ impl Lowering<'_> {
                 ops::XiSimple {
                     input: self.lower_input(plan, input),
                     cmds,
-                    env: env.clone(),
+                    env,
                 },
             ),
             PhysPlan::XiGroup {
@@ -439,7 +458,7 @@ impl Lowering<'_> {
                     head,
                     body,
                     tail,
-                    env: env.clone(),
+                    env,
                     scratch: String::new(),
                     groups: None,
                 },
@@ -476,7 +495,7 @@ impl Lowering<'_> {
                     // first, as in the reference evaluator's bottom-up order.
                     left: self.lower_input(plan, left),
                     recipe,
-                    env: env.clone(),
+                    env,
                     access: None,
                     cacheable: recipe.probe_invariant(),
                     cached: None,

@@ -4,13 +4,13 @@
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
-use nal::eval::scalar::{eval_scalar, truthy};
-use nal::eval::{apply_groupfn, atomize_tuple, eval, xi, EvalCtx, EvalResult};
+use nal::eval::{atomize_tuple, eval, xi, EvalCtx, EvalResult, Scope};
 use nal::hash::FastBuild;
 use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
 use super::cursor::{drain, BoxCursor, Cursor, Meter, Pull};
-use crate::exec::{group_key, hash_groups, scoped, unnest_tuple, Groups};
+use crate::exec::{group_key, hash_groups, unnest_tuple, Groups};
+use crate::nested::Blocks;
 
 /// σ — filter, one pull per surviving tuple.
 pub struct Select<'p> {
@@ -18,14 +18,16 @@ pub struct Select<'p> {
     pub input: BoxCursor<'p>,
     /// The predicate.
     pub pred: &'p Scalar,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The predicate's nested blocks.
+    pub blocks: &'p Blocks,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
 }
 
 impl Cursor for Select<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         while let Some(t) = self.input.next(ctx)? {
-            if truthy(self.pred, &scoped(&self.env, &t), ctx)? {
+            if self.blocks.truthy(self.pred, &t, self.env, ctx)? {
                 return Ok(Some(t));
             }
         }
@@ -84,6 +86,8 @@ pub struct Binder<'p> {
     pub attr: Sym,
     /// The subscript computing the attribute's value (χ) or items (Υ).
     pub value: &'p Scalar,
+    /// The subscript's nested blocks.
+    pub blocks: &'p Blocks,
     /// The operator's counter slot and trace identity.
     pub meter: Meter,
 }
@@ -106,8 +110,8 @@ pub struct MapRun<'p> {
     pub fanout: Option<usize>,
     /// The attributes the run's top operator emits (`None`: all).
     pub keep: Option<&'p [Sym]>,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// The run's bindings for the tuple being built, sorted by
     /// attribute; refilled per output tuple.
     pub bound: Vec<(Sym, Value)>,
@@ -122,7 +126,7 @@ impl<'p> MapRun<'p> {
         binders: Vec<Binder<'p>>,
         fanout: Option<usize>,
         keep: Option<&'p [Sym]>,
-        env: Tuple,
+        env: &'p Scope<'p>,
     ) -> MapRun<'p> {
         let mut bound: Vec<(Sym, Value)> = binders.iter().map(|b| (b.attr, Value::Null)).collect();
         bound.sort_by_key(|(a, _)| *a);
@@ -143,11 +147,11 @@ impl<'p> MapRun<'p> {
         bound: &mut [(Sym, Value)],
         maps: &[Binder<'_>],
         t: &Tuple,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<()> {
         for map in maps {
-            let v = eval_scalar(map.value, &scoped(env, t), ctx)?;
+            let v = map.blocks.eval(map.value, t, env, ctx)?;
             Self::slot(bound, map.attr).1 = v;
         }
         Ok(())
@@ -177,7 +181,7 @@ impl Cursor for MapRun<'_> {
                 if let Some(item) = items.as_items().get(*idx) {
                     *idx += 1;
                     Self::slot(&mut self.bound, per_output[0].attr).1 = item.clone();
-                    Self::bind(&mut self.bound, &per_output[1..], t, &self.env, ctx)?;
+                    Self::bind(&mut self.bound, &per_output[1..], t, self.env, ctx)?;
                     Self::pulled(per_output, ctx, &pull, true);
                     return Ok(Some(t.merged(&self.bound, self.keep)));
                 }
@@ -188,14 +192,15 @@ impl Cursor for MapRun<'_> {
                 Self::pulled(per_output, ctx, &pull, false);
                 return Ok(None);
             };
-            Self::bind(&mut self.bound, per_input, &t, &self.env, ctx)?;
+            Self::bind(&mut self.bound, per_input, &t, self.env, ctx)?;
             Self::pulled(per_input, ctx, &input_pull, true);
             if self.fanout.is_none() {
-                Self::bind(&mut self.bound, per_output, &t, &self.env, ctx)?;
+                Self::bind(&mut self.bound, per_output, &t, self.env, ctx)?;
                 Self::pulled(per_output, ctx, &pull, true);
                 return Ok(Some(t.merged(&self.bound, self.keep)));
             }
-            let items = eval_scalar(per_output[0].value, &scoped(&self.env, &t), ctx)?;
+            let fanout = &per_output[0];
+            let items = fanout.blocks.eval(fanout.value, &t, self.env, ctx)?;
             self.cur = Some((t, items, 0));
         }
     }
@@ -315,8 +320,8 @@ pub struct XiSimple<'p> {
     pub input: BoxCursor<'p>,
     /// Serialization commands per tuple.
     pub cmds: &'p [XiCmd],
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
 }
 
 impl Cursor for XiSimple<'_> {
@@ -324,7 +329,7 @@ impl Cursor for XiSimple<'_> {
         let Some(t) = self.input.next(ctx)? else {
             return Ok(None);
         };
-        xi::run_cmds(self.cmds, &scoped(&self.env, &t), ctx)?;
+        xi::run_cmds(self.cmds, &Scope::Row(&t, self.env), ctx)?;
         Ok(Some(t))
     }
 
@@ -346,8 +351,8 @@ pub struct XiGroup<'p> {
     pub body: &'p [XiCmd],
     /// Commands once per group, after the body.
     pub tail: &'p [XiCmd],
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Key text assembled on its way into a group's key tuple.
     pub scratch: String,
     /// Materialized groups, streamed out one per pull.
@@ -364,10 +369,10 @@ impl Cursor for XiGroup<'_> {
             return Ok(None);
         };
         let key_tuple = group_key(members, self.by, ctx, &mut self.scratch);
-        let key_env = self.env.concat(&key_tuple);
+        let key_env = Scope::Row(&key_tuple, self.env);
         xi::run_cmds(self.head, &key_env, ctx)?;
         for t in members {
-            xi::run_cmds(self.body, &scoped(&self.env, t), ctx)?;
+            xi::run_cmds(self.body, &Scope::Row(t, self.env), ctx)?;
         }
         xi::run_cmds(self.tail, &key_env, ctx)?;
         Ok(Some(key_tuple))
@@ -389,10 +394,12 @@ pub struct HashGroupUnary<'p> {
     pub by: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
+    /// The nested blocks of `f`'s filter.
+    pub blocks: &'p Blocks,
     /// The attributes of an output tuple: `by` and `g`.
     pub emits: Vec<Sym>,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Key text assembled on its way into an output tuple.
     pub scratch: String,
     /// Materialized groups, streamed out one per pull.
@@ -408,7 +415,7 @@ impl Cursor for HashGroupUnary<'_> {
         let Some(members) = self.groups.as_mut().expect("grouped above").next_group() else {
             return Ok(None);
         };
-        let v = apply_groupfn(self.f, members, &self.env, ctx)?;
+        let v = self.blocks.aggregate(self.f, members, self.env, ctx)?;
         // The atomized key and the aggregate in one block.
         Ok(Some(members[0].merged_with(
             &[(self.g, v)],
@@ -422,8 +429,8 @@ impl Cursor for HashGroupUnary<'_> {
     }
 }
 
-/// θ-grouping fallback: materialize, delegate to the reference semantics,
-/// stream the result.
+/// θ-grouping fallback: materialize, delegate to the reference evaluator
+/// (nested blocks in `f`'s filter included), stream the result.
 pub struct ThetaGroupUnary<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,
@@ -435,8 +442,8 @@ pub struct ThetaGroupUnary<'p> {
     pub theta: nal::CmpOp,
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
-    /// Outer-scope bindings visible to subscript evaluation.
-    pub env: Tuple,
+    /// The scope the input's tuples are evaluated in.
+    pub env: &'p Scope<'p>,
     /// Materialized result, streamed out.
     pub out: Option<std::vec::IntoIter<Tuple>>,
 }
@@ -452,7 +459,7 @@ impl Cursor for ThetaGroupUnary<'_> {
                 theta: self.theta,
                 f: self.f.clone(),
             };
-            self.out = Some(eval(&logical, &self.env, ctx)?.into_iter());
+            self.out = Some(eval(&logical, &self.env.flatten(), ctx)?.into_iter());
         }
         Ok(self.out.as_mut().expect("evaluated above").next())
     }

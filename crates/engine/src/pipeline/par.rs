@@ -47,7 +47,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use nal::eval::{EvalCtx, EvalError, EvalResult};
+use nal::eval::{EvalCtx, EvalError, EvalResult, Scope};
 use nal::{ProjOp, Sym, Tuple, Value};
 
 use super::cursor::{drain, BoxCursor, Cursor};
@@ -280,7 +280,11 @@ impl SegmentShared {
     /// work serial execution would do on first pull: drain and build
     /// join inners, resolve posting-list scans (one `index_lookups`
     /// bump), allocate probe groups.
-    fn prepare(stages: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<SegmentShared> {
+    fn prepare(
+        stages: &PhysPlan,
+        env: &Scope<'_>,
+        ctx: &mut EvalCtx<'_>,
+    ) -> EvalResult<SegmentShared> {
         let mut shared = SegmentShared::default();
         let mut cur = stages;
         loop {
@@ -345,7 +349,7 @@ impl SegmentShared {
     }
 }
 
-fn drain_plan(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Vec<Tuple>> {
+fn drain_plan(plan: &PhysPlan, env: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<Vec<Tuple>> {
     let mut c = super::lower(plan, env);
     drain(c.as_mut(), ctx)
 }
@@ -445,13 +449,17 @@ impl Cursor for DanglingFeed {
 pub struct ParallelCursor<'p> {
     source: &'p PhysPlan,
     stages: &'p PhysPlan,
-    env: Tuple,
+    env: &'p Scope<'p>,
     out: Option<std::vec::IntoIter<Tuple>>,
 }
 
 impl<'p> ParallelCursor<'p> {
     /// A cursor over the segment `stages(source)`.
-    pub fn new(source: &'p PhysPlan, stages: &'p PhysPlan, env: Tuple) -> ParallelCursor<'p> {
+    pub fn new(
+        source: &'p PhysPlan,
+        stages: &'p PhysPlan,
+        env: &'p Scope<'p>,
+    ) -> ParallelCursor<'p> {
         ParallelCursor {
             source,
             stages,
@@ -464,7 +472,7 @@ impl<'p> ParallelCursor<'p> {
 impl Cursor for ParallelCursor<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.out.is_none() {
-            let rows = run_segment(self.source, self.stages, &self.env, ctx)?;
+            let rows = run_segment(self.source, self.stages, self.env, ctx)?;
             self.out = Some(rows.into_iter());
         }
         Ok(self.out.as_mut().expect("ran above").next())
@@ -521,7 +529,7 @@ fn next_morsel(w: usize, queues: &[Mutex<VecDeque<usize>>]) -> Option<usize> {
 
 fn run_morsel(
     stages: &PhysPlan,
-    env: &Tuple,
+    env: &Scope<'_>,
     shared: &SegmentShared,
     rows: Arc<Vec<Tuple>>,
     range: Range<usize>,
@@ -551,7 +559,7 @@ fn run_morsel(
 fn run_segment(
     source: &PhysPlan,
     stages: &PhysPlan,
-    env: &Tuple,
+    env: &Scope<'_>,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Vec<Tuple>> {
     let rows = drain_plan(source, env, ctx)?;

@@ -9,14 +9,16 @@
 //! *result* but not the definitional pair loop — their predicate is
 //! split by side here ([`ThetaSplit`]) so that execution decides
 //! one-sided conjuncts once and probes an ordered build for range
-//! conjuncts ([`crate::theta`]). Scalar subscripts — including nested
-//! algebra expressions, which is what makes a *nested plan* nested — are
-//! evaluated by the reference evaluator's scalar machinery.
+//! conjuncts ([`crate::theta`]). Scalar subscripts are evaluated with the
+//! reference evaluator's scalar semantics; the nested algebra blocks
+//! inside them — what makes a *nested plan* nested — are compiled here,
+//! with the plan, and run on the engine ([`crate::nested`]).
 
 use nal::expr::attrs::{attr_set, nested_attrs};
 use nal::expr::visit;
 use nal::{Expr, GroupFn, ProjOp, Scalar, Sym, Value, XiCmd};
 
+use crate::nested::Blocks;
 use crate::theta::ThetaSplit;
 
 /// What a tuple-producing operator emits of the tuple it builds —
@@ -83,6 +85,8 @@ pub enum PhysPlan {
         input: Box<PhysPlan>,
         /// The selection predicate.
         pred: Scalar,
+        /// The predicate's nested blocks, compiled.
+        blocks: Blocks,
     },
     /// Π / Π^D — column projection, renaming, dropping.
     Project {
@@ -99,6 +103,8 @@ pub enum PhysPlan {
         attr: Sym,
         /// The subscript computing its value.
         value: Scalar,
+        /// The subscript's nested blocks, compiled.
+        blocks: Blocks,
         /// Evaluate this χ against the tuple its *input* χ/Υ receives and
         /// build both bindings into one output block: set when the
         /// subscript reads nothing the run of χ/Υ below it binds (and
@@ -129,6 +135,8 @@ pub enum PhysPlan {
         right_keys: Vec<Sym>,
         /// Non-equi conjuncts evaluated per bucket match.
         residual: Option<Scalar>,
+        /// The residual's nested blocks, compiled.
+        blocks: Blocks,
         /// How matches are consumed.
         kind: JoinKind,
         /// `A(right) \ {g}` — outer-join NULL padding (precomputed).
@@ -164,6 +172,8 @@ pub enum PhysPlan {
         by: Vec<Sym>,
         /// The aggregate applied per group.
         f: GroupFn,
+        /// The nested blocks of `f`'s filter, compiled.
+        blocks: Blocks,
     },
     /// θ-grouping fallback (distinct keys × input scan).
     ThetaGroupUnary {
@@ -192,6 +202,8 @@ pub enum PhysPlan {
         right_on: Vec<Sym>,
         /// The aggregate applied per group.
         f: GroupFn,
+        /// The nested blocks of `f`'s filter, compiled.
+        blocks: Blocks,
         /// What of the built tuple is emitted.
         keep: Keep,
     },
@@ -235,6 +247,8 @@ pub enum PhysPlan {
         attr: Sym,
         /// The sequence-producing subscript.
         value: Scalar,
+        /// The subscript's nested blocks, compiled.
+        blocks: Blocks,
         /// Like [`PhysPlan::Map`]'s: this Υ is evaluated with the run of
         /// χ below it (a run has one fan-out at most).
         fused: bool,
@@ -495,46 +509,60 @@ impl PhysPlan {
 /// choice of [`compile_unpruned`], then the dead-attribute pass
 /// ([`crate::live::prune`]) — so every plan an executor, the plan cache
 /// or the index rewrite sees builds only the attributes something
-/// reads.
+/// reads. Nested blocks in subscripts are compiled the same way.
 pub fn compile(e: &Expr) -> PhysPlan {
-    let mut plan = compile_unpruned(e);
+    let mut plan = choose(e, compile);
     crate::live::prune(&mut plan);
     plan
 }
 
 /// [`compile`] without the dead-attribute pass: every operator emits
-/// everything it builds and every `Π` is its own operator. The reference
-/// the pass is differentially tested against (`tests/live_attrs.rs`) and
-/// nothing else: pricing, caching and execution all see [`compile`]'s plan.
+/// everything it builds and every `Π` is its own operator, in nested
+/// blocks too. The reference the pass is differentially tested against
+/// (`tests/live_attrs.rs`) and nothing else: pricing, caching and
+/// execution all see [`compile`]'s plan.
 #[doc(hidden)]
 pub fn compile_unpruned(e: &Expr) -> PhysPlan {
+    choose(e, compile_unpruned)
+}
+
+/// The operator choice for `e`; the nested blocks of its subscripts are
+/// compiled with `block`.
+fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
+    let input = |e: &Expr| Box::new(choose(e, block));
     match e {
         Expr::Singleton => PhysPlan::Singleton,
         Expr::Literal(rows) => PhysPlan::Literal(rows.clone()),
         Expr::AttrRel(a) => PhysPlan::AttrRel(*a),
-        Expr::Select { input, pred } => PhysPlan::Select {
-            input: Box::new(compile_unpruned(input)),
+        Expr::Select { input: i, pred } => PhysPlan::Select {
+            input: input(i),
             pred: pred.clone(),
+            blocks: Blocks::of(pred, block),
         },
-        Expr::Project { input, op } => PhysPlan::Project {
-            input: Box::new(compile_unpruned(input)),
+        Expr::Project { input: i, op } => PhysPlan::Project {
+            input: input(i),
             op: op.clone(),
         },
-        Expr::Map { input, attr, value } => PhysPlan::Map {
-            input: Box::new(compile_unpruned(input)),
+        Expr::Map {
+            input: i,
+            attr,
+            value,
+        } => PhysPlan::Map {
+            input: input(i),
             attr: *attr,
             value: value.clone(),
+            blocks: Blocks::of(value, block),
             fused: false,
             keep: Keep::default(),
         },
         Expr::Cross { left, right } => PhysPlan::Cross {
-            left: Box::new(compile_unpruned(left)),
-            right: Box::new(compile_unpruned(right)),
+            left: input(left),
+            right: input(right),
             keep: Keep::default(),
         },
-        Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, &[]),
-        Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, &[]),
-        Expr::AntiJoin { left, right, pred } => join(left, right, pred, JoinKind::Anti, &[]),
+        Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, &[], block),
+        Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, &[], block),
+        Expr::AntiJoin { left, right, pred } => join(left, right, pred, JoinKind::Anti, &[], block),
         Expr::OuterJoin {
             left,
             right,
@@ -552,22 +580,24 @@ pub fn compile_unpruned(e: &Expr) -> PhysPlan {
                     default: default.clone(),
                 },
                 &pad,
+                block,
             )
         }
         Expr::GroupUnary {
-            input,
+            input: i,
             g,
             by,
             theta,
             f,
         } => {
-            let input = Box::new(compile_unpruned(input));
+            let input = input(i);
             if *theta == nal::CmpOp::Eq {
                 PhysPlan::HashGroupUnary {
                     input,
                     g: *g,
                     by: by.clone(),
                     f: f.clone(),
+                    blocks: filter_blocks(f, block),
                 }
             } else {
                 PhysPlan::ThetaGroupUnary {
@@ -588,8 +618,7 @@ pub fn compile_unpruned(e: &Expr) -> PhysPlan {
             right_on,
             f,
         } => {
-            let left = Box::new(compile_unpruned(left));
-            let right = Box::new(compile_unpruned(right));
+            let (left, right) = (input(left), input(right));
             if *theta == nal::CmpOp::Eq {
                 PhysPlan::HashGroupBinary {
                     left,
@@ -598,6 +627,7 @@ pub fn compile_unpruned(e: &Expr) -> PhysPlan {
                     left_on: left_on.clone(),
                     right_on: right_on.clone(),
                     f: f.clone(),
+                    blocks: filter_blocks(f, block),
                     keep: Keep::default(),
                 }
             } else {
@@ -613,37 +643,42 @@ pub fn compile_unpruned(e: &Expr) -> PhysPlan {
             }
         }
         Expr::Unnest {
-            input,
+            input: i,
             attr,
             distinct,
             preserve_empty,
         } => PhysPlan::Unnest {
-            inner_attrs: nal::expr::attrs::nested_attrs(input, *attr).unwrap_or_default(),
-            input: Box::new(compile_unpruned(input)),
+            inner_attrs: nal::expr::attrs::nested_attrs(i, *attr).unwrap_or_default(),
+            input: input(i),
             attr: *attr,
             distinct: *distinct,
             preserve_empty: *preserve_empty,
             keep: Keep::default(),
         },
-        Expr::UnnestMap { input, attr, value } => PhysPlan::UnnestMap {
-            input: Box::new(compile_unpruned(input)),
+        Expr::UnnestMap {
+            input: i,
+            attr,
+            value,
+        } => PhysPlan::UnnestMap {
+            input: input(i),
             attr: *attr,
             value: value.clone(),
+            blocks: Blocks::of(value, block),
             fused: false,
             keep: Keep::default(),
         },
-        Expr::XiSimple { input, cmds } => PhysPlan::XiSimple {
-            input: Box::new(compile_unpruned(input)),
+        Expr::XiSimple { input: i, cmds } => PhysPlan::XiSimple {
+            input: input(i),
             cmds: cmds.clone(),
         },
         Expr::XiGroup {
-            input,
+            input: i,
             by,
             head,
             body,
             tail,
         } => PhysPlan::XiGroup {
-            input: Box::new(compile_unpruned(input)),
+            input: input(i),
             by: by.clone(),
             head: head.clone(),
             body: body.clone(),
@@ -652,11 +687,25 @@ pub fn compile_unpruned(e: &Expr) -> PhysPlan {
     }
 }
 
+/// The nested blocks of a group function's filter.
+fn filter_blocks(f: &GroupFn, block: fn(&Expr) -> PhysPlan) -> Blocks {
+    f.filter
+        .as_deref()
+        .map_or(Blocks::NONE, |p| Blocks::of(p, block))
+}
+
 /// Split a join predicate into hashable equi-pairs and a residual; choose
 /// the hash or loop operator accordingly.
-fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -> PhysPlan {
-    let l = Box::new(compile_unpruned(left));
-    let r = Box::new(compile_unpruned(right));
+fn join(
+    left: &Expr,
+    right: &Expr,
+    pred: &Scalar,
+    kind: JoinKind,
+    pad: &[Sym],
+    block: fn(&Expr) -> PhysPlan,
+) -> PhysPlan {
+    let l = Box::new(choose(left, block));
+    let r = Box::new(choose(right, block));
     let a_l = attr_set(left);
     let a_r = attr_set(right);
 
@@ -680,26 +729,27 @@ fn join(left: &Expr, right: &Expr, pred: &Scalar, kind: JoinKind, pad: &[Sym]) -
         }
     }
     if left_keys.is_empty() {
+        let known = schema_known(left) && schema_known(right);
         PhysPlan::LoopJoin {
             left: l,
             right: r,
             pred: pred.clone(),
-            split: ThetaSplit::of(pred, &a_l, &a_r, schema_known(left) && schema_known(right)),
+            split: ThetaSplit::of(pred, &a_l, &a_r, known, Blocks::of(pred, block)),
             kind,
             pad: pad.to_vec(),
             keep: Keep::default(),
         }
     } else {
+        let residual = (!residual.is_empty()).then(|| Scalar::conjoin(residual));
         PhysPlan::HashJoin {
             left: l,
             right: r,
             left_keys,
             right_keys,
-            residual: if residual.is_empty() {
-                None
-            } else {
-                Some(Scalar::conjoin(residual))
-            },
+            blocks: residual
+                .as_ref()
+                .map_or(Blocks::NONE, |p| Blocks::of(p, block)),
+            residual,
             kind,
             pad: pad.to_vec(),
             keep: Keep::default(),

@@ -46,14 +46,13 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use nal::eval::scalar::{eval_scalar, truthy};
-use nal::eval::{EvalCtx, EvalResult};
+use nal::eval::{EvalCtx, EvalResult, Scope};
 use nal::{CmpOp, Scalar, Sym, Tuple};
 use xmldb::{Catalog, ValueKey};
 
 use crate::access::RangeProbe;
-use crate::exec::scoped;
 use crate::key::key_val;
+use crate::nested::Blocks;
 
 /// A loop join's predicate, split at compile time by the side each
 /// conjunct mentions. `None` parts are empty conjunctions (true).
@@ -70,6 +69,9 @@ pub struct ThetaSplit {
     /// The pair part's inequality conjuncts `side θ key` over one build
     /// column — what the ordered build answers with a key window.
     pub range: Option<(Sym, Vec<RangeProbe>)>,
+    /// The pair part's nested blocks, compiled (a predicate with nested
+    /// algebra is never split, so they are the whole predicate's).
+    pub blocks: Blocks,
 }
 
 impl ThetaSplit {
@@ -77,12 +79,14 @@ impl ThetaSplit {
     /// `schemas_known` says both attribute sets are complete (a side
     /// whose schema is not statically known could hide a reference to
     /// it); without that, or with a conjunct that is not replay-safe,
-    /// the whole predicate stays the pair part.
+    /// the whole predicate stays the pair part. `blocks` are `pred`'s
+    /// compiled nested blocks.
     pub fn of(
         pred: &Scalar,
         a_l: &BTreeSet<Sym>,
         a_r: &BTreeSet<Sym>,
         schemas_known: bool,
+        blocks: Blocks,
     ) -> ThetaSplit {
         let conjuncts = pred.conjuncts();
         if !schemas_known || !conjuncts.iter().all(|c| c.replay_safe()) {
@@ -91,6 +95,7 @@ impl ThetaSplit {
                 left_only: None,
                 pair: Some(pred.clone()),
                 range: None,
+                blocks,
             };
         }
         let (mut right_only, mut left_only, mut pair) = (Vec::new(), Vec::new(), Vec::new());
@@ -118,6 +123,7 @@ impl ThetaSplit {
             left_only: part(left_only),
             pair: part(pair),
             range,
+            blocks,
         }
     }
 }
@@ -277,18 +283,18 @@ pub struct ThetaBuild {
 
 impl ThetaBuild {
     /// Prepare the materialized right side: keep the rows passing the
-    /// right-only part (evaluated once each, under `env`), and order the
+    /// right-only part (evaluated once each, in `env`), and order the
     /// range column's keys.
     pub fn new(
         mut rows: Vec<Tuple>,
         split: &ThetaSplit,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<ThetaBuild> {
         if let Some(p) = &split.right_only {
             let mut kept = Vec::with_capacity(rows.len());
             for rt in rows {
-                if truthy(p, &scoped(env, &rt), ctx)? {
+                if Blocks::NONE.truthy(p, &rt, env, ctx)? {
                     kept.push(rt);
                 }
             }
@@ -312,7 +318,7 @@ impl ThetaBuild {
         split: &ThetaSplit,
         lt: &Tuple,
         arrival_order: bool,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<Candidates> {
         const NONE: Candidates = Candidates::Listed(Vec::new());
@@ -322,9 +328,8 @@ impl ThetaBuild {
         if split.left_only.is_none() && split.range.is_none() {
             return Ok(Candidates::All);
         }
-        let scope = scoped(env, lt);
         if let Some(p) = &split.left_only {
-            if !truthy(p, &scope, ctx)? {
+            if !Blocks::NONE.truthy(p, lt, env, ctx)? {
                 return Ok(NONE);
             }
         }
@@ -335,7 +340,7 @@ impl ThetaBuild {
         for probe in probes {
             // Pure and replay-safe by the split; the loop evaluated it
             // once per pair.
-            let side = eval_scalar(&probe.side, &scope, ctx)?;
+            let side = Blocks::NONE.eval(&probe.side, lt, env, ctx)?;
             let (view, range) = match key_val(&side, ctx.catalog) {
                 // NULL and NaN satisfy no comparison: the conjunct — and
                 // with it the pair part — fails for every row.
@@ -401,7 +406,7 @@ impl ThetaBuild {
         &self,
         split: &ThetaSplit,
         lt: &Tuple,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let candidates = self.candidates(split, lt, false, env, ctx)?;
@@ -424,7 +429,7 @@ impl ThetaBuild {
         &self,
         split: &ThetaSplit,
         lt: Tuple,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<Walk> {
         let candidates = self.candidates(split, &lt, true, env, ctx)?;
@@ -442,7 +447,7 @@ impl ThetaBuild {
         &self,
         split: &ThetaSplit,
         walk: &mut Walk,
-        env: &Tuple,
+        env: &Scope<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<Option<Tuple>> {
         while let Some(rt) = self.candidate(&walk.candidates, walk.next) {
@@ -462,14 +467,14 @@ fn verify(
     split: &ThetaSplit,
     lt: &Tuple,
     rt: &Tuple,
-    env: &Tuple,
+    env: &Scope<'_>,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Option<Tuple>> {
     ctx.metrics.probe_tuples += 1;
     let joined = lt.concat(rt);
     let passes = match &split.pair {
         None => true,
-        Some(pair) => truthy(pair, &scoped(env, &joined), ctx)?,
+        Some(pair) => split.blocks.truthy(pair, &joined, env, ctx)?,
     };
     Ok(passes.then_some(joined))
 }

@@ -12,7 +12,10 @@
 //!   inequality shapes the engine's θ-probe treats differently:
 //!   *uncorrelated* (`every $q in R satisfies $q > c` — the predicate
 //!   never mentions the outer tuple), *mixed* (`$q > c and $q < $outer`)
-//!   and *banded* (`$q > lo and $q <= hi`),
+//!   and *banded* (`$q > lo and $q <= hi`); some ranges filter their
+//!   entries by arithmetic (`//e[@id mod 2 = 1]/k`), which the engine
+//!   must drain before deciding, the others it pulls only as far as the
+//!   decision,
 //! * `exists(FLWR)` subqueries with composite key lists, band
 //!   predicates, and deep-ancestor bindings (the Q9/Q10 shapes),
 //! * `count(...)` having-style predicates,
@@ -25,7 +28,7 @@
 //! do not re-parse. Every rendered query is validated by the generator
 //! test suite: it must parse, normalize, and translate.
 
-use nal::CmpOp;
+use nal::{ArithOp, CmpOp};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -223,6 +226,26 @@ pub enum ExistsField {
     DeepVar,
 }
 
+/// A filter on the entries a quantifier ranges under, rendered as a
+/// step predicate `//e[@id ⊕ k θ n]`. Arithmetic is not
+/// [`nal::Scalar::replay_safe`], so such a range is drained before the
+/// quantifier decides (as the reference evaluates it) where an
+/// unfiltered one is pulled only as far as the decision. Every entry's
+/// `@id` is a number, so the filter never errors: an erroring range
+/// would also tell the unnesting rewrites apart, which evaluate a
+/// range the nested plan may never reach (an empty outer relation).
+#[derive(Clone, Debug, PartialEq)]
+pub struct RangeFilter {
+    /// The arithmetic applied to `@id`.
+    pub arith: ArithOp,
+    /// Its numeric operand, rendered bare.
+    pub by: String,
+    /// The comparison against the bound.
+    pub op: CmpOp,
+    /// Numeric bound, rendered bare.
+    pub bound: String,
+}
+
 /// One generated `where` conjunct.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Pred {
@@ -247,6 +270,8 @@ pub enum Pred {
         inline: bool,
         /// Range path (may be [`DocPath::Vacuous`]).
         path: DocPath,
+        /// A filter on the path's `//e` step (only paths that have one).
+        filter: Option<RangeFilter>,
         /// Satisfies conjuncts, each comparing `$q` against an operand.
         cmps: Vec<(CmpOp, Operand)>,
     },
@@ -506,6 +531,7 @@ impl GenQuery {
                     doc: rng.gen_range(0..ndocs),
                     inline: rng.gen_bool(0.6),
                     path: DocPath::random(rng),
+                    filter: None,
                     cmps,
                 }
             }
@@ -545,6 +571,34 @@ impl GenQuery {
                 op: [CmpOp::Ge, CmpOp::Gt, CmpOp::Eq, CmpOp::Le][rng.gen_range(0..4)],
                 n: rng.gen_range(0i64..=3),
             },
+        }
+    }
+
+    /// Give some quantifier ranges over entries a [`RangeFilter`].
+    /// [`crate::oracle::GenCase::random`] draws these after the rest of
+    /// the case, so the filters leave every other choice a seed makes as
+    /// it would be without them.
+    pub fn filter_ranges(&mut self, rng: &mut StdRng) {
+        for p in &mut self.preds {
+            if let Pred::Quant { path, filter, .. } = p {
+                if path.render().starts_with("//e") && rng.gen_bool(0.3) {
+                    const ARITH: [ArithOp; 5] = [
+                        ArithOp::Add,
+                        ArithOp::Sub,
+                        ArithOp::Mul,
+                        ArithOp::Div,
+                        ArithOp::Mod,
+                    ];
+                    let mut num = || NUM_LITS[rng.gen_range(0..NUM_LITS.len())].to_string();
+                    let (by, bound) = (num(), num());
+                    *filter = Some(RangeFilter {
+                        arith: ARITH[rng.gen_range(0..ARITH.len())],
+                        by,
+                        op: random_op(rng),
+                        bound,
+                    });
+                }
+            }
         }
     }
 
@@ -681,6 +735,7 @@ impl GenQuery {
                 doc,
                 inline,
                 path,
+                filter,
                 cmps,
             } => {
                 let var = nm.quant(idx);
@@ -694,10 +749,24 @@ impl GenQuery {
                     .map(|(op, o)| format!("{var} {} {}", cmp_kw(*op), self.render_operand(o, nm)))
                     .collect::<Vec<_>>()
                     .join(" and ");
+                let path = match filter {
+                    // `//e…` with the filter on its `e` step.
+                    Some(RangeFilter {
+                        arith,
+                        by,
+                        op,
+                        bound,
+                    }) => format!(
+                        "//e[@id {} {by} {} {bound}]{}",
+                        arith.symbol(),
+                        cmp_kw(*op),
+                        &path.render()["//e".len()..]
+                    ),
+                    None => path.render().to_string(),
+                };
                 format!(
-                    "({} {var} in {range}{} satisfies ({body}))",
+                    "({} {var} in {range}{path} satisfies ({body}))",
                     if *universal { "every" } else { "some" },
-                    path.render()
                 )
             }
             Pred::Exists {

@@ -62,8 +62,9 @@ impl GenCase {
     pub fn random(case_seed: u64, cfg: &GenConfig) -> GenCase {
         let mut rng = StdRng::seed_from_u64(case_seed);
         let corpus = Corpus::random(&mut rng);
-        let query = GenQuery::random(&mut rng, &corpus, cfg);
+        let mut query = GenQuery::random(&mut rng, &corpus, cfg);
         let updates = random_script(&mut rng, &corpus, 4);
+        query.filter_ranges(&mut rng);
         GenCase {
             corpus,
             query,

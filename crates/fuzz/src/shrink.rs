@@ -174,12 +174,21 @@ fn candidates(case: &GenCase) -> Vec<GenCase> {
     // 5. Simplify predicates in place.
     for i in 0..case.query.preds.len() {
         match &case.query.preds[i] {
-            Pred::Quant { cmps, .. } if cmps.len() > 1 => {
-                let mut c = case.clone();
-                if let Pred::Quant { cmps, .. } = &mut c.query.preds[i] {
-                    cmps.truncate(1);
+            Pred::Quant { cmps, filter, .. } => {
+                if cmps.len() > 1 {
+                    let mut c = case.clone();
+                    if let Pred::Quant { cmps, .. } = &mut c.query.preds[i] {
+                        cmps.truncate(1);
+                    }
+                    out.push(c);
                 }
-                out.push(c);
+                if filter.is_some() {
+                    let mut c = case.clone();
+                    if let Pred::Quant { filter, .. } = &mut c.query.preds[i] {
+                        *filter = None;
+                    }
+                    out.push(c);
+                }
             }
             Pred::Exists {
                 keys,

@@ -10,13 +10,45 @@
 //! * The shrinker must only ever propose *valid* cases: each candidate
 //!   it explores still compiles, so minimization can never walk out of
 //!   the language.
+//! * Quantifier ranges reach both of the engine's ways of deciding
+//!   them: a filtered range (`//e[@id mod 2 = 1]/k`) compiles to a block
+//!   that is drained first, every other one to a block pulled only as
+//!   far as the decision.
 
 use proptest::prelude::*;
 
-use fuzz::gen::GenConfig;
+use engine::PhysPlan;
+use fuzz::gen::{GenConfig, Pred};
 use fuzz::oracle::GenCase;
 use fuzz::shrink::shrink;
 use xmldb::MaintenanceMode;
+
+/// How many nested blocks of `plan` (at any depth) are pulled lazily,
+/// and how many are drained first.
+fn block_modes(plan: &PhysPlan) -> (usize, usize) {
+    let blocks = match plan {
+        PhysPlan::Select { blocks, .. }
+        | PhysPlan::Map { blocks, .. }
+        | PhysPlan::UnnestMap { blocks, .. }
+        | PhysPlan::HashJoin { blocks, .. }
+        | PhysPlan::HashGroupUnary { blocks, .. }
+        | PhysPlan::HashGroupBinary { blocks, .. } => Some(blocks),
+        PhysPlan::LoopJoin { split, .. } => Some(&split.blocks),
+        _ => None,
+    };
+    let mut modes = (0, 0);
+    for block in blocks.into_iter().flat_map(|b| b.iter()) {
+        let (lazy, drained) = block_modes(&block.plan);
+        modes.0 += lazy + usize::from(block.lazy);
+        modes.1 += drained + usize::from(!block.lazy);
+    }
+    for child in plan.children() {
+        let (lazy, drained) = block_modes(child);
+        modes.0 += lazy;
+        modes.1 += drained;
+    }
+    modes
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
@@ -57,6 +89,27 @@ proptest! {
         );
         prop_assert_eq!(f1.hash, f2.hash);
         prop_assert_eq!(&f1.docs, &f2.docs);
+    }
+
+    #[test]
+    fn filtered_ranges_are_drained_and_the_others_pulled(seed in 0u64..1_000_000) {
+        let case = GenCase::random(seed, &GenConfig::default());
+        let cat = case.corpus.build_catalog(MaintenanceMode::Delta);
+        let text = case.query_text();
+        let expr = xquery::compile(&text, &cat).expect("generated queries compile");
+        let (mut quants, mut filtered) = (0, 0);
+        for p in &case.query.preds {
+            if let Pred::Quant { filter, .. } = p {
+                quants += 1;
+                filtered += usize::from(filter.is_some());
+            }
+        }
+        // In the nested plan every quantifier, `exists` and `count` is a
+        // block; only the arithmetic of a filter makes one unobservable
+        // to cut short no longer.
+        let (lazy, drained) = block_modes(&engine::compile(&expr));
+        prop_assert_eq!(drained, filtered, "seed {}\n{}", seed, text);
+        prop_assert!(lazy >= quants - filtered, "seed {}\n{}", seed, text);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use engine::{ExplainReport, PhysPlan};
 use nal::obs::{Clock, QueryTrace, Stage};
-use nal::{EvalCtx, Metrics, Tuple};
+use nal::{EvalCtx, Metrics, Scope};
 use xmldb::{parse_document, Catalog, CatalogHandle, CatalogSnapshot, MaintenanceStats, NodeId};
 use xquery::{normalize, parse_query, Fingerprint};
 
@@ -402,8 +402,7 @@ impl QueryService {
         let exec_start = clock.now_us();
         let mut ctx = EvalCtx::new(&snapshot);
         ctx.parallel = self.config.parallel_workers.max(1);
-        let env = Tuple::empty();
-        let mut root = engine::pipeline::lower(&plan, &env);
+        let mut root = engine::pipeline::lower(&plan, &Scope::Empty);
         let mut rows = 0usize;
         let mut flushed = 0usize;
         let mut cancelled = false;

@@ -479,7 +479,7 @@ impl<'a> CostModel<'a> {
                 rows: 8.0,
                 cost: 8.0,
             },
-            P::Select { input, pred } => {
+            P::Select { input, pred, .. } => {
                 let i = self.plan_est(input, out, docs);
                 let scalar = self.scalar_cost(pred);
                 Estimate {
