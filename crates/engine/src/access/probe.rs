@@ -3,7 +3,7 @@
 //! [`IndexJoinAccess`] resolves an [`AccessRecipe`] against the catalog
 //! once per join and then answers each probe tuple. Serial runs and the
 //! workers of a parallel segment call the same
-//! [`IndexJoinAccess::probe_matches`], so probe semantics and
+//! `IndexJoinAccess::probe_matches`, so probe semantics and
 //! `index_lookups`/`index_hits`/`probe_tuples` accounting are identical
 //! by construction (`probe_tuples` counts examined candidates, matching
 //! where the scan-based join cursors track it).
@@ -16,7 +16,7 @@ use nal::{NodeRef, Sym, Tuple, Value};
 use xmldb::{CompositeValueIndex, NodeId, ValueIndex, ValueKey};
 
 use crate::key::{key_val, probe_val};
-use crate::nested::Blocks;
+use crate::nested::Spooled;
 
 use super::doc_id_of;
 use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver};
@@ -176,11 +176,14 @@ impl IndexJoinAccess {
     /// Build rows reconstruct candidate by candidate in document order —
     /// the bucket order of the replaced hash join — so the first
     /// deciding row is the row the scan probe would have stopped at.
-    pub fn probe_matches(
+    /// The residual's nested blocks are evaluated through `blocks`, the
+    /// probing cursor's.
+    pub(crate) fn probe_matches(
         &mut self,
         recipe: &AccessRecipe,
         lt: &Tuple,
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let catalog = ctx.catalog;
@@ -197,7 +200,7 @@ impl IndexJoinAccess {
                 }
                 ctx.metrics.index_hits += 1;
                 self.rows
-                    .decide_from_candidates(recipe, lt, candidates, env, ctx)
+                    .decide_from_candidates(recipe, lt, candidates, env, blocks, ctx)
             }
             Driver::Composite { probes, .. } => {
                 // The composite probe key mirrors the hash operators'
@@ -233,6 +236,7 @@ impl IndexJoinAccess {
                         entry.primary,
                         &entry.members,
                         env,
+                        blocks,
                         ctx,
                     )? {
                         return Ok(true);
@@ -241,7 +245,7 @@ impl IndexJoinAccess {
                 Ok(false)
             }
             Driver::Range { eq_probe, ranges } => {
-                self.range_probe_matches(recipe, lt, *eq_probe, ranges, env, ctx)
+                self.range_probe_matches(recipe, lt, *eq_probe, ranges, env, blocks, ctx)
             }
         }
     }
@@ -269,6 +273,7 @@ impl IndexJoinAccess {
         eq_probe: Option<Sym>,
         ranges: &[super::recipe::RangeProbe],
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let vindex = self.vindex.as_ref().expect("range driver");
@@ -278,7 +283,7 @@ impl IndexJoinAccess {
         self.sides.clear();
         for rp in ranges {
             self.sides
-                .push((Blocks::NONE.eval(&rp.side, lt, env, ctx)?, rp.op));
+                .push((Spooled::NONE.eval(&rp.side, lt, env, ctx)?, rp.op));
         }
         let sides = &self.sides;
         // Non-driving conjuncts filter at the node level — a candidate's
@@ -370,7 +375,7 @@ impl IndexJoinAccess {
         }
         ctx.metrics.index_hits += 1;
         self.rows
-            .decide_from_candidates(recipe, lt, &candidates, env, ctx)
+            .decide_from_candidates(recipe, lt, &candidates, env, blocks, ctx)
     }
 }
 
@@ -387,6 +392,7 @@ impl RowBuilder {
         lt: &Tuple,
         candidates: &[NodeId],
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         if !recipe.replays_rows() {
@@ -394,7 +400,7 @@ impl RowBuilder {
             return Ok(true);
         }
         for &node in candidates {
-            if self.candidate_matches(recipe, lt, node, &[], env, ctx)? {
+            if self.candidate_matches(recipe, lt, node, &[], env, blocks, ctx)? {
                 return Ok(true);
             }
         }
@@ -411,6 +417,7 @@ impl RowBuilder {
         node: NodeId,
         members: &[NodeId],
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         self.rebuild_rows(recipe, node, members, env, ctx)?;
@@ -420,7 +427,7 @@ impl RowBuilder {
                 None => return Ok(true),
                 Some(p) => {
                     let joined = lt.concat(row);
-                    if recipe.blocks.truthy(p, &joined, env, ctx)? {
+                    if blocks.truthy(p, &joined, env, ctx)? {
                         return Ok(true);
                     }
                 }
@@ -507,13 +514,13 @@ impl RowBuilder {
             match op {
                 BuildOp::Map(attr, value, keep) => {
                     for t in self.stage.drain(..) {
-                        let v = Blocks::NONE.eval(value, &t, env, ctx)?;
+                        let v = Spooled::NONE.eval(value, &t, env, ctx)?;
                         self.next.push(t.merged(&[(*attr, v)], keep.as_deref()));
                     }
                 }
                 BuildOp::UnnestMap(attr, value, keep) => {
                     for t in self.stage.drain(..) {
-                        let v = Blocks::NONE.eval(value, &t, env, ctx)?;
+                        let v = Spooled::NONE.eval(value, &t, env, ctx)?;
                         for item in v.as_items() {
                             self.next
                                 .push(t.merged(&[(*attr, item.clone())], keep.as_deref()));
@@ -522,7 +529,7 @@ impl RowBuilder {
                 }
                 BuildOp::Select(pred) => {
                     for t in self.stage.drain(..) {
-                        if Blocks::NONE.truthy(pred, &t, env, ctx)? {
+                        if Spooled::NONE.truthy(pred, &t, env, ctx)? {
                             self.next.push(t);
                         }
                     }

@@ -151,7 +151,9 @@ impl ExplainReport {
             let (op, bound) = head.split_at(head.find('[').unwrap_or(head.len()));
             let mut detail = bound.to_string();
             let of_detail = |word: &&str| {
-                ["keep{", "Π["].iter().any(|p| word.starts_with(p))
+                ["keep{", "Π[", "shared{"]
+                    .iter()
+                    .any(|p| word.starts_with(p))
                     || ["absorbed", "fused"].contains(word)
             };
             while let Some(word) = parts.next_if(of_detail) {
@@ -336,6 +338,24 @@ mod tests {
             assert_eq!(a.predicted_cost, b.predicted_cost);
         }
         assert_eq!(parsed.render(), text, "render is a fixed point");
+    }
+
+    #[test]
+    fn shared_subtree_marks_round_trip() {
+        let range = singleton().map("b", Scalar::int(1)).project(&["b"]);
+        let e = singleton().map("a", Scalar::int(1)).select(Scalar::Exists {
+            var: nal::Sym::new("v"),
+            range: Box::new(range),
+            pred: Box::new(Scalar::attr_cmp(CmpOp::Eq, "v", "a")),
+        });
+        let plan = crate::compile(&e);
+        let (_, trace) = run_traced(&plan, &Catalog::new()).unwrap();
+        let text = ExplainReport::from_trace(&plan, &trace).render();
+        assert!(text.starts_with("Select shared{χ[b]} rows=1 "), "{text}");
+        let parsed = ExplainReport::parse(&text).unwrap();
+        assert_eq!(parsed.nodes[0].op, "Select");
+        assert_eq!(parsed.nodes[0].detail, " shared{χ[b]}");
+        assert_eq!(parsed.render(), text);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! forms. Subscripts are evaluated with the reference evaluator's
 //! scalar semantics. The nested algebra blocks inside them — the hallmark
 //! of *nested* plans — are compiled with the plan and run on these same
-//! cursors once per outer tuple ([`nested`]): the nested-loop strategy the
-//! paper's baseline measures, executed by the engine rather than by
-//! `nal::eval`.
+//! cursors once per outer tuple, the part of a block that reads nothing
+//! of that tuple once per execution ([`nested`]): the nested-loop
+//! strategy the paper's baseline measures, executed by the engine rather
+//! than by `nal::eval`.
 //!
 //! Differential tests (`tests/engine_vs_spec.rs` and the umbrella
 //! `tests/` suite) assert that every plan produces results and Ξ output
@@ -62,7 +63,8 @@ pub struct QueryResult {
 /// (empty for a query): lower it into a cursor tree
 /// ([`pipeline::lower`]) and pull the root to exhaustion. Nested blocks
 /// in its subscripts run on the same cursors, lowered per outer tuple
-/// under that tuple's scope ([`nested`]).
+/// under that tuple's scope, their shared subtrees replayed from spools
+/// the execution fills once ([`nested`]).
 pub fn execute(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
     drain(pipeline::lower(plan, &Scope::of(env)).as_mut(), ctx)
 }

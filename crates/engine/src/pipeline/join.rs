@@ -25,7 +25,7 @@ use xmldb::Catalog;
 
 use super::cursor::{drain, BoxCursor, Cursor, Feed};
 use crate::key::{probe_key, Key};
-use crate::nested::Blocks;
+use crate::nested::Spooled;
 use crate::plan::JoinKind;
 use crate::theta::{ThetaBuild, ThetaSplit, Walk};
 
@@ -173,8 +173,8 @@ pub struct HashJoin<'p> {
     pub right_keys: &'p [Sym],
     /// Non-equi conjuncts evaluated per bucket match.
     pub residual: Option<&'p Scalar>,
-    /// The residual's nested blocks.
-    pub blocks: &'p Blocks,
+    /// The residual's nested blocks and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// How matches are consumed.
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
@@ -295,6 +295,8 @@ pub struct LoopJoin<'p> {
     pub right: Option<BoxCursor<'p>>,
     /// The predicate, split by side.
     pub split: &'p ThetaSplit,
+    /// The pair part's nested blocks and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// How matches are consumed.
     pub kind: &'p JoinKind,
     /// Outer-join NULL padding.
@@ -325,7 +327,8 @@ impl Cursor for LoopJoin<'_> {
         let build = self.build.as_ref().expect("built above");
         loop {
             if let Some(mut walk) = self.cur.take() {
-                if let Some(joined) = build.next_match(self.split, &mut walk, self.env, ctx)? {
+                let next = build.next_match(self.split, &mut walk, self.env, &self.blocks, ctx)?;
+                if let Some(joined) = next {
                     self.cur = Some(walk);
                     return Ok(Some(narrowed(joined, self.keep)));
                 }
@@ -343,7 +346,7 @@ impl Cursor for LoopJoin<'_> {
                     self.cur = Some(build.walk(self.split, lt, self.env, ctx)?);
                 }
                 JoinKind::Semi | JoinKind::Anti => {
-                    let matched = build.matches(self.split, &lt, self.env, ctx)?;
+                    let matched = build.matches(self.split, &lt, self.env, &self.blocks, ctx)?;
                     if matches!(self.kind, JoinKind::Semi) == matched {
                         return Ok(Some(lt));
                     }
@@ -376,6 +379,8 @@ pub struct IndexJoin<'p> {
     pub left: super::cursor::BoxCursor<'p>,
     /// The declarative access path.
     pub recipe: &'p crate::access::AccessRecipe,
+    /// The residual's nested blocks and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// The scope the probe tuples are evaluated in.
     pub env: &'p Scope<'p>,
     /// Resolved index state (first pull).
@@ -401,7 +406,8 @@ impl Cursor for IndexJoin<'_> {
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
-                    let mut probe = || access.probe_matches(self.recipe, &lt, self.env, ctx);
+                    let mut probe =
+                        || access.probe_matches(self.recipe, &lt, self.env, &self.blocks, ctx);
                     let m = match &self.group {
                         Some(group) => group.decide(probe)?,
                         None => probe()?,
@@ -440,8 +446,8 @@ pub struct HashGroupBinary<'p> {
     pub right_on: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
-    /// The nested blocks of `f`'s filter.
-    pub blocks: &'p Blocks,
+    /// The nested blocks of `f`'s filter and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// The attributes emitted (`None`: all).
     pub keep: Option<&'p [Sym]>,
     /// The scope the probe tuples are evaluated in.

@@ -36,6 +36,7 @@ use nal::eval::Scope;
 use nal::expr::visit;
 use nal::Scalar;
 
+use crate::nested::Replays;
 use crate::plan::PhysPlan;
 use cursor::{AttrRel, Feed, Literal, Materialize, Meter, Metered, Once};
 
@@ -108,16 +109,23 @@ fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
 /// instead — so `Metrics::op_tuples` counts tuples produced per
 /// operator.
 pub fn lower<'p>(plan: &'p PhysPlan, env: &'p Scope<'p>) -> BoxCursor<'p> {
-    Lowering { env, stage: None }.lower(plan)
+    Lowering {
+        env,
+        stage: None,
+        replays: None,
+    }
+    .lower(plan)
 }
 
 /// One lowering: serial, or — with `stage` set — of one morsel's copy of
 /// a parallel segment's stage pipeline, whose spine takes its build
 /// sides and scans prepared from the segment and bottoms out at the
-/// morsel.
+/// morsel; or — with `replays` set — of a nested block, whose shared
+/// subtrees are replayed from their spools ([`crate::nested`]).
 pub(crate) struct Lowering<'a> {
     pub(crate) env: &'a Scope<'a>,
     pub(crate) stage: Option<par::Stage<'a>>,
+    pub(crate) replays: Option<&'a dyn Replays>,
 }
 
 impl<'a> Lowering<'a> {
@@ -131,7 +139,7 @@ impl<'a> Lowering<'a> {
     ) -> (Option<BoxCursor<'a>>, Option<B>) {
         match &self.stage {
             Some(stage) => (None, Some(prepared(stage, node_id(plan)))),
-            None => (Some(lower(right, self.env)), None),
+            None => (Some(self.lower(right)), None),
         }
     }
 
@@ -189,10 +197,12 @@ impl<'a> Lowering<'a> {
             binders.push(ops::Binder {
                 attr,
                 value,
-                blocks,
+                blocks: blocks.spooled(),
                 meter: Meter::of(node),
             });
+            // A shared subtree is replayed, not joined: the run ends above it.
             let joins = fused
+                && !self.replays.is_some_and(|r| r.spools(input))
                 && binding(input).is_some_and(|(.., fans_out)| !(fans_out && fanout.is_some()));
             if !joins {
                 break self.lower_input(node, input);
@@ -206,6 +216,9 @@ impl<'a> Lowering<'a> {
     }
 
     pub(crate) fn lower(&mut self, plan: &'a PhysPlan) -> BoxCursor<'a> {
+        if let Some(replay) = self.replays.and_then(|r| r.replay(plan)) {
+            return replay;
+        }
         let env = self.env;
         // The parallel shell and its feed leaf are deliberately *not*
         // metered: the serial plan for the same query has no such nodes, so
@@ -245,7 +258,7 @@ impl<'a> Lowering<'a> {
                 ops::Select {
                     input: self.lower_input(plan, input),
                     pred,
-                    blocks,
+                    blocks: blocks.spooled(),
                     env,
                 },
             ),
@@ -294,7 +307,7 @@ impl<'a> Lowering<'a> {
                         left_keys,
                         right_keys,
                         residual: residual.as_ref(),
-                        blocks,
+                        blocks: blocks.spooled(),
                         kind,
                         pad,
                         keep: keep.attrs(),
@@ -322,6 +335,7 @@ impl<'a> Lowering<'a> {
                         left: Feed::Stream(self.lower(left)),
                         right: feed,
                         split,
+                        blocks: split.blocks.spooled(),
                         kind,
                         pad,
                         keep: keep.attrs(),
@@ -344,7 +358,7 @@ impl<'a> Lowering<'a> {
                     g: *g,
                     by,
                     f,
-                    blocks,
+                    blocks: blocks.spooled(),
                     emits: by.iter().chain([g]).copied().collect(),
                     env,
                     scratch: String::new(),
@@ -388,7 +402,7 @@ impl<'a> Lowering<'a> {
                     left_on,
                     right_on,
                     f,
-                    blocks,
+                    blocks: blocks.spooled(),
                     keep: keep.attrs(),
                     env,
                     scratch: String::new(),
@@ -495,6 +509,7 @@ impl<'a> Lowering<'a> {
                     // first, as in the reference evaluator's bottom-up order.
                     left: self.lower_input(plan, left),
                     recipe,
+                    blocks: recipe.blocks.spooled(),
                     env,
                     access: None,
                     cacheable: recipe.probe_invariant(),

@@ -10,7 +10,7 @@ use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
 use super::cursor::{drain, BoxCursor, Cursor, Meter, Pull};
 use crate::exec::{group_key, hash_groups, unnest_tuple, Groups};
-use crate::nested::Blocks;
+use crate::nested::Spooled;
 
 /// σ — filter, one pull per surviving tuple.
 pub struct Select<'p> {
@@ -18,8 +18,8 @@ pub struct Select<'p> {
     pub input: BoxCursor<'p>,
     /// The predicate.
     pub pred: &'p Scalar,
-    /// The predicate's nested blocks.
-    pub blocks: &'p Blocks,
+    /// The predicate's nested blocks and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// The scope the input's tuples are evaluated in.
     pub env: &'p Scope<'p>,
 }
@@ -86,8 +86,8 @@ pub struct Binder<'p> {
     pub attr: Sym,
     /// The subscript computing the attribute's value (χ) or items (Υ).
     pub value: &'p Scalar,
-    /// The subscript's nested blocks.
-    pub blocks: &'p Blocks,
+    /// The subscript's nested blocks and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// The operator's counter slot and trace identity.
     pub meter: Meter,
 }
@@ -394,8 +394,8 @@ pub struct HashGroupUnary<'p> {
     pub by: &'p [Sym],
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
-    /// The nested blocks of `f`'s filter.
-    pub blocks: &'p Blocks,
+    /// The nested blocks of `f`'s filter and their spools.
+    pub(crate) blocks: Spooled<'p>,
     /// The attributes of an output tuple: `by` and `g`.
     pub emits: Vec<Sym>,
     /// The scope the input's tuples are evaluated in.

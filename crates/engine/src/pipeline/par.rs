@@ -54,6 +54,7 @@ use super::cursor::{drain, BoxCursor, Cursor};
 use super::join::Buckets;
 use super::merge::{merge_runs, MorselKey, Run};
 use super::{node_id, Lowering};
+use crate::nested::Blocks;
 use crate::plan::PhysPlan;
 use crate::theta::ThetaBuild;
 
@@ -93,8 +94,13 @@ fn contains_parallel(plan: &PhysPlan) -> bool {
 /// Operators allowed inside a stage pipeline: per-tuple, order
 /// preserving, no cross-tuple state. Distinct projections dedup across
 /// tuples and grouping/Ξ operators are blocking or write output, so
-/// they end a segment.
+/// they end a segment. So does an operator whose nested blocks share a
+/// subtree: its spools would be per worker, each worker running the
+/// subtree the serial cursor runs once ([`crate::nested`]).
 fn stage_safe(plan: &PhysPlan) -> bool {
+    if plan.blocks().is_some_and(Blocks::shares) {
+        return false;
+    }
     match plan {
         PhysPlan::Select { .. }
         | PhysPlan::Map { .. }
@@ -547,6 +553,7 @@ fn run_morsel(
     let mut lowering = Lowering {
         env,
         stage: Some(stage),
+        replays: None,
     };
     let mut cur = lowering.lower(stages);
     drain(cur.as_mut(), ctx)
@@ -749,6 +756,50 @@ mod tests {
         // A lone fan-out with nothing above it inside the Ξ-free region
         // offers no stage work: no wrap.
         assert!(!contains_parallel(&plan), "{}", plan.explain());
+    }
+
+    /// A subscript whose range is invariant owns a spool per cursor: in a
+    /// stage pipeline each worker would fill its own and run the range
+    /// again. Its operator stays above the segment, and every degree
+    /// counts the serial run's work.
+    #[test]
+    fn operators_with_shared_blocks_stay_above_segments() {
+        let range = doc_scan("d2", "bib.xml")
+            .unnest_map(
+                "q",
+                Scalar::attr("d2").path(parse_path("//book/title").unwrap()),
+            )
+            .project(&["q"]);
+        let e = doc_scan("d1", "bib.xml")
+            .unnest_map(
+                "t1",
+                Scalar::attr("d1").path(parse_path("//book/title").unwrap()),
+            )
+            .map("u", Scalar::attr("t1"))
+            .select(Scalar::Exists {
+                var: Sym::new("q"),
+                range: Box::new(range),
+                pred: Box::new(Scalar::attr_cmp(CmpOp::Eq, "q", "t1")),
+            });
+        let serial_plan = crate::compile(&e);
+        assert_eq!(serial_plan.detail(), " shared{Υ[q]}");
+        let plan = apply_parallel(&serial_plan);
+        let PhysPlan::Select { input, .. } = &plan else {
+            panic!("the selection stays on top: {}", plan.explain());
+        };
+        assert!(
+            matches!(input.as_ref(), PhysPlan::Parallel { .. }),
+            "a segment forms below it: {}",
+            plan.explain()
+        );
+        let cat = catalog(30);
+        let serial = crate::run_compiled(&serial_plan, &cat).unwrap();
+        assert_eq!(serial.metrics.doc_scans, 2);
+        for workers in [1usize, 2, 8] {
+            let par = crate::run_streaming_parallel(&plan, &cat, workers).unwrap();
+            assert_eq!(par.rows, serial.rows, "rows at {workers} workers");
+            assert_eq!(par.metrics, serial.metrics, "metrics at {workers} workers");
+        }
     }
 
     #[test]

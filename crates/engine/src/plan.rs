@@ -397,13 +397,16 @@ impl PhysPlan {
     /// decided, for EXPLAIN: the attribute a binder binds, the
     /// attributes a producer emits (`keep{…}`) with the projections
     /// folded into it, and whether a χ is evaluated with the run below
-    /// it — e.g. `[t1] keep{t1} absorbed Π[t1]`. Empty for the
-    /// operators the pass leaves alone.
+    /// it — e.g. `[t1] keep{t1} absorbed Π[t1]`; last, the shared
+    /// subtrees of the operator's nested blocks ([`crate::nested`]), each
+    /// named by its root — ` shared{Υ[b2]}`. Empty for the operators
+    /// that have none of these.
     pub fn detail(&self) -> String {
         let list = |syms: &[Sym]| {
             let names: Vec<&str> = syms.iter().map(|s| s.as_str()).collect();
             names.join(",")
         };
+        let shared = self.blocks().map_or_else(String::new, Blocks::mark);
         let (bound, keep, fused) = match self {
             PhysPlan::Map {
                 attr, keep, fused, ..
@@ -418,7 +421,7 @@ impl PhysPlan {
             PhysPlan::Cross { keep, .. }
             | PhysPlan::HashJoin { keep, .. }
             | PhysPlan::LoopJoin { keep, .. } => (None, keep, false),
-            _ => return String::new(),
+            _ => return shared,
         };
         let mut out = String::new();
         if let Some(a) = bound {
@@ -437,7 +440,24 @@ impl PhysPlan {
         if fused {
             out.push_str(" fused");
         }
+        out.push_str(&shared);
         out
+    }
+
+    /// The compiled nested blocks of the node's subscript, if it has a
+    /// subscript that can hold any.
+    pub(crate) fn blocks(&self) -> Option<&Blocks> {
+        match self {
+            PhysPlan::Select { blocks, .. }
+            | PhysPlan::Map { blocks, .. }
+            | PhysPlan::UnnestMap { blocks, .. }
+            | PhysPlan::HashJoin { blocks, .. }
+            | PhysPlan::HashGroupUnary { blocks, .. }
+            | PhysPlan::HashGroupBinary { blocks, .. } => Some(blocks),
+            PhysPlan::LoopJoin { split, .. } => Some(&split.blocks),
+            PhysPlan::IndexJoin { recipe, .. } => Some(&recipe.blocks),
+            _ => None,
+        }
     }
 
     /// The node's direct plan inputs, in left-to-right order (the probe

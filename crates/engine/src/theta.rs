@@ -52,7 +52,7 @@ use xmldb::{Catalog, ValueKey};
 
 use crate::access::RangeProbe;
 use crate::key::key_val;
-use crate::nested::Blocks;
+use crate::nested::{Blocks, Spooled};
 
 /// A loop join's predicate, split at compile time by the side each
 /// conjunct mentions. `None` parts are empty conjunctions (true).
@@ -294,7 +294,7 @@ impl ThetaBuild {
         if let Some(p) = &split.right_only {
             let mut kept = Vec::with_capacity(rows.len());
             for rt in rows {
-                if Blocks::NONE.truthy(p, &rt, env, ctx)? {
+                if Spooled::NONE.truthy(p, &rt, env, ctx)? {
                     kept.push(rt);
                 }
             }
@@ -329,7 +329,7 @@ impl ThetaBuild {
             return Ok(Candidates::All);
         }
         if let Some(p) = &split.left_only {
-            if !Blocks::NONE.truthy(p, lt, env, ctx)? {
+            if !Spooled::NONE.truthy(p, lt, env, ctx)? {
                 return Ok(NONE);
             }
         }
@@ -340,7 +340,7 @@ impl ThetaBuild {
         for probe in probes {
             // Pure and replay-safe by the split; the loop evaluated it
             // once per pair.
-            let side = Blocks::NONE.eval(&probe.side, lt, env, ctx)?;
+            let side = Spooled::NONE.eval(&probe.side, lt, env, ctx)?;
             let (view, range) = match key_val(&side, ctx.catalog) {
                 // NULL and NaN satisfy no comparison: the conjunct — and
                 // with it the pair part — fails for every row.
@@ -402,11 +402,12 @@ impl ThetaBuild {
     /// Semi/anti probe: does some build row match `lt`? Stops at the
     /// first verified candidate; a predicate without a pair part is
     /// decided without examining any.
-    pub fn matches(
+    pub(crate) fn matches(
         &self,
         split: &ThetaSplit,
         lt: &Tuple,
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<bool> {
         let candidates = self.candidates(split, lt, false, env, ctx)?;
@@ -416,7 +417,7 @@ impl ThetaBuild {
         let mut i = 0;
         while let Some(rt) = self.candidate(&candidates, i) {
             i += 1;
-            if verify(split, lt, rt, env, ctx)?.is_some() {
+            if verify(split, lt, rt, env, blocks, ctx)?.is_some() {
                 return Ok(true);
             }
         }
@@ -443,16 +444,17 @@ impl ThetaBuild {
 
     /// The next joined tuple of a walk, or `None` once its candidates
     /// are exhausted.
-    pub fn next_match(
+    pub(crate) fn next_match(
         &self,
         split: &ThetaSplit,
         walk: &mut Walk,
         env: &Scope<'_>,
+        blocks: &Spooled<'_>,
         ctx: &mut EvalCtx<'_>,
     ) -> EvalResult<Option<Tuple>> {
         while let Some(rt) = self.candidate(&walk.candidates, walk.next) {
             walk.next += 1;
-            if let Some(joined) = verify(split, &walk.lt, rt, env, ctx)? {
+            if let Some(joined) = verify(split, &walk.lt, rt, env, blocks, ctx)? {
                 walk.matched = true;
                 return Ok(Some(joined));
             }
@@ -462,19 +464,21 @@ impl ThetaBuild {
 }
 
 /// Examine one candidate: the joined tuple if the pair part holds over
-/// it. The one place a loop join counts `probe_tuples`.
+/// it (its blocks evaluated through `blocks`, the probing cursor's). The
+/// one place a loop join counts `probe_tuples`.
 fn verify(
     split: &ThetaSplit,
     lt: &Tuple,
     rt: &Tuple,
     env: &Scope<'_>,
+    blocks: &Spooled<'_>,
     ctx: &mut EvalCtx<'_>,
 ) -> EvalResult<Option<Tuple>> {
     ctx.metrics.probe_tuples += 1;
     let joined = lt.concat(rt);
     let passes = match &split.pair {
         None => true,
-        Some(pair) => split.blocks.truthy(pair, &joined, env, ctx)?,
+        Some(pair) => blocks.truthy(pair, &joined, env, ctx)?,
     };
     Ok(passes.then_some(joined))
 }

@@ -9,6 +9,7 @@
 
 use std::cell::Cell;
 
+use engine::PhysPlan;
 use nal::eval::{eval_scalar, Nested, Reference, Scope};
 use nal::expr::builder::*;
 use nal::expr::visit;
@@ -175,17 +176,216 @@ fn blocks_nest_two_deep() {
         xs().select(Scalar::cmp(CmpOp::Ge, count_below, Scalar::int(1))),
         Scalar::attr_cmp(CmpOp::Gt, "x", "t"),
     );
+    // Neither range reads `t`: each is one shared subtree, drained once
+    // for all five `t`, so its inner block runs once per x (4), not once
+    // per (t, x) (20) as in the reference — 5 outer quantifiers + 4.
     for (pred, expected) in [(every, 2), (some, 4)] {
         let expr = t().select(pred);
         // A range with a block inside cannot be cut short.
         assert_eq!(root_blocks_lazy(&expr), [false], "{expr}");
+        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
         let mut ctx = EvalCtx::new(&cat);
         let reference = eval_query(&expr, &mut ctx).unwrap();
         let run = engine::run(&expr, &cat).unwrap();
         assert_eq!(run.rows, reference, "{expr}");
         assert_eq!(run.rows.len(), expected, "{expr}");
-        assert_eq!(run.metrics.nested_evals, ctx.metrics.nested_evals, "{expr}");
+        assert_eq!(ctx.metrics.nested_evals, 5 * (1 + 4), "{expr}");
+        assert_eq!(run.metrics.nested_evals, 5 + 4, "{expr}");
     }
+    // The same `every` with its inner ∃ reading `t`: the range is
+    // correlated and runs per t, its inner block per (t, x), exactly as
+    // in the reference.
+    let correlated = exists(
+        "y",
+        ys(),
+        Scalar::attr_cmp(CmpOp::Eq, "y", "x").and(Scalar::attr_cmp(CmpOp::Ge, "y", "t")),
+    );
+    let expr = t().select(forall(
+        "x",
+        xs().select(correlated),
+        Scalar::attr_cmp(CmpOp::Gt, "x", "t"),
+    ));
+    assert_eq!(engine::compile(&expr).detail(), " shared{Π}", "{expr}");
+    let mut ctx = EvalCtx::new(&cat);
+    let reference = eval_query(&expr, &mut ctx).unwrap();
+    let run = engine::run(&expr, &cat).unwrap();
+    assert_eq!(run.rows, reference, "{expr}");
+    assert_eq!(run.metrics.nested_evals, ctx.metrics.nested_evals, "{expr}");
+    assert_eq!(run.metrics.nested_evals, 5 * (1 + 4), "{expr}");
+}
+
+/// `x` over `values`, each tuple surviving `(x + 0) >= 0` — arithmetic,
+/// so a quantifier drains it — or, `lazy`, the replay-safe `x >= 0`.
+fn filtered(values: &[Value], lazy: bool) -> Expr {
+    let x = match lazy {
+        true => Scalar::attr("x"),
+        false => Scalar::Arith(
+            nal::ArithOp::Add,
+            Box::new(Scalar::attr("x")),
+            Box::new(Scalar::int(0)),
+        ),
+    };
+    Expr::Literal(
+        values
+            .iter()
+            .map(|v| Tuple::singleton(s("x"), v.clone()))
+            .collect(),
+    )
+    .select(Scalar::cmp(CmpOp::Ge, x, Scalar::int(0)))
+}
+
+/// χ[c: some x in `range` satisfies x = t] over t ∈ `outer`: the only
+/// selection is the range's.
+fn per_outer_tuple(outer: &[i64], range: Expr) -> Expr {
+    let t = Expr::Literal(
+        outer
+            .iter()
+            .map(|&t| Tuple::singleton(s("t"), Value::Int(t)))
+            .collect(),
+    );
+    t.map(
+        "c",
+        exists("x", range, Scalar::attr_cmp(CmpOp::Eq, "x", "t")),
+    )
+}
+
+#[test]
+fn an_invariant_range_runs_once_for_every_outer_tuple() {
+    let cat = Catalog::new();
+    for outer in [&[2][..], &[2, 9, 4, 1, 2], &[9; 7]] {
+        let expr = per_outer_tuple(outer, filtered(&ints(&[1, -1, 3, 4]), false));
+        assert_eq!(engine::compile(&expr).detail(), "[c] shared{σ}", "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        // The range's literal and σ count one evaluation's tuples, what
+        // the outer tuples number notwithstanding.
+        let run = engine::run(&expr, &cat).unwrap();
+        let n = outer.len() as u64;
+        let counts: Vec<_> = run.metrics.op_tuples.iter().collect();
+        assert_eq!(
+            counts,
+            [("Literal", n + 4), ("Map", n), ("Select", 3)],
+            "{expr}"
+        );
+    }
+}
+
+#[test]
+fn a_lazy_range_pulls_only_as_far_as_its_furthest_outer_tuple() {
+    let cat = Catalog::new();
+    // The witness of t = 1 is the range's first row, of t = 3 its third.
+    for (outer, pulled) in [(&[1][..], 1), (&[1, 1, 1], 1), (&[1, 3, 1], 3), (&[7], 4)] {
+        let expr = per_outer_tuple(outer, filtered(&ints(&[1, 2, 3, 4]), true));
+        let plan = engine::compile(&expr);
+        assert_eq!(plan.detail(), "[c] shared{σ}", "{expr}");
+        let PhysPlan::Map { blocks, .. } = &plan else {
+            panic!("{}", plan.explain());
+        };
+        assert!(blocks.iter().all(|b| b.lazy), "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        let run = engine::run_compiled(&plan, &cat).unwrap();
+        assert_eq!(run.metrics.op_count("Select"), pulled, "{expr}");
+    }
+}
+
+#[test]
+fn an_xi_writing_range_is_not_shared() {
+    let cat = Catalog::new();
+    let range = rel("x", &ints(&[1, 2, 3]))
+        .xi(xi_cmds(&["<x>", "$x", "</x>"]))
+        .project(&["x"]);
+    let expr = per_outer_tuple(&[1, 2, 9, 4], range);
+    // Only the projection below the Ξ is shared; the Ξ runs per outer
+    // tuple, writing its bytes each time, as the reference does.
+    assert_eq!(engine::compile(&expr).detail(), "[c] shared{Π}", "{expr}");
+    let (reference, engine) = both(&expr, &cat);
+    let (reference, engine) = (reference.unwrap(), engine.unwrap());
+    assert_eq!(reference.1.matches("<x>").count(), 4 * 3, "{}", reference.1);
+    assert_eq!(engine, reference, "{expr}");
+}
+
+/// A selection on `t` over a relation whose `t` was dropped below it
+/// reads the outer `t`: it is correlated, and only what is under the
+/// drop is shared — whether the drop is folded into the χ that binds
+/// `t` or is a Π of its own.
+#[test]
+fn a_dropped_attribute_the_outer_scope_binds_is_an_outer_read() {
+    let cat = Catalog::new();
+    let with_t = Expr::Literal(
+        (1..=3)
+            .map(|x| Tuple::from_pairs(vec![(s("x"), Value::Int(x)), (s("t"), Value::Int(2))]))
+            .collect(),
+    );
+    let folded = rel("x", &ints(&[1, 2, 3])).map("t", Scalar::int(2));
+    for (below, shared) in [(folded, " shared{χ[t]}"), (with_t, " shared{Π}")] {
+        let range = below
+            .drop_attrs(&["t"])
+            .select(Scalar::attr_cmp(CmpOp::Eq, "x", "t"))
+            .project(&["x"]);
+        let expr = rel("t", &ints(&[1, 2, 5])).select(exists("x", range, Scalar::attr("x")));
+        assert_eq!(engine::compile(&expr).detail(), shared, "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        let reference = reference.unwrap();
+        assert_eq!(reference.0.len(), 2, "t = 1 and t = 2 have a witness");
+        assert_eq!(engine.unwrap(), reference, "{expr}");
+    }
+}
+
+#[test]
+fn an_erroring_invariant_range_fails_as_in_the_reference_and_only_when_reached() {
+    let cat = Catalog::new();
+    let decimal = |x| Scalar::Call(Func::Decimal, vec![x]);
+    let range = || erroring_range(decimal);
+    for quantifier in QUANTIFIERS {
+        let pred = Scalar::attr_cmp(CmpOp::Eq, "x", "t");
+        let expr = rel("t", &ints(&[1, 2])).select(quantifier("x", range(), pred.clone()));
+        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        let (Err(want), Err(got)) = (&reference, &engine) else {
+            panic!("{expr}: reference {reference:?}, engine {engine:?}");
+        };
+        assert_eq!(got.message, want.message, "{expr}");
+        // No outer tuple: the range is never started.
+        let expr = Expr::Literal(vec![]).select(quantifier("x", range(), pred));
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        let run = engine::run(&expr, &cat).unwrap();
+        assert_eq!(run.metrics.tuples_produced, 0, "{expr}");
+    }
+}
+
+/// A spool lives for one execution: a cached plan run again after an
+/// update sees the new rows.
+#[test]
+fn a_cached_plan_sees_an_update_between_runs() {
+    let mut cat = Catalog::new();
+    let doc = cat.register(xmldb::parse_document("r.xml", "<r><x>1</x><x>2</x></r>").unwrap());
+    let range = doc_scan("d", "r.xml")
+        .unnest_map(
+            "x",
+            Scalar::attr("d").path(xpath::parse_path("//x").unwrap()),
+        )
+        .project(&["x"]);
+    let expr = rel("t", &ints(&[1, 2, 3])).select(exists(
+        "x",
+        range,
+        Scalar::attr_cmp(CmpOp::Eq, "x", "t"),
+    ));
+    let plan = engine::compile(&expr);
+    assert_eq!(plan.detail(), " shared{Υ[x]}");
+    let run = |cat: &Catalog| {
+        let (reference, _) = both(&expr, cat);
+        let run = engine::run_compiled(&plan, cat).unwrap();
+        assert_eq!((run.rows.clone(), run.output), reference.unwrap());
+        run.rows.len()
+    };
+    assert_eq!(run(&cat), 2);
+    let frag = xmldb::parse_document("frag", "<x>3</x>").unwrap();
+    let root = cat.doc(doc).root_element().unwrap();
+    cat.insert_subtree(doc, root, None, &frag, frag.root_element().unwrap())
+        .unwrap();
+    assert_eq!(run(&cat), 3);
 }
 
 /// [`Reference`], counting the rows it materializes.
