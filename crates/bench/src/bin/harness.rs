@@ -27,13 +27,9 @@
 //! (lock-free snapshot reads: reader count × writer churn rate sweep
 //! over streamed queries, asserting throughput scales with readers and
 //! every streamed result is byte-identical to a serial replay of its
-//! `updates_seen` state), `parallel` (morsel-driven intra-query
-//! parallelism: the same compiled quantifier plan run at a worker
-//! ladder, byte-compared against the serial stream, with the ≥1.5×
-//! speedup-at-4-workers floor asserted on machines with ≥4 cores at
-//! scale ≥200), `fuzz` (the differential fuzz oracle as a throughput
-//! cell: seeded random corpus/query/update cases through the full
-//! scan/indexed × parallel-degree × maintenance-mode matrix against
+//! `updates_seen` state), `fuzz` (the differential fuzz oracle as a
+//! throughput cell: seeded random corpus/query/update cases through the
+//! full scan/indexed × maintenance-mode matrix against
 //! `nal::eval_query`; any disagreement fails the harness with a
 //! shrunk reproducer — budget via `XQD_FUZZ_SEED`/`XQD_FUZZ_CASES`),
 //! `allocs` (heap allocations and bytes requested per warm
@@ -242,9 +238,6 @@ fn main() {
     }
     if run_all || args.experiment == "concurrency" {
         concurrency(&args, &mut report);
-    }
-    if run_all || args.experiment == "parallel" {
-        parallel_ablation(&args, &mut report);
     }
     if run_all || args.experiment == "fuzz" {
         fuzz_oracle(&args, &mut report);
@@ -462,9 +455,9 @@ fn access_path_ablation(
 
 /// Differential fuzz oracle as a benchmark cell: generate seeded
 /// random (corpus, query, update script) cases and push each through
-/// the full execution matrix — scan vs indexed × materializing vs
-/// streaming × parallel degrees {1, 2, 8} × pre/post updates under
-/// both maintenance modes, plus plan equivalence and cost-model
+/// the full execution matrix — every enumerated plan × scan vs indexed
+/// × pre/post updates under both maintenance modes, against
+/// `nal::eval_query` of the nested query, plus cost-model
 /// convertibility. The cell reports oracle *throughput* (cases/s);
 /// any disagreement fails the harness with the shrunk reproducer
 /// snippet. Seed and budget honor `XQD_FUZZ_SEED` / `XQD_FUZZ_CASES`.
@@ -500,124 +493,6 @@ fn fuzz_oracle(args: &Args, report: &mut Report) {
         }
         Err(failure) => panic!("differential fuzz oracle failed:\n{failure}"),
     }
-}
-
-/// Morsel-driven parallelism ablation: the quantifier workloads'
-/// semijoin plans, rewritten once through `engine::apply_parallel` and
-/// run at a worker ladder. Every parallel stream is byte-compared
-/// against the serial run (the k-way merge's order guarantee is a CI
-/// gate, not a hope), and on machines with ≥4 cores the 4-worker run
-/// must beat 1 worker by ≥1.5× at scale ≥200 — the floor below which
-/// the morsel scheduler would not be paying for its fan-out.
-fn parallel_ablation(args: &Args, report: &mut Report) {
-    use std::time::{Duration, Instant};
-
-    println!("== Parallel ablation: morsel-driven workers over quantifier plans ==\n");
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let ladder = [1usize, 2, 4, 8];
-    println!(
-        "{:<16} {:<14} {:>7} {:>5} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "workload", "plan", "scale", "par?", "w=1", "w=2", "w=4", "w=8", "x4"
-    );
-    let wl: Vec<&workloads::Workload> = workloads::RANGE
-        .iter()
-        .chain(workloads::COMPOSITE.iter())
-        .collect();
-    for w in wl {
-        for &scale in &args.scales {
-            let catalog = standard_catalog(scale, 2, args.seed);
-            for (label, expr) in plans_for(w, &catalog) {
-                if !label.contains("semijoin") {
-                    continue;
-                }
-                let cfg = RunConfig::new(args.indexes);
-                let serial_plan = cfg.compile(&expr, &catalog);
-                let par_plan = engine::apply_parallel(&serial_plan);
-                let wrapped = par_plan.explain().contains("Parallel");
-                // Untimed warm-up doubles as the byte-identity reference
-                // (and builds the indexes when `--indexes on`).
-                let reference = engine::run_compiled(&serial_plan, &catalog)
-                    .unwrap_or_else(|e| panic!("[{}] serial plan runs: {e}", w.id));
-                let mut by_workers: Vec<(usize, Duration)> = Vec::new();
-                for &workers in &ladder {
-                    // Best-of-3: documents are memory-resident, so the
-                    // minimum is the stable figure. Worker-summed
-                    // metrics are identical across repeats by
-                    // construction, so any repeat's counters serve.
-                    let mut best: Option<Duration> = None;
-                    let mut last = None;
-                    for _ in 0..3 {
-                        let start = Instant::now();
-                        let r = engine::run_streaming_parallel(&par_plan, &catalog, workers)
-                            .unwrap_or_else(|e| {
-                                panic!("[{}] parallel run at {workers} workers: {e}", w.id)
-                            });
-                        let elapsed = start.elapsed();
-                        assert_eq!(
-                            r.output, reference.output,
-                            "[{}] parallel Ξ output diverges at {workers} workers",
-                            w.id
-                        );
-                        if best.is_none_or(|b| elapsed < b) {
-                            best = Some(elapsed);
-                        }
-                        last = Some(r);
-                    }
-                    let (elapsed, r) = (best.unwrap(), last.unwrap());
-                    report.record(
-                        &format!("parallel:{}", w.id),
-                        cfg,
-                        &[("scale", scale as i64), ("workers", workers as i64)],
-                        &Measurement {
-                            plan: label.clone(),
-                            elapsed,
-                            doc_scans: r.metrics.doc_scans,
-                            output_len: r.output.len(),
-                            estimated: false,
-                            tuples_produced: r.metrics.tuples_produced,
-                            probe_tuples: r.metrics.probe_tuples,
-                            index_lookups: r.metrics.index_lookups,
-                            index_hits: r.metrics.index_hits,
-                            predicted_cost: None,
-                            operators: Vec::new(),
-                        },
-                    );
-                    by_workers.push((workers, elapsed));
-                }
-                let time_at = |n: usize| {
-                    by_workers
-                        .iter()
-                        .find(|(wk, _)| *wk == n)
-                        .map(|(_, t)| *t)
-                        .unwrap()
-                };
-                let speedup4 = time_at(1).as_secs_f64() / time_at(4).as_secs_f64().max(1e-9);
-                println!(
-                    "{:<16} {:<14} {:>7} {:>5} {:>12} {:>12} {:>12} {:>12} {:>7.2}x",
-                    w.id,
-                    label,
-                    scale,
-                    if wrapped { "yes" } else { "no" },
-                    fmt_secs(time_at(1), false),
-                    fmt_secs(time_at(2), false),
-                    fmt_secs(time_at(4), false),
-                    fmt_secs(time_at(8), false),
-                    speedup4
-                );
-                if wrapped && !args.indexes && hw >= 4 && scale >= 200 {
-                    assert!(
-                        speedup4 >= 1.5,
-                        "[{}] 4-worker speedup {speedup4:.2}x is below the 1.5x floor \
-                         at scale {scale} on a {hw}-core machine",
-                        w.id
-                    );
-                }
-            }
-        }
-    }
-    println!();
 }
 
 // ---------------------------------------------------------------------

@@ -178,9 +178,8 @@ pub struct Metrics {
     /// Tuples produced per physical operator. Populated by the engine's
     /// metered cursors; the reference evaluator leaves it empty.
     pub op_tuples: OpTuples,
-    /// Right-side candidate tuples examined by join probes (serial and
-    /// parallel runs share the engine's join cursors, so they count
-    /// alike; the reference evaluator leaves it 0). Short-circuiting semi/anti
+    /// Right-side candidate tuples examined by the engine's join probes
+    /// (the reference evaluator leaves it 0). Short-circuiting semi/anti
     /// joins stop probing at the deciding match, so this stays below the
     /// nested-loop bound |left| × |right| — the observable form of the
     /// §5.3–§5.5 argument.
@@ -202,10 +201,8 @@ impl Metrics {
         OpId::of(op).map_or(0, |id| self.op_tuples.0[id.0 as usize])
     }
 
-    /// Fold another context's counters into this one. Parallel execution
-    /// gives each worker a private `Metrics` and merges them back when
-    /// the pool joins, so worker counter sums stay equal to what a
-    /// serial run of the same plan would have recorded.
+    /// Add another run's counters to these: the sum over several runs
+    /// (a round of queries, say).
     pub fn merge(&mut self, other: &Metrics) {
         self.doc_scans += other.doc_scans;
         self.nodes_visited += other.nodes_visited;
@@ -234,15 +231,8 @@ pub struct EvalCtx<'a> {
     /// the engine's hot paths untimed; a traced run
     /// ([`EvalCtx::enable_trace`]) makes the engine's cursors record
     /// per-node wall time, rows, and probe deltas here. Kept *outside*
-    /// [`Metrics`] so the parallel-vs-serial counter-parity invariants
-    /// never compare timing.
+    /// [`Metrics`] so comparing two runs' counters never compares timing.
     pub trace: Option<crate::obs::ExecTrace>,
-    /// Requested degree of intra-query parallelism. `1` (the default)
-    /// keeps every operator on the calling thread; values above 1 let
-    /// parallel-aware operators fan morsels out to that many workers.
-    /// Kept on the context, not the plan, so cached plans stay
-    /// degree-independent.
-    pub parallel: usize,
     /// Node buffers of path evaluation, reused from tuple to tuple.
     pub paths: xpath::PathBuffers,
 }
@@ -255,7 +245,6 @@ impl<'a> EvalCtx<'a> {
             out: String::new(),
             metrics: Metrics::default(),
             trace: None,
-            parallel: 1,
             paths: xpath::PathBuffers::default(),
         }
     }

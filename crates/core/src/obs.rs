@@ -2,11 +2,11 @@
 //! stage spans, and per-operator execution traces.
 //!
 //! Everything here is zero-dependency and deliberately *outside*
-//! [`crate::eval::Metrics`]: the parallel-vs-serial suites assert that a
-//! morsel-parallel run produces exactly the counters of a serial run,
-//! and wall-clock timing can never be identical by construction. Traces
-//! ride in their own optional slot on [`crate::eval::EvalCtx`], so an
-//! untraced run pays nothing and the parity invariants never see time.
+//! [`crate::eval::Metrics`]: tests assert that two runs of a plan produce
+//! exactly the same counters, and wall-clock timing can never be
+//! identical by construction. Traces ride in their own optional slot on
+//! [`crate::eval::EvalCtx`], so an untraced run pays nothing and the
+//! counter comparisons never see time.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -184,22 +184,6 @@ impl ExecTrace {
     /// The accumulated counters for `node`, if it ever ran.
     pub fn get(&self, node: usize) -> Option<&OpStats> {
         self.ops.get(&node)
-    }
-
-    /// Fold another trace into this one, node by node. Parallel workers
-    /// trace into private `ExecTrace`s against the same (shared,
-    /// immutable) plan allocation, so node identities line up and the
-    /// merged trace reads like a serial one — except `elapsed_ns`, which
-    /// becomes summed-across-workers CPU time rather than wall time.
-    pub fn merge(&mut self, other: &ExecTrace) {
-        for (node, s) in &other.ops {
-            let acc = self.ops.entry(*node).or_default();
-            acc.calls += s.calls;
-            acc.rows += s.rows;
-            acc.elapsed_ns += s.elapsed_ns;
-            acc.index_lookups += s.index_lookups;
-            acc.index_hits += s.index_hits;
-        }
     }
 
     /// Number of distinct nodes traced.

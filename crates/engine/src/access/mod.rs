@@ -19,10 +19,9 @@
 //!   output-preserving lives there, and the cost model consumes the same
 //!   function, so pricing can never claim an access path the engine
 //!   declines;
-//! * [`probe`] — recipe execution ([`probe::IndexJoinAccess`]), shared
-//!   verbatim by serial and parallel runs, which makes
-//!   `index_lookups`/`index_hits` parity a construction property rather
-//!   than a test obligation.
+//! * [`probe`] — recipe execution ([`probe::IndexJoinAccess`]): the one
+//!   place probe semantics and `index_lookups`/`index_hits` accounting
+//!   are defined.
 //!
 //! The pass stays *conservative by construction*: a conversion happens
 //! only when the replaced subtree provably produces the same tuple
@@ -97,10 +96,6 @@ pub fn for_each_access_path<'p>(plan: &'p PhysPlan, f: &mut impl FnMut(AccessPat
         PhysPlan::IndexJoin { recipe, .. } => f(AccessPathRef::Join(recipe)),
         _ => {}
     }
-    // A parallel segment embeds access paths on both sides: the
-    // serially-executed source and the worker-side stage pipeline.
-    // Cached parallel plans revalidate exactly like their serial
-    // originals.
     for child in plan.inputs().into_iter().flatten() {
         for_each_access_path(child, f);
     }
@@ -275,10 +270,7 @@ fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
 }
 
 /// The plan with every direct child mapped through `f`.
-pub(crate) fn map_children(
-    mut plan: PhysPlan,
-    f: &mut impl FnMut(PhysPlan) -> PhysPlan,
-) -> PhysPlan {
+fn map_children(mut plan: PhysPlan, f: &mut impl FnMut(PhysPlan) -> PhysPlan) -> PhysPlan {
     for child in plan.children_mut() {
         *child = f(std::mem::replace(child, PhysPlan::Singleton));
     }

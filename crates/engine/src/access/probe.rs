@@ -1,12 +1,11 @@
 //! Recipe execution: the runtime side of the access-path IR.
 //!
 //! [`IndexJoinAccess`] resolves an [`AccessRecipe`] against the catalog
-//! once per join and then answers each probe tuple. Serial runs and the
-//! workers of a parallel segment call the same
-//! `IndexJoinAccess::probe_matches`, so probe semantics and
-//! `index_lookups`/`index_hits`/`probe_tuples` accounting are identical
-//! by construction (`probe_tuples` counts examined candidates, matching
-//! where the scan-based join cursors track it).
+//! once per join and then answers each probe tuple through
+//! `IndexJoinAccess::probe_matches`, the one definition of probe
+//! semantics and of `index_lookups`/`index_hits`/`probe_tuples`
+//! accounting (`probe_tuples` counts examined candidates, matching where
+//! the scan-based join cursors track it).
 
 use std::ops::Bound;
 use std::sync::Arc;

@@ -12,8 +12,7 @@
 //! consumed *unchanged* by two parties:
 //!
 //! * the executor's index-join cursor ([`crate::pipeline::join::IndexJoin`]),
-//!   serial or in a parallel segment's workers, through
-//!   [`super::probe::IndexJoinAccess`], so probe semantics and
+//!   through [`super::probe::IndexJoinAccess`], so probe semantics and
 //!   `index_lookups`/`index_hits` accounting have one definition, and
 //! * the cost model (`unnest::CostModel`), which prices a quantifier
 //!   join as an index probe **iff** the tracer emits a recipe for it —
@@ -177,9 +176,7 @@ impl AccessRecipe {
     /// Is the probe decision independent of the probe tuple? True for
     /// constant-bound range quantifiers (`every $x satisfies $x > 5`):
     /// no typed bucket probe, no residual, every range side closed.
-    /// The index-join cursor then probes once and reuses the answer (a
-    /// parallel segment once for all its workers), so metric parity with
-    /// serial runs is preserved.
+    /// The index-join cursor then probes once and reuses the answer.
     pub fn probe_invariant(&self) -> bool {
         match &self.driver {
             Driver::Range { eq_probe, ranges } => {

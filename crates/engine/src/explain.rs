@@ -44,11 +44,6 @@ pub struct ExplainNode {
     /// The cost model's predicted cost for this node (inclusive, same
     /// convention as the measured time); `None` when no model ran.
     pub predicted_cost: Option<f64>,
-    /// Degree of parallelism the run executed this operator with
-    /// (`Parallel` segments only; `None` elsewhere). The degree lives on
-    /// the execution context, not the plan, so the annotation is applied
-    /// per report via [`ExplainReport::annotate_parallel`].
-    pub workers: Option<usize>,
 }
 
 /// A whole EXPLAIN ANALYZE report: the plan tree in pre-order, each
@@ -73,18 +68,6 @@ impl ExplainReport {
         for n in &mut self.nodes {
             if let Some(c) = costs.get(&n.node) {
                 n.predicted_cost = Some(*c);
-            }
-        }
-    }
-
-    /// Record the degree of parallelism the traced run used on every
-    /// `Parallel` segment. Plans are degree-independent (the degree is
-    /// an execution-context knob), so the report — which describes one
-    /// concrete run — is where the number belongs.
-    pub fn annotate_parallel(&mut self, degree: usize) {
-        for n in &mut self.nodes {
-            if n.op == "Parallel" {
-                n.workers = Some(degree);
             }
         }
     }
@@ -121,9 +104,6 @@ impl ExplainReport {
                     None => "-".to_string(),
                 }
             ));
-            if let Some(w) = n.workers {
-                out.push_str(&format!(" workers={w}"));
-            }
             out.push('\n');
         }
         out
@@ -171,7 +151,6 @@ impl ExplainReport {
                 index_lookups: 0,
                 index_hits: 0,
                 predicted_cost: None,
-                workers: None,
             };
             for kv in parts {
                 let (k, v) = kv
@@ -187,12 +166,6 @@ impl ExplainReport {
                     "elapsed_us" => node.elapsed_us = int()?,
                     "lookups" => node.index_lookups = int()?,
                     "hits" => node.index_hits = int()?,
-                    "workers" => {
-                        node.workers = Some(
-                            v.parse::<usize>()
-                                .map_err(|e| format!("line {}: workers: {e}", lineno + 1))?,
-                        )
-                    }
                     "cost" => {
                         node.predicted_cost = if v == "-" {
                             None
@@ -229,7 +202,6 @@ fn collect(plan: &PhysPlan, depth: usize, trace: &ExecTrace, out: &mut Vec<Expla
         index_lookups: stats.index_lookups,
         index_hits: stats.index_hits,
         predicted_cost: None,
-        workers: None,
     });
     for c in plan.children() {
         collect(c, depth + 1, trace, out);
@@ -241,20 +213,7 @@ fn collect(plan: &PhysPlan, depth: usize, trace: &ExecTrace, out: &mut Vec<Expla
 /// `result.metrics` are identical to an untraced run (tracing only adds
 /// timing).
 pub fn run_traced(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<(QueryResult, ExecTrace)> {
-    run_streaming_traced_parallel(plan, catalog, 1)
-}
-
-/// [`run_traced`] at an explicit degree of parallelism: `Parallel`
-/// segments in the plan fan out over `workers` threads, per-worker
-/// traces merge into the returned [`ExecTrace`] (stage counters sum to
-/// their serial values). Pair with [`ExplainReport::annotate_parallel`]
-/// to surface the degree in the rendered report.
-pub fn run_streaming_traced_parallel(
-    plan: &PhysPlan,
-    catalog: &Catalog,
-    workers: usize,
-) -> EvalResult<(QueryResult, ExecTrace)> {
-    let (result, trace) = crate::run_at(plan, catalog, workers, true)?;
+    let (result, trace) = crate::run_at(plan, catalog, true)?;
     Ok((result, trace.expect("the run was traced")))
 }
 
@@ -355,27 +314,6 @@ mod tests {
         let parsed = ExplainReport::parse(&text).unwrap();
         assert_eq!(parsed.nodes[0].op, "Select");
         assert_eq!(parsed.nodes[0].detail, " shared{χ[b]}");
-        assert_eq!(parsed.render(), text);
-    }
-
-    #[test]
-    fn workers_annotation_round_trips() {
-        let catalog = Catalog::new();
-        let plan = sample_plan();
-        let (_, trace) = run_traced(&plan, &catalog).unwrap();
-        let mut report = ExplainReport::from_trace(&plan, &trace);
-        // No Parallel node in this plan: annotation is a no-op …
-        report.annotate_parallel(4);
-        assert!(report.nodes.iter().all(|n| n.workers.is_none()));
-        // … but a workers field must still survive render → parse.
-        report.nodes[0].workers = Some(4);
-        let text = report.render();
-        assert!(
-            text.lines().next().unwrap().ends_with("workers=4"),
-            "{text}"
-        );
-        let parsed = ExplainReport::parse(&text).unwrap();
-        assert_eq!(parsed.nodes[0].workers, Some(4));
         assert_eq!(parsed.render(), text);
     }
 

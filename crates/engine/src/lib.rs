@@ -35,8 +35,7 @@ pub mod theta;
 pub use access::{
     apply_indexes, for_each_access_path, join_recipe, revalidate_plan, AccessPathRef, AccessRecipe,
 };
-pub use explain::{run_streaming_traced_parallel, run_traced, ExplainNode, ExplainReport};
-pub use pipeline::par::apply_parallel;
+pub use explain::{run_traced, ExplainNode, ExplainReport};
 pub use pipeline::{drain, Cursor};
 pub use plan::{compile, compile_unpruned, JoinKind, Keep, PhysPlan};
 
@@ -74,9 +73,9 @@ pub fn run(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
     run_compiled(&compile(expr), catalog)
 }
 
-/// Execute an already-compiled plan serially.
+/// Execute an already-compiled plan.
 pub fn run_compiled(plan: &PhysPlan, catalog: &Catalog) -> EvalResult<QueryResult> {
-    run_streaming_parallel(plan, catalog, 1)
+    Ok(run_at(plan, catalog, false)?.0)
 }
 
 /// Compile with index-backed access paths: [`compile`] followed by the
@@ -93,42 +92,39 @@ pub fn run_indexed(expr: &Expr, catalog: &Catalog) -> EvalResult<QueryResult> {
     run_compiled(&compile_indexed(expr, catalog), catalog)
 }
 
-/// Compile with parallel segments: [`compile`] followed by the
-/// [`apply_parallel`] rewrite. The resulting plan is degree-independent
-/// — run it with [`run_streaming_parallel`] (or set `EvalCtx::parallel`
-/// yourself) to pick the worker count per execution; degree 1 executes
-/// the segments inline.
-pub fn compile_parallel(expr: &Expr) -> PhysPlan {
-    apply_parallel(&compile(expr))
+// xqbench names this; ROADMAP item 4 removes it.
+#[doc(hidden)]
+pub fn apply_parallel(plan: &PhysPlan) -> PhysPlan {
+    plan.clone()
 }
 
-/// [`compile_indexed`] followed by the [`apply_parallel`] rewrite:
-/// index-backed access paths *and* morsel-parallel segments.
-pub fn compile_indexed_parallel(expr: &Expr, catalog: &Catalog) -> PhysPlan {
-    apply_parallel(&access::apply_indexes(compile(expr), catalog))
-}
-
-/// Execute an already-compiled plan at an explicit degree of
-/// parallelism. Output rows, Ξ bytes, and summed metrics are identical
-/// to [`run_compiled`] at every degree.
+// xqbench names this; ROADMAP item 4 removes it.
+#[doc(hidden)]
 pub fn run_streaming_parallel(
     plan: &PhysPlan,
     catalog: &Catalog,
-    workers: usize,
+    _workers: usize,
 ) -> EvalResult<QueryResult> {
-    Ok(run_at(plan, catalog, workers, false)?.0)
+    run_compiled(plan, catalog)
 }
 
-/// Run a plan at `workers`, recording the per-operator trace when
-/// `traced`.
+// xqbench names this; ROADMAP item 4 removes it.
+#[doc(hidden)]
+pub fn run_streaming_traced_parallel(
+    plan: &PhysPlan,
+    catalog: &Catalog,
+    _workers: usize,
+) -> EvalResult<(QueryResult, ExecTrace)> {
+    run_traced(plan, catalog)
+}
+
+/// Run a plan, recording the per-operator trace when `traced`.
 fn run_at(
     plan: &PhysPlan,
     catalog: &Catalog,
-    workers: usize,
     traced: bool,
 ) -> EvalResult<(QueryResult, Option<ExecTrace>)> {
     let mut ctx = EvalCtx::new(catalog);
-    ctx.parallel = workers.max(1);
     if traced {
         ctx.enable_trace();
     }

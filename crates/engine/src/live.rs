@@ -11,9 +11,9 @@
 //! output block. A `Π_A`/`Π_{Ā}` directly above such a node is the same
 //! restriction and disappears into it.
 //!
-//! The pass runs once, at the end of [`crate::compile`]; the index and
-//! parallel rewrites carry the annotations along (they change which
-//! operator produces an attribute, never who reads it). It is
+//! The pass runs once, at the end of [`crate::compile`]; the index
+//! rewrite carries the annotations along (it changes which operator
+//! produces an attribute, never who reads it). It is
 //! idempotent: an existing `Keep` is an implicit `Π` above its node.
 //!
 //! **What it never does.** An attribute that is pruned but read would
@@ -25,8 +25,8 @@
 //!   whole member tuples (`id`), read everything below them;
 //! * `Π^D` reads all its columns (it is narrowed below, never removed);
 //! * a plan with a relation whose schema is not statically complete
-//!   (`rel(a)`, an empty literal, a μ over an unknown nested schema, a
-//!   morsel feed) is left exactly as it is;
+//!   (`rel(a)`, an empty literal, a μ over an unknown nested schema) is
+//!   left exactly as it is;
 //! * a dead χ is still *evaluated* (its subscript can raise an error
 //!   and counts `nodes_visited`); only its binding is not stored;
 //! * an attribute of the *environment* (a nested plan's outer variable)
@@ -125,7 +125,7 @@ impl Pass {
             })
         };
         let here = match plan {
-            PhysPlan::AttrRel(_) | PhysPlan::MorselFeed | PhysPlan::Parallel { .. } => false,
+            PhysPlan::AttrRel(_) => false,
             PhysPlan::Literal(rows) => !rows.is_empty() && rows.iter().all(|t| binds(&t.attrs())),
             PhysPlan::Unnest { inner_attrs, .. } => !inner_attrs.is_empty() && binds(inner_attrs),
             PhysPlan::Map { attr, .. }
@@ -253,9 +253,7 @@ impl Pass {
             PhysPlan::Literal(rows) => {
                 Out::of(rows.iter().fold(0, |set, row| set | self.set(&row.attrs())))
             }
-            PhysPlan::AttrRel(_) | PhysPlan::MorselFeed | PhysPlan::Parallel { .. } => {
-                unreachable!("not statically complete")
-            }
+            PhysPlan::AttrRel(_) => unreachable!("not statically complete"),
             PhysPlan::Select { input, pred, .. } => {
                 Out::of(self.narrow(input, live | self.reads(pred)).schema)
             }
@@ -717,16 +715,9 @@ mod tests {
         let reference = crate::run_compiled(&unpruned, &cat).unwrap();
         assert_eq!(reference.metrics.op_count("Map"), 3 + 5);
         assert_eq!(reference.metrics.tuples_produced, 3 + 3 + 5 + 5);
-        let parallel = crate::apply_parallel(&pruned);
-        assert!(parallel.explain().contains("Parallel"));
-        for got in [
-            crate::run_compiled(&pruned, &cat).unwrap(),
-            crate::run_streaming_parallel(&parallel, &cat, 1).unwrap(),
-            crate::run_streaming_parallel(&parallel, &cat, 3).unwrap(),
-        ] {
-            assert_eq!(got.rows, reference.rows);
-            assert_eq!(got.metrics, reference.metrics);
-        }
+        let got = crate::run_compiled(&pruned, &cat).unwrap();
+        assert_eq!(got.rows, reference.rows);
+        assert_eq!(got.metrics, reference.metrics);
         // EXPLAIN ANALYZE shows the same rows per operator.
         let (_, trace) = crate::run_traced(&pruned, &cat).unwrap();
         let report = crate::explain::ExplainReport::from_trace(&pruned, &trace);

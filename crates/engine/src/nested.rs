@@ -133,11 +133,6 @@ impl Blocks {
         self.0.iter().flat_map(|blocks| blocks.iter())
     }
 
-    /// Does a block have a shared subtree?
-    pub(crate) fn shares(&self) -> bool {
-        self.iter().any(|b| !b.shared.is_empty())
-    }
-
     /// The blocks as one cursor evaluates them: with an empty spool per
     /// shared subtree.
     pub(crate) fn spooled(&self) -> Spooled<'_> {
@@ -336,7 +331,6 @@ impl Compiled<'_, '_> {
     fn lower<'s>(&'s self, block: &'s Block, scope: &'s Scope<'s>) -> BoxCursor<'s> {
         Lowering {
             env: scope,
-            stage: None,
             replays: Some(self.spooled),
         }
         .lower(&block.plan)
@@ -552,9 +546,7 @@ fn node_closure(plan: &PhysPlan, l: Option<&Closure>, r: Option<&Closure>) -> Op
         PhysPlan::XiSimple { .. }
         | PhysPlan::XiGroup { .. }
         | PhysPlan::IndexScan { .. }
-        | PhysPlan::IndexJoin { .. }
-        | PhysPlan::Parallel { .. }
-        | PhysPlan::MorselFeed => return None,
+        | PhysPlan::IndexJoin { .. } => return None,
     })
 }
 

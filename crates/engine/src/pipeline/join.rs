@@ -2,9 +2,8 @@
 //! outer), and binary grouping.
 //!
 //! The probe side (left) streams; the build side (right) is materialized
-//! on first pull — or arrives already built, shared by the workers of a
-//! parallel segment — preserving arrival order inside each hash bucket
-//! so the join emits exactly the sequence the definitional nested loop
+//! on first pull, preserving arrival order inside each hash bucket so
+//! the join emits exactly the sequence the definitional nested loop
 //! would. Semi and anti joins short-circuit per probe tuple: the first
 //! passing match decides the tuple's fate and the rest of the bucket is
 //! never examined. Loop joins do not pair every left tuple with every
@@ -15,7 +14,6 @@
 //! both savings.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use nal::hash::FastBuild;
 
@@ -89,17 +87,15 @@ impl Buckets {
 pub struct Cross<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input; `None` when `right_rows` arrives
-    /// materialized.
-    pub right: Option<BoxCursor<'p>>,
+    /// Right (build/inner) input.
+    pub right: BoxCursor<'p>,
     /// The attributes emitted (`None`: all).
     pub keep: Option<&'p [Sym]>,
     /// Materialize left before right (Ξ in a subtree needs the
     /// reference evaluator's left-then-right evaluation order).
     pub strict: bool,
-    /// Materialized right side (shared by the workers of a parallel
-    /// segment).
-    pub right_rows: Option<Arc<Vec<Tuple>>>,
+    /// Materialized right side (first pull).
+    pub right_rows: Option<Vec<Tuple>>,
     /// Current left tuple being crossed.
     pub cur_left: Option<Tuple>,
     /// Position within the materialized right side.
@@ -112,8 +108,7 @@ impl Cursor for Cross<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            let right = self.right.as_mut().expect("an inner side to drain");
-            self.right_rows = Some(Arc::new(drain(right.as_mut(), ctx)?));
+            self.right_rows = Some(drain(self.right.as_mut(), ctx)?);
         }
         let right = self.right_rows.as_ref().expect("built above");
         loop {
@@ -165,8 +160,8 @@ fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
 pub struct HashJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input; `None` when `build` arrives built.
-    pub right: Option<BoxCursor<'p>>,
+    /// Right (build/inner) input.
+    pub right: BoxCursor<'p>,
     /// Probe-side key attributes.
     pub left_keys: &'p [Sym],
     /// Build-side key attributes.
@@ -188,8 +183,8 @@ pub struct HashJoin<'p> {
     /// Probe-key text assembled for a lookup.
     pub scratch: String,
     /// The build side, bucketed on first pull (iteration state holds
-    /// plain bucket slots) or handed in by a parallel segment.
-    pub build: Option<Arc<Buckets>>,
+    /// plain bucket slots).
+    pub build: Option<Buckets>,
     /// Inner/outer iteration state: (probe tuple, bucket, position,
     /// matched-so-far).
     pub cur: Option<(Tuple, Option<usize>, usize, bool)>,
@@ -210,9 +205,8 @@ impl Cursor for HashJoin<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            let right = self.right.as_mut().expect("a build side to drain");
-            let rows = drain(right.as_mut(), ctx)?;
-            self.build = Some(Arc::new(Buckets::build(rows, self.right_keys, ctx.catalog)));
+            let rows = drain(self.right.as_mut(), ctx)?;
+            self.build = Some(Buckets::build(rows, self.right_keys, ctx.catalog));
         }
         let build = self.build.as_ref().expect("built above");
         loop {
@@ -284,15 +278,15 @@ impl Cursor for HashJoin<'_> {
 }
 
 /// Join for non-equi predicates. The right side is materialized into a
-/// [`ThetaBuild`] (or arrives built), the left streams, and the shared
+/// [`ThetaBuild`], the left streams, and the shared
 /// θ-probe decides each left tuple: semi/anti probes stop at the first
 /// verified candidate, inner/outer probes walk their candidates in
 /// right arrival order.
 pub struct LoopJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
-    /// Right (build/inner) input; `None` when `build` arrives built.
-    pub right: Option<BoxCursor<'p>>,
+    /// Right (build/inner) input.
+    pub right: BoxCursor<'p>,
     /// The predicate, split by side.
     pub split: &'p ThetaSplit,
     /// The pair part's nested blocks and their spools.
@@ -307,9 +301,8 @@ pub struct LoopJoin<'p> {
     pub env: &'p Scope<'p>,
     /// Materialize left before right (Ξ evaluation-order barrier).
     pub strict: bool,
-    /// The build side, prepared on first pull or handed in by a
-    /// parallel segment.
-    pub build: Option<Arc<ThetaBuild>>,
+    /// The build side, prepared on first pull.
+    pub build: Option<ThetaBuild>,
     /// The inner/outer probe being resumed.
     pub cur: Option<Walk>,
 }
@@ -320,9 +313,8 @@ impl Cursor for LoopJoin<'_> {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
-            let right = self.right.as_mut().expect("a build side to drain");
-            let rows = drain(right.as_mut(), ctx)?;
-            self.build = Some(Arc::new(ThetaBuild::new(rows, self.split, self.env, ctx)?));
+            let rows = drain(self.right.as_mut(), ctx)?;
+            self.build = Some(ThetaBuild::new(rows, self.split, self.env, ctx)?);
         }
         let build = self.build.as_ref().expect("built above");
         loop {
@@ -371,9 +363,7 @@ impl Cursor for LoopJoin<'_> {
 /// reconstructed candidates in document order when present.
 /// Short-circuits exactly like the hash cursors: the first passing
 /// candidate decides. Probe semantics and metric accounting live in the
-/// recipe runtime ([`crate::access::IndexJoinAccess`]), which serial and
-/// parallel runs share, so both report identical
-/// `index_lookups`/`index_hits` by construction.
+/// recipe runtime ([`crate::access::IndexJoinAccess`]).
 pub struct IndexJoin<'p> {
     /// Left (probe/outer) input.
     pub left: super::cursor::BoxCursor<'p>,
@@ -390,10 +380,6 @@ pub struct IndexJoin<'p> {
     pub cacheable: bool,
     /// Memoized decision for probe-invariant joins.
     pub cached: Option<bool>,
-    /// Inside a parallel segment, the claim-or-wait group a
-    /// probe-invariant join decides through: one probe per segment, as
-    /// one memoized probe per serial cursor.
-    pub(crate) group: Option<Arc<super::par::ProbeGroup>>,
 }
 
 impl Cursor for IndexJoin<'_> {
@@ -406,12 +392,7 @@ impl Cursor for IndexJoin<'_> {
             let matched = match self.cached {
                 Some(m) => m,
                 None => {
-                    let mut probe =
-                        || access.probe_matches(self.recipe, &lt, self.env, &self.blocks, ctx);
-                    let m = match &self.group {
-                        Some(group) => group.decide(probe)?,
-                        None => probe()?,
-                    };
+                    let m = access.probe_matches(self.recipe, &lt, self.env, &self.blocks, ctx)?;
                     if self.cacheable {
                         self.cached = Some(m);
                     }

@@ -26,9 +26,7 @@
 
 pub mod cursor;
 pub mod join;
-pub mod merge;
 pub mod ops;
-pub mod par;
 
 pub use cursor::{drain, BoxCursor, Cursor};
 
@@ -80,11 +78,7 @@ fn node_emits_xi(plan: &PhysPlan) -> bool {
         | PhysPlan::Cross { .. }
         | PhysPlan::Unnest { .. }
         // Index scans have a pure structural subscript by construction.
-        | PhysPlan::IndexScan { .. }
-        // Parallel segments are Ξ-free by construction (`apply_parallel`
-        // only wraps Ξ-free subtrees); the feed leaf carries no scalars.
-        | PhysPlan::Parallel { .. }
-        | PhysPlan::MorselFeed => None,
+        | PhysPlan::IndexScan { .. } => None,
     };
     scalar.is_some_and(scalar_emits_xi)
 }
@@ -109,40 +103,18 @@ fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
 /// instead — so `Metrics::op_tuples` counts tuples produced per
 /// operator.
 pub fn lower<'p>(plan: &'p PhysPlan, env: &'p Scope<'p>) -> BoxCursor<'p> {
-    Lowering {
-        env,
-        stage: None,
-        replays: None,
-    }
-    .lower(plan)
+    Lowering { env, replays: None }.lower(plan)
 }
 
-/// One lowering: serial, or — with `stage` set — of one morsel's copy of
-/// a parallel segment's stage pipeline, whose spine takes its build
-/// sides and scans prepared from the segment and bottoms out at the
-/// morsel; or — with `replays` set — of a nested block, whose shared
-/// subtrees are replayed from their spools ([`crate::nested`]).
+/// One lowering: of a plan, or — with `replays` set — of a nested
+/// block, whose shared subtrees are replayed from their spools
+/// ([`crate::nested`]).
 pub(crate) struct Lowering<'a> {
     pub(crate) env: &'a Scope<'a>,
-    pub(crate) stage: Option<par::Stage<'a>>,
     pub(crate) replays: Option<&'a dyn Replays>,
 }
 
 impl<'a> Lowering<'a> {
-    /// The build side of a join on the spine: prepared by the segment
-    /// for a stage pipeline, lowered here otherwise.
-    fn build_side<B>(
-        &mut self,
-        plan: &'a PhysPlan,
-        right: &'a PhysPlan,
-        prepared: impl Fn(&par::Stage<'_>, usize) -> B,
-    ) -> (Option<BoxCursor<'a>>, Option<B>) {
-        match &self.stage {
-            Some(stage) => (None, Some(prepared(stage, node_id(plan)))),
-            None => (Some(self.lower(right)), None),
-        }
-    }
-
     /// Lower a pipelined unary operator's input, inserting a
     /// [`Materialize`] barrier when both the operator itself and its
     /// input subtree write Ξ output — so the input's whole byte stream
@@ -162,9 +134,9 @@ impl<'a> Lowering<'a> {
 
     /// χ and Υ: the run of operators `top` heads — itself, and below it
     /// every χ/Υ reached through a `fused` mark, up to the run's second Υ
-    /// — as one cursor, which meters its operators itself. (The index and
-    /// parallel rewrites can put another operator in the middle of a
-    /// marked run: it ends there, and its lower part is a run of its own.)
+    /// — as one cursor, which meters its operators itself. (The index
+    /// rewrite can put another operator in the middle of a marked run: it
+    /// ends there, and its lower part is a run of its own.)
     fn lower_run(&mut self, top: &'a PhysPlan) -> BoxCursor<'a> {
         let binding = |node: &'a PhysPlan| match node {
             PhysPlan::Map {
@@ -220,11 +192,6 @@ impl<'a> Lowering<'a> {
             return replay;
         }
         let env = self.env;
-        // The parallel shell and its feed leaf are deliberately *not*
-        // metered: the serial plan for the same query has no such nodes, so
-        // metering them would break the parallel-vs-serial counter parity.
-        // The stage operators inside the segment are metered per worker
-        // under their own names, and worker metrics merge back on join.
         fn metered<'p, C: Cursor + 'p>(plan: &'p PhysPlan, inner: C) -> BoxCursor<'p> {
             Box::new(Metered {
                 inner,
@@ -232,13 +199,6 @@ impl<'a> Lowering<'a> {
             })
         }
         match plan {
-            PhysPlan::Parallel { source, stages } => {
-                Box::new(par::ParallelCursor::new(source, stages, env))
-            }
-            PhysPlan::MorselFeed => match self.stage.as_mut().and_then(par::Stage::take_feed) {
-                Some(feed) => feed,
-                None => Box::new(par::DanglingFeed),
-            },
             PhysPlan::Singleton => metered(plan, Once { done: false }),
             PhysPlan::Literal(rows) => metered(plan, Literal { rows, idx: 0 }),
             PhysPlan::AttrRel(a) => metered(
@@ -271,21 +231,18 @@ impl<'a> Lowering<'a> {
                 },
             ),
             PhysPlan::Map { .. } | PhysPlan::UnnestMap { .. } => self.lower_run(plan),
-            PhysPlan::Cross { left, right, keep } => {
-                let (feed, inner) = self.build_side(plan, right, |s, id| s.inner(id));
-                metered(
-                    plan,
-                    join::Cross {
-                        strict: needs_strict_order(left, right),
-                        left: Feed::Stream(self.lower(left)),
-                        right: feed,
-                        keep: keep.attrs(),
-                        right_rows: inner,
-                        cur_left: None,
-                        ridx: 0,
-                    },
-                )
-            }
+            PhysPlan::Cross { left, right, keep } => metered(
+                plan,
+                join::Cross {
+                    strict: needs_strict_order(left, right),
+                    left: Feed::Stream(self.lower(left)),
+                    right: self.lower(right),
+                    keep: keep.attrs(),
+                    right_rows: None,
+                    cur_left: None,
+                    ridx: 0,
+                },
+            ),
             PhysPlan::HashJoin {
                 left,
                 right,
@@ -296,28 +253,25 @@ impl<'a> Lowering<'a> {
                 kind,
                 pad,
                 keep,
-            } => {
-                let (feed, build) = self.build_side(plan, right, |s, id| s.buckets(id));
-                metered(
-                    plan,
-                    join::HashJoin {
-                        strict: needs_strict_order(left, right),
-                        left: Feed::Stream(self.lower(left)),
-                        right: feed,
-                        left_keys,
-                        right_keys,
-                        residual: residual.as_ref(),
-                        blocks: blocks.spooled(),
-                        kind,
-                        pad,
-                        keep: keep.attrs(),
-                        env,
-                        scratch: String::new(),
-                        build,
-                        cur: None,
-                    },
-                )
-            }
+            } => metered(
+                plan,
+                join::HashJoin {
+                    strict: needs_strict_order(left, right),
+                    left: Feed::Stream(self.lower(left)),
+                    right: self.lower(right),
+                    left_keys,
+                    right_keys,
+                    residual: residual.as_ref(),
+                    blocks: blocks.spooled(),
+                    kind,
+                    pad,
+                    keep: keep.attrs(),
+                    env,
+                    scratch: String::new(),
+                    build: None,
+                    cur: None,
+                },
+            ),
             PhysPlan::LoopJoin {
                 left,
                 right,
@@ -326,25 +280,22 @@ impl<'a> Lowering<'a> {
                 pad,
                 keep,
                 ..
-            } => {
-                let (feed, build) = self.build_side(plan, right, |s, id| s.theta(id));
-                metered(
-                    plan,
-                    join::LoopJoin {
-                        strict: needs_strict_order(left, right),
-                        left: Feed::Stream(self.lower(left)),
-                        right: feed,
-                        split,
-                        blocks: split.blocks.spooled(),
-                        kind,
-                        pad,
-                        keep: keep.attrs(),
-                        env,
-                        build,
-                        cur: None,
-                    },
-                )
-            }
+            } => metered(
+                plan,
+                join::LoopJoin {
+                    strict: needs_strict_order(left, right),
+                    left: Feed::Stream(self.lower(left)),
+                    right: self.lower(right),
+                    split,
+                    blocks: split.blocks.spooled(),
+                    kind,
+                    pad,
+                    keep: keep.attrs(),
+                    env,
+                    build: None,
+                    cur: None,
+                },
+            ),
             PhysPlan::HashGroupUnary {
                 input,
                 g,
@@ -487,8 +438,7 @@ impl<'a> Lowering<'a> {
             } => metered(
                 plan,
                 ops::IndexScan {
-                    // Pre-resolved for a stage pipeline: no extra lookup.
-                    items: self.stage.as_ref().map(|s| s.scan(node_id(plan))),
+                    items: None,
                     input: self.lower(input),
                     attr: *attr,
                     uri,
@@ -501,10 +451,6 @@ impl<'a> Lowering<'a> {
             PhysPlan::IndexJoin { left, recipe } => metered(
                 plan,
                 join::IndexJoin {
-                    group: self
-                        .stage
-                        .as_ref()
-                        .and_then(|s| s.probe_group(node_id(plan))),
                     // A Ξ-writing residual must see the whole left byte stream
                     // first, as in the reference evaluator's bottom-up order.
                     left: self.lower_input(plan, left),
@@ -518,9 +464,4 @@ impl<'a> Lowering<'a> {
             ),
         }
     }
-}
-
-/// A plan node's identity: its address.
-pub(crate) fn node_id(plan: &PhysPlan) -> usize {
-    plan as *const PhysPlan as usize
 }

@@ -3,6 +3,7 @@
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use nal::eval::{atomize_tuple, eval, xi, EvalCtx, EvalResult, Scope};
 use nal::hash::FastBuild;
@@ -260,6 +261,22 @@ impl Cursor for Unnest<'_> {
     }
 }
 
+/// Fault-injection switch for the differential fuzzing oracle's mutation
+/// test: when set, an [`IndexScan`] fans out its items in *reverse*
+/// document order — an order violation of exactly the kind the ordered
+/// context forbids. Read once per scan, when its items are resolved,
+/// never per tuple. Never set outside tests.
+static REVERSE_INDEX_SCANS: AtomicBool = AtomicBool::new(false);
+
+/// Enable or disable the deliberate scan-order fault (see
+/// [`REVERSE_INDEX_SCANS`]). Exposed so the fuzz oracle's mutation test
+/// can prove the differential matrix catches order violations;
+/// production code must never call this.
+#[doc(hidden)]
+pub fn reverse_index_scans_for_tests(on: bool) {
+    REVERSE_INDEX_SCANS.store(on, Ordering::SeqCst);
+}
+
 /// Index-backed Υ: the item list comes from the path index (resolved
 /// once, on the first pull — the path is document-rooted, so it is the
 /// same for every input tuple) and fans out per input tuple exactly as
@@ -277,9 +294,8 @@ pub struct IndexScan<'p> {
     pub distinct: bool,
     /// The attributes emitted (`None`: all).
     pub keep: Option<&'p [Sym]>,
-    /// The resolved item sequence (fetched on first pull, or handed in
-    /// by a parallel segment that resolved it once for every worker).
-    pub items: Option<std::sync::Arc<Vec<Value>>>,
+    /// The resolved item sequence (fetched on first pull).
+    pub items: Option<Vec<Value>>,
     /// The input tuple being fanned out and the next item's position.
     pub cur: Option<(Tuple, usize)>,
 }
@@ -287,8 +303,11 @@ pub struct IndexScan<'p> {
 impl Cursor for IndexScan<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.items.is_none() {
-            let items = crate::access::scan_items(self.uri, self.pattern, self.distinct, ctx)?;
-            self.items = Some(std::sync::Arc::new(items));
+            let mut items = crate::access::scan_items(self.uri, self.pattern, self.distinct, ctx)?;
+            if REVERSE_INDEX_SCANS.load(Ordering::Relaxed) {
+                items.reverse();
+            }
+            self.items = Some(items);
         }
         let items = self.items.as_ref().expect("resolved above");
         loop {

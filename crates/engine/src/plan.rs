@@ -314,26 +314,6 @@ pub enum PhysPlan {
         /// The declarative access path (driver, reconstruction, replay).
         recipe: std::sync::Arc<crate::access::AccessRecipe>,
     },
-    /// Morsel-driven parallel segment: `source` is drained serially (in
-    /// document order), range-partitioned into contiguous morsels, and
-    /// each morsel flows through a private copy of the `stages` pipeline
-    /// on a worker pool; morsel outputs are k-way merged back into source
-    /// order. `stages` must be a per-tuple, order-preserving, Ξ-free
-    /// pipeline whose spine bottoms out at [`PhysPlan::MorselFeed`]. The
-    /// degree of parallelism comes from the evaluation context
-    /// (`EvalCtx::parallel`), not the plan, so cached plans stay
-    /// degree-independent; with degree 1 the segment runs inline on the
-    /// calling thread. Produced only by [`crate::pipeline::par::apply_parallel`].
-    Parallel {
-        /// The morselized input, executed serially on the calling thread.
-        source: Box<PhysPlan>,
-        /// The per-morsel pipeline; its spine leaf is `MorselFeed`.
-        stages: Box<PhysPlan>,
-    },
-    /// Placeholder leaf inside a [`PhysPlan::Parallel`]'s stage pipeline:
-    /// stands for "the current morsel's tuples". Never executed outside a
-    /// parallel segment.
-    MorselFeed,
 }
 
 impl PhysPlan {
@@ -369,8 +349,6 @@ impl PhysPlan {
             PhysPlan::XiGroup { .. } => "XiGroup",
             PhysPlan::IndexScan { .. } => "IndexScan",
             PhysPlan::IndexJoin { recipe, .. } => recipe.op_name(),
-            PhysPlan::Parallel { .. } => "Parallel",
-            PhysPlan::MorselFeed => "MorselFeed",
         }
     }
 
@@ -472,11 +450,7 @@ impl PhysPlan {
     /// run per compilation or per execution.
     pub(crate) fn inputs(&self) -> [Option<&PhysPlan>; 2] {
         match self {
-            PhysPlan::Singleton
-            | PhysPlan::Literal(_)
-            | PhysPlan::AttrRel(_)
-            | PhysPlan::MorselFeed => [None, None],
-            PhysPlan::Parallel { source, stages } => [Some(source), Some(stages)],
+            PhysPlan::Singleton | PhysPlan::Literal(_) | PhysPlan::AttrRel(_) => [None, None],
             PhysPlan::Select { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Map { input, .. }
@@ -500,11 +474,7 @@ impl PhysPlan {
     /// walk.
     pub(crate) fn children_mut(&mut self) -> Vec<&mut PhysPlan> {
         match self {
-            PhysPlan::Singleton
-            | PhysPlan::Literal(_)
-            | PhysPlan::AttrRel(_)
-            | PhysPlan::MorselFeed => vec![],
-            PhysPlan::Parallel { source, stages } => vec![source, stages],
+            PhysPlan::Singleton | PhysPlan::Literal(_) | PhysPlan::AttrRel(_) => vec![],
             PhysPlan::Select { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Map { input, .. }

@@ -5,10 +5,9 @@
 //! predicate twice: whole (`pred`, what the access-path tracer and the Ξ
 //! analysis read) and as a compile-time [`ThetaSplit`] of its conjuncts
 //! by the side they mention. [`ThetaBuild`] is the materialized right
-//! side prepared for probing — built once per execution, shared
-//! read-only (`Arc`) by every worker of a parallel segment — and is the
-//! one place the serial cursor and the parallel worker cursor (both
-//! [`crate::pipeline::join::LoopJoin`]) decide a probe tuple:
+//! side prepared for probing — built once per execution, on the first
+//! pull of the [`crate::pipeline::join::LoopJoin`] cursor that decides
+//! every probe tuple with it:
 //!
 //! * **right-only** conjuncts (no attribute of the left side; constants
 //!   and outer-scope attributes count as neither side) filter the build
@@ -39,8 +38,7 @@
 //! back to "every surviving row is a candidate".
 //!
 //! `Metrics::probe_tuples` (right-side candidates actually examined) is
-//! counted here and nowhere else for loop joins, so serial and parallel
-//! runs agree by construction.
+//! counted here and nowhere else for loop joins.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;

@@ -11,7 +11,8 @@
 //!    probe counter (`Metrics::probe_tuples`): on an all-matching
 //!    workload the probe count stays *strictly below the input
 //!    cardinality*, where a non-short-circuiting nested loop would do
-//!    |left| × |right| work.
+//!    |left| × |right| work; an index join whose decision does not
+//!    depend on the probing tuple probes the index once.
 
 use nal::{eval_query, CmpOp, EvalCtx, Expr, Scalar, Sym, Tuple, Value};
 use xmldb::gen::{gen_bib, gen_reviews, BibConfig, ReviewsConfig};
@@ -274,4 +275,35 @@ fn quantifier_workload_probes_fewer_than_input() {
     // Differential: the plan is still byte-identical to the reference.
     let [_, (_, _, reference)] = both(&semijoin.expr, &cat);
     assert_eq!(reference, r.output);
+}
+
+/// Q8's indexed `every` (§5.5-style): its range bounds are constants, so
+/// the decision does not depend on the probing title. The index-join
+/// cursor probes the value index for the first title and answers every
+/// later one from that decision — the lookups stay flat however many
+/// titles probe.
+#[test]
+fn a_probe_invariant_index_join_probes_once() {
+    let catalog = xmldb::gen::standard_catalog(120, 2, 5);
+    let q8 = &ordered_unnesting::workloads::Q8_RANGE_EVERY;
+    let nested = xquery::compile(q8.query, &catalog).expect("compiles");
+    let anti = unnest::enumerate_plans(&nested, &catalog)
+        .into_iter()
+        .find(|p| p.label == "anti-semijoin")
+        .expect("Eqv. 7 offers the anti-semijoin plan");
+    let plan = engine::compile_indexed(&anti.expr, &catalog);
+    let mut invariant = 0;
+    engine::for_each_access_path(&plan, &mut |path| {
+        if let engine::AccessPathRef::Join(recipe) = path {
+            invariant += usize::from(recipe.probe_invariant());
+        }
+    });
+    assert_eq!(invariant, 1, "{}", plan.explain());
+    let r = engine::run_compiled(&plan, &catalog).expect("runs");
+    let titles = r.metrics.op_count("IndexScan");
+    assert!(titles > 1, "the probe side has titles to decide: {titles}");
+    // One path-index lookup for the titles' scan, one value-index probe.
+    assert_eq!(r.metrics.index_lookups, 2, "{}", plan.explain());
+    let [_, (_, _, reference)] = both(&anti.expr, &catalog);
+    assert_eq!(r.output, reference);
 }

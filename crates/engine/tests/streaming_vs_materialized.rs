@@ -1,25 +1,22 @@
-//! Differential testing of the morsel-parallel pipeline (drain,
-//! partition, run the stages per morsel, merge back in source order)
-//! against the result the reference evaluator (`nal::eval`)
-//! materializes: a plan under the [`engine::apply_parallel`] rewrite,
-//! pulled at one worker and at two, must produce the same row sequence
-//! and byte-identical Ξ output — on randomized relations over every
-//! operator kind, and on every plan alternative of every §5 workload.
-//! Both degrees must also examine the same number of build-side
-//! candidates.
+//! Differential testing of the streaming pipeline against the result
+//! the reference evaluator (`nal::eval`) materializes: a plan's cursor
+//! tree, pulled one tuple at a time, must produce the reference's row
+//! sequence, and after every pull the Ξ bytes written so far must be a
+//! prefix of the reference's output — each increment `query_streamed`
+//! sends is final. Randomized relations over every operator kind, and
+//! every plan alternative of every §5 workload.
 //!
-//! Every randomized input here forms at least one parallel segment
-//! (asserted), so it exercises what a serial run never does. The serial
-//! pipeline's own Ξ-order inputs (stacked Ξ, Ξ below a join build side,
-//! Ξ inside scalars of both sides of a ×) live in `engine_vs_spec`; the
-//! Ξ inputs here put Ξ writers *above* a segment, whose merged output
-//! order is what they write in.
+//! The Ξ inputs here put Ξ writers *above* a pipeline — σ, μ and join
+//! operators under `XiSimple`/`XiGroup`, stacked Ξ over a σ, Ξ-writing
+//! aggregate and quantifier scalars over σ and ⋈ — and so are written in
+//! the order the pipeline produces its tuples. The pipeline's Ξ-order
+//! barriers (stacked Ξ, Ξ below a join build side, Ξ inside scalars of
+//! both sides of a ×) live in `engine_vs_spec`.
 
 use proptest::prelude::*;
 
-use engine::PhysPlan;
 use nal::expr::builder::*;
-use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Sym, Tuple, Value};
+use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Scope, Sym, Tuple, Value};
 use xmldb::gen::standard_catalog;
 use xmldb::Catalog;
 
@@ -45,45 +42,32 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
     .project_syms(vec![s(attr_a), s(attr_b)])
 }
 
-fn has_segment(plan: &PhysPlan) -> bool {
-    matches!(plan, PhysPlan::Parallel { .. }) || plan.children().into_iter().any(has_segment)
-}
-
-/// `expr`'s parallel plan at degrees 1 and 2 against the reference:
-/// identical rows, identical Ξ output stream, and — the degrees
-/// differing only in where segments run — the same number of build-side
-/// candidates examined.
-fn assert_parallel_matches(expr: &Expr, cat: &Catalog, at: &str) -> PhysPlan {
+/// Pull `expr`'s compiled plan tuple by tuple against the reference:
+/// the `k`-th row equals the reference's `k`-th, the Ξ bytes so far are
+/// a prefix of the reference's, and at the end both are whole.
+fn assert_stream_matches_at(expr: &Expr, cat: &Catalog, at: &str) {
     let (rows, output) = reference(expr, cat);
-    let plan = engine::compile_parallel(expr);
-    let run = |degree| {
-        engine::run_streaming_parallel(&plan, cat, degree)
-            .unwrap_or_else(|e| panic!("[{at}] degree {degree}: {e}"))
-    };
-    let (one, two) = (run(1), run(2));
-    for (degree, r) in [(1, &one), (2, &two)] {
-        assert_eq!(r.rows, rows, "[{at}] rows differ at degree {degree}");
-        assert_eq!(
-            r.output, output,
-            "[{at}] Ξ output differs at degree {degree}"
+    let plan = engine::compile(expr);
+    let mut root = engine::pipeline::lower(&plan, &Scope::Empty);
+    let mut ctx = EvalCtx::new(cat);
+    let mut pulled = 0;
+    while let Some(row) = root
+        .next(&mut ctx)
+        .unwrap_or_else(|e| panic!("[{at}] pull {pulled}: {e}"))
+    {
+        assert_eq!(rows.get(pulled), Some(&row), "[{at}] row {pulled} differs");
+        assert!(
+            output.starts_with(&ctx.out),
+            "[{at}] Ξ output after row {pulled} is no prefix of the reference's"
         );
+        pulled += 1;
     }
-    assert_eq!(
-        one.metrics.probe_tuples, two.metrics.probe_tuples,
-        "[{at}] probe_tuples differ"
-    );
-    plan
+    assert_eq!(pulled, rows.len(), "[{at}] row count differs");
+    assert_eq!(ctx.out, output, "[{at}] Ξ output differs");
 }
 
-/// [`assert_parallel_matches`] on a plan that must contain a parallel
-/// segment.
 fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
-    let plan = assert_parallel_matches(expr, cat, &expr.to_string());
-    assert!(
-        has_segment(&plan),
-        "no parallel segment formed for {expr}:\n{}",
-        plan.explain()
-    );
+    assert_stream_matches_at(expr, cat, &expr.to_string());
 }
 
 /// Every plan alternative of every §5 workload — the appendix-A rewrite
@@ -95,7 +79,7 @@ fn assert_paper_plans_stream(scale: usize, fanout: usize, seed: u64) {
             .unwrap_or_else(|e| panic!("[{}] compile: {e}", w.id));
         for plan in unnest::enumerate_plans(&nested, &catalog) {
             let at = format!("{} / {} @ scale={scale} seed={seed}", w.id, plan.label);
-            assert_parallel_matches(&plan.expr, &catalog, &at);
+            assert_stream_matches_at(&plan.expr, &catalog, &at);
         }
     }
 }
@@ -216,8 +200,8 @@ proptest! {
         assert_stream_matches(&base.distinct_rename(&[("z", "b")]), &cat);
     }
 
-    /// Grouped and simple Ξ over a segment whose σ stage runs per
-    /// morsel.
+    /// Grouped and simple Ξ over a σ, and over a μ fanning out the
+    /// groups of a Γ.
     #[test]
     fn xi_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 0..16),
@@ -225,23 +209,28 @@ proptest! {
         k in 0i64..6,
     ) {
         let cat = Catalog::new();
+        let writer = |input: Expr| {
+            if grouped {
+                input.xi_group(
+                    &["b"],
+                    xi_cmds(&["<g k=\"", "$b", "\">"]),
+                    xi_cmds(&["<i>", "$y", "</i>"]),
+                    xi_cmds(&["</g>"]),
+                )
+            } else {
+                xi(input, &["<row>", "$y", "</row>"])
+            }
+        };
         let kept = rel("b", "y", &rows)
             .select(Scalar::cmp(CmpOp::Le, Scalar::attr("y"), Scalar::int(k)));
-        let expr = if grouped {
-            kept.xi_group(
-                &["b"],
-                xi_cmds(&["<g k=\"", "$b", "\">"]),
-                xi_cmds(&["<i>", "$y", "</i>"]),
-                xi_cmds(&["</g>"]),
-            )
-        } else {
-            xi(kept, &["<row>", "$y", "</row>"])
-        };
-        assert_stream_matches(&expr, &cat);
+        assert_stream_matches(&writer(kept), &cat);
+        let fanned = rel("b", "y", &rows)
+            .group_unary("g", &["b"], CmpOp::Eq, GroupFn::id())
+            .unnest("g");
+        assert_stream_matches(&writer(fanned), &cat);
     }
 
-    /// Stacked Ξ over a segment, and Ξ over a join that runs as a stage
-    /// of the segment partitioning its probe side.
+    /// Stacked Ξ over a σ, and Ξ over a Ξ-free join.
     #[test]
     fn stacked_xi_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 0..10),
@@ -258,8 +247,8 @@ proptest! {
     }
 
     /// Ξ inside the scalars (aggregate inputs, quantifier ranges) of an
-    /// operator above a segment: one write per merged tuple, in the
-    /// merged order.
+    /// operator above a σ or a join: one write per tuple, in the order
+    /// the pipeline produces the tuples.
     #[test]
     fn xi_inside_scalars_streams_identically(
         rows in prop::collection::vec((0i64..4, 0i64..6), 1..8),

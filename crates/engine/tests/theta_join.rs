@@ -3,10 +3,8 @@
 //! whose range conjuncts probe an ordered build.
 //!
 //! The oracle is the reference evaluator (`nal::eval`, the §2
-//! definitions) — not a kept copy of the old pair loop. Every case runs
-//! serially and in parallel at degrees 2 and 8; all must produce the
-//! oracle's rows and Ξ bytes, and the parallel runs the serial run's
-//! counters.
+//! definitions) — not a kept copy of the old pair loop. Every case must
+//! produce the oracle's rows and Ξ bytes, or the oracle's error.
 
 use fuzz::corpus::VALUE_POOL;
 use nal::expr::builder::*;
@@ -186,49 +184,27 @@ fn outcome(r: nal::EvalResult<engine::QueryResult>) -> (Outcome, Metrics) {
     }
 }
 
-/// Run `expr` on the oracle and on the engine, serially and in
-/// parallel, under `env`; returns the serial run's metrics.
+/// Run `expr` on the oracle and on the engine under `env`; returns the
+/// engine run's metrics.
 fn check(expr: &Expr, env: &Tuple, cat: &Catalog) -> Metrics {
     let mut octx = EvalCtx::new(cat);
     let oracle: Outcome = eval(expr, env, &mut octx)
         .map(|rows| (rows, octx.take_output()))
         .map_err(|e| e.message);
 
-    let plan = engine::compile(expr);
-    let par_plan = engine::apply_parallel(&plan);
-    let run = |plan: &engine::PhysPlan, workers: usize| {
-        let mut ctx = EvalCtx::new(cat);
-        ctx.parallel = workers;
-        let rows = engine::execute(plan, env, &mut ctx);
-        let out = ctx.take_output();
-        outcome(rows.map(|rows| engine::QueryResult {
-            rows,
-            output: out,
-            metrics: ctx.metrics,
-            elapsed: Default::default(),
-        }))
-    };
-
-    let (serial, serial_metrics) = run(&plan, 1);
+    let mut ctx = EvalCtx::new(cat);
+    let rows = engine::execute(&engine::compile(expr), env, &mut ctx);
+    let output = ctx.take_output();
+    let (got, metrics) = outcome(rows.map(|rows| engine::QueryResult {
+        rows,
+        output,
+        metrics: ctx.metrics,
+        elapsed: Default::default(),
+    }));
     // An error's message names the offending operands, so it pins the
     // pair the evaluation stopped at, not just that it stopped.
-    assert_eq!(serial, oracle, "serial vs nal::eval for {expr}");
-    for workers in [2, 8] {
-        let (par, par_metrics) = run(&par_plan, workers);
-        assert_eq!(
-            par.is_ok(),
-            oracle.is_ok(),
-            "parallel@{workers} for {expr}: {par:?}"
-        );
-        if oracle.is_ok() {
-            assert_eq!(par, oracle, "parallel@{workers} vs nal::eval for {expr}");
-            assert_eq!(
-                par_metrics, serial_metrics,
-                "parallel@{workers} vs serial counters for {expr}"
-            );
-        }
-    }
-    serial_metrics
+    assert_eq!(got, oracle, "engine vs nal::eval for {expr}");
+    metrics
 }
 
 #[test]

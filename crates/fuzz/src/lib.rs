@@ -5,8 +5,8 @@
 //! differential execution matrix checked against one ground truth,
 //! `nal::eval_query` of the nested query: every enumerated plan × scan
 //! vs indexed compilation × pre/post updates under both
-//! index-maintenance modes, parallel degrees {1, 2, 8} against the
-//! serial run, plus cost-model convertibility agreement. See `docs/ARCHITECTURE.md`
+//! index-maintenance modes, plus cost-model convertibility agreement.
+//! See `docs/ARCHITECTURE.md`
 //! ("Differential fuzzing") for the full matrix and the reproduction
 //! workflow.
 //!

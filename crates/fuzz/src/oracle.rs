@@ -8,8 +8,8 @@
 //! post-update). Against it:
 //!
 //! * every enumerated plan (nested + rewrites, capped) × scan vs indexed
-//!   compilation × `MaintenanceMode::Delta` vs `Rebuild` catalog, run
-//!   serially, must produce **byte-identical Ξ output and the same
+//!   compilation × `MaintenanceMode::Delta` vs `Rebuild` catalog must
+//!   produce **byte-identical Ξ output and the same
 //!   rows** — or fail exactly when the reference fails. The nested
 //!   plan's scan run is held to the reference exactly. A rewrite starts
 //!   from the pruned query (the paper's "project unneeded attributes
@@ -20,15 +20,11 @@
 //!   divergence from the reference also evaluates the plan's own
 //!   expression with `nal::eval` to say whether the rewrite or the
 //!   engine is at fault;
-//! * the parallel pipeline at degrees {1, 2, 8} must match the serial
-//!   run of the same plan exactly — output, rows, and *full*
-//!   [`nal::Metrics`] equality (worker-summed counters indistinguishable
-//!   from serial) — wherever `apply_parallel` formed a segment;
 //! * every index join the engine accepted must be priceable by the cost
 //!   model (`recipe_probe_cost` — "never price what the engine
 //!   declines", checked in the accepting direction).
 
-use engine::{PhysPlan, QueryResult};
+use engine::QueryResult;
 use nal::{EvalCtx, EvalResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,9 +33,6 @@ use xmldb::{Catalog, MaintenanceMode};
 use crate::corpus::Corpus;
 use crate::gen::{GenConfig, GenQuery};
 use crate::update::{apply_script, random_script, UpdateOp};
-
-/// Parallel degrees every case is executed at.
-pub const WORKERS: [usize; 3] = [1, 2, 8];
 
 /// Cap on enumerated plans checked per case (the first is always the
 /// nested plan).
@@ -85,7 +78,7 @@ pub struct Failure {
     pub phase: String,
     /// Plan label (from `unnest::enumerate_plans`) when applicable.
     pub plan: String,
-    /// The matrix cell, e.g. `idx/rebuild` or `scan/delta/parallel@8`.
+    /// The matrix cell, e.g. `idx/rebuild` or `scan/delta`.
     pub cell: String,
     /// Human-readable detail (truncated outputs).
     pub detail: String,
@@ -162,15 +155,10 @@ fn show(r: &EvalResult<QueryResult>) -> String {
     }
 }
 
-fn has_segment(plan: &PhysPlan) -> bool {
-    matches!(plan, PhysPlan::Parallel { .. }) || plan.children().into_iter().any(has_segment)
-}
-
-/// Run one plan expression against one catalog state: the serial scan
-/// run against the phase's `truth` (exactly when `expr` is the nested
-/// expression `truth` evaluates, else through [`answers`]), the serial
-/// indexed run against the scan run exactly, and the parallel forms of
-/// both against their serial run.
+/// Run one plan expression against one catalog state: the scan run
+/// against the phase's `truth` (exactly when `expr` is the nested
+/// expression `truth` evaluates, else through [`answers`]), and the
+/// indexed run against the scan run exactly.
 fn check_matrix(
     phase: &str,
     plan_label: &str,
@@ -216,44 +204,6 @@ fn check_matrix(
                 show(&idx)
             ),
         ));
-    }
-
-    for (mode, plan, serial) in [("scan", &scan_plan, &scan), ("idx", &idx_plan, &idx)] {
-        let cell = format!("{mode}/{maintenance}");
-        let par_plan = engine::apply_parallel(plan);
-        if !has_segment(&par_plan) {
-            // The degree only matters to parallel segments.
-            continue;
-        }
-        for workers in WORKERS {
-            let cell = format!("{cell}/parallel@{workers}");
-            let par = engine::run_streaming_parallel(&par_plan, cat, workers);
-            if !agree(&par, serial) {
-                return Err(fail(
-                    phase,
-                    plan_label,
-                    &cell,
-                    format!(
-                        "parallel output diverges from the serial run:\n  serial:   {}\n  parallel: {}",
-                        show(serial),
-                        show(&par)
-                    ),
-                ));
-            }
-            if let (Ok(serial), Ok(par)) = (serial, &par) {
-                if par.metrics != serial.metrics {
-                    return Err(fail(
-                        phase,
-                        plan_label,
-                        &cell,
-                        format!(
-                            "worker-summed metrics diverge from the serial run:\n  serial:   {:?}\n  parallel: {:?}",
-                            serial.metrics, par.metrics
-                        ),
-                    ));
-                }
-            }
-        }
     }
 
     // Convertibility agreement: every access recipe the engine accepted

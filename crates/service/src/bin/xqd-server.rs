@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! xqd-server [--addr HOST:PORT] [--cache N] [--scale N] [--seed N]
-//!            [--no-indexes] [--workers N] [--slow-query-log MS] [--smoke]
+//!            [--no-indexes] [--slow-query-log MS] [--smoke]
 //! ```
 //!
 //! `--scale N` preloads the standard six-document paper workload at
@@ -27,7 +27,6 @@ struct Args {
     scale: Option<usize>,
     seed: u64,
     use_indexes: bool,
-    workers: usize,
     slow_query_ms: Option<u64>,
     smoke: bool,
 }
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         scale: None,
         seed: 42,
         use_indexes: true,
-        workers: 1,
         slow_query_ms: None,
         smoke: false,
     };
@@ -66,14 +64,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?
             }
             "--no-indexes" => args.use_indexes = false,
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if args.workers == 0 {
-                    return Err("--workers must be at least 1".to_string());
-                }
-            }
             "--slow-query-log" => {
                 args.slow_query_ms = Some(
                     value("--slow-query-log")?
@@ -85,7 +75,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: xqd-server [--addr HOST:PORT] [--cache N] [--scale N] \
-                     [--seed N] [--no-indexes] [--workers N] [--slow-query-log MS] [--smoke]"
+                     [--seed N] [--no-indexes] [--slow-query-log MS] [--smoke]"
                 );
                 std::process::exit(0);
             }
@@ -107,7 +97,6 @@ fn main() -> ExitCode {
         cache_capacity: args.cache,
         use_indexes: args.use_indexes,
         slow_query_us: args.slow_query_ms.map(|ms| ms * 1000),
-        parallel_workers: args.workers,
         ..ServiceConfig::default()
     }));
     if let Some(scale) = args.scale {

@@ -363,11 +363,6 @@ pub fn render_prometheus(
         "Catalog versions still referenced (current + reader-pinned).",
         s.live_snapshots,
     );
-    gauge(
-        "xqd_parallel_workers",
-        "Configured degree of intra-query parallelism.",
-        s.parallel_workers,
-    );
     render_histogram(
         &mut out,
         "xqd_query_latency_us",

@@ -251,10 +251,6 @@ pub fn stats_frame(s: &ServiceStats) -> String {
                 "publish_p99_us".to_string(),
                 Json::num(s.publish_p99_us as f64),
             ),
-            (
-                "parallel_workers".to_string(),
-                Json::num(s.parallel_workers as f64),
-            ),
         ],
     )
 }

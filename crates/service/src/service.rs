@@ -46,13 +46,8 @@ pub struct ServiceConfig {
     /// microseconds to stderr, with fingerprint and stage breakdown
     /// (`None` disables the slow-query log).
     pub slow_query_us: Option<u64>,
-    /// Degree of intra-query parallelism. Above 1, compiled plans get
-    /// the [`engine::apply_parallel`] morsel rewrite and the streaming
-    /// executor fans eligible segments out over this many workers (all
-    /// sharing the query's pinned snapshot). `1` (the default) keeps
-    /// plans and execution strictly serial. Plans are cached in their
-    /// rewritten form but stay degree-independent — the worker count is
-    /// an execution knob, so no recompile ever depends on it.
+    // xqbench names this; ROADMAP item 4 removes it.
+    #[doc(hidden)]
     pub parallel_workers: usize,
     /// Fitted cost-model constants for plan ranking. When set, plan
     /// selection runs [`unnest::rank_plans_calibrated`] with these
@@ -238,10 +233,6 @@ pub struct ServiceStats {
     pub publish_p50_us: u64,
     /// 99th-percentile writer publish latency (µs).
     pub publish_p99_us: u64,
-    /// Configured degree of intra-query parallelism
-    /// ([`ServiceConfig::parallel_workers`]) — a gauge, mirrored on the
-    /// Prometheus surface as `xqd_parallel_workers`.
-    pub parallel_workers: u64,
 }
 
 /// What [`QueryService::explain`] reports: the per-operator annotated
@@ -340,7 +331,7 @@ impl QueryService {
         let (plan, label, outcome, fingerprint) =
             self.prepare(text, &snapshot, &clock, &mut trace)?;
         let exec_start = clock.now_us();
-        let result = engine::run_streaming_parallel(&plan, &snapshot, self.config.parallel_workers)
+        let result = engine::run_compiled(&plan, &snapshot)
             .map_err(|e| ServiceError::Exec(format!("{e}")))?;
         let exec_end = clock.now_us();
         trace.record_stage(Stage::Execute, exec_start, exec_end);
@@ -401,7 +392,6 @@ impl QueryService {
             self.prepare(text, &snapshot, &clock, &mut trace)?;
         let exec_start = clock.now_us();
         let mut ctx = EvalCtx::new(&snapshot);
-        ctx.parallel = self.config.parallel_workers.max(1);
         let mut root = engine::pipeline::lower(&plan, &Scope::Empty);
         let mut rows = 0usize;
         let mut flushed = 0usize;
@@ -568,7 +558,6 @@ impl QueryService {
             query_p99_us: latency.quantile_us(0.99),
             publish_p50_us: publish.quantile_us(0.5),
             publish_p99_us: publish.quantile_us(0.99),
-            parallel_workers: self.config.parallel_workers.max(1) as u64,
         }
     }
 
@@ -597,14 +586,12 @@ impl QueryService {
         let (plan, label, outcome, fingerprint) =
             self.prepare(text, &snapshot, &clock, &mut trace)?;
         let exec_start = clock.now_us();
-        let workers = self.config.parallel_workers.max(1);
-        let (result, exec_trace) = engine::run_streaming_traced_parallel(&plan, &snapshot, workers)
-            .map_err(|e| ServiceError::Exec(format!("{e}")))?;
+        let (result, exec_trace) =
+            engine::run_traced(&plan, &snapshot).map_err(|e| ServiceError::Exec(format!("{e}")))?;
         let exec_end = clock.now_us();
         trace.record_stage(Stage::Execute, exec_start, exec_end);
         trace.total_us = clock.now_us();
         let mut report = ExplainReport::from_trace(&plan, &exec_trace);
-        report.annotate_parallel(workers);
         report.annotate_costs(&unnest::plan_cost_map(
             &plan,
             &snapshot,
@@ -738,17 +725,11 @@ impl QueryService {
             .expect("enumerate_plans yields at least the nested plan");
         let label = choice.label;
         let t = clock.now_us();
-        let mut compiled = if use_indexes {
+        let compiled = if use_indexes {
             engine::compile_indexed(&choice.expr, snapshot)
         } else {
             engine::compile(&choice.expr)
         };
-        if self.config.parallel_workers > 1 {
-            // Cache the plan in rewritten form: the segments are
-            // degree-independent (worker count is an EvalCtx knob), so
-            // one cached plan serves every later degree including 1.
-            compiled = engine::apply_parallel(&compiled);
-        }
         let plan = Arc::new(compiled);
         self.cache.lock().expect("cache lock").insert(
             &fp,

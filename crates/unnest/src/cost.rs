@@ -644,23 +644,6 @@ impl<'a> CostModel<'a> {
                     cost: l.cost + l.rows * probe,
                 }
             }
-            P::Parallel { source, stages } => {
-                // Cost model prices work, not wall clock: a parallel
-                // segment does the same work as its serial pipeline (the
-                // stage estimate already folds the source rows through),
-                // so ranking stays degree-independent.
-                let s = self.plan_est(source, out, docs);
-                let st = self.plan_est(stages, out, docs);
-                Estimate {
-                    rows: st.rows.max(1.0),
-                    cost: s.cost + st.cost,
-                }
-            }
-            // The feed leaf stands for the already-costed source stream.
-            P::MorselFeed => Estimate {
-                rows: 1.0,
-                cost: 0.0,
-            },
         };
         out.insert(plan as *const engine::PhysPlan as usize, est.cost);
         est

@@ -5,14 +5,14 @@
 //! NAL-translatable XQuery subset, random update script — runs the full
 //! execution matrix against `nal::eval_query` of the nested query: every
 //! enumerated plan × scan vs indexed compilation × pre/post updates
-//! under both index-maintenance modes, parallel degrees {1, 2, 8}
-//! against the serial run, plus cost-model convertibility agreement.
+//! under both index-maintenance modes, plus cost-model convertibility
+//! agreement.
 //!
 //! The run is deterministic: case `i` uses seed `XQD_FUZZ_SEED + i`, so
 //! any failure reported here reproduces in isolation with
 //! `XQD_FUZZ_SEED=<case seed> XQD_FUZZ_CASES=1`. Raise the budget with
-//! `XQD_FUZZ_CASES` (CI's smoke step runs 200 in release; a local
-//! 500-case release run takes ≈ 7 s on a two-core machine).
+//! `XQD_FUZZ_CASES` (CI's smoke step runs 400 in release; a local
+//! 1,000-case release run takes ≈ 2.5 s on a two-core machine).
 
 use fuzz::{env_cases, env_seed, run_fuzz, GenConfig, DEFAULT_SEED};
 

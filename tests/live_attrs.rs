@@ -47,7 +47,7 @@ fn emits(plan: &PhysPlan) -> Option<Attrs> {
         PhysPlan::Singleton => Attrs::new(),
         PhysPlan::Literal(rows) if rows.is_empty() => return None,
         PhysPlan::Literal(rows) => rows.iter().flat_map(|t| t.attrs()).collect(),
-        PhysPlan::AttrRel(_) | PhysPlan::MorselFeed | PhysPlan::Parallel { .. } => return None,
+        PhysPlan::AttrRel(_) => return None,
         PhysPlan::Select { input, .. } | PhysPlan::XiSimple { input, .. } => emits(input)?,
         PhysPlan::Project { input, op } => {
             let below = emits(input)?;
@@ -192,11 +192,7 @@ fn reads(plan: &PhysPlan) -> Vec<Option<Attrs>> {
     let of = |s: &Scalar| Some(s.free_attrs());
     let maybe = |s: &Option<Scalar>| s.as_ref().map_or_else(Attrs::new, Scalar::free_attrs);
     match plan {
-        PhysPlan::Singleton
-        | PhysPlan::Literal(_)
-        | PhysPlan::AttrRel(_)
-        | PhysPlan::MorselFeed => vec![],
-        PhysPlan::Parallel { .. } => vec![None, None],
+        PhysPlan::Singleton | PhysPlan::Literal(_) | PhysPlan::AttrRel(_) => vec![],
         PhysPlan::Select { pred, .. } => vec![of(pred)],
         PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => vec![of(value)],
         PhysPlan::IndexScan { .. } => vec![Some(Attrs::new())],
