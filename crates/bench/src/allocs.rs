@@ -12,8 +12,8 @@
 //! static ALLOC: bench_harness::allocs::CountingAlloc = bench_harness::allocs::CountingAlloc;
 //! ```
 //!
-//! Shared by the harness's `allocs` experiment and the root crate's
-//! `tests/alloc_budget.rs`, so both report the same numbers.
+//! The root crate's `tests/alloc_budget.rs` installs it and holds
+//! ceilings on these rounds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -2,8 +2,8 @@
 //! counters a traced run recorded, and (optionally) the cost model's
 //! per-node predictions.
 //!
-//! The report is the calibration surface the bench harness and the
-//! `xqd-server` `explain` op expose: each node carries *measured* rows,
+//! The report is the calibration surface the `xqd-server` `explain`
+//! op exposes: each node carries *measured* rows,
 //! inclusive wall time, and index-probe counts next to the *predicted*
 //! cost for the same node, so `(predicted, measured)` pairs can be read
 //! off every operator rather than only whole plans.

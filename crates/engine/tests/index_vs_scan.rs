@@ -131,6 +131,16 @@ fn range_workloads_are_byte_identical_and_examine_fewer_tuples() {
             tuples_examined(&indexed),
             tuples_examined(&scan)
         );
+        // The scan plan's θ-join probes at most |left| + |right| build
+        // candidates, not |left| × |right|: each join side is one Υ, so
+        // the Υ tuple count is exactly |left| + |right|.
+        let sides = scan.op_count("UnnestMap");
+        assert!(
+            scan.probe_tuples <= sides,
+            "[{}] the scan loop join examined {} candidates for {sides} input tuples",
+            w.id,
+            scan.probe_tuples
+        );
     }
     // Every plan alternative of the range workloads (including nested)
     // stays byte-identical on both access paths.

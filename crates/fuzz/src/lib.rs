@@ -18,7 +18,7 @@
 //! * [`oracle::check_case`] / [`repro::parse`] — replay committed
 //!   snippets.
 //! * [`env_seed`] / [`env_cases`] — `XQD_FUZZ_SEED` / `XQD_FUZZ_CASES`
-//!   overrides used by the test binaries and the bench harness.
+//!   overrides used by the test binaries.
 
 #![warn(missing_docs)]
 

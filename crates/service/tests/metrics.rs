@@ -291,6 +291,36 @@ fn explain_reports_priced_measured_operators() {
     assert_eq!(plain.rows, out.rows);
 }
 
+/// EXPLAIN ANALYZE over every plan alternative of Q1–Q10, scan and
+/// indexed: the physical cost walk prices every operator the tracer
+/// reports, and every reported operator was entered.
+#[test]
+fn every_workload_plan_explains_priced_and_measured() {
+    use ordered_unnesting::workloads::{ALL, COMPOSITE, RANGE};
+    let catalog = xmldb::gen::standard_catalog(50, 2, 42);
+    for w in ALL.iter().chain(&RANGE).chain(&COMPOSITE) {
+        let nested = xquery::compile(w.query, &catalog).expect("compiles");
+        for plan in unnest::enumerate_plans(&nested, &catalog) {
+            for indexes in [false, true] {
+                let phys = if indexes {
+                    engine::compile_indexed(&plan.expr, &catalog)
+                } else {
+                    engine::compile(&plan.expr)
+                };
+                let (_, trace) = engine::run_traced(&phys, &catalog).expect("runs");
+                let mut report = engine::ExplainReport::from_trace(&phys, &trace);
+                report.annotate_costs(&unnest::plan_cost_map(&phys, &catalog, indexes));
+                let at = format!("{} `{}` (indexes {indexes})", w.id, plan.label);
+                assert!(!report.nodes.is_empty(), "{at}: no operator rows");
+                for n in &report.nodes {
+                    assert!(n.predicted_cost.is_some(), "{at}: {} unpriced", n.op);
+                    assert!(n.calls > 0, "{at}: {} never entered", n.op);
+                }
+            }
+        }
+    }
+}
+
 /// The traced run (`explain`) and the untraced run (`query`) of one
 /// cached plan count alike: the rows EXPLAIN reports per operator sum,
 /// operator by operator, to the untraced run's `op_tuples` — tracing

@@ -49,7 +49,7 @@ fn queries() -> Vec<&'static str> {
 
 /// The k-th update (0-based), a pure function of `k` so any prefix can
 /// be replayed deterministically (the same cycle the concurrent suite
-/// and the bench harness's `concurrency` ablation use).
+/// uses).
 fn update_op(k: usize) -> UpdateOp {
     match k % 3 {
         0 => UpdateOp::InsertXml {

@@ -52,15 +52,18 @@ pub enum MaintenanceMode {
     Delta,
     /// Drop the document's cached indexes on every update and rebuild
     /// them on next use — the pre-mutable-store behaviour, kept as the
-    /// baseline the bench `update` ablation measures deltas against.
+    /// baseline
+    /// `tests/update_workloads.rs::delta_maintenance_touches_fewer_postings_than_rebuild`
+    /// measures deltas against.
     Rebuild,
 }
 
 /// Cumulative maintenance counters (see
-/// [`IndexCatalog::maintenance_stats`]). The bench `update` ablation
-/// asserts `postings_maintained` under [`MaintenanceMode::Delta`] stays
-/// strictly below `postings_built` under [`MaintenanceMode::Rebuild`]
-/// for the same workload.
+/// [`IndexCatalog::maintenance_stats`]).
+/// `tests/update_workloads.rs::delta_maintenance_touches_fewer_postings_than_rebuild`
+/// asserts [`postings_total`](Self::postings_total) under
+/// [`MaintenanceMode::Delta`] stays strictly below the same total under
+/// [`MaintenanceMode::Rebuild`] for the same updates and queries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Postings written by full index builds.
@@ -74,8 +77,8 @@ pub struct MaintenanceStats {
 }
 
 impl MaintenanceStats {
-    /// Total postings written by any means — the cost figure the bench
-    /// compares across maintenance modes.
+    /// Total postings written by any means — the cost figure compared
+    /// across maintenance modes.
     pub fn postings_total(&self) -> u64 {
         self.postings_built + self.postings_maintained
     }

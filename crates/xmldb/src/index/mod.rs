@@ -193,8 +193,9 @@ impl IndexCatalog {
         *self.mode.read().expect("mode lock")
     }
 
-    /// Select the maintenance strategy (the bench harness's `update`
-    /// ablation switches this to compare deltas against rebuilds).
+    /// Select the maintenance strategy
+    /// (`tests/update_workloads.rs::delta_maintenance_touches_fewer_postings_than_rebuild`
+    /// switches this to compare deltas against rebuilds).
     pub fn set_maintenance_mode(&self, mode: MaintenanceMode) {
         *self.mode.write().expect("mode lock") = mode;
     }

@@ -277,8 +277,8 @@ impl PathIndex {
     // document order even after updates (gap-based ordering keys) — so a
     // delta is a binary-search insert/remove per touched node, never a
     // rebuild. Each method returns the number of postings written or
-    // removed (the maintained-postings counter the `update` bench
-    // ablation compares against full rebuilds).
+    // removed (the maintained-postings counter that
+    // `tests/update_workloads.rs` compares against full rebuilds).
 
     /// Add a newly inserted element with label path `trail` to its path
     /// and tag posting lists.

@@ -182,8 +182,8 @@ pub const Q8_RANGE_EVERY: Workload = Workload {
     expected_plans: &["nested", "anti-semijoin"],
 };
 
-/// The inequality-quantifier workloads (the `range` bench ablation and
-/// the index differential suite run these in addition to [`ALL`]).
+/// The inequality-quantifier workloads (the index differential suite
+/// runs these in addition to [`ALL`]).
 pub const RANGE: [Workload; 2] = [Q7_RANGE_SOME, Q8_RANGE_EVERY];
 
 /// Composite-key quantification (§5.4-style, two keys): books sharing
@@ -240,9 +240,8 @@ pub const Q10_DEEP: Workload = Workload {
     expected_plans: &["nested", "semijoin"],
 };
 
-/// The composite/deep access-path workloads (the `composite` bench
-/// ablation and the index differential suite run these in addition to
-/// [`ALL`] and [`RANGE`]).
+/// The composite/deep access-path workloads (the index differential
+/// suite runs these in addition to [`ALL`] and [`RANGE`]).
 pub const COMPOSITE: [Workload; 2] = [Q9_COMPOSITE, Q10_DEEP];
 
 /// The §5.1 DBLP-style variant of Q1: same query against `dblp.xml`,

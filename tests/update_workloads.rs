@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use ordered_unnesting::workloads::{Workload, ALL, COMPOSITE, RANGE};
+use ordered_unnesting::workloads::{Workload, ALL, COMPOSITE, Q3_EXISTENTIAL, Q5_UNIVERSAL, RANGE};
 use xmldb::gen::standard_catalog;
 use xmldb::{Catalog, NodeId, NodeKind};
 
@@ -100,4 +100,80 @@ proptest! {
             check_workload(w, &catalog);
         }
     }
+}
+
+/// One deterministic update to `bib.xml` per round, cycling through
+/// duplicate-a-book, delete-a-book and retitle-a-book.
+fn cycle_update(cat: &mut Catalog, id: xmldb::DocId, round: usize) {
+    let doc = cat.doc(id).as_ref().clone();
+    let root = doc.root_element().unwrap();
+    let books: Vec<NodeId> = doc.children(root).collect();
+    let n = books.len();
+    assert!(n >= 3, "the update cycle needs at least 3 books");
+    match round % 3 {
+        0 => {
+            let before = books[(round + n / 2) % n];
+            cat.insert_subtree(id, root, Some(before), &doc, books[round % n])
+                .unwrap();
+        }
+        1 => {
+            cat.delete_subtree(id, books[(round + 1) % n]).unwrap();
+        }
+        _ => {
+            let title = doc.children(books[round % n]).next().unwrap();
+            if let Some(text) = doc.children(title).next() {
+                cat.replace_text(id, text, &format!("Retitled {round}"))
+                    .unwrap();
+            }
+        }
+    }
+}
+
+/// Postings written while nine cycled updates hit `bib.xml` under
+/// `mode`, with the indexes of Q3's and Q5's semijoin plans warm
+/// before the first update. After every update both plans must stay
+/// byte-identical on the scan and the indexed path.
+fn postings_touched(mode: xmldb::MaintenanceMode) -> u64 {
+    let mut catalog = standard_catalog(60, 2, 42);
+    catalog.set_index_maintenance(mode);
+    let plans: Vec<(String, nal::Expr)> = [&Q3_EXISTENTIAL, &Q5_UNIVERSAL]
+        .iter()
+        .flat_map(|w| {
+            let nested = xquery::compile(w.query, &catalog).unwrap();
+            unnest::enumerate_plans(&nested, &catalog)
+        })
+        .filter(|p| p.label.contains("semijoin"))
+        .map(|p| (p.label, p.expr))
+        .collect();
+    assert_eq!(plans.len(), 2, "Q3 semijoin and Q5 anti-semijoin");
+    for (_, expr) in &plans {
+        engine::run_indexed(expr, &catalog).unwrap();
+    }
+    catalog.indexes().reset_maintenance_stats();
+    let id = catalog.by_uri("bib.xml").unwrap();
+    for round in 0..9 {
+        cycle_update(&mut catalog, id, round);
+        for (label, expr) in &plans {
+            let scan = engine::run_compiled(&engine::compile(expr), &catalog).unwrap();
+            let idx = engine::run_indexed(expr, &catalog).unwrap();
+            assert_eq!(
+                scan.output, idx.output,
+                "[{mode:?}] round {round}, plan {label}: indexed output diverges from scan"
+            );
+        }
+    }
+    catalog.index_maintenance_stats().postings_total()
+}
+
+/// Delta maintenance touches the postings of the updated subtree; a
+/// rebuild writes every posting of the document again. Same updates,
+/// same queries: the delta total must stay strictly below.
+#[test]
+fn delta_maintenance_touches_fewer_postings_than_rebuild() {
+    let delta = postings_touched(xmldb::MaintenanceMode::Delta);
+    let rebuild = postings_touched(xmldb::MaintenanceMode::Rebuild);
+    assert!(
+        delta < rebuild,
+        "delta maintenance touched {delta} postings, rebuild {rebuild}"
+    );
 }
