@@ -13,7 +13,8 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
-use xmldb::{Catalog, DocId, NodeId};
+use xmldb::document::TextPieces;
+use xmldb::{Catalog, DocId, Document, NodeId};
 
 use crate::tuple::Tuple;
 
@@ -189,8 +190,11 @@ impl Value {
         }
     }
 
-    /// The text of a string or node value, borrowed from the value or
-    /// the document wherever the text is stored in one piece.
+    /// The text of a string or node value, for a caller that keeps or
+    /// hashes it whole (the engine's join keys): borrowed from the value
+    /// or the document wherever the text is stored in one piece, mixed
+    /// content assembled into a fresh string. Comparisons do not go
+    /// through it — [`cmp_general`] reads a node's text pieces in place.
     pub fn text<'a>(&'a self, catalog: &'a Catalog) -> Option<Cow<'a, str>> {
         match self {
             Value::Str(s) => Some(Cow::Borrowed(s)),
@@ -253,8 +257,13 @@ impl CmpOp {
         }
     }
 
-    /// Logical negation (`¬(a θ b)` ⇔ `a θ.negate() b`) — used by Eqv. 7,
-    /// which turns `∀x p` into an anti-join on `¬p`.
+    /// The complementary operator: `¬(a θ b)` ⇔ `a θ.negate() b` holds
+    /// only for singleton, comparable, non-NaN atoms. Under
+    /// [`cmp_general`]'s existential semantics it does not: a NULL, a
+    /// NaN, an empty sequence or a non-numeric string against a number
+    /// satisfies neither `θ` nor its negation, and a sequence can
+    /// satisfy both (`(1, 2) = 1` and `(1, 2) != 1`). Eqv. 7, which
+    /// turns `∀x p` into an anti-join on `¬p`, uses it.
     pub fn negate(self) -> CmpOp {
         match self {
             CmpOp::Eq => CmpOp::Ne,
@@ -290,20 +299,27 @@ impl CmpOp {
     }
 }
 
-/// An atomized operand of a comparison. Text — a string, or a node's
-/// string value — stays borrowed from the value or the document, so
-/// comparing two of them copies nothing.
+/// An atomized operand of a comparison or a string function. Text is
+/// read where it is stored: a string stays borrowed from its value, and
+/// a node stays its document and id, whose text pieces a comparison
+/// walks in place — so comparing two texts allocates nothing, however
+/// mixed the content. Numeric coercion and the string functions
+/// assemble a node's text ([`Document::string_value`]).
 pub(crate) enum Atom<'a> {
+    /// A string.
     Text(Cow<'a, str>),
+    /// A node: its text is [`Document::text_pieces`], concatenated.
+    Node(&'a Document, NodeId),
     /// Any other atomized value; never a `Str`.
     Plain(Value),
 }
 
 impl<'a> Atom<'a> {
     pub(crate) fn of(v: &'a Value, catalog: &'a Catalog) -> Atom<'a> {
-        match v.text(catalog) {
-            Some(text) => Atom::Text(text),
-            None => match v.atomize(catalog) {
+        match v {
+            Value::Str(s) => Atom::Text(Cow::Borrowed(s)),
+            Value::Node(n) => Atom::Node(catalog.doc(n.doc), n.node),
+            _ => match v.atomize(catalog) {
                 Value::Str(s) => Atom::Text(Cow::Owned(s.to_string())),
                 other => Atom::Plain(other),
             },
@@ -316,15 +332,75 @@ impl<'a> Atom<'a> {
 
     pub(crate) fn as_number(&self) -> Option<f64> {
         match self {
-            Atom::Text(s) => s.trim().parse::<f64>().ok(),
             Atom::Plain(v) => v.as_number(),
+            text => text.as_str_lossy().trim().parse::<f64>().ok(),
         }
     }
 
     pub(crate) fn as_str_lossy(&self) -> Cow<'_, str> {
         match self {
             Atom::Text(s) => Cow::Borrowed(s),
+            Atom::Node(doc, id) => doc.string_value(*id),
             Atom::Plain(v) => v.as_str_lossy(),
+        }
+    }
+
+    /// The pieces whose concatenation is this atom's text; `None` when
+    /// it is not text.
+    fn text_pieces(&self) -> Option<Pieces<'_>> {
+        match self {
+            Atom::Text(s) => Some(Pieces::Str(Some(s))),
+            Atom::Node(doc, id) => Some(Pieces::Node(doc.text_pieces(*id))),
+            Atom::Plain(_) => None,
+        }
+    }
+}
+
+/// A text atom's pieces: a string's one, or a node's stored texts.
+enum Pieces<'a> {
+    Str(Option<&'a str>),
+    Node(TextPieces<'a>),
+}
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        match self {
+            Pieces::Str(s) => s.take(),
+            Pieces::Node(pieces) => pieces.next(),
+        }
+    }
+}
+
+/// `str::cmp` of two texts, each given as the pieces it concatenates:
+/// both are walked in step, and the walk stops at the first byte that
+/// differs (byte order is UTF-8's code point order, as in `str::cmp`).
+fn cmp_text<'l, 'r>(
+    mut l: impl Iterator<Item = &'l str>,
+    mut r: impl Iterator<Item = &'r str>,
+) -> Ordering {
+    fn next<'s>(pieces: &mut impl Iterator<Item = &'s str>) -> &'s [u8] {
+        pieces
+            .find(|p| !p.is_empty())
+            .unwrap_or_default()
+            .as_bytes()
+    }
+    let (mut a, mut b): (&[u8], &[u8]) = (&[], &[]);
+    loop {
+        if a.is_empty() {
+            a = next(&mut l);
+        }
+        if b.is_empty() {
+            b = next(&mut r);
+        }
+        if a.is_empty() || b.is_empty() {
+            return a.len().cmp(&b.len());
+        }
+        let n = a.len().min(b.len());
+        match a[..n].cmp(&b[..n]) {
+            Ordering::Equal => (a, b) = (&a[n..], &b[n..]),
+            ord => return ord,
         }
     }
 }
@@ -340,9 +416,12 @@ fn cmp_atoms(op: CmpOp, l: &Atom<'_>, r: &Atom<'_>) -> bool {
             _ => false,
         };
     }
+    if let (Some(a), Some(b)) = (l.text_pieces(), r.text_pieces()) {
+        return op.test(cmp_text(a, b));
+    }
     match (l, r) {
         (Atom::Plain(Value::Bool(a)), Atom::Plain(Value::Bool(b))) => op.test(a.cmp(b)),
-        // Text against text, and mixed leftovers by their string forms.
+        // Mixed leftovers by their string forms.
         _ => op.test(l.as_str_lossy().cmp(&r.as_str_lossy())),
     }
 }
@@ -626,6 +705,125 @@ mod tests {
                         op.symbol()
                     );
                 }
+            }
+        }
+    }
+
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+
+    /// `s` cut at char positions (each taken modulo the number of char
+    /// boundaries, so a repeated cut makes an empty piece), in order.
+    fn cut_at_chars<'s>(s: &'s str, cuts: &[usize]) -> Vec<&'s str> {
+        let bounds: Vec<usize> = s.char_indices().map(|(i, _)| i).chain([s.len()]).collect();
+        let mut at: Vec<usize> = cuts.iter().map(|c| bounds[c % bounds.len()]).collect();
+        at.sort_unstable();
+        let (mut pieces, mut from) = (Vec::new(), 0);
+        for to in at {
+            pieces.push(&s[from..to]);
+            from = to;
+        }
+        pieces.push(&s[from..]);
+        pieces
+    }
+
+    /// One to four UTF-8 bytes each; `é`/`ê` differ in their second byte.
+    const CHARS: [&str; 8] = ["a", "b", "é", "ê", "€", "😀", "\u{7f}", "\u{80}"];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The oracle is `str::cmp` of the concatenations; `r` shares a
+        /// prefix of `l`, so walks often run deep before they differ.
+        #[test]
+        fn piecewise_order_is_the_order_of_the_concatenations(
+            l in proptest::prop::collection::vec(proptest::prop::sample::select(CHARS.to_vec()), 0..10),
+            shared in 0usize..11,
+            tail in proptest::prop::collection::vec(proptest::prop::sample::select(CHARS.to_vec()), 0..4),
+            cuts in (
+                proptest::prop::collection::vec(0usize..16, 0..5),
+                proptest::prop::collection::vec(0usize..16, 0..5),
+            ),
+        ) {
+            let l = l.concat();
+            let r: String = l.chars().take(shared).chain(tail.concat().chars()).collect();
+            let (lp, rp) = (cut_at_chars(&l, &cuts.0), cut_at_chars(&r, &cuts.1));
+            proptest::prop_assert_eq!(lp.concat(), l.clone());
+            proptest::prop_assert_eq!(rp.concat(), r.clone());
+            proptest::prop_assert_eq!(cmp_text(lp.into_iter(), rp.into_iter()), l.cmp(&r));
+        }
+    }
+
+    /// Every comparison among the nodes of a small `bib.xml`, of a
+    /// document with empty elements and UTF-8 spread over text nodes,
+    /// and of a few strings, against `str::cmp` of the assembled string
+    /// values; a mixed-content node against numbers, against the
+    /// numeric parse of its assembled text.
+    #[test]
+    fn node_comparisons_agree_with_assembled_string_values() {
+        let mut c = Catalog::new();
+        let bib = c.register(xmldb::gen::gen_bib(&xmldb::gen::BibConfig {
+            books: 3,
+            ..Default::default()
+        }));
+        let utf = c.register(
+            xmldb::parse_document(
+                "u.xml",
+                "<r><e/><s>h<i>é</i>€<i/>😀</s><t>hé€😀</t><u>h<i>ê</i></u><v>hé</v><e></e></r>",
+            )
+            .unwrap(),
+        );
+        let p = c.register(xmldb::parse_document("p.xml", "<p><a>1</a><b>2</b></p>").unwrap());
+        let assembled = |v: &Value| match v {
+            Value::Node(n) => c.doc(n.doc).string_value(n.node).into_owned(),
+            Value::Str(s) => s.to_string(),
+            other => panic!("not text: {other}"),
+        };
+        for doc in [bib, utf] {
+            let mut pool: Vec<Value> = c
+                .doc(doc)
+                .subtree_nodes(NodeId::DOCUMENT)
+                .into_iter()
+                .map(|node| Value::Node(NodeRef { doc, node }))
+                .collect();
+            pool.extend(["", "h", "hé€😀", "hê"].map(Value::str));
+            for l in &pool {
+                for r in &pool {
+                    let order = assembled(l).cmp(&assembled(r));
+                    for op in OPS {
+                        assert_eq!(
+                            cmp_atomic(op, l, r, &c),
+                            op.test(order),
+                            "{:?} {} {:?}",
+                            assembled(l),
+                            op.symbol(),
+                            assembled(r)
+                        );
+                    }
+                }
+            }
+        }
+        let root = c.doc(p).root_element().unwrap();
+        let node = Value::Node(NodeRef { doc: p, node: root });
+        let text = assembled(&node);
+        assert_eq!(text, "12");
+        let number: f64 = text.parse().unwrap();
+        for n in [11, 12, 13] {
+            for op in OPS {
+                let want = number.partial_cmp(&(n as f64)).is_some_and(|o| op.test(o));
+                assert_eq!(
+                    cmp_atomic(op, &node, &Value::Int(n), &c),
+                    want,
+                    "12 {op:?} {n}"
+                );
+                let flipped = cmp_atomic(op.flip(), &Value::Int(n), &node, &c);
+                assert_eq!(flipped, want, "{n} {op:?} 12");
             }
         }
     }

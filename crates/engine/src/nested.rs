@@ -37,6 +37,22 @@
 //! scope also binds, count as outer reads. An operator the analysis does
 //! not model counts as correlated.
 //!
+//! **Closed conjuncts join the spool.** A correlated σ over a shared
+//! subtree — q4's `σ[contains(a2, "an") ∧ b1 = b2]` over
+//! `Υ[a2](Υ[b2](…))` — would still test its invariant conjuncts once per
+//! outer tuple and row. So when a block's σ has an input that reads
+//! nothing from outside, its *closed* conjuncts — those without nested
+//! algebra that read only attributes every input tuple carries — move
+//! into a σ of their own below it, and that σ over the input is the
+//! shared subtree. A conjunct may move only where its errors stay the
+//! reference's: when every conjunct before it moves too (σ evaluates a
+//! leading run first on every row either way), or when it and every
+//! conjunct it jumps over are [`Scalar::replay_safe`] (they never fail,
+//! so which rows each sees cannot be observed). `decimal(y) > 0` after
+//! `x = t` stays where it is: it may fail on a row `x = t` rejects. Only
+//! the engine's compiled block is rewritten; `nal::eval` evaluates the
+//! expression as written.
+//!
 //! The cursor that evaluates a subscript owns one spool per shared
 //! subtree of the subscript's blocks (`Spooled`). The first outer tuple that
 //! reaches a spool lowers the subtree under the empty scope; rows are
@@ -117,7 +133,8 @@ impl Blocks {
         }
         let mut blocks = Vec::new();
         visit::find_nested_expr(s, &mut |e| {
-            let plan = compile(e);
+            let mut plan = compile(e);
+            hoist_closed_conjuncts(&mut plan);
             blocks.push(Block {
                 shared: shared_subtrees(&plan),
                 plan,
@@ -382,6 +399,44 @@ fn unobservable(block: &Expr) -> bool {
         }
     });
     quiet
+}
+
+/// Move the closed conjuncts of each correlated σ over a closed input
+/// into a σ of their own below it, where the input's shared subtree
+/// takes them in: the rule in the module documentation.
+fn hoist_closed_conjuncts(plan: &mut PhysPlan) {
+    for input in plan.children_mut() {
+        hoist_closed_conjuncts(input);
+    }
+    let PhysPlan::Select { input, pred, .. } = plan else {
+        return;
+    };
+    let Some(below) = closure(input, &mut 0, &mut Vec::new()).filter(Closure::closed) else {
+        return;
+    };
+    let (mut closed, mut open) = (Vec::new(), Vec::new());
+    // Is every conjunct kept above so far total — can a later one jump it?
+    let mut total_above = true;
+    for c in pred.conjuncts() {
+        let reads_input = !c.has_nested_expr() && c.free_attrs().is_subset(&below.emits);
+        let leading = open.is_empty();
+        if reads_input && (leading || (total_above && c.replay_safe())) {
+            closed.push(c.clone());
+        } else {
+            total_above &= c.replay_safe();
+            open.push(c.clone());
+        }
+    }
+    if closed.is_empty() || open.is_empty() {
+        return;
+    }
+    *pred = Scalar::conjoin(open);
+    let e = std::mem::replace(&mut **input, PhysPlan::Singleton);
+    **input = PhysPlan::Select {
+        input: Box::new(e),
+        pred: Scalar::conjoin(closed),
+        blocks: Blocks::NONE,
+    };
 }
 
 /// What evaluating a subtree reads from the scope it is evaluated in,

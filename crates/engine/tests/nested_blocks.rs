@@ -477,3 +477,154 @@ fn an_unbound_attribute_inside_a_block_errs_as_in_the_reference() {
         want.message
     );
 }
+
+/// The compiled blocks of the first selection in `plan` that has any.
+fn select_blocks(plan: &PhysPlan) -> Option<(&PhysPlan, Vec<&engine::nested::Block>)> {
+    if let PhysPlan::Select { blocks, .. } = plan {
+        if blocks.iter().next().is_some() {
+            return Some((plan, blocks.iter().collect()));
+        }
+    }
+    plan.children().into_iter().find_map(select_blocks)
+}
+
+/// q4's block is `σ[contains(a2, "an") ∧ b1 = b2]` over the invariant
+/// `Υ[a2](Υ[b2](…))`: the closed conjunct moves into a σ below the
+/// correlated one, and that σ is the spooled subtree — so the conjunct
+/// runs once per execution, and `b1 = b2` only ever sees authors
+/// containing "an".
+#[test]
+fn q4_filters_its_invariant_conjunct_once_in_the_spool() {
+    let mut cat = Catalog::new();
+    cat.register(gen_bib(&BibConfig {
+        books: 30,
+        authors_per_book: 3,
+        seed: 4,
+        ..BibConfig::default()
+    }));
+    let nested = xquery::compile(Q4, &cat).expect("q4 compiles");
+    let plan = engine::compile(&nested);
+    let (holder, blocks) = select_blocks(&plan).expect("q4 has a block");
+    assert_eq!(holder.detail(), " shared{σ}", "{}", plan.explain());
+    let [block] = blocks[..] else {
+        panic!("one block: {}", plan.explain());
+    };
+    let [spooled] = block.shared()[..] else {
+        panic!("one shared subtree");
+    };
+    let PhysPlan::Select { pred, input, .. } = spooled else {
+        panic!("the spooled subtree is a σ: {}", spooled.explain());
+    };
+    assert_eq!(pred.to_string(), r#"contains(a2, "an")"#);
+    assert!(!input.explain().contains("Select"), "{}", input.explain());
+    // The correlated σ keeps `b1 = b2` alone, over the spool.
+    let mut correlated = None;
+    visit_plan(&block.plan, &mut |node| {
+        if let PhysPlan::Select { pred, input, .. } = node {
+            if std::ptr::eq(&**input, spooled) {
+                correlated = Some(pred.to_string());
+            }
+        }
+    });
+    assert_eq!(correlated.as_deref(), Some("b1 = b2"));
+    // Every row the spool replays holds the conjunct.
+    let rows = engine::run_compiled(spooled, &cat).unwrap().rows;
+    assert!(!rows.is_empty());
+    for row in &rows {
+        let author = row.get(s("a2")).expect("a2 bound").atomize(&cat);
+        assert!(author.as_str_lossy().contains("an"), "{author}");
+    }
+    let (reference, engine) = both(&nested, &cat);
+    assert_eq!(engine.unwrap(), reference.unwrap());
+}
+
+/// Visit `plan`'s nodes in pre-order.
+fn visit_plan<'p>(plan: &'p PhysPlan, f: &mut impl FnMut(&'p PhysPlan)) {
+    f(plan);
+    for child in plan.children() {
+        visit_plan(child, f);
+    }
+}
+
+/// `(x, y)` rows: `y` is a number where `x` is 1 or 2, and "abc" —
+/// which `decimal` fails on — where `x` is 3.
+fn xy_rows() -> Expr {
+    let rows = [
+        (1, Value::Int(5)),
+        (2, Value::Int(-7)),
+        (3, Value::str("abc")),
+    ];
+    Expr::Literal(
+        rows.into_iter()
+            .map(|(x, y)| Tuple::from_pairs(vec![(s("x"), Value::Int(x)), (s("y"), y)]))
+            .collect(),
+    )
+}
+
+/// `some x in σ[pred](xy_rows) satisfies x >= 0` over t ∈ `outer`.
+fn xy_block(outer: &[i64], pred: Scalar) -> Expr {
+    let range = xy_rows().select(pred).project(&["x"]);
+    rel("t", &ints(outer)).select(exists("x", range, Scalar::attr("x")))
+}
+
+fn decimal_y_positive() -> Scalar {
+    Scalar::cmp(
+        CmpOp::Gt,
+        Scalar::Call(Func::Decimal, vec![Scalar::attr("y")]),
+        Scalar::int(0),
+    )
+}
+
+/// A closed conjunct that can fail stays behind a correlated one it
+/// follows: `decimal(y)` fails only on the row where `x ≠ t` for every
+/// `t` but 3, so hoisting it would raise an error the reference never
+/// does.
+#[test]
+fn a_failing_closed_conjunct_stays_behind_a_correlated_one() {
+    let cat = Catalog::new();
+    let pred = Scalar::attr_cmp(CmpOp::Eq, "x", "t").and(decimal_y_positive());
+    for (outer, fails) in [(&[1, 2][..], false), (&[1, 3], true)] {
+        let expr = xy_block(outer, pred.clone());
+        // The σ stays whole and correlated; a bare literal is not shared.
+        assert_eq!(engine::compile(&expr).detail(), "", "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        match (&reference, &engine) {
+            (Err(want), Err(got)) if fails => assert_eq!(got.message, want.message, "{expr}"),
+            (Ok(want), Ok(got)) if !fails => {
+                assert_eq!(got, want, "{expr}");
+                assert_eq!(got.0.len(), 1, "only t = 1 has a positive y");
+            }
+            _ => panic!("{expr}: reference {reference:?}, engine {engine:?}"),
+        }
+    }
+}
+
+/// The converse: a total closed conjunct after a correlated one, and a
+/// failing one that leads the conjunction, are both evaluated in the
+/// spool, once per row of the range rather than once per outer tuple.
+#[test]
+fn closed_conjuncts_that_keep_errors_in_place_are_hoisted() {
+    let cat = Catalog::new();
+    let x_is_t = || Scalar::attr_cmp(CmpOp::Eq, "x", "t");
+    let y_positive = Scalar::cmp(CmpOp::Gt, Scalar::attr("y"), Scalar::int(0));
+    let total_after = x_is_t().and(y_positive);
+    let failing_first = decimal_y_positive().and(x_is_t());
+    for pred in [total_after, failing_first] {
+        let fails = pred.to_string().contains("decimal");
+        let expr = xy_block(&[1, 2, 1, 9], pred);
+        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
+        let (reference, engine) = both(&expr, &cat);
+        match (&reference, &engine) {
+            (Err(want), Err(got)) if fails => assert_eq!(got.message, want.message, "{expr}"),
+            (Ok(want), Ok(got)) if !fails => {
+                assert_eq!(got, want, "{expr}");
+                // The hoisted σ filtered the three rows once: the
+                // correlated σ saw row 1 only, per outer tuple.
+                let run = engine::run(&expr, &cat).unwrap();
+                assert_eq!(run.rows.len(), 2, "{expr}");
+                assert_eq!(run.metrics.op_count("Literal"), 4 + 3, "{expr}");
+            }
+            _ => panic!("{expr}: reference {reference:?}, engine {engine:?}"),
+        }
+    }
+}

@@ -271,7 +271,7 @@ impl Document {
         if self.stores_own_text(id) {
             return Cow::Borrowed(self.text(id));
         }
-        let mut texts = self.descendant_texts(id);
+        let mut texts = self.text_pieces(id);
         match (texts.next(), texts.next()) {
             (None, _) => Cow::Borrowed(""),
             (Some(only), None) => Cow::Borrowed(only),
@@ -295,7 +295,7 @@ impl Document {
         if self.stores_own_text(id) {
             return (self.text(id), false);
         }
-        let mut texts = self.descendant_texts(id);
+        let mut texts = self.text_pieces(id);
         let (Some(first), second) = (texts.next(), texts.next()) else {
             return ("", false);
         };
@@ -309,16 +309,20 @@ impl Document {
         (scratch, true)
     }
 
+    /// The stored strings whose concatenation, in order, is `id`'s
+    /// string value: a text or attribute node's own text, or the text
+    /// nodes below an element or the document. Reading them in place
+    /// compares or scans a value without assembling it.
+    pub fn text_pieces(&self, id: NodeId) -> TextPieces<'_> {
+        TextPieces {
+            own: self.stores_own_text(id).then(|| self.text(id)),
+            below: self.descendants(id),
+        }
+    }
+
     /// A text or attribute node: its string value is its stored text.
     fn stores_own_text(&self, id: NodeId) -> bool {
         matches!(self.kind(id), NodeKind::Text | NodeKind::Attribute(_))
-    }
-
-    /// The text nodes below an element or the document, in order.
-    fn descendant_texts(&self, id: NodeId) -> impl Iterator<Item = &str> {
-        self.descendants(id)
-            .filter(|&d| self.kind(d).is_text())
-            .map(|d| self.text(d))
     }
 
     /// `true` iff `anc` is an ancestor of `id` (strictly).
@@ -812,6 +816,27 @@ impl<'a> Iterator for Children<'a> {
         let cur = self.next?;
         self.next = self.doc.next_sibling(cur);
         Some(cur)
+    }
+}
+
+/// The pieces of a node's string value: [`Document::text_pieces`].
+pub struct TextPieces<'a> {
+    /// A text or attribute node's own text, until it is read.
+    own: Option<&'a str>,
+    below: Descendants<'a>,
+}
+
+impl<'a> Iterator for TextPieces<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        if let Some(own) = self.own.take() {
+            return Some(own);
+        }
+        let doc = self.below.doc;
+        self.below
+            .find(|&d| doc.kind(d).is_text())
+            .map(|d| doc.text(d))
     }
 }
 

@@ -58,14 +58,18 @@ fn cold_round_stays_within_allocation_budget() {
 
 /// The §5 baseline at xqbench's `paper-nested` scale: each query's
 /// `nested` plan, every nested block lowered and pulled per outer tuple,
-/// its shared subtrees spooled once and replayed. The ceiling is the
-/// measured 24,151 plus 10 % (q4: 16,726). Evaluated by the reference
-/// evaluator's copying, range-materializing loops the round took
-/// ≈ 82,000; with every block re-run per outer tuple, 50,465. A nested
-/// block that copies the outer tuple into its rows again, re-runs its
-/// invariant part, or builds per pulled tuple what it need not, shows
+/// its shared subtrees — closed conjuncts of a correlated σ included —
+/// spooled once and replayed, and comparisons reading node text in
+/// place. The ceiling is the measured 3,161 plus 10 % (q4: 829). Before
+/// comparisons stopped assembling mixed content and q4's
+/// `contains(a2, "an")` moved into the spool the round took 24,151 (q4:
+/// 16,726); evaluated by the reference evaluator's copying,
+/// range-materializing loops, ≈ 82,000; with every block re-run per
+/// outer tuple, 50,465. A nested block that copies the outer tuple into
+/// its rows again, re-runs its invariant part, or builds per pulled
+/// tuple what it need not — a string value to compare, say — shows
 /// here.
 #[test]
 fn nested_round_stays_within_allocation_budget() {
-    round("nested", 40, 26_600, || nested_round(40));
+    round("nested", 40, 3_480, || nested_round(40));
 }
