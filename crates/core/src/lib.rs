@@ -18,6 +18,7 @@
 //! The unnesting equivalences that rewrite these expressions live in the
 //! `unnest` crate; the optimized physical operators in `engine`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod eval;

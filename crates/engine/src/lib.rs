@@ -20,6 +20,7 @@
 //! `tests/` suite) assert that every plan produces results and Ξ output
 //! identical to `nal::eval`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access;

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 fn main() {
     let seed = fuzz::env_seed(fuzz::DEFAULT_SEED);
     let cases = fuzz::env_cases(50);

@@ -20,6 +20,7 @@
 //! * [`env_seed`] / [`env_cases`] — `XQD_FUZZ_SEED` / `XQD_FUZZ_CASES`
 //!   overrides used by the test binaries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corpus;

@@ -14,6 +14,8 @@
 //! agreement with stats — shutdown), prints the transcript, and exits
 //! non-zero on any mismatch — this is the CI smoke test.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;

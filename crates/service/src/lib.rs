@@ -2,15 +2,16 @@
 //! ordered-unnesting pipeline, in two layers:
 //!
 //! 1. [`QueryService`] ([`service`]): an embeddable facade owning the
-//!    catalog through a lock-free [`xmldb::CatalogHandle`] (immutable
+//!    catalog through an [`xmldb::CatalogHandle`] (immutable
 //!    `Arc`-swapped snapshot versions; every query pins one version for
 //!    its whole lifetime) plus a bounded, `doc_seq`-stamped plan cache
 //!    ([`cache`]). Repeated queries skip the whole frontend
 //!    (parse → normalize → unnest → compile) on a cache hit; updates
 //!    clone-on-write through the catalog's delta-maintenance wrappers
 //!    and publish the next version, whose moved stamps invalidate
-//!    exactly the stale entries. Readers never take a lock and never
-//!    stall behind the single serialized writer.
+//!    exactly the stale entries. A pin is an `Arc` clone under a lock
+//!    no writer holds while it mutates, so readers never stall behind
+//!    the single serialized writer.
 //! 2. `xqd-server` ([`server`] + [`proto`]): a TCP server speaking
 //!    newline-delimited JSON ([`json`]) that streams query results
 //!    item-by-item from the pull-based executor.
@@ -26,6 +27,7 @@
 //! assert_eq!(warm.cache.label(), "hit");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

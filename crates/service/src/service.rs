@@ -2,22 +2,23 @@
 //!
 //! Owns the catalog through a [`CatalogHandle`] (see
 //! [`xmldb::snapshot`]): immutable, `Arc`-swapped [`CatalogSnapshot`]
-//! versions with one serialized clone-on-write writer. **The read path
-//! takes no lock.** A query pins the current snapshot (a few atomic
-//! operations) and executes against it from `begin` to `done` — plan
+//! versions with one serialized clone-on-write writer. A query pins the
+//! current snapshot (an `Arc` clone under the handle's pin lock, which
+//! no one holds for longer than a clone or a pointer swap) and executes
+//! against it from `begin` to `done` without any lock — plan
 //! resolution and execution see one consistent, immutable catalog
 //! version, and a writer publishing mid-stream neither stalls the
-//! reader nor is stalled by it. The only mutex a query touches is the
-//! [`PlanCache`]'s, for sub-microsecond lookups and inserts;
-//! parse/normalize/unnest/compile all run outside it, so a slow compile
-//! never blocks cache hits on other connections.
+//! reader nor is stalled by it. Besides the pin, the only mutex a
+//! query touches is the [`PlanCache`]'s, for sub-microsecond lookups
+//! and inserts; parse/normalize/unnest/compile all run outside it, so a
+//! slow compile never blocks cache hits on other connections.
 //!
 //! Updates go through [`CatalogHandle::try_write`]: the writer clones
 //! the current catalog (cheap — everything shares by `Arc` until
 //! touched), applies the existing [`xmldb::Catalog`] delta-maintenance
 //! wrappers (`insert_subtree` & friends, which keep indexes and
 //! statistics consistent), and publishes the next version with one
-//! atomic swap. The plan cache notices moved per-document `doc_seq`
+//! pointer swap. The plan cache notices moved per-document `doc_seq`
 //! stamps lazily at the next lookup (revalidate-or-recompile, see
 //! [`crate::cache`]); whole-catalog loads move only the reloaded URIs'
 //! stamps, so unrelated hot entries stay warm.
@@ -49,11 +50,6 @@ pub struct ServiceConfig {
     // xqbench names this; ROADMAP item 4 removes it.
     #[doc(hidden)]
     pub parallel_workers: usize,
-    /// Fitted cost-model constants for plan ranking. When set, plan
-    /// selection runs [`unnest::rank_plans_calibrated`] with these
-    /// constants (e.g. read off the bench harness's `calibration`
-    /// experiment) instead of the uncalibrated priors.
-    pub calibration: Option<unnest::Calibration>,
 }
 
 impl Default for ServiceConfig {
@@ -63,7 +59,6 @@ impl Default for ServiceConfig {
             use_indexes: true,
             slow_query_us: None,
             parallel_workers: 1,
-            calibration: None,
         }
     }
 }
@@ -229,7 +224,7 @@ pub struct ServiceStats {
     /// 99th-percentile whole-query latency (µs).
     pub query_p99_us: u64,
     /// Median writer publish latency (µs): clone-on-write + mutation +
-    /// atomic swap, for updates and loads.
+    /// pointer swap, for updates and loads.
     pub publish_p50_us: u64,
     /// 99th-percentile writer publish latency (µs).
     pub publish_p99_us: u64,
@@ -714,10 +709,7 @@ impl QueryService {
         let expr = xquery::translate(&normalized, snapshot)
             .map_err(|e| ServiceError::Compile(format!("{e}")))?;
         let candidates = unnest::enumerate_plans(&expr, snapshot);
-        let ranked = match self.config.calibration {
-            Some(cal) => unnest::rank_plans_calibrated(candidates, snapshot, use_indexes, cal),
-            None => unnest::rank_plans_with(candidates, snapshot, use_indexes),
-        };
+        let ranked = unnest::rank_plans_with(candidates, snapshot, use_indexes);
         trace.record_stage(Stage::Unnest, t, clock.now_us());
         let (choice, _estimate) = ranked
             .into_iter()

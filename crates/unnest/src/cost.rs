@@ -716,20 +716,7 @@ pub fn rank_plans_with(
     catalog: &Catalog,
     use_indexes: bool,
 ) -> Vec<(PlanChoice, Estimate)> {
-    rank_plans_calibrated(plans, catalog, use_indexes, Calibration::default())
-}
-
-/// [`rank_plans_with`] under explicitly fitted [`Calibration`]
-/// constants — the entry point the bench harness's `calibration`
-/// experiment uses to check that a fitted model's ranking
-/// rank-correlates with measured plan times.
-pub fn rank_plans_calibrated(
-    plans: Vec<PlanChoice>,
-    catalog: &Catalog,
-    use_indexes: bool,
-    cal: Calibration,
-) -> Vec<(PlanChoice, Estimate)> {
-    let mut model = CostModel::with_calibration(catalog, use_indexes, cal);
+    let mut model = CostModel::with_indexes(catalog, use_indexes);
     let mut ranked: Vec<(PlanChoice, Estimate)> = plans
         .into_iter()
         .map(|p| {

@@ -18,6 +18,7 @@
 //! randomized inputs satisfying the conditions and assert sequence
 //! equality (order included).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classic;
@@ -29,8 +30,8 @@ pub mod prune;
 pub mod schema;
 
 pub use cost::{
-    plan_cost_map, rank_plans, rank_plans_calibrated, rank_plans_with, unnest_cheapest,
-    unnest_cheapest_with, Calibration, CostModel, Estimate,
+    plan_cost_map, rank_plans, rank_plans_with, unnest_cheapest, unnest_cheapest_with, Calibration,
+    CostModel, Estimate,
 };
 pub use driver::{enumerate_plans, unnest_best, PlanChoice, RewriteTrace};
 pub use prune::prune;

@@ -6,7 +6,8 @@
 //! enclosing gap without renumbering the arena. When a gap is exhausted
 //! (≈32 inserts splitting the same spot), a *local* region of
 //! document-order neighbours is renumbered ([`Document::order_epoch`]
-//! records it) — see `ROADMAP.md` for the sizing rationale.
+//! records it) — see "The two ordering invariants" in
+//! `docs/ARCHITECTURE.md` for the sizing rationale.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

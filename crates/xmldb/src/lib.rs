@@ -31,6 +31,7 @@
 //! context per query without ever taking a lock, while a single writer
 //! clones-on-write only the touched structures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;

@@ -1,4 +1,4 @@
-//! Versioned catalog snapshots with lock-free pinning.
+//! Versioned catalog snapshots.
 //!
 //! The store's concurrency model is MVCC at the catalog granularity:
 //! an immutable [`CatalogSnapshot`] is one published version of every
@@ -9,10 +9,11 @@
 //! share via `Arc` until [`Arc::make_mut`] inside the catalog's update
 //! wrappers forces a copy of the one touched document; cached indexes
 //! share the same way until [`crate::index::delta`] maintains them) and
-//! publishes it with a single atomic pointer swap. Readers **pin** the
-//! current version for the whole query and never take a lock:
-//! [`CatalogHandle::pin`] is a hazard-pointer protected `Arc` clone —
-//! a handful of atomic operations, no mutex, no reader/writer wait.
+//! publishes it by swapping one `Arc`. Readers **pin** the current
+//! version for the whole query: [`CatalogHandle::pin`] clones that
+//! `Arc` under a mutex which is held only for the clone or the swap —
+//! never while a writer builds its next version, and never while a
+//! reader runs its query.
 //!
 //! Why a query needs a pinned version at all: the ordered-context
 //! guarantees of the paper's unnesting equivalences (and the
@@ -31,25 +32,9 @@
 //! these replace, `doc_seq`s are **monotone across wholesale reloads**
 //! (they derive from the ever-growing `update_seq`), so a reload can
 //! never alias an old stamp and caches need no eager purge.
-//!
-//! # Memory reclamation
-//!
-//! `pin` cannot be a plain `Arc` clone of a shared field — between
-//! loading the pointer and bumping the count, a writer could swap and
-//! drop the last reference. The classic fix (what the `arc-swap` crate
-//! does; hand-rolled here because the container is offline) is a fixed
-//! array of *hazard slots*: a reader claims a slot, advertises the
-//! pointer it is about to touch, re-verifies the pointer is still
-//! current, and only then bumps the count and releases the slot. The
-//! writer, after swapping in the new version, spins until no slot
-//! advertises the old pointer before dropping its reference. The slot
-//! is held only across the count bump — nanoseconds — never for the
-//! query; the query's lifetime is protected by the `Arc` itself.
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::catalog::Catalog;
@@ -116,86 +101,46 @@ impl Deref for CatalogSnapshot {
     }
 }
 
-/// Hazard slots available to concurrent pinners. A slot is held only
-/// for the few instructions of a pin, so this bounds simultaneous
-/// *pin operations*, not concurrent readers — far more than any
-/// plausible thread count can occupy at once.
-const HAZARD_SLOTS: usize = 64;
-
-/// The owner of a snapshot chain: lock-free reads ([`CatalogHandle::pin`]),
-/// single-writer clone-on-write publishes ([`CatalogHandle::write`],
-/// [`CatalogHandle::publish_replace`]). See the module docs for the
-/// protocol.
+/// The owner of a snapshot chain: pins under a short lock
+/// ([`CatalogHandle::pin`]), single-writer clone-on-write publishes
+/// ([`CatalogHandle::write`], [`CatalogHandle::publish_replace`]). See
+/// the module docs for the protocol.
 pub struct CatalogHandle {
-    /// The current version. Owns one strong count of the `Arc` whose
-    /// allocation it points at.
-    current: AtomicPtr<CatalogSnapshot>,
-    /// Pointers readers are mid-pin on; the writer must not drop its
-    /// strong count on a pointer advertised here.
-    hazards: [AtomicPtr<CatalogSnapshot>; HAZARD_SLOTS],
+    /// The current version and the live-snapshot registry. Held only
+    /// for an `Arc` clone (a pin) or a swap (a publish), never across a
+    /// writer's mutation.
+    published: Mutex<Published>,
     /// Serializes writers. Readers never touch it.
     writer: Mutex<()>,
+}
+
+struct Published {
+    current: Arc<CatalogSnapshot>,
     /// Weak references to every published version, for the
     /// live-snapshot gauge; pruned opportunistically.
-    published: Mutex<Vec<Weak<CatalogSnapshot>>>,
+    versions: Vec<Weak<CatalogSnapshot>>,
 }
 
 impl CatalogHandle {
     /// Publish `catalog` as version 0 of a new chain.
     pub fn new(catalog: Catalog) -> CatalogHandle {
-        let snap = Arc::new(CatalogSnapshot::from_catalog(catalog));
+        let current = Arc::new(CatalogSnapshot::from_catalog(catalog));
         CatalogHandle {
-            current: AtomicPtr::new(Arc::into_raw(Arc::clone(&snap)).cast_mut()),
-            hazards: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
+            published: Mutex::new(Published {
+                versions: vec![Arc::downgrade(&current)],
+                current,
+            }),
             writer: Mutex::new(()),
-            published: Mutex::new(vec![Arc::downgrade(&snap)]),
         }
     }
 
     /// Pin the current version: an `Arc` the caller holds for as long
     /// as it needs one consistent catalog (typically `begin` → `done`
-    /// of one query). Lock-free — a writer mid-publish never delays
-    /// this, and holding the returned `Arc` never delays a writer.
+    /// of one query). An `Arc` clone under the pin lock: a writer's
+    /// mutation never delays it, and holding the `Arc` never delays a
+    /// writer.
     pub fn pin(&self) -> Arc<CatalogSnapshot> {
-        loop {
-            let p = self.current.load(Ordering::SeqCst);
-            // Claim a free hazard slot by advertising `p` in it.
-            for slot in &self.hazards {
-                if slot
-                    .compare_exchange(ptr::null_mut(), p, Ordering::SeqCst, Ordering::Relaxed)
-                    .is_err()
-                {
-                    continue;
-                }
-                // Slot claimed. Re-verify `p` is still current: if the
-                // store above landed before a writer's swap (SeqCst
-                // total order), the writer's post-swap hazard scan sees
-                // it and keeps the allocation alive; if it landed
-                // after, this re-load observes the new pointer and we
-                // chase it.
-                let mut p = p;
-                loop {
-                    let q = self.current.load(Ordering::SeqCst);
-                    if q == p {
-                        // Safety: `p` came from `Arc::into_raw` (every
-                        // pointer ever stored in `current` does) and the
-                        // verified hazard keeps its allocation alive
-                        // until the slot clears below.
-                        let pinned = unsafe {
-                            Arc::increment_strong_count(p);
-                            Arc::from_raw(p)
-                        };
-                        slot.store(ptr::null_mut(), Ordering::SeqCst);
-                        return pinned;
-                    }
-                    slot.store(q, Ordering::SeqCst);
-                    p = q;
-                }
-            }
-            // Every slot busy — each is held only across a count bump,
-            // so one is about to free.
-            std::hint::spin_loop();
-        }
+        Arc::clone(&self.published.lock().expect("snapshot lock").current)
     }
 
     /// The current version stamp (equivalent to `pin().update_seq()`).
@@ -211,9 +156,10 @@ impl CatalogHandle {
     /// copies exactly the touched indexes). Returns `f`'s result and
     /// the published `update_seq`.
     ///
-    /// Writers serialize on an internal mutex; readers are unaffected
-    /// before, during, and after (they keep their pinned versions, and
-    /// new pins atomically observe the new version).
+    /// Writers serialize on an internal mutex that readers never take;
+    /// `f` runs without the pin lock, so readers are unaffected before,
+    /// during, and after (they keep their pinned versions, and a pin
+    /// observes either the old version or the new one, never a mix).
     pub fn write<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> (R, u64) {
         match self.try_write::<R, std::convert::Infallible>(|c| Ok(f(c))) {
             Ok(out) => out,
@@ -234,11 +180,7 @@ impl CatalogHandle {
         let r = f(&mut catalog)?;
         let update_seq = prev.update_seq + 1;
         let doc_seqs = next_doc_seqs(&prev, &catalog, update_seq);
-        self.publish(CatalogSnapshot {
-            catalog,
-            update_seq,
-            doc_seqs,
-        });
+        self.publish(catalog, update_seq, doc_seqs);
         Ok((r, update_seq))
     }
 
@@ -254,11 +196,7 @@ impl CatalogHandle {
             .iter()
             .map(|(_, d)| (d.uri.clone(), update_seq))
             .collect();
-        self.publish(CatalogSnapshot {
-            catalog,
-            update_seq,
-            doc_seqs,
-        });
+        self.publish(catalog, update_seq, doc_seqs);
         update_seq
     }
 
@@ -266,46 +204,28 @@ impl CatalogHandle {
     /// older snapshot a reader still pins) — the leak canary: steady
     /// state with no in-flight query is exactly 1.
     pub fn live_snapshots(&self) -> usize {
-        let mut published = self.published.lock().expect("snapshot registry");
-        published.retain(|w| w.strong_count() > 0);
-        published.len()
+        let mut published = self.published.lock().expect("snapshot lock");
+        published.versions.retain(|w| w.strong_count() > 0);
+        published.versions.len()
     }
 
-    /// Swap `snap` in as the current version and retire the previous
-    /// one (caller holds the writer mutex).
-    fn publish(&self, snap: CatalogSnapshot) {
-        let snap = Arc::new(snap);
-        {
-            let mut published = self.published.lock().expect("snapshot registry");
-            published.retain(|w| w.strong_count() > 0);
-            published.push(Arc::downgrade(&snap));
-        }
-        let fresh = Arc::into_raw(snap).cast_mut();
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        // Wait out readers mid-pin on the old pointer. Each hazard is
-        // held only across a strong-count bump, so this terminates in
-        // nanoseconds; a reader that already bumped holds its own
-        // reference and needs no protection from us.
-        for slot in &self.hazards {
-            while slot.load(Ordering::SeqCst) == old {
-                std::hint::spin_loop();
-            }
-        }
-        // Safety: `old` was stored via `Arc::into_raw` and no hazard
-        // advertises it; dropping releases the handle's strong count
-        // (readers holding pins keep the allocation alive).
-        unsafe { drop(Arc::from_raw(old)) };
-    }
-}
-
-impl Drop for CatalogHandle {
-    fn drop(&mut self) {
-        let p = *self.current.get_mut();
-        if !p.is_null() {
-            // Safety: exclusive access (`&mut self`); `p` owns the
-            // handle's strong count.
-            unsafe { drop(Arc::from_raw(p)) };
-        }
+    /// Swap the new version in as the current one and retire the
+    /// previous one (caller holds the writer mutex).
+    fn publish(&self, catalog: Catalog, update_seq: u64, doc_seqs: HashMap<String, u64>) {
+        let snap = Arc::new(CatalogSnapshot {
+            catalog,
+            update_seq,
+            doc_seqs,
+        });
+        let superseded = {
+            let mut published = self.published.lock().expect("snapshot lock");
+            published.versions.retain(|w| w.strong_count() > 0);
+            published.versions.push(Arc::downgrade(&snap));
+            std::mem::replace(&mut published.current, snap)
+        };
+        // Outside the lock: with no reader pinning it, this frees a
+        // whole catalog, and no pin should wait for that.
+        drop(superseded);
     }
 }
 
@@ -333,6 +253,9 @@ fn next_doc_seqs(prev: &CatalogSnapshot, next: &Catalog, update_seq: u64) -> Has
 mod tests {
     use super::*;
     use crate::parser::parse_document;
+    use std::sync::atomic::Ordering;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn two_doc_catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -429,9 +352,9 @@ mod tests {
 
     #[test]
     fn concurrent_pins_always_observe_a_complete_version() {
-        // Hazard-pointer hammering: readers pin in a tight loop while
-        // the writer publishes versions that keep an invariant (`a.xml`
-        // node count equals 3 + update_seq). A torn read — a freed or
+        // Pin hammering: readers pin in a tight loop while the writer
+        // publishes versions that keep an invariant (`a.xml` node count
+        // equals base + 2 × update_seq). A torn read — a freed or
         // half-published snapshot — breaks the invariant or crashes.
         let handle = Arc::new(CatalogHandle::new(two_doc_catalog()));
         let base = {
@@ -486,5 +409,30 @@ mod tests {
         assert!(total > 0, "readers must have pinned");
         assert_eq!(handle.pin().update_seq(), 200);
         assert_eq!(handle.live_snapshots(), 1, "no version leaked");
+    }
+
+    #[test]
+    fn a_pin_never_waits_for_a_writers_closure() {
+        // The closure returns only once another thread has pinned, so a
+        // pin that waited for the writer fails on the timeout, not a hang.
+        let handle = CatalogHandle::new(two_doc_catalog());
+        let (tx, rx) = mpsc::channel();
+        let ((seq_seen, mid_write), seq) = std::thread::scope(|s| {
+            handle.write(|_| {
+                let handle = &handle;
+                s.spawn(move || tx.send((handle.update_seq(), handle.pin())).unwrap());
+                rx.recv_timeout(Duration::from_secs(5))
+                    .expect("a pin taken during a write must not wait for the writer")
+            })
+        });
+        assert_eq!(
+            (seq_seen, mid_write.update_seq()),
+            (0, 0),
+            "pinned mid-write"
+        );
+        assert_eq!((seq, handle.pin().update_seq()), (1, 1), "pinned after");
+        assert_eq!(handle.live_snapshots(), 2, "old version pinned here");
+        drop(mid_write);
+        assert_eq!(handle.live_snapshots(), 1, "only the current version");
     }
 }

@@ -16,6 +16,8 @@
 //! normalization step of §3 moves them into `where` clauses before
 //! translation, so by execution time paths are purely structural.
 
+#![forbid(unsafe_code)]
+
 mod ast;
 mod eval;
 mod parser;

@@ -20,6 +20,8 @@
 //! assert!(!expr.has_nested_scalars());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod fingerprint;
 pub mod normalize;

@@ -5,6 +5,8 @@
 //! shared experiment [`workloads`]. See `DESIGN.md` for the system map
 //! and `EXPERIMENTS.md` for measured results.
 
+#![forbid(unsafe_code)]
+
 pub mod plan_sets;
 pub mod workloads;
 
