@@ -101,7 +101,7 @@ fn keep_of(plan: &mut PhysPlan) -> Option<&mut Keep> {
         | PhysPlan::IndexScan { keep, .. }
         | PhysPlan::Unnest { keep, .. }
         | PhysPlan::Cross { keep, .. }
-        | PhysPlan::HashGroupBinary { keep, .. } => Some(keep),
+        | PhysPlan::NestJoin { keep, .. } => Some(keep),
         PhysPlan::HashJoin { keep, kind, .. } | PhysPlan::LoopJoin { keep, kind, .. } => {
             matches!(kind, JoinKind::Inner | JoinKind::Outer { .. }).then_some(keep)
         }
@@ -131,10 +131,7 @@ impl Pass {
             PhysPlan::Map { attr, .. }
             | PhysPlan::UnnestMap { attr, .. }
             | PhysPlan::IndexScan { attr, .. } => binds(&[*attr]),
-            PhysPlan::HashGroupUnary { g, .. }
-            | PhysPlan::ThetaGroupUnary { g, .. }
-            | PhysPlan::HashGroupBinary { g, .. }
-            | PhysPlan::ThetaGroupBinary { g, .. } => binds(&[*g]),
+            PhysPlan::Group { g, .. } | PhysPlan::NestJoin { g, .. } => binds(&[*g]),
             PhysPlan::HashJoin { kind, pad, .. } | PhysPlan::LoopJoin { kind, pad, .. } => {
                 let g = match kind {
                     JoinKind::Outer { g, .. } => Some(*g),
@@ -401,16 +398,13 @@ impl Pass {
                 let sides = [(&mut **left, reads), (&mut **right, reads)];
                 self.narrow_join(live, sides, kind, pad, keep)
             }
-            PhysPlan::HashGroupUnary {
-                input, g, by, f, ..
-            }
-            | PhysPlan::ThetaGroupUnary {
+            PhysPlan::Group {
                 input, g, by, f, ..
             } => {
                 self.narrow(input, self.set(by) | self.group_reads(f));
                 Out::of(self.set(by) | self.bit(*g))
             }
-            PhysPlan::HashGroupBinary {
+            PhysPlan::NestJoin {
                 left,
                 right,
                 g,
@@ -424,19 +418,6 @@ impl Pass {
                 self.narrow(right, self.set(right_on) | self.group_reads(f));
                 let kept_side = self.narrow(left, here & !self.bit(*g) | self.set(left_on));
                 Out::of(self.restrict(keep, here, kept_side.schema | self.bit(*g), false))
-            }
-            PhysPlan::ThetaGroupBinary {
-                left,
-                right,
-                g,
-                left_on,
-                right_on,
-                f,
-                ..
-            } => {
-                self.narrow(right, self.set(right_on) | self.group_reads(f));
-                let kept_side = self.narrow(left, live & !self.bit(*g) | self.set(left_on));
-                Out::of(kept_side.schema | self.bit(*g))
             }
             PhysPlan::XiSimple { input, cmds } => {
                 Out::of(self.narrow(input, live | self.cmd_vars(cmds)).schema)
@@ -495,6 +476,8 @@ impl Pass {
     }
 }
 
+// The reference evaluator is these tests' oracle.
+#[allow(clippy::disallowed_methods)]
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -585,18 +585,12 @@ fn node_closure(plan: &PhysPlan, l: Option<&Closure>, r: Option<&Closure>) -> Op
             keep,
             ..
         } => join(l?, r?, Some(pred), &split.blocks, kind, pad, keep)?,
-        // A θ-grouping hands its filter's blocks to `nal::eval`: with
-        // none compiled, a filter with nested algebra is not understood.
-        PhysPlan::HashGroupUnary {
+        PhysPlan::Group {
             g, by, f, blocks, ..
         } => group(l?, *g, by, f, blocks)?,
-        PhysPlan::ThetaGroupUnary { g, by, f, .. } => group(l?, *g, by, f, &Blocks::NONE)?,
-        PhysPlan::HashGroupBinary {
+        PhysPlan::NestJoin {
             g, f, blocks, keep, ..
         } => nest_join(l?, r?, *g, f, blocks, keep)?,
-        PhysPlan::ThetaGroupBinary { g, f, .. } => {
-            nest_join(l?, r?, *g, f, &Blocks::NONE, &Keep::default())?
-        }
         // Ξ writes; the rest never sits in a block.
         PhysPlan::XiSimple { .. }
         | PhysPlan::XiGroup { .. }

@@ -1,5 +1,5 @@
 //! Streaming binary operators: ×, hash/loop joins (inner, semi, anti,
-//! outer), and binary grouping.
+//! outer), and the nest join (binary Γ, one cursor for every θ).
 //!
 //! The probe side (left) streams; the build side (right) is materialized
 //! on first pull, preserving arrival order inside each hash bucket so
@@ -17,11 +17,12 @@ use std::collections::HashMap;
 
 use nal::hash::FastBuild;
 
-use nal::eval::{eval, EvalCtx, EvalResult, Scope};
-use nal::{GroupFn, Scalar, Sym, Tuple};
+use nal::eval::{EvalCtx, EvalResult, Scope};
+use nal::{CmpOp, GroupFn, Scalar, Sym, Tuple};
 use xmldb::Catalog;
 
 use super::cursor::{drain, BoxCursor, Cursor, Feed};
+use crate::exec::keys_match;
 use crate::key::{probe_key, Key};
 use crate::nested::Spooled;
 use crate::plan::JoinKind;
@@ -412,9 +413,11 @@ impl Cursor for IndexJoin<'_> {
     }
 }
 
-/// Binary Γ with hash lookup: build buckets on the right once, then
-/// stream the left, aggregating each tuple's group lazily.
-pub struct HashGroupBinary<'p> {
+/// Binary Γ (the nest join): build the right side once, then stream the
+/// left, aggregating each tuple's group lazily. For `=` the right rows
+/// are bucketed by key ([`Buckets`]); for another θ each left tuple scans
+/// them.
+pub struct NestJoin<'p> {
     /// Left (probe/outer) input.
     pub left: Feed<'p>,
     /// Right (build/inner) input.
@@ -423,6 +426,8 @@ pub struct HashGroupBinary<'p> {
     pub g: Sym,
     /// Left-side match attributes.
     pub left_on: &'p [Sym],
+    /// The grouping comparison.
+    pub theta: CmpOp,
     /// Right-side match attributes.
     pub right_on: &'p [Sym],
     /// The aggregate applied per group.
@@ -437,81 +442,57 @@ pub struct HashGroupBinary<'p> {
     pub strict: bool,
     /// Probe-key text assembled for a lookup.
     pub scratch: String,
-    /// The right side bucketed by key (the groups), built on first pull.
-    pub buckets: Option<Buckets>,
+    /// The right side, built on first pull.
+    pub(crate) build: Option<NestBuild>,
+    /// The current left tuple's group (θ only).
+    pub members: Vec<Tuple>,
 }
 
-impl Cursor for HashGroupBinary<'_> {
+/// A [`NestJoin`]'s right side.
+pub(crate) enum NestBuild {
+    /// `=`: bucketed by key (the groups).
+    Hash(Buckets),
+    /// Another θ: the rows, in arrival order.
+    Theta(Vec<Tuple>),
+}
+
+impl Cursor for NestJoin<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.buckets.is_none() {
+        if self.build.is_none() {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
             let rows = drain(self.right.as_mut(), ctx)?;
-            self.buckets = Some(Buckets::build(rows, self.right_on, ctx.catalog));
+            self.build = Some(match self.theta {
+                CmpOp::Eq => NestBuild::Hash(Buckets::build(rows, self.right_on, ctx.catalog)),
+                _ => NestBuild::Theta(rows),
+            });
         }
         let Some(lt) = self.left.next(ctx)? else {
             return Ok(None);
         };
-        let buckets = self.buckets.as_ref().expect("built above");
-        let members = buckets
-            .slot_of(&lt, self.left_on, ctx.catalog, &mut self.scratch)
-            .map_or(&[][..], |slot| buckets.bucket(slot));
+        let members = match self.build.as_ref().expect("built above") {
+            NestBuild::Hash(buckets) => buckets
+                .slot_of(&lt, self.left_on, ctx.catalog, &mut self.scratch)
+                .map_or(&[][..], |slot| buckets.bucket(slot)),
+            NestBuild::Theta(rows) => {
+                let (left_on, right_on) = (self.left_on, self.right_on);
+                let matching = rows
+                    .iter()
+                    .filter(|rt| keys_match(&lt, left_on, rt, right_on, self.theta, ctx.catalog));
+                self.members.clear();
+                self.members.extend(matching.cloned());
+                &self.members
+            }
+        };
         let v = self.blocks.aggregate(self.f, members, self.env, ctx)?;
         Ok(Some(lt.merged(&[(self.g, v)], self.keep)))
     }
 
     fn op_name(&self) -> &'static str {
-        "HashNestJoin"
-    }
-}
-
-/// θ binary grouping fallback: materialize both sides, delegate to the
-/// reference evaluator (nested blocks in `f`'s filter included), stream
-/// the result.
-pub struct ThetaGroupBinary<'p> {
-    /// Left (probe/outer) input.
-    pub left: BoxCursor<'p>,
-    /// Right (build/inner) input.
-    pub right: BoxCursor<'p>,
-    /// Attribute receiving the group aggregate.
-    pub g: Sym,
-    /// Left-side match attributes.
-    pub left_on: &'p [Sym],
-    /// The grouping comparison.
-    pub theta: nal::CmpOp,
-    /// Right-side match attributes.
-    pub right_on: &'p [Sym],
-    /// The aggregate applied per group.
-    pub f: &'p GroupFn,
-    /// The scope the input's tuples are evaluated in.
-    pub env: &'p Scope<'p>,
-    /// Materialized result, streamed out.
-    pub out: Option<std::vec::IntoIter<Tuple>>,
-}
-
-impl Cursor for ThetaGroupBinary<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.out.is_none() {
-            // Left first — matching the reference evaluator's
-            // evaluation order for any side effects.
-            let l = drain(self.left.as_mut(), ctx)?;
-            let r = drain(self.right.as_mut(), ctx)?;
-            let logical = nal::Expr::GroupBinary {
-                left: Box::new(nal::Expr::Literal(l)),
-                right: Box::new(nal::Expr::Literal(r)),
-                g: self.g,
-                left_on: self.left_on.to_vec(),
-                theta: self.theta,
-                right_on: self.right_on.to_vec(),
-                f: self.f.clone(),
-            };
-            self.out = Some(eval(&logical, &self.env.flatten(), ctx)?.into_iter());
+        match self.theta {
+            CmpOp::Eq => "HashNestJoin",
+            _ => "ThetaNestJoin",
         }
-        Ok(self.out.as_mut().expect("evaluated above").next())
-    }
-
-    fn op_name(&self) -> &'static str {
-        "ThetaNestJoin"
     }
 }

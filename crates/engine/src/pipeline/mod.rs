@@ -67,10 +67,7 @@ fn node_emits_xi(plan: &PhysPlan) -> bool {
         // Recipe probe sides and replayed pipelines are replay-safe (no
         // nested algebra) by conversion; only the residual could carry Ξ.
         PhysPlan::IndexJoin { recipe, .. } => recipe.residual.as_ref(),
-        PhysPlan::HashGroupUnary { f, .. }
-        | PhysPlan::ThetaGroupUnary { f, .. }
-        | PhysPlan::HashGroupBinary { f, .. }
-        | PhysPlan::ThetaGroupBinary { f, .. } => f.filter.as_deref(),
+        PhysPlan::Group { f, .. } | PhysPlan::NestJoin { f, .. } => f.filter.as_deref(),
         PhysPlan::Singleton
         | PhysPlan::Literal(_)
         | PhysPlan::AttrRel(_)
@@ -296,18 +293,20 @@ impl<'a> Lowering<'a> {
                     cur: None,
                 },
             ),
-            PhysPlan::HashGroupUnary {
+            PhysPlan::Group {
                 input,
                 g,
                 by,
+                theta,
                 f,
                 blocks,
             } => metered(
                 plan,
-                ops::HashGroupUnary {
+                ops::Group {
                     input: self.lower(input),
                     g: *g,
                     by,
+                    theta: *theta,
                     f,
                     blocks: blocks.spooled(),
                     emits: by.iter().chain([g]).copied().collect(),
@@ -316,70 +315,33 @@ impl<'a> Lowering<'a> {
                     groups: None,
                 },
             ),
-            PhysPlan::ThetaGroupUnary {
-                input,
-                g,
-                by,
-                theta,
-                f,
-            } => metered(
-                plan,
-                ops::ThetaGroupUnary {
-                    input: self.lower(input),
-                    g: *g,
-                    by,
-                    theta: *theta,
-                    f,
-                    env,
-                    out: None,
-                },
-            ),
-            PhysPlan::HashGroupBinary {
+            PhysPlan::NestJoin {
                 left,
                 right,
                 g,
                 left_on,
+                theta,
                 right_on,
                 f,
                 blocks,
                 keep,
             } => metered(
                 plan,
-                join::HashGroupBinary {
+                join::NestJoin {
                     strict: needs_strict_order(left, right),
                     left: Feed::Stream(self.lower(left)),
-                    right: self.lower(right),
-                    g: *g,
-                    left_on,
-                    right_on,
-                    f,
-                    blocks: blocks.spooled(),
-                    keep: keep.attrs(),
-                    env,
-                    scratch: String::new(),
-                    buckets: None,
-                },
-            ),
-            PhysPlan::ThetaGroupBinary {
-                left,
-                right,
-                g,
-                left_on,
-                theta,
-                right_on,
-                f,
-            } => metered(
-                plan,
-                join::ThetaGroupBinary {
-                    left: self.lower(left),
                     right: self.lower(right),
                     g: *g,
                     left_on,
                     theta: *theta,
                     right_on,
                     f,
+                    blocks: blocks.spooled(),
+                    keep: keep.attrs(),
                     env,
-                    out: None,
+                    scratch: String::new(),
+                    build: None,
+                    members: Vec::new(),
                 },
             ),
             PhysPlan::Unnest {

@@ -1,16 +1,17 @@
 //! Streaming unary operators and the blocking (materialize-inside,
-//! stream-out) grouping and Ξ operators.
+//! stream-out) unary Γ and grouped Ξ. Γ is one cursor for every θ: a
+//! hash pass for `=`, a scan per distinct key otherwise.
 
 use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use nal::eval::{atomize_tuple, eval, xi, EvalCtx, EvalResult, Scope};
+use nal::eval::{atomize_tuple, xi, EvalCtx, EvalResult, Scope};
 use nal::hash::FastBuild;
-use nal::{GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
+use nal::{CmpOp, GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 
 use super::cursor::{drain, BoxCursor, Cursor, Meter, Pull};
-use crate::exec::{group_key, hash_groups, unnest_tuple, Groups};
+use crate::exec::{distinct_keys, group_key, hash_groups, keys_match, unnest_tuple, Groups};
 use crate::nested::Spooled;
 
 /// σ — filter, one pull per surviving tuple.
@@ -358,7 +359,8 @@ impl Cursor for XiSimple<'_> {
 }
 
 /// Grouped Ξ — blocking on the input (grouping needs all tuples), then
-/// streams one key tuple per group, emitting head/body/tail as pulled.
+/// streams one key tuple per group, emitting head/body/tail as pulled
+/// (a key that matches nothing: head and tail around an empty body).
 pub struct XiGroup<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,
@@ -384,10 +386,10 @@ impl Cursor for XiGroup<'_> {
             let rows = drain(self.input.as_mut(), ctx)?;
             self.groups = Some(hash_groups(rows, self.by, ctx));
         }
-        let Some(members) = self.groups.as_mut().expect("grouped above").next_group() else {
+        let Some((key, members)) = self.groups.as_mut().expect("grouped above").next_group() else {
             return Ok(None);
         };
-        let key_tuple = group_key(members, self.by, ctx, &mut self.scratch);
+        let key_tuple = group_key(key, self.by, ctx, &mut self.scratch);
         let key_env = Scope::Row(&key_tuple, self.env);
         xi::run_cmds(self.head, &key_env, ctx)?;
         for t in members {
@@ -402,15 +404,21 @@ impl Cursor for XiGroup<'_> {
     }
 }
 
-/// Hash Γ — blocking build of the group table, then one aggregated tuple
-/// per group streamed out (the group function runs lazily per pull).
-pub struct HashGroupUnary<'p> {
+/// Γ — blocking: the input is grouped on the first pull, then one
+/// aggregated tuple per key is streamed out (the group function runs
+/// lazily per pull). For `=` one hash pass groups the rows
+/// (`exec::hash_groups`); for another θ each distinct key, first
+/// occurrence first, scans the rows for its members — §2's unary Γ, the
+/// binary Γ over the input's distinct keys.
+pub struct Group<'p> {
     /// Input cursor.
     pub input: BoxCursor<'p>,
     /// Attribute receiving the group aggregate.
     pub g: Sym,
     /// Group-key attributes.
     pub by: &'p [Sym],
+    /// The grouping comparison.
+    pub theta: CmpOp,
     /// The aggregate applied per group.
     pub f: &'p GroupFn,
     /// The nested blocks of `f`'s filter and their spools.
@@ -422,21 +430,64 @@ pub struct HashGroupUnary<'p> {
     /// Key text assembled on its way into an output tuple.
     pub scratch: String,
     /// Materialized groups, streamed out one per pull.
-    pub(crate) groups: Option<Groups>,
+    pub(crate) groups: Option<Grouped>,
 }
 
-impl Cursor for HashGroupUnary<'_> {
+/// A [`Group`]'s input, grouped.
+pub(crate) enum Grouped {
+    /// `=`: the groups themselves.
+    Hash(Groups),
+    /// Another θ: the rows, the keys still to go, and the current key
+    /// and its members.
+    Theta {
+        rows: Vec<Tuple>,
+        keys: std::vec::IntoIter<Tuple>,
+        key: Tuple,
+        members: Vec<Tuple>,
+    },
+}
+
+impl Cursor for Group<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.groups.is_none() {
             let rows = drain(self.input.as_mut(), ctx)?;
-            self.groups = Some(hash_groups(rows, self.by, ctx));
+            self.groups = Some(match self.theta {
+                CmpOp::Eq => Grouped::Hash(hash_groups(rows, self.by, ctx)),
+                _ => Grouped::Theta {
+                    keys: distinct_keys(&rows, self.by, ctx.catalog).into_iter(),
+                    rows,
+                    key: Tuple::empty(),
+                    members: Vec::new(),
+                },
+            });
         }
-        let Some(members) = self.groups.as_mut().expect("grouped above").next_group() else {
-            return Ok(None);
+        let (key, members) = match self.groups.as_mut().expect("grouped above") {
+            Grouped::Hash(groups) => match groups.next_group() {
+                Some(group) => group,
+                None => return Ok(None),
+            },
+            Grouped::Theta {
+                rows,
+                keys,
+                key,
+                members,
+            } => {
+                let Some(next) = keys.next() else {
+                    return Ok(None);
+                };
+                let (by, theta) = (self.by, self.theta);
+                let matching = rows
+                    .iter()
+                    .filter(|t| keys_match(&next, by, t, by, theta, ctx.catalog));
+                members.clear();
+                members.extend(matching.cloned());
+                *key = next;
+                (&*key, &members[..])
+            }
         };
         let v = self.blocks.aggregate(self.f, members, self.env, ctx)?;
         // The atomized key and the aggregate in one block.
-        Ok(Some(members[0].merged_with(
+        Ok(Some(key.merged_with(
             &[(self.g, v)],
             Some(&self.emits),
             |v| v.atomize_in(ctx.catalog, &mut self.scratch),
@@ -444,46 +495,9 @@ impl Cursor for HashGroupUnary<'_> {
     }
 
     fn op_name(&self) -> &'static str {
-        "HashGroup"
-    }
-}
-
-/// θ-grouping fallback: materialize, delegate to the reference evaluator
-/// (nested blocks in `f`'s filter included), stream the result.
-pub struct ThetaGroupUnary<'p> {
-    /// Input cursor.
-    pub input: BoxCursor<'p>,
-    /// Attribute receiving the group aggregate.
-    pub g: Sym,
-    /// Group-key attributes.
-    pub by: &'p [Sym],
-    /// The grouping comparison.
-    pub theta: nal::CmpOp,
-    /// The aggregate applied per group.
-    pub f: &'p GroupFn,
-    /// The scope the input's tuples are evaluated in.
-    pub env: &'p Scope<'p>,
-    /// Materialized result, streamed out.
-    pub out: Option<std::vec::IntoIter<Tuple>>,
-}
-
-impl Cursor for ThetaGroupUnary<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.out.is_none() {
-            let rows = drain(self.input.as_mut(), ctx)?;
-            let logical = nal::Expr::GroupUnary {
-                input: Box::new(nal::Expr::Literal(rows)),
-                g: self.g,
-                by: self.by.to_vec(),
-                theta: self.theta,
-                f: self.f.clone(),
-            };
-            self.out = Some(eval(&logical, &self.env.flatten(), ctx)?.into_iter());
+        match self.theta {
+            CmpOp::Eq => "HashGroup",
+            _ => "ThetaGroup",
         }
-        Ok(self.out.as_mut().expect("evaluated above").next())
-    }
-
-    fn op_name(&self) -> &'static str {
-        "ThetaGroup"
     }
 }

@@ -9,10 +9,14 @@
 //! *result* but not the definitional pair loop — their predicate is
 //! split by side here ([`ThetaSplit`]) so that execution decides
 //! one-sided conjuncts once and probes an ordered build for range
-//! conjuncts ([`crate::theta`]). Scalar subscripts are evaluated with the
-//! reference evaluator's scalar semantics; the nested algebra blocks
-//! inside them — what makes a *nested plan* nested — are compiled here,
-//! with the plan, and run on the engine ([`crate::nested`]).
+//! conjuncts ([`crate::theta`]). Grouping is one operator per arity
+//! whatever its θ — [`PhysPlan::Group`] and [`PhysPlan::NestJoin`] —
+//! which finds a group's members by hash for `=` and by scan otherwise;
+//! its EXPLAIN name still says which. Scalar subscripts are evaluated
+//! with the reference evaluator's scalar semantics; the nested algebra
+//! blocks inside them — what makes a *nested plan* nested — are
+//! compiled here, with the plan, and run on the engine
+//! ([`crate::nested`]).
 
 use nal::expr::attrs::{attr_set, nested_attrs};
 use nal::expr::visit;
@@ -162,21 +166,9 @@ pub enum PhysPlan {
         /// What of the joined tuple is emitted (inner/outer joins only).
         keep: Keep,
     },
-    /// Single-pass hash grouping (θ = '='), first-occurrence key order.
-    HashGroupUnary {
-        /// Input operator.
-        input: Box<PhysPlan>,
-        /// Attribute receiving each group's aggregate.
-        g: Sym,
-        /// Grouping attributes.
-        by: Vec<Sym>,
-        /// The aggregate applied per group.
-        f: GroupFn,
-        /// The nested blocks of `f`'s filter, compiled.
-        blocks: Blocks,
-    },
-    /// θ-grouping fallback (distinct keys × input scan).
-    ThetaGroupUnary {
+    /// Γ — unary grouping, first-occurrence key order: one hash pass
+    /// for `=`, a scan per distinct key for another θ.
+    Group {
         /// Input operator.
         input: Box<PhysPlan>,
         /// Attribute receiving each group's aggregate.
@@ -187,9 +179,13 @@ pub enum PhysPlan {
         theta: nal::CmpOp,
         /// The aggregate applied per group.
         f: GroupFn,
+        /// The nested blocks of `f`'s filter, compiled.
+        blocks: Blocks,
     },
-    /// Binary grouping with hash lookup of each left tuple's group.
-    HashGroupBinary {
+    /// Binary Γ (the nest join): each left tuple receives the aggregate
+    /// of its group of right tuples, found by hash lookup for `=` and by
+    /// a scan for another θ.
+    NestJoin {
         /// The kept side (each tuple receives its group).
         left: Box<PhysPlan>,
         /// The grouped side.
@@ -198,6 +194,8 @@ pub enum PhysPlan {
         g: Sym,
         /// Left-side match attributes.
         left_on: Vec<Sym>,
+        /// The grouping comparison.
+        theta: nal::CmpOp,
         /// Right-side match attributes.
         right_on: Vec<Sym>,
         /// The aggregate applied per group.
@@ -206,23 +204,6 @@ pub enum PhysPlan {
         blocks: Blocks,
         /// What of the built tuple is emitted.
         keep: Keep,
-    },
-    /// Binary θ-grouping fallback (non-equality comparisons).
-    ThetaGroupBinary {
-        /// The kept side.
-        left: Box<PhysPlan>,
-        /// The grouped side.
-        right: Box<PhysPlan>,
-        /// Attribute receiving the group aggregate.
-        g: Sym,
-        /// Left-side match attributes.
-        left_on: Vec<Sym>,
-        /// The grouping comparison.
-        theta: nal::CmpOp,
-        /// Right-side match attributes.
-        right_on: Vec<Sym>,
-        /// The aggregate applied per group.
-        f: GroupFn,
     },
     /// μ / μ^D — unnest a sequence-valued attribute.
     Unnest {
@@ -339,10 +320,14 @@ impl PhysPlan {
                 JoinKind::Anti => "LoopAntiJoin",
                 JoinKind::Outer { .. } => "LoopOuterJoin",
             },
-            PhysPlan::HashGroupUnary { .. } => "HashGroup",
-            PhysPlan::ThetaGroupUnary { .. } => "ThetaGroup",
-            PhysPlan::HashGroupBinary { .. } => "HashNestJoin",
-            PhysPlan::ThetaGroupBinary { .. } => "ThetaNestJoin",
+            PhysPlan::Group { theta, .. } => match theta {
+                nal::CmpOp::Eq => "HashGroup",
+                _ => "ThetaGroup",
+            },
+            PhysPlan::NestJoin { theta, .. } => match theta {
+                nal::CmpOp::Eq => "HashNestJoin",
+                _ => "ThetaNestJoin",
+            },
             PhysPlan::Unnest { .. } => "Unnest",
             PhysPlan::UnnestMap { .. } => "UnnestMap",
             PhysPlan::XiSimple { .. } => "Xi",
@@ -395,7 +380,7 @@ impl PhysPlan {
             PhysPlan::IndexScan { attr, keep, .. } | PhysPlan::Unnest { attr, keep, .. } => {
                 (Some(*attr), keep, false)
             }
-            PhysPlan::HashGroupBinary { g, keep, .. } => (Some(*g), keep, false),
+            PhysPlan::NestJoin { g, keep, .. } => (Some(*g), keep, false),
             PhysPlan::Cross { keep, .. }
             | PhysPlan::HashJoin { keep, .. }
             | PhysPlan::LoopJoin { keep, .. } => (None, keep, false),
@@ -424,14 +409,14 @@ impl PhysPlan {
 
     /// The compiled nested blocks of the node's subscript, if it has a
     /// subscript that can hold any.
-    pub(crate) fn blocks(&self) -> Option<&Blocks> {
+    pub fn blocks(&self) -> Option<&Blocks> {
         match self {
             PhysPlan::Select { blocks, .. }
             | PhysPlan::Map { blocks, .. }
             | PhysPlan::UnnestMap { blocks, .. }
             | PhysPlan::HashJoin { blocks, .. }
-            | PhysPlan::HashGroupUnary { blocks, .. }
-            | PhysPlan::HashGroupBinary { blocks, .. } => Some(blocks),
+            | PhysPlan::Group { blocks, .. }
+            | PhysPlan::NestJoin { blocks, .. } => Some(blocks),
             PhysPlan::LoopJoin { split, .. } => Some(&split.blocks),
             PhysPlan::IndexJoin { recipe, .. } => Some(&recipe.blocks),
             _ => None,
@@ -454,8 +439,7 @@ impl PhysPlan {
             PhysPlan::Select { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Map { input, .. }
-            | PhysPlan::HashGroupUnary { input, .. }
-            | PhysPlan::ThetaGroupUnary { input, .. }
+            | PhysPlan::Group { input, .. }
             | PhysPlan::Unnest { input, .. }
             | PhysPlan::UnnestMap { input, .. }
             | PhysPlan::XiSimple { input, .. }
@@ -465,8 +449,7 @@ impl PhysPlan {
             PhysPlan::Cross { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::LoopJoin { left, right, .. }
-            | PhysPlan::HashGroupBinary { left, right, .. }
-            | PhysPlan::ThetaGroupBinary { left, right, .. } => [Some(left), Some(right)],
+            | PhysPlan::NestJoin { left, right, .. } => [Some(left), Some(right)],
         }
     }
 
@@ -478,8 +461,7 @@ impl PhysPlan {
             PhysPlan::Select { input, .. }
             | PhysPlan::Project { input, .. }
             | PhysPlan::Map { input, .. }
-            | PhysPlan::HashGroupUnary { input, .. }
-            | PhysPlan::ThetaGroupUnary { input, .. }
+            | PhysPlan::Group { input, .. }
             | PhysPlan::Unnest { input, .. }
             | PhysPlan::UnnestMap { input, .. }
             | PhysPlan::XiSimple { input, .. }
@@ -489,8 +471,7 @@ impl PhysPlan {
             PhysPlan::Cross { left, right, .. }
             | PhysPlan::HashJoin { left, right, .. }
             | PhysPlan::LoopJoin { left, right, .. }
-            | PhysPlan::HashGroupBinary { left, right, .. }
-            | PhysPlan::ThetaGroupBinary { left, right, .. } => vec![left, right],
+            | PhysPlan::NestJoin { left, right, .. } => vec![left, right],
         }
     }
 }
@@ -579,26 +560,14 @@ fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
             by,
             theta,
             f,
-        } => {
-            let input = input(i);
-            if *theta == nal::CmpOp::Eq {
-                PhysPlan::HashGroupUnary {
-                    input,
-                    g: *g,
-                    by: by.clone(),
-                    f: f.clone(),
-                    blocks: filter_blocks(f, block),
-                }
-            } else {
-                PhysPlan::ThetaGroupUnary {
-                    input,
-                    g: *g,
-                    by: by.clone(),
-                    theta: *theta,
-                    f: f.clone(),
-                }
-            }
-        }
+        } => PhysPlan::Group {
+            input: input(i),
+            g: *g,
+            by: by.clone(),
+            theta: *theta,
+            f: f.clone(),
+            blocks: filter_blocks(f, block),
+        },
         Expr::GroupBinary {
             left,
             right,
@@ -607,31 +576,17 @@ fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
             theta,
             right_on,
             f,
-        } => {
-            let (left, right) = (input(left), input(right));
-            if *theta == nal::CmpOp::Eq {
-                PhysPlan::HashGroupBinary {
-                    left,
-                    right,
-                    g: *g,
-                    left_on: left_on.clone(),
-                    right_on: right_on.clone(),
-                    f: f.clone(),
-                    blocks: filter_blocks(f, block),
-                    keep: Keep::default(),
-                }
-            } else {
-                PhysPlan::ThetaGroupBinary {
-                    left,
-                    right,
-                    g: *g,
-                    left_on: left_on.clone(),
-                    theta: *theta,
-                    right_on: right_on.clone(),
-                    f: f.clone(),
-                }
-            }
-        }
+        } => PhysPlan::NestJoin {
+            left: input(left),
+            right: input(right),
+            g: *g,
+            left_on: left_on.clone(),
+            theta: *theta,
+            right_on: right_on.clone(),
+            f: f.clone(),
+            blocks: filter_blocks(f, block),
+            keep: Keep::default(),
+        },
         Expr::Unnest {
             input: i,
             attr,
@@ -877,20 +832,21 @@ mod tests {
 
     #[test]
     fn grouping_picks_hash_for_equality() {
-        let e = singleton().map("a", Scalar::int(1)).group_unary(
-            "g",
-            &["a"],
-            CmpOp::Eq,
-            nal::GroupFn::count(),
-        );
-        assert!(matches!(compile(&e), PhysPlan::HashGroupUnary { .. }));
-        let e = singleton().map("a", Scalar::int(1)).group_unary(
-            "g",
-            &["a"],
-            CmpOp::Lt,
-            nal::GroupFn::count(),
-        );
-        assert!(matches!(compile(&e), PhysPlan::ThetaGroupUnary { .. }));
+        let group = |theta| {
+            let e = singleton().map("a", Scalar::int(1));
+            compile(&e.group_unary("g", &["a"], theta, nal::GroupFn::count()))
+        };
+        assert_eq!(group(CmpOp::Eq).op_name(), "HashGroup");
+        assert_eq!(group(CmpOp::Lt).op_name(), "ThetaGroup");
+        let nest = |theta| {
+            let (l, r) = (
+                singleton().map("a", Scalar::int(1)),
+                singleton().map("b", Scalar::int(2)),
+            );
+            compile(&l.group_binary(r, "g", &["a"], theta, &["b"], nal::GroupFn::count()))
+        };
+        assert_eq!(nest(CmpOp::Eq).op_name(), "HashNestJoin");
+        assert_eq!(nest(CmpOp::Ge).op_name(), "ThetaNestJoin");
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! quantifier or aggregate scalars fail here if pipelining interleaves
 //! the writes.
 
+// The reference evaluator is this file's oracle.
+#![allow(clippy::disallowed_methods)]
+
 use proptest::prelude::*;
 
 use nal::expr::builder::*;
-use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Sym, Tuple, Value};
+use nal::{eval_query, AggKind, CmpOp, Dec, EvalCtx, Expr, GroupFn, Scalar, Sym, Tuple, Value};
 use xmldb::gen::{gen_bib, standard_catalog, BibConfig};
 use xmldb::Catalog;
 
@@ -24,16 +27,24 @@ fn spec(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
     (rows, ctx.take_output())
 }
 
-fn engine_run(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
-    let r = engine::run(expr, cat).expect("engine evaluation succeeds");
-    (r.rows, r.output)
-}
-
+/// The engine's rows and Ξ bytes are the reference's, and it evaluates
+/// no more nested blocks than the reference does.
 fn assert_same(expr: &Expr, cat: &Catalog) {
-    let (srows, sout) = spec(expr, cat);
-    let (erows, eout) = engine_run(expr, cat);
-    assert_eq!(srows, erows, "row mismatch for {expr}");
-    assert_eq!(sout, eout, "Ξ output mismatch for {expr}");
+    let mut ctx = EvalCtx::new(cat);
+    let rows = eval_query(expr, &mut ctx).expect("spec evaluation succeeds");
+    let run = engine::run(expr, cat).expect("engine evaluation succeeds");
+    assert_eq!(run.rows, rows, "row mismatch for {expr}");
+    assert_eq!(
+        run.output,
+        ctx.take_output(),
+        "Ξ output mismatch for {expr}"
+    );
+    assert!(
+        run.metrics.nested_evals <= ctx.metrics.nested_evals,
+        "{} nested evaluations, the reference's {}: {expr}",
+        run.metrics.nested_evals,
+        ctx.metrics.nested_evals
+    );
 }
 
 fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
@@ -45,6 +56,142 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
             .collect(),
     )
     .project_syms(vec![s(attr_a), s(attr_b)])
+}
+
+/// The grouping keys the Γ properties draw from: 0..4, NULL, NaN, a
+/// missing attribute (`None`), "a" and "b". Mixed numeric types (`2.0`)
+/// and numeric text ("2") stay out: `cmp_atomic` is not transitive
+/// across them, so no hash partition can agree with the reference.
+fn pool_key(k: usize) -> Option<Value> {
+    match k {
+        0..=4 => Some(Value::Int(k as i64)),
+        5 => Some(Value::Null),
+        6 => Some(Value::Dec(Dec(f64::NAN))),
+        7 => None,
+        8 => Some(Value::str("a")),
+        _ => Some(Value::str("b")),
+    }
+}
+
+/// Rows binding `key` (unless it is missing) and `val` per pair.
+fn keyed(key: &str, val: &str, rows: &[(Option<Value>, i64)]) -> Expr {
+    Expr::Literal(
+        rows.iter()
+            .map(|(k, v)| {
+                let mut fields = vec![(s(val), Value::Int(*v))];
+                fields.extend(k.clone().map(|k| (s(key), k)));
+                Tuple::from_pairs(fields)
+            })
+            .collect(),
+    )
+    .project_syms(vec![s(key), s(val)])
+}
+
+fn pooled(rows: &[(usize, i64)]) -> Vec<(Option<Value>, i64)> {
+    rows.iter().map(|&(k, v)| (pool_key(k), v)).collect()
+}
+
+const THETAS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// `count ∘ σ[∃q ∈ W: q > y]`: a filter whose quantifier ranges over an
+/// invariant block, which the engine spools.
+fn filtered_count() -> GroupFn {
+    let w = rel("w", "z", &[(5, 0), (15, 0), (25, 0)]).select(Scalar::cmp(
+        CmpOp::Ge,
+        Scalar::attr("z"),
+        Scalar::int(0),
+    ));
+    GroupFn::count().filtered(Scalar::Exists {
+        var: s("q"),
+        range: Box::new(w.project(&["w"])),
+        pred: Box::new(Scalar::attr_cmp(CmpOp::Gt, "q", "y")),
+    })
+}
+
+/// Keys that match nothing — NULL, NaN, a missing attribute — are keys
+/// all the same: Γ gives each distinct one `f(∅)`, and Ξg writes its
+/// head and tail around an empty body.
+#[test]
+fn keys_that_match_nothing_keep_their_groups() {
+    let cat = Catalog::new();
+    let nan = Value::Dec(Dec(f64::NAN));
+    let keys = [
+        Some(Value::Int(1)),
+        Some(Value::Null),
+        Some(Value::items(vec![])),
+        Some(Value::str("a")),
+        None,
+        Some(Value::Int(1)),
+        Some(nan.clone()),
+        Some(Value::Null),
+        Some(nan.clone()),
+        None,
+    ];
+    let rows = |keys: &[Option<Value>]| {
+        let rows: Vec<_> = keys.iter().cloned().zip(0..).collect();
+        keyed("b", "y", &rows)
+    };
+    let grouped = rows(&keys).group_unary("g", &["b"], CmpOp::Eq, GroupFn::count());
+    let (groups, _) = spec(&grouped, &cat);
+    assert_eq!(groups.len(), 6, "{groups:?}");
+    let count = |key: Option<Value>| {
+        let mut fields = vec![(s("g"), Value::Int(0))];
+        fields.extend(key.map(|k| (s("b"), k)));
+        Tuple::from_pairs(fields)
+    };
+    for key in [Some(Value::Null), None, Some(nan)] {
+        assert!(groups.contains(&count(key.clone())), "{key:?}: {groups:?}");
+    }
+    assert_same(&grouped, &cat);
+
+    let xi_group = |input: Expr| {
+        input.xi_group(
+            &["b"],
+            xi_cmds(&["<k>", "$b", "</k>"]),
+            xi_cmds(&["$y", ","]),
+            xi_cmds(&[";"]),
+        )
+    };
+    let present: Vec<_> = keys.iter().filter(|k| k.is_some()).cloned().collect();
+    let written = xi_group(rows(&present));
+    let (_, out) = spec(&written, &cat);
+    assert!(
+        out.contains("<k></k>;") && out.contains("<k>NaN</k>;"),
+        "{out}"
+    );
+    assert_same(&written, &cat);
+    // A row without `b` leaves `$b` unbound in both.
+    let unbound = xi_group(rows(&keys));
+    assert!(eval_query(&unbound, &mut EvalCtx::new(&cat)).is_err());
+    assert!(engine::run(&unbound, &cat).is_err());
+}
+
+/// A θ-Γ runs on the engine's own cursors: its rows are counted once,
+/// by the meter, and its filter's invariant block is spooled.
+#[test]
+fn theta_grouping_runs_on_the_engine() {
+    let cat = Catalog::new();
+    let rows: Vec<_> = [1, 2, 1, 3, 2]
+        .into_iter()
+        .zip(0..)
+        .map(|(b, y)| Tuple::from_pairs(vec![(s("b"), Value::Int(b)), (s("y"), Value::Int(y))]))
+        .collect();
+    let grouped = |f| Expr::Literal(rows.clone()).group_unary("g", &["b"], CmpOp::Lt, f);
+    let counted = grouped(GroupFn::count());
+    assert_same(&counted, &cat);
+    let run = engine::run(&counted, &cat).unwrap();
+    assert_eq!(run.metrics.tuples_produced, 5 + 3);
+
+    let filtered = grouped(filtered_count());
+    assert_eq!(engine::compile(&filtered).detail(), " shared{Π}");
+    assert_same(&filtered, &cat);
 }
 
 proptest! {
@@ -95,39 +242,38 @@ proptest! {
 
     #[test]
     fn grouping_agrees(
-        rows in prop::collection::vec((0i64..5, 0i64..40), 0..16),
-        theta in prop::sample::select(vec![CmpOp::Eq, CmpOp::Lt, CmpOp::Ge]),
+        rows in prop::collection::vec((0usize..10, 0i64..40), 0..16),
+        theta in prop::sample::select(THETAS.to_vec()),
         f in prop::sample::select(vec![
             GroupFn::count(),
             GroupFn::id(),
             GroupFn::project_items("y"),
             GroupFn::agg_of(AggKind::Min, "y"),
             GroupFn::agg_of(AggKind::Sum, "y"),
+            filtered_count(),
         ]),
     ) {
         let cat = Catalog::new();
-        let expr = rel("b", "y", &rows).group_unary("g", &["b"], theta, f);
+        let expr = keyed("b", "y", &pooled(&rows)).group_unary("g", &["b"], theta, f);
         assert_same(&expr, &cat);
     }
 
     #[test]
     fn binary_grouping_agrees(
-        l in prop::collection::vec(0i64..5, 0..10),
-        r in prop::collection::vec((0i64..5, 0i64..40), 0..14),
-        theta in prop::sample::select(vec![CmpOp::Eq, CmpOp::Le]),
+        l in prop::collection::vec(0usize..10, 0..10),
+        r in prop::collection::vec((0usize..10, 0i64..40), 0..14),
+        theta in prop::sample::select(THETAS.to_vec()),
+        f in prop::sample::select(vec![GroupFn::count(), filtered_count()]),
     ) {
         let cat = Catalog::new();
-        let left = Expr::Literal(
-            l.iter().map(|&k| Tuple::singleton(s("a"), Value::Int(k))).collect(),
-        )
-        .project_syms(vec![s("a")]);
-        let expr = left.group_binary(
-            rel("b", "y", &r),
+        let left: Vec<_> = l.iter().zip(0..).map(|(&k, x)| (pool_key(k), x)).collect();
+        let expr = keyed("a", "x", &left).group_binary(
+            keyed("b", "y", &pooled(&r)),
             "g",
             &["a"],
             theta,
             &["b"],
-            GroupFn::count(),
+            f,
         );
         assert_same(&expr, &cat);
     }

@@ -13,10 +13,15 @@
 //! barriers (stacked Ξ, Ξ below a join build side, Ξ inside scalars of
 //! both sides of a ×) live in `engine_vs_spec`.
 
+// The reference evaluator is this file's oracle.
+#![allow(clippy::disallowed_methods)]
+
 use proptest::prelude::*;
 
 use nal::expr::builder::*;
-use nal::{eval_query, AggKind, CmpOp, EvalCtx, Expr, GroupFn, Scalar, Scope, Sym, Tuple, Value};
+use nal::{
+    eval_query, AggKind, CmpOp, Dec, EvalCtx, Expr, GroupFn, Scalar, Scope, Sym, Tuple, Value,
+};
 use xmldb::gen::standard_catalog;
 use xmldb::Catalog;
 
@@ -24,11 +29,12 @@ fn s(n: &str) -> Sym {
     Sym::new(n)
 }
 
-/// The reference evaluator's materialized result: rows and Ξ bytes.
-fn reference(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String) {
+/// The reference evaluator's materialized result: rows, Ξ bytes and
+/// how many nested blocks it evaluated.
+fn reference(expr: &Expr, cat: &Catalog) -> (Vec<Tuple>, String, u64) {
     let mut ctx = EvalCtx::new(cat);
     let rows = eval_query(expr, &mut ctx).expect("reference evaluation succeeds");
-    (rows, ctx.take_output())
+    (rows, ctx.take_output(), ctx.metrics.nested_evals)
 }
 
 fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
@@ -44,9 +50,10 @@ fn rel(attr_a: &str, attr_b: &str, rows: &[(i64, i64)]) -> Expr {
 
 /// Pull `expr`'s compiled plan tuple by tuple against the reference:
 /// the `k`-th row equals the reference's `k`-th, the Ξ bytes so far are
-/// a prefix of the reference's, and at the end both are whole.
+/// a prefix of the reference's, and at the end both are whole — with
+/// no more nested blocks evaluated than the reference evaluates.
 fn assert_stream_matches_at(expr: &Expr, cat: &Catalog, at: &str) {
-    let (rows, output) = reference(expr, cat);
+    let (rows, output, nested_evals) = reference(expr, cat);
     let plan = engine::compile(expr);
     let mut root = engine::pipeline::lower(&plan, &Scope::Empty);
     let mut ctx = EvalCtx::new(cat);
@@ -64,6 +71,63 @@ fn assert_stream_matches_at(expr: &Expr, cat: &Catalog, at: &str) {
     }
     assert_eq!(pulled, rows.len(), "[{at}] row count differs");
     assert_eq!(ctx.out, output, "[{at}] Ξ output differs");
+    assert!(
+        ctx.metrics.nested_evals <= nested_evals,
+        "[{at}] {} nested evaluations, the reference's {nested_evals}",
+        ctx.metrics.nested_evals
+    );
+}
+
+/// The grouping keys the Γ properties draw from: 0..4, NULL, NaN, a
+/// missing attribute (`None`), "a" and "b" — no `2.0` or "2", across
+/// which `cmp_atomic` is not transitive.
+fn pool_key(k: usize) -> Option<Value> {
+    match k {
+        0..=4 => Some(Value::Int(k as i64)),
+        5 => Some(Value::Null),
+        6 => Some(Value::Dec(Dec(f64::NAN))),
+        7 => None,
+        8 => Some(Value::str("a")),
+        _ => Some(Value::str("b")),
+    }
+}
+
+/// Rows binding `key` from the pool (unless it is missing) and `val`.
+fn keyed(key: &str, val: &str, rows: &[(usize, i64)]) -> Expr {
+    Expr::Literal(
+        rows.iter()
+            .map(|&(k, v)| {
+                let mut fields = vec![(s(val), Value::Int(v))];
+                fields.extend(pool_key(k).map(|k| (s(key), k)));
+                Tuple::from_pairs(fields)
+            })
+            .collect(),
+    )
+    .project_syms(vec![s(key), s(val)])
+}
+
+const THETAS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// `count ∘ σ[∃q ∈ W: q > y]`: a filter whose quantifier ranges over an
+/// invariant block, which the engine spools.
+fn filtered_count() -> GroupFn {
+    let w = rel("w", "z", &[(5, 0), (15, 0), (25, 0)]).select(Scalar::cmp(
+        CmpOp::Ge,
+        Scalar::attr("z"),
+        Scalar::int(0),
+    ));
+    GroupFn::count().filtered(Scalar::Exists {
+        var: s("q"),
+        range: Box::new(w.project(&["w"])),
+        pred: Box::new(Scalar::attr_cmp(CmpOp::Gt, "q", "y")),
+    })
 }
 
 fn assert_stream_matches(expr: &Expr, cat: &Catalog) {
@@ -145,39 +209,38 @@ proptest! {
 
     #[test]
     fn grouping_streams_identically(
-        rows in prop::collection::vec((0i64..5, 0i64..40), 0..16),
-        theta in prop::sample::select(vec![CmpOp::Eq, CmpOp::Lt, CmpOp::Ge]),
+        rows in prop::collection::vec((0usize..10, 0i64..40), 0..16),
+        theta in prop::sample::select(THETAS.to_vec()),
         f in prop::sample::select(vec![
             GroupFn::count(),
             GroupFn::id(),
             GroupFn::project_items("y"),
             GroupFn::agg_of(AggKind::Min, "y"),
             GroupFn::agg_of(AggKind::Sum, "y"),
+            filtered_count(),
         ]),
     ) {
         let cat = Catalog::new();
-        let expr = rel("b", "y", &rows).group_unary("g", &["b"], theta, f);
+        let expr = keyed("b", "y", &rows).group_unary("g", &["b"], theta, f);
         assert_stream_matches(&expr, &cat);
     }
 
     #[test]
     fn binary_grouping_streams_identically(
-        l in prop::collection::vec(0i64..5, 0..10),
-        r in prop::collection::vec((0i64..5, 0i64..40), 0..14),
-        theta in prop::sample::select(vec![CmpOp::Eq, CmpOp::Le]),
+        l in prop::collection::vec(0usize..10, 0..10),
+        r in prop::collection::vec((0usize..10, 0i64..40), 0..14),
+        theta in prop::sample::select(THETAS.to_vec()),
+        f in prop::sample::select(vec![GroupFn::count(), filtered_count()]),
     ) {
         let cat = Catalog::new();
-        let left = Expr::Literal(
-            l.iter().map(|&k| Tuple::singleton(s("a"), Value::Int(k))).collect(),
-        )
-        .project_syms(vec![s("a")]);
-        let expr = left.group_binary(
-            rel("b", "y", &r),
+        let left: Vec<_> = l.into_iter().zip(0..).collect();
+        let expr = keyed("a", "x", &left).group_binary(
+            keyed("b", "y", &r),
             "g",
             &["a"],
             theta,
             &["b"],
-            GroupFn::count(),
+            f,
         );
         assert_stream_matches(&expr, &cat);
     }

@@ -6,6 +6,9 @@
 //! definitions) — not a kept copy of the old pair loop. Every case must
 //! produce the oracle's rows and Ξ bytes, or the oracle's error.
 
+// The reference evaluator is this file's oracle.
+#![allow(clippy::disallowed_methods)]
+
 use fuzz::corpus::VALUE_POOL;
 use nal::expr::builder::*;
 use nal::{eval, ArithOp, CmpOp, Dec, EvalCtx, Expr, Func, Metrics, Scalar, Sym, Tuple, Value};

@@ -26,18 +26,8 @@ use xmldb::MaintenanceMode;
 /// How many nested blocks of `plan` (at any depth) are pulled lazily,
 /// and how many are drained first.
 fn block_modes(plan: &PhysPlan) -> (usize, usize) {
-    let blocks = match plan {
-        PhysPlan::Select { blocks, .. }
-        | PhysPlan::Map { blocks, .. }
-        | PhysPlan::UnnestMap { blocks, .. }
-        | PhysPlan::HashJoin { blocks, .. }
-        | PhysPlan::HashGroupUnary { blocks, .. }
-        | PhysPlan::HashGroupBinary { blocks, .. } => Some(blocks),
-        PhysPlan::LoopJoin { split, .. } => Some(&split.blocks),
-        _ => None,
-    };
     let mut modes = (0, 0);
-    for block in blocks.into_iter().flat_map(|b| b.iter()) {
+    for block in plan.blocks().into_iter().flat_map(|b| b.iter()) {
         let (lazy, drained) = block_modes(&block.plan);
         modes.0 += lazy + usize::from(block.lazy);
         modes.1 += drained + usize::from(!block.lazy);

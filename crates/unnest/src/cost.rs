@@ -568,14 +568,14 @@ impl<'a> CostModel<'a> {
                     cost: l.cost + r.cost + build + l.rows * probe,
                 }
             }
-            P::HashGroupUnary { input, .. } | P::ThetaGroupUnary { input, .. } => {
+            P::Group { input, .. } => {
                 let i = self.plan_est(input, out, docs);
                 Estimate {
                     rows: (i.rows * 0.5).max(1.0),
                     cost: i.cost + 2.0 * i.rows,
                 }
             }
-            P::HashGroupBinary { left, right, .. } | P::ThetaGroupBinary { left, right, .. } => {
+            P::NestJoin { left, right, .. } => {
                 let l = self.plan_est(left, out, docs);
                 let r = self.plan_est(right, out, docs);
                 Estimate {

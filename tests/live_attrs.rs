@@ -132,14 +132,13 @@ fn emits(plan: &PhysPlan) -> Option<Attrs> {
                 }
             }
         }
-        PhysPlan::HashGroupUnary { input, g, by, .. }
-        | PhysPlan::ThetaGroupUnary { input, g, by, .. } => {
+        PhysPlan::Group { input, g, by, .. } => {
             let below = emits(input)?;
             let mut built: Attrs = by.iter().copied().filter(|a| below.contains(a)).collect();
             built.insert(*g);
             built
         }
-        PhysPlan::HashGroupBinary {
+        PhysPlan::NestJoin {
             left,
             right,
             g,
@@ -150,12 +149,6 @@ fn emits(plan: &PhysPlan) -> Option<Attrs> {
             let mut built = emits(left)?;
             built.insert(*g);
             kept(built, keep)
-        }
-        PhysPlan::ThetaGroupBinary { left, right, g, .. } => {
-            emits(right)?;
-            let mut built = emits(left)?;
-            built.insert(*g);
-            built
         }
         PhysPlan::XiGroup { input, by, .. } => {
             let below = emits(input)?;
@@ -218,19 +211,13 @@ fn reads(plan: &PhysPlan) -> Vec<Option<Attrs>> {
             vec![side(left_keys), side(right_keys)]
         }
         PhysPlan::LoopJoin { pred, .. } => vec![of(pred), of(pred)],
-        PhysPlan::HashGroupUnary { by, f, .. } | PhysPlan::ThetaGroupUnary { by, f, .. } => {
+        PhysPlan::Group { by, f, .. } => {
             vec![group_reads(f).map(|mut r| {
                 r.extend(by);
                 r
             })]
         }
-        PhysPlan::HashGroupBinary {
-            left_on,
-            right_on,
-            f,
-            ..
-        }
-        | PhysPlan::ThetaGroupBinary {
+        PhysPlan::NestJoin {
             left_on,
             right_on,
             f,
