@@ -250,21 +250,13 @@ fn try_convert(plan: PhysPlan, catalog: &Catalog) -> PhysPlan {
                 keep,
             },
         },
-        PhysPlan::HashJoin { .. } | PhysPlan::LoopJoin { .. } => {
-            match join_recipe(&plan, catalog) {
-                Some(recipe) => {
-                    let left = match plan {
-                        PhysPlan::HashJoin { left, .. } | PhysPlan::LoopJoin { left, .. } => left,
-                        _ => unreachable!("matched above"),
-                    };
-                    PhysPlan::IndexJoin {
-                        left,
-                        recipe: Arc::new(recipe),
-                    }
-                }
-                None => plan,
-            }
-        }
+        PhysPlan::Join { .. } => match (join_recipe(&plan, catalog), plan) {
+            (Some(recipe), PhysPlan::Join { left, .. }) => PhysPlan::IndexJoin {
+                left,
+                recipe: Arc::new(recipe),
+            },
+            (_, plan) => plan,
+        },
         other => other,
     }
 }
@@ -476,11 +468,7 @@ mod tests {
         ));
         let e = probe.semijoin(build, pred);
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::HashJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "HashSemiJoin", "{}", plan.explain());
     }
 
     #[test]
@@ -535,11 +523,7 @@ mod tests {
             Scalar::attr_cmp(CmpOp::Eq, "t1", "t2").and(Scalar::attr_cmp(CmpOp::Eq, "y1", "y2"));
         let e = probe.semijoin(build, pred);
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::HashJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "HashSemiJoin", "{}", plan.explain());
     }
 
     #[test]
@@ -558,11 +542,7 @@ mod tests {
             .project(&["t2"]);
         let e = probe.semijoin(build, Scalar::attr_cmp(CmpOp::Eq, "t1", "t2"));
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::HashJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "HashSemiJoin", "{}", plan.explain());
     }
 
     #[test]
@@ -586,11 +566,7 @@ mod tests {
             .project(&["t2"]);
         let e = probe.semijoin(build, Scalar::attr_cmp(CmpOp::Eq, "t1", "t2"));
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::HashJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "HashSemiJoin", "{}", plan.explain());
     }
 
     #[test]
@@ -603,11 +579,7 @@ mod tests {
                 .project_syms(vec![Sym::new("t2")]);
         let e = probe.semijoin(build, Scalar::attr_cmp(CmpOp::Eq, "t1", "t2"));
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::HashJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "HashSemiJoin", "{}", plan.explain());
     }
 
     #[test]
@@ -760,11 +732,7 @@ mod tests {
         ));
         let e = probe.semijoin(build, pred);
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::LoopJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "LoopSemiJoin", "{}", plan.explain());
         // `≠` alone offers no single key range: stays a loop join.
         let probe2 =
             doc_scan("d1", "bib.xml").unnest_map("t1", Scalar::attr("d1").path(p("//book/title")));
@@ -773,11 +741,7 @@ mod tests {
             .project(&["t2"]);
         let e = probe2.semijoin(build2, Scalar::attr_cmp(CmpOp::Ne, "t1", "t2"));
         let plan = apply_indexes(crate::compile(&e), &cat);
-        assert!(
-            matches!(plan, PhysPlan::LoopJoin { .. }),
-            "{}",
-            plan.explain()
-        );
+        assert!(plan.op_name() == "LoopSemiJoin", "{}", plan.explain());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use xmldb::{AncestorChainSpec, Catalog, CompositeSpec, KeyComponent, MemberSpec,
 use xpath::{Axis, Path};
 
 use crate::nested::Blocks;
-use crate::plan::{JoinKind, Keep, PhysPlan};
+use crate::plan::{JoinKind, JoinOn, Keep, PhysPlan};
 use crate::theta::as_range_conjunct;
 
 use super::pattern_of;
@@ -33,10 +33,12 @@ use super::recipe::{AccessRecipe, AncestorMode, BuildOp, Driver, RangeProbe};
 /// Trace a compiled semi/anti join node to its access recipe, or `None`
 /// when the join must keep scanning. Handles all three driver regimes:
 ///
-/// * `HashJoin` with one key → band ([`Driver::Range`] with `eq_probe`)
-///   or point ([`Driver::Point`]);
-/// * `HashJoin` with several keys → composite ([`Driver::Composite`]);
-/// * `LoopJoin` with rangeable inequality conjuncts → [`Driver::Range`].
+/// * the hash strategy with one key → band ([`Driver::Range`] with
+///   `eq_probe`) or point ([`Driver::Point`]);
+/// * the hash strategy with several keys → composite
+///   ([`Driver::Composite`]);
+/// * the θ strategy with rangeable inequality conjuncts →
+///   [`Driver::Range`].
 ///
 /// The emitted recipe is stamped with the document's current index
 /// epoch, so the probe runtime can tell a recipe compiled before an
@@ -74,16 +76,22 @@ pub fn join_recipe(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe> {
 }
 
 fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe> {
-    match plan {
-        PhysPlan::HashJoin {
-            right,
+    let PhysPlan::Join {
+        right,
+        on,
+        kind: kind @ (JoinKind::Semi | JoinKind::Anti),
+        ..
+    } = plan
+    else {
+        return None;
+    };
+    match on {
+        JoinOn::Hash {
             left_keys,
             right_keys,
             residual,
             blocks,
-            kind,
-            ..
-        } if matches!(kind, JoinKind::Semi | JoinKind::Anti) => {
+        } => {
             if left_keys.len() == 1 {
                 // Band case first: inequality residual conjuncts on the
                 // join key column become index-side range filters —
@@ -127,9 +135,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                 ))
             }
         }
-        PhysPlan::LoopJoin {
-            right, pred, kind, ..
-        } if matches!(kind, JoinKind::Semi | JoinKind::Anti) => {
+        JoinOn::Theta { pred, .. } => {
             // Non-equi quantifier joins: inequality conjuncts against one
             // document path column probe the value index's ordered key
             // space instead of scanning the build per probe tuple.
@@ -146,7 +152,6 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                 (residual, Blocks::NONE),
             ))
         }
-        _ => None,
     }
 }
 

@@ -38,7 +38,7 @@ pub use access::{
 };
 pub use explain::{run_traced, ExplainNode, ExplainReport};
 pub use pipeline::{drain, Cursor};
-pub use plan::{compile, compile_unpruned, JoinKind, Keep, PhysPlan};
+pub use plan::{compile, compile_unpruned, JoinKind, JoinOn, Keep, PhysPlan};
 
 use std::time::{Duration, Instant};
 

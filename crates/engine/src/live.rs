@@ -100,9 +100,8 @@ fn keep_of(plan: &mut PhysPlan) -> Option<&mut Keep> {
         | PhysPlan::UnnestMap { keep, .. }
         | PhysPlan::IndexScan { keep, .. }
         | PhysPlan::Unnest { keep, .. }
-        | PhysPlan::Cross { keep, .. }
         | PhysPlan::NestJoin { keep, .. } => Some(keep),
-        PhysPlan::HashJoin { keep, kind, .. } | PhysPlan::LoopJoin { keep, kind, .. } => {
+        PhysPlan::Join { keep, kind, .. } => {
             matches!(kind, JoinKind::Inner | JoinKind::Outer { .. }).then_some(keep)
         }
         _ => None,
@@ -132,13 +131,10 @@ impl Pass {
             | PhysPlan::UnnestMap { attr, .. }
             | PhysPlan::IndexScan { attr, .. } => binds(&[*attr]),
             PhysPlan::Group { g, .. } | PhysPlan::NestJoin { g, .. } => binds(&[*g]),
-            PhysPlan::HashJoin { kind, pad, .. } | PhysPlan::LoopJoin { kind, pad, .. } => {
-                let g = match kind {
-                    JoinKind::Outer { g, .. } => Some(*g),
-                    _ => None,
-                };
-                binds(pad) && binds(g.as_slice())
-            }
+            PhysPlan::Join {
+                kind: JoinKind::Outer { g, pad, .. },
+                ..
+            } => binds(pad) && binds(&[*g]),
             PhysPlan::Project {
                 op: ProjOp::Rename(pairs) | ProjOp::DistinctRename(pairs),
                 ..
@@ -362,41 +358,33 @@ impl Pass {
                 let built = outer & !bound | self.set(inner_attrs);
                 Out::of(self.restrict(keep, here, built, false))
             }
-            PhysPlan::Cross { left, right, keep } => {
+            PhysPlan::Join {
+                left,
+                right,
+                on,
+                kind,
+                keep,
+            } => {
+                // Each side, with what the join itself reads of it, is
+                // also read for what is read of the joined tuple — except
+                // the build side of a semi or anti join, whose rows go
+                // nowhere else.
+                let reads = on.pred().map_or(0, |p| self.reads(p));
+                let (left_keys, right_keys) = on.keys();
+                let (left_reads, right_reads) =
+                    (self.set(left_keys) | reads, self.set(right_keys) | reads);
+                if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+                    self.narrow(right, right_reads);
+                    return Out::of(self.narrow(left, live | left_reads).schema);
+                }
                 let here = self.meet(live, keep);
-                let built = self.narrow(left, here).schema | self.narrow(right, here).schema;
-                Out::of(self.restrict(keep, here, built, false))
-            }
-            PhysPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                residual,
-                kind,
-                pad,
-                keep,
-                ..
-            } => {
-                let reads = residual.as_ref().map_or(0, |p| self.reads(p));
-                let sides = [
-                    (&mut **left, self.set(left_keys) | reads),
-                    (&mut **right, self.set(right_keys) | reads),
-                ];
-                self.narrow_join(live, sides, kind, pad, keep)
-            }
-            PhysPlan::LoopJoin {
-                left,
-                right,
-                pred,
-                kind,
-                pad,
-                keep,
-                ..
-            } => {
-                let reads = self.reads(pred);
-                let sides = [(&mut **left, reads), (&mut **right, reads)];
-                self.narrow_join(live, sides, kind, pad, keep)
+                let l = self.narrow(left, here | left_reads).schema;
+                let r = self.narrow(right, here | right_reads).schema;
+                let padded = match kind {
+                    JoinKind::Outer { g, pad, .. } => self.set(pad) | self.bit(*g),
+                    _ => 0,
+                };
+                Out::of(self.restrict(keep, here, l | r | padded, false))
             }
             PhysPlan::Group {
                 input, g, by, f, ..
@@ -447,32 +435,6 @@ impl Pass {
                 Out::of(self.narrow(left, live | probes | residual).schema)
             }
         }
-    }
-
-    /// Hash and loop joins alike: each side (with what the join itself
-    /// reads of it) is also read for what is read of the joined tuple —
-    /// except the build side of a semi or anti join, whose rows go
-    /// nowhere else.
-    fn narrow_join(
-        &self,
-        live: Attrs,
-        [(left, left_reads), (right, right_reads)]: [(&mut PhysPlan, Attrs); 2],
-        kind: &JoinKind,
-        pad: &[Sym],
-        keep: &mut Keep,
-    ) -> Out {
-        if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
-            self.narrow(right, right_reads);
-            return Out::of(self.narrow(left, live | left_reads).schema);
-        }
-        let here = self.meet(live, keep);
-        let l = self.narrow(left, here | left_reads).schema;
-        let r = self.narrow(right, here | right_reads).schema;
-        let padded = match kind {
-            JoinKind::Outer { g, .. } => self.set(pad) | self.bit(*g),
-            _ => 0,
-        };
-        Out::of(self.restrict(keep, here, l | r | padded, false))
     }
 }
 

@@ -76,7 +76,7 @@ use nal::{Expr, GroupFn, ProjOp, Scalar, Seq, Sym, Tuple, Value};
 
 use crate::pipeline::cursor::Materialize;
 use crate::pipeline::{drain, lower, BoxCursor, Cursor, Lowering};
-use crate::plan::{JoinKind, Keep, PhysPlan};
+use crate::plan::{JoinKind, JoinOn, Keep, PhysPlan};
 
 /// The nested blocks of one subscript, compiled, in the order
 /// [`visit::find_nested_expr`] reaches them. Empty — nothing allocated,
@@ -516,10 +516,6 @@ fn closure(plan: &PhysPlan, at: &mut usize, shared: &mut Vec<usize>) -> Option<C
 /// One operator's [`Closure`] from its inputs' (`None` for an input the
 /// analysis gave up on, or one the operator does not have).
 fn node_closure(plan: &PhysPlan, l: Option<&Closure>, r: Option<&Closure>) -> Option<Closure> {
-    let both = |l: &Closure, r: &Closure| Closure {
-        reads: l.reads.union(&r.reads).copied().collect(),
-        emits: l.emits.union(&r.emits).copied().collect(),
-    };
     Some(match plan {
         PhysPlan::Singleton => Closure::default(),
         PhysPlan::Literal(rows) => {
@@ -568,23 +564,7 @@ fn node_closure(plan: &PhysPlan, l: Option<&Closure>, r: Option<&Closure>) -> Op
             c.emits.remove(attr);
             c.keeping(keep)
         }
-        PhysPlan::Cross { keep, .. } => both(l?, r?).keeping(keep),
-        PhysPlan::HashJoin {
-            residual,
-            blocks,
-            kind,
-            pad,
-            keep,
-            ..
-        } => join(l?, r?, residual.as_ref(), blocks, kind, pad, keep)?,
-        PhysPlan::LoopJoin {
-            pred,
-            split,
-            kind,
-            pad,
-            keep,
-            ..
-        } => join(l?, r?, Some(pred), &split.blocks, kind, pad, keep)?,
+        PhysPlan::Join { on, kind, keep, .. } => join(l?, r?, on, kind, keep)?,
         PhysPlan::Group {
             g, by, f, blocks, ..
         } => group(l?, *g, by, f, blocks)?,
@@ -624,29 +604,21 @@ fn projected(op: &ProjOp, mut emits: BTreeSet<Sym>) -> BTreeSet<Sym> {
 }
 
 /// A join: both sides' reads, and the predicate's over the joined pair.
-fn join(
-    l: &Closure,
-    r: &Closure,
-    pred: Option<&Scalar>,
-    blocks: &Blocks,
-    kind: &JoinKind,
-    pad: &[Sym],
-    keep: &Keep,
-) -> Option<Closure> {
+fn join(l: &Closure, r: &Closure, on: &JoinOn, kind: &JoinKind, keep: &Keep) -> Option<Closure> {
     let pair: BTreeSet<Sym> = l.emits.union(&r.emits).copied().collect();
     let mut c = Closure {
         reads: l.reads.union(&r.reads).copied().collect(),
         emits: BTreeSet::new(),
     };
-    if let Some(pred) = pred {
-        c = c.reading(pred, blocks, &pair)?;
+    if let Some(pred) = on.pred() {
+        c = c.reading(pred, on.blocks(), &pair)?;
     }
     c.emits = match kind {
         JoinKind::Inner => pair,
         JoinKind::Semi | JoinKind::Anti => l.emits.clone(),
         // An unmatched tuple carries the padding and `g`, not the right
         // side's attributes.
-        JoinKind::Outer { g, .. } => {
+        JoinKind::Outer { g, pad, .. } => {
             let padded = |a: &&Sym| pad.contains(*a) || *a == g;
             let right = r.emits.iter().filter(padded);
             l.emits.iter().chain(right).copied().collect()

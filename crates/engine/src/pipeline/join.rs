@@ -1,13 +1,17 @@
-//! Streaming binary operators: ×, hash/loop joins (inner, semi, anti,
-//! outer), and the nest join (binary Γ, one cursor for every θ).
+//! Streaming binary operators: the join (×, ⋈, ⋉, ▷ and ⟕, one cursor
+//! for both build strategies) and the nest join (binary Γ, one cursor
+//! for every θ).
 //!
 //! The probe side (left) streams; the build side (right) is materialized
-//! on first pull, preserving arrival order inside each hash bucket so
-//! the join emits exactly the sequence the definitional nested loop
-//! would. Semi and anti joins short-circuit per probe tuple: the first
-//! passing match decides the tuple's fate and the rest of the bucket is
-//! never examined. Loop joins do not pair every left tuple with every
-//! right row either: [`crate::theta`] filters the build by the
+//! on first pull — into hash [`Buckets`] for equi-joins, into a
+//! [`ThetaBuild`] for any other predicate — preserving right arrival
+//! order so the join emits exactly the sequence the definitional nested
+//! loop would. Both builds answer the same three questions: the
+//! candidates of a probe tuple, the `i`-th of them, and (by the cursor)
+//! whether one passes. Semi and anti joins short-circuit per probe
+//! tuple: the first passing candidate decides the tuple's fate and the
+//! rest are never examined. θ-joins do not pair every left tuple with
+//! every right row either: [`crate::theta`] filters the build by the
 //! predicate's right-only part once and probes an ordered key window for
 //! its range conjuncts. [`EvalCtx`]'s `probe_tuples` metric counts
 //! right-side candidates actually examined, which is how tests observe
@@ -25,8 +29,8 @@ use super::cursor::{drain, BoxCursor, Cursor, Feed};
 use crate::exec::keys_match;
 use crate::key::{probe_key, Key};
 use crate::nested::Spooled;
-use crate::plan::JoinKind;
-use crate::theta::{ThetaBuild, ThetaSplit, Walk};
+use crate::plan::{JoinKind, JoinOn};
+use crate::theta::{Candidates, ThetaBuild, ThetaSplit};
 
 /// A hash build side: rows bucketed by key, arrival order kept inside
 /// each bucket (the order-preserving hash join of §2). The stored keys
@@ -84,57 +88,6 @@ impl Buckets {
     }
 }
 
-/// × — materialize the right side, stream the left.
-pub struct Cross<'p> {
-    /// Left (probe/outer) input.
-    pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: BoxCursor<'p>,
-    /// The attributes emitted (`None`: all).
-    pub keep: Option<&'p [Sym]>,
-    /// Materialize left before right (Ξ in a subtree needs the
-    /// reference evaluator's left-then-right evaluation order).
-    pub strict: bool,
-    /// Materialized right side (first pull).
-    pub right_rows: Option<Vec<Tuple>>,
-    /// Current left tuple being crossed.
-    pub cur_left: Option<Tuple>,
-    /// Position within the materialized right side.
-    pub ridx: usize,
-}
-
-impl Cursor for Cross<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.right_rows.is_none() {
-            if self.strict {
-                self.left.buffer_now(ctx)?;
-            }
-            self.right_rows = Some(drain(self.right.as_mut(), ctx)?);
-        }
-        let right = self.right_rows.as_ref().expect("built above");
-        loop {
-            if let Some(lt) = &self.cur_left {
-                if let Some(rt) = right.get(self.ridx) {
-                    self.ridx += 1;
-                    return Ok(Some(lt.concat_keep(rt, self.keep)));
-                }
-                self.cur_left = None;
-            }
-            match self.left.next(ctx)? {
-                Some(lt) => {
-                    self.cur_left = Some(lt);
-                    self.ridx = 0;
-                }
-                None => return Ok(None),
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        "Cross"
-    }
-}
-
 /// What an operator restricted to `keep` emits of a tuple it had to
 /// build whole, because a residual or θ-predicate read it first.
 fn narrowed(t: Tuple, keep: Option<&[Sym]>) -> Tuple {
@@ -144,217 +97,239 @@ fn narrowed(t: Tuple, keep: Option<&[Sym]>) -> Tuple {
     }
 }
 
-/// Join-kind-independent emission decision for a finished probe tuple.
-fn unmatched_output(kind: &JoinKind, pad: &[Sym], lt: &Tuple) -> Option<Tuple> {
-    match kind {
-        JoinKind::Anti => Some(lt.clone()),
-        JoinKind::Outer { g, default } => {
-            Some(lt.concat(&Tuple::bottom(pad)).extend(*g, default.clone()))
+/// A [`Join`]'s build side, prepared on first pull with the probe
+/// parameters of its strategy.
+enum Build<'p> {
+    /// Bucketed by the build keys; a probe looks up `left_keys`.
+    Hash {
+        buckets: Buckets,
+        left_keys: &'p [Sym],
+    },
+    /// Filtered and ordered by the split ([`crate::theta`]).
+    Theta {
+        build: ThetaBuild,
+        split: &'p ThetaSplit,
+    },
+}
+
+/// The build rows one probe tuple examines.
+enum Probe {
+    /// A bucket, in arrival order (`None`: no row has the probe's key).
+    Bucket(Option<usize>),
+    /// The θ-probe's candidates.
+    Theta(Candidates),
+}
+
+impl Build<'_> {
+    /// The candidates of probe tuple `lt`. `arrival_order`: a θ key
+    /// window is put back into right arrival order (joins that emit
+    /// matches need it; semi/anti joins take any witness).
+    fn probe(
+        &self,
+        lt: &Tuple,
+        arrival_order: bool,
+        env: &Scope<'_>,
+        ctx: &mut EvalCtx<'_>,
+        scratch: &mut String,
+    ) -> EvalResult<Probe> {
+        Ok(match self {
+            Build::Hash { buckets, left_keys } => {
+                Probe::Bucket(buckets.slot_of(lt, left_keys, ctx.catalog, scratch))
+            }
+            Build::Theta { build, split } => {
+                Probe::Theta(build.candidates(split, lt, arrival_order, env, ctx)?)
+            }
+        })
+    }
+
+    /// The `i`-th candidate's row.
+    fn candidate(&self, probe: &Probe, i: usize) -> Option<&Tuple> {
+        match (self, probe) {
+            (Build::Hash { buckets, .. }, Probe::Bucket(Some(slot))) => {
+                buckets.bucket(*slot).get(i)
+            }
+            (Build::Theta { build, .. }, Probe::Theta(candidates)) => {
+                build.candidate(candidates, i)
+            }
+            _ => None,
         }
-        JoinKind::Inner | JoinKind::Semi => None,
     }
 }
 
-/// Order-preserving hash join. Build buckets on the right (insertion
-/// order within a bucket = right arrival order), probe left tuples in
-/// stream order.
-pub struct HashJoin<'p> {
-    /// Left (probe/outer) input.
-    pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: BoxCursor<'p>,
-    /// Probe-side key attributes.
-    pub left_keys: &'p [Sym],
-    /// Build-side key attributes.
-    pub right_keys: &'p [Sym],
-    /// Non-equi conjuncts evaluated per bucket match.
-    pub residual: Option<&'p Scalar>,
-    /// The residual's nested blocks and their spools.
-    pub(crate) blocks: Spooled<'p>,
-    /// How matches are consumed.
-    pub kind: &'p JoinKind,
-    /// Outer-join NULL padding.
-    pub pad: &'p [Sym],
+/// One probe tuple's walk over its candidates in right arrival order
+/// (inner and outer joins resume it between emitted matches).
+struct Walk {
+    lt: Tuple,
+    probe: Probe,
+    next: usize,
+    matched: bool,
+}
+
+/// ×, ⋈, ⋉, ▷ and ⟕ with either build strategy. The left side streams;
+/// the right is materialized on first pull into [`Buckets`] or a
+/// [`ThetaBuild`]. Semi and anti joins stop at the first passing
+/// candidate; inner and outer joins walk their candidates in right
+/// arrival order, so every join emits the definitional sequence.
+pub struct Join<'p> {
+    left: Feed<'p>,
+    right: BoxCursor<'p>,
+    on: &'p JoinOn,
+    /// What is evaluated per candidate: a hash join's residual, a
+    /// θ-join's pair part.
+    pair: Option<&'p Scalar>,
+    /// `pair`'s nested blocks and their spools.
+    blocks: Spooled<'p>,
+    kind: &'p JoinKind,
     /// The attributes an inner/outer join emits (`None`: all).
-    pub keep: Option<&'p [Sym]>,
+    keep: Option<&'p [Sym]>,
     /// The scope the joined tuples are evaluated in.
-    pub env: &'p Scope<'p>,
+    env: &'p Scope<'p>,
     /// Materialize left before right (Ξ evaluation-order barrier).
-    pub strict: bool,
+    strict: bool,
     /// Probe-key text assembled for a lookup.
-    pub scratch: String,
-    /// The build side, bucketed on first pull (iteration state holds
-    /// plain bucket slots).
-    pub build: Option<Buckets>,
-    /// Inner/outer iteration state: (probe tuple, bucket, position,
-    /// matched-so-far).
-    pub cur: Option<(Tuple, Option<usize>, usize, bool)>,
+    scratch: String,
+    build: Option<Build<'p>>,
+    cur: Option<Walk>,
 }
 
-impl HashJoin<'_> {
-    fn residual_passes(&self, joined: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
-        match self.residual {
-            None => Ok(true),
-            Some(p) => self.blocks.truthy(p, joined, self.env, ctx),
+impl<'p> Join<'p> {
+    /// A join of `kind` by `on`, emitting `keep`, evaluated in `env`;
+    /// `strict` buffers the left input before the right is drained.
+    pub fn new(
+        left: BoxCursor<'p>,
+        right: BoxCursor<'p>,
+        on: &'p JoinOn,
+        kind: &'p JoinKind,
+        keep: Option<&'p [Sym]>,
+        env: &'p Scope<'p>,
+        strict: bool,
+    ) -> Join<'p> {
+        let pair = match on {
+            JoinOn::Hash { residual, .. } => residual.as_ref(),
+            JoinOn::Theta { split, .. } => split.pair.as_ref(),
+        };
+        Join {
+            left: Feed::Stream(left),
+            right,
+            on,
+            pair,
+            blocks: on.blocks().spooled(),
+            kind,
+            keep,
+            env,
+            strict,
+            scratch: String::new(),
+            build: None,
+            cur: None,
         }
+    }
+
+    /// Does candidate `rt` match `lt`? The one place a join counts
+    /// `probe_tuples`.
+    fn passes(&self, lt: &Tuple, rt: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<bool> {
+        ctx.metrics.probe_tuples += 1;
+        match self.pair {
+            None => Ok(true),
+            Some(p) => self.blocks.truthy(p, &lt.concat(rt), self.env, ctx),
+        }
+    }
+
+    /// [`Self::passes`] for a join that emits the pair: the emitted
+    /// tuple if `rt` matches. Only a per-pair predicate needs the whole
+    /// pair built before `keep` narrows it.
+    fn joined(&self, lt: &Tuple, rt: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
+        ctx.metrics.probe_tuples += 1;
+        let Some(p) = self.pair else {
+            return Ok(Some(lt.concat_keep(rt, self.keep)));
+        };
+        let joined = lt.concat(rt);
+        let passes = self.blocks.truthy(p, &joined, self.env, ctx)?;
+        Ok(passes.then(|| narrowed(joined, self.keep)))
     }
 }
 
-impl Cursor for HashJoin<'_> {
+impl Cursor for Join<'_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
         if self.build.is_none() {
             if self.strict {
                 self.left.buffer_now(ctx)?;
             }
             let rows = drain(self.right.as_mut(), ctx)?;
-            self.build = Some(Buckets::build(rows, self.right_keys, ctx.catalog));
+            self.build = Some(match self.on {
+                JoinOn::Hash {
+                    left_keys,
+                    right_keys,
+                    ..
+                } => Build::Hash {
+                    buckets: Buckets::build(rows, right_keys, ctx.catalog),
+                    left_keys,
+                },
+                JoinOn::Theta { split, .. } => Build::Theta {
+                    build: ThetaBuild::new(rows, split, self.env, ctx)?,
+                    split,
+                },
+            });
         }
         let build = self.build.as_ref().expect("built above");
         loop {
-            // Resume an inner/outer probe mid-bucket.
-            if let Some((lt, slot, mut pos, mut matched)) = self.cur.take() {
-                if let Some(slot) = slot {
-                    while let Some(rt) = build.bucket(slot).get(pos) {
-                        // Only a residual needs to see the whole pair.
-                        let joined = match self.residual {
-                            None => lt.concat_keep(rt, self.keep),
-                            Some(_) => lt.concat(rt),
-                        };
-                        pos += 1;
-                        ctx.metrics.probe_tuples += 1;
-                        if self.residual_passes(&joined, ctx)? {
-                            matched = true;
-                            self.cur = Some((lt, Some(slot), pos, matched));
-                            return Ok(Some(narrowed(joined, self.keep)));
-                        }
+            // Resume an inner/outer walk.
+            if let Some(mut walk) = self.cur.take() {
+                while let Some(rt) = build.candidate(&walk.probe, walk.next) {
+                    walk.next += 1;
+                    if let Some(out) = self.joined(&walk.lt, rt, ctx)? {
+                        walk.matched = true;
+                        self.cur = Some(walk);
+                        return Ok(Some(out));
                     }
                 }
-                if !matched {
-                    if let Some(out) = unmatched_output(self.kind, self.pad, &lt) {
-                        return Ok(Some(narrowed(out, self.keep)));
-                    }
+                if let (false, JoinKind::Outer { g, default, pad }) = (walk.matched, self.kind) {
+                    let padded = walk.lt.concat(&Tuple::bottom(pad));
+                    return Ok(Some(narrowed(
+                        padded.extend(*g, default.clone()),
+                        self.keep,
+                    )));
                 }
+            }
+            let Some(lt) = self.left.next(ctx)? else {
+                return Ok(None);
+            };
+            let emits = matches!(self.kind, JoinKind::Inner | JoinKind::Outer { .. });
+            let probe = build.probe(&lt, emits, self.env, ctx, &mut self.scratch)?;
+            if emits {
+                self.cur = Some(Walk {
+                    lt,
+                    probe,
+                    next: 0,
+                    matched: false,
+                });
                 continue;
             }
-            let Some(lt) = self.left.next(ctx)? else {
-                return Ok(None);
-            };
-            let slot = build.slot_of(&lt, self.left_keys, ctx.catalog, &mut self.scratch);
-            match self.kind {
-                JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some((lt, slot, 0, false));
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let mut matched = false;
-                    if let Some(slot) = slot {
-                        // Short-circuit: the first passing match decides.
-                        // Only a residual needs to see the joined tuple.
-                        for rt in build.bucket(slot) {
-                            ctx.metrics.probe_tuples += 1;
-                            if self.residual.is_none()
-                                || self.residual_passes(&lt.concat(rt), ctx)?
-                            {
-                                matched = true;
-                                break;
-                            }
+            // Semi/anti: the first passing candidate decides. A θ-probe
+            // with nothing to verify per pair is decided by whether it
+            // has a candidate, examining none.
+            let matched = match (build, self.pair) {
+                (Build::Theta { .. }, None) => build.candidate(&probe, 0).is_some(),
+                _ => {
+                    let mut i = 0;
+                    loop {
+                        let Some(rt) = build.candidate(&probe, i) else {
+                            break false;
+                        };
+                        if self.passes(&lt, rt, ctx)? {
+                            break true;
                         }
-                    }
-                    let emit = matches!(self.kind, JoinKind::Semi) == matched;
-                    if emit {
-                        return Ok(Some(lt));
+                        i += 1;
                     }
                 }
-            }
-        }
-    }
-
-    fn op_name(&self) -> &'static str {
-        match self.kind {
-            JoinKind::Inner => "HashJoin",
-            JoinKind::Semi => "HashSemiJoin",
-            JoinKind::Anti => "HashAntiJoin",
-            JoinKind::Outer { .. } => "HashOuterJoin",
-        }
-    }
-}
-
-/// Join for non-equi predicates. The right side is materialized into a
-/// [`ThetaBuild`], the left streams, and the shared
-/// θ-probe decides each left tuple: semi/anti probes stop at the first
-/// verified candidate, inner/outer probes walk their candidates in
-/// right arrival order.
-pub struct LoopJoin<'p> {
-    /// Left (probe/outer) input.
-    pub left: Feed<'p>,
-    /// Right (build/inner) input.
-    pub right: BoxCursor<'p>,
-    /// The predicate, split by side.
-    pub split: &'p ThetaSplit,
-    /// The pair part's nested blocks and their spools.
-    pub(crate) blocks: Spooled<'p>,
-    /// How matches are consumed.
-    pub kind: &'p JoinKind,
-    /// Outer-join NULL padding.
-    pub pad: &'p [Sym],
-    /// The attributes an inner/outer join emits (`None`: all).
-    pub keep: Option<&'p [Sym]>,
-    /// The scope the joined tuples are evaluated in.
-    pub env: &'p Scope<'p>,
-    /// Materialize left before right (Ξ evaluation-order barrier).
-    pub strict: bool,
-    /// The build side, prepared on first pull.
-    pub build: Option<ThetaBuild>,
-    /// The inner/outer probe being resumed.
-    pub cur: Option<Walk>,
-}
-
-impl Cursor for LoopJoin<'_> {
-    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.build.is_none() {
-            if self.strict {
-                self.left.buffer_now(ctx)?;
-            }
-            let rows = drain(self.right.as_mut(), ctx)?;
-            self.build = Some(ThetaBuild::new(rows, self.split, self.env, ctx)?);
-        }
-        let build = self.build.as_ref().expect("built above");
-        loop {
-            if let Some(mut walk) = self.cur.take() {
-                let next = build.next_match(self.split, &mut walk, self.env, &self.blocks, ctx)?;
-                if let Some(joined) = next {
-                    self.cur = Some(walk);
-                    return Ok(Some(narrowed(joined, self.keep)));
-                }
-                if let Some(lt) = walk.unmatched() {
-                    if let Some(out) = unmatched_output(self.kind, self.pad, lt) {
-                        return Ok(Some(narrowed(out, self.keep)));
-                    }
-                }
-            }
-            let Some(lt) = self.left.next(ctx)? else {
-                return Ok(None);
             };
-            match self.kind {
-                JoinKind::Inner | JoinKind::Outer { .. } => {
-                    self.cur = Some(build.walk(self.split, lt, self.env, ctx)?);
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let matched = build.matches(self.split, &lt, self.env, &self.blocks, ctx)?;
-                    if matches!(self.kind, JoinKind::Semi) == matched {
-                        return Ok(Some(lt));
-                    }
-                }
+            if matches!(self.kind, JoinKind::Semi) == matched {
+                return Ok(Some(lt));
             }
         }
     }
 
     fn op_name(&self) -> &'static str {
-        match self.kind {
-            JoinKind::Inner => "LoopJoin",
-            JoinKind::Semi => "LoopSemiJoin",
-            JoinKind::Anti => "LoopAntiJoin",
-            JoinKind::Outer { .. } => "LoopOuterJoin",
-        }
+        self.on.op_name(self.kind)
     }
 }
 

@@ -4,15 +4,17 @@
 //!
 //! * **Pipelined operators** (σ, Π, χ, μ, Υ, Ξ, probe sides of joins)
 //!   never materialize — a tuple flows root-ward as soon as it exists.
-//! * **Short-circuiting quantifier joins**: semi (⋉) and anti (▷) join
-//!   cursors stop probing a tuple's bucket at the first passing match —
-//!   `some` is decided by the first witness, `every` by the first
-//!   counterexample — so quantifier plans no longer scan entire inputs.
-//!   The `probe_tuples` metric exposes the saving.
-//! * **Blocking operators** (hash builds, Γ grouping, Ξ-grouping)
-//!   materialize internally but stream their output; hash buckets keep
-//!   right-input insertion order so every join emits exactly the
-//!   definitional order (the order-preserving hash join of §2).
+//! * **One join cursor** ([`join::Join`]) runs ×, ⋈, ⋉, ▷ and ⟕ over
+//!   either build strategy of [`crate::plan::JoinOn`]. Its semi (⋉) and
+//!   anti (▷) probes stop at the first passing candidate — `some` is
+//!   decided by the first witness, `every` by the first counterexample
+//!   — so quantifier plans no longer scan entire inputs. The
+//!   `probe_tuples` metric exposes the saving.
+//! * **Blocking operators** (join builds, Γ grouping, Ξ-grouping)
+//!   materialize internally but stream their output; hash buckets and
+//!   θ builds keep right-input arrival order so every join emits
+//!   exactly the definitional order (the order-preserving hash join of
+//!   §2).
 //!
 //! Ξ ordering: the reference evaluator (`nal::eval`, the §2 definitions)
 //! evaluates an operator's inputs completely, bottom-up and left before
@@ -61,9 +63,9 @@ fn scalar_emits_xi(s: &Scalar) -> bool {
 fn node_emits_xi(plan: &PhysPlan) -> bool {
     let scalar: Option<&Scalar> = match plan {
         PhysPlan::XiSimple { .. } | PhysPlan::XiGroup { .. } => return true,
-        PhysPlan::Select { pred, .. } | PhysPlan::LoopJoin { pred, .. } => Some(pred),
+        PhysPlan::Select { pred, .. } => Some(pred),
         PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => Some(value),
-        PhysPlan::HashJoin { residual, .. } => residual.as_ref(),
+        PhysPlan::Join { on, .. } => on.pred(),
         // Recipe probe sides and replayed pipelines are replay-safe (no
         // nested algebra) by conversion; only the residual could carry Ξ.
         PhysPlan::IndexJoin { recipe, .. } => recipe.residual.as_ref(),
@@ -72,7 +74,6 @@ fn node_emits_xi(plan: &PhysPlan) -> bool {
         | PhysPlan::Literal(_)
         | PhysPlan::AttrRel(_)
         | PhysPlan::Project { .. }
-        | PhysPlan::Cross { .. }
         | PhysPlan::Unnest { .. }
         // Index scans have a pure structural subscript by construction.
         | PhysPlan::IndexScan { .. } => None,
@@ -228,70 +229,23 @@ impl<'a> Lowering<'a> {
                 },
             ),
             PhysPlan::Map { .. } | PhysPlan::UnnestMap { .. } => self.lower_run(plan),
-            PhysPlan::Cross { left, right, keep } => metered(
-                plan,
-                join::Cross {
-                    strict: needs_strict_order(left, right),
-                    left: Feed::Stream(self.lower(left)),
-                    right: self.lower(right),
-                    keep: keep.attrs(),
-                    right_rows: None,
-                    cur_left: None,
-                    ridx: 0,
-                },
-            ),
-            PhysPlan::HashJoin {
+            PhysPlan::Join {
                 left,
                 right,
-                left_keys,
-                right_keys,
-                residual,
-                blocks,
+                on,
                 kind,
-                pad,
                 keep,
             } => metered(
                 plan,
-                join::HashJoin {
-                    strict: needs_strict_order(left, right),
-                    left: Feed::Stream(self.lower(left)),
-                    right: self.lower(right),
-                    left_keys,
-                    right_keys,
-                    residual: residual.as_ref(),
-                    blocks: blocks.spooled(),
+                join::Join::new(
+                    self.lower(left),
+                    self.lower(right),
+                    on,
                     kind,
-                    pad,
-                    keep: keep.attrs(),
+                    keep.attrs(),
                     env,
-                    scratch: String::new(),
-                    build: None,
-                    cur: None,
-                },
-            ),
-            PhysPlan::LoopJoin {
-                left,
-                right,
-                split,
-                kind,
-                pad,
-                keep,
-                ..
-            } => metered(
-                plan,
-                join::LoopJoin {
-                    strict: needs_strict_order(left, right),
-                    left: Feed::Stream(self.lower(left)),
-                    right: self.lower(right),
-                    split,
-                    blocks: split.blocks.spooled(),
-                    kind,
-                    pad,
-                    keep: keep.attrs(),
-                    env,
-                    build: None,
-                    cur: None,
-                },
+                    needs_strict_order(left, right),
+                ),
             ),
             PhysPlan::Group {
                 input,

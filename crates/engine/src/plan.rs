@@ -1,22 +1,25 @@
 //! Physical plans, compiled from logical NAL expressions.
 //!
 //! The compiler mirrors the paper's implementation notes (§2, "one word
-//! on implementation"): equality predicates get hash-based
-//! order-preserving operators (our in-memory stand-in for the
-//! Grace-hash-join + re-sort the authors used, with the order-preserving
-//! hash join of Claussen et al. as the conceptual model); non-equality
-//! predicates compile to loop joins, which keep the definitional
-//! *result* but not the definitional pair loop — their predicate is
-//! split by side here ([`ThetaSplit`]) so that execution decides
-//! one-sided conjuncts once and probes an ordered build for range
-//! conjuncts ([`crate::theta`]). Grouping is one operator per arity
-//! whatever its θ — [`PhysPlan::Group`] and [`PhysPlan::NestJoin`] —
-//! which finds a group's members by hash for `=` and by scan otherwise;
-//! its EXPLAIN name still says which. Scalar subscripts are evaluated
-//! with the reference evaluator's scalar semantics; the nested algebra
-//! blocks inside them — what makes a *nested plan* nested — are
-//! compiled here, with the plan, and run on the engine
-//! ([`crate::nested`]).
+//! on implementation"). ×, ⋈, ⋉, ▷ and ⟕ are one operator,
+//! [`PhysPlan::Join`], whose [`JoinKind`] says what a left tuple and its
+//! matches emit and whose [`JoinOn`] is the build strategy picked from
+//! the predicate: equality predicates hash the build side
+//! order-preservingly (our in-memory stand-in for the Grace-hash-join +
+//! re-sort the authors used, with the order-preserving hash join of
+//! Claussen et al. as the conceptual model); any other predicate — × is
+//! the empty one — keeps the definitional loop's *result* but not its
+//! pair loop: it is split by side here ([`ThetaSplit`]) so that
+//! execution decides one-sided conjuncts once and probes an ordered
+//! build for range conjuncts ([`crate::theta`]). Grouping is one
+//! operator per arity whatever its θ — [`PhysPlan::Group`] and
+//! [`PhysPlan::NestJoin`] — which finds a group's members by hash for
+//! `=` and by scan otherwise. EXPLAIN names still say which strategy
+//! runs (`HashSemiJoin`, `LoopJoin`, `Cross`, `ThetaGroup`, …). Scalar
+//! subscripts are evaluated with the reference evaluator's scalar
+//! semantics; the nested algebra blocks inside them — what makes a
+//! *nested plan* nested — are compiled here, with the plan, and run on
+//! the engine ([`crate::nested`]).
 
 use nal::expr::attrs::{attr_set, nested_attrs};
 use nal::expr::visit;
@@ -71,7 +74,89 @@ pub enum JoinKind {
         g: Sym,
         /// `g`'s value on unmatched left tuples.
         default: Value,
+        /// `A(right) \ {g}`, the attributes padded with NULL
+        /// (precomputed).
+        pad: Vec<Sym>,
     },
+}
+
+/// How a [`PhysPlan::Join`] finds a probe tuple's matches: the build
+/// strategy §2's implementation note picks from the predicate.
+#[derive(Clone, Debug)]
+pub enum JoinOn {
+    /// Equi-pairs: the build is bucketed by `right_keys` and a probe
+    /// looks up its `left_keys`; bucket order is right arrival order.
+    Hash {
+        /// Probe-side key attributes (parallel to `right_keys`).
+        left_keys: Vec<Sym>,
+        /// Build-side key attributes.
+        right_keys: Vec<Sym>,
+        /// Non-equi conjuncts evaluated per bucket match.
+        residual: Option<Scalar>,
+        /// The residual's nested blocks, compiled.
+        blocks: Blocks,
+    },
+    /// Any other predicate, probed by the θ-probe ([`crate::theta`]).
+    /// × is the empty predicate: a split with no part.
+    Theta {
+        /// The join predicate (`true` for ×).
+        pred: Scalar,
+        /// `pred`'s conjuncts by the side they mention (what executes).
+        split: ThetaSplit,
+    },
+}
+
+impl JoinOn {
+    /// Is this ×?
+    pub fn is_cross(&self) -> bool {
+        matches!(self, JoinOn::Theta { split, .. } if split.is_empty())
+    }
+
+    /// The predicate beside the hashed keys — a hash join's residual, a
+    /// θ-join's whole predicate: what the analyses of a node's scalar
+    /// read.
+    pub fn pred(&self) -> Option<&Scalar> {
+        match self {
+            JoinOn::Hash { residual, .. } => residual.as_ref(),
+            JoinOn::Theta { pred, .. } => Some(pred),
+        }
+    }
+
+    /// The hashed key attributes of the probe and the build side (none
+    /// for a θ-join).
+    pub fn keys(&self) -> (&[Sym], &[Sym]) {
+        match self {
+            JoinOn::Hash {
+                left_keys,
+                right_keys,
+                ..
+            } => (left_keys, right_keys),
+            JoinOn::Theta { .. } => (&[], &[]),
+        }
+    }
+
+    /// The compiled nested blocks of [`Self::pred`].
+    pub(crate) fn blocks(&self) -> &Blocks {
+        match self {
+            JoinOn::Hash { blocks, .. } => blocks,
+            JoinOn::Theta { split, .. } => &split.blocks,
+        }
+    }
+
+    /// The operator name of a join of `kind` with this strategy.
+    pub(crate) fn op_name(&self, kind: &JoinKind) -> &'static str {
+        match (self, kind) {
+            (JoinOn::Hash { .. }, JoinKind::Inner) => "HashJoin",
+            (JoinOn::Hash { .. }, JoinKind::Semi) => "HashSemiJoin",
+            (JoinOn::Hash { .. }, JoinKind::Anti) => "HashAntiJoin",
+            (JoinOn::Hash { .. }, JoinKind::Outer { .. }) => "HashOuterJoin",
+            (JoinOn::Theta { .. }, JoinKind::Inner) if self.is_cross() => "Cross",
+            (JoinOn::Theta { .. }, JoinKind::Inner) => "LoopJoin",
+            (JoinOn::Theta { .. }, JoinKind::Semi) => "LoopSemiJoin",
+            (JoinOn::Theta { .. }, JoinKind::Anti) => "LoopAntiJoin",
+            (JoinOn::Theta { .. }, JoinKind::Outer { .. }) => "LoopOuterJoin",
+        }
+    }
 }
 
 /// A physical operator tree.
@@ -117,52 +202,17 @@ pub enum PhysPlan {
         /// What of the built tuple is emitted.
         keep: Keep,
     },
-    /// × — ordered cross product.
-    Cross {
-        /// Outer (slow-varying) input.
-        left: Box<PhysPlan>,
-        /// Inner input.
-        right: Box<PhysPlan>,
-        /// What of the built tuple is emitted.
-        keep: Keep,
-    },
-    /// Hash-based order-preserving join: build on the right, probe the
-    /// left in order; bucket order preserves right order.
-    HashJoin {
-        /// Probe side.
-        left: Box<PhysPlan>,
-        /// Build side.
-        right: Box<PhysPlan>,
-        /// Probe-side key attributes (parallel to `right_keys`).
-        left_keys: Vec<Sym>,
-        /// Build-side key attributes.
-        right_keys: Vec<Sym>,
-        /// Non-equi conjuncts evaluated per bucket match.
-        residual: Option<Scalar>,
-        /// The residual's nested blocks, compiled.
-        blocks: Blocks,
-        /// How matches are consumed.
-        kind: JoinKind,
-        /// `A(right) \ {g}` — outer-join NULL padding (precomputed).
-        pad: Vec<Sym>,
-        /// What of the joined tuple is emitted (inner/outer joins only).
-        keep: Keep,
-    },
-    /// Join for non-equi predicates: the definitional nested loop's
-    /// result, computed by the shared θ-probe ([`crate::theta`]).
-    LoopJoin {
+    /// ×, ⋈, ⋉, ▷ and ⟕: build on the right, probe the left in order;
+    /// every join emits the definitional nested loop's sequence.
+    Join {
         /// Probe side.
         left: Box<PhysPlan>,
         /// Build side, materialized once.
         right: Box<PhysPlan>,
-        /// The join predicate.
-        pred: Scalar,
-        /// `pred`'s conjuncts by the side they mention (what executes).
-        split: ThetaSplit,
+        /// The build strategy and the predicate it probes.
+        on: JoinOn,
         /// How matches are consumed.
         kind: JoinKind,
-        /// Outer-join NULL padding.
-        pad: Vec<Sym>,
         /// What of the joined tuple is emitted (inner/outer joins only).
         keep: Keep,
     },
@@ -307,19 +357,7 @@ impl PhysPlan {
             PhysPlan::Select { .. } => "Select",
             PhysPlan::Project { .. } => "Project",
             PhysPlan::Map { .. } => "Map",
-            PhysPlan::Cross { .. } => "Cross",
-            PhysPlan::HashJoin { kind, .. } => match kind {
-                JoinKind::Inner => "HashJoin",
-                JoinKind::Semi => "HashSemiJoin",
-                JoinKind::Anti => "HashAntiJoin",
-                JoinKind::Outer { .. } => "HashOuterJoin",
-            },
-            PhysPlan::LoopJoin { kind, .. } => match kind {
-                JoinKind::Inner => "LoopJoin",
-                JoinKind::Semi => "LoopSemiJoin",
-                JoinKind::Anti => "LoopAntiJoin",
-                JoinKind::Outer { .. } => "LoopOuterJoin",
-            },
+            PhysPlan::Join { on, kind, .. } => on.op_name(kind),
             PhysPlan::Group { theta, .. } => match theta {
                 nal::CmpOp::Eq => "HashGroup",
                 _ => "ThetaGroup",
@@ -381,9 +419,7 @@ impl PhysPlan {
                 (Some(*attr), keep, false)
             }
             PhysPlan::NestJoin { g, keep, .. } => (Some(*g), keep, false),
-            PhysPlan::Cross { keep, .. }
-            | PhysPlan::HashJoin { keep, .. }
-            | PhysPlan::LoopJoin { keep, .. } => (None, keep, false),
+            PhysPlan::Join { keep, .. } => (None, keep, false),
             _ => return shared,
         };
         let mut out = String::new();
@@ -414,10 +450,9 @@ impl PhysPlan {
             PhysPlan::Select { blocks, .. }
             | PhysPlan::Map { blocks, .. }
             | PhysPlan::UnnestMap { blocks, .. }
-            | PhysPlan::HashJoin { blocks, .. }
             | PhysPlan::Group { blocks, .. }
             | PhysPlan::NestJoin { blocks, .. } => Some(blocks),
-            PhysPlan::LoopJoin { split, .. } => Some(&split.blocks),
+            PhysPlan::Join { on, .. } => Some(on.blocks()),
             PhysPlan::IndexJoin { recipe, .. } => Some(&recipe.blocks),
             _ => None,
         }
@@ -446,10 +481,9 @@ impl PhysPlan {
             | PhysPlan::XiGroup { input, .. }
             | PhysPlan::IndexScan { input, .. } => [Some(input), None],
             PhysPlan::IndexJoin { left, .. } => [Some(left), None],
-            PhysPlan::Cross { left, right, .. }
-            | PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::LoopJoin { left, right, .. }
-            | PhysPlan::NestJoin { left, right, .. } => [Some(left), Some(right)],
+            PhysPlan::Join { left, right, .. } | PhysPlan::NestJoin { left, right, .. } => {
+                [Some(left), Some(right)]
+            }
         }
     }
 
@@ -468,10 +502,9 @@ impl PhysPlan {
             | PhysPlan::XiGroup { input, .. }
             | PhysPlan::IndexScan { input, .. } => vec![input],
             PhysPlan::IndexJoin { left, .. } => vec![left],
-            PhysPlan::Cross { left, right, .. }
-            | PhysPlan::HashJoin { left, right, .. }
-            | PhysPlan::LoopJoin { left, right, .. }
-            | PhysPlan::NestJoin { left, right, .. } => vec![left, right],
+            PhysPlan::Join { left, right, .. } | PhysPlan::NestJoin { left, right, .. } => {
+                vec![left, right]
+            }
         }
     }
 }
@@ -526,14 +559,20 @@ fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
             fused: false,
             keep: Keep::default(),
         },
-        Expr::Cross { left, right } => PhysPlan::Cross {
+        Expr::Cross { left, right } => PhysPlan::Join {
             left: input(left),
             right: input(right),
+            // The empty predicate.
+            on: JoinOn::Theta {
+                pred: Scalar::conjoin(Vec::new()),
+                split: ThetaSplit::default(),
+            },
+            kind: JoinKind::Inner,
             keep: Keep::default(),
         },
-        Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, &[], block),
-        Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, &[], block),
-        Expr::AntiJoin { left, right, pred } => join(left, right, pred, JoinKind::Anti, &[], block),
+        Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, block),
+        Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, block),
+        Expr::AntiJoin { left, right, pred } => join(left, right, pred, JoinKind::Anti, block),
         Expr::OuterJoin {
             left,
             right,
@@ -541,18 +580,12 @@ fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
             g,
             default,
         } => {
-            let pad: Vec<Sym> = attr_set(right).into_iter().filter(|a| a != g).collect();
-            join(
-                left,
-                right,
-                pred,
-                JoinKind::Outer {
-                    g: *g,
-                    default: default.clone(),
-                },
-                &pad,
-                block,
-            )
+            let kind = JoinKind::Outer {
+                g: *g,
+                default: default.clone(),
+                pad: attr_set(right).into_iter().filter(|a| a != g).collect(),
+            };
+            join(left, right, pred, kind, block)
         }
         Expr::GroupUnary {
             input: i,
@@ -640,13 +673,12 @@ fn filter_blocks(f: &GroupFn, block: fn(&Expr) -> PhysPlan) -> Blocks {
 }
 
 /// Split a join predicate into hashable equi-pairs and a residual; choose
-/// the hash or loop operator accordingly.
+/// the hash strategy when there is a pair, the θ strategy otherwise.
 fn join(
     left: &Expr,
     right: &Expr,
     pred: &Scalar,
     kind: JoinKind,
-    pad: &[Sym],
     block: fn(&Expr) -> PhysPlan,
 ) -> PhysPlan {
     let l = Box::new(choose(left, block));
@@ -673,32 +705,29 @@ fn join(
             other => residual.push(other.clone()),
         }
     }
-    if left_keys.is_empty() {
+    let on = if left_keys.is_empty() {
         let known = schema_known(left) && schema_known(right);
-        PhysPlan::LoopJoin {
-            left: l,
-            right: r,
+        JoinOn::Theta {
             pred: pred.clone(),
             split: ThetaSplit::of(pred, &a_l, &a_r, known, Blocks::of(pred, block)),
-            kind,
-            pad: pad.to_vec(),
-            keep: Keep::default(),
         }
     } else {
         let residual = (!residual.is_empty()).then(|| Scalar::conjoin(residual));
-        PhysPlan::HashJoin {
-            left: l,
-            right: r,
+        JoinOn::Hash {
             left_keys,
             right_keys,
             blocks: residual
                 .as_ref()
                 .map_or(Blocks::NONE, |p| Blocks::of(p, block)),
             residual,
-            kind,
-            pad: pad.to_vec(),
-            keep: Keep::default(),
         }
+    };
+    PhysPlan::Join {
+        left: l,
+        right: r,
+        on,
+        kind,
+        keep: Keep::default(),
     }
 }
 
@@ -737,31 +766,124 @@ mod tests {
             )),
         );
         let plan = compile(&j);
-        let PhysPlan::HashJoin {
-            kind,
-            residual,
-            left_keys,
+        let PhysPlan::Join {
+            on:
+                JoinOn::Hash {
+                    residual,
+                    left_keys,
+                    ..
+                },
             ..
         } = &plan
         else {
             panic!("{}", plan.explain())
         };
-        assert_eq!(*kind, JoinKind::Semi);
         assert!(residual.is_some());
         assert_eq!(left_keys, &vec![Sym::new("a")]);
     }
 
+    /// What xqbench and EXPLAIN read of a join: each of the nine shapes
+    /// keeps its name, its children's order and its detail text.
     #[test]
-    fn non_equi_joins_fall_back_to_loops() {
-        let l = singleton().map("a", Scalar::int(1));
-        let r = singleton().map("b", Scalar::int(2));
-        let j = l.join(r, Scalar::attr_cmp(CmpOp::Lt, "a", "b"));
-        assert!(matches!(compile(&j), PhysPlan::LoopJoin { .. }));
+    fn join_shapes_keep_their_names() {
+        let l = singleton()
+            .map("a", Scalar::int(1))
+            .map("x", Scalar::int(2));
+        let r = Expr::Literal(vec![nal::Tuple::from_pairs(vec![
+            (Sym::new("b"), Value::Int(3)),
+            (Sym::new("y"), Value::Int(4)),
+        ])]);
+        let eq = Scalar::attr_cmp(CmpOp::Eq, "a", "b");
+        let lt = Scalar::attr_cmp(CmpOp::Lt, "a", "b");
+        let range = Expr::Literal(vec![nal::Tuple::singleton(Sym::new("w"), Value::Int(5))])
+            .project_syms(vec![Sym::new("w")])
+            .select(Scalar::cmp(CmpOp::Ge, Scalar::attr("w"), Scalar::int(0)));
+        // A quantifier over an invariant range: its block is spooled.
+        let quant = Scalar::Exists {
+            var: Sym::new("q"),
+            range: Box::new(range),
+            pred: Box::new(Scalar::attr_cmp(CmpOp::Gt, "q", "y")),
+        };
+        let (xy, xg) = (
+            |e: Expr| e.project(&["x", "y"]),
+            |e: Expr| e.project(&["x", "g"]),
+        );
+        let outer = |p: &Scalar| {
+            l.clone()
+                .outerjoin(r.clone(), p.clone(), "g", Value::Int(0))
+        };
+        let kept = " keep{x,y} absorbed Π[x,y]";
+        let padded = " keep{g,x} absorbed Π[x,g]";
+        let shapes = [
+            (xy(l.clone().cross(r.clone())), "Cross", kept),
+            (xy(l.clone().join(r.clone(), eq.clone())), "HashJoin", kept),
+            (
+                l.clone().semijoin(r.clone(), eq.clone().and(quant.clone())),
+                "HashSemiJoin",
+                " shared{σ}",
+            ),
+            (
+                l.clone().antijoin(r.clone(), eq.clone()),
+                "HashAntiJoin",
+                "",
+            ),
+            (xg(outer(&eq)), "HashOuterJoin", padded),
+            (xy(l.clone().join(r.clone(), lt.clone())), "LoopJoin", kept),
+            (
+                l.clone().semijoin(r.clone(), lt.clone().and(quant)),
+                "LoopSemiJoin",
+                " shared{σ}",
+            ),
+            (
+                l.clone().antijoin(r.clone(), lt.clone()),
+                "LoopAntiJoin",
+                "",
+            ),
+            (xg(outer(&lt)), "LoopOuterJoin", padded),
+        ];
+        for (e, name, detail) in shapes {
+            let plan = compile(&e);
+            let children: Vec<_> = plan.children().iter().map(|c| c.op_name()).collect();
+            assert_eq!(plan.op_name(), name, "{e}");
+            assert_eq!(children, ["Map", "Literal"], "{name}");
+            assert_eq!(plan.detail(), detail, "{name}");
+        }
+    }
+
+    /// A semi join of either strategy over document scans still becomes
+    /// an index join.
+    #[test]
+    fn semi_joins_of_both_strategies_convert_to_index_joins() {
+        let mut cat = xmldb::Catalog::new();
+        cat.register(xmldb::gen::gen_bib(&xmldb::gen::BibConfig {
+            books: 10,
+            ..Default::default()
+        }));
+        let titles = xpath::parse_path("//book/title").unwrap();
+        let probe =
+            doc_scan("d1", "bib.xml").unnest_map("t1", Scalar::attr("d1").path(titles.clone()));
+        let build = doc_scan("d2", "bib.xml")
+            .unnest_map("t2", Scalar::attr("d2").path(titles))
+            .project(&["t2"]);
+        for (op, scan, index) in [
+            (CmpOp::Eq, "HashSemiJoin", "IndexSemiJoin"),
+            (CmpOp::Lt, "LoopSemiJoin", "IndexRangeSemiJoin"),
+        ] {
+            let e = probe
+                .clone()
+                .semijoin(build.clone(), Scalar::attr_cmp(op, "t1", "t2"));
+            assert_eq!(compile(&e).op_name(), scan);
+            let plan = crate::access::apply_indexes(compile(&e), &cat);
+            assert_eq!(plan.op_name(), index, "{}", plan.explain());
+        }
     }
 
     fn split_of(e: &Expr) -> ThetaSplit {
         match compile(e) {
-            PhysPlan::LoopJoin { split, .. } => split,
+            PhysPlan::Join {
+                on: JoinOn::Theta { split, .. },
+                ..
+            } => split,
             other => panic!("{}", other.explain()),
         }
     }

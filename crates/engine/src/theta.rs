@@ -1,13 +1,13 @@
-//! The shared θ-probe: non-equi (loop) joins without the quadratic pair
-//! loop.
+//! The θ-probe: non-equi joins without the quadratic pair loop.
 //!
-//! A [`PhysPlan::LoopJoin`](crate::plan::PhysPlan::LoopJoin) carries its
-//! predicate twice: whole (`pred`, what the access-path tracer and the Ξ
-//! analysis read) and as a compile-time [`ThetaSplit`] of its conjuncts
-//! by the side they mention. [`ThetaBuild`] is the materialized right
-//! side prepared for probing — built once per execution, on the first
-//! pull of the [`crate::pipeline::join::LoopJoin`] cursor that decides
-//! every probe tuple with it:
+//! A [`PhysPlan::Join`](crate::plan::PhysPlan::Join) with the θ strategy
+//! ([`JoinOn::Theta`](crate::plan::JoinOn::Theta)) carries its predicate
+//! twice: whole (`pred`, what the access-path tracer and the Ξ analysis
+//! read) and as a compile-time [`ThetaSplit`] of its conjuncts by the
+//! side they mention. [`ThetaBuild`] is the materialized right side
+//! prepared for probing — built once per execution, on the first pull of
+//! the [`crate::pipeline::join::Join`] cursor, which asks it for each
+//! probe tuple's candidates and verifies them:
 //!
 //! * **right-only** conjuncts (no attribute of the left side; constants
 //!   and outer-scope attributes count as neither side) filter the build
@@ -37,8 +37,9 @@
 //! numbers against a text probe, and probe values that are neither fall
 //! back to "every surviving row is a candidate".
 //!
-//! `Metrics::probe_tuples` (right-side candidates actually examined) is
-//! counted here and nowhere else for loop joins.
+//! × is the empty predicate: a split with no part, so every build row
+//! is a candidate of every probe tuple and nothing is evaluated per
+//! pair.
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -52,9 +53,10 @@ use crate::access::RangeProbe;
 use crate::key::key_val;
 use crate::nested::{Blocks, Spooled};
 
-/// A loop join's predicate, split at compile time by the side each
-/// conjunct mentions. `None` parts are empty conjunctions (true).
-#[derive(Clone, Debug)]
+/// A θ-join's predicate, split at compile time by the side each
+/// conjunct mentions. `None` parts are empty conjunctions (true); the
+/// split with no part at all ([`ThetaSplit::default`]) is ×'s.
+#[derive(Clone, Debug, Default)]
 pub struct ThetaSplit {
     /// Conjuncts free of left-side attributes: filter the build once.
     pub right_only: Option<Scalar>,
@@ -73,6 +75,12 @@ pub struct ThetaSplit {
 }
 
 impl ThetaSplit {
+    /// Has the split no part — is it ×'s empty predicate? A split of a
+    /// predicate never is: each of its conjuncts lands in some part.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.right_only.is_none() && self.left_only.is_none() && self.pair.is_none()
+    }
+
     /// Split `pred` over a join whose sides produce `a_l` / `a_r`.
     /// `schemas_known` says both attribute sets are complete (a side
     /// whose schema is not statically known could hide a reference to
@@ -223,7 +231,7 @@ impl OrderedKeys {
 
 /// Which ordered view a window indexes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum View {
+pub(crate) enum View {
     Numeric,
     Text,
 }
@@ -244,7 +252,7 @@ fn window<T>(view: &[T], op: CmpOp, cmp: impl Fn(&T) -> Ordering) -> Range<usize
 
 /// The build rows one probe tuple has to examine, in examination order.
 #[derive(Debug)]
-enum Candidates {
+pub(crate) enum Candidates {
     /// Every kept row, in arrival order.
     All,
     /// A key window of an ordered view, in key order.
@@ -253,25 +261,7 @@ enum Candidates {
     Listed(Vec<usize>),
 }
 
-/// One probe tuple's walk over its candidates (inner and outer joins
-/// resume it between emitted matches).
-#[derive(Debug)]
-pub struct Walk {
-    lt: Tuple,
-    candidates: Candidates,
-    next: usize,
-    matched: bool,
-}
-
-impl Walk {
-    /// The probe tuple, if no candidate has passed — what an outer join
-    /// pads once the walk is exhausted.
-    pub fn unmatched(&self) -> Option<&Tuple> {
-        (!self.matched).then_some(&self.lt)
-    }
-}
-
-/// A loop join's build side, ready for probing: the rows that passed
+/// A θ-join's build side, ready for probing: the rows that passed
 /// the right-only part, in arrival order, plus the range column's
 /// ordered keys when the split has range conjuncts.
 pub struct ThetaBuild {
@@ -311,7 +301,7 @@ impl ThetaBuild {
     /// otherwise. `arrival_order` re-sorts a window by row position
     /// (joins that emit matches need right arrival order; semi/anti
     /// joins take any witness).
-    fn candidates(
+    pub(crate) fn candidates(
         &self,
         split: &ThetaSplit,
         lt: &Tuple,
@@ -378,7 +368,7 @@ impl ThetaBuild {
     }
 
     /// The `i`-th candidate's row.
-    fn candidate(&self, candidates: &Candidates, i: usize) -> Option<&Tuple> {
+    pub(crate) fn candidate(&self, candidates: &Candidates, i: usize) -> Option<&Tuple> {
         let pos = match candidates {
             Candidates::All => i,
             Candidates::Window(view, r) => {
@@ -396,87 +386,4 @@ impl ThetaBuild {
         };
         self.rows.get(pos)
     }
-
-    /// Semi/anti probe: does some build row match `lt`? Stops at the
-    /// first verified candidate; a predicate without a pair part is
-    /// decided without examining any.
-    pub(crate) fn matches(
-        &self,
-        split: &ThetaSplit,
-        lt: &Tuple,
-        env: &Scope<'_>,
-        blocks: &Spooled<'_>,
-        ctx: &mut EvalCtx<'_>,
-    ) -> EvalResult<bool> {
-        let candidates = self.candidates(split, lt, false, env, ctx)?;
-        if split.pair.is_none() {
-            return Ok(self.candidate(&candidates, 0).is_some());
-        }
-        let mut i = 0;
-        while let Some(rt) = self.candidate(&candidates, i) {
-            i += 1;
-            if verify(split, lt, rt, env, blocks, ctx)?.is_some() {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Start an inner/outer probe of `lt`: its candidates in right
-    /// arrival order.
-    pub fn walk(
-        &self,
-        split: &ThetaSplit,
-        lt: Tuple,
-        env: &Scope<'_>,
-        ctx: &mut EvalCtx<'_>,
-    ) -> EvalResult<Walk> {
-        let candidates = self.candidates(split, &lt, true, env, ctx)?;
-        Ok(Walk {
-            lt,
-            candidates,
-            next: 0,
-            matched: false,
-        })
-    }
-
-    /// The next joined tuple of a walk, or `None` once its candidates
-    /// are exhausted.
-    pub(crate) fn next_match(
-        &self,
-        split: &ThetaSplit,
-        walk: &mut Walk,
-        env: &Scope<'_>,
-        blocks: &Spooled<'_>,
-        ctx: &mut EvalCtx<'_>,
-    ) -> EvalResult<Option<Tuple>> {
-        while let Some(rt) = self.candidate(&walk.candidates, walk.next) {
-            walk.next += 1;
-            if let Some(joined) = verify(split, &walk.lt, rt, env, blocks, ctx)? {
-                walk.matched = true;
-                return Ok(Some(joined));
-            }
-        }
-        Ok(None)
-    }
-}
-
-/// Examine one candidate: the joined tuple if the pair part holds over
-/// it (its blocks evaluated through `blocks`, the probing cursor's). The
-/// one place a loop join counts `probe_tuples`.
-fn verify(
-    split: &ThetaSplit,
-    lt: &Tuple,
-    rt: &Tuple,
-    env: &Scope<'_>,
-    blocks: &Spooled<'_>,
-    ctx: &mut EvalCtx<'_>,
-) -> EvalResult<Option<Tuple>> {
-    ctx.metrics.probe_tuples += 1;
-    let joined = lt.concat(rt);
-    let passes = match &split.pair {
-        None => true,
-        Some(pair) => blocks.truthy(pair, &joined, env, ctx)?,
-    };
-    Ok(passes.then_some(joined))
 }

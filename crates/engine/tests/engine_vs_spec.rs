@@ -91,6 +91,42 @@ fn pooled(rows: &[(usize, i64)]) -> Vec<(Option<Value>, i64)> {
     rows.iter().map(|&(k, v)| (pool_key(k), v)).collect()
 }
 
+/// Rows binding a join key from the pool without its missing-attribute
+/// case (`k` in 0..9) and `val`.
+fn joinable(key: &str, val: &str, rows: &[(usize, i64)]) -> Expr {
+    let bound: Vec<_> = rows
+        .iter()
+        .map(|&(k, v)| (pool_key(k + usize::from(k >= 7)), v))
+        .collect();
+    keyed(key, val, &bound)
+}
+
+/// `∃q ∈ W: q > attr`, a quantifier over an invariant range: a
+/// predicate whose block the engine spools.
+fn exists_above(attr: &str) -> Scalar {
+    let w = rel("w", "z", &[(5, 0), (15, 0), (25, 0)]).select(Scalar::cmp(
+        CmpOp::Ge,
+        Scalar::attr("z"),
+        Scalar::int(0),
+    ));
+    Scalar::Exists {
+        var: s("q"),
+        range: Box::new(w.project(&["w"])),
+        pred: Box::new(Scalar::attr_cmp(CmpOp::Gt, "q", attr)),
+    }
+}
+
+/// No extra conjunct, one over either side, or a quantifier over the
+/// build side's attribute.
+fn extra_conjunct(pred: Scalar, extra: usize) -> Scalar {
+    match extra {
+        0 => pred,
+        1 => pred.and(Scalar::cmp(CmpOp::Lt, Scalar::attr("y"), Scalar::int(25))),
+        2 => pred.and(Scalar::cmp(CmpOp::Lt, Scalar::attr("x"), Scalar::int(25))),
+        _ => pred.and(exists_above("y")),
+    }
+}
+
 const THETAS: [CmpOp; 6] = [
     CmpOp::Eq,
     CmpOp::Ne,
@@ -103,16 +139,7 @@ const THETAS: [CmpOp; 6] = [
 /// `count ∘ σ[∃q ∈ W: q > y]`: a filter whose quantifier ranges over an
 /// invariant block, which the engine spools.
 fn filtered_count() -> GroupFn {
-    let w = rel("w", "z", &[(5, 0), (15, 0), (25, 0)]).select(Scalar::cmp(
-        CmpOp::Ge,
-        Scalar::attr("z"),
-        Scalar::int(0),
-    ));
-    GroupFn::count().filtered(Scalar::Exists {
-        var: s("q"),
-        range: Box::new(w.project(&["w"])),
-        pred: Box::new(Scalar::attr_cmp(CmpOp::Gt, "q", "y")),
-    })
+    GroupFn::count().filtered(exists_above("y"))
 }
 
 /// Keys that match nothing — NULL, NaN, a missing attribute — are keys
@@ -197,20 +224,20 @@ fn theta_grouping_runs_on_the_engine() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
+    /// Equi-joins of every kind over keys that are numbers, text, NULL
+    /// and NaN, with residuals over either side or holding a
+    /// quantifier.
     #[test]
     fn joins_agree(
-        l in prop::collection::vec((0i64..5, 0i64..40), 0..14),
-        r in prop::collection::vec((0i64..5, 0i64..40), 0..14),
+        l in prop::collection::vec((0usize..9, 0i64..40), 0..14),
+        r in prop::collection::vec((0usize..9, 0i64..40), 0..14),
         kind in 0..4usize,
-        with_residual in prop::bool::ANY,
+        extra in 0..4usize,
     ) {
         let cat = Catalog::new();
-        let left = rel("a", "x", &l);
-        let right = rel("b", "y", &r);
-        let mut pred = Scalar::attr_cmp(CmpOp::Eq, "a", "b");
-        if with_residual {
-            pred = pred.and(Scalar::cmp(CmpOp::Lt, Scalar::attr("y"), Scalar::int(25)));
-        }
+        let left = joinable("a", "x", &l);
+        let right = joinable("b", "y", &r);
+        let pred = extra_conjunct(Scalar::attr_cmp(CmpOp::Eq, "a", "b"), extra);
         let expr = match kind {
             0 => left.join(right, pred),
             1 => left.semijoin(right, pred),
@@ -220,23 +247,26 @@ proptest! {
         assert_same(&expr, &cat);
     }
 
-    /// Every join kind over a non-equi predicate, and a cross product
-    /// under a selection.
+    /// Every join kind over every θ and the same keys, and a cross
+    /// product under a selection.
     #[test]
     fn non_equi_joins_agree(
-        l in prop::collection::vec((0i64..5, 0i64..40), 0..10),
-        r in prop::collection::vec((0i64..5, 0i64..40), 0..10),
-        op in prop::sample::select(vec![CmpOp::Lt, CmpOp::Ne, CmpOp::Ge]),
+        l in prop::collection::vec((0usize..9, 0i64..40), 0..10),
+        r in prop::collection::vec((0usize..9, 0i64..40), 0..10),
+        op in prop::sample::select(THETAS.to_vec()),
+        extra in 0..4usize,
         k in 0i64..40,
     ) {
         let cat = Catalog::new();
-        let (left, right) = (rel("a", "x", &l), rel("b", "y", &r));
-        let pred = Scalar::attr_cmp(op, "a", "b");
+        let (left, right) = (joinable("a", "x", &l), joinable("b", "y", &r));
+        let pred = extra_conjunct(Scalar::attr_cmp(op, "a", "b"), extra);
         assert_same(&left.clone().join(right.clone(), pred.clone()), &cat);
         assert_same(&left.clone().semijoin(right.clone(), pred.clone()), &cat);
         assert_same(&left.clone().antijoin(right.clone(), pred.clone()), &cat);
         assert_same(&left.clone().outerjoin(right.clone(), pred, "y", Value::Int(0)), &cat);
-        let crossed = left.cross(right).select(Scalar::cmp(op, Scalar::attr("y"), Scalar::int(k)));
+        let crossed = left.cross(right).select(
+            Scalar::attr_cmp(op, "a", "b").and(Scalar::cmp(op, Scalar::attr("y"), Scalar::int(k))),
+        );
         assert_same(&crossed, &cat);
     }
 

@@ -223,7 +223,11 @@ fn random_theta_joins_match_the_reference_evaluator() {
         let pred = predicate(&mut rng, &pool);
         let expr = join(case % 4, left, right, pred);
         if let engine::PhysPlan::XiSimple { input, .. } = engine::compile(&expr) {
-            if let engine::PhysPlan::LoopJoin { split, .. } = *input {
+            if let engine::PhysPlan::Join {
+                on: engine::JoinOn::Theta { split, .. },
+                ..
+            } = *input
+            {
                 covered[0] += usize::from(split.right_only.is_some());
                 covered[1] += usize::from(split.left_only.is_some());
                 covered[2] += usize::from(split.range.is_some());

@@ -513,59 +513,55 @@ impl<'a> CostModel<'a> {
                     cost: i.cost + i.rows * (1.0 + scalar),
                 }
             }
-            P::Cross { left, right, .. } => {
-                let l = self.plan_est(left, out, docs);
-                let r = self.plan_est(right, out, docs);
-                Estimate {
-                    rows: l.rows * r.rows,
-                    cost: l.cost + r.cost + l.rows * r.rows,
-                }
-            }
-            P::HashJoin {
-                left, right, kind, ..
-            } => {
-                let l = self.plan_est(left, out, docs);
-                let r = self.plan_est(right, out, docs);
-                Estimate {
-                    rows: join_rows(kind, &l, &r),
-                    cost: l.cost + r.cost + l.rows + r.rows,
-                }
-            }
-            P::LoopJoin {
+            P::Join {
                 left,
                 right,
-                split,
+                on,
                 kind,
                 ..
             } => {
                 let l = self.plan_est(left, out, docs);
                 let r = self.plan_est(right, out, docs);
-                // What the θ-probe runs: the right-only part filters the
-                // build once; a probe tuple then examines nothing (no
-                // pair part: semi/anti joins are decided by the kept
-                // rows' existence), a key window (a range conjunct
-                // seeks the ordered keys), or every kept row. Joins
-                // that emit their matches also pay for those.
-                let kept = match split.right_only {
-                    Some(_) => (r.rows * SELECTIVITY).max(1.0),
-                    None => r.rows,
-                };
-                let emits = matches!(
-                    kind,
-                    engine::JoinKind::Inner | engine::JoinKind::Outer { .. }
-                );
-                let seek = (kept + 2.0).log2();
-                let (build, probe) = match (&split.pair, &split.range) {
-                    (None, _) => (r.rows, if emits { kept } else { 1.0 }),
-                    (Some(_), Some(_)) => (
-                        r.rows + kept * seek,
-                        1.0 + seek + if emits { kept * SELECTIVITY } else { 0.0 },
-                    ),
-                    (Some(_), None) => (r.rows, kept),
-                };
-                Estimate {
-                    rows: join_rows(kind, &l, &r),
-                    cost: l.cost + r.cost + build + l.rows * probe,
+                let rows = join_rows(kind, &l, &r);
+                match on {
+                    _ if on.is_cross() => Estimate {
+                        rows: l.rows * r.rows,
+                        cost: l.cost + r.cost + l.rows * r.rows,
+                    },
+                    engine::JoinOn::Hash { .. } => Estimate {
+                        rows,
+                        cost: l.cost + r.cost + l.rows + r.rows,
+                    },
+                    engine::JoinOn::Theta { split, .. } => {
+                        // What the θ-probe runs: the right-only part
+                        // filters the build once; a probe tuple then
+                        // examines nothing (no pair part: semi/anti joins
+                        // are decided by the kept rows' existence), a key
+                        // window (a range conjunct seeks the ordered
+                        // keys), or every kept row. Joins that emit their
+                        // matches also pay for those.
+                        let kept = match split.right_only {
+                            Some(_) => (r.rows * SELECTIVITY).max(1.0),
+                            None => r.rows,
+                        };
+                        let emits = matches!(
+                            kind,
+                            engine::JoinKind::Inner | engine::JoinKind::Outer { .. }
+                        );
+                        let seek = (kept + 2.0).log2();
+                        let (build, probe) = match (&split.pair, &split.range) {
+                            (None, _) => (r.rows, if emits { kept } else { 1.0 }),
+                            (Some(_), Some(_)) => (
+                                r.rows + kept * seek,
+                                1.0 + seek + if emits { kept * SELECTIVITY } else { 0.0 },
+                            ),
+                            (Some(_), None) => (r.rows, kept),
+                        };
+                        Estimate {
+                            rows,
+                            cost: l.cost + r.cost + build + l.rows * probe,
+                        }
+                    }
                 }
             }
             P::Group { input, .. } => {

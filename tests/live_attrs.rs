@@ -95,24 +95,10 @@ fn emits(plan: &PhysPlan) -> Option<Attrs> {
             built.extend(inner_attrs);
             kept(built, keep)
         }
-        PhysPlan::Cross { left, right, keep } => {
-            let mut built = emits(left)?;
-            built.extend(emits(right)?);
-            kept(built, keep)
-        }
-        PhysPlan::HashJoin {
+        PhysPlan::Join {
             left,
             right,
             kind,
-            pad,
-            keep,
-            ..
-        }
-        | PhysPlan::LoopJoin {
-            left,
-            right,
-            kind,
-            pad,
             keep,
             ..
         } => {
@@ -124,7 +110,7 @@ fn emits(plan: &PhysPlan) -> Option<Attrs> {
                     built.extend(right);
                     kept(built, keep)
                 }
-                JoinKind::Outer { g, .. } => {
+                JoinKind::Outer { g, pad, .. } => {
                     built.extend(right);
                     built.extend(pad);
                     built.insert(*g);
@@ -196,21 +182,15 @@ fn reads(plan: &PhysPlan) -> Vec<Option<Attrs>> {
             }
         })],
         PhysPlan::Unnest { attr, .. } => vec![Some(syms(&[*attr]))],
-        PhysPlan::Cross { .. } => vec![Some(Attrs::new()), Some(Attrs::new())],
-        PhysPlan::HashJoin {
-            left_keys,
-            right_keys,
-            residual,
-            ..
-        } => {
+        PhysPlan::Join { on, .. } => {
+            let (left_keys, right_keys) = on.keys();
             let side = |keys: &[Sym]| {
                 let mut r = syms(keys);
-                r.extend(maybe(residual));
+                r.extend(on.pred().map_or_else(Attrs::new, Scalar::free_attrs));
                 Some(r)
             };
             vec![side(left_keys), side(right_keys)]
         }
-        PhysPlan::LoopJoin { pred, .. } => vec![of(pred), of(pred)],
         PhysPlan::Group { by, f, .. } => {
             vec![group_reads(f).map(|mut r| {
                 r.extend(by);
