@@ -22,10 +22,14 @@
 //! reports their spread.
 //!
 //! Nested plans are measured up to `--nested-cap` records and
-//! extrapolated quadratically above it (marked `est.`), because their
-//! per-tuple document re-scan makes full 10 000-record runs take minutes
-//! — the very effect the paper measures. Pass `--nested-cap 10000` for
-//! fully measured tables.
+//! extrapolated above it (marked `est.`) along a power law whose
+//! exponent the two largest measured scales give — quadratic with only
+//! one. Their blocks run once per outer tuple: a spool of the block's
+//! invariant part replayed per tuple, or probed where a correlated σ
+//! has an indexed conjunct, so the nested column grows faster than the
+//! unnested ones — the very effect the paper measures — and full
+//! 10 000-record runs take long. Pass `--nested-cap 10000` for fully
+//! measured tables.
 
 use std::collections::BTreeMap;
 use std::str::FromStr;
@@ -300,13 +304,17 @@ fn estimate_from_smaller(
     fanout: usize,
     scale: usize,
 ) -> Measurement {
-    let base = table
-        .get(label)
-        .and_then(|t| t.get(&fanout))
-        .and_then(|m| m.iter().next_back())
-        .map(|(s, m)| (*s, m.elapsed));
-    let (s_small, t_small) = base.unwrap_or((1, std::time::Duration::from_millis(1)));
-    Measurement::estimated(label, extrapolate_nested(t_small, s_small, scale))
+    let measured: Vec<_> = (table.get(label).and_then(|t| t.get(&fanout)))
+        .into_iter()
+        .flatten()
+        .filter(|(_, m)| !m.estimated)
+        .map(|(s, m)| (*s, m.elapsed))
+        .collect();
+    let measured = match measured.is_empty() {
+        true => vec![(1, std::time::Duration::from_millis(1))],
+        false => measured,
+    };
+    Measurement::estimated(label, extrapolate_nested(&measured, scale))
 }
 
 fn print_grouping_table(
@@ -357,13 +365,13 @@ fn simple_table(
                 plan_order.push(label.clone());
             }
             let m = if label == "nested" && scale > args.nested_cap {
-                let prior = rows.get(&label).and_then(|v| v.last().cloned());
-                match prior {
-                    Some((s_small, prev)) => Measurement::estimated(
-                        &label,
-                        extrapolate_nested(prev.elapsed, s_small, scale),
-                    ),
-                    None => measure_plan(&label, &expr, &catalog),
+                let measured: Vec<_> = (rows.get(&label).into_iter().flatten())
+                    .filter(|(_, m)| !m.estimated)
+                    .map(|(s, m)| (*s, m.elapsed))
+                    .collect();
+                match measured.is_empty() {
+                    false => Measurement::estimated(&label, extrapolate_nested(&measured, scale)),
+                    true => measure_plan(&label, &expr, &catalog),
                 }
             } else {
                 measure_plan(&label, &expr, &catalog)
@@ -424,7 +432,7 @@ fn dblp(args: &Args) {
             }));
             let nested_small = xquery::compile(Q1_DBLP.query, &small).expect("compiles");
             let m = measure_plan("nested", &nested_small, &small);
-            let est = extrapolate_nested(m.elapsed, sample, publications);
+            let est = extrapolate_nested(&[(sample, m.elapsed)], publications);
             println!(
                 "{label:<12} {:>16}   (measured {} at {} publications)",
                 fmt_secs(est, true),

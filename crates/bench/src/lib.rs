@@ -108,12 +108,26 @@ pub fn measure_plan_cfg(
     }
 }
 
-/// Quadratic extrapolation for nested cells beyond the measurement cap:
-/// nested plans re-scan the document per outer tuple, so their cost grows
-/// ~quadratically in the scale. `t_small` was measured at `s_small`.
-pub fn extrapolate_nested(t_small: Duration, s_small: usize, s_target: usize) -> Duration {
-    let ratio = (s_target as f64 / s_small.max(1) as f64).powi(2);
-    Duration::from_secs_f64(t_small.as_secs_f64() * ratio)
+/// Extrapolate a nested cell beyond the measurement cap from its
+/// `measured` (scale, time) cells: a power law through the largest one,
+/// its exponent the growth between the two largest. How a nested plan
+/// grows depends on what its blocks do per outer tuple — replay a spool
+/// of the document, or probe an index of it — so the curve is fitted,
+/// not assumed. With one cell (or two that fix no exponent) it is
+/// quadratic: every outer tuple pays for a pass over the data.
+pub fn extrapolate_nested(measured: &[(usize, Duration)], s_target: usize) -> Duration {
+    let mut cells: Vec<(f64, f64)> = measured
+        .iter()
+        .map(|(s, t)| ((*s).max(1) as f64, t.as_secs_f64()))
+        .collect();
+    cells.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (s, t) = cells.last().copied().unwrap_or((1.0, 0.0));
+    let fitted = match cells[..] {
+        [.., (s1, t1), (s2, t2)] => ((t2 / t1).ln() / (s2 / s1).ln()).max(0.0),
+        _ => f64::NAN,
+    };
+    let exponent = if fitted.is_finite() { fitted } else { 2.0 };
+    Duration::from_secs_f64(t * (s_target as f64 / s).powf(exponent))
 }
 
 /// Render a duration the way the paper's tables do (`0.15 s`, `7.04 s`,
@@ -157,8 +171,26 @@ mod tests {
 
     #[test]
     fn extrapolation_is_quadratic() {
-        let t = extrapolate_nested(Duration::from_secs(1), 100, 1000);
-        assert_eq!(t, Duration::from_secs(100));
+        // One measured cell fixes no exponent.
+        let t = extrapolate_nested(&[(100, Duration::from_secs(1))], 1000);
+        assert_eq!(t.as_millis(), 100_000);
+    }
+
+    #[test]
+    fn extrapolation_takes_its_exponent_from_the_two_largest_cells() {
+        let secs = Duration::from_secs_f64;
+        // Linear between 1,000 and 4,000 (the smallest cell, on another
+        // curve, is ignored): 4× the records again, 4× the time.
+        let linear = [(100, secs(0.5)), (4000, secs(8.0)), (1000, secs(2.0))];
+        assert_eq!(extrapolate_nested(&linear, 16_000).as_millis(), 32_000);
+        // Quadratic: 2× the records, 4× the time.
+        let quadratic = [(1000, secs(1.0)), (2000, secs(4.0))];
+        assert_eq!(extrapolate_nested(&quadratic, 8000).as_millis(), 64_000);
+        // Two cells that fix no exponent fall back to quadratic.
+        let flat = [(1000, secs(0.0)), (2000, secs(0.0))];
+        assert_eq!(extrapolate_nested(&flat, 4000), Duration::ZERO);
+        let same_scale = [(1000, secs(1.0)), (1000, secs(2.0))];
+        assert_eq!(extrapolate_nested(&same_scale, 2000).as_millis(), 8_000);
     }
 
     #[test]

@@ -175,6 +175,11 @@ pub struct Metrics {
     /// Evaluations of nested algebra expressions inside scalars (one per
     /// outer tuple in a nested plan; zero in a fully unnested plan).
     pub nested_evals: u64,
+    /// Outer tuples whose correlated σ over a nested block's shared
+    /// subtree was answered from the subtree's index instead of a replay
+    /// of every row (the engine's indexed spools; the reference
+    /// evaluator leaves it 0).
+    pub spool_probes: u64,
     /// Tuples produced per physical operator. Populated by the engine's
     /// metered cursors; the reference evaluator leaves it empty.
     pub op_tuples: OpTuples,
@@ -208,6 +213,7 @@ impl Metrics {
         self.nodes_visited += other.nodes_visited;
         self.tuples_produced += other.tuples_produced;
         self.nested_evals += other.nested_evals;
+        self.spool_probes += other.spool_probes;
         self.probe_tuples += other.probe_tuples;
         self.index_lookups += other.index_lookups;
         self.index_hits += other.index_hits;

@@ -37,4 +37,4 @@ pub use scalar::{AggKind, ArithOp, Func, GroupFn, Scalar};
 pub use sequence::Seq;
 pub use sym::Sym;
 pub use tuple::Tuple;
-pub use value::{cmp_atomic, cmp_general, CmpOp, Dec, NodeRef, Value};
+pub use value::{cmp_atomic, cmp_general, cmp_text_items, CmpOp, Dec, NodeRef, Value};

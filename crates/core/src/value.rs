@@ -440,6 +440,18 @@ pub fn cmp_atomic(op: CmpOp, l: &Value, r: &Value, catalog: &Catalog) -> bool {
     cmp_atoms(op, &Atom::of(l, catalog), &Atom::of(r, catalog))
 }
 
+/// The order [`cmp_atomic`] gives two text items — strings or nodes,
+/// a node's text read in place, so nothing is assembled or allocated;
+/// `None` when either is not text.
+pub fn cmp_text_items(l: &Value, r: &Value, catalog: &Catalog) -> Option<Ordering> {
+    let text = |v: &Value| matches!(v, Value::Str(_) | Value::Node(_));
+    if !(text(l) && text(r)) {
+        return None;
+    }
+    let (l, r) = (Atom::of(l, catalog), Atom::of(r, catalog));
+    Some(cmp_text(l.text_pieces()?, r.text_pieces()?))
+}
+
 /// General comparison with XQuery's existential semantics: `l op r` holds
 /// iff ∃ item `a` in `l`, ∃ item `b` in `r` with `a op b` atomically
 /// (§5.1: "a simple '=' has existential semantics in case either side

@@ -64,7 +64,8 @@ pub struct QueryResult {
 /// ([`pipeline::lower`]) and pull the root to exhaustion. Nested blocks
 /// in its subscripts run on the same cursors, lowered per outer tuple
 /// under that tuple's scope, their shared subtrees replayed from spools
-/// the execution fills once ([`nested`]).
+/// the execution fills once, or probed through an index of one
+/// ([`nested`]).
 pub fn execute(plan: &PhysPlan, env: &Tuple, ctx: &mut EvalCtx<'_>) -> EvalResult<Seq> {
     drain(pipeline::lower(plan, &Scope::of(env)).as_mut(), ctx)
 }

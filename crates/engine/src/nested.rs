@@ -57,26 +57,58 @@
 //! subtree of the subscript's blocks (`Spooled`). The first outer tuple that
 //! reaches a spool lowers the subtree under the empty scope; rows are
 //! pulled from it on demand, kept, and replayed to every later outer
-//! tuple, in the subtree's own order. A lazy range therefore never pulls
-//! further than the furthest any outer tuple needed, a drained one fills
-//! the spool on its first use, an error surfaces at the pull that raised
-//! it, and an empty outer relation never starts the subtree. Spools live
-//! and die with their cursor — with one execution: nothing is kept on
-//! the plan, which cached plans share across snapshots and threads.
+//! tuple, in the subtree's own order. On a spool's first use a lazy range
+//! therefore never pulls further than its decision needs (an indexed
+//! spool, below, fills at its second use), a drained one fills the spool,
+//! an error surfaces at the pull that raised it, and an empty outer
+//! relation never starts the subtree. Spools live and die with their
+//! cursor — with one execution: nothing is kept on the plan, which cached
+//! plans share across snapshots and threads.
+//!
+//! **Indexed spools: a correlated σ probes instead of replaying.** What a
+//! replay leaves per outer tuple is a pass over every spooled row through
+//! the correlation — `tv = t1`, `a1 ∈ av` — which keeps the nested plan
+//! quadratic. Rao & Ross keep the invariant result *indexed on the
+//! correlation attribute*; so, at compile time, when a block's σ sits
+//! right on a shared subtree and one of its conjuncts is `side θ k` or
+//! `side ∈ k` (either way round; θ ∈ {=, <, ≤, >, ≥}), where `k` is an
+//! attribute every row of the subtree is sure to carry (its `Closure`) and
+//! `side` reads none of them, the spool is indexed on `k` for that
+//! conjunct — the first one such that it and every conjunct before it are
+//! [`Scalar::replay_safe`], because the σ evaluates those on each row a
+//! probe skips. EXPLAIN marks it: `shared{χ[tv] indexed(tv =)}`. The σ
+//! lowers to one probing cursor. Its first pass replays as above, so a
+//! spool used once costs what it did; the second fills the spool (the
+//! rest of a lazy range is replay-safe, so pulling it is unobservable)
+//! and orders `k`'s items once (`OrderedKeys`, the θ-join's ordered
+//! keys; a sequence key has an entry per item), and every pass from then
+//! on evaluates `side` once, in the outer tuple's scope, and runs the σ
+//! — the whole predicate, which alone decides — over the rows of the key
+//! window `side` selects, in spool order. It replays instead wherever
+//! the index might skip a row the σ would keep or fail on: a row that
+//! carries an attribute `side` reads (it would see another `side`), a
+//! scope that does not bind everything those leading conjuncts read of
+//! it (the reference would fail), an empty spool (the reference never
+//! evaluates `side`), and whatever the ordered views cannot answer — a boolean or sequence `side`, text
+//! against typed-number keys, a key item that is no string, node or
+//! number.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::ptr;
 use std::sync::Arc;
 
 use nal::eval::scalar::{aggregate, eval_scalar, truthy, Nested};
 use nal::eval::{EvalCtx, EvalError, EvalResult, Scope};
 use nal::expr::visit;
-use nal::{Expr, GroupFn, ProjOp, Scalar, Seq, Sym, Tuple, Value};
+use nal::{CmpOp, Expr, GroupFn, ProjOp, Scalar, Seq, Sym, Tuple, Value};
 
-use crate::pipeline::cursor::Materialize;
+use crate::access::RangeProbe;
+use crate::pipeline::cursor::{Materialize, Meter, Metered};
 use crate::pipeline::{drain, lower, BoxCursor, Cursor, Lowering};
 use crate::plan::{JoinKind, JoinOn, Keep, PhysPlan};
+use crate::theta::{as_range_conjunct, range_sides, OrderedKeys, View};
 
 /// The nested blocks of one subscript, compiled, in the order
 /// [`visit::find_nested_expr`] reaches them. Empty — nothing allocated,
@@ -93,21 +125,50 @@ pub struct Block {
     pub plan: PhysPlan,
     /// May a quantifier pull it only as far as its decision?
     pub lazy: bool,
-    /// The pre-order positions of the roots of its shared subtrees.
-    shared: Box<[usize]>,
+    /// The pre-order positions of the roots of its shared subtrees, each
+    /// with the conjunct its index answers for the σ right above it.
+    shared: Box<[(usize, Option<Indexed>)]>,
 }
+
+/// A correlated σ's conjunct `side θ k` or `side ∈ k` over a shared
+/// subtree, which the subtree's spool is indexed on: `k` is an
+/// attribute every spooled row carries, `side` reads none of them (the
+/// rule in the module documentation).
+#[derive(Clone, Debug)]
+struct Indexed {
+    key: Sym,
+    /// `side θ k`; `∈` is `=`, as it compares.
+    probe: RangeProbe,
+    member: bool,
+    /// What the σ's conjuncts up to this one read that a spooled row is
+    /// not sure to carry: a probe needs the scope to bind all of it.
+    outer: Box<[Sym]>,
+    /// What `side` reads: a spooled row that carries any of it would
+    /// see another `side`.
+    side_reads: Box<[Sym]>,
+}
+
+/// A shared subtree's root and, when the σ right above it probes its
+/// index, that σ and the conjunct.
+type Root<'p> = (&'p PhysPlan, Option<(&'p PhysPlan, &'p Indexed)>);
 
 impl Block {
     /// The roots of the block's shared subtrees, in pre-order.
     pub fn shared(&self) -> Vec<&PhysPlan> {
+        self.roots().into_iter().map(|(root, _)| root).collect()
+    }
+
+    /// The shared subtrees' roots, in pre-order, with their indexed σs.
+    fn roots(&self) -> Vec<Root<'_>> {
         let mut roots = Vec::with_capacity(self.shared.len());
         if !self.shared.is_empty() {
-            let mut at = 0;
+            let (mut at, mut above) = (0, &self.plan);
             preorder(&self.plan, &mut |node| {
-                if self.shared.contains(&at) {
-                    roots.push(node);
+                if let Some((_, index)) = self.shared.iter().find(|(p, _)| *p == at) {
+                    // A σ's input follows it in pre-order.
+                    roots.push((node, index.as_ref().map(|index| (above, index))));
                 }
-                at += 1;
+                (at, above) = (at + 1, node);
             });
         }
         roots
@@ -153,24 +214,47 @@ impl Blocks {
     /// The blocks as one cursor evaluates them: with an empty spool per
     /// shared subtree.
     pub(crate) fn spooled(&self) -> Spooled<'_> {
-        let spools = self.iter().flat_map(Block::shared).map(|node| Spool {
-            node,
-            filled: RefCell::default(),
-        });
+        let spools = self
+            .iter()
+            .flat_map(Block::roots)
+            .map(|(node, probed)| Spool {
+                node,
+                probed,
+                filled: RefCell::default(),
+            });
         Spooled {
             blocks: self,
             spools: spools.collect(),
         }
     }
 
-    /// EXPLAIN's mark of the shared subtrees, each named by its root —
-    /// ` shared{Υ[b2]}` — or nothing.
+    /// EXPLAIN's mark of the shared subtrees, each named by its root
+    /// and the conjunct its index answers — ` shared{Υ[b2]}`,
+    /// ` shared{χ[tv] indexed(tv =)}` — or nothing.
     pub(crate) fn mark(&self) -> String {
-        let roots: Vec<String> = self.iter().flat_map(Block::shared).map(label).collect();
+        let roots: Vec<String> = self
+            .iter()
+            .flat_map(Block::roots)
+            .map(|(root, probed)| match probed {
+                None => label(root),
+                Some((_, index)) => format!("{} {}", label(root), index.mark()),
+            })
+            .collect();
         match roots.is_empty() {
             true => String::new(),
             false => format!(" shared{{{}}}", roots.join(",")),
         }
+    }
+}
+
+impl Indexed {
+    /// `indexed(k θ)`, θ read from `k`'s side.
+    fn mark(&self) -> String {
+        let op = match self.member {
+            true => "∈",
+            false => self.probe.op.flip().symbol(),
+        };
+        format!("indexed({} {op})", self.key)
     }
 }
 
@@ -197,6 +281,8 @@ pub(crate) struct Spooled<'p> {
 struct Spool<'p> {
     /// The subtree.
     node: &'p PhysPlan,
+    /// The σ right above it and the conjunct it probes the rows on.
+    probed: Option<(&'p PhysPlan, &'p Indexed)>,
     filled: RefCell<Filled<'p>>,
 }
 
@@ -208,6 +294,90 @@ struct Filled<'p> {
     rows: Vec<Tuple>,
     /// Has the source ended?
     done: bool,
+    /// The passes the indexed σ above has started.
+    passes: usize,
+    /// The rows' index, built for the σ's second pass (inside, `None`:
+    /// a row carries an attribute `side` reads, so every pass replays).
+    index: Option<Option<OrderedKeys>>,
+}
+
+impl<'p> Spool<'p> {
+    /// The `at`-th row, pulled from the subtree if it is the next one.
+    fn row(&self, at: usize, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
+        let filled = &mut *self.filled.borrow_mut();
+        if at == filled.rows.len() && !filled.done {
+            filled.pull(self.node, ctx)?;
+        }
+        Ok(filled.rows.get(at).cloned())
+    }
+
+    /// Which rows a pass of the indexed σ above examines: every row as
+    /// it is pulled on the first pass; then the rows the index names
+    /// for `side` in `env`, unless it cannot answer.
+    fn pass(&self, index: &Indexed, env: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<Pass> {
+        let filled = &mut *self.filled.borrow_mut();
+        filled.passes += 1;
+        if filled.passes == 1 {
+            return Ok(Pass::Replay(0));
+        }
+        if filled.index.is_none() {
+            // Pulling the rest of a lazy range is unobservable.
+            while !filled.done {
+                filled.pull(self.node, ctx)?;
+            }
+            let rows = &filled.rows;
+            let own_side =
+                (rows.iter()).any(|r| index.side_reads.iter().any(|a| r.get(*a).is_some()));
+            filled.index =
+                Some((!own_side).then(|| OrderedKeys::build(rows, index.key, ctx.catalog)));
+        }
+        // A σ over no row reads nothing of the scope.
+        let bound = index.outer.iter().all(|a| env.get(*a).is_some());
+        let keys = filled.index.as_ref().expect("built above");
+        let Some(keys) = keys.as_ref().filter(|_| bound && !filled.rows.is_empty()) else {
+            return Ok(Pass::Replay(0));
+        };
+        // Replay-safe (total, as a lazy range assumes), and every
+        // attribute it reads bound: it cannot fail.
+        let side = eval_scalar(&index.probe.side, env, &Spooled::NONE.of_root(None), ctx)?;
+        let Some((view, window)) = keys.window(index.probe.op, &side, ctx.catalog) else {
+            return Ok(Pass::Replay(0));
+        };
+        ctx.metrics.spool_probes += 1;
+        Ok(match index.probe.op {
+            // Equal keys are in row order already.
+            CmpOp::Eq => Pass::Window(view, window, None),
+            _ => Pass::Listed(keys.listed(view, window).into_iter()),
+        })
+    }
+}
+
+impl<'p> Filled<'p> {
+    /// Pull the next row of `node`, the subtree, into the spool.
+    fn pull(&mut self, node: &'p PhysPlan, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
+        let source = self
+            .source
+            .get_or_insert_with(|| lower(node, &Scope::Empty));
+        match source.next(ctx)? {
+            Some(t) => self.rows.push(t),
+            None => {
+                self.done = true;
+                self.source = None;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The rows one pass of an indexed σ examines.
+enum Pass {
+    /// Every row, in order, from the `usize`-th.
+    Replay(usize),
+    /// The rows of an `=` window, in row order (a sequence key's row
+    /// may follow itself: the row last examined is skipped).
+    Window(View, Range<usize>, Option<usize>),
+    /// The rows of another window, in row order, each once.
+    Listed(std::vec::IntoIter<usize>),
 }
 
 impl Spooled<'static> {
@@ -271,8 +441,10 @@ impl<'p> Spooled<'p> {
 pub(crate) trait Replays {
     /// Is `node` a shared subtree?
     fn spools(&self, node: &PhysPlan) -> bool;
-    /// A cursor over `node`'s spool, if it is a shared subtree.
-    fn replay(&self, node: &PhysPlan) -> Option<BoxCursor<'_>>;
+    /// A cursor over `node`'s spool, if it is a shared subtree, or
+    /// probing the spool below it, if it is an indexed σ over one —
+    /// evaluated in `env`.
+    fn replay<'a>(&'a self, node: &PhysPlan, env: &'a Scope<'a>) -> Option<BoxCursor<'a>>;
 }
 
 impl Replays for Spooled<'_> {
@@ -280,9 +452,29 @@ impl Replays for Spooled<'_> {
         self.spool(node).is_some()
     }
 
-    fn replay(&self, node: &PhysPlan) -> Option<BoxCursor<'_>> {
-        let spool = self.spool(node)?;
-        Some(Box::new(Replay { spool, at: 0 }))
+    fn replay<'a>(&'a self, node: &PhysPlan, env: &'a Scope<'a>) -> Option<BoxCursor<'a>> {
+        if let Some(spool) = self.spool(node) {
+            return Some(Box::new(Replay { spool, at: 0 }));
+        }
+        let (spool, select, index) = self.spools.iter().find_map(|spool| {
+            let (select, index) = spool.probed?;
+            ptr::eq(select, node).then_some((spool, select, index))
+        })?;
+        let PhysPlan::Select { pred, blocks, .. } = select else {
+            unreachable!("an indexed spool is probed by a σ");
+        };
+        let probe = Probe {
+            spool,
+            index,
+            pred,
+            blocks: blocks.spooled(),
+            env,
+            pass: None,
+        };
+        Some(Box::new(Metered {
+            inner: probe,
+            meter: Meter::of(select),
+        }))
     }
 }
 
@@ -296,27 +488,69 @@ struct Replay<'s, 'p> {
 
 impl Cursor for Replay<'_, '_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        let filled = &mut *self.spool.filled.borrow_mut();
-        if self.at == filled.rows.len() && !filled.done {
-            let node = self.spool.node;
-            let source = filled
-                .source
-                .get_or_insert_with(|| lower(node, &Scope::Empty));
-            match source.next(ctx)? {
-                Some(t) => filled.rows.push(t),
-                None => {
-                    filled.done = true;
-                    filled.source = None;
-                }
-            }
-        }
-        let row = filled.rows.get(self.at).cloned();
+        let row = self.spool.row(self.at, ctx)?;
         self.at += usize::from(row.is_some());
         Ok(row)
     }
 
     fn op_name(&self) -> &'static str {
         "Replay"
+    }
+}
+
+/// One outer tuple's pass of an indexed σ over its spool: the σ, over
+/// the rows [`Spool::pass`] chose, each checked against the whole
+/// predicate.
+struct Probe<'s, 'p> {
+    spool: &'s Spool<'p>,
+    index: &'p Indexed,
+    pred: &'p Scalar,
+    /// The predicate's nested blocks and their spools.
+    blocks: Spooled<'p>,
+    env: &'s Scope<'s>,
+    /// Chosen on the first pull.
+    pass: Option<Pass>,
+}
+
+impl Probe<'_, '_> {
+    /// The next row the pass examines.
+    fn candidate(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
+        let pass = self.pass.as_mut().expect("chosen on the first pull");
+        let pos = match pass {
+            Pass::Replay(at) => {
+                let row = self.spool.row(*at, ctx)?;
+                *at += usize::from(row.is_some());
+                return Ok(row);
+            }
+            Pass::Window(view, window, last) => {
+                let filled = self.spool.filled.borrow();
+                let keys = filled.index.as_ref().and_then(Option::as_ref);
+                let keys = keys.expect("a window is the index's");
+                let next = window.find(|at| Some(keys.row(*view, *at)) != *last);
+                *last = next.map(|at| keys.row(*view, at));
+                *last
+            }
+            Pass::Listed(rows) => rows.next(),
+        };
+        Ok(pos.map(|pos| self.spool.filled.borrow().rows[pos].clone()))
+    }
+}
+
+impl Cursor for Probe<'_, '_> {
+    fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
+        if self.pass.is_none() {
+            self.pass = Some(self.spool.pass(self.index, self.env, ctx)?);
+        }
+        while let Some(t) = self.candidate(ctx)? {
+            if self.blocks.truthy(self.pred, &t, self.env, ctx)? {
+                return Ok(Some(t));
+            }
+        }
+        Ok(None)
+    }
+
+    fn op_name(&self) -> &'static str {
+        "Select"
     }
 }
 
@@ -471,15 +705,43 @@ impl Closure {
     }
 }
 
-/// The pre-order positions of `plan`'s shared subtrees: the rule in the
-/// module documentation.
-fn shared_subtrees(plan: &PhysPlan) -> Box<[usize]> {
+/// The pre-order positions of `plan`'s shared subtrees, with their
+/// indexed conjuncts: the rules in the module documentation.
+fn shared_subtrees(plan: &PhysPlan) -> Box<[(usize, Option<Indexed>)]> {
     let mut shared = Vec::new();
     let root = closure(plan, &mut 0, &mut shared);
     if root.is_some_and(|c| c.closed()) && !bare(plan) {
-        return Box::new([0]);
+        return Box::new([(0, None)]);
     }
     shared.into()
+}
+
+/// The first conjunct of a σ over rows sure to carry `emits` that an
+/// index of them answers — `side θ k` or `side ∈ k`, either way round,
+/// θ not `≠` — where it and every conjunct before it are replay-safe:
+/// the σ evaluates those on each row a probe skips.
+fn indexed(pred: &Scalar, emits: &BTreeSet<Sym>) -> Option<Indexed> {
+    let mut reads = BTreeSet::new();
+    for c in pred.conjuncts() {
+        if !c.replay_safe() {
+            return None;
+        }
+        reads.extend(c.free_attrs());
+        let (found, member) = match c {
+            Scalar::In(x, y) => (range_sides(CmpOp::Eq, x, y, emits), true),
+            _ => (as_range_conjunct(c, emits), false),
+        };
+        if let Some((key, probe)) = found {
+            return Some(Indexed {
+                key,
+                side_reads: probe.side.free_attrs().into_iter().collect(),
+                probe,
+                member,
+                outer: reads.difference(emits).copied().collect(),
+            });
+        }
+    }
+    None
 }
 
 /// A leaf whose replay costs what running it does.
@@ -489,8 +751,13 @@ fn bare(plan: &PhysPlan) -> bool {
 
 /// The [`Closure`] of the subtree at pre-order position `at` (advanced
 /// past it), or `None` when it cannot be shared at any outer tuple; the
-/// positions of its maximal closed inputs, and theirs, go to `shared`.
-fn closure(plan: &PhysPlan, at: &mut usize, shared: &mut Vec<usize>) -> Option<Closure> {
+/// positions of its maximal closed inputs, and theirs, go to `shared`,
+/// an input of a σ with the conjunct its index answers.
+fn closure(
+    plan: &PhysPlan,
+    at: &mut usize,
+    shared: &mut Vec<(usize, Option<Indexed>)>,
+) -> Option<Closure> {
     *at += 1;
     let [l, r] = plan.inputs().map(|input| {
         input.map(|input| {
@@ -505,9 +772,14 @@ fn closure(plan: &PhysPlan, at: &mut usize, shared: &mut Vec<usize>) -> Option<C
     );
     if !here.as_ref().is_some_and(Closure::closed) {
         for (position, input, c) in [l, r].into_iter().flatten() {
-            if c.is_some_and(|c| c.closed()) && !bare(input) {
-                shared.push(position);
-            }
+            let Some(c) = c.filter(|c| c.closed() && !bare(input)) else {
+                continue;
+            };
+            let index = match plan {
+                PhysPlan::Select { pred, .. } => indexed(pred, &c.emits),
+                _ => None,
+            };
+            shared.push((position, index));
         }
     }
     here

@@ -105,8 +105,8 @@ pub fn lower<'p>(plan: &'p PhysPlan, env: &'p Scope<'p>) -> BoxCursor<'p> {
 }
 
 /// One lowering: of a plan, or — with `replays` set — of a nested
-/// block, whose shared subtrees are replayed from their spools
-/// ([`crate::nested`]).
+/// block, whose shared subtrees are replayed from their spools, and
+/// whose σ right on an indexed one probes it ([`crate::nested`]).
 pub(crate) struct Lowering<'a> {
     pub(crate) env: &'a Scope<'a>,
     pub(crate) replays: Option<&'a dyn Replays>,
@@ -186,10 +186,10 @@ impl<'a> Lowering<'a> {
     }
 
     pub(crate) fn lower(&mut self, plan: &'a PhysPlan) -> BoxCursor<'a> {
-        if let Some(replay) = self.replays.and_then(|r| r.replay(plan)) {
+        let env = self.env;
+        if let Some(replay) = self.replays.and_then(|r| r.replay(plan, env)) {
             return replay;
         }
-        let env = self.env;
         fn metered<'p, C: Cursor + 'p>(plan: &'p PhysPlan, inner: C) -> BoxCursor<'p> {
             Box::new(Metered {
                 inner,

@@ -32,10 +32,14 @@
 //! **The ordered views are a superset filter, never the judge.** A
 //! window may leave out only rows [`nal::cmp_general`] would reject for
 //! the range conjuncts; every candidate that decides a probe is still
-//! verified by evaluating the pair part over the joined tuple. Build
-//! keys that are not one string or number (sequences, booleans), typed
-//! numbers against a text probe, and probe values that are neither fall
-//! back to "every surviving row is a candidate".
+//! verified by evaluating the pair part over the joined tuple. A
+//! sequence key has an entry per item, so its row may fall in a window
+//! twice: candidates are then listed, each row once, and only the first
+//! range conjunct's window is used. Build keys with a boolean item or
+//! none at all, typed numbers against a text probe, and probe values
+//! that are no string, node or number fall back to "every surviving row
+//! is a candidate". The same ordered keys index a nested block's spool
+//! ([`crate::nested`]).
 //!
 //! × is the empty predicate: a split with no part, so every build row
 //! is a candidate of every probe tuple and nothing is evaluated per
@@ -46,11 +50,10 @@ use std::collections::BTreeSet;
 use std::ops::Range;
 
 use nal::eval::{EvalCtx, EvalResult, Scope};
-use nal::{CmpOp, Scalar, Sym, Tuple};
+use nal::{CmpOp, Scalar, Sym, Tuple, Value};
 use xmldb::{Catalog, ValueKey};
 
 use crate::access::RangeProbe;
-use crate::key::key_val;
 use crate::nested::{Blocks, Spooled};
 
 /// A θ-join's predicate, split at compile time by the side each
@@ -141,91 +144,217 @@ impl ThetaSplit {
 /// definition of "range conjunct" — the index tracer
 /// ([`crate::access::join_recipe`]) and [`ThetaSplit::of`] both use it.
 pub(crate) fn as_range_conjunct(c: &Scalar, r_attrs: &BTreeSet<Sym>) -> Option<(Sym, RangeProbe)> {
-    let Scalar::Cmp(op, x, y) = c else {
-        return None;
-    };
-    if matches!(op, CmpOp::Ne) {
-        return None;
+    match c {
+        Scalar::Cmp(op, x, y) if *op != CmpOp::Ne => range_sides(*op, x, y, r_attrs),
+        _ => None,
     }
+}
+
+/// `x op y` as `side op' key`: [`as_range_conjunct`] of a comparison
+/// given by its parts.
+pub(crate) fn range_sides(
+    op: CmpOp,
+    x: &Scalar,
+    y: &Scalar,
+    r_attrs: &BTreeSet<Sym>,
+) -> Option<(Sym, RangeProbe)> {
     let as_key = |s: &Scalar| match s {
         Scalar::Attr(a) if r_attrs.contains(a) => Some(*a),
         _ => None,
     };
     let side_ok =
         |s: &Scalar| s.replay_safe() && s.free_attrs().iter().all(|a| !r_attrs.contains(a));
-    if let Some(k) = as_key(y) {
-        if side_ok(x) {
-            return Some((
-                k,
-                RangeProbe {
-                    side: (**x).clone(),
-                    op: *op,
-                },
-            ));
-        }
+    let probe = |side: &Scalar, op| RangeProbe {
+        side: side.clone(),
+        op,
+    };
+    match (as_key(x), as_key(y)) {
+        (_, Some(k)) if side_ok(x) => Some((k, probe(x, op))),
+        (Some(k), _) if side_ok(y) => Some((k, probe(y, op.flip()))),
+        _ => None,
     }
-    if let Some(k) = as_key(x) {
-        if side_ok(y) {
-            return Some((
-                k,
-                RangeProbe {
-                    side: (**y).clone(),
-                    op: op.flip(),
-                },
-            ));
-        }
-    }
-    None
 }
 
-/// The range column's keys in the two orders a probe value can select
-/// a window from. Each entry carries the row's position in arrival
-/// order. NULL and NaN keys satisfy no comparison and are in neither
-/// view.
+/// A key column's entries in the two orders a probe value can select a
+/// window from — a θ-join's range column, or the column a nested
+/// block's indexed spool ([`crate::nested`]) is probed on. Each entry
+/// carries its row's position in arrival order; a sequence key has an
+/// entry per item, as [`nal::cmp_general`] compares it item by item.
+/// NULL and NaN items satisfy no comparison and are in neither view.
 #[derive(Default)]
-struct OrderedKeys {
-    /// Keys that are, or parse as, a number — by IEEE order (the bits of
-    /// [`ValueKey::num`]). What a typed-numeric probe compares against.
+pub(crate) struct OrderedKeys {
+    /// Items that are, or parse as, a number — by IEEE order (the bits
+    /// of [`ValueKey::num`]). What a typed-numeric probe compares
+    /// against.
     numeric: Vec<(u64, usize)>,
-    /// String and node keys by their text. What a text probe compares
+    /// String and node items by their text, which stays where it is
+    /// stored: entries order by the text's first sixteen bytes
+    /// ([`text_prefix`]), and only equal prefixes compare the rest in
+    /// place ([`nal::cmp_text_items`]). What a text probe compares
     /// against — unless `typed_numbers`.
-    text: Vec<(Box<str>, usize)>,
-    /// Some key is a typed number: a text probe compares numerically
+    text: Vec<(u128, Value, usize)>,
+    /// Some item is a typed number: a text probe compares numerically
     /// against it, which the text view cannot answer.
     typed_numbers: bool,
-    /// Some key is neither one string nor one number (a sequence, a
-    /// boolean, a missing attribute): no window is a superset.
+    /// Some key is missing or holds an item that is neither a string,
+    /// a node nor a number (a boolean): no window is a superset.
     irregular: bool,
+    /// Some row has more than one entry: a window can name it twice.
+    repeats: bool,
 }
 
 impl OrderedKeys {
-    fn build(rows: &[Tuple], key: Sym, catalog: &Catalog) -> OrderedKeys {
+    /// Order the `key` column of `rows`.
+    pub(crate) fn build(rows: &[Tuple], key: Sym, catalog: &Catalog) -> OrderedKeys {
         let mut keys = OrderedKeys::default();
+        let mut scratch = String::new();
         for (pos, rt) in rows.iter().enumerate() {
-            match rt.get(key).map(|v| key_val(v, catalog)) {
-                Some(ValueKey::Null) => {}
-                Some(ValueKey::Num(bits)) => {
+            let Some(v) = rt.get(key) else {
+                keys.irregular = true;
+                return keys;
+            };
+            let entries = keys.numeric.len() + keys.text.len();
+            let regular = leaves(v, &mut |item| match item {
+                Value::Int(_) | Value::Dec(_) => {
                     keys.typed_numbers = true;
-                    keys.numeric.push((bits, pos));
+                    keys.push_number(item.as_number(), pos);
+                    true
                 }
-                Some(ValueKey::Str(s)) => {
-                    // `cmp_atomic`'s coercion of untyped text, verbatim.
-                    if let Ok(v) = s.trim().parse::<f64>() {
-                        if let ValueKey::Num(bits) = ValueKey::num(v) {
-                            keys.numeric.push((bits, pos));
+                Value::Str(_) | Value::Node(_) => {
+                    let text = match item {
+                        Value::Node(n) => {
+                            catalog.doc(n.doc).string_value_in(n.node, &mut scratch).0
                         }
-                    }
-                    keys.text.push((s.into_owned().into_boxed_str(), pos));
+                        Value::Str(s) => s,
+                        _ => unreachable!("matched above"),
+                    };
+                    keys.push_number(text.trim().parse().ok(), pos);
+                    let prefix = text_prefix([text]);
+                    keys.text.push((prefix, item.clone(), pos));
+                    true
                 }
-                Some(ValueKey::Bool(_) | ValueKey::Other(_)) | None => {
-                    keys.irregular = true;
-                    return keys;
-                }
+                _ => false,
+            });
+            if !regular {
+                keys.irregular = true;
+                return keys;
             }
+            keys.repeats |= keys.numeric.len() + keys.text.len() > entries + 1;
         }
         keys.numeric.sort_unstable();
-        keys.text.sort_unstable();
+        keys.text.sort_unstable_by(|a, b| {
+            let text = || nal::cmp_text_items(&a.1, &b.1, catalog).expect("text entries");
+            a.0.cmp(&b.0).then_with(text).then(a.2.cmp(&b.2))
+        });
         keys
+    }
+
+    /// `cmp_atomic`'s coercion of a number or of untyped text, verbatim:
+    /// NaN and text that is no number have no numeric entry.
+    fn push_number(&mut self, n: Option<f64>, pos: usize) {
+        if let Some(ValueKey::Num(bits)) = n.map(ValueKey::num) {
+            self.numeric.push((bits, pos));
+        }
+    }
+
+    /// The entries whose key `k` can satisfy `side op k`, as a window of
+    /// one view (empty when no row can: a NULL, NaN or empty `side`), or
+    /// `None` when the views cannot answer: an irregular column, a
+    /// sequence or boolean `side`, a text `side` against typed numbers.
+    pub(crate) fn window(
+        &self,
+        op: CmpOp,
+        side: &Value,
+        catalog: &Catalog,
+    ) -> Option<(View, Range<usize>)> {
+        const NONE: Option<(View, Range<usize>)> = Some((View::Numeric, 0..0));
+        match side {
+            Value::Null => NONE,
+            Value::Items(items) if items.is_empty() => NONE,
+            _ if self.irregular => None,
+            Value::Int(_) | Value::Dec(_) => match side.as_number().map(ValueKey::num) {
+                Some(ValueKey::Num(bits)) => {
+                    Some((View::Numeric, window(&self.numeric, op, |e| e.0.cmp(&bits))))
+                }
+                _ => NONE,
+            },
+            Value::Str(s) if !self.typed_numbers => {
+                Some(self.text_window(op, side, [&**s], catalog))
+            }
+            Value::Node(n) if !self.typed_numbers => {
+                let pieces = catalog.doc(n.doc).text_pieces(n.node);
+                Some(self.text_window(op, side, pieces, catalog))
+            }
+            _ => None,
+        }
+    }
+
+    /// [`Self::window`] of the text view for a text `side`, given by
+    /// its pieces.
+    fn text_window<'t>(
+        &self,
+        op: CmpOp,
+        side: &Value,
+        pieces: impl IntoIterator<Item = &'t str>,
+        catalog: &Catalog,
+    ) -> (View, Range<usize>) {
+        let prefix = text_prefix(pieces);
+        let cmp = |e: &(u128, Value, usize)| {
+            let text = || nal::cmp_text_items(&e.1, side, catalog).expect("text entries");
+            e.0.cmp(&prefix).then_with(text)
+        };
+        (View::Text, window(&self.text, op, cmp))
+    }
+
+    /// The arrival position of the row of a window's `at`-th entry.
+    pub(crate) fn row(&self, view: View, at: usize) -> usize {
+        match view {
+            View::Numeric => self.numeric[at].1,
+            View::Text => self.text[at].2,
+        }
+    }
+
+    /// A window's rows in arrival order, each once.
+    pub(crate) fn listed(&self, view: View, window: Range<usize>) -> Vec<usize> {
+        let mut listed: Vec<usize> = window.map(|at| self.row(view, at)).collect();
+        listed.sort_unstable();
+        listed.dedup();
+        listed
+    }
+
+    /// Can a window name a row more than once?
+    pub(crate) fn repeats(&self) -> bool {
+        self.repeats
+    }
+}
+
+/// A text's first sixteen bytes, given by its pieces, as a big-endian
+/// number zero-padded: two texts whose prefixes differ order as the
+/// prefixes do (`str::cmp` is byte order), so comparing them settles
+/// most comparisons without reading the texts again.
+fn text_prefix<'t>(pieces: impl IntoIterator<Item = &'t str>) -> u128 {
+    let mut prefix = [0; 16];
+    let mut at = 0;
+    for piece in pieces {
+        let n = piece.len().min(16 - at);
+        prefix[at..at + n].copy_from_slice(&piece.as_bytes()[..n]);
+        at += n;
+        if at == 16 {
+            break;
+        }
+    }
+    u128::from_be_bytes(prefix)
+}
+
+/// Hand `f` the atomic items of `v`, in order, as [`nal::cmp_general`]
+/// visits them (a nested relation's tuples contribute their values);
+/// `false` as soon as `f` does.
+fn leaves(v: &Value, f: &mut impl FnMut(&Value) -> bool) -> bool {
+    match v {
+        Value::Null => true,
+        Value::Items(items) => items.iter().all(|item| leaves(item, f)),
+        Value::Tuples(ts) => ts.iter().all(|t| t.values().all(|item| leaves(item, f))),
+        item => f(item),
     }
 }
 
@@ -242,11 +371,12 @@ fn window<T>(view: &[T], op: CmpOp, cmp: impl Fn(&T) -> Ordering) -> Range<usize
     let first_ge = || view.partition_point(|e| cmp(e) == Ordering::Less);
     let first_gt = || view.partition_point(|e| cmp(e) != Ordering::Greater);
     match op {
+        CmpOp::Eq => first_ge()..first_gt(),
         CmpOp::Lt => first_gt()..view.len(),
         CmpOp::Le => first_ge()..view.len(),
         CmpOp::Gt => 0..first_ge(),
         CmpOp::Ge => 0..first_gt(),
-        CmpOp::Eq | CmpOp::Ne => unreachable!("only inequalities drive the ordered build"),
+        CmpOp::Ne => unreachable!("≠ selects no one window"),
     }
 }
 
@@ -329,23 +459,18 @@ impl ThetaBuild {
             // Pure and replay-safe by the split; the loop evaluated it
             // once per pair.
             let side = Spooled::NONE.eval(&probe.side, lt, env, ctx)?;
-            let (view, range) = match key_val(&side, ctx.catalog) {
-                // NULL and NaN satisfy no comparison: the conjunct — and
-                // with it the pair part — fails for every row.
-                ValueKey::Null => return Ok(NONE),
-                ValueKey::Num(bits) if !keys.irregular => (
-                    View::Numeric,
-                    window(&keys.numeric, probe.op, |e| e.0.cmp(&bits)),
-                ),
-                ValueKey::Str(s) if !keys.irregular && !keys.typed_numbers => (
-                    View::Text,
-                    window(&keys.text, probe.op, |e| (*e.0).cmp(&*s)),
-                ),
-                _ => continue,
+            let Some((view, range)) = keys.window(probe.op, &side, ctx.catalog) else {
+                continue;
             };
+            if range.is_empty() {
+                // No row satisfies the conjunct, so none the pair part.
+                return Ok(NONE);
+            }
             found = match found {
                 None => Some((view, range)),
-                Some((v, r)) if v == view => {
+                // A row of a sequence key may satisfy each conjunct with
+                // another item: only one window is a superset then.
+                Some((v, r)) if v == view && !keys.repeats() => {
                     Some((v, r.start.max(range.start)..r.end.min(range.end)))
                 }
                 // A window of the other view: the first one drives.
@@ -355,13 +480,8 @@ impl ThetaBuild {
         Ok(match found {
             None => Candidates::All,
             Some((_, r)) if r.is_empty() => NONE,
-            Some((view, r)) if arrival_order => {
-                let mut listed: Vec<usize> = match view {
-                    View::Numeric => keys.numeric[r].iter().map(|e| e.1).collect(),
-                    View::Text => keys.text[r].iter().map(|e| e.1).collect(),
-                };
-                listed.sort_unstable();
-                Candidates::Listed(listed)
+            Some((view, r)) if arrival_order || keys.repeats() => {
+                Candidates::Listed(keys.listed(view, r))
             }
             Some((view, r)) => Candidates::Window(view, r),
         })
@@ -377,10 +497,7 @@ impl ThetaBuild {
                     return None;
                 }
                 let keys = self.keys.as_ref().expect("windows come from ordered keys");
-                match view {
-                    View::Numeric => keys.numeric[at].1,
-                    View::Text => keys.text[at].1,
-                }
+                keys.row(*view, at)
             }
             Candidates::Listed(listed) => *listed.get(i)?,
         };

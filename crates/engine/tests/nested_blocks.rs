@@ -321,7 +321,10 @@ fn a_dropped_attribute_the_outer_scope_binds_is_an_outer_read() {
             .collect(),
     );
     let folded = rel("x", &ints(&[1, 2, 3])).map("t", Scalar::int(2));
-    for (below, shared) in [(folded, " shared{χ[t]}"), (with_t, " shared{Π}")] {
+    for (below, shared) in [
+        (folded, " shared{χ[t] indexed(x =)}"),
+        (with_t, " shared{Π indexed(x =)}"),
+    ] {
         let range = below
             .drop_attrs(&["t"])
             .select(Scalar::attr_cmp(CmpOp::Eq, "x", "t"))
@@ -508,7 +511,12 @@ fn q4_filters_its_invariant_conjunct_once_in_the_spool() {
     let nested = xquery::compile(Q4, &cat).expect("q4 compiles");
     let plan = engine::compile(&nested);
     let (holder, blocks) = select_blocks(&plan).expect("q4 has a block");
-    assert_eq!(holder.detail(), " shared{σ}", "{}", plan.explain());
+    assert_eq!(
+        holder.detail(),
+        " shared{σ indexed(b2 =)}",
+        "{}",
+        plan.explain()
+    );
     let [block] = blocks[..] else {
         panic!("one block: {}", plan.explain());
     };
@@ -615,7 +623,11 @@ fn closed_conjuncts_that_keep_errors_in_place_are_hoisted() {
     for pred in [total_after, failing_first] {
         let fails = pred.to_string().contains("decimal");
         let expr = xy_block(&[1, 2, 1, 9], pred);
-        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
+        assert_eq!(
+            engine::compile(&expr).detail(),
+            " shared{σ indexed(x =)}",
+            "{expr}"
+        );
         let (reference, engine) = both(&expr, &cat);
         match (&reference, &engine) {
             (Err(want), Err(got)) if fails => assert_eq!(got.message, want.message, "{expr}"),
@@ -629,5 +641,316 @@ fn closed_conjuncts_that_keep_errors_in_place_are_hoisted() {
             }
             _ => panic!("{expr}: reference {reference:?}, engine {engine:?}"),
         }
+    }
+}
+
+/// The values an indexed spool's keys and probes are drawn from, by
+/// name; `None` is a missing attribute. The node's text, "2.0", is
+/// stored in two pieces.
+fn key_pool(cat: &mut Catalog) -> Vec<(&'static str, Option<Value>)> {
+    let doc = cat
+        .register(xmldb::parse_document("mixed.xml", "<r><a><l>2</l><f>.0</f></a></r>").unwrap());
+    let tree = cat.doc(doc);
+    let a = tree
+        .descendants(xmldb::NodeId::DOCUMENT)
+        .find(|&n| tree.node_name(n) == Some("a"))
+        .unwrap();
+    vec![
+        ("1", Some(Value::Int(1))),
+        ("2", Some(Value::Int(2))),
+        ("2.0", Some(Value::Dec(nal::Dec(2.0)))),
+        ("\"2\"", Some(Value::str("2"))),
+        ("\"2.0\"", Some(Value::str("2.0"))),
+        ("\"a\"", Some(Value::str("a"))),
+        ("NaN", Some(Value::Dec(nal::Dec(f64::NAN)))),
+        ("NULL", Some(Value::Null)),
+        ("()", Some(Value::items(vec![]))),
+        ("(1, 2)", Some(Value::items(ints(&[1, 2])))),
+        ("node", Some(Value::Node(nal::NodeRef { doc, node: a }))),
+        ("missing", None),
+    ]
+}
+
+/// `Π[k, n]` over one row per pool value `keep` takes — `k` the value,
+/// absent where it is missing, `n` its position: a shared subtree.
+fn keyed_spool(pool: &[(&str, Option<Value>)], keep: impl Fn(&Option<Value>) -> bool) -> Expr {
+    let rows = pool.iter().enumerate().filter(|(_, (_, k))| keep(k));
+    let rows = rows.map(|(n, (_, k))| {
+        let n = (s("n"), Value::Int(n as i64));
+        match k {
+            Some(k) => Tuple::from_pairs(vec![(s("k"), k.clone()), n]),
+            None => Tuple::from_pairs(vec![n]),
+        }
+    });
+    Expr::Literal(rows.collect()).project(&["k", "n"])
+}
+
+/// Three outer tuples binding `o` to `probe` (or, missing, only `z`).
+fn probing(probe: &Option<Value>) -> Expr {
+    let t = match probe {
+        Some(v) => Tuple::singleton(s("o"), v.clone()),
+        None => Tuple::singleton(s("z"), Value::Int(0)),
+    };
+    Expr::Literal(vec![t; 3])
+}
+
+/// A correlated σ over a spool, probed per outer tuple by the value of
+/// `o`, against `nal::eval`: its rows, in order (χ of the σ's whole
+/// output), its ∃ (a lazy range), and its errors, for `o θ k`, `k θ o`,
+/// `o ∈ k` and `k ∈ o` and every pool value as `o`, over three spools:
+/// every key, whose typed numbers leave a text probe to replay; the
+/// untyped keys (text, the node, NULL, `()`), which a text probe finds
+/// in the text view; and every key with one missing, where `k` is not
+/// sure to be bound and the σ replays. The first two are indexed and
+/// probed from the second outer tuple on. (Over the third only the
+/// drained form is compared: a lazy range stops at its witness before
+/// the row without `k`, which the reference fails on — the replay-safe
+/// totality assumption, with or without an index.)
+#[test]
+fn indexed_spools_answer_every_probe_as_the_reference() {
+    let mut cat = Catalog::new();
+    let pool = key_pool(&mut cat);
+    let (o, k) = (|| Scalar::attr("o"), || Scalar::attr("k"));
+    let mut preds = Vec::new();
+    for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        let mark = format!("k {}", op.flip().symbol());
+        preds.push((Scalar::cmp(op, o(), k()), mark));
+        preds.push((Scalar::cmp(op, k(), o()), format!("k {}", op.symbol())));
+    }
+    let member = |x: Scalar, y: Scalar| Scalar::In(Box::new(x), Box::new(y));
+    preds.push((member(o(), k()), "k ∈".to_string()));
+    preds.push((member(k(), o()), "k ∈".to_string()));
+    let untyped = |k: &Value| matches!(k, Value::Str(_) | Value::Node(_)) || k.is_empty_seq();
+    let spools = [
+        (keyed_spool(&pool, Option::is_some), true),
+        (
+            keyed_spool(&pool, |k| k.as_ref().is_some_and(untyped)),
+            true,
+        ),
+        (keyed_spool(&pool, |_| true), false),
+    ];
+    let mut probes = [0; 3];
+    for (pred, mark) in &preds {
+        for ((spool, indexed), probes) in spools.iter().zip(&mut probes) {
+            let block = spool.clone().select(pred.clone());
+            let shared = match indexed {
+                true => format!("shared{{Π indexed({mark})}}"),
+                false => "shared{Π}".to_string(),
+            };
+            for (name, probe) in &pool {
+                let outer = probing(probe);
+                let rows = Scalar::Agg {
+                    f: GroupFn::id(),
+                    input: Box::new(block.clone()),
+                };
+                let some = exists("y", block.clone().project(&["n"]), Scalar::attr("y"));
+                let mut exprs = vec![outer.clone().map("m", rows)];
+                exprs.extend(indexed.then(|| outer.select(some)));
+                for expr in exprs {
+                    let plan = engine::compile(&expr);
+                    let detail = plan.detail();
+                    assert!(detail.ends_with(&shared), "{expr}: {detail}");
+                    let (reference, engine) = both(&expr, &cat);
+                    assert_eq!(engine, reference, "{expr} with o = {name}");
+                    *probes +=
+                        engine::run_compiled(&plan, &cat).map_or(0, |run| run.metrics.spool_probes);
+                }
+            }
+        }
+    }
+    // Both indexed spools answered most probes (a sequence, a boolean,
+    // a text against typed numbers or an unbound `o` has no window);
+    // the third never probes.
+    assert!(
+        probes[0] > 100 && probes[1] > 100 && probes[2] == 0,
+        "{probes:?}"
+    );
+}
+
+/// `o = k` over rows whose `k` are the ints 1 to 4 and a two-item
+/// sequence, probed by 2 three times: the first outer tuple replays the
+/// spool, the second fills it and builds the index, both probes find
+/// `k = 2` and `(2, 3)` without examining the other rows, and a
+/// sequence key's two entries give its row once.
+#[test]
+fn a_probe_examines_only_its_window() {
+    let cat = Catalog::new();
+    let mut keys = ints(&[1, 2, 3, 4]);
+    keys.push(Value::items(ints(&[2, 2])));
+    let spool = rel("k", &keys);
+    let block = spool.select(Scalar::attr_cmp(CmpOp::Eq, "o", "k"));
+    let outer = Expr::Literal(vec![Tuple::singleton(s("o"), Value::Int(2)); 3]);
+    let expr = outer.map(
+        "m",
+        Scalar::Agg {
+            f: GroupFn::count(),
+            input: Box::new(block),
+        },
+    );
+    assert_eq!(
+        engine::compile(&expr).detail(),
+        "[m] shared{Π indexed(k =)}"
+    );
+    let (reference, engine) = both(&expr, &cat);
+    assert_eq!(engine, reference, "{expr}");
+    let run = engine::run(&expr, &cat).unwrap();
+    assert!(run
+        .rows
+        .iter()
+        .all(|t| t.get(s("m")) == Some(&Value::Int(2))));
+    assert_eq!(run.metrics.spool_probes, 2);
+    // Each pass emits its two rows; the spool's Π ran once.
+    assert_eq!(run.metrics.op_count("Select"), 3 * 2);
+    assert_eq!(run.metrics.op_count("Project"), 5);
+}
+
+/// Regression: a probe must not evaluate `side` over an empty spool,
+/// where the reference never does: an index that evaluated it anyway
+/// failed with "unbound attribute" where the scope leaves `o` unbound,
+/// and a path over the number `o` would fail too.
+#[test]
+fn an_empty_spool_never_reads_its_side() {
+    let cat = Catalog::new();
+    let empty =
+        rel("k", &ints(&[1, 2])).select(Scalar::cmp(CmpOp::Gt, Scalar::attr("k"), Scalar::int(10)));
+    let unbound = Tuple::singleton(s("z"), Value::Int(0));
+    let path = Scalar::attr("o").path(xpath::parse_path("t").unwrap());
+    let number = Tuple::singleton(s("o"), Value::Int(1));
+    for (side, outer) in [(Scalar::attr("o"), unbound), (path, number)] {
+        let block = empty
+            .clone()
+            .select(Scalar::cmp(CmpOp::Eq, side, Scalar::attr("k")));
+        let outer = Expr::Literal(vec![outer; 2]);
+        let some = exists("y", block.clone(), Scalar::attr("y"));
+        let count = Scalar::Agg {
+            f: GroupFn::count(),
+            input: Box::new(block),
+        };
+        for expr in [outer.clone().select(some), outer.map("m", count)] {
+            assert!(engine::compile(&expr)
+                .detail()
+                .ends_with("shared{σ indexed(k =)}"));
+            let (reference, engine) = both(&expr, &cat);
+            assert!(reference.is_ok(), "{expr}: {reference:?}");
+            assert_eq!(engine, reference, "{expr}");
+        }
+    }
+}
+
+/// Regression: `σ[x > 1 ∧ k = o]` over rows one of which, outside the
+/// window `o = 2` selects, lacks `x`. The σ evaluates `x > 1` on every
+/// row a probe would skip, so an outer tuple that does not bind `x`
+/// replays, and the error surfaces as in the reference; one that does
+/// probes, and `x > 1` still rejects the window's last row.
+#[test]
+fn a_row_without_an_attribute_an_earlier_conjunct_reads_is_not_skipped() {
+    let cat = Catalog::new();
+    let row = |pairs: &[(&str, i64)]| {
+        Tuple::from_pairs(pairs.iter().map(|(a, v)| (s(a), Value::Int(*v))).collect())
+    };
+    let spool = Expr::Literal(vec![
+        row(&[("k", 2), ("x", 5)]),
+        row(&[("k", 1)]),
+        row(&[("k", 2), ("x", 0)]),
+    ])
+    .project(&["k", "x"]);
+    let pred = Scalar::cmp(CmpOp::Gt, Scalar::attr("x"), Scalar::int(1)).and(Scalar::attr_cmp(
+        CmpOp::Eq,
+        "k",
+        "o",
+    ));
+    let block = spool.select(pred);
+    let (bound, unbound) = (row(&[("o", 2), ("x", 7)]), row(&[("o", 2)]));
+    for (outer, fails) in [
+        (vec![unbound.clone(); 2], true),
+        (vec![bound.clone(); 2], false),
+        (vec![bound, unbound], true),
+    ] {
+        let expr = Expr::Literal(outer).map(
+            "m",
+            Scalar::Agg {
+                f: GroupFn::count(),
+                input: Box::new(block.clone()),
+            },
+        );
+        assert_eq!(
+            engine::compile(&expr).detail(),
+            "[m] shared{Π indexed(k =)}"
+        );
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        if fails {
+            let message = reference.unwrap_err().message;
+            assert!(message.contains("unbound attribute `x`"), "{message}");
+        } else {
+            let run = engine::run(&expr, &cat).unwrap();
+            assert!(run
+                .rows
+                .iter()
+                .all(|t| t.get(s("m")) == Some(&Value::Int(1))));
+            assert_eq!(run.metrics.spool_probes, 1, "{expr}");
+        }
+    }
+}
+
+/// Regression: a spooled row that carries the attribute `side` reads
+/// compares its own value, not the outer tuple's, so the index would
+/// skip a row the σ selects: the σ replays.
+#[test]
+fn spool_rows_carrying_the_outer_attribute_are_replayed() {
+    let cat = Catalog::new();
+    let spool = Expr::Literal(vec![
+        Tuple::singleton(s("k"), Value::Int(1)),
+        Tuple::from_pairs(vec![(s("k"), Value::Int(2)), (s("o"), Value::Int(2))]),
+        Tuple::singleton(s("k"), Value::Int(3)),
+    ])
+    .project(&["k", "o"]);
+    let block = spool.select(Scalar::attr_cmp(CmpOp::Eq, "o", "k"));
+    let expr = rel("o", &ints(&[1, 3, 1])).map(
+        "m",
+        Scalar::Agg {
+            f: GroupFn::count(),
+            input: Box::new(block),
+        },
+    );
+    assert_eq!(
+        engine::compile(&expr).detail(),
+        "[m] shared{Π indexed(k =)}"
+    );
+    let (reference, engine) = both(&expr, &cat);
+    // The second row selects itself for every outer tuple.
+    let counts: Vec<_> = reference
+        .as_ref()
+        .unwrap()
+        .0
+        .iter()
+        .map(|t| t.get(s("m")).cloned())
+        .collect();
+    assert_eq!(counts, vec![Some(Value::Int(2)); 3]);
+    assert_eq!(engine, reference, "{expr}");
+    let run = engine::run(&expr, &cat).unwrap();
+    assert_eq!(run.metrics.spool_probes, 0);
+}
+
+/// A lazy ∃ over an indexed spool: one outer tuple replays it and pulls
+/// only as far as its witness, as before the index; a second one fills
+/// the spool, builds the index and probes it.
+#[test]
+fn a_lazy_range_over_one_outer_tuple_pulls_no_further_than_its_witness() {
+    let cat = Catalog::new();
+    let range = rel("x", &ints(&[1, 2, 3, 4])).select(Scalar::attr_cmp(CmpOp::Eq, "x", "t"));
+    for (outer, pulled, probes) in [(&[1][..], 1, 0), (&[3], 3, 0), (&[1, 1], 4, 1)] {
+        let outer = outer
+            .iter()
+            .map(|t| Tuple::singleton(s("t"), Value::Int(*t)));
+        let expr =
+            Expr::Literal(outer.collect()).select(exists("x", range.clone(), Scalar::attr("x")));
+        let plan = engine::compile(&expr);
+        assert_eq!(plan.detail(), " shared{Π indexed(x =)}");
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        let run = engine::run_compiled(&plan, &cat).unwrap();
+        assert_eq!(run.metrics.op_count("Project"), pulled, "{expr}");
+        assert_eq!(run.metrics.spool_probes, probes, "{expr}");
     }
 }

@@ -107,6 +107,9 @@ pub struct FuzzReport {
     pub cases: usize,
     /// Cases whose update script was non-empty.
     pub with_updates: usize,
+    /// Outer tuples whose nested block's correlated σ the engine runs
+    /// answered from an indexed spool, over all cases.
+    pub spool_probes: u64,
 }
 
 /// Generate and check `cases` cases starting at `seed` (case `i` uses
@@ -120,20 +123,23 @@ pub fn run_fuzz(seed: u64, cases: usize, cfg: &GenConfig) -> Result<FuzzReport, 
         let case = GenCase::random(case_seed, cfg);
         report.cases += 1;
         report.with_updates += usize::from(!case.updates.is_empty());
-        if let Err(first) = oracle::check_case(&case) {
-            let original_binders = case.query.binder_count();
-            let shrunk =
-                shrink::shrink(case, SHRINK_BUDGET, &mut |c| oracle::check_case(c).is_err());
-            let failure = oracle::check_case(&shrunk).err().unwrap_or(first);
-            let snippet = repro::serialize(&shrunk, case_seed);
-            return Err(Box::new(FuzzFailure {
-                case_seed,
-                case_index: i,
-                original_binders,
-                shrunk,
-                failure,
-                snippet,
-            }));
+        match oracle::check_case(&case) {
+            Ok(probes) => report.spool_probes += probes,
+            Err(first) => {
+                let original_binders = case.query.binder_count();
+                let shrunk =
+                    shrink::shrink(case, SHRINK_BUDGET, &mut |c| oracle::check_case(c).is_err());
+                let failure = oracle::check_case(&shrunk).err().unwrap_or(first);
+                let snippet = repro::serialize(&shrunk, case_seed);
+                return Err(Box::new(FuzzFailure {
+                    case_seed,
+                    case_index: i,
+                    original_binders,
+                    shrunk,
+                    failure,
+                    snippet,
+                }));
+            }
         }
     }
     Ok(report)

@@ -155,17 +155,23 @@ fn show(r: &EvalResult<QueryResult>) -> String {
     }
 }
 
+/// The spool probes an engine run made (none if it failed).
+fn spool_probes(run: &EvalResult<QueryResult>) -> u64 {
+    run.as_ref().map_or(0, |r| r.metrics.spool_probes)
+}
+
 /// Run one plan expression against one catalog state: the scan run
 /// against the phase's `truth` (exactly when `expr` is the nested
 /// expression `truth` evaluates, else through [`answers`]), and the
-/// indexed run against the scan run exactly.
+/// indexed run against the scan run exactly. Passing, it answers the
+/// spool probes both runs made.
 fn check_matrix(
     phase: &str,
     plan_label: &str,
     expr: &nal::Expr,
     (maintenance, cat): (&str, &Catalog),
     (truth, exact): (&EvalResult<QueryResult>, bool),
-) -> Result<(), Failure> {
+) -> Result<u64, Failure> {
     let scan_plan = engine::compile(expr);
     let idx_plan = engine::compile_indexed(expr, cat);
     let scan = engine::run_compiled(&scan_plan, cat);
@@ -228,18 +234,20 @@ fn check_matrix(
             ),
         ));
     }
-    Ok(())
+    Ok(spool_probes(&scan) + spool_probes(&idx))
 }
 
 /// Check one case end to end. Usable both on generated cases and on
 /// replayed repro snippets (which carry query text instead of a model)
-/// via [`check_parts`].
-pub fn check_case(case: &GenCase) -> Result<(), Failure> {
+/// via [`check_parts`]. Passing, it answers the spool probes (the
+/// engine's `Metrics::spool_probes`) its engine runs made.
+pub fn check_case(case: &GenCase) -> Result<u64, Failure> {
     check_parts(&case.corpus, &case.query_text(), &case.updates)
 }
 
-/// Check a (corpus, query text, update script) triple end to end.
-pub fn check_parts(corpus: &Corpus, query: &str, updates: &[UpdateOp]) -> Result<(), Failure> {
+/// Check a (corpus, query text, update script) triple end to end, as
+/// [`check_case`] does.
+pub fn check_parts(corpus: &Corpus, query: &str, updates: &[UpdateOp]) -> Result<u64, Failure> {
     let mut cat_delta = corpus.build_catalog(MaintenanceMode::Delta);
     let mut cat_rebuild = corpus.build_catalog(MaintenanceMode::Rebuild);
 
@@ -248,6 +256,7 @@ pub fn check_parts(corpus: &Corpus, query: &str, updates: &[UpdateOp]) -> Result
     let mut plans = unnest::enumerate_plans(&expr, &cat_delta);
     plans.truncate(MAX_PLANS);
 
+    let mut probes = 0;
     for phase in ["pre", "post"] {
         if phase == "post" {
             apply_script(&mut cat_delta, corpus, updates);
@@ -257,9 +266,9 @@ pub fn check_parts(corpus: &Corpus, query: &str, updates: &[UpdateOp]) -> Result
         for plan in &plans {
             let exact = plan.expr == expr;
             for cat in [("delta", &cat_delta), ("rebuild", &cat_rebuild)] {
-                check_matrix(phase, &plan.label, &plan.expr, cat, (&truth, exact))?;
+                probes += check_matrix(phase, &plan.label, &plan.expr, cat, (&truth, exact))?;
             }
         }
     }
-    Ok(())
+    Ok(probes)
 }

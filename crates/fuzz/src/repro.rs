@@ -95,7 +95,7 @@ pub struct Repro {
 impl Repro {
     /// Re-run the full differential matrix on this snippet.
     pub fn check(&self) -> Result<(), Failure> {
-        check_parts(&self.corpus, &self.query, &self.updates)
+        check_parts(&self.corpus, &self.query, &self.updates).map(drop)
     }
 }
 

@@ -34,7 +34,8 @@
 //! ```
 //!
 //! `explain` runs the query with per-operator tracing and answers with
-//! one frame carrying the stage spans, the annotated operator list
+//! one frame carrying the run's `nested_evals` and `spool_probes`
+//! counters, the stage spans, the annotated operator list
 //! (measured rows/calls/time/probes next to the predicted cost), and
 //! the rendered tree. `metrics` answers with one frame whose `text`
 //! field is the Prometheus text exposition of the service registry —
@@ -255,8 +256,9 @@ pub fn stats_frame(s: &ServiceStats) -> String {
     )
 }
 
-/// Render the `explain` response payload: run metadata, stage spans,
-/// the annotated operator list, and the rendered tree.
+/// Render the `explain` response payload: run metadata and counters
+/// (`nested_evals`, `spool_probes`), stage spans, the annotated
+/// operator list, and the rendered tree.
 pub fn explain_frame(o: &ExplainOutcome) -> String {
     let stages: Vec<Json> = o
         .trace
@@ -303,6 +305,14 @@ pub fn explain_frame(o: &ExplainOutcome) -> String {
             ("cache".to_string(), Json::str(o.cache.label())),
             ("rows".to_string(), Json::num(o.rows as f64)),
             ("total_us".to_string(), Json::num(o.trace.total_us as f64)),
+            (
+                "nested_evals".to_string(),
+                Json::num(o.metrics.nested_evals as f64),
+            ),
+            (
+                "spool_probes".to_string(),
+                Json::num(o.metrics.spool_probes as f64),
+            ),
             (
                 "fingerprint".to_string(),
                 Json::str(format!("{:016x}", o.fingerprint)),

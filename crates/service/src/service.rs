@@ -247,6 +247,10 @@ pub struct ExplainOutcome {
     pub trace: QueryTrace,
     /// Fingerprint hash of the normalized query.
     pub fingerprint: u64,
+    /// The run's counters: nested-block evaluations (`nested_evals`)
+    /// and the outer tuples answered from an indexed spool
+    /// (`spool_probes`) among them.
+    pub metrics: Metrics,
 }
 
 /// The embeddable query service (see module docs).
@@ -602,6 +606,7 @@ impl QueryService {
             rows: result.rows.len(),
             trace,
             fingerprint,
+            metrics: result.metrics,
         })
     }
 

@@ -316,6 +316,9 @@ fn explain_op_over_the_wire() {
     assert_eq!(v.get("cache").and_then(Json::as_str), Some("hit"));
     assert_eq!(v.get("rows").and_then(Json::as_u64), Some(2));
     assert!(v.get("total_us").and_then(Json::as_u64).is_some());
+    // A flat plan: no nested block ran, so no spool was probed.
+    assert_eq!(v.get("nested_evals").and_then(Json::as_u64), Some(0));
+    assert_eq!(v.get("spool_probes").and_then(Json::as_u64), Some(0));
     let fp = v
         .get("fingerprint")
         .and_then(Json::as_str)
