@@ -91,14 +91,11 @@ pub enum AccessPathRef<'p> {
 
 /// Visit every access path embedded anywhere in `plan`, in plan order.
 pub fn for_each_access_path<'p>(plan: &'p PhysPlan, f: &mut impl FnMut(AccessPathRef<'p>)) {
-    match plan {
+    plan.walk(&mut |node| match node {
         PhysPlan::IndexScan { uri, pattern, .. } => f(AccessPathRef::Scan { uri, pattern }),
         PhysPlan::IndexJoin { recipe, .. } => f(AccessPathRef::Join(recipe)),
         _ => {}
-    }
-    for child in plan.inputs().into_iter().flatten() {
-        for_each_access_path(child, f);
-    }
+    });
 }
 
 /// Re-validate every access path of a compiled plan against the

@@ -98,8 +98,8 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
                 // checked once per candidate key, before any build row
                 // is reconstructed — leaving only the non-key residual
                 // to replay per row.
-                if let Some((ranges, rest_residual, build)) =
-                    trace_band_parts(right, right_keys[0], residual.as_ref())
+                if let Some((ranges, rest_residual, build)) = (residual.as_ref())
+                    .and_then(|r| trace_range_parts(right, r, Some(right_keys[0])))
                 {
                     if scan_convertible(&build.uri, &build.path, catalog) {
                         return Some(build.into_recipe(
@@ -139,7 +139,7 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
             // Non-equi quantifier joins: inequality conjuncts against one
             // document path column probe the value index's ordered key
             // space instead of scanning the build per probe tuple.
-            let (ranges, residual, build) = trace_range_parts(right, pred)?;
+            let (ranges, residual, build) = trace_range_parts(right, pred, None)?;
             if !scan_convertible(&build.uri, &build.path, catalog) {
                 return None;
             }
@@ -155,123 +155,38 @@ fn join_recipe_inner(plan: &PhysPlan, catalog: &Catalog) -> Option<AccessRecipe>
     }
 }
 
-/// Split a loop join's predicate into `side θ key` range conjuncts over
-/// one build column plus a replay-safe residual, and trace that column
-/// to build parts. The residual runs only for in-range candidates — the
-/// loop join evaluated the whole predicate over *every* build row — so
-/// every leftover conjunct must be replay-safe (pure and total) for the
-/// skipped evaluations to be unobservable.
+/// Split `pred` into `side θ key` range conjuncts over one build column
+/// — `key`, or else the first column one ranges over — plus a
+/// replay-safe residual, and trace that column to build parts. A loop
+/// join's whole predicate, or a hash join's residual beside its key
+/// (the band: the equality stays the typed bucket probe). The residual
+/// runs only for in-range candidates — the scan evaluated the predicate
+/// over *every* build row — so every leftover conjunct must be
+/// replay-safe (pure and total) for the skipped evaluations to be
+/// unobservable.
 fn trace_range_parts(
     right: &PhysPlan,
     pred: &Scalar,
+    mut key: Option<Sym>,
 ) -> Option<(Vec<RangeProbe>, Option<Scalar>, BuildParts)> {
-    let r_attrs = phys_attrs(right)?;
-    let mut key: Option<Sym> = None;
+    let r_attrs = right.schema().may?;
     let mut ranges: Vec<RangeProbe> = Vec::new();
     let mut rest: Vec<Scalar> = Vec::new();
     for c in pred.conjuncts() {
         match as_range_conjunct(c, &r_attrs) {
-            Some((k, probe)) if key.is_none() || key == Some(k) => {
+            Some((k, probe)) if key.is_none_or(|key| key == k) => {
                 key = Some(k);
                 ranges.push(probe);
             }
             _ => rest.push(c.clone()),
         }
     }
-    let key = key?;
-    if !rest.iter().all(Scalar::replay_safe) {
-        return None;
-    }
-    let residual = if rest.is_empty() {
-        None
-    } else {
-        Some(Scalar::conjoin(rest))
-    };
-    let build = trace_build_parts(right, key, residual.as_ref())?;
-    Some((ranges, residual, build))
-}
-
-/// The hash-join band variant of [`trace_range_parts`]: keep the equality
-/// key as the typed bucket probe, peel inequality residual conjuncts
-/// **on that same key column** into range filters, and require the
-/// remaining residual to be replay-safe (the candidate set shrinks, so
-/// skipped residual evaluations must be unobservable).
-fn trace_band_parts(
-    right: &PhysPlan,
-    join_key: Sym,
-    residual: Option<&Scalar>,
-) -> Option<(Vec<RangeProbe>, Option<Scalar>, BuildParts)> {
-    let residual = residual?;
-    let r_attrs = phys_attrs(right)?;
-    let mut ranges: Vec<RangeProbe> = Vec::new();
-    let mut rest: Vec<Scalar> = Vec::new();
-    for c in residual.conjuncts() {
-        match as_range_conjunct(c, &r_attrs) {
-            Some((k, probe)) if k == join_key => ranges.push(probe),
-            _ => rest.push(c.clone()),
-        }
-    }
     if ranges.is_empty() || !rest.iter().all(Scalar::replay_safe) {
         return None;
     }
-    let rest_residual = if rest.is_empty() {
-        None
-    } else {
-        Some(Scalar::conjoin(rest))
-    };
-    let build = trace_build_parts(right, join_key, rest_residual.as_ref())?;
-    Some((ranges, rest_residual, build))
-}
-
-/// Output attribute set of a build-side plan, for the operator shapes
-/// the build tracer accepts; `None` for anything whose schema this pass
-/// does not model (such builds decline conversion anyway).
-fn phys_attrs(plan: &PhysPlan) -> Option<BTreeSet<Sym>> {
-    match plan {
-        PhysPlan::Singleton => Some(BTreeSet::new()),
-        PhysPlan::Map {
-            input, attr, keep, ..
-        }
-        | PhysPlan::UnnestMap {
-            input, attr, keep, ..
-        }
-        | PhysPlan::IndexScan {
-            input, attr, keep, ..
-        } => {
-            let mut a = phys_attrs(input)?;
-            a.insert(*attr);
-            a.retain(|x| keep.emits(*x));
-            Some(a)
-        }
-        PhysPlan::Select { input, .. } => phys_attrs(input),
-        PhysPlan::Project { input, op } => {
-            let a = phys_attrs(input)?;
-            Some(match op {
-                nal::ProjOp::Cols(cols) | nal::ProjOp::DistinctCols(cols) => {
-                    cols.iter().copied().filter(|c| a.contains(c)).collect()
-                }
-                nal::ProjOp::Drop(cols) => a.into_iter().filter(|x| !cols.contains(x)).collect(),
-                // Π_rename keeps unmatched columns; Π^D_rename projects
-                // onto the renamed columns first.
-                nal::ProjOp::Rename(pairs) => a
-                    .into_iter()
-                    .map(|x| {
-                        pairs
-                            .iter()
-                            .find(|(_, old)| *old == x)
-                            .map(|(new, _)| *new)
-                            .unwrap_or(x)
-                    })
-                    .collect(),
-                nal::ProjOp::DistinctRename(pairs) => pairs
-                    .iter()
-                    .filter(|(_, old)| a.contains(old))
-                    .map(|(new, _)| *new)
-                    .collect(),
-            })
-        }
-        _ => None,
-    }
+    let residual = (!rest.is_empty()).then(|| Scalar::conjoin(rest));
+    let build = trace_build_parts(right, key?, residual.as_ref())?;
+    Some((ranges, residual, build))
 }
 
 /// A conversion is worthwhile and safe when the document is registered

@@ -24,9 +24,10 @@
 //! * a subscript with nested algebra, and a group function that embeds
 //!   whole member tuples (`id`), read everything below them;
 //! * `Π^D` reads all its columns (it is narrowed below, never removed);
-//! * a plan with a relation whose schema is not statically complete
-//!   (`rel(a)`, an empty literal, a μ over an unknown nested schema) is
-//!   left exactly as it is;
+//! * a plan whose [`Schema::may`](crate::plan::Schema) is unknown — a
+//!   relation below without a static schema: `rel(a)`, an empty
+//!   literal, a μ over an unknown nested schema — is left exactly as it
+//!   is;
 //! * a dead χ is still *evaluated* (its subscript can raise an error
 //!   and counts `nodes_visited`); only its binding is not stored;
 //! * an attribute of the *environment* (a nested plan's outer variable)
@@ -110,10 +111,13 @@ fn keep_of(plan: &mut PhysPlan) -> Option<&mut Keep> {
 
 impl Pass {
     /// Collect the attributes the plan binds. `false` — leave the plan
-    /// alone — when a relation's schema cannot be bounded statically
-    /// (the rule `plan::join` applies before splitting a θ-predicate) or
-    /// the plan binds more attributes than a set has bits.
+    /// alone — when its [`Schema::may`](crate::plan::Schema) is unknown
+    /// (a relation below without a static schema) or it binds more
+    /// attributes than a set has bits.
     fn collect(&mut self, plan: &PhysPlan) -> bool {
+        if plan.unbounded() {
+            return false;
+        }
         let mut binds = |attrs: &[Sym]| {
             attrs.iter().all(|a| {
                 if self.bit(*a) == 0 && self.len < self.bound.len() {
@@ -124,9 +128,8 @@ impl Pass {
             })
         };
         let here = match plan {
-            PhysPlan::AttrRel(_) => false,
-            PhysPlan::Literal(rows) => !rows.is_empty() && rows.iter().all(|t| binds(&t.attrs())),
-            PhysPlan::Unnest { inner_attrs, .. } => !inner_attrs.is_empty() && binds(inner_attrs),
+            PhysPlan::Literal(rows) => rows.iter().all(|t| binds(&t.attrs())),
+            PhysPlan::Unnest { inner_attrs, .. } => binds(inner_attrs),
             PhysPlan::Map { attr, .. }
             | PhysPlan::UnnestMap { attr, .. }
             | PhysPlan::IndexScan { attr, .. } => binds(&[*attr]),
@@ -530,8 +533,7 @@ mod tests {
                 .map("x", Scalar::int(1))
                 .project(&["x"]),
         );
-        // μ over an attribute whose nested schema cannot be inferred
-        // (the rule `plan::join` applies before splitting a θ-predicate).
+        // μ over an attribute whose nested schema cannot be inferred.
         untouched(
             &int_rows(&["g", "a"], 2)
                 .unnest("g")

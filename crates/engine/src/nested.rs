@@ -10,17 +10,23 @@
 //! pulled, so no operator of the block copies the outer tuple into its
 //! rows; the scalar semantics (`nal::eval::eval_scalar`, quantifier
 //! binding and decision included) is the reference evaluator's own.
+//! What a block's operators carry is the plan's one attribute analysis
+//! ([`crate::plan::Schema`]), folded along the walk that finds the
+//! shared subtrees.
 //!
 //! **Lazy only where it cannot be observed.** A quantifier stops at its
 //! first witness (∃) or counterexample (∀). Its range is pulled only
 //! that far when nothing the rest of the block would do can be seen:
 //! every subscript in it is [`Scalar::replay_safe`] (no nested algebra,
 //! no erroring arithmetic or `decimal()` — the totality assumption the
-//! index conversions make), and it has no Ξ, no μ and no `rel(a)`.
-//! Any other range is drained first, exactly as `nal::eval` evaluates
-//! it, and decided over the drained rows — so an error the rest of the
-//! range raises, and every Ξ byte it writes, come out as in the
-//! reference. An aggregate always reads its whole input.
+//! index conversions make), it has no Ξ, no μ and no `rel(a)`, and no
+//! node's rows may lack an attribute others carry (`may`, where known,
+//! is `sure`): a range over such rows could fail on a later row. This
+//! is decided on the compiled block, along the walk that finds its
+//! shared subtrees. Any other range is drained first, exactly as
+//! `nal::eval` evaluates it, and decided over the drained rows — so an
+//! error the rest of the range raises, and every Ξ byte it writes, come
+//! out as in the reference. An aggregate always reads its whole input.
 //!
 //! **Shared subtrees: the invariant part runs once.** Most of a block
 //! reads nothing of the outer tuple — `Υ[b2: d2//book](χ[d2: doc(…)](□))`
@@ -32,8 +38,8 @@
 //! not worth sharing. "Reads" is decided per operator position: what its
 //! subscript reads ([`Scalar`] attributes, a quantifier's variable and
 //! an aggregate's members excluded, its blocks' own reads included)
-//! minus what every tuple of its input is sure to carry, after `keep`
-//! and Π — so `rel(a)`, and an attribute a Π dropped that the outer
+//! minus its input's `sure` (for a join, the pair's; for a nest join,
+//! a grouped member's) — so `rel(a)`, and an attribute a Π dropped that the outer
 //! scope also binds, count as outer reads. An operator the analysis does
 //! not model counts as correlated.
 //!
@@ -42,7 +48,7 @@
 //! `Υ[a2](Υ[b2](…))` — would still test its invariant conjuncts once per
 //! outer tuple and row. So when a block's σ has an input that reads
 //! nothing from outside, its *closed* conjuncts — those without nested
-//! algebra that read only attributes every input tuple carries — move
+//! algebra that read only attributes in the input's `sure` — move
 //! into a σ of their own below it, and that σ over the input is the
 //! shared subtree. A conjunct may move only where its errors stay the
 //! reference's: when every conjunct before it moves too (σ evaluates a
@@ -54,8 +60,8 @@
 //! expression as written.
 //!
 //! The cursor that evaluates a subscript owns one spool per shared
-//! subtree of the subscript's blocks (`Spooled`). The first outer tuple that
-//! reaches a spool lowers the subtree under the empty scope; rows are
+//! subtree of the subscript's blocks (`Spooled`). The first outer tuple
+//! that reaches a spool lowers the subtree under the empty scope; rows are
 //! pulled from it on demand, kept, and replayed to every later outer
 //! tuple, in the subtree's own order. On a spool's first use a lazy range
 //! therefore never pulls further than its decision needs (an indexed
@@ -71,27 +77,27 @@
 //! quadratic. Rao & Ross keep the invariant result *indexed on the
 //! correlation attribute*; so, at compile time, when a block's σ sits
 //! right on a shared subtree and one of its conjuncts is `side θ k` or
-//! `side ∈ k` (either way round; θ ∈ {=, <, ≤, >, ≥}), where `k` is an
-//! attribute every row of the subtree is sure to carry (its `Closure`) and
-//! `side` reads none of them, the spool is indexed on `k` for that
-//! conjunct — the first one such that it and every conjunct before it are
-//! [`Scalar::replay_safe`], because the σ evaluates those on each row a
-//! probe skips. EXPLAIN marks it: `shared{χ[tv] indexed(tv =)}`. The σ
-//! lowers to one probing cursor. Its first pass replays as above, so a
-//! spool used once costs what it did; the second fills the spool (the
-//! rest of a lazy range is replay-safe, so pulling it is unobservable)
-//! and orders `k`'s items once (`OrderedKeys`, the θ-join's ordered
-//! keys; a sequence key has an entry per item), and every pass from then
-//! on evaluates `side` once, in the outer tuple's scope, and runs the σ
-//! — the whole predicate, which alone decides — over the rows of the key
-//! window `side` selects, in spool order. It replays instead wherever
+//! `side ∈ k` (either way round; θ ∈ {=, <, ≤, >, ≥}), where `k` is in
+//! the subtree's `sure` and `side` reads none of its attributes, the
+//! spool is indexed on `k` for that conjunct — the first one such that
+//! it and every conjunct before it are [`Scalar::replay_safe`], because
+//! the σ evaluates those on each row a probe skips. EXPLAIN marks it:
+//! `shared{χ[tv] indexed(tv =)}`. The σ lowers to one probing cursor.
+//! Its first pass replays as above, so a spool used once costs what it
+//! did; the second fills the spool (the rest of a lazy range is
+//! replay-safe, so pulling it is unobservable) and orders `k`'s items
+//! once (`OrderedKeys`, the θ-join's ordered keys; a sequence key has
+//! an entry per item), and every pass from then on evaluates `side`
+//! once, in the outer tuple's scope, and runs the σ — the whole
+//! predicate, which alone decides — over the rows of the key window
+//! `side` selects, in spool order. It replays instead wherever
 //! the index might skip a row the σ would keep or fail on: a row that
 //! carries an attribute `side` reads (it would see another `side`), a
 //! scope that does not bind everything those leading conjuncts read of
 //! it (the reference would fail), an empty spool (the reference never
-//! evaluates `side`), and whatever the ordered views cannot answer — a boolean or sequence `side`, text
-//! against typed-number keys, a key item that is no string, node or
-//! number.
+//! evaluates `side`), and whatever the ordered views cannot answer — a
+//! boolean or sequence `side`, text against typed-number keys, a key
+//! item that is no string, node or number.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -102,12 +108,12 @@ use std::sync::Arc;
 use nal::eval::scalar::{aggregate, eval_scalar, truthy, Nested};
 use nal::eval::{EvalCtx, EvalError, EvalResult, Scope};
 use nal::expr::visit;
-use nal::{CmpOp, Expr, GroupFn, ProjOp, Scalar, Seq, Sym, Tuple, Value};
+use nal::{CmpOp, Expr, GroupFn, Scalar, Seq, Sym, Tuple, Value};
 
 use crate::access::RangeProbe;
 use crate::pipeline::cursor::{Materialize, Meter, Metered};
-use crate::pipeline::{drain, lower, BoxCursor, Cursor, Lowering};
-use crate::plan::{JoinKind, JoinOn, Keep, PhysPlan};
+use crate::pipeline::{contains_xi, drain, lower, BoxCursor, Cursor, Lowering};
+use crate::plan::{PhysPlan, Schema};
 use crate::theta::{as_range_conjunct, range_sides, OrderedKeys, View};
 
 /// The nested blocks of one subscript, compiled, in the order
@@ -125,10 +131,15 @@ pub struct Block {
     pub plan: PhysPlan,
     /// May a quantifier pull it only as far as its decision?
     pub lazy: bool,
-    /// The pre-order positions of the roots of its shared subtrees, each
-    /// with the conjunct its index answers for the σ right above it.
-    shared: Box<[(usize, Option<Indexed>)]>,
+    /// Does running it write Ξ output, in its plan or its own blocks?
+    writes_xi: bool,
+    /// Its shared subtrees.
+    shared: Shared,
 }
+
+/// The pre-order positions of the roots of a block's shared subtrees,
+/// each with the conjunct its index answers for the σ right above it.
+type Shared = Box<[(usize, Option<Indexed>)]>;
 
 /// A correlated σ's conjunct `side θ k` or `side ∈ k` over a shared
 /// subtree, which the subtree's spool is indexed on: `k` is an
@@ -163,7 +174,7 @@ impl Block {
         let mut roots = Vec::with_capacity(self.shared.len());
         if !self.shared.is_empty() {
             let (mut at, mut above) = (0, &self.plan);
-            preorder(&self.plan, &mut |node| {
+            self.plan.walk(&mut |node| {
                 if let Some((_, index)) = self.shared.iter().find(|(p, _)| *p == at) {
                     // A σ's input follows it in pre-order.
                     roots.push((node, index.as_ref().map(|index| (above, index))));
@@ -172,14 +183,6 @@ impl Block {
             });
         }
         roots
-    }
-}
-
-/// Visit `plan`'s nodes in pre-order, inputs left to right.
-fn preorder<'p>(plan: &'p PhysPlan, visit: &mut impl FnMut(&'p PhysPlan)) {
-    visit(plan);
-    for input in plan.inputs().into_iter().flatten() {
-        preorder(input, visit);
     }
 }
 
@@ -196,14 +199,21 @@ impl Blocks {
         visit::find_nested_expr(s, &mut |e| {
             let mut plan = compile(e);
             hoist_closed_conjuncts(&mut plan);
+            let (shared, lazy) = shared_and_lazy(&plan);
             blocks.push(Block {
-                shared: shared_subtrees(&plan),
+                shared,
+                lazy,
+                writes_xi: contains_xi(&plan),
                 plan,
-                lazy: unobservable(e),
             });
             false
         });
         Blocks(Some(blocks.into()))
+    }
+
+    /// Does evaluating the subscript write Ξ output?
+    pub(crate) fn writes_xi(&self) -> bool {
+        self.iter().any(|b| b.writes_xi)
     }
 
     /// The compiled blocks.
@@ -619,22 +629,6 @@ impl Nested for Compiled<'_, '_> {
     }
 }
 
-/// Can pulling only a prefix of `block` go unnoticed — can it neither
-/// fail nor write Ξ output? (The rule in the module documentation.)
-fn unobservable(block: &Expr) -> bool {
-    let mut quiet = true;
-    visit::walk(block, &mut |e| {
-        quiet &= match e {
-            Expr::XiSimple { .. }
-            | Expr::XiGroup { .. }
-            | Expr::Unnest { .. }
-            | Expr::AttrRel(_) => false,
-            _ => visit::scalars(e).into_iter().all(Scalar::replay_safe),
-        }
-    });
-    quiet
-}
-
 /// Move the closed conjuncts of each correlated σ over a closed input
 /// into a σ of their own below it, where the input's shared subtree
 /// takes them in: the rule in the module documentation.
@@ -645,14 +639,18 @@ fn hoist_closed_conjuncts(plan: &mut PhysPlan) {
     let PhysPlan::Select { input, pred, .. } = plan else {
         return;
     };
-    let Some(below) = closure(input, &mut 0, &mut Vec::new()).filter(Closure::closed) else {
+    let (below, Some(c)) = closure(input, &mut 0, &mut Vec::new()) else {
         return;
     };
+    if !c.closed() {
+        return;
+    }
     let (mut closed, mut open) = (Vec::new(), Vec::new());
     // Is every conjunct kept above so far total — can a later one jump it?
     let mut total_above = true;
     for c in pred.conjuncts() {
-        let reads_input = !c.has_nested_expr() && c.free_attrs().is_subset(&below.emits);
+        let reads_input =
+            !c.has_nested_expr() && c.free_attrs().iter().all(|a| below.sure.contains(a));
         let leading = open.is_empty();
         if reads_input && (leading || (total_above && c.replay_safe())) {
             closed.push(c.clone());
@@ -674,53 +672,41 @@ fn hoist_closed_conjuncts(plan: &mut PhysPlan) {
 }
 
 /// What evaluating a subtree reads from the scope it is evaluated in,
-/// and the attributes every tuple it emits is sure to carry.
+/// and whether pulling only a prefix of it goes unnoticed.
 #[derive(Clone, Default)]
 struct Closure {
     reads: BTreeSet<Sym>,
-    emits: BTreeSet<Sym>,
+    /// It can neither fail nor write Ξ output (the rule in the module
+    /// documentation), and no node's rows may lack an attribute its
+    /// other rows carry (`may` is `sure` where it is known): such a row
+    /// could fail where the drained rest of a range does.
+    quiet: bool,
 }
 
 impl Closure {
     fn closed(&self) -> bool {
         self.reads.is_empty()
     }
-
-    /// Also read what `s` (with its `blocks`) reads of the scope when it
-    /// is evaluated over rows carrying `row` — `None` when that is not
-    /// understood.
-    fn reading(mut self, s: &Scalar, blocks: &Blocks, row: &BTreeSet<Sym>) -> Option<Closure> {
-        let mut read = BTreeSet::new();
-        scalar_reads(s, &mut blocks.iter(), &mut read)?;
-        self.reads.extend(read.difference(row));
-        Some(self)
-    }
-
-    /// Emit only what `keep` lets through.
-    fn keeping(mut self, keep: &Keep) -> Closure {
-        if let Some(only) = keep.attrs() {
-            self.emits.retain(|a| only.contains(a));
-        }
-        self
-    }
 }
 
 /// The pre-order positions of `plan`'s shared subtrees, with their
-/// indexed conjuncts: the rules in the module documentation.
-fn shared_subtrees(plan: &PhysPlan) -> Box<[(usize, Option<Indexed>)]> {
+/// indexed conjuncts, and whether a quantifier may pull `plan` only as
+/// far as its decision: the rules in the module documentation.
+fn shared_and_lazy(plan: &PhysPlan) -> (Shared, bool) {
     let mut shared = Vec::new();
-    let root = closure(plan, &mut 0, &mut shared);
+    let (_, root) = closure(plan, &mut 0, &mut shared);
+    let lazy = root.as_ref().is_some_and(|c| c.quiet);
     if root.is_some_and(|c| c.closed()) && !bare(plan) {
-        return Box::new([(0, None)]);
+        shared = vec![(0, None)];
     }
-    shared.into()
+    (shared.into(), lazy)
 }
 
 /// The first conjunct of a σ over rows sure to carry `emits` that an
 /// index of them answers — `side θ k` or `side ∈ k`, either way round,
 /// θ not `≠` — where it and every conjunct before it are replay-safe:
 /// the σ evaluates those on each row a probe skips.
-fn indexed(pred: &Scalar, emits: &BTreeSet<Sym>) -> Option<Indexed> {
+fn indexed(pred: &Scalar, emits: &[Sym]) -> Option<Indexed> {
     let mut reads = BTreeSet::new();
     for c in pred.conjuncts() {
         if !c.replay_safe() {
@@ -737,7 +723,7 @@ fn indexed(pred: &Scalar, emits: &BTreeSet<Sym>) -> Option<Indexed> {
                 side_reads: probe.side.free_attrs().into_iter().collect(),
                 probe,
                 member,
-                outer: reads.difference(emits).copied().collect(),
+                outer: reads.into_iter().filter(|a| !emits.contains(a)).collect(),
             });
         }
     }
@@ -749,195 +735,95 @@ fn bare(plan: &PhysPlan) -> bool {
     matches!(plan, PhysPlan::Singleton | PhysPlan::Literal(_))
 }
 
-/// The [`Closure`] of the subtree at pre-order position `at` (advanced
-/// past it), or `None` when it cannot be shared at any outer tuple; the
-/// positions of its maximal closed inputs, and theirs, go to `shared`,
-/// an input of a σ with the conjunct its index answers.
+/// The [`Schema`] of the subtree at pre-order position `at` (advanced
+/// past it) and its [`Closure`], `None` when it cannot be shared at any
+/// outer tuple; the positions of its maximal closed inputs, and theirs,
+/// go to `shared`, an input of a σ with the conjunct its index answers.
 fn closure(
     plan: &PhysPlan,
     at: &mut usize,
     shared: &mut Vec<(usize, Option<Indexed>)>,
-) -> Option<Closure> {
+) -> (Schema, Option<Closure>) {
     *at += 1;
     let [l, r] = plan.inputs().map(|input| {
         input.map(|input| {
             let position = *at;
-            (position, input, closure(input, at, shared))
+            let (schema, c) = closure(input, at, shared);
+            (position, input, schema, c)
         })
     });
-    let here = node_closure(
-        plan,
-        l.as_ref().and_then(|(.., c)| c.as_ref()),
-        r.as_ref().and_then(|(.., c)| c.as_ref()),
-    );
-    if !here.as_ref().is_some_and(Closure::closed) {
-        for (position, input, c) in [l, r].into_iter().flatten() {
-            let Some(c) = c.filter(|c| c.closed() && !bare(input)) else {
-                continue;
-            };
+    let [lc, rc] = [&l, &r].map(|i| i.as_ref().and_then(|(.., s, c)| Some((s, c.as_ref()?))));
+    let mut here = node_closure(plan, lc, rc);
+    let mut schemas = [None, None];
+    for (slot, input) in schemas.iter_mut().zip([l, r]) {
+        let Some((position, input, below, c)) = input else {
+            continue;
+        };
+        let shareable = c.is_some_and(|c| c.closed()) && !bare(input);
+        if shareable && !here.as_ref().is_some_and(Closure::closed) {
             let index = match plan {
-                PhysPlan::Select { pred, .. } => indexed(pred, &c.emits),
+                PhysPlan::Select { pred, .. } => indexed(pred, &below.sure),
                 _ => None,
             };
             shared.push((position, index));
         }
+        *slot = Some(below);
     }
-    here
+    let schema = plan.carries(schemas);
+    if let Some(here) = &mut here {
+        let sure = |a: &Sym| schema.sure.contains(a);
+        here.quiet &= schema.may.as_ref().is_none_or(|may| may.iter().all(sure));
+    }
+    (schema, here)
 }
 
-/// One operator's [`Closure`] from its inputs' (`None` for an input the
-/// analysis gave up on, or one the operator does not have).
-fn node_closure(plan: &PhysPlan, l: Option<&Closure>, r: Option<&Closure>) -> Option<Closure> {
-    Some(match plan {
-        PhysPlan::Singleton => Closure::default(),
-        PhysPlan::Literal(rows) => {
-            let mut rows = rows.iter().map(|t| t.attrs().into_iter().collect());
-            let first: BTreeSet<Sym> = rows.next().unwrap_or_default();
-            let emits = rows.fold(first, |all, row: BTreeSet<Sym>| &all & &row);
-            Closure {
-                reads: BTreeSet::new(),
-                emits,
-            }
-        }
-        PhysPlan::AttrRel(a) => Closure {
-            reads: BTreeSet::from([*a]),
-            emits: BTreeSet::new(),
-        },
-        PhysPlan::Select { pred, blocks, .. } => {
-            let input = l?;
-            input.clone().reading(pred, blocks, &input.emits)?
-        }
-        PhysPlan::Project { op, .. } => {
-            let mut c = l?.clone();
-            c.emits = projected(op, c.emits);
-            c
-        }
-        PhysPlan::Map {
-            attr,
-            value,
-            blocks,
-            keep,
-            ..
-        }
-        | PhysPlan::UnnestMap {
-            attr,
-            value,
-            blocks,
-            keep,
-            ..
-        } => {
-            let input = l?;
-            let mut c = input.clone().reading(value, blocks, &input.emits)?;
-            c.emits.insert(*attr);
-            c.keeping(keep)
-        }
-        PhysPlan::Unnest { attr, keep, .. } => {
-            let mut c = l?.clone();
-            c.emits.remove(attr);
-            c.keeping(keep)
-        }
-        PhysPlan::Join { on, kind, keep, .. } => join(l?, r?, on, kind, keep)?,
-        PhysPlan::Group {
-            g, by, f, blocks, ..
-        } => group(l?, *g, by, f, blocks)?,
-        PhysPlan::NestJoin {
-            g, f, blocks, keep, ..
-        } => nest_join(l?, r?, *g, f, blocks, keep)?,
+/// One operator's [`Closure`] from its inputs' schemas and closures
+/// (`None` for an input the analysis gave up on, or one the operator
+/// does not have): its inputs' reads, and what its subscript reads that
+/// the row it is evaluated over does not carry — an input's tuple, a
+/// join's pair, a member of a nest join's grouped (right) side. Quiet
+/// as far as its inputs and subscript go; [`closure`] checks its rows.
+fn node_closure(
+    plan: &PhysPlan,
+    l: Option<(&Schema, &Closure)>,
+    r: Option<(&Schema, &Closure)>,
+) -> Option<Closure> {
+    let (reads, quiet) = match plan {
+        PhysPlan::Singleton | PhysPlan::Literal(_) => (BTreeSet::new(), true),
+        PhysPlan::AttrRel(a) => (BTreeSet::from([*a]), false),
         // Ξ writes; the rest never sits in a block.
         PhysPlan::XiSimple { .. }
         | PhysPlan::XiGroup { .. }
         | PhysPlan::IndexScan { .. }
         | PhysPlan::IndexJoin { .. } => return None,
-    })
-}
-
-/// What a projection leaves of the attributes `emits` its input
-/// certainly carries.
-fn projected(op: &ProjOp, mut emits: BTreeSet<Sym>) -> BTreeSet<Sym> {
-    let renamed = |pairs: &[(Sym, Sym)], a: Sym| {
-        pairs
-            .iter()
-            .find(|(_, old)| *old == a)
-            .map_or(a, |(new, _)| *new)
-    };
-    match op {
-        ProjOp::Cols(cols) | ProjOp::DistinctCols(cols) => emits.retain(|a| cols.contains(a)),
-        ProjOp::Drop(cols) => emits.retain(|a| !cols.contains(a)),
-        ProjOp::Rename(pairs) => emits = emits.into_iter().map(|a| renamed(pairs, a)).collect(),
-        ProjOp::DistinctRename(pairs) => {
-            emits = pairs
-                .iter()
-                .filter(|(_, old)| emits.contains(old))
-                .map(|(new, _)| *new)
-                .collect()
-        }
-    }
-    emits
-}
-
-/// A join: both sides' reads, and the predicate's over the joined pair.
-fn join(l: &Closure, r: &Closure, on: &JoinOn, kind: &JoinKind, keep: &Keep) -> Option<Closure> {
-    let pair: BTreeSet<Sym> = l.emits.union(&r.emits).copied().collect();
-    let mut c = Closure {
-        reads: l.reads.union(&r.reads).copied().collect(),
-        emits: BTreeSet::new(),
-    };
-    if let Some(pred) = on.pred() {
-        c = c.reading(pred, on.blocks(), &pair)?;
-    }
-    c.emits = match kind {
-        JoinKind::Inner => pair,
-        JoinKind::Semi | JoinKind::Anti => l.emits.clone(),
-        // An unmatched tuple carries the padding and `g`, not the right
-        // side's attributes.
-        JoinKind::Outer { g, pad, .. } => {
-            let padded = |a: &&Sym| pad.contains(*a) || *a == g;
-            let right = r.emits.iter().filter(padded);
-            l.emits.iter().chain(right).copied().collect()
+        _ => {
+            let (ls, lc) = l?;
+            let right = match plan.inputs()[1] {
+                Some(_) => Some(r?),
+                None => None,
+            };
+            let mut reads = lc.reads.clone();
+            reads.extend(right.iter().flat_map(|(_, rc)| &rc.reads));
+            let carried = |a: &Sym| match (plan, right) {
+                (PhysPlan::Join { .. }, Some((rs, _))) => {
+                    ls.sure.contains(a) || rs.sure.contains(a)
+                }
+                (PhysPlan::NestJoin { .. }, Some((rs, _))) => rs.sure.contains(a),
+                _ => ls.sure.contains(a),
+            };
+            if let (Some(s), Some(blocks)) = (plan.subscript(), plan.blocks()) {
+                let mut read = BTreeSet::new();
+                scalar_reads(s, &mut blocks.iter(), &mut read)?;
+                reads.extend(read.into_iter().filter(|a| !carried(a)));
+            }
+            let quiet = lc.quiet
+                && right.is_none_or(|(_, rc)| rc.quiet)
+                && !matches!(plan, PhysPlan::Unnest { .. })
+                && plan.subscript().is_none_or(Scalar::replay_safe);
+            (reads, quiet)
         }
     };
-    Some(c.keeping(keep))
-}
-
-/// Unary Γ: its filter reads the scope over each member.
-fn group(input: &Closure, g: Sym, by: &[Sym], f: &GroupFn, blocks: &Blocks) -> Option<Closure> {
-    let mut c = Closure {
-        reads: input.reads.clone(),
-        emits: BTreeSet::new(),
-    };
-    if let Some(filter) = &f.filter {
-        c = c.reading(filter, blocks, &input.emits)?;
-    }
-    c.emits = input
-        .emits
-        .iter()
-        .filter(|a| by.contains(a))
-        .copied()
-        .collect();
-    c.emits.insert(g);
-    Some(c)
-}
-
-/// Binary Γ: its filter reads the scope over each member of the grouped
-/// (right) side; each left tuple gains `g`.
-fn nest_join(
-    l: &Closure,
-    r: &Closure,
-    g: Sym,
-    f: &GroupFn,
-    blocks: &Blocks,
-    keep: &Keep,
-) -> Option<Closure> {
-    let mut c = Closure {
-        reads: l.reads.union(&r.reads).copied().collect(),
-        emits: BTreeSet::new(),
-    };
-    if let Some(filter) = &f.filter {
-        c = c.reading(filter, blocks, &r.emits)?;
-    }
-    c.emits = l.emits.clone();
-    c.emits.insert(g);
-    Some(c.keeping(keep))
+    Some(Closure { reads, quiet })
 }
 
 /// Add to `out` what `s` reads of the scope it is evaluated in, its
@@ -951,7 +837,10 @@ fn scalar_reads<'b>(
     blocks: &mut impl Iterator<Item = &'b Block>,
     out: &mut BTreeSet<Sym>,
 ) -> Option<()> {
-    let block_closure = |block: &Block| closure(&block.plan, &mut 0, &mut Vec::new());
+    let block_closure = |block: &Block| {
+        let (schema, c) = closure(&block.plan, &mut 0, &mut Vec::new());
+        Some((schema, c?))
+    };
     match s {
         Scalar::Const(_) | Scalar::Doc(_) => {}
         Scalar::Attr(a) => {
@@ -974,19 +863,19 @@ fn scalar_reads<'b>(
             }
         }
         Scalar::Exists { var, pred, .. } | Scalar::Forall { var, pred, .. } => {
-            out.extend(block_closure(blocks.next()?)?.reads);
+            out.extend(block_closure(blocks.next()?)?.1.reads);
             let mut bound = BTreeSet::new();
             scalar_reads(pred, blocks, &mut bound)?;
             bound.remove(var);
             out.extend(bound);
         }
         Scalar::Agg { f, .. } => {
-            let input = block_closure(blocks.next()?)?;
+            let (members, input) = block_closure(blocks.next()?)?;
             out.extend(input.reads);
             if let Some(filter) = &f.filter {
                 let mut member = BTreeSet::new();
                 scalar_reads(filter, blocks, &mut member)?;
-                out.extend(member.difference(&input.emits));
+                out.extend(member.into_iter().filter(|a| !members.sure.contains(a)));
             }
         }
     }

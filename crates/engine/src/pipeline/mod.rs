@@ -33,65 +33,24 @@ pub mod ops;
 pub use cursor::{drain, BoxCursor, Cursor};
 
 use nal::eval::Scope;
-use nal::expr::visit;
-use nal::Scalar;
 
-use crate::nested::Replays;
+use crate::nested::{Blocks, Replays};
 use crate::plan::PhysPlan;
 use cursor::{AttrRel, Feed, Literal, Materialize, Meter, Metered, Once};
 
-/// Does evaluating this scalar write Ξ output? True when a nested
-/// algebraic expression inside it (a quantifier range, an aggregate
-/// input) contains a Ξ operator at any depth.
-fn scalar_emits_xi(s: &Scalar) -> bool {
-    s.has_nested_expr()
-        && visit::scalar_nested_exprs(s).into_iter().any(|nested| {
-            let mut found = false;
-            visit::walk_deep(nested, &mut |e| {
-                if matches!(e, nal::Expr::XiSimple { .. } | nal::Expr::XiGroup { .. }) {
-                    found = true;
-                }
-            });
-            found
-        })
-}
-
 /// Does executing this single operator (not its children) write to the
-/// output stream — as a Ξ operator, or through Ξ nested in its scalar?
-/// Asked of every node at every lowering, so it allocates nothing for
-/// the operators without nested algebra.
+/// output stream — as a Ξ operator, or through the nested blocks of its
+/// subscript (recorded when they were compiled)?
 fn node_emits_xi(plan: &PhysPlan) -> bool {
-    let scalar: Option<&Scalar> = match plan {
-        PhysPlan::XiSimple { .. } | PhysPlan::XiGroup { .. } => return true,
-        PhysPlan::Select { pred, .. } => Some(pred),
-        PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => Some(value),
-        PhysPlan::Join { on, .. } => on.pred(),
-        // Recipe probe sides and replayed pipelines are replay-safe (no
-        // nested algebra) by conversion; only the residual could carry Ξ.
-        PhysPlan::IndexJoin { recipe, .. } => recipe.residual.as_ref(),
-        PhysPlan::Group { f, .. } | PhysPlan::NestJoin { f, .. } => f.filter.as_deref(),
-        PhysPlan::Singleton
-        | PhysPlan::Literal(_)
-        | PhysPlan::AttrRel(_)
-        | PhysPlan::Project { .. }
-        | PhysPlan::Unnest { .. }
-        // Index scans have a pure structural subscript by construction.
-        | PhysPlan::IndexScan { .. } => None,
-    };
-    scalar.is_some_and(scalar_emits_xi)
+    matches!(plan, PhysPlan::XiSimple { .. } | PhysPlan::XiGroup { .. })
+        || plan.blocks().is_some_and(Blocks::writes_xi)
 }
 
-/// Does this subtree write to the output stream anywhere — through a Ξ
-/// operator or through Ξ nested inside an operator's scalars?
-fn contains_xi(plan: &PhysPlan) -> bool {
-    node_emits_xi(plan) || plan.inputs().into_iter().flatten().any(contains_xi)
-}
-
-/// The reference evaluator evaluates a binary operator's left input
-/// completely before its right; when either subtree writes Ξ output the
-/// cursors must reproduce that order by buffering the left side first.
-fn needs_strict_order(left: &PhysPlan, right: &PhysPlan) -> bool {
-    contains_xi(left) || contains_xi(right)
+/// Does this subtree write to the output stream anywhere?
+pub(crate) fn contains_xi(plan: &PhysPlan) -> bool {
+    let mut found = false;
+    plan.walk(&mut |node| found |= node_emits_xi(node));
+    found
 }
 
 /// Lower a physical plan into a cursor tree whose tuples are evaluated
@@ -244,7 +203,7 @@ impl<'a> Lowering<'a> {
                     kind,
                     keep.attrs(),
                     env,
-                    needs_strict_order(left, right),
+                    contains_xi(left) || contains_xi(right),
                 ),
             ),
             PhysPlan::Group {
@@ -282,7 +241,7 @@ impl<'a> Lowering<'a> {
             } => metered(
                 plan,
                 join::NestJoin {
-                    strict: needs_strict_order(left, right),
+                    strict: contains_xi(left) || contains_xi(right),
                     left: Feed::Stream(self.lower(left)),
                     right: self.lower(right),
                     g: *g,

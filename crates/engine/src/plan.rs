@@ -20,9 +20,18 @@
 //! semantics; the nested algebra blocks inside them — what makes a
 //! *nested plan* nested — are compiled here, with the plan, and run on
 //! the engine ([`crate::nested`]).
+//!
+//! **One attribute analysis.** What an operator's tuples carry — §2's
+//! A(e), over the compiled plan — is one per-node transfer function,
+//! [`PhysPlan::carries`], folded bottom-up by [`PhysPlan::schema`]: a
+//! [`Schema`] of the attributes every tuple carries (`sure`, after
+//! `keep` and Π) and an upper bound of what any can carry (`may`, none
+//! when a relation below has no static schema). The θ-split and the
+//! hash-key choice here, the dead-attribute pass, the nested blocks'
+//! sharing and laziness rules and the index tracer all ask it; nothing
+//! is stored on the nodes, which passes rewrite after compilation.
 
-use nal::expr::attrs::{attr_set, nested_attrs};
-use nal::expr::visit;
+use nal::expr::attrs::attr_set;
 use nal::{Expr, GroupFn, ProjOp, Scalar, Sym, Value, XiCmd};
 
 use crate::nested::Blocks;
@@ -54,6 +63,59 @@ impl Keep {
         match &self.only {
             None => true,
             Some(only) => only.contains(&a),
+        }
+    }
+}
+
+/// What a node's tuples carry ([`PhysPlan::carries`]). Each set is a
+/// list without repeats, in no particular order: an operator's tuples
+/// carry a handful of attributes, and a compilation folds the sets of
+/// every join side.
+#[derive(Clone, Debug, Default)]
+pub struct Schema {
+    /// The attributes every emitted tuple carries.
+    pub sure: Vec<Sym>,
+    /// An upper bound of the attributes a tuple can carry; `None` when
+    /// some relation below — build sides included — has no static
+    /// schema: `rel(a)`, an empty literal, a μ whose nested schema is
+    /// unknown. Not a bound above a μ over a literal whose nested
+    /// relations carry different attributes: its `inner_attrs` are the
+    /// first non-empty one's (ROADMAP, "μ's nested schema from one row").
+    pub may: Option<Vec<Sym>>,
+}
+
+impl Schema {
+    /// Apply `f` to both sets.
+    fn map(mut self, f: impl Fn(&mut Vec<Sym>)) -> Schema {
+        f(&mut self.sure);
+        self.may.iter_mut().for_each(&f);
+        self
+    }
+
+    /// With `a` bound on every tuple.
+    fn with(self, a: Sym) -> Schema {
+        self.map(|set| extend(set, &[a]))
+    }
+
+    /// Unknown in `may` when `build`, a side joined for its matches
+    /// only, is.
+    fn probing(self, build: &Schema) -> Schema {
+        Schema {
+            may: self.may.filter(|_| build.may.is_some()),
+            ..self
+        }
+    }
+
+    /// Only the attributes `attrs` lists.
+    fn only(self, attrs: &[Sym]) -> Schema {
+        self.map(|set| set.retain(|a| attrs.contains(a)))
+    }
+
+    /// Only what `keep` lets through.
+    fn kept(self, keep: &Keep) -> Schema {
+        match keep.attrs() {
+            None => self,
+            Some(only) => self.only(only),
         }
     }
 }
@@ -458,6 +520,19 @@ impl PhysPlan {
         }
     }
 
+    /// The subscript whose nested blocks [`Self::blocks`] holds: a σ's
+    /// or a join's predicate, a χ's or Υ's value, a Γ's filter.
+    pub(crate) fn subscript(&self) -> Option<&Scalar> {
+        match self {
+            PhysPlan::Select { pred, .. } => Some(pred),
+            PhysPlan::Map { value, .. } | PhysPlan::UnnestMap { value, .. } => Some(value),
+            PhysPlan::Join { on, .. } => on.pred(),
+            PhysPlan::Group { f, .. } | PhysPlan::NestJoin { f, .. } => f.filter.as_deref(),
+            PhysPlan::IndexJoin { recipe, .. } => recipe.residual.as_ref(),
+            _ => None,
+        }
+    }
+
     /// The node's direct plan inputs, in left-to-right order (the probe
     /// side only for [`PhysPlan::IndexJoin`] — the build side is never
     /// executed). Used by explain rendering and per-node cost/trace
@@ -485,6 +560,113 @@ impl PhysPlan {
                 [Some(left), Some(right)]
             }
         }
+    }
+
+    /// Visit the plan's nodes in pre-order, inputs left to right (not
+    /// the nested blocks of subscripts).
+    pub fn walk<'p>(&'p self, visit: &mut impl FnMut(&'p PhysPlan)) {
+        visit(self);
+        for input in self.inputs().into_iter().flatten() {
+            input.walk(visit);
+        }
+    }
+
+    /// What this node's tuples carry, folded bottom-up with
+    /// [`Self::carries`].
+    pub fn schema(&self) -> Schema {
+        self.carries(self.inputs().map(|input| input.map(PhysPlan::schema)))
+    }
+
+    /// Is this a relation without a static schema: `rel(a)`, an empty
+    /// literal, a μ whose nested schema is unknown? No [`Schema::may`]
+    /// is known above one.
+    pub(crate) fn unbounded(&self) -> bool {
+        match self {
+            PhysPlan::AttrRel(_) => true,
+            PhysPlan::Literal(rows) => rows.is_empty(),
+            PhysPlan::Unnest { inner_attrs, .. } => inner_attrs.is_empty(),
+            _ => false,
+        }
+    }
+
+    /// What this node's tuples carry, given its inputs' schemas (in
+    /// [`Self::children`] order): the one transfer function every pass
+    /// that asks "what does this input carry?" goes through. It takes
+    /// the inputs' sets over, so a fold copies none of them.
+    pub fn carries(&self, [l, r]: [Option<Schema>; 2]) -> Schema {
+        // A leaf has no inputs; the defaults go unread.
+        let (l, mut r) = (l.unwrap_or_default(), r.unwrap_or_default());
+        let mut schema = match self {
+            PhysPlan::Singleton => Schema {
+                sure: Vec::new(),
+                may: Some(Vec::new()),
+            },
+            PhysPlan::Literal(rows) => {
+                let mut may = Vec::new();
+                for (a, _) in rows.iter().flat_map(|t| t.iter()) {
+                    extend(&mut may, &[a]);
+                }
+                let sure = may
+                    .iter()
+                    .filter(|a| rows.iter().all(|t| t.get(**a).is_some()));
+                Schema {
+                    sure: sure.copied().collect(),
+                    may: Some(may),
+                }
+            }
+            PhysPlan::AttrRel(_) => Schema::default(),
+            PhysPlan::Select { .. } | PhysPlan::XiSimple { .. } | PhysPlan::IndexJoin { .. } => l,
+            PhysPlan::Project { op, .. } => l.map(|set| project(op, set)),
+            PhysPlan::Map { attr, keep, .. }
+            | PhysPlan::UnnestMap { attr, keep, .. }
+            | PhysPlan::IndexScan { attr, keep, .. } => l.with(*attr).kept(keep),
+            PhysPlan::Unnest {
+                input,
+                attr,
+                inner_attrs,
+                keep,
+                ..
+            } => {
+                let mut s = l.map(|set| set.retain(|a| a != attr));
+                // Each nested tuple of a lifted sequence carries its one
+                // attribute, and so does the padding of an empty one.
+                if lifted(input, *attr) {
+                    extend(&mut s.sure, inner_attrs);
+                }
+                (s.may.iter_mut()).for_each(|may| extend(may, inner_attrs));
+                s.kept(keep)
+            }
+            // A build side counts towards `may`.
+            PhysPlan::Join {
+                kind: JoinKind::Semi | JoinKind::Anti,
+                ..
+            } => l.probing(&r),
+            PhysPlan::Join { kind, keep, .. } => {
+                if let JoinKind::Outer { g, pad, .. } = kind {
+                    // An unmatched tuple carries the padding and `g`, not
+                    // the right side's other attributes.
+                    r.sure.retain(|a| pad.contains(a) || a == g);
+                    if let Some(may) = &mut r.may {
+                        extend(may, pad);
+                        extend(may, &[*g]);
+                    }
+                }
+                let may = l.may.zip(r.may).map(|(mut may, r)| {
+                    extend(&mut may, &r);
+                    may
+                });
+                let mut sure = l.sure;
+                extend(&mut sure, &r.sure);
+                Schema { sure, may }.kept(keep)
+            }
+            PhysPlan::Group { g, by, .. } => l.only(by).with(*g),
+            PhysPlan::NestJoin { g, keep, .. } => l.probing(&r).with(*g).kept(keep),
+            PhysPlan::XiGroup { by, .. } => l.only(by),
+        };
+        if self.unbounded() {
+            schema.may = None;
+        }
+        schema
     }
 
     /// [`Self::children`] by mutable reference — what the rewrite passes
@@ -570,22 +752,24 @@ fn choose(e: &Expr, block: fn(&Expr) -> PhysPlan) -> PhysPlan {
             kind: JoinKind::Inner,
             keep: Keep::default(),
         },
-        Expr::Join { left, right, pred } => join(left, right, pred, JoinKind::Inner, block),
-        Expr::SemiJoin { left, right, pred } => join(left, right, pred, JoinKind::Semi, block),
-        Expr::AntiJoin { left, right, pred } => join(left, right, pred, JoinKind::Anti, block),
-        Expr::OuterJoin {
-            left,
-            right,
-            pred,
-            g,
-            default,
+        Expr::Join { left, right, pred }
+        | Expr::SemiJoin { left, right, pred }
+        | Expr::AntiJoin { left, right, pred }
+        | Expr::OuterJoin {
+            left, right, pred, ..
         } => {
-            let kind = JoinKind::Outer {
-                g: *g,
-                default: default.clone(),
-                pad: attr_set(right).into_iter().filter(|a| a != g).collect(),
+            let kind = match e {
+                Expr::Join { .. } => JoinKind::Inner,
+                Expr::SemiJoin { .. } => JoinKind::Semi,
+                Expr::AntiJoin { .. } => JoinKind::Anti,
+                Expr::OuterJoin { g, default, .. } => JoinKind::Outer {
+                    g: *g,
+                    default: default.clone(),
+                    pad: attr_set(right).into_iter().filter(|a| a != g).collect(),
+                },
+                _ => unreachable!("matched above"),
             };
-            join(left, right, pred, kind, block)
+            join(input(left), input(right), pred, kind, block)
         }
         Expr::GroupUnary {
             input: i,
@@ -675,43 +859,41 @@ fn filter_blocks(f: &GroupFn, block: fn(&Expr) -> PhysPlan) -> Blocks {
 /// Split a join predicate into hashable equi-pairs and a residual; choose
 /// the hash strategy when there is a pair, the θ strategy otherwise.
 fn join(
-    left: &Expr,
-    right: &Expr,
+    left: Box<PhysPlan>,
+    right: Box<PhysPlan>,
     pred: &Scalar,
     kind: JoinKind,
     block: fn(&Expr) -> PhysPlan,
 ) -> PhysPlan {
-    let l = Box::new(choose(left, block));
-    let r = Box::new(choose(right, block));
-    let a_l = attr_set(left);
-    let a_r = attr_set(right);
-
-    let mut left_keys = Vec::new();
-    let mut right_keys = Vec::new();
-    let mut residual = Vec::new();
-    for c in pred.conjuncts() {
-        match c {
-            Scalar::Cmp(nal::CmpOp::Eq, x, y) => match (x.as_ref(), y.as_ref()) {
-                (Scalar::Attr(xa), Scalar::Attr(ya)) if a_l.contains(xa) && a_r.contains(ya) => {
-                    left_keys.push(*xa);
-                    right_keys.push(*ya);
-                }
-                (Scalar::Attr(xa), Scalar::Attr(ya)) if a_r.contains(xa) && a_l.contains(ya) => {
-                    left_keys.push(*ya);
-                    right_keys.push(*xa);
-                }
-                _ => residual.push((*c).clone()),
-            },
-            other => residual.push(other.clone()),
-        }
-    }
+    let (l, r) = (&left.schema(), &right.schema());
+    // An equi-pair is a hash key only when every tuple of each side
+    // carries its attribute: a missing key would match nothing where the
+    // reference fails on the comparison.
+    let key = |c: &Scalar| match c {
+        Scalar::Cmp(nal::CmpOp::Eq, x, y) => match (x.as_ref(), y.as_ref()) {
+            (Scalar::Attr(x), Scalar::Attr(y)) if l.sure.contains(x) && r.sure.contains(y) => {
+                Some((*x, *y))
+            }
+            (Scalar::Attr(x), Scalar::Attr(y)) if r.sure.contains(x) && l.sure.contains(y) => {
+                Some((*y, *x))
+            }
+            _ => None,
+        },
+        _ => None,
+    };
+    let conjuncts = pred.conjuncts();
+    let (left_keys, right_keys): (Vec<Sym>, Vec<Sym>) =
+        conjuncts.iter().filter_map(|c| key(c)).unzip();
     let on = if left_keys.is_empty() {
-        let known = schema_known(left) && schema_known(right);
         JoinOn::Theta {
             pred: pred.clone(),
-            split: ThetaSplit::of(pred, &a_l, &a_r, known, Blocks::of(pred, block)),
+            split: ThetaSplit::of(pred, l, r, Blocks::of(pred, block)),
         }
     } else {
+        let residual: Vec<Scalar> = (conjuncts.into_iter())
+            .filter(|c| key(c).is_none())
+            .cloned()
+            .collect();
         let residual = (!residual.is_empty()).then(|| Scalar::conjoin(residual));
         JoinOn::Hash {
             left_keys,
@@ -723,28 +905,66 @@ fn join(
         }
     };
     PhysPlan::Join {
-        left: l,
-        right: r,
+        left,
+        right,
         on,
         kind,
         keep: Keep::default(),
     }
 }
 
-/// Is `attr_set(e)` complete — does it name every attribute `e`'s
-/// tuples can carry? Not when a relation's schema is unknown statically
-/// (`rel(a)`, a literal without rows, or a μ over an attribute whose
-/// nested schema cannot be inferred); a predicate conjunct could then
-/// mention the side without it showing.
-fn schema_known(e: &Expr) -> bool {
-    let mut known = true;
-    visit::walk_deep(e, &mut |n| match n {
-        Expr::AttrRel(_) => known = false,
-        Expr::Literal(rows) if rows.is_empty() => known = false,
-        Expr::Unnest { input, attr, .. } if nested_attrs(input, *attr).is_none() => known = false,
-        _ => {}
-    });
-    known
+/// Is `attr` bound below `plan` by a χ that lifts each item of a
+/// sequence into a one-attribute tuple (`e[a]`)?
+fn lifted(plan: &PhysPlan, attr: Sym) -> bool {
+    match plan {
+        PhysPlan::Map {
+            input,
+            attr: a,
+            value,
+            ..
+        } => match *a == attr {
+            true => matches!(value, Scalar::Lift(..)),
+            false => lifted(input, attr),
+        },
+        PhysPlan::UnnestMap { input, attr: a, .. } | PhysPlan::IndexScan { input, attr: a, .. } => {
+            *a != attr && lifted(input, attr)
+        }
+        PhysPlan::Select { input, .. } => lifted(input, attr),
+        _ => false,
+    }
+}
+
+/// Add `more` to the set `set`, skipping what it holds.
+fn extend(set: &mut Vec<Sym>, more: &[Sym]) {
+    for a in more {
+        if !set.contains(a) {
+            set.push(*a);
+        }
+    }
+}
+
+/// What a projection leaves of the attribute set `attrs`.
+fn project(op: &ProjOp, attrs: &mut Vec<Sym>) {
+    let renamed = |pairs: &[(Sym, Sym)], a: Sym| {
+        let pair = pairs.iter().find(|(_, old)| *old == a);
+        pair.map_or(a, |(new, _)| *new)
+    };
+    match op {
+        ProjOp::Cols(cols) | ProjOp::DistinctCols(cols) => attrs.retain(|a| cols.contains(a)),
+        ProjOp::Drop(cols) => attrs.retain(|a| !cols.contains(a)),
+        ProjOp::Rename(pairs) => {
+            let old = std::mem::take(attrs);
+            for a in old {
+                extend(attrs, &[renamed(pairs, a)]);
+            }
+        }
+        ProjOp::DistinctRename(pairs) => {
+            *attrs = (pairs.iter())
+                .filter(|(_, old)| attrs.contains(old))
+                .map(|(new, _)| *new)
+                .collect()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -950,6 +1170,12 @@ mod tests {
         // A side whose schema is not statically known could bind `b`.
         let unknown = Expr::AttrRel(Sym::new("g"));
         assert!(whole(&split_of(&unknown.join(r, floor.clone())), &floor));
+        // A row of the right side may lack `b`: `b ≤ 5` fails on it.
+        let ragged = Expr::Literal(vec![
+            nal::Tuple::singleton(Sym::new("b"), Value::Int(3)),
+            nal::Tuple::singleton(Sym::new("y"), Value::Int(4)),
+        ]);
+        assert!(whole(&split_of(&l.join(ragged, floor.clone())), &floor));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! A [`PhysPlan::Join`](crate::plan::PhysPlan::Join) with the θ strategy
 //! ([`JoinOn::Theta`](crate::plan::JoinOn::Theta)) carries its predicate
-//! twice: whole (`pred`, what the access-path tracer and the Ξ analysis
-//! read) and as a compile-time [`ThetaSplit`] of its conjuncts by the
-//! side they mention. [`ThetaBuild`] is the materialized right side
+//! twice: whole (`pred`, what the access-path tracer reads) and as a
+//! compile-time [`ThetaSplit`] of its conjuncts by the side they
+//! mention — the sides' [`Schema::may`](crate::plan::Schema) says
+//! which. [`ThetaBuild`] is the materialized right side
 //! prepared for probing — built once per execution, on the first pull of
 //! the [`crate::pipeline::join::Join`] cursor, which asks it for each
 //! probe tuple's candidates and verifies them:
@@ -25,9 +26,11 @@
 //! The split is applied only when **every** conjunct is
 //! [`Scalar::replay_safe`] — the rule the index tracer uses: evaluations
 //! the probe skips must be unobservable (no nested algebra, no Ξ, no
-//! erroring call). Otherwise the whole predicate is the pair part and
-//! every row is examined in arrival order, exactly the definitional
-//! loop.
+//! erroring call) — both sides' `may` is known, and no conjunct reads an
+//! attribute a side may lack (in its `may`, not its `sure`), which would
+//! fail on the row without it. Otherwise the whole predicate is the pair
+//! part and every row is examined in arrival order, exactly the
+//! definitional loop.
 //!
 //! **The ordered views are a superset filter, never the judge.** A
 //! window may leave out only rows [`nal::cmp_general`] would reject for
@@ -46,7 +49,6 @@
 //! pair.
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use nal::eval::{EvalCtx, EvalResult, Scope};
@@ -55,6 +57,7 @@ use xmldb::{Catalog, ValueKey};
 
 use crate::access::RangeProbe;
 use crate::nested::{Blocks, Spooled};
+use crate::plan::Schema;
 
 /// A θ-join's predicate, split at compile time by the side each
 /// conjunct mentions. `None` parts are empty conjunctions (true); the
@@ -84,35 +87,32 @@ impl ThetaSplit {
         self.right_only.is_none() && self.left_only.is_none() && self.pair.is_none()
     }
 
-    /// Split `pred` over a join whose sides produce `a_l` / `a_r`.
-    /// `schemas_known` says both attribute sets are complete (a side
-    /// whose schema is not statically known could hide a reference to
-    /// it); without that, or with a conjunct that is not replay-safe,
-    /// the whole predicate stays the pair part. `blocks` are `pred`'s
-    /// compiled nested blocks.
-    pub fn of(
-        pred: &Scalar,
-        a_l: &BTreeSet<Sym>,
-        a_r: &BTreeSet<Sym>,
-        schemas_known: bool,
-        blocks: Blocks,
-    ) -> ThetaSplit {
+    /// Split `pred` over a join whose sides carry `left` / `right`. The
+    /// whole predicate stays the pair part unless both sides' `may` is
+    /// known (a side could otherwise hide a reference to it), every
+    /// conjunct is replay-safe, and each attribute a conjunct reads of a
+    /// side is one every tuple of that side carries (a row without it
+    /// fails the conjunct, which the split may not evaluate). `blocks`
+    /// are `pred`'s compiled nested blocks.
+    pub fn of(pred: &Scalar, left: &Schema, right: &Schema, blocks: Blocks) -> ThetaSplit {
         let conjuncts = pred.conjuncts();
-        if !schemas_known || !conjuncts.iter().all(|c| c.replay_safe()) {
-            return ThetaSplit {
-                right_only: None,
-                left_only: None,
-                pair: Some(pred.clone()),
-                range: None,
-                blocks,
-            };
-        }
+        let (Some(a_l), Some(a_r)) = (&left.may, &right.may) else {
+            return ThetaSplit::whole(pred, blocks);
+        };
         let (mut right_only, mut left_only, mut pair) = (Vec::new(), Vec::new(), Vec::new());
         let mut range: Option<(Sym, Vec<RangeProbe>)> = None;
         for c in conjuncts {
-            let free = c.free_attrs();
-            let on_right = free.iter().any(|a| a_r.contains(a));
-            if !free.iter().any(|a| a_l.contains(a)) {
+            let (mut on_left, mut on_right, mut bound) = (false, false, true);
+            // Replay-safe conjuncts embed no nested algebra: flat.
+            let flat = c.flat_attrs(&mut |a| {
+                let (l, r) = (a_l.contains(&a), a_r.contains(&a));
+                (on_left, on_right) = (on_left || l, on_right || r);
+                bound &= (!l || left.sure.contains(&a)) && (!r || right.sure.contains(&a));
+            });
+            if !(flat && bound && c.replay_safe()) {
+                return ThetaSplit::whole(pred, blocks);
+            }
+            if !on_left {
                 right_only.push(c.clone());
             } else if !on_right {
                 left_only.push(c.clone());
@@ -135,6 +135,15 @@ impl ThetaSplit {
             blocks,
         }
     }
+
+    /// The declined split: the whole predicate is the pair part.
+    fn whole(pred: &Scalar, blocks: Blocks) -> ThetaSplit {
+        ThetaSplit {
+            pair: Some(pred.clone()),
+            blocks,
+            ..ThetaSplit::default()
+        }
+    }
 }
 
 /// Recognize `side θ key` (or `key θ side`, flipped) with θ ∈
@@ -143,7 +152,7 @@ impl ThetaSplit {
 /// is no range: its key set is two disjoint ranges, not one. The one
 /// definition of "range conjunct" — the index tracer
 /// ([`crate::access::join_recipe`]) and [`ThetaSplit::of`] both use it.
-pub(crate) fn as_range_conjunct(c: &Scalar, r_attrs: &BTreeSet<Sym>) -> Option<(Sym, RangeProbe)> {
+pub(crate) fn as_range_conjunct(c: &Scalar, r_attrs: &[Sym]) -> Option<(Sym, RangeProbe)> {
     match c {
         Scalar::Cmp(op, x, y) if *op != CmpOp::Ne => range_sides(*op, x, y, r_attrs),
         _ => None,
@@ -156,14 +165,16 @@ pub(crate) fn range_sides(
     op: CmpOp,
     x: &Scalar,
     y: &Scalar,
-    r_attrs: &BTreeSet<Sym>,
+    r_attrs: &[Sym],
 ) -> Option<(Sym, RangeProbe)> {
     let as_key = |s: &Scalar| match s {
         Scalar::Attr(a) if r_attrs.contains(a) => Some(*a),
         _ => None,
     };
-    let side_ok =
-        |s: &Scalar| s.replay_safe() && s.free_attrs().iter().all(|a| !r_attrs.contains(a));
+    let side_ok = |s: &Scalar| {
+        let mut free = true;
+        s.replay_safe() && s.flat_attrs(&mut |a| free &= !r_attrs.contains(&a)) && free
+    };
     let probe = |side: &Scalar, op| RangeProbe {
         side: side.clone(),
         op,

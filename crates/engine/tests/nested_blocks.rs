@@ -702,10 +702,9 @@ fn probing(probe: &Option<Value>) -> Expr {
 /// untyped keys (text, the node, NULL, `()`), which a text probe finds
 /// in the text view; and every key with one missing, where `k` is not
 /// sure to be bound and the σ replays. The first two are indexed and
-/// probed from the second outer tuple on. (Over the third only the
-/// drained form is compared: a lazy range stops at its witness before
-/// the row without `k`, which the reference fails on — the replay-safe
-/// totality assumption, with or without an index.)
+/// probed from the second outer tuple on. Over the third the ∃ drains
+/// its range — its rows may lack `k` — and fails on the row without it
+/// as the reference does.
 #[test]
 fn indexed_spools_answer_every_probe_as_the_reference() {
     let mut cat = Catalog::new();
@@ -744,9 +743,7 @@ fn indexed_spools_answer_every_probe_as_the_reference() {
                     input: Box::new(block.clone()),
                 };
                 let some = exists("y", block.clone().project(&["n"]), Scalar::attr("y"));
-                let mut exprs = vec![outer.clone().map("m", rows)];
-                exprs.extend(indexed.then(|| outer.select(some)));
-                for expr in exprs {
+                for expr in [outer.clone().map("m", rows), outer.select(some)] {
                     let plan = engine::compile(&expr);
                     let detail = plan.detail();
                     assert!(detail.ends_with(&shared), "{expr}: {detail}");

@@ -15,13 +15,18 @@
 //!    (subscript, keys, Ξ commands, residual, probe sides) that the
 //!    same operator finds in the unpruned plan — and the root must emit
 //!    the same attributes.
+//!
+//! And one of the attribute analysis the pass starts from
+//! (`PhysPlan::schema`): every row a node of either plan produces, and
+//! every row of a block plan that runs under the empty scope, carries
+//! the node's `sure` and nothing outside its `may`.
 
 use std::collections::BTreeSet;
 
 use engine::access::Driver;
 use engine::{JoinKind, Keep, PhysPlan};
 use fuzz::{GenCase, GenConfig, DEFAULT_SEED};
-use nal::{AggKind, EvalCtx, Expr, GroupFn, ProjOp, Scalar, Sym, XiCmd};
+use nal::{AggKind, CmpOp, EvalCtx, Expr, GroupFn, ProjOp, Scalar, Sym, Tuple, Value, XiCmd};
 use ordered_unnesting::plan_sets;
 use xmldb::gen::standard_catalog;
 use xmldb::{Catalog, MaintenanceMode};
@@ -297,6 +302,30 @@ fn nothing_read_was_pruned(what: &str, unpruned: &PhysPlan, pruned: &PhysPlan) -
     removed
 }
 
+/// Run every node of `plan`, and every node of its subscripts' block
+/// plans, on its own under the empty scope, and hold each row it
+/// produces to the node's schema. Returns how many rows were checked.
+fn schema_holds(what: &str, plan: &PhysPlan, catalog: &Catalog) -> usize {
+    let schema = plan.schema();
+    // A subtree that reads an outer attribute fails here: nothing to see.
+    let rows = engine::run_compiled(plan, catalog).map_or_else(|_| Vec::new(), |r| r.rows);
+    for row in &rows {
+        let carried: Attrs = row.attrs().into_iter().collect();
+        let shown = || format!("[{what}] {} emits {row}: {schema:?}", plan.op_name());
+        assert!(
+            schema.sure.iter().all(|a| carried.contains(a)),
+            "{}",
+            shown()
+        );
+        if let Some(may) = &schema.may {
+            assert!(carried.iter().all(|a| may.contains(a)), "{}", shown());
+        }
+    }
+    let blocks = plan.blocks().into_iter().flat_map(|b| b.iter());
+    let below = blocks.map(|b| &b.plan).chain(plan.children());
+    rows.len() + below.map(|p| schema_holds(what, p, catalog)).sum::<usize>()
+}
+
 /// What the checks saw, so the tests can show they were not vacuous.
 #[derive(Default)]
 struct Seen {
@@ -304,6 +333,7 @@ struct Seen {
     narrowed_plans: usize,
     removed_attrs: usize,
     failing: usize,
+    schema_rows: usize,
 }
 
 fn check(what: &str, expr: &Expr, catalog: &Catalog, seen: &mut Seen) {
@@ -351,6 +381,8 @@ fn check(what: &str, expr: &Expr, catalog: &Catalog, seen: &mut Seen) {
 
         // Property 2, and the root emits what it emitted.
         let removed = nothing_read_was_pruned(&what, &unpruned, &pruned);
+        seen.schema_rows += schema_holds(&what, &unpruned, catalog);
+        seen.schema_rows += schema_holds(&what, &pruned, catalog);
         assert_eq!(emits(&unpruned), emits(&pruned), "[{what}] root schema");
         seen.plans += 1;
         seen.narrowed_plans += usize::from(removed > 0);
@@ -383,10 +415,11 @@ fn pruned_plans_answer_like_unpruned_ones_on_the_paper_queries() {
     // semi/anti-join probes carry something dead.
     assert_eq!((seen.plans, seen.failing), (56, 0));
     assert!(
-        seen.narrowed_plans >= 26 && seen.removed_attrs >= 119,
-        "{} plans narrowed, {} attributes removed",
+        seen.narrowed_plans >= 26 && seen.removed_attrs >= 119 && seen.schema_rows > 10_000,
+        "{} plans narrowed, {} attributes removed, {} rows held to their schema",
         seen.narrowed_plans,
-        seen.removed_attrs
+        seen.removed_attrs,
+        seen.schema_rows
     );
 }
 
@@ -416,4 +449,94 @@ fn pruned_plans_answer_like_unpruned_ones_on_generated_queries() {
         seen.narrowed_plans,
         seen.removed_attrs
     );
+    assert!(seen.schema_rows > 10_000, "{} rows", seen.schema_rows);
+}
+
+fn row(fields: &[(&str, Value)]) -> Tuple {
+    Tuple::from_pairs(
+        fields
+            .iter()
+            .map(|(a, v)| (Sym::new(a), v.clone()))
+            .collect(),
+    )
+}
+
+/// The shapes whose schema is least regular: rows of a literal that
+/// carry different attributes, μ with and without its padding (over a
+/// nested relation, a lifted sequence and Γ's member tuples), outer
+/// joins, and the relations without a static schema.
+#[test]
+fn schemas_hold_on_irregular_shapes() {
+    let catalog = Catalog::new();
+    let mixed = Expr::Literal(vec![
+        row(&[("a", Value::Int(1)), ("b", Value::Int(2))]),
+        row(&[("a", Value::Int(3))]),
+        row(&[("a", Value::Int(4)), ("c", Value::Int(5))]),
+    ]);
+    let nested = |vs: &[i64]| {
+        let inner = vs
+            .iter()
+            .map(|v| row(&[("v", Value::Int(*v)), ("w", Value::Int(0))]));
+        Value::Tuples(inner.collect::<Vec<_>>().into())
+    };
+    let grouped = Expr::Literal(vec![
+        row(&[("k", Value::Int(1)), ("g", nested(&[1, 2]))]),
+        row(&[("k", Value::Int(2)), ("g", nested(&[]))]),
+        row(&[("k", Value::Int(3))]),
+    ]);
+    let lifted = Expr::Literal(vec![
+        row(&[("xs", Value::items(vec![Value::Int(1), Value::Int(2)]))]),
+        row(&[("xs", Value::items(vec![]))]),
+    ])
+    .map("g", Scalar::attr("xs").lift("v"));
+    let unnest = |input: Expr, attr: &str, preserve_empty| Expr::Unnest {
+        input: Box::new(input),
+        attr: Sym::new(attr),
+        distinct: false,
+        preserve_empty,
+    };
+    let members = mixed
+        .clone()
+        .group_unary("m", &["a"], CmpOp::Eq, GroupFn::id());
+    let counted = mixed
+        .clone()
+        .group_unary("g", &["a"], CmpOp::Eq, GroupFn::count());
+    let eq = |x: &str, y: &str| Scalar::attr_cmp(CmpOp::Eq, x, y);
+    let lt = |x: &str, y: &str| Scalar::attr_cmp(CmpOp::Lt, x, y);
+    let shapes = [
+        mixed
+            .clone()
+            .map("x", Scalar::int(0))
+            .project(&["a", "b", "x"]),
+        mixed.clone().drop_attrs(&["c"]),
+        unnest(grouped.clone(), "g", false),
+        unnest(grouped.clone(), "g", true).project(&["k", "v"]),
+        unnest(lifted.clone(), "g", false),
+        unnest(lifted, "g", true),
+        unnest(members.clone(), "m", false),
+        unnest(members, "m", true),
+        grouped
+            .clone()
+            .outerjoin(counted.clone(), eq("k", "a"), "g2", Value::Int(0)),
+        grouped.clone().project(&["k"]).outerjoin(
+            counted.clone(),
+            lt("k", "a"),
+            "g",
+            Value::Int(0),
+        ),
+        grouped.clone().project(&["k"]).outerjoin(
+            mixed.clone().project(&["a", "b"]),
+            eq("k", "a"),
+            "b",
+            Value::Int(-1),
+        ),
+        mixed.clone().semijoin(counted, eq("a", "a")),
+        Expr::Literal(vec![]).map("x", Scalar::int(1)),
+        unnest(mixed, "a", false),
+    ];
+    let mut seen = Seen::default();
+    for (i, e) in shapes.iter().enumerate() {
+        check(&format!("shape {i}: {e}"), e, &catalog, &mut seen);
+    }
+    assert!(seen.schema_rows > 100, "{} rows", seen.schema_rows);
 }
