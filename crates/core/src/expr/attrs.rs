@@ -150,19 +150,24 @@ pub fn nested_attrs(e: &Expr, target: Sym) -> Option<Vec<Sym>> {
         }
         Expr::SemiJoin { left, .. } | Expr::AntiJoin { left, .. } => nested_attrs(left, target),
         Expr::Singleton | Expr::AttrRel(_) => None,
-        Expr::Literal(rows) => rows.iter().find_map(|t| match t.get(target) {
-            // An empty nested relation carries no schema — keep looking at
-            // later rows (a `Some(vec![])` here would fabricate an empty
-            // grouping key list downstream).
-            Some(crate::value::Value::Tuples(ts)) if !ts.is_empty() => {
-                let mut set: BTreeSet<Sym> = BTreeSet::new();
-                for inner in ts.iter() {
-                    set.extend(inner.attrs());
+        Expr::Literal(rows) => {
+            // Every row's nested tuples count: a later row's may carry an
+            // attribute the first one's do not. An empty nested relation
+            // carries no schema (a `Some(vec![])` for a literal with only
+            // empty ones would fabricate an empty grouping key list
+            // downstream).
+            let mut set: Option<BTreeSet<Sym>> = None;
+            for t in rows {
+                match t.get(target) {
+                    Some(crate::value::Value::Tuples(ts)) if !ts.is_empty() => {
+                        let set = set.get_or_insert_with(BTreeSet::new);
+                        ts.iter().for_each(|inner| set.extend(inner.attrs()));
+                    }
+                    _ => {}
                 }
-                Some(set.into_iter().collect())
             }
-            _ => None,
-        }),
+            set.map(|set| set.into_iter().collect())
+        }
     }
 }
 

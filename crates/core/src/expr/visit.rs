@@ -99,25 +99,34 @@ fn collect_nested<'a>(s: &'a Scalar, out: &mut Vec<&'a Expr>) {
 /// filter — until it answers `true`. Allocation-free; `true` iff `found`
 /// stopped the walk.
 pub fn find_nested_expr<'a>(s: &'a Scalar, found: &mut impl FnMut(&'a Expr) -> bool) -> bool {
+    find_nested_block(s, &mut |_, block| found(block))
+}
+
+/// [`find_nested_expr`], handing `found` each expression with the
+/// scalar that holds it: the quantifier or aggregate.
+pub fn find_nested_block<'a>(
+    s: &'a Scalar,
+    found: &mut impl FnMut(&'a Scalar, &'a Expr) -> bool,
+) -> bool {
     match s {
         Scalar::Exists { range, pred, .. } | Scalar::Forall { range, pred, .. } => {
-            found(range) || find_nested_expr(pred, found)
+            found(s, range) || find_nested_block(pred, found)
         }
         Scalar::Agg { input, f } => {
-            found(input)
+            found(s, input)
                 || f.filter
                     .as_deref()
-                    .is_some_and(|p| find_nested_expr(p, found))
+                    .is_some_and(|p| find_nested_block(p, found))
         }
         Scalar::Cmp(_, l, r)
         | Scalar::In(l, r)
         | Scalar::And(l, r)
         | Scalar::Or(l, r)
-        | Scalar::Arith(_, l, r) => find_nested_expr(l, found) || find_nested_expr(r, found),
+        | Scalar::Arith(_, l, r) => find_nested_block(l, found) || find_nested_block(r, found),
         Scalar::Not(x) | Scalar::Lift(x, _) | Scalar::DistinctItems(x) | Scalar::Path(x, _) => {
-            find_nested_expr(x, found)
+            find_nested_block(x, found)
         }
-        Scalar::Call(_, args) => args.iter().any(|a| find_nested_expr(a, found)),
+        Scalar::Call(_, args) => args.iter().any(|a| find_nested_block(a, found)),
         Scalar::Const(_) | Scalar::Attr(_) | Scalar::Doc(_) => false,
     }
 }

@@ -136,7 +136,11 @@ impl ExplainReport {
                     .any(|p| word.starts_with(p))
                     || ["absorbed", "fused"].contains(word)
             };
-            while let Some(word) = parts.next_if(of_detail) {
+            // A `shared{…}` mark has words of its own: `indexed(tv =)`.
+            let mut open = 0;
+            while let Some(word) = parts.next_if(|word| open > 0 || of_detail(word)) {
+                open += word.matches('{').count();
+                open -= word.matches('}').count().min(open);
                 detail.push(' ');
                 detail.push_str(word);
             }
@@ -310,10 +314,11 @@ mod tests {
         let plan = crate::compile(&e);
         let (_, trace) = run_traced(&plan, &Catalog::new()).unwrap();
         let text = ExplainReport::from_trace(&plan, &trace).render();
-        assert!(text.starts_with("Select shared{χ[b]} rows=1 "), "{text}");
+        let mark = " shared{χ[b] ∃ indexed(b =)}";
+        assert!(text.starts_with(&format!("Select{mark} rows=1 ")), "{text}");
         let parsed = ExplainReport::parse(&text).unwrap();
         assert_eq!(parsed.nodes[0].op, "Select");
-        assert_eq!(parsed.nodes[0].detail, " shared{χ[b]}");
+        assert_eq!(parsed.nodes[0].detail, mark);
         assert_eq!(parsed.render(), text);
     }
 

@@ -98,6 +98,27 @@
 //! evaluates `side`), and whatever the ordered views cannot answer — a
 //! boolean or sequence `side`, text against typed-number keys, a key
 //! item that is no string, node or number.
+//!
+//! **An ∃ decided by its range's index.** Where the correlation sits in
+//! an ∃'s `satisfies` rather than in a σ over its range — q3's `some $t2
+//! in …//entry/title satisfies $t1 = $t2` — every outer tuple would
+//! replay the whole spool through it. So when an ∃'s whole range is one
+//! shared subtree whose rows carry exactly one attribute `k` (`sure` =
+//! `may` = {k}: binding the variable fails on any other row, so none may
+//! be skipped), a leading conjunct of its predicate of the form `side θ
+//! var` or `side ∈ var` (either way round, `side` replay-safe and not
+//! reading `var`) indexes the spool on `k`: `shared{Υ[q] ∃ indexed(q
+//! =)}`. Only a leading one: a conjunct before it would be evaluated on
+//! every row the window skips, and [`Scalar::replay_safe`] does not make
+//! it total there (a path step over a string fails). Its passes are the
+//! σ's: the first replays, the second fills the spool and orders `k`,
+//! and every later one evaluates `side` once in the quantifier's scope
+//! — where the reference evaluates it on the first row, failing alike —
+//! and hands the quantifier only the rows of the window, in spool
+//! order, each decided by the whole predicate; or it replays, where the
+//! views cannot answer or the scope leaves `side`'s attributes unbound.
+//! A ∀ never probes: the rows outside the window are its
+//! counterexamples.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -135,27 +156,35 @@ pub struct Block {
     writes_xi: bool,
     /// Its shared subtrees.
     shared: Shared,
+    /// The conjunct of its ∃'s `satisfies` that its spool is indexed
+    /// on, when it is an ∃'s range spooled whole (the rule in the module
+    /// documentation).
+    exists: Option<Indexed>,
 }
 
 /// The pre-order positions of the roots of a block's shared subtrees,
 /// each with the conjunct its index answers for the σ right above it.
 type Shared = Box<[(usize, Option<Indexed>)]>;
 
-/// A correlated σ's conjunct `side θ k` or `side ∈ k` over a shared
-/// subtree, which the subtree's spool is indexed on: `k` is an
-/// attribute every spooled row carries, `side` reads none of them (the
-/// rule in the module documentation).
+/// A conjunct `side θ k` or `side ∈ k` over a shared subtree's rows,
+/// which the subtree's spool is indexed on — a correlated σ's, `k` an
+/// attribute every spooled row carries and `side` reading none of them,
+/// or an ∃'s, `k` its range's one attribute as its variable binds it
+/// and `side` not reading the variable (the rules in the module
+/// documentation).
 #[derive(Clone, Debug)]
 struct Indexed {
     key: Sym,
     /// `side θ k`; `∈` is `=`, as it compares.
     probe: RangeProbe,
     member: bool,
-    /// What the σ's conjuncts up to this one read that a spooled row is
-    /// not sure to carry: a probe needs the scope to bind all of it.
+    /// What the conjuncts up to this one read that a spooled row (an
+    /// ∃'s variable) does not bind: a probe needs the scope to bind all
+    /// of it.
     outer: Box<[Sym]>,
-    /// What `side` reads: a spooled row that carries any of it would
-    /// see another `side`.
+    /// What `side` reads of a spooled row: one that carries any of it
+    /// would see another `side`. None for an ∃, whose predicate sees a
+    /// row only through its variable.
     side_reads: Box<[Sym]>,
 }
 
@@ -196,14 +225,21 @@ impl Blocks {
             return Blocks::NONE;
         }
         let mut blocks = Vec::new();
-        visit::find_nested_expr(s, &mut |e| {
+        visit::find_nested_block(s, &mut |holder, e| {
             let mut plan = compile(e);
             hoist_closed_conjuncts(&mut plan);
             let (shared, lazy) = shared_and_lazy(&plan);
+            let exists = match holder {
+                Scalar::Exists { var, pred, .. } if matches!(*shared, [(0, None)]) => {
+                    exists_indexed(&plan, *var, pred)
+                }
+                _ => None,
+            };
             blocks.push(Block {
                 shared,
                 lazy,
                 writes_xi: contains_xi(&plan),
+                exists,
                 plan,
             });
             false
@@ -240,14 +276,21 @@ impl Blocks {
 
     /// EXPLAIN's mark of the shared subtrees, each named by its root
     /// and the conjunct its index answers — ` shared{Υ[b2]}`,
-    /// ` shared{χ[tv] indexed(tv =)}` — or nothing.
+    /// ` shared{χ[tv] indexed(tv =)}`, ` shared{Υ[q] ∃ indexed(q =)}` —
+    /// or nothing.
     pub(crate) fn mark(&self) -> String {
         let roots: Vec<String> = self
             .iter()
-            .flat_map(Block::roots)
-            .map(|(root, probed)| match probed {
-                None => label(root),
-                Some((_, index)) => format!("{} {}", label(root), index.mark()),
+            .flat_map(|block| {
+                block.roots().into_iter().map(move |(root, probed)| {
+                    // An ∃'s index is its range's, the block's only root.
+                    let index = match (probed, &block.exists) {
+                        (Some((_, index)), _) => format!(" {}", index.mark()),
+                        (None, Some(index)) => format!(" ∃ {}", index.mark()),
+                        (None, None) => String::new(),
+                    };
+                    format!("{}{index}", label(root))
+                })
             })
             .collect();
         match roots.is_empty() {
@@ -321,9 +364,21 @@ impl<'p> Spool<'p> {
         Ok(filled.rows.get(at).cloned())
     }
 
-    /// Which rows a pass of the indexed σ above examines: every row as
-    /// it is pulled on the first pass; then the rows the index names
-    /// for `side` in `env`, unless it cannot answer.
+    /// The rows a pass that probes the spool on `index` examines.
+    fn probing<'s>(
+        &'s self,
+        index: &Indexed,
+        env: &Scope<'_>,
+        ctx: &mut EvalCtx<'_>,
+    ) -> EvalResult<SpoolPass<'s, 'p>> {
+        let pass = self.pass(index, env, ctx)?;
+        Ok(SpoolPass { spool: self, pass })
+    }
+
+    /// Which rows a pass that probes the spool on `index` — the indexed
+    /// σ above's, or an ∃'s over it — examines: every row as it is
+    /// pulled on the first pass; then the rows the index names for
+    /// `side` in `env`, unless it cannot answer.
     fn pass(&self, index: &Indexed, env: &Scope<'_>, ctx: &mut EvalCtx<'_>) -> EvalResult<Pass> {
         let filled = &mut *self.filled.borrow_mut();
         filled.passes += 1;
@@ -332,9 +387,7 @@ impl<'p> Spool<'p> {
         }
         if filled.index.is_none() {
             // Pulling the rest of a lazy range is unobservable.
-            while !filled.done {
-                filled.pull(self.node, ctx)?;
-            }
+            filled.fill(self.node, ctx)?;
             let rows = &filled.rows;
             let own_side =
                 (rows.iter()).any(|r| index.side_reads.iter().any(|a| r.get(*a).is_some()));
@@ -363,6 +416,14 @@ impl<'p> Spool<'p> {
 }
 
 impl<'p> Filled<'p> {
+    /// Pull every row of `node`, the subtree, that is not in the spool.
+    fn fill(&mut self, node: &'p PhysPlan, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
+        while !self.done {
+            self.pull(node, ctx)?;
+        }
+        Ok(())
+    }
+
     /// Pull the next row of `node`, the subtree, into the spool.
     fn pull(&mut self, node: &'p PhysPlan, ctx: &mut EvalCtx<'_>) -> EvalResult<()> {
         let source = self
@@ -379,7 +440,7 @@ impl<'p> Filled<'p> {
     }
 }
 
-/// The rows one pass of an indexed σ examines.
+/// The rows one pass over an indexed spool examines.
 enum Pass {
     /// Every row, in order, from the `usize`-th.
     Replay(usize),
@@ -464,7 +525,8 @@ impl Replays for Spooled<'_> {
 
     fn replay<'a>(&'a self, node: &PhysPlan, env: &'a Scope<'a>) -> Option<BoxCursor<'a>> {
         if let Some(spool) = self.spool(node) {
-            return Some(Box::new(Replay { spool, at: 0 }));
+            let pass = Pass::Replay(0);
+            return Some(Box::new(SpoolPass { spool, pass }));
         }
         let (spool, select, index) = self.spools.iter().find_map(|spool| {
             let (select, index) = spool.probed?;
@@ -479,7 +541,7 @@ impl Replays for Spooled<'_> {
             pred,
             blocks: blocks.spooled(),
             env,
-            pass: None,
+            candidates: None,
         };
         Some(Box::new(Metered {
             inner: probe,
@@ -488,19 +550,34 @@ impl Replays for Spooled<'_> {
     }
 }
 
-/// One outer tuple's pass over a spool: the rows already pulled, then
-/// whatever the subtree produces next, kept for the passes after it.
-/// Unmetered — the subtree's own cursors count each row once.
-struct Replay<'s, 'p> {
+/// One pass over a spool: the rows [`Pass`] names — on a replay, the
+/// rows already pulled, then whatever the subtree produces next, kept
+/// for the passes after it. Unmetered — the subtree's own cursors count
+/// each row once.
+struct SpoolPass<'s, 'p> {
     spool: &'s Spool<'p>,
-    at: usize,
+    pass: Pass,
 }
 
-impl Cursor for Replay<'_, '_> {
+impl Cursor for SpoolPass<'_, '_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        let row = self.spool.row(self.at, ctx)?;
-        self.at += usize::from(row.is_some());
-        Ok(row)
+        let pos = match &mut self.pass {
+            Pass::Replay(at) => {
+                let row = self.spool.row(*at, ctx)?;
+                *at += usize::from(row.is_some());
+                return Ok(row);
+            }
+            Pass::Window(view, window, last) => {
+                let filled = self.spool.filled.borrow();
+                let keys = filled.index.as_ref().and_then(Option::as_ref);
+                let keys = keys.expect("a window is the index's");
+                let next = window.find(|at| Some(keys.row(*view, *at)) != *last);
+                *last = next.map(|at| keys.row(*view, at));
+                *last
+            }
+            Pass::Listed(rows) => rows.next(),
+        };
+        Ok(pos.map(|pos| self.spool.filled.borrow().rows[pos].clone()))
     }
 
     fn op_name(&self) -> &'static str {
@@ -519,39 +596,16 @@ struct Probe<'s, 'p> {
     blocks: Spooled<'p>,
     env: &'s Scope<'s>,
     /// Chosen on the first pull.
-    pass: Option<Pass>,
-}
-
-impl Probe<'_, '_> {
-    /// The next row the pass examines.
-    fn candidate(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        let pass = self.pass.as_mut().expect("chosen on the first pull");
-        let pos = match pass {
-            Pass::Replay(at) => {
-                let row = self.spool.row(*at, ctx)?;
-                *at += usize::from(row.is_some());
-                return Ok(row);
-            }
-            Pass::Window(view, window, last) => {
-                let filled = self.spool.filled.borrow();
-                let keys = filled.index.as_ref().and_then(Option::as_ref);
-                let keys = keys.expect("a window is the index's");
-                let next = window.find(|at| Some(keys.row(*view, *at)) != *last);
-                *last = next.map(|at| keys.row(*view, at));
-                *last
-            }
-            Pass::Listed(rows) => rows.next(),
-        };
-        Ok(pos.map(|pos| self.spool.filled.borrow().rows[pos].clone()))
-    }
+    candidates: Option<SpoolPass<'s, 'p>>,
 }
 
 impl Cursor for Probe<'_, '_> {
     fn next(&mut self, ctx: &mut EvalCtx<'_>) -> EvalResult<Option<Tuple>> {
-        if self.pass.is_none() {
-            self.pass = Some(self.spool.pass(self.index, self.env, ctx)?);
-        }
-        while let Some(t) = self.candidate(ctx)? {
+        let candidates = match &mut self.candidates {
+            Some(candidates) => candidates,
+            none => none.insert(self.spool.probing(self.index, self.env, ctx)?),
+        };
+        while let Some(t) = candidates.next(ctx)? {
             if self.blocks.truthy(self.pred, &t, self.env, ctx)? {
                 return Ok(Some(t));
             }
@@ -612,6 +666,16 @@ impl Nested for Compiled<'_, '_> {
         each: &mut dyn FnMut(Tuple, &mut EvalCtx<'_>) -> EvalResult<bool>,
     ) -> EvalResult<()> {
         let block = self.block(block)?;
+        // An ∃ over an indexed range examines the rows its spool's
+        // index names for it, each still decided by the whole predicate.
+        let spool = |index| Some((index, self.spooled.spool(&block.plan)?));
+        if let Some((index, spool)) = block.exists.as_ref().and_then(spool) {
+            if !block.lazy {
+                // Drained first, as the reference evaluates it.
+                spool.filled.borrow_mut().fill(spool.node, ctx)?;
+            }
+            return hand_each(&mut spool.probing(index, scope, ctx)?, ctx, each);
+        }
         let mut range = self.lower(block, scope);
         if !block.lazy {
             // Drained on the first pull, as the reference evaluates it.
@@ -620,13 +684,22 @@ impl Nested for Compiled<'_, '_> {
                 buffered: None,
             });
         }
-        while let Some(t) = range.next(ctx)? {
-            if !each(t, ctx)? {
-                break;
-            }
-        }
-        Ok(())
+        hand_each(range.as_mut(), ctx, each)
     }
+}
+
+/// Hand `range`'s rows to `each` until it answers `false`.
+fn hand_each(
+    range: &mut dyn Cursor,
+    ctx: &mut EvalCtx<'_>,
+    each: &mut dyn FnMut(Tuple, &mut EvalCtx<'_>) -> EvalResult<bool>,
+) -> EvalResult<()> {
+    while let Some(t) = range.next(ctx)? {
+        if !each(t, ctx)? {
+            break;
+        }
+    }
+    Ok(())
 }
 
 /// Move the closed conjuncts of each correlated σ over a closed input
@@ -700,6 +773,28 @@ fn shared_and_lazy(plan: &PhysPlan) -> (Shared, bool) {
         shared = vec![(0, None)];
     }
     (shared.into(), lazy)
+}
+
+/// The leading conjunct of an ∃'s `pred`, when an index of its range
+/// answers it ([`indexed`], `var` the one attribute it binds) and the
+/// range's rows carry exactly one attribute, `k`, the key: on any other
+/// row the quantifier fails binding `var`, so no row may be skipped.
+/// Only the leading one: the quantifier would evaluate a conjunct before
+/// it on every row the window skips, and a replay-safe conjunct can
+/// still fail there — a path step over a string, say.
+fn exists_indexed(range: &PhysPlan, var: Sym, pred: &Scalar) -> Option<Indexed> {
+    let Schema { sure, may } = range.schema();
+    let [key] = sure[..] else {
+        return None;
+    };
+    if may.as_deref() != Some(&[key]) {
+        return None;
+    }
+    Some(Indexed {
+        key,
+        side_reads: Box::default(),
+        ..indexed(pred.conjuncts()[0], &[var])?
+    })
 }
 
 /// The first conjunct of a σ over rows sure to carry `emits` that an

@@ -78,9 +78,7 @@ pub struct Schema {
     /// An upper bound of the attributes a tuple can carry; `None` when
     /// some relation below — build sides included — has no static
     /// schema: `rel(a)`, an empty literal, a μ whose nested schema is
-    /// unknown. Not a bound above a μ over a literal whose nested
-    /// relations carry different attributes: its `inner_attrs` are the
-    /// first non-empty one's (ROADMAP, "μ's nested schema from one row").
+    /// unknown.
     pub may: Option<Vec<Sym>>,
 }
 
@@ -1018,7 +1016,8 @@ mod tests {
         let range = Expr::Literal(vec![nal::Tuple::singleton(Sym::new("w"), Value::Int(5))])
             .project_syms(vec![Sym::new("w")])
             .select(Scalar::cmp(CmpOp::Ge, Scalar::attr("w"), Scalar::int(0)));
-        // A quantifier over an invariant range: its block is spooled.
+        // A quantifier over an invariant range: its block is spooled,
+        // and indexed on `q > y`.
         let quant = Scalar::Exists {
             var: Sym::new("q"),
             range: Box::new(range),
@@ -1040,7 +1039,7 @@ mod tests {
             (
                 l.clone().semijoin(r.clone(), eq.clone().and(quant.clone())),
                 "HashSemiJoin",
-                " shared{σ}",
+                " shared{σ ∃ indexed(w >)}",
             ),
             (
                 l.clone().antijoin(r.clone(), eq.clone()),
@@ -1052,7 +1051,7 @@ mod tests {
             (
                 l.clone().semijoin(r.clone(), lt.clone().and(quant)),
                 "LoopSemiJoin",
-                " shared{σ}",
+                " shared{σ ∃ indexed(w >)}",
             ),
             (
                 l.clone().antijoin(r.clone(), lt.clone()),

@@ -242,7 +242,8 @@ fn keys_that_match_nothing_keep_their_groups() {
 }
 
 /// A θ-Γ runs on the engine's own cursors: its rows are counted once,
-/// by the meter, and its filter's invariant block is spooled.
+/// by the meter, and its filter's invariant block is spooled and
+/// indexed for the ∃ on `q > y`.
 #[test]
 fn theta_grouping_runs_on_the_engine() {
     let cat = Catalog::new();
@@ -258,7 +259,10 @@ fn theta_grouping_runs_on_the_engine() {
     assert_eq!(run.metrics.tuples_produced, 5 + 3);
 
     let filtered = grouped(filtered_count());
-    assert_eq!(engine::compile(&filtered).detail(), " shared{Π}");
+    assert_eq!(
+        engine::compile(&filtered).detail(),
+        " shared{Π ∃ indexed(w >)}"
+    );
     assert_same(&filtered, &cat);
 }
 

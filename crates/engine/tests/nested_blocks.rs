@@ -58,8 +58,11 @@ fn forall(var: &str, range: Expr, pred: Scalar) -> Scalar {
     }
 }
 
+/// A quantifier's builder.
+type Quantifier = fn(&str, Expr, Scalar) -> Scalar;
+
 /// `some` and `every`, as builders.
-const QUANTIFIERS: [fn(&str, Expr, Scalar) -> Scalar; 2] = [exists, forall];
+const QUANTIFIERS: [Quantifier; 2] = [exists, forall];
 
 /// What a run gives: rows and Ξ bytes, or the error.
 type Outcome = EvalResult<(Vec<Tuple>, String)>;
@@ -182,11 +185,13 @@ fn blocks_nest_two_deep() {
     // Neither range reads `t`: each is one shared subtree, drained once
     // for all five `t`, so its inner block runs once per x (4), not once
     // per (t, x) (20) as in the reference — 5 outer quantifiers + 4.
-    for (pred, expected) in [(every, 2), (some, 4)] {
+    // The ∃'s range is indexed on `x > t`, the ∀'s is not.
+    let marks = [" shared{σ}", " shared{σ ∃ indexed(x >)}"];
+    for ((pred, expected), mark) in [(every, 2), (some, 4)].into_iter().zip(marks) {
         let expr = t().select(pred);
         // A range with a block inside cannot be cut short.
         assert_eq!(root_blocks_lazy(&expr), [false], "{expr}");
-        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
+        assert_eq!(engine::compile(&expr).detail(), mark, "{expr}");
         let mut ctx = EvalCtx::new(&cat);
         let reference = eval_query(&expr, &mut ctx).unwrap();
         let run = engine::run(&expr, &cat).unwrap();
@@ -237,27 +242,29 @@ fn filtered(values: &[Value], lazy: bool) -> Expr {
     .select(Scalar::cmp(CmpOp::Ge, x, Scalar::int(0)))
 }
 
-/// χ[c: some x in `range` satisfies x = t] over t ∈ `outer`: the only
-/// selection is the range's.
-fn per_outer_tuple(outer: &[i64], range: Expr) -> Expr {
+/// χ[c: `quantifier` x in `range` satisfies x `op` t] over t ∈ `outer`:
+/// the only selection is the range's.
+fn per_outer_tuple(outer: &[i64], quantifier: Quantifier, op: CmpOp, range: Expr) -> Expr {
     let t = Expr::Literal(
         outer
             .iter()
             .map(|&t| Tuple::singleton(s("t"), Value::Int(t)))
             .collect(),
     );
-    t.map(
-        "c",
-        exists("x", range, Scalar::attr_cmp(CmpOp::Eq, "x", "t")),
-    )
+    t.map("c", quantifier("x", range, Scalar::attr_cmp(op, "x", "t")))
 }
 
 #[test]
 fn an_invariant_range_runs_once_for_every_outer_tuple() {
     let cat = Catalog::new();
     for outer in [&[2][..], &[2, 9, 4, 1, 2], &[9; 7]] {
-        let expr = per_outer_tuple(outer, filtered(&ints(&[1, -1, 3, 4]), false));
-        assert_eq!(engine::compile(&expr).detail(), "[c] shared{σ}", "{expr}");
+        let range = filtered(&ints(&[1, -1, 3, 4]), false);
+        let expr = per_outer_tuple(outer, exists, CmpOp::Eq, range);
+        assert_eq!(
+            engine::compile(&expr).detail(),
+            "[c] shared{σ ∃ indexed(x =)}",
+            "{expr}"
+        );
         let (reference, engine) = both(&expr, &cat);
         assert_eq!(engine, reference, "{expr}");
         // The range's literal and σ count one evaluation's tuples, what
@@ -273,22 +280,43 @@ fn an_invariant_range_runs_once_for_every_outer_tuple() {
     }
 }
 
+/// A lazy range that every outer tuple replays — a ∀'s, whose range is
+/// never probed — is pulled only as far as its furthest outer tuple's
+/// decision. An ∃ over an indexed spool pulls as far on its first pass,
+/// and fills the spool on its second, to probe it.
 #[test]
 fn a_lazy_range_pulls_only_as_far_as_its_furthest_outer_tuple() {
     let cat = Catalog::new();
-    // The witness of t = 1 is the range's first row, of t = 3 its third.
-    for (outer, pulled) in [(&[1][..], 1), (&[1, 1, 1], 1), (&[1, 3, 1], 3), (&[7], 4)] {
-        let expr = per_outer_tuple(outer, filtered(&ints(&[1, 2, 3, 4]), true));
-        let plan = engine::compile(&expr);
-        assert_eq!(plan.detail(), "[c] shared{σ}", "{expr}");
-        let PhysPlan::Map { blocks, .. } = &plan else {
-            panic!("{}", plan.explain());
-        };
-        assert!(blocks.iter().all(|b| b.lazy), "{expr}");
-        let (reference, engine) = both(&expr, &cat);
-        assert_eq!(engine, reference, "{expr}");
-        let run = engine::run_compiled(&plan, &cat).unwrap();
-        assert_eq!(run.metrics.op_count("Select"), pulled, "{expr}");
+    // The counterexample of t = 1 to x ≠ t, and the witness of x = t, is
+    // the range's first row; of t = 3 its third.
+    let cases = [
+        (&[1][..], 1, 1, 0),
+        (&[1, 1, 1], 1, 4, 2),
+        (&[1, 3, 1], 3, 4, 2),
+        (&[7], 4, 4, 0),
+    ];
+    let forms: [(Quantifier, _, _); 2] = [
+        (forall, CmpOp::Ne, "[c] shared{σ}"),
+        (exists, CmpOp::Eq, "[c] shared{σ ∃ indexed(x =)}"),
+    ];
+    for (outer, replayed, indexed, probes) in cases {
+        for ((quantifier, op, mark), (pulled, probes)) in
+            forms.into_iter().zip([(replayed, 0), (indexed, probes)])
+        {
+            let range = filtered(&ints(&[1, 2, 3, 4]), true);
+            let expr = per_outer_tuple(outer, quantifier, op, range);
+            let plan = engine::compile(&expr);
+            assert_eq!(plan.detail(), mark, "{expr}");
+            let PhysPlan::Map { blocks, .. } = &plan else {
+                panic!("{}", plan.explain());
+            };
+            assert!(blocks.iter().all(|b| b.lazy), "{expr}");
+            let (reference, engine) = both(&expr, &cat);
+            assert_eq!(engine, reference, "{expr}");
+            let run = engine::run_compiled(&plan, &cat).unwrap();
+            assert_eq!(run.metrics.op_count("Select"), pulled, "{expr}");
+            assert_eq!(run.metrics.spool_probes, probes, "{expr}");
+        }
     }
 }
 
@@ -298,7 +326,7 @@ fn an_xi_writing_range_is_not_shared() {
     let range = rel("x", &ints(&[1, 2, 3]))
         .xi(xi_cmds(&["<x>", "$x", "</x>"]))
         .project(&["x"]);
-    let expr = per_outer_tuple(&[1, 2, 9, 4], range);
+    let expr = per_outer_tuple(&[1, 2, 9, 4], exists, CmpOp::Eq, range);
     // Only the projection below the Ξ is shared; the Ξ runs per outer
     // tuple, writing its bytes each time, as the reference does.
     assert_eq!(engine::compile(&expr).detail(), "[c] shared{Π}", "{expr}");
@@ -343,10 +371,11 @@ fn an_erroring_invariant_range_fails_as_in_the_reference_and_only_when_reached()
     let cat = Catalog::new();
     let decimal = |x| Scalar::Call(Func::Decimal, vec![x]);
     let range = || erroring_range(decimal);
-    for quantifier in QUANTIFIERS {
+    let marks = [" shared{σ ∃ indexed(x =)}", " shared{σ}"];
+    for (quantifier, mark) in QUANTIFIERS.into_iter().zip(marks) {
         let pred = Scalar::attr_cmp(CmpOp::Eq, "x", "t");
         let expr = rel("t", &ints(&[1, 2])).select(quantifier("x", range(), pred.clone()));
-        assert_eq!(engine::compile(&expr).detail(), " shared{σ}", "{expr}");
+        assert_eq!(engine::compile(&expr).detail(), mark, "{expr}");
         let (reference, engine) = both(&expr, &cat);
         let (Err(want), Err(got)) = (&reference, &engine) else {
             panic!("{expr}: reference {reference:?}, engine {engine:?}");
@@ -379,7 +408,7 @@ fn a_cached_plan_sees_an_update_between_runs() {
         Scalar::attr_cmp(CmpOp::Eq, "x", "t"),
     ));
     let plan = engine::compile(&expr);
-    assert_eq!(plan.detail(), " shared{Υ[x]}");
+    assert_eq!(plan.detail(), " shared{Υ[x] ∃ indexed(x =)}");
     let run = |cat: &Catalog| {
         let (reference, _) = both(&expr, cat);
         let run = engine::run_compiled(&plan, cat).unwrap();
@@ -764,6 +793,183 @@ fn indexed_spools_answer_every_probe_as_the_reference() {
     );
 }
 
+/// The ∃ form of the matrix: `some q in Π[k](spool) satisfies side θ q`,
+/// alone and followed by `decimal(q) >= 0` (which fails on text and
+/// sequences, so an error surfaces only from a row the ∃ reaches), for
+/// `o θ q`, `q θ o`, `o ∈ q` and `q ∈ o` and every pool value as `o`,
+/// over the same three spools, against `nal::eval`: rows and Ξ bytes
+/// (χ of the verdict per outer tuple, written out), and errors. The
+/// first two spools are indexed for the ∃ and probed from the second
+/// outer tuple on. In the third a row lacks `k`: binding `q` fails on it,
+/// so the ∃ replays and fails there as the reference does.
+#[test]
+fn an_exists_over_an_indexed_range_answers_every_probe_as_the_reference() {
+    let mut cat = Catalog::new();
+    let pool = key_pool(&mut cat);
+    let (o, q) = (|| Scalar::attr("o"), || Scalar::attr("q"));
+    let mut keys = Vec::new();
+    for op in [CmpOp::Eq, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        keys.push((
+            Scalar::cmp(op, o(), q()),
+            format!("k {}", op.flip().symbol()),
+        ));
+        keys.push((Scalar::cmp(op, q(), o()), format!("k {}", op.symbol())));
+    }
+    let member = |x: Scalar, y: Scalar| Scalar::In(Box::new(x), Box::new(y));
+    keys.push((member(o(), q()), "k ∈".to_string()));
+    keys.push((member(q(), o()), "k ∈".to_string()));
+    let decimal = Scalar::cmp(
+        CmpOp::Ge,
+        Scalar::Call(Func::Decimal, vec![q()]),
+        Scalar::int(0),
+    );
+    let untyped = |k: &Value| matches!(k, Value::Str(_) | Value::Node(_)) || k.is_empty_seq();
+    let spools = [
+        (keyed_spool(&pool, Option::is_some), true),
+        (
+            keyed_spool(&pool, |k| k.as_ref().is_some_and(untyped)),
+            true,
+        ),
+        (keyed_spool(&pool, |_| true), false),
+    ];
+    let (mut probes, mut failed) = ([0; 3], 0);
+    for (key, mark) in &keys {
+        for pred in [key.clone(), key.clone().and(decimal.clone())] {
+            for ((spool, indexed), probes) in spools.iter().zip(&mut probes) {
+                let shared = match indexed {
+                    true => format!(" shared{{Π ∃ indexed({mark})}}"),
+                    false => " shared{Π}".to_string(),
+                };
+                let some = exists("q", spool.clone().project(&["k"]), pred.clone());
+                for (name, probe) in &pool {
+                    let expr = probing(probe)
+                        .map("m", some.clone())
+                        .xi(xi_cmds(&["<m>", "$m", "</m>"]));
+                    let plan = engine::compile(&expr);
+                    let detail = plan.children()[0].detail();
+                    assert_eq!(detail, format!("[m]{shared}"), "{expr}");
+                    let (reference, engine) = both(&expr, &cat);
+                    assert_eq!(engine, reference, "{expr} with o = {name}");
+                    failed += usize::from(reference.is_err());
+                    *probes +=
+                        engine::run_compiled(&plan, &cat).map_or(0, |run| run.metrics.spool_probes);
+                }
+            }
+        }
+    }
+    // Both indexed spools answered most probes (a sequence, a boolean,
+    // a text against typed numbers or an unbound `o` has no window);
+    // the third never probes. Some runs fail, in `decimal` or binding
+    // `q`, as the reference does.
+    assert!(
+        probes[0] > 100 && probes[1] > 100 && probes[2] == 0 && failed > 100,
+        "{probes:?}, {failed} failed"
+    );
+}
+
+/// Regression: a conjunct before the ∃'s key is evaluated on every row
+/// the window would skip, and a replay-safe one can still fail there —
+/// `not(q/b)` over the string "s" does. With it leading, the ∃ is not
+/// indexed and fails on "s" as the reference does; after the key, it
+/// is evaluated only on the window's rows, as the reference evaluates
+/// it only where the key holds, so it fails only for `o = "s"`.
+#[test]
+fn only_a_leading_key_conjunct_indexes_an_exists() {
+    let mut cat = Catalog::new();
+    let doc = cat.register(xmldb::parse_document("w.xml", "<r><a/></r>").unwrap());
+    let tree = cat.doc(doc);
+    let a = tree
+        .descendants(xmldb::NodeId::DOCUMENT)
+        .find(|&n| tree.node_name(n) == Some("a"))
+        .unwrap();
+    let a = Value::Node(nal::NodeRef { doc, node: a });
+    let range = rel("k", &[a.clone(), Value::str("s")]);
+    let no_b = Scalar::Not(Box::new(
+        Scalar::attr("q").path(xpath::parse_path("b").unwrap()),
+    ));
+    let key = Scalar::attr_cmp(CmpOp::Eq, "o", "q");
+    let outer = |os: &[Value]| {
+        let rows = os.iter().map(|o| Tuple::singleton(s("o"), o.clone()));
+        Expr::Literal(rows.collect())
+    };
+    let (zz, s_) = (Value::str("zz"), Value::str("s"));
+    for (pred, mark, fails) in [
+        (no_b.clone().and(key.clone()), " shared{Π}", [true, true]),
+        (key.and(no_b), " shared{Π ∃ indexed(k =)}", [false, true]),
+    ] {
+        let some = exists("q", range.clone(), pred);
+        for (os, fails) in [
+            vec![a.clone(), zz.clone()],
+            vec![a.clone(), zz.clone(), s_.clone()],
+        ]
+        .into_iter()
+        .zip(fails)
+        {
+            let expr = outer(&os).select(some.clone());
+            assert_eq!(engine::compile(&expr).detail(), mark, "{expr}");
+            let (reference, engine) = both(&expr, &cat);
+            assert_eq!(reference.is_err(), fails, "{expr}: {reference:?}");
+            assert_eq!(engine, reference, "{expr}");
+        }
+    }
+}
+
+/// `every q in Π[x](rel) satisfies q = t` over a spooled range, which an
+/// index of the range would answer wrongly: the rows it would skip are
+/// the ∀'s counterexamples. The ∀ replays its spool every time.
+#[test]
+fn a_forall_never_probes_its_range() {
+    let cat = Catalog::new();
+    let range = rel("x", &ints(&[1, 1, 2, 1]));
+    for (op, holds) in [(CmpOp::Eq, 0), (CmpOp::Le, 2), (CmpOp::Gt, 1)] {
+        let pred = Scalar::cmp(op, Scalar::attr("q"), Scalar::attr("t"));
+        let every = forall("q", range.clone(), pred.clone());
+        let expr = rel("t", &ints(&[1, 1, 2, 2, 0])).select(every);
+        let (reference, engine) = both(&expr, &cat);
+        assert_eq!(engine, reference, "{expr}");
+        let plan = engine::compile(&expr);
+        assert_eq!(plan.detail(), " shared{Π}", "{expr}");
+        let run = engine::run_compiled(&plan, &cat).unwrap();
+        assert_eq!(run.rows.len(), holds, "{expr}");
+        assert_eq!(run.metrics.spool_probes, 0, "{expr}");
+        // The ∃ over the same range and predicate is indexed.
+        let some = rel("t", &ints(&[1, 1, 2, 2, 0])).select(exists("q", range.clone(), pred));
+        let run = engine::run(&some, &cat).unwrap();
+        assert_eq!(run.metrics.spool_probes, 4, "{some}");
+    }
+}
+
+/// The paper's q3 (§5.3) at scale 40: its ∃'s range is one spooled
+/// `Υ[q]` indexed on `$t1 = q`. The first of its 40 outer tuples
+/// replays the spool as far as its witness, the second fills it and
+/// builds the index, and each of the 39 passes from the second on
+/// probes: the range's Υ emits every review title once, as when each
+/// outer tuple replayed it.
+#[test]
+fn q3_probes_its_exists_range_from_the_second_outer_tuple_on() {
+    let cat = xmldb::gen::standard_catalog(40, 2, 1);
+    let w = ordered_unnesting::workloads::Q3_EXISTENTIAL;
+    let expr = xquery::compile(w.query, &cat).expect("q3 compiles");
+    let nested = unnest::enumerate_plans(&expr, &cat)
+        .into_iter()
+        .find(|p| p.label == "nested")
+        .expect("q3 has a nested plan");
+    let plan = engine::compile(&nested.expr);
+    let (select, blocks) = select_blocks(&plan).expect("q3's σ holds its ∃");
+    assert_eq!(select.detail(), " shared{Υ[q] ∃ indexed(q =)}");
+    assert!(blocks.iter().all(|b| b.lazy));
+    let run = engine::run_compiled(&plan, &cat).unwrap();
+    let mut ctx = EvalCtx::new(&cat);
+    let reference = eval_query(&nested.expr, &mut ctx).unwrap();
+    assert_eq!((&run.rows, &run.output), (&reference, &ctx.take_output()));
+    let m = &run.metrics;
+    assert_eq!((m.nested_evals, m.spool_probes), (40, 39));
+    assert_eq!(run.rows.len(), 20);
+    // 40 titles of the outer Υ[t1], 40 of the range's Υ[q].
+    assert_eq!(m.op_count("UnnestMap"), 40 + 40);
+    assert_eq!(m.tuples_produced, 123);
+}
+
 /// `o = k` over rows whose `k` are the ints 1 to 4 and a two-item
 /// sequence, probed by 2 three times: the first outer tuple replays the
 /// spool, the second fills it and builds the index, both probes find
@@ -804,7 +1010,8 @@ fn a_probe_examines_only_its_window() {
 /// Regression: a probe must not evaluate `side` over an empty spool,
 /// where the reference never does: an index that evaluated it anyway
 /// failed with "unbound attribute" where the scope leaves `o` unbound,
-/// and a path over the number `o` would fail too.
+/// and a path over the number `o` would fail too — for a σ over the
+/// spool and for an ∃ over it alike.
 #[test]
 fn an_empty_spool_never_reads_its_side() {
     let cat = Catalog::new();
@@ -814,6 +1021,11 @@ fn an_empty_spool_never_reads_its_side() {
     let path = Scalar::attr("o").path(xpath::parse_path("t").unwrap());
     let number = Tuple::singleton(s("o"), Value::Int(1));
     for (side, outer) in [(Scalar::attr("o"), unbound), (path, number)] {
+        let decided = exists(
+            "q",
+            empty.clone(),
+            Scalar::cmp(CmpOp::Eq, side.clone(), Scalar::attr("q")),
+        );
         let block = empty
             .clone()
             .select(Scalar::cmp(CmpOp::Eq, side, Scalar::attr("k")));
@@ -823,10 +1035,13 @@ fn an_empty_spool_never_reads_its_side() {
             f: GroupFn::count(),
             input: Box::new(block),
         };
-        for expr in [outer.clone().select(some), outer.map("m", count)] {
-            assert!(engine::compile(&expr)
-                .detail()
-                .ends_with("shared{σ indexed(k =)}"));
+        let (probed, decided_mark) = ("shared{σ indexed(k =)}", "shared{σ ∃ indexed(k =)}");
+        for (expr, mark) in [
+            (outer.clone().select(decided), decided_mark),
+            (outer.clone().select(some), probed),
+            (outer.map("m", count), probed),
+        ] {
+            assert!(engine::compile(&expr).detail().ends_with(mark), "{expr}");
             let (reference, engine) = both(&expr, &cat);
             assert!(reference.is_ok(), "{expr}: {reference:?}");
             assert_eq!(engine, reference, "{expr}");

@@ -39,7 +39,11 @@ fn catalog() -> Catalog {
         .iter()
         .map(|v| format!("<v>{v}</v>"))
         .collect();
-    let xml = format!("<p>{body}<v>1<i>0</i></v></p>");
+    // Two long texts that share more than an ordered view's prefix,
+    // one of them split in pieces across it.
+    let long = "<v>Semistructured Databases Query <i>Processing Vol. 2</i></v>\
+                <v>Semistructured Databases Query Processing Vol. 10</v>";
+    let xml = format!("<p>{body}<v>1<i>0</i></v>{long}</p>");
     cat.register(parse_document("pool.xml", &xml).expect("pool document parses"));
     cat
 }
@@ -60,6 +64,10 @@ fn value_pool(cat: &Catalog) -> Vec<Value> {
 
     let mut pool: Vec<Value> = VALUE_POOL.iter().map(Value::str).collect();
     pool.push(Value::str(" 3 "));
+    pool.push(Value::str(
+        "Semistructured Databases Query Processing Vol. 2",
+    ));
+    pool.push(Value::str("Semistructured Databases Query Processing"));
     pool.extend([
         Value::Null,
         Value::Bool(true),

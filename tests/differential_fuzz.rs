@@ -32,9 +32,9 @@ fn seeded_differential_fuzz() {
                 report.spool_probes
             );
             // The default seed's first 48 cases already hold nested
-            // blocks whose correlated σ probes an indexed spool (384 of
-            // them; 9,084 in CI's 400 cases), so the oracle checks
-            // probed nested plans, not only replayed ones.
+            // blocks whose correlated σ or ∃ probes an indexed spool
+            // (920 probes; 20,516 in CI's 400 cases), so the oracle
+            // checks probed nested plans, not only replayed ones.
             if seed == DEFAULT_SEED && cases >= 48 {
                 assert!(report.spool_probes > 0, "no spool was probed");
             }

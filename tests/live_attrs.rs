@@ -463,7 +463,8 @@ fn row(fields: &[(&str, Value)]) -> Tuple {
 
 /// The shapes whose schema is least regular: rows of a literal that
 /// carry different attributes, μ with and without its padding (over a
-/// nested relation, a lifted sequence and Γ's member tuples), outer
+/// nested relation, a lifted sequence and Γ's member tuples, and over
+/// nested relations whose tuples carry different attributes), outer
 /// joins, and the relations without a static schema.
 #[test]
 fn schemas_hold_on_irregular_shapes() {
@@ -503,7 +504,26 @@ fn schemas_hold_on_irregular_shapes() {
         .group_unary("g", &["a"], CmpOp::Eq, GroupFn::count());
     let eq = |x: &str, y: &str| Scalar::attr_cmp(CmpOp::Eq, x, y);
     let lt = |x: &str, y: &str| Scalar::attr_cmp(CmpOp::Lt, x, y);
+    // Only the second row's nested tuple carries `w`: μ's nested schema
+    // is every row's, or the dead-attribute pass drops `w`.
+    let one = |a: &str, v| Value::Tuples(vec![row(&[(a, Value::Int(v))])].into());
+    let disagreeing = unnest(
+        Expr::Literal(vec![
+            row(&[("k", Value::Int(1)), ("g", one("v", 1))]),
+            row(&[("k", Value::Int(2)), ("g", one("w", 2))]),
+        ]),
+        "g",
+        false,
+    )
+    .project(&["k", "w"]);
+    let run = engine::run(&disagreeing, &catalog).unwrap();
+    let expected = [
+        row(&[("k", Value::Int(1))]),
+        row(&[("k", Value::Int(2)), ("w", Value::Int(2))]),
+    ];
+    assert_eq!(run.rows, expected, "{disagreeing}");
     let shapes = [
+        disagreeing,
         mixed
             .clone()
             .map("x", Scalar::int(0))
